@@ -30,6 +30,7 @@ import typing
 
 from repro.api.protocol import (
     KIND_OF,
+    OMIT_DEFAULT,
     REQUEST_KINDS,
     RESPONSE_KINDS,
     ProtocolError,
@@ -70,12 +71,34 @@ def to_wire(message):
     return payload
 
 
+#: Marks a field that is encoded whatever its value.
+_ALWAYS = object()
+
+#: Per dataclass, ``(name, omit_if)`` for each field — ``omit_if`` is
+#: the default of a :func:`~repro.api.protocol.omitted_unless_set`
+#: field, ``_ALWAYS`` otherwise.  Built once per class, like the hints.
+_FIELDS_CACHE = {}
+
+
+def _wire_fields(cls):
+    plan = _FIELDS_CACHE.get(cls)
+    if plan is None:
+        plan = tuple(
+            (f.name, f.default if f.metadata.get(OMIT_DEFAULT) else _ALWAYS)
+            for f in dataclasses.fields(cls)
+        )
+        _FIELDS_CACHE[cls] = plan
+    return plan
+
+
 def _value_to_wire(value):
     if dataclasses.is_dataclass(value):
-        return {
-            f.name: _value_to_wire(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
+        wire = {}
+        for name, omit_if in _wire_fields(type(value)):
+            item = getattr(value, name)
+            if omit_if is _ALWAYS or item != omit_if:
+                wire[name] = _value_to_wire(item)
+        return wire
     if isinstance(value, (tuple, list)):
         return [_value_to_wire(item) for item in value]
     return value

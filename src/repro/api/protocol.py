@@ -56,13 +56,19 @@ wire), so these classes are simultaneously the Python API and the wire
 schema.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
 from repro.analysis.summaries import CacheStats
 from repro.engine.scheduler import BatchStats
 
-#: The protocol spoken by this build — "<major>.<minor>".  1.6 adds
+#: The protocol spoken by this build — "<major>.<minor>".  1.7 makes
+#: ``fetch-methods`` incremental: a request may present the
+#: ``incarnation``/``since`` cursor of an earlier answer, and a shard
+#: whose store still runs under that incarnation returns only the
+#: entries stamped after ``since``; every ``fetch-methods-result`` from
+#: a shard carries its store's ``incarnation`` and the ``cursor`` to
+#: present next.  1.6 adds
 #: the failure-semantics rows to the remote stats on ``stats-result``:
 #: ``faults`` (transport faults injected by a deterministic
 #: :class:`~repro.cacheserver.faults.FaultSchedule` — zero in
@@ -91,7 +97,23 @@ from repro.engine.scheduler import BatchStats
 #: remote stats; 1.1 added the store-level ops
 #: (``lookup``/``store``/``store-stats``) and the warm-start/remote
 #: counters on ``stats-result``; 1.0 traffic decodes unchanged.
-PROTOCOL_VERSION = "1.6"
+PROTOCOL_VERSION = "1.7"
+
+
+#: Field metadata key: :func:`repro.api.codec.encode` leaves the field
+#: out while it holds its default.
+OMIT_DEFAULT = "omit_default"
+
+
+def omitted_unless_set(default):
+    """A request field a minor revision added, encoded only when set.
+
+    Servers reject unknown request fields, so a field that is always
+    encoded would make every request of its kind undecodable for the
+    previous minor's servers.  Left at ``default``, it is absent from
+    the encoded request, which those servers still decode.
+    """
+    return field(default=default, metadata={OMIT_DEFAULT: True})
 
 
 def split_version(version):
@@ -343,10 +365,21 @@ class MethodEntriesRequest:
     prefetch never imports another program's same-named summaries.
     The response carries each entry's method epoch; the client adopts
     only entries whose epoch matches its own view.
+
+    ``incarnation``/``since`` (protocol 1.7) are the cursor of an
+    earlier answer from the same shard.  When the shard's store still
+    runs under that incarnation, only entries stored or replaced after
+    ``since`` come back; otherwise (null incarnation, a restarted
+    shard) the answer is the full dump.  A cursor is only meaningful
+    for the ``methods``/``fingerprint`` filter it was issued under.
+    A request without a cursor carries neither field, so a 1.6 shard
+    still answers it (with a full dump and no incarnation).
     """
 
     methods: Optional[Tuple[str, ...]] = None
     fingerprint: Optional[int] = None
+    incarnation: Optional[int] = omitted_unless_set(None)
+    since: int = omitted_unless_set(0)
     protocol_version: str = PROTOCOL_VERSION
 
 
@@ -467,10 +500,21 @@ class MethodEntriesResponse:
     method epoch at the server; clients adopt an entry only when that
     epoch equals their own view of the method, so a prefetch can never
     smuggle a stale summary past the consistency guard.
+
+    ``incarnation``/``cursor`` (protocol 1.7) name the answering
+    store's process incarnation and its newest sequence stamp at the
+    time of the scan; a client presents them as ``incarnation``/
+    ``since`` next time to receive only what is new.  A delta answer
+    lists its entries oldest-stamp-first.  Null ``incarnation`` means
+    the sender keeps no cursor (a 1.6 shard, or
+    :class:`~repro.api.service.PointsToService`): every fetch is a
+    full dump.
     """
 
     entries: Tuple[Any, ...]
     epochs: Tuple[int, ...] = ()
+    incarnation: Optional[int] = None
+    cursor: int = 0
     protocol_version: str = PROTOCOL_VERSION
 
 

@@ -339,11 +339,10 @@ class PointsToService:
         )
 
     def _handle_store(self, request):
-        from repro.api.snapshot import check_entry, resolve_wire_entry
+        from repro.api.snapshot import resolve_wire_entry
 
         store = self._require_store()
-        check_entry(request.entry, "store.entry")
-        resolved = resolve_wire_entry(self.engine.pag, request.entry)
+        resolved = resolve_wire_entry(self.engine.pag, request.entry, "store.entry")
         if resolved is None:
             # A summary for a different program version is not ours to
             # keep — refusing is correctness-neutral (it is only a memo).
@@ -357,6 +356,9 @@ class PointsToService:
     def _handle_fetch_methods(self, request):
         from repro.api.snapshot import entry_to_wire
 
+        # The engine's store keeps no sequence stamps: every answer is
+        # the full dump, and the null incarnation tells a client's
+        # prefetch cursor to stay unset.
         store = self._require_store()
         wanted = set(request.methods) if request.methods is not None else None
         entries = []

@@ -84,15 +84,20 @@ def node_to_wire(node):
     raise SnapshotError(f"cannot serialize node {node!r} of type {type(node).__name__}")
 
 
+_NODE_FIELDS = {
+    "local": ("method", "name"),
+    "object": ("id", "class", "method"),
+    "global": ("class", "field"),
+}
+
+
 def _check_node_wire(wire, path):
     if not isinstance(wire, dict):
         raise SnapshotError(f"{path}: node reference must be an object")
     kind = wire.get("kind")
-    required = {
-        "local": ("method", "name"),
-        "object": ("id", "class", "method"),
-        "global": ("class", "field"),
-    }.get(kind)
+    # An unhashable kind (a JSON array or object) is unknown, not a
+    # TypeError escaping the typed-error contract.
+    required = _NODE_FIELDS.get(kind) if isinstance(kind, str) else None
     if required is None:
         raise SnapshotError(f"{path}: unknown node kind {kind!r}")
     for key in required:
@@ -194,36 +199,46 @@ def entry_to_wire(node, field_stack, state, summary):
     return wire
 
 
-def resolve_wire_entry(pag, entry):
-    """Re-anchor one *validated* wire entry against ``pag``.
+def resolve_wire_entry(pag, entry, path="entry"):
+    """Validate one wire entry and re-anchor it against ``pag``, in one
+    walk.
 
-    Returns ``(node, field_stack, state, PptaResult)`` or ``None`` when
+    Raises the :class:`SnapshotError` :func:`check_entry` would raise
+    for every shape it rejects — also when the entry would not resolve
+    anyway, so a malformed entry never passes as merely stale.
+    Returns ``(node, field_stack, state, PptaResult)``, or ``None`` when
     any referenced entity no longer exists in this program version —
-    summaries are memos, so the caller treats that as a miss.
+    summaries are memos, so the caller treats that as a miss.  Each
+    field stack is parsed once: the walk is what a wire client pays per
+    fetched entry.
     """
-    node = resolve_node(pag, entry["node"])
+    _check_entry_fields(entry, path)
+    node = resolve_node(pag, _check_node_wire(entry["node"], f"{path}.node"))
+    stack = stack_from_wire(entry["stack"], f"{path}.stack")
+    state = _check_state(entry["state"], f"{path}.state")
+    steps = _check_steps(entry, path)
+    _check_payload_arrays(entry, path)
+    objects = []
+    for i, wire in enumerate(entry["objects"]):
+        _check_object_wire(wire, f"{path}.objects[{i}]")
+        if node is not None:
+            obj = resolve_node(pag, wire)
+            if obj is None:
+                node = None  # keep walking: the rest must still validate
+            else:
+                objects.append(obj)
+    boundaries = []
+    for i, boundary in enumerate(entry["boundaries"]):
+        bwire, bstack, bstate = _check_boundary(boundary, f"{path}.boundaries[{i}]")
+        if node is not None:
+            bnode = resolve_node(pag, bwire)
+            if bnode is None:
+                node = None
+            else:
+                boundaries.append((bnode, bstack, bstate))
     if node is None:
         return None
-    stack = stack_from_wire(entry["stack"], "entry.stack")
-    state = entry["state"]
-    objects = []
-    for wire in entry["objects"]:
-        obj = resolve_node(pag, wire)
-        if obj is None:
-            return None
-        objects.append(obj)
-    boundaries = []
-    for boundary in entry["boundaries"]:
-        bnode = resolve_node(pag, boundary["node"])
-        if bnode is None:
-            return None
-        boundaries.append(
-            (bnode, stack_from_wire(boundary["stack"], "boundary.stack"),
-             boundary["state"])
-        )
-    return node, stack, state, PptaResult(
-        objects, boundaries, steps=entry.get("steps", 0)
-    )
+    return node, stack, state, PptaResult(objects, boundaries, steps=steps)
 
 
 # ----------------------------------------------------------------------
@@ -524,33 +539,59 @@ def _stats_from_wire(wire, path):
 
 
 def check_entry(entry, path="entry"):
-    """Structural validation of one wire entry; returns its fact count."""
+    """Structural validation of one wire entry; returns its fact count.
+
+    :func:`resolve_wire_entry` runs the same checks, in the same order,
+    from the same helpers."""
+    _check_entry_fields(entry, path)
+    _check_node_wire(entry["node"], f"{path}.node")
+    stack_from_wire(entry["stack"], f"{path}.stack")
+    _check_state(entry["state"], f"{path}.state")
+    _check_steps(entry, path)
+    _check_payload_arrays(entry, path)
+    for i, wire in enumerate(entry["objects"]):
+        _check_object_wire(wire, f"{path}.objects[{i}]")
+    for i, boundary in enumerate(entry["boundaries"]):
+        _check_boundary(boundary, f"{path}.boundaries[{i}]")
+    return len(entry["objects"]) + len(entry["boundaries"])
+
+
+def _check_entry_fields(entry, path):
     if not isinstance(entry, dict):
         raise SnapshotError(f"{path}: entry must be an object")
     for key in ("node", "stack", "state", "objects", "boundaries"):
         if key not in entry:
             raise SnapshotError(f"{path}: missing {key!r}")
-    _check_node_wire(entry["node"], f"{path}.node")
-    stack_from_wire(entry["stack"], f"{path}.stack")
-    _check_state(entry["state"], f"{path}.state")
+
+
+def _check_steps(entry, path):
     steps = entry.get("steps", 0)
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
         raise SnapshotError(f"{path}.steps: must be a non-negative integer")
+    return steps
+
+
+def _check_payload_arrays(entry, path):
     if not isinstance(entry["objects"], list) or not isinstance(
         entry["boundaries"], list
     ):
         raise SnapshotError(f"{path}: objects/boundaries must be arrays")
-    for i, wire in enumerate(entry["objects"]):
-        checked = _check_node_wire(wire, f"{path}.objects[{i}]")
-        if checked["kind"] != "object":
-            raise SnapshotError(f"{path}.objects[{i}]: must be an object node")
-    for i, boundary in enumerate(entry["boundaries"]):
-        if not isinstance(boundary, dict):
-            raise SnapshotError(f"{path}.boundaries[{i}]: must be an object")
-        _check_node_wire(boundary.get("node"), f"{path}.boundaries[{i}].node")
-        stack_from_wire(boundary.get("stack"), f"{path}.boundaries[{i}].stack")
-        _check_state(boundary.get("state"), f"{path}.boundaries[{i}].state")
-    return len(entry["objects"]) + len(entry["boundaries"])
+
+
+def _check_object_wire(wire, path):
+    if _check_node_wire(wire, path)["kind"] != "object":
+        raise SnapshotError(f"{path}: must be an object node")
+
+
+def _check_boundary(boundary, path):
+    """One validated boundary: ``(node wire, Stack, state)``."""
+    if not isinstance(boundary, dict):
+        raise SnapshotError(f"{path}: must be an object")
+    return (
+        _check_node_wire(boundary.get("node"), f"{path}.node"),
+        stack_from_wire(boundary.get("stack"), f"{path}.stack"),
+        _check_state(boundary.get("state"), f"{path}.state"),
+    )
 
 
 # ----------------------------------------------------------------------

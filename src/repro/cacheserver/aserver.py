@@ -45,6 +45,15 @@ DRAIN_TIMEOUT_SEC = 2.0
 #: stall reads — a handful of workers is plenty for CPU-light handlers.
 DEFAULT_DISPATCH_WORKERS = 4
 
+#: The longest request line a connection accepts.  asyncio's default
+#: (64 KiB) is smaller than one ``FLUSH_CHUNK``-entry ``batch-store``
+#: of ordinary summaries (~140 KB for the generator programs); a longer
+#: line drops the connection, and the client falls open.
+MAX_LINE_BYTES = 16 * 1024 * 1024
+
+#: Pending-connection backlog of the listening socket.
+LISTEN_BACKLOG = 128
+
 
 class AsyncLineServer:
     """A JSON-lines TCP server over one asyncio event loop.
@@ -54,9 +63,11 @@ class AsyncLineServer:
     :class:`~repro.api.service.PointsToService`'s) — the transport owns
     sockets, ids, backpressure and drain; the dispatcher owns meaning.
 
-    The listening socket is bound in ``__init__`` (``port=0`` = OS
-    pick), so :attr:`address` is printable before serving starts —
-    the launcher announce contract of the threaded tier, kept.
+    The listening socket is bound *and listening* in ``__init__``
+    (``port=0`` = OS pick), so :attr:`address` is printable before
+    serving starts and a client that connects as soon as it is
+    announced is queued by the kernel instead of refused — the launcher
+    announce contract of the threaded tier, kept.
     """
 
     def __init__(
@@ -72,6 +83,7 @@ class AsyncLineServer:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
+        self._sock.listen(LISTEN_BACKLOG)
         self.host, self.port = self._sock.getsockname()[:2]
         self._loop = None
         self._stop_event = None  # created inside the loop
@@ -98,7 +110,12 @@ class AsyncLineServer:
         )
         if self._stop_requested:  # stop() raced ahead of startup
             self._stop_event.set()
-        server = await asyncio.start_server(self._serve_connection, sock=self._sock)
+        server = await asyncio.start_server(
+            self._serve_connection,
+            sock=self._sock,
+            limit=MAX_LINE_BYTES,
+            backlog=LISTEN_BACKLOG,
+        )
         self._started.set()
         try:
             await self._stop_event.wait()
@@ -153,6 +170,8 @@ class AsyncLineServer:
                     flight.add_done_callback(pending.discard)
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             pass  # client went away mid-line
+        except ValueError:
+            pass  # a line over MAX_LINE_BYTES: drop the connection
         except asyncio.CancelledError:
             pass  # drain timeout expired during stop()
         finally:

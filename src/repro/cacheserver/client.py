@@ -55,9 +55,14 @@ Correctness stance — the part the tests pin down:
 * **pipelining is the default.**  Under ``pipeline=True`` (protocol
   1.2, and what ``CachePolicy(remote=...)`` now defaults to) the
   engine's batch hooks make a warm batch cost O(shards) round trips:
-  ``begin_batch`` prefetches each shard's resident entries in one
-  ``fetch-methods`` exchange, and write-through publishes coalesce
-  into per-shard ``batch-store`` flushes at ``end_batch``.  Every
+  ``begin_batch`` prefetches from each shard in one ``fetch-methods``
+  exchange, and write-through publishes coalesce into per-shard
+  ``batch-store`` flushes at ``end_batch``.  The prefetch is
+  incremental (protocol 1.7): a backend's first fetch from a shard is
+  the whole shard store, every later one presents the shard's
+  ``(incarnation, cursor)`` and carries only the entries published or
+  replaced since — so a warm batch also decodes O(new entries), not
+  O(resident entries).  Every
   pipelined failure falls open exactly like the single-op paths, and
   an ``invalidate_method`` purges the edited method's buffered
   publishes before reaching the shard, so a flush can never resurrect
@@ -102,12 +107,7 @@ from repro.api.protocol import (
     StoreStatsRequest,
     WireError,
 )
-from repro.api.snapshot import (
-    check_entry,
-    entry_to_wire,
-    key_to_wire,
-    resolve_wire_entry,
-)
+from repro.api.snapshot import entry_to_wire, key_to_wire, resolve_wire_entry
 from repro.cacheserver.faults import (
     CircuitBreaker,
     FaultError,
@@ -396,6 +396,14 @@ class RemoteSummaryCache(SummaryBackend):
         self._write_buffers = tuple(  # guarded-by: _buffer_lock
             [] for _ in range(self.n_shards)
         )
+        # Incremental prefetch (protocol 1.7): per shard, the
+        # ``(incarnation, cursor)`` of the last decoded fetch (``None``
+        # = next fetch is a full dump), and a reset generation so a
+        # fetch already in flight when a reset lands cannot advance
+        # past it.
+        self._cursor_lock = threading.Lock()
+        self._cursors = [None] * self.n_shards  # guarded-by: _cursor_lock
+        self._cursor_resets = [0] * self.n_shards  # guarded-by: _cursor_lock
         # Reconnect-and-seed: each link re-warms a restarted shard from
         # this client's tier.  Links are shared across spawn
         # generations; the newest backend (re)binds the hooks, which is
@@ -441,6 +449,9 @@ class RemoteSummaryCache(SummaryBackend):
 
     def bind_pag(self, pag):
         self._pag = pag
+        # Entries skipped as unresolvable may resolve in this PAG, and
+        # the fingerprint filter may change: fetch everything again.
+        self._reset_cursors(range(self.n_shards))
         # The program fingerprint rides every store-level op (protocol
         # 1.4) so shards can arbitrate same-epoch traffic from clients
         # that disagree about the program.  Fingerprint-less operation
@@ -530,8 +541,7 @@ class RemoteSummaryCache(SummaryBackend):
             self._bump("remote_misses")
             return None
         try:
-            check_entry(response.entry, "remote.entry")
-            resolved = resolve_wire_entry(self._pag, response.entry)
+            resolved = resolve_wire_entry(self._pag, response.entry, "remote.entry")
         except SnapshotError:
             self._bump("unresolved", "degraded")
             return None
@@ -603,6 +613,9 @@ class RemoteSummaryCache(SummaryBackend):
         # below) carries the post-edit epoch, and any pre-edit traffic
         # still in flight elsewhere is now refusable server-side.
         epoch = self.bump_epoch(method_qname)
+        # Entries the owning shard offered earlier and the prefetch
+        # skipped for an epoch mismatch may match now: re-offer them.
+        self._reset_cursors((shard_for_method(method_qname, self.n_shards),))
         if self._buffering:
             # Buffered publishes of the edited method are stale now —
             # purge them so the flush cannot resurrect pre-edit memos
@@ -635,66 +648,115 @@ class RemoteSummaryCache(SummaryBackend):
     # around query_batch when the backend defines them
     # ------------------------------------------------------------------
     def begin_batch(self):
-        """Start a pipelined batch: prefetch each shard's resident
-        entries in one ``fetch-methods`` round trip per shard (filling
-        the local read-through tier), then coalesce write-through
-        publishes until :meth:`end_batch`.  No-op unless ``pipeline``;
-        every failure falls open exactly like a missed lookup.
+        """Start a pipelined batch: prefetch from each shard in one
+        ``fetch-methods`` round trip per shard (filling the local
+        read-through tier), then coalesce write-through publishes until
+        :meth:`end_batch`.  No-op unless ``pipeline``; every failure
+        falls open exactly like a missed lookup.
 
-        The prefetch deliberately fetches the *whole* shard store
-        (``methods=None``): traversals reach methods transitively, so
-        the batch's root methods under-approximate what will actually
-        be probed.  That makes per-batch cost O(resident entries) —
-        fine for the cluster sizes this repo targets, and the
-        ``fetch-methods`` filter already exists server-side for a
-        future targeted mode (e.g. when a bounded local tier makes a
-        full dump churn the LRU).
+        The prefetch is incremental (protocol 1.7).  This backend's
+        first fetch from a shard dumps the *whole* shard store
+        (``methods=None``: traversals reach methods transitively, so
+        the batch's root methods under-approximate what will be
+        probed).  Every later fetch presents the shard's
+        ``(incarnation, cursor)`` and receives only the entries this
+        client and other clients published or replaced since, so a warm
+        batch pays for what is new, not for what the tier already
+        holds.  A restarted shard answers under a new incarnation, and
+        a sender that keeps no cursor (null incarnation) answers every
+        fetch with the full dump.  The cursor resets, making the next
+        fetch a full dump, whenever what this client would adopt may
+        have changed: an epoch change for a method the shard owns
+        (:meth:`invalidate_method`, :meth:`adopt_epochs`), a new PAG
+        (:meth:`bind_pag`), or a cleared tier (:meth:`clear`).  Entries
+        a bounded local tier evicts are not fetched again by the
+        prefetch; a probe for one costs a ``lookup`` round trip.
         """
         if not self.pipeline:
             return
         if self._pag is not None:
-            for link in self._links:
-                try:
-                    response = self._exchange_link(
-                        link,
-                        MethodEntriesRequest(
-                            methods=None, fingerprint=self._fingerprint
-                        ),
-                    )
-                except (ShardUnavailable, ProtocolError):
-                    self._bump("remote_errors", "degraded")
-                    continue
-                if not isinstance(response, MethodEntriesResponse):
-                    self._bump("remote_errors", "degraded")
-                    continue
-                epochs = response.epochs
-                for position, entry in enumerate(response.entries):
-                    server_epoch = (
-                        epochs[position] if position < len(epochs) else 0
-                    )
-                    try:
-                        check_entry(entry, "prefetch.entry")
-                        resolved = resolve_wire_entry(self._pag, entry)
-                    except SnapshotError:
-                        self._bump("unresolved", "degraded")
-                        continue
-                    if resolved is None:
-                        self._bump("unresolved")
-                        continue
-                    node, stack, state, summary = resolved
-                    # Adopt only entries whose epoch matches this
-                    # client's view of the method: an entry computed
-                    # for a program version this client has not caught
-                    # up to (or has moved past) must not enter the
-                    # tier.
-                    method = getattr(node, "method", None)
-                    if server_epoch != self.method_epoch(method):
-                        self._bump("unresolved")
-                        continue
-                    self.local_tier.store(node, stack, state, summary)
-                    self._bump("prefetched")
+            for index, link in enumerate(self._links):
+                self._prefetch(index, link)
         with self._buffer_lock:
             self._buffering = True
+
+    def _prefetch(self, index, link):
+        """One shard's ``fetch-methods`` exchange, adopted into the
+        local tier.  The shard's cursor advances only after a decoded
+        answer, and only when no reset landed while it was in flight."""
+        with self._cursor_lock:
+            cursor = self._cursors[index]
+            generation = self._cursor_resets[index]
+        incarnation, since = cursor if cursor is not None else (None, 0)
+        try:
+            response = self._exchange_link(
+                link,
+                MethodEntriesRequest(
+                    methods=None,
+                    fingerprint=self._fingerprint,
+                    incarnation=incarnation,
+                    since=since,
+                ),
+            )
+        except (ShardUnavailable, ProtocolError):
+            self._bump("remote_errors", "degraded")
+            return
+        if not isinstance(response, MethodEntriesResponse):
+            self._bump("remote_errors", "degraded")
+            return
+        epochs = response.epochs
+        adopted = 0
+        for position, entry in enumerate(response.entries):
+            server_epoch = epochs[position] if position < len(epochs) else 0
+            try:
+                resolved = resolve_wire_entry(self._pag, entry, "prefetch.entry")
+            except SnapshotError:
+                self._bump("unresolved", "degraded")
+                continue
+            if resolved is None:
+                self._bump("unresolved")
+                continue
+            node, stack, state, summary = resolved
+            # Adopt only entries whose epoch matches this client's view
+            # of the method: an entry computed for a program version
+            # this client has not caught up to (or has moved past) must
+            # not enter the tier.
+            method = getattr(node, "method", None)
+            if server_epoch != self.method_epoch(method):
+                self._bump("unresolved")
+                continue
+            self.local_tier.store(node, stack, state, summary)
+            adopted += 1
+        self._bump_n("prefetched", adopted)
+        with self._cursor_lock:
+            if self._cursor_resets[index] == generation:
+                self._cursors[index] = (
+                    None
+                    if response.incarnation is None
+                    else (response.incarnation, response.cursor)
+                )
+
+    def _reset_cursors(self, shards):
+        """Make the next prefetch from each of ``shards`` a full dump."""
+        with self._cursor_lock:
+            for index in shards:
+                self._cursors[index] = None
+                self._cursor_resets[index] += 1
+
+    def adopt_epochs(self, epochs):
+        """Merge ``epochs`` in (see
+        :meth:`~repro.analysis.summaries.SummaryBackend.adopt_epochs`);
+        each shard owning a method whose epoch moved re-offers its
+        entries at the next prefetch."""
+        before = self.method_epochs()
+        super().adopt_epochs(epochs)
+        self._reset_cursors(
+            {
+                shard_for_method(method, self.n_shards)
+                for method, epoch in self.method_epochs().items()
+                if before.get(method, 0) != epoch
+            }
+        )
 
     def end_batch(self):
         """Flush the coalesced writes: per shard one ``batch-store``
@@ -812,8 +874,10 @@ class RemoteSummaryCache(SummaryBackend):
     def clear(self):
         """Forget the local tier and this backend's counters.  The
         service is deliberately untouched: it belongs to every client;
-        use :meth:`invalidate_method` for targeted shared drops."""
+        use :meth:`invalidate_method` for targeted shared drops.  The
+        next prefetch refills the tier with full dumps."""
         self.local_tier.clear()
+        self._reset_cursors(range(self.n_shards))
         with self._stats_lock:
             self._hits = 0
             self._misses = 0

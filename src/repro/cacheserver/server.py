@@ -246,12 +246,19 @@ class ShardDispatcher:
             if request.methods is not None:
                 for method in request.methods:
                     self._check_ownership(method)
-            entries, epochs = self.store.entries_with_epochs(
-                request.methods, fingerprint=request.fingerprint
+            # Incremental (protocol 1.7): a cursor from this store's
+            # current incarnation gets only what was stamped since.
+            entries, epochs, incarnation, cursor = self.store.fetch(
+                request.methods,
+                fingerprint=request.fingerprint,
+                incarnation=request.incarnation,
+                since=request.since,
             )
             return MethodEntriesResponse(
                 entries=tuple(entries),
                 epochs=tuple(epochs) if any(epochs) else (),
+                incarnation=incarnation,
+                cursor=cursor,
             )
         raise ProtocolError(
             "invalid-request",

@@ -12,10 +12,15 @@ Semantics mirror the in-process :class:`~repro.analysis.summaries
 optional entry/fact ceilings with LRU or cost-aware eviction — so the
 accounting a shard reports (:class:`~repro.analysis.summaries
 .CacheStats`) means the same thing it means locally.
+
+Every inserted or payload-replaced entry is stamped with a sequence
+number, monotonic under the store's random ``incarnation``; that pair
+is the cursor an incremental prefetch (protocol 1.7) resumes from.
 """
 
 import heapq
 import json
+import os
 import threading
 from collections import OrderedDict
 
@@ -54,6 +59,14 @@ def _entry_score(entry, facts):
     """Steps-to-recompute per byte — the cost-aware eviction rank (the
     wire-form twin of :func:`repro.analysis.summaries.entry_cost_score`)."""
     return entry.get("steps", 0) / (ENTRY_OVERHEAD_BYTES + facts * FACT_BYTES)
+
+
+def _draw_incarnation():
+    """A fresh random store incarnation: 48 bits, so a restarted
+    process cannot plausibly reuse its predecessor's and the value
+    stays exact as a JSON number everywhere.  (``os.urandom``, not
+    ``secrets``: that import loads OpenSSL, megabytes per shard.)"""
+    return int.from_bytes(os.urandom(6), "big")
 
 
 class StaleEpochRejection(Exception):
@@ -116,6 +129,13 @@ class WireSummaryStore:
         self._rank = {}  # guarded-by: _lock
         self._heap = []  # guarded-by: _lock
         self._stamp = 0  # guarded-by: _lock
+        # Incremental prefetch (protocol 1.7): each resident key's
+        # sequence stamp, in ascending stamp order (a plain dict: a
+        # restamp re-inserts at the end), so a delta scan walks back
+        # from the newest stamp and stops at the cursor.
+        self.incarnation = _draw_incarnation()  # guarded-by: _lock
+        self._seq = 0  # guarded-by: _lock
+        self._seqs = {}  # guarded-by: _lock — key -> stamp
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
         self.evictions = 0  # guarded-by: _lock
@@ -253,16 +273,25 @@ class WireSummaryStore:
             self._facts += _entry_facts(entry) - _entry_facts(resident)
             self._entries[ckey] = entry
             self._refresh_locked(ckey, entry)
+            self._sequence_locked(ckey)
             self._enforce_capacity_locked()
             return True
         self._entries[ckey] = entry
         self._refresh_locked(ckey, entry)
+        self._sequence_locked(ckey)
         self._facts += _entry_facts(entry)
         method = entry_method(entry)
         if method is not None:
             self._by_method.setdefault(method, set()).add(ckey)
         self._enforce_capacity_locked()
         return True
+
+    def _sequence_locked(self, ckey):
+        """Give ``ckey`` the next sequence stamp (moving it to the
+        newest end of the stamp order)."""
+        self._seq += 1
+        self._seqs.pop(ckey, None)
+        self._seqs[ckey] = self._seq
 
     def invalidate_method(self, method_qname, epoch=0):
         """Drop every entry of one method; returns the number dropped.
@@ -364,10 +393,35 @@ class WireSummaryStore:
         ``fingerprint``, methods pinned to a *different* fingerprint
         are omitted entirely (a prefetch must never import another
         program's same-named summaries)."""
+        return self.fetch(methods, fingerprint)[:2]
+
+    def fetch(self, methods=None, fingerprint=None, incarnation=None, since=0):
+        """The ``fetch-methods`` answer: ``(entries, epochs,
+        incarnation, cursor)``.
+
+        When ``incarnation`` names this store's current incarnation and
+        ``since`` is a cursor it issued, only entries stamped after
+        ``since`` are returned, oldest stamp first; otherwise the full
+        :meth:`entries_with_epochs` dump, coldest-first.  Either way
+        the filters of :meth:`entries_with_epochs` apply, and
+        ``cursor`` is the newest stamp issued so far.  The cursor is
+        read in the same lock hold as the scan: an entry stored in
+        between would otherwise be skipped by every later delta.
+        """
         with self._lock:
+            if incarnation == self.incarnation and 0 <= since <= self._seq:
+                fresh = []
+                for ckey, seq in reversed(self._seqs.items()):
+                    if seq <= since:
+                        break
+                    fresh.append(self._entries[ckey])
+                fresh.reverse()
+                candidates = fresh
+            else:
+                candidates = self._entries.values()
             wanted = None if methods is None else set(methods)
             entries, epochs = [], []
-            for entry in self._entries.values():
+            for entry in candidates:
                 method = entry_method(entry)
                 if wanted is not None and method not in wanted:
                     continue
@@ -377,13 +431,16 @@ class WireSummaryStore:
                         continue
                 entries.append(entry)
                 epochs.append(self._epochs.get(method, 0))
-            return entries, epochs
+            return entries, epochs, self.incarnation, self._seq
 
     def clear(self):
         # Epochs and fingerprints survive a clear: they version the
-        # *program*, not the resident entries.
+        # *program*, not the resident entries.  So do the incarnation
+        # and the sequence counter: every later store still gets a
+        # stamp above any cursor already handed out.
         with self._lock:
             self._entries.clear()
+            self._seqs.clear()
             self._by_method.clear()
             self._facts = 0
             self._clock = 0.0
@@ -400,11 +457,14 @@ class WireSummaryStore:
         :meth:`clear` it resets the program version too, so clients
         ahead of the blank store self-heal it on first contact (the
         adopt-and-drop epoch rule), exactly as they would a respawned
-        child."""
+        child.  A respawned process also draws a new incarnation, so
+        every client's next prefetch is a full dump."""
         with self._lock:
             self.clear()
             self._epochs.clear()
             self._fprints.clear()
+            self.incarnation = _draw_incarnation()
+            self._seq = 0
 
     # ------------------------------------------------------------------
     # capacity
@@ -413,6 +473,7 @@ class WireSummaryStore:
         entry = self._entries.pop(ckey, None)
         if entry is None:
             return None
+        del self._seqs[ckey]
         self._rank.pop(ckey, None)
         self._facts -= _entry_facts(entry)
         method = entry_method(entry)

@@ -532,7 +532,7 @@ def _import_entry(ng, sess, node, fstack, state, summary):
         b_f.append(bf)
     n_obj = len(objs)
     n_b = len(b_t)
-    rc = ng.graph.lib.rk_summary_put(
+    rc = ng.lib.rk_summary_put(
         sess.handle,
         si * 4 + state,
         f,

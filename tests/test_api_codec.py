@@ -292,6 +292,53 @@ class TestAdversarialSnapshot:
             SummarySnapshot.from_payload(payload)
         assert "reconcile" in str(info.value)
 
+    DAMAGE = {
+        "not-an-object": lambda e: [e],
+        "missing-node": lambda e: {k: v for k, v in e.items() if k != "node"},
+        "missing-boundaries": lambda e: {
+            k: v for k, v in e.items() if k != "boundaries"
+        },
+        "unknown-node-kind": lambda e: dict(e, node={"kind": "alien"}),
+        "unhashable-node-kind": lambda e: dict(e, node={"kind": [1]}),
+        "node-field-not-a-string": lambda e: dict(
+            e, node=dict(e["node"], name=3)
+        ),
+        "stack-not-an-array": lambda e: dict(e, stack="f"),
+        "bad-stack-item": lambda e: dict(e, stack=[["f", 7]]),
+        "bad-state": lambda e: dict(e, state=9),
+        "negative-steps": lambda e: dict(e, steps=-1),
+        "boolean-steps": lambda e: dict(e, steps=True),
+        "objects-not-an-array": lambda e: dict(e, objects={}),
+        "local-as-object": lambda e: dict(e, objects=e["objects"] + [e["node"]]),
+        "boundary-not-an-object": lambda e: dict(e, boundaries=[1]),
+        "boundary-bad-stack": lambda e: dict(
+            e, boundaries=[{"node": e["node"], "stack": [1], "state": 1}]
+        ),
+        "boundary-bad-state": lambda e: dict(
+            e, boundaries=[{"node": e["node"], "stack": [], "state": 0}]
+        ),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_resolve_rejects_what_check_entry_rejects(self, pag, damage):
+        """``resolve_wire_entry`` validates while it resolves: each
+        damaged shape raises exactly ``check_entry``'s error, also when
+        the entry's key would not resolve in this PAG anyway."""
+        from repro.api.snapshot import check_entry, resolve_wire_entry
+
+        entries = _snapshot_payload(pag)["entries"]
+        good = next(e for e in entries if e["objects"])
+        assert resolve_wire_entry(pag, good) is not None
+        ghost = dict(good, node=dict(good["node"], name="ghost"))
+        assert resolve_wire_entry(pag, ghost) is None
+        for base in (good, ghost):
+            bad = self.DAMAGE[damage](json.loads(json.dumps(base)))
+            with pytest.raises(SnapshotError) as expected:
+                check_entry(bad, "e")
+            with pytest.raises(SnapshotError) as got:
+                resolve_wire_entry(pag, bad, "e")
+            assert str(got.value) == str(expected.value)
+
     def test_strict_restore_rejects_foreign_program(self, pag):
         snapshot = SummarySnapshot.from_payload(_snapshot_payload(pag))
         other = build_pag(

@@ -34,6 +34,7 @@ from repro.api.protocol import (
     LookupRequest,
     LookupResponse,
     QueryRequest,
+    StatsRequest,
     StoreRequest,
     StoreResponse,
     StoreStatsRequest,
@@ -1127,3 +1128,119 @@ class TestAsyncServingTier:
             assert remote.seeded_entries == served
         finally:
             replacement.stop()
+
+    def test_a_client_may_connect_before_the_loop_runs(self):
+        """The socket listens from construction: a connect that races
+        ahead of the event loop is queued by the kernel, then served."""
+        import socket as socket_mod
+
+        from repro.cacheserver.aserver import AsyncShardServer
+
+        server = AsyncShardServer(0, 1)  # bound and listening, not serving
+        try:
+            sock = socket_mod.create_connection(
+                (server.host, server.port), timeout=5.0
+            )
+            server.start()
+            sock.sendall((encode(StoreStatsRequest()) + "\n").encode("utf-8"))
+            reader = sock.makefile("r", encoding="utf-8")
+            assert isinstance(decode_response(reader.readline()), StoreStatsResponse)
+            reader.close()
+            sock.close()
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize(
+        "argv, request_obj",
+        [
+            (
+                ["repro.cacheserver", "--serve-shard", "0", "--shards", "1"],
+                StoreStatsRequest(),
+            ),
+            (
+                [
+                    "repro.api.service", "--benchmark", "jython",
+                    "--scale", "0.4", "--listen", "127.0.0.1:0",
+                ],
+                StatsRequest(),
+            ),
+        ],
+        ids=["repro-cached", "repro-serve"],
+    )
+    def test_announced_listener_accepts_the_first_connect(self, argv, request_obj):
+        """A client that connects once, right after the announce line,
+        is served — no retry loop needed."""
+        import json as json_mod
+        import os
+        import socket as socket_mod
+        import subprocess
+
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", *argv],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=env,
+        )
+        try:
+            announce = json_mod.loads(proc.stdout.readline())
+            assert announce["event"] == "listening"
+            sock = socket_mod.create_connection(
+                (announce["host"], announce["port"]), timeout=10.0
+            )
+            sock.sendall((encode(request_obj) + "\n").encode("utf-8"))
+            reader = sock.makefile("r", encoding="utf-8")
+            assert not isinstance(decode_response(reader.readline()), ErrorResponse)
+            reader.close()
+            sock.close()
+        finally:
+            proc.terminate()
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
+    def test_a_full_flush_chunk_of_generator_summaries_is_stored(self):
+        """One ``FLUSH_CHUNK``-entry ``batch-store`` line of generator
+        summaries overruns asyncio's default 64 KiB line limit; the
+        async shard must still store every entry of the flush."""
+        from repro.api.protocol import BatchStoreRequest
+        from repro.cacheserver.aserver import AsyncShardServer
+        from repro.clients import NullDerefClient
+        from repro.perf.harness import GENERATOR_CONFIG
+
+        instance = load_benchmark("jython", config=GENERATOR_CONFIG)
+        local = PointsToEngine(
+            instance.pag, EnginePolicy(max_field_depth=16, parallelism=1)
+        )
+        client = NullDerefClient(instance.pag)
+        local.query_batch(client.specs(client.queries()), dedupe=False, reorder=False)
+        server = AsyncShardServer(0, 1).start()
+        cache = RemoteSummaryCache((server.address,), timeout=5.0, pipeline=True)
+        try:
+            cache.bind_pag(instance.pag)
+            cache.begin_batch()
+            for (node, stack, state), summary in local.cache.entries():
+                cache.store(node, stack, state, summary)
+            cache.end_batch()  # the coalesced, FLUSH_CHUNK-chunked flush
+            remote = cache.remote_stats()
+            assert remote.store_errors == 0 and remote.degraded == 0
+            assert remote.stores == len(local.cache) == len(server.store)
+            entries, _epochs = server.store.entries_with_epochs()
+            chunk = RemoteSummaryCache.FLUSH_CHUNK
+            longest = max(
+                len(encode(BatchStoreRequest(entries=tuple(entries[i:i + chunk]))))
+                for i in range(0, len(entries), chunk)
+            )
+            assert longest > 64 * 1024
+        finally:
+            cache.close()
+            server.stop()

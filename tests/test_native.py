@@ -179,3 +179,73 @@ class TestStatsPlumbing:
         assert decoded.traversal_impl == "native"
         ok, reason = availability()
         assert decoded.native_unavailable == (None if ok else reason)
+
+
+class TestPopulatedCaches:
+    """A native engine whose summary cache is already populated when
+    the kernel session first mirrors it — a snapshot warm start, or the
+    migrated store after an edit — must answer exactly like
+    ``reference``, steps included (the mirror path once crashed here
+    with an ``AttributeError``)."""
+
+    CONFIG = GeneratorConfig(
+        seed=3, domain_classes=4, data_classes=3, layers=2, cast_density=0.6
+    )
+
+    @staticmethod
+    def _require_kernel():
+        ok, reason = availability()
+        if not ok:
+            pytest.skip(f"native kernel unavailable: {reason}")
+
+    def _run(self, impl, warm_start=None, edit=False):
+        from repro.clients import SafeCastClient
+        from repro.ir.builder import MethodBuilder
+
+        engine = PointsToEngine.for_program(
+            generate_program(self.CONFIG),
+            EnginePolicy(
+                traversal_impl=impl,
+                max_field_depth=16,
+                parallelism=1,
+                warm_start=warm_start,
+            ),
+        )
+        client = SafeCastClient(engine.pag)
+        queries = client.queries()
+        engine.query_batch(client.specs(queries), dedupe=False, reorder=False)
+        if edit:
+            target = queries[len(queries) // 2]
+            engine.edit_session().edit(
+                target.method,
+                lambda method: MethodBuilder(method).alloc(target.var, "Object"),
+            )
+            client = SafeCastClient(engine.pag)
+        batch = engine.query_batch(
+            client.specs(client.queries()), dedupe=False, reorder=False
+        )
+        answers = [
+            (result.complete, sorted(map(repr, result.pairs)))
+            for result in batch.results
+        ]
+        return answers, engine.stats().steps
+
+    def test_after_edit(self):
+        self._require_kernel()
+        assert self._run("native", edit=True) == self._run("reference", edit=True)
+
+    def test_warm_started_from_a_snapshot(self, tmp_path):
+        from repro.clients import SafeCastClient
+
+        self._require_kernel()
+        path = str(tmp_path / "cache.json")
+        seed = PointsToEngine.for_program(
+            generate_program(self.CONFIG),
+            EnginePolicy(max_field_depth=16, parallelism=1),
+        )
+        client = SafeCastClient(seed.pag)
+        seed.query_batch(client.specs(client.queries()))
+        seed.save_cache(path)
+        native = self._run("native", warm_start=path)
+        assert native == self._run("reference", warm_start=path)
+        assert native[1] > 0

@@ -11,7 +11,9 @@ import json
 import pytest
 
 from repro.perf.harness import (
+    MIN_GATED_REPS,
     PerfCheckError,
+    _check_report,
     main,
     run_eviction,
     run_figure4,
@@ -111,3 +113,32 @@ class TestCli:
         report = json.loads(out.read_text())
         assert report["protocol"] == "repro-perf"
         assert report["checked"] is True
+
+
+class TestRatioGates:
+    """Ratio gates judge best-of-``MIN_GATED_REPS`` sweeps only; a
+    single-rep sweep is one noisy sample per impl."""
+
+    @staticmethod
+    def _report(reps, speedup_array):
+        return {
+            "figure4": {
+                "workloads": [{"benchmark": "b", "array": {"steps_per_sec": 1}}],
+                "aggregate": {
+                    "time_sec_reference": 1.0,
+                    "time_sec_array": 1.0,
+                    "speedup_array": speedup_array,
+                },
+                "reps": reps,
+            },
+            "eviction": {"flatness_ratio": 1.0},
+        }
+
+    def test_single_rep_sweeps_skip_the_ratio_gates(self):
+        _check_report(self._report(1, 0.8))
+
+    def test_best_of_two_sweeps_are_gated(self):
+        assert MIN_GATED_REPS == 2
+        with pytest.raises(PerfCheckError, match="array speedup"):
+            _check_report(self._report(MIN_GATED_REPS, 0.8))
+        _check_report(self._report(MIN_GATED_REPS, 2.0))
