@@ -126,15 +126,18 @@ class DynSum(DemandPointsToAnalysis):
     def _explore(self, var, context, pairs, budget):
         """Algorithm 4's worklist.
 
-        Three equivalent implementations: the inlined fast loop below
-        (records, locals-bound names, context ops unrolled) is the
-        default production path; ``"array"`` mode takes
-        :meth:`_explore_array` — the same loop over the CSR image's
-        dense int arrays; traced queries (an attached observer) and
+        Four equivalent implementations: ``"native"`` (the default)
+        runs the worklist in the C kernel via :meth:`_explore_native`,
+        falling back to ``"array"`` — :meth:`_explore_array`, the same
+        loop over the CSR image's dense int arrays — when the kernel is
+        unavailable or refuses the cache; ``"fast"`` takes the inlined
+        record loop below (records, locals-bound names, context ops
+        unrolled); traced queries (an attached observer) and
         reference-mode runs (:func:`~repro.analysis.ppta.traversal_impl`
         ``"reference"``) take :meth:`_explore_reference` — the retained
-        pre-optimization loop over the PAG accessor surface.  All three
-        charge the budget once per pop and probe the cache identically.
+        pre-optimization loop over the PAG accessor surface.  All of
+        them charge the budget once per pop and probe the cache
+        identically.
         """
         impl = active_traversal_impl()
         if self.observer is not None or impl == "reference":
@@ -207,6 +210,9 @@ class DynSum(DemandPointsToAnalysis):
         else:
             qmemo = {}
         qmemo_get = qmemo.get
+        # The inline insert bypasses cache.store, so it journals for
+        # the native mirror itself (None: no mirror to keep in step).
+        journal = cache._native_journal if plain_entries_get is not None else None
         hits = 0
 
         try:
@@ -245,6 +251,8 @@ class DynSum(DemandPointsToAnalysis):
                                     cache._by_method.setdefault(
                                         method, new_set()
                                     ).add(key)
+                                if journal is not None:
+                                    journal.append(key)
                             else:
                                 hits += 1
                             qmemo[mkey] = summary
@@ -389,6 +397,8 @@ class DynSum(DemandPointsToAnalysis):
         else:
             qmemo = {}
         qmemo_get = qmemo.get
+        # Inline inserts journal for the native mirror (see _explore).
+        journal = cache._native_journal if plain_entries_get is not None else None
         hits = 0
 
         try:
@@ -420,6 +430,8 @@ class DynSum(DemandPointsToAnalysis):
                                     cache._by_method.setdefault(
                                         method, new_set()
                                     ).add(key)
+                                if journal is not None:
+                                    journal.append(key)
                             else:
                                 hits += 1
                             qmemo[mkey] = summary

@@ -660,10 +660,12 @@ TRAVERSAL_IMPLS = {
 
 def _default_impl():
     """The boot-time impl: ``$REPRO_TRAVERSAL`` when it names a known
-    implementation, else ``fast`` (unknown values are ignored rather
-    than fatal — a stale env var must not brick the process)."""
+    implementation, else ``native`` (unknown values are ignored rather
+    than fatal — a stale env var must not brick the process).  A host
+    where the kernel cannot load answers ``native`` queries on the
+    ``array`` loop, with the reason in engine stats."""
     env = os.environ.get("REPRO_TRAVERSAL", "").strip()
-    return env if env in TRAVERSAL_IMPLS else "fast"
+    return env if env in TRAVERSAL_IMPLS else "native"
 
 
 #: The active implementation, mutated only by :func:`traversal_impl` /
@@ -712,7 +714,7 @@ def run_ppta(pag, node, field_stack, state, budget, max_field_depth=None):
     treated exactly like budget exhaustion.
 
     Dispatches to the active implementation (see :func:`traversal_impl`)
-    — the fast record-based loop by default.
+    — the C kernel by default (``array`` where it cannot load).
     """
     return TRAVERSAL_IMPLS[_ACTIVE["impl"]](
         pag, node, field_stack, state, budget, max_field_depth

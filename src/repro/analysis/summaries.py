@@ -269,10 +269,13 @@ class SummaryStore(SummaryBackend):
         self._fast_memo = None
         #: The native kernel's mirror of this cache: ``(CsrImage,
         #: _NativeSession-or-None)`` (see ``repro.native.session``).
-        #: The kernel's summary table can only append, so any removal
-        #: or replacement here must retire the whole mirror — reset at
-        #: exactly the sites that reset ``_fast_memo``.
         self._native_memo = None
+        #: While a mirror exists, the keys inserted, replaced or removed
+        #: since its last sync, in order (``None`` otherwise — a store
+        #: without a mirror pays one attribute test per change).  The
+        #: next native query drains it: resident keys are put again,
+        #: removed ones deleted from the kernel's index.
+        self._native_journal = None
 
     # ------------------------------------------------------------------
     # policy hooks
@@ -353,16 +356,17 @@ class SummaryStore(SummaryBackend):
                 self._touch(key)
                 return False
             self._fast_memo = None  # the replaced summary may be memoed
-            self._native_memo = None  # ... and mirrored in the kernel
             self._facts += ppta_result.size - resident.size
             self._entries[key] = ppta_result
             self._touch(key)
-            self._enforce_capacity()
-            return True
-        self._entries[key] = ppta_result
-        self._facts += ppta_result.size
-        if node.method is not None:
-            self._by_method.setdefault(node.method, set()).add(key)
+        else:
+            self._entries[key] = ppta_result
+            self._facts += ppta_result.size
+            if node.method is not None:
+                self._by_method.setdefault(node.method, set()).add(key)
+        journal = self._native_journal
+        if journal is not None:
+            journal.append(key)
         self._enforce_capacity()
         return True
 
@@ -372,7 +376,9 @@ class SummaryStore(SummaryBackend):
         if entry is None:
             return None
         self._fast_memo = None  # the dropped summary may be memoed
-        self._native_memo = None  # ... and mirrored in the kernel
+        journal = self._native_journal
+        if journal is not None:
+            journal.append(key)
         self._facts -= entry.size
         method = key[0].method
         if method is not None:
@@ -411,6 +417,7 @@ class SummaryStore(SummaryBackend):
         self.invalidated = 0
         self._fast_memo = None
         self._native_memo = None
+        self._native_journal = None
 
     def restore_counters(self, stats):
         """Overwrite the probe/eviction/invalidation counters from a
@@ -518,14 +525,16 @@ class SummaryCache(SummaryStore):
             ):
                 return False
             self._fast_memo = None  # the replaced summary may be memoed
-            self._native_memo = None  # ... and mirrored in the kernel
             self._facts += ppta_result.size - resident.size
             entries[key] = ppta_result
-            return True
-        entries[key] = ppta_result
-        self._facts += ppta_result.size
-        if node.method is not None:
-            self._by_method.setdefault(node.method, set()).add(key)
+        else:
+            entries[key] = ppta_result
+            self._facts += ppta_result.size
+            if node.method is not None:
+                self._by_method.setdefault(node.method, set()).add(key)
+        journal = self._native_journal
+        if journal is not None:
+            journal.append(key)
         return True
 
 

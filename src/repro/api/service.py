@@ -575,6 +575,10 @@ def main(argv=None):
         server = AsyncLineServer(
             service.handle_line, host=host, port=int(port), dispatch_workers=1
         )
+        # The impl rides the announce line: the default depends on a C
+        # compiler being present, so an operator can see a host that
+        # answers on the pure-Python fallback.
+        stats = engine.stats()
         print(
             json.dumps(
                 {
@@ -582,6 +586,8 @@ def main(argv=None):
                     "host": server.host,
                     "port": server.port,
                     "protocol": PROTOCOL_VERSION,
+                    "traversal_impl": stats.traversal_impl,
+                    "native_unavailable": stats.native_unavailable,
                 },
                 sort_keys=True,
             )

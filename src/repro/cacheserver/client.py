@@ -77,6 +77,7 @@ surfaced through ``EngineStats.remote`` and the ``stats`` wire op so
 clients can observe cache provenance.
 """
 
+import selectors
 import socket
 import threading
 import time
@@ -157,8 +158,12 @@ class ShardLink:
     equivalent :class:`~repro.cacheserver.faults.RetryPolicy`.
 
     :meth:`request_many` pipelines several request lines into one
-    flight — all lines written, then all responses read — so a chunked
-    bulk operation still costs a single network round trip.
+    flight, so a chunked bulk operation still costs a single network
+    round trip.  A flight longer than :data:`WINDOW_BYTES` is written
+    in windows, reading whatever responses have arrived in between:
+    the shard answers line by line, and unread answers would otherwise
+    fill the socket buffers until the shard stopped reading the flight
+    and both sides stalled.
 
     **Reconnect-and-seed**: when the link re-establishes a connection
     it had before (the shard restarted, or the network blipped), it
@@ -170,6 +175,9 @@ class ShardLink:
     fleet recomputes everything; a shard that never dropped just
     re-adopts entries it already holds (stores are idempotent).
     """
+
+    #: Write window of a long flight (see above).
+    WINDOW_BYTES = 64 * 1024
 
     def __init__(self, address, timeout=1.0, retry_interval=None, retry=None,
                  faults=None, shard_index=0, clock=None):
@@ -213,9 +221,10 @@ class ShardLink:
     def request_many(self, lines):
         """Pipeline many request lines in one flight; aligned responses.
 
-        The whole exchange is one lock hold and one send/receive pass:
-        the server answers in order, so response *i* belongs to line
-        *i*.  Any transport failure tears the link down (no partial
+        The whole exchange is one lock hold and one round trip (a long
+        flight reads early responses between its write windows): the
+        server answers in order, so response *i* belongs to line *i*.
+        Any transport failure tears the link down (no partial
         results — the caller cannot tell which ops landed, the same
         contract a single failed :meth:`request` has).
         """
@@ -252,20 +261,16 @@ class ShardLink:
                 if action == "delay":
                     time.sleep(self.faults.delay_sec)
                 flight = list(seed_lines) + list(lines)
-                payload = "".join(line + "\n" for line in flight)
+                payload = "".join(line + "\n" for line in flight).encode("utf-8")
                 if action == "write-timeout":
                     raise InjectedTimeout("write-timeout", self.address)
-                self._sock.sendall(payload.encode("utf-8"))
+                responses = self._send(payload, len(flight))
                 if action == "read-timeout":
                     raise InjectedTimeout("read-timeout", self.address)
                 if action == "disconnect":
                     raise InjectedDisconnect("disconnect", self.address)
-                responses = []
-                for _ in flight:
-                    response = self._reader.readline()
-                    if not response:
-                        raise OSError("connection closed by shard server")
-                    responses.append(response)
+                while len(responses) < len(flight):
+                    responses.append(self._read_response())
                 if action in ("truncate", "corrupt") and len(responses) > len(seed_lines):
                     # Mutate the first *payload* response: the caller's
                     # decoder must reject it and fall open.
@@ -283,6 +288,36 @@ class ShardLink:
                 self._teardown()
                 self.breaker.record_failure()
                 raise ShardUnavailable(f"{self.address}: {exc}") from None
+
+    def _send(self, payload, count):
+        """Write ``payload`` (``count`` request lines); returns the
+        responses read while writing (none for a short flight)."""
+        sock = self._sock
+        window = self.WINDOW_BYTES
+        if len(payload) <= window:
+            sock.sendall(payload)
+            return []
+        responses = []
+        view = memoryview(payload)
+        sent = 0
+        with selectors.DefaultSelector() as selector:
+            selector.register(sock, selectors.EVENT_READ | selectors.EVENT_WRITE)
+            while sent < len(view):
+                ready = selector.select(self.timeout)
+                if not ready:
+                    raise socket.timeout("flight write timed out")
+                events = ready[0][1]
+                if events & selectors.EVENT_READ and len(responses) < count:
+                    responses.append(self._read_response())
+                if events & selectors.EVENT_WRITE:
+                    sent += sock.send(view[sent : sent + window])
+        return responses
+
+    def _read_response(self):
+        response = self._reader.readline()
+        if not response:
+            raise OSError("connection closed by shard server")
+        return response
 
     def _connect(self):
         sock = socket.create_connection((self.host, self.port), timeout=self.timeout)

@@ -131,18 +131,29 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
+def cached_kernel_path(source: Optional[str] = None) -> str:
+    """Where the compiled kernel lives in the cache dir:
+    ``rk_<sha256(kernel.c)[:16]>_abi<N>.so`` (``.dylib`` on macOS).
+
+    A library already at this path is loaded as is — which is how a
+    build with different flags (the sanitizer CI leg's) is swapped in.
+    """
+    with open(source or _kernel_source(), "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()[:16]
+    suffix = ".dylib" if sys.platform == "darwin" else ".so"
+    return os.path.join(_cache_dir(), f"rk_{digest}_abi{RK_ABI_VERSION}{suffix}")
+
+
 def _compile_kernel(source: str) -> Tuple[Optional[str], Optional[str]]:
     """Compile ``kernel.c`` into the cache dir; ``(path, error)``."""
     compiler = _find_compiler()
     if compiler is None:
         return None, "no C compiler found (checked $CC, cc, gcc, clang)"
-    with open(source, "rb") as handle:
-        digest = hashlib.sha256(handle.read()).hexdigest()[:16]
-    suffix = ".dylib" if sys.platform == "darwin" else ".so"
-    cache = _cache_dir()
-    target = os.path.join(cache, f"rk_{digest}_abi{RK_ABI_VERSION}{suffix}")
+    target = cached_kernel_path(source)
     if os.path.exists(target):
         return target, None
+    cache = os.path.dirname(target)
+    suffix = os.path.splitext(target)[1]
     try:
         os.makedirs(cache, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=suffix, dir=cache)
@@ -214,14 +225,20 @@ def _declare(lib: ctypes.PyDLL) -> None:
     lib.rk_session_new.restype = void_p
     lib.rk_session_free.argtypes = [void_p]
     lib.rk_session_free.restype = None
-    lib.rk_session_count.argtypes = [void_p]
-    lib.rk_session_count.restype = _I32
-    lib.rk_session_oom.argtypes = [void_p]
-    lib.rk_session_oom.restype = _I32
-    lib.rk_summary_put.argtypes = [
-        void_p, _I32, _I32, _I64, _I32, _PI32, _I32, _PI32, _PI32,
+    for name in ("rk_session_count", "rk_session_live", "rk_session_oom"):
+        fn = getattr(lib, name)
+        fn.argtypes = [void_p]
+        fn.restype = _I32
+    lib.rk_summary_put_many.argtypes = [
+        void_p,
+        _I32,                       # n entries
+        _PI32, _PI32, _PI64,        # key states, key stacks, steps
+        _PI32, _PI32,               # object offsets (n + 1), objects
+        _PI32, _PI32, _PI32,        # boundary offsets (n + 1), states, stacks
     ]
-    lib.rk_summary_put.restype = _I32
+    lib.rk_summary_put_many.restype = _I32
+    lib.rk_summary_del.argtypes = [void_p, _I32, _PI32, _PI32]
+    lib.rk_summary_del.restype = _I32
     lib.rk_ppta.argtypes = [void_p, _I32, _I32, _I64, _I64, _I32]
     lib.rk_ppta.restype = ctypes.POINTER(RkPptaResult)
     lib.rk_ppta_free.argtypes = [ctypes.POINTER(RkPptaResult)]

@@ -26,7 +26,10 @@
  *                hash-consed stack tables (field stacks + context
  *                stacks, shared by every session over the image).
  *   RkSession  — one per (image, SummaryCache) pair; owns the summary
- *                table mirroring the Python cache's `_entries`.
+ *                table mirroring the Python cache's `_entries`.  Records
+ *                are append-only; a replaced or deleted key leaves a dead
+ *                record behind, and the binding rebuilds the session
+ *                once dead records outnumber live ones.
  *   Rk*Result  — malloc'd per call, freed by the matching rk_*_free.
  *
  * Registered in repro.devtools.registry.HOT_FUNCTIONS (impl="native"):
@@ -588,7 +591,8 @@ int32_t rk_graph_oom(const RkGraph *g) { return g->oom; }
 /* ------------------------------------------------------------------ */
 typedef struct {
     RkGraph *g;
-    KMap index;      /* (f << 32 | t) -> record number */
+    KMap index;      /* (f << 32 | t) -> record number, -1 once deleted */
+    int32_t live;    /* keys the index maps to a record */
     IntBuf rec_t;    /* per record: packed key state */
     IntBuf rec_f;    /* per record: key field-stack id */
     I64Buf rec_steps;
@@ -641,18 +645,22 @@ void rk_session_free(RkSession *s) {
 }
 
 int32_t rk_session_count(const RkSession *s) { return s->rec_t.len; }
+int32_t rk_session_live(const RkSession *s) { return s->live; }
 int32_t rk_session_oom(const RkSession *s) { return s->oom; }
 
 static uint64_t summary_key(int32_t t, int32_t f) {
     return ((uint64_t)(uint32_t)f << 32) | (uint32_t)t;
 }
 
-/* Append one summary record; returns its number or -1 on OOM. */
+/* Append one summary record and point its key at it (a key that
+ * already had a live record leaves that one dead); returns the record
+ * number or -1 on OOM. */
 static int32_t session_commit(RkSession *s, int32_t t, int32_t f, int64_t steps,
                               const int32_t *objs, int32_t n_obj,
                               const int32_t *b_t, const int32_t *b_f,
                               int32_t n_b) {
     int32_t rec = s->rec_t.len;
+    int was_live = kmap_get(&s->index, summary_key(t, f)) >= 0;
     int32_t i;
     if (buf_push(&s->rec_t, t) < 0 || buf_push(&s->rec_f, f) < 0 ||
         i64_push(&s->rec_steps, steps) < 0)
@@ -668,18 +676,56 @@ static int32_t session_commit(RkSession *s, int32_t t, int32_t f, int64_t steps,
         goto oom;
     if (kmap_put(&s->index, summary_key(t, f), rec) < 0)
         goto oom;
+    if (!was_live)
+        s->live++;
     return rec;
 oom:
     s->oom = 1;
     return -1;
 }
 
-/* Import one Python cache entry (boundaries already in stored order —
- * the Python side sorted them at creation).  0 on success. */
-int32_t rk_summary_put(RkSession *s, int32_t t, int32_t f, int64_t steps,
-                       int32_t n_obj, const int32_t *objs, int32_t n_b,
-                       const int32_t *b_t, const int32_t *b_f) {
-    return session_commit(s, t, f, steps, objs, n_obj, b_t, b_f, n_b) < 0 ? -1 : 0;
+/* Import n Python cache entries in one call, over flat arrays: entry i
+ * is the key (t[i], f[i]) with objects objs[obj_off[i] .. obj_off[i+1])
+ * and boundaries (b_t, b_f)[b_off[i] .. b_off[i+1]), already in stored
+ * order (the Python side sorted them at creation).  A key the session
+ * already holds is replaced.  0 on success, -1 on OOM (the session is
+ * then poisoned and the binding retires it). */
+int32_t rk_summary_put_many(RkSession *s, int32_t n, const int32_t *t,
+                            const int32_t *f, const int64_t *steps,
+                            const int32_t *obj_off, const int32_t *objs,
+                            const int32_t *b_off, const int32_t *b_t,
+                            const int32_t *b_f) {
+    int32_t i;
+    for (i = 0; i < n; i++) {
+        int32_t o = obj_off[i], n_obj = obj_off[i + 1] - o;
+        int32_t b = b_off[i], n_b = b_off[i + 1] - b;
+        /* no offset arithmetic on a NULL pool (an empty ctypes array) */
+        if (session_commit(s, t[i], f[i], steps[i], n_obj ? objs + o : NULL,
+                           n_obj, n_b ? b_t + b : NULL, n_b ? b_f + b : NULL,
+                           n_b) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Delete n keys: each live one is re-pointed at -1, which every probe
+ * reads as a miss, and its record becomes dead.  Keys the session does
+ * not hold are ignored.  Returns the number deleted, or -1 on OOM. */
+int32_t rk_summary_del(RkSession *s, int32_t n, const int32_t *t,
+                       const int32_t *f) {
+    int32_t i, deleted = 0;
+    for (i = 0; i < n; i++) {
+        uint64_t key = summary_key(t[i], f[i]);
+        if (kmap_get(&s->index, key) < 0)
+            continue;
+        if (kmap_put(&s->index, key, -1) < 0) {
+            s->oom = 1;
+            return -1;
+        }
+        s->live--;
+        deleted++;
+    }
+    return deleted;
 }
 
 /* ------------------------------------------------------------------ */

@@ -16,9 +16,12 @@ the C kernel in ``kernel.c``:
   dicts that only ever grows along push chains.
 * :class:`_NativeSession` — one per ``(SummaryCache, image)`` pair,
   cached on ``cache._native_memo``.  Mirrors the cache's ``_entries``
-  into the kernel's summary table (delta-synced by entry count: the
-  plain cache only ever appends) so the kernel can probe and commit
-  summaries without calling back into Python.
+  into the kernel's summary table so the kernel can probe and commit
+  summaries without calling back into Python.  The first sync imports
+  every entry in one bulk call; later syncs replay only the keys the
+  cache journaled since (inserted, replaced or removed — removals
+  become kernel deletes), and the session is rebuilt once dead records
+  outnumber live ones (see :func:`_session_for`).
 
 Everything here is **refuse-and-fall-back**: any state the kernel
 cannot represent (a stack value outside int32, a foreign token in an
@@ -28,8 +31,9 @@ impl — answers and step counts never depend on the kernel being
 usable, only latency does.
 """
 
+import weakref
 from array import array
-from ctypes import POINTER, byref, c_int32, cast
+from ctypes import POINTER, byref, c_int32, c_int64, cast
 
 from repro.native.binding import (
     _GRAPH_ERRORS,
@@ -40,6 +44,7 @@ from repro.native.binding import (
 )
 
 _PI32 = POINTER(c_int32)
+_PI64 = POINTER(c_int64)
 _INT32_MIN = -(2 ** 31)
 _INT32_MAX = 2 ** 31 - 1
 
@@ -74,7 +79,7 @@ class _NativeGraph:
 
     __slots__ = (
         "lib",
-        "image",
+        "_image",
         "handle",
         "keep",
         "tok_index",
@@ -89,7 +94,11 @@ class _NativeGraph:
 
     def __init__(self, lib, image, handle, keep, tok_index, tokens_by_id):
         self.lib = lib
-        self.image = image
+        # The image owns this graph (``image._native``); a weak
+        # back-reference keeps the pair out of the cyclic GC, so an
+        # edit's superseded image and kernel handle are freed as soon
+        # as the image is dropped, not at the next full collection.
+        self._image = weakref.ref(image)
         self.handle = handle
         #: Buffers the kernel borrows pointers into — kept alive here.
         self.keep = keep
@@ -106,6 +115,10 @@ class _NativeGraph:
         #: A reason string once the kernel handle is poisoned (OOM) —
         #: :func:`graph_for` retires the graph and falls back.
         self.broken = None
+
+    @property
+    def image(self):
+        return self._image()
 
     def __del__(self):
         try:
@@ -157,7 +170,13 @@ class _NativeGraph:
         py2c = self.fs_py2c
         got = py2c.get(stack)
         if got is not None:
-            if image_only and not self._image_only(stack):
+            # Until a synthetic token is registered, every translated
+            # stack holds image tokens only — skip the walk.
+            if (
+                image_only
+                and len(self.tokens_by_id) > self.n_image_tokens
+                and not self._image_only(stack)
+            ):
                 return None
             return got
         chain = []
@@ -444,13 +463,21 @@ def run_ppta_native(pag, node, field_stack, state, budget, max_field_depth=None)
 # the DYNSUM session
 # ----------------------------------------------------------------------
 class _NativeSession:
-    """A kernel summary table mirroring one plain ``SummaryCache``."""
+    """A kernel summary table mirroring one plain ``SummaryCache``.
 
-    __slots__ = ("graph", "handle", "synced")
+    The counters count work, not time, so a test can assert what a sync
+    touched: ``imported`` entries sent to the kernel (full imports,
+    rebuilds and re-puts of journaled keys), ``deleted`` keys a journal
+    drain removed from the kernel index.
+    """
+
+    __slots__ = ("graph", "handle", "imported", "deleted")
 
     def __init__(self, graph, handle):
         self.graph = graph  # strong ref: the graph must outlive us
         self.handle = handle
+        self.imported = 0
+        self.deleted = 0
 
     def __del__(self):
         try:
@@ -460,92 +487,177 @@ class _NativeSession:
         except Exception:
             pass  # interpreter teardown
 
+    def records(self):
+        """Summary records in the kernel pools, dead ones included."""
+        return self.graph.lib.rk_session_count(self.handle)
+
+    def live(self):
+        """Keys the kernel index maps to a record."""
+        return self.graph.lib.rk_session_live(self.handle)
+
 
 def _session_for(ng, cache):
-    """The kernel session mirroring ``cache``, delta-synced; ``None``
-    refuses native for this cache (the reason is cached so later
-    queries fail fast rather than re-importing)."""
-    image = ng.image
+    """The kernel session mirroring ``cache``, synced; ``None`` refuses
+    native for this cache.
+
+    The first native query on a cache (or the first over a new image)
+    bulk-imports every entry and starts the cache's journal,
+    ``cache._native_journal``.  From then on the store appends to it
+    every key it inserts, replaces or removes, and each sync replays
+    only the journaled keys: one still resident is put again, one gone
+    is deleted from the kernel index.  Summaries the kernel computed
+    itself go straight into ``_entries`` and never enter the journal.
+    Replaced and deleted keys leave dead records in the kernel pools;
+    once those outnumber the live ones the session is rebuilt from the
+    live entries, so a long edit session's kernel memory stays bounded.
+
+    An entry the kernel cannot represent refuses native for the cache
+    until it is cleared or the image changes — the refusal is cached,
+    so later queries fall back at once instead of re-importing.
+    """
     memo = cache._native_memo
-    if memo is not None and memo[0] is image:
-        sess = memo[1]
-        if sess is None:
-            return None  # previously refused (unrepresentable entry)
-    else:
-        handle = ng.lib.rk_session_new(ng.handle)
-        if not handle:
-            ng.broken = "kernel out of memory"
-            return None
-        sess = _NativeSession(ng, handle)
-        sess.synced = 0
-        cache._native_memo = (image, sess)
-    entries = cache._entries
-    count = len(entries)
-    if sess.synced < count:
-        items = list(entries.items())[sess.synced :]
-        for (node, fstack, state), summary in items:
-            if not _import_entry(ng, sess, node, fstack, state, summary):
-                if ng.broken is not None:
-                    cache._native_memo = None
-                else:
-                    cache._native_memo = (image, None)
-                return None
-        sess.synced = count
+    if memo is None or memo[0] is not ng.image:
+        return _fresh_session(ng, cache)
+    sess = memo[1]
+    if sess is None:
+        return None  # refused earlier (unrepresentable entry)
+    journal = cache._native_journal
+    if journal:
+        keys = dict.fromkeys(journal)  # in order, each key once
+        journal.clear()
+        if not _drain(ng, sess, cache._entries, keys):
+            return _retire(ng, cache)
+        live = sess.live()
+        if sess.records() - live > live:
+            return _fresh_session(ng, cache)
     return sess
 
 
-def _import_entry(ng, sess, node, fstack, state, summary):
-    """Mirror one Python cache entry into the kernel table.
+def _fresh_session(ng, cache):
+    """A new session holding every entry of ``cache``, or ``None``."""
+    handle = ng.lib.rk_session_new(ng.handle)
+    if not handle:
+        ng.broken = "kernel out of memory"
+        return _retire(ng, cache)
+    sess = _NativeSession(ng, handle)
+    if not _put(ng, sess, list(cache._entries.items())):
+        return _retire(ng, cache)
+    cache._native_memo = (ng.image, sess)
+    cache._native_journal = []
+    return sess
 
-    Entries the kernel can never be asked about — keys whose node is
-    not in the image, or whose stack uses non-image tokens (the native
-    worklist only ever carries image tokens) — are skipped, not
-    imported.  Entries it *could* be asked about but cannot represent
-    (foreign boundary tokens, unindexed objects) refuse the whole
-    session: a partial mirror would make probes miss where Python hits,
-    diverging step counts.
+
+def _retire(ng, cache):
+    """Drop ``cache``'s mirror and journal; always ``None``.
+
+    After kernel OOM (``ng.broken`` set) the next query starts over on
+    a fresh graph; otherwise the refusal is cached against this image.
+    """
+    cache._native_journal = None
+    cache._native_memo = None if ng.broken is not None else (ng.image, None)
+    return None
+
+
+def _drain(ng, sess, entries, keys):
+    """Replay journaled ``keys`` into ``sess``: put again the ones
+    still in ``entries``, delete the rest.  ``False`` on refusal/OOM."""
+    index_get = ng.image.node_index.get
+    translated = ng.fs_py2c
+    puts = []
+    del_t = array("i")
+    del_f = array("i")
+    for key in keys:
+        summary = entries.get(key)
+        if summary is not None:
+            puts.append((key, summary))
+            continue
+        node, fstack, state = key
+        si = index_get(node)
+        f = translated.get(fstack)
+        if si is None or f is None:
+            continue  # never translated, so never imported
+        del_t.append(si * 4 + state)
+        del_f.append(f)
+    if del_t:
+        deleted = ng.lib.rk_summary_del(
+            sess.handle, len(del_t), _addr(del_t), _addr(del_f)
+        )
+        if deleted < 0:
+            ng.broken = "kernel out of memory"
+            return False
+        sess.deleted += deleted
+    return _put(ng, sess, puts)
+
+
+def _put(ng, sess, items):
+    """Import ``items`` (``(key, summary)`` pairs) with one
+    ``rk_summary_put_many`` call over flat arrays; ``False`` refuses
+    the session (or reports kernel OOM, with ``ng.broken`` set).
+
+    Keys the kernel can never be asked about — a node not in the image,
+    or a stack with a non-image token (the native worklist only ever
+    carries image tokens) — are skipped, not imported.  An entry it
+    *could* be asked about but cannot represent (an object outside the
+    image, a foreign boundary token) refuses the whole session: a
+    partial mirror would make probes miss where Python hits, diverging
+    step counts.
     """
     image = ng.image
     index_get = image.node_index.get
-    si = index_get(node)
-    if si is None:
-        return True  # unreachable natively: skip
-    f = ng.fstack_to_c(fstack, image_only=True)
-    if f is None:
-        if ng.broken is not None:
-            return False
-        return True  # foreign key token: never probed natively
     n = image.n_nodes
-    objs = []
-    for obj in summary.objects:
-        oi = index_get(obj)
-        if oi is None:
-            return False  # cannot emit this object as an index
-        objs.append(oi)
-    b_t = []
-    b_f = []
-    for x, bfs, bstate in summary.boundaries:
-        bf = ng.fstack_to_c(bfs, image_only=True)
-        if bf is None:
-            return False
-        b_t.append(index_get(x, n) * 4 + bstate)
-        b_f.append(bf)
-    n_obj = len(objs)
-    n_b = len(b_t)
-    rc = ng.lib.rk_summary_put(
+    to_c = ng.fstack_to_c
+    key_t = array("i")
+    key_f = array("i")
+    steps = array("q")
+    obj_off = array("i", [0])
+    objs = array("i")
+    b_off = array("i", [0])
+    b_t = array("i")
+    b_f = array("i")
+    for (node, fstack, state), summary in items:
+        si = index_get(node)
+        if si is None:
+            continue  # unreachable natively: skip
+        f = to_c(fstack, True)
+        if f is None:
+            if ng.broken is not None:
+                return False
+            continue  # foreign key token: never probed natively
+        for obj in summary.objects:
+            oi = index_get(obj)
+            if oi is None:
+                return False  # cannot emit this object as an index
+            objs.append(oi)
+        for x, bfs, bstate in summary.boundaries:
+            bf = to_c(bfs, True)
+            if bf is None:
+                return False
+            b_t.append(index_get(x, n) * 4 + bstate)
+            b_f.append(bf)
+        key_t.append(si * 4 + state)
+        key_f.append(f)
+        steps.append(summary.steps)
+        obj_off.append(len(objs))
+        b_off.append(len(b_t))
+    count = len(key_t)
+    if not count:
+        return True
+    rc = ng.lib.rk_summary_put_many(
         sess.handle,
-        si * 4 + state,
-        f,
-        summary.steps,
-        n_obj,
-        (c_int32 * n_obj)(*objs) if n_obj else None,
-        n_b,
-        (c_int32 * n_b)(*b_t) if n_b else None,
-        (c_int32 * n_b)(*b_f) if n_b else None,
+        count,
+        _addr(key_t),
+        _addr(key_f),
+        cast(steps.buffer_info()[0], _PI64),
+        _addr(obj_off),
+        _addr(objs),
+        _addr(b_off),
+        _addr(b_t),
+        _addr(b_f),
     )
     if rc != 0:
         ng.broken = "kernel out of memory"
         return False
+    sess.imported += count
     return True
 
 
@@ -588,7 +700,7 @@ def explore_native(analysis, var, context, pairs, budget):
     )
     if not res:
         ng.broken = "kernel out of memory"
-        cache._native_memo = None
+        _retire(ng, cache)
         return False
     try:
         r = res.contents
@@ -597,7 +709,7 @@ def explore_native(analysis, var, context, pairs, budget):
             # Kernel OOM mid-run: apply nothing.  The session table may
             # hold a partial commit — retire it with the graph.
             ng.broken = "kernel out of memory"
-            cache._native_memo = None
+            _retire(ng, cache)
             return False
         nodes = image.nodes
         # New summaries first, in computation order, so the Python
@@ -635,7 +747,6 @@ def explore_native(analysis, var, context, pairs, budget):
                 method = node.method
                 if method is not None:
                     by_method.setdefault(method, set()).add(key)
-            sess.synced = len(entries)
         n_pairs = r.n_pairs
         if n_pairs:
             pair_obj = r.pair_obj

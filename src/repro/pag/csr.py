@@ -34,15 +34,18 @@ The image serializes into a versioned binary section
 the file with ``mmap`` and casts zero-copy ``memoryview`` rows over it,
 so a warm-started engine installs the image without recompiling —
 :attr:`PAG.csr_compiles <repro.pag.graph.PAG>` stays at zero on the warm
-path.  A fingerprint over the edge stream (plus the recursive-site set)
-guards installs: an image of a different program version is rejected
-with a typed :class:`~repro.api.protocol.SnapshotError`, never silently
-consumed.
+path.  A fingerprint over the lowered arrays and node keys (plus the
+recursive-site set, :func:`pag_fingerprint`) guards installs: an image
+of a different program version is rejected with a typed
+:class:`~repro.api.protocol.SnapshotError`, never silently consumed.
 """
 
 import json
 import struct
+import sys
 from array import array
+from itertools import accumulate, chain
+from operator import attrgetter, itemgetter
 from zlib import crc32
 
 from repro.api.protocol import SnapshotError
@@ -71,7 +74,11 @@ FLAG_LOCAL = 4
 #: path nobody ships across).
 _MAGIC = b"RCSR"
 _ENDIAN_TAG = 0x01020304
-CSR_FORMAT_VERSION = (1, 1)
+CSR_FORMAT_VERSION = (1, 2)
+
+#: The first minor whose ``fingerprint`` uses today's definition (see
+#: :func:`pag_fingerprint`); older images are refused at install.
+_FINGERPRINT_MINOR = 2
 
 #: The native kernel's view of this layout (see ``repro/native``).
 #: Snapshots are stamped with it (the ``kernel_abi`` meta key, new in
@@ -131,14 +138,16 @@ class CsrImage:
     so the traversal loops never branch on "node not in the image".
 
     The ``array('i')``/``bytes`` attributes (``_ARRAY_NAMES`` +
-    ``flags``) are the canonical dense form: what serializes, and what
-    the mmap loader hands back as zero-copy ``memoryview`` casts.  The
-    ``*_rows`` attributes are *derived* per-node tuples built by
-    :meth:`_finalize` in one C-speed ``tolist`` pass — CPython boxes a
-    fresh int on every ``array('i')`` index, so the hot loops iterate
-    prebuilt tuples whose elements (pre-packed visited-key addends,
-    interned token objects, node references) are shared, making each
-    traversal step allocation-free.
+    ``flags``) are the canonical dense form: what serializes, what the
+    native kernel reads, and what the mmap loader hands back as
+    zero-copy ``memoryview`` casts.  The ``*_rows`` attributes are
+    *derived* per-node tuples for the pure-Python ``array`` loops,
+    built by :meth:`_finalize` on first access — CPython boxes a fresh
+    int on every ``array('i')`` index, so those loops iterate prebuilt
+    tuples whose elements (pre-packed visited-key addends, interned
+    token objects, node references) are shared, making each traversal
+    step allocation-free.  An image only the kernel reads never builds
+    them.
     """
 
     __slots__ = (
@@ -155,7 +164,16 @@ class CsrImage:
         "kernel_abi",
         "_buffer",
         "_native",
+        "__weakref__",
     ) + _ARRAY_NAMES + _ROW_NAMES
+
+    def __getattr__(self, name):
+        # Only reached for unset slots: the row views are built on
+        # first access, all at once.
+        if name in _ROW_NAMES:
+            self._finalize()
+            return getattr(self, name)
+        raise AttributeError(name)
 
     def _finalize(self):
         """Derive the row tuples the ``array`` traversal loops iterate.
@@ -163,16 +181,11 @@ class CsrImage:
         Every packed element is ``index * 4 + state`` — the visited-key
         addend of :func:`repro.analysis.ppta._run_ppta_array`'s packing
         — so the loops turn one row element into a visited key with a
-        single int add.  Runs once per image (compile or mmap load);
-        unlike ``PAG._compile_adjacency`` it touches no PAG dicts and
-        builds no per-node objects, so a warm start stays free of graph
-        recompilation.
+        single int add.  Runs at most once per image, on the first row
+        access; unlike ``PAG._compile_adjacency`` it touches no PAG dicts
+        and builds no per-node objects, so a warm start stays free of
+        graph recompilation.
         """
-        #: Lazy slot for the native kernel's twin of this image
-        #: (``repro.native.session``): ``None`` until first use, then a
-        #: ``_NativeGraph`` or a reason string when the kernel refused
-        #: it.
-        self._native = None
         n = self.n_nodes
         nodes = self.nodes
         tokens = self.tokens
@@ -254,201 +267,205 @@ class CsrImage:
 
 
 def pag_fingerprint(pag):
-    """A crc32 over the PAG's edge stream and recursive-site set.
+    """A crc32 identifying ``pag``'s graph: its CSR lowering's node
+    keys, edge arrays and recursive-site set.
 
-    Deterministic for a given program version (edge dicts are built in
-    program order), and any wiring difference — same counts, same node
-    names, different edges — changes it, so a stale image can never be
-    installed over a drifted graph.
+    Deterministic for a given program version across processes and
+    hosts (edge dicts are built in program order; token and field ids
+    are hashed by name, ints little-endian), and any wiring difference
+    — same counts, same node names, different edges — changes it, so a
+    stale image can never be installed over a drifted graph.  Memoized
+    on the PAG until its next edge insertion; a compile fills the memo
+    as a by-product, so only a graph never compiled pays a lowering
+    here.
     """
+    fingerprint = pag._fingerprint
+    if fingerprint is None:
+        fingerprint = _lower(pag)[4]
+        pag._fingerprint = fingerprint
+    return fingerprint
+
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
+_SORT_KEY = attrgetter("sort_key")
+
+
+def _fingerprint(pag, nodes, arrays, flags):
     h = crc32(repr(sorted(pag.recursive_sites())).encode())
-    for kind, src, label, tgt in pag.iter_edges():
-        h = crc32(f"{kind}|{src.sort_key}|{label}|{tgt.sort_key}\n".encode(), h)
-    return h
+    keys = chain.from_iterable(map(_SORT_KEY, nodes))
+    h = crc32("\x1f".join(map(str, keys)).encode(), h)
+    tokens = ["%s\x1e%s" % token for token in token_table()]
+    fields = field_table()
+    for name in _ARRAY_NAMES:
+        data = arrays[name]
+        if name in _TOKEN_VALUED:
+            raw = "\x1f".join(map(tokens.__getitem__, data)).encode()
+        elif name in _FIELD_VALUED:
+            raw = "\x1f".join(map(fields.__getitem__, data)).encode()
+        else:
+            if not _LITTLE_ENDIAN:
+                data = array("i", data)
+                data.byteswap()
+            raw = data.tobytes()
+        h = crc32(raw, crc32(b"%d:" % len(raw), h))
+    return crc32(flags, h)
 
 
 # ----------------------------------------------------------------------
 # compilation
 # ----------------------------------------------------------------------
-def compile_csr(pag):
-    """Lower ``pag`` into a fresh :class:`CsrImage`.
+_FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
+_THIRD = itemgetter(2)
+
+
+def _group(edges, index_of, n):
+    """The CSR form of one ``node -> [item]`` dict: its offsets
+    (``n + 1`` entries) and its items concatenated in node-index order.
+    The work is per key, not per node."""
+    placed = sorted(zip(map(index_of, edges), edges.values()))
+    offsets = []
+    total = 0
+    for i, items in placed:
+        offsets += [total] * (i + 1 - len(offsets))
+        total += len(items)
+    offsets += [total] * (n + 1 - len(offsets))
+    return array("i", offsets), list(chain.from_iterable(map(_SECOND, placed)))
+
+
+def _lower(pag):
+    """``pag`` as dense arrays: ``(nodes, node_index, arrays, flags,
+    fingerprint)`` with ``arrays`` keyed by :data:`_ARRAY_NAMES`.
 
     Node indices are assigned on first touch in the same dict-iteration
-    order as ``PAG._compile_adjacency``; per-node edge rows preserve the
-    accessor lists' order exactly.
+    order as ``PAG._compile_adjacency``, so both lowered forms agree on
+    which nodes exist (every edge endpoint); each CSR group is built in
+    one pass over its edge dict, keeping the accessor lists' per-node
+    order exactly.
     """
-    node_index = {}
-    nodes = []
-
-    def idx(node):
-        i = node_index.get(node)
-        if i is None:
-            i = len(nodes)
-            node_index[node] = i
-            nodes.append(node)
-        return i
-
-    # First touch pass, mirroring the adjacency compiler's sequence so
-    # both lowered forms agree on which nodes exist (every edge
-    # endpoint) without consulting each other.
-    for target, sources in pag._new_in.items():
-        idx(target)
-        for obj in sources:
-            idx(obj)
-    for target, sources in pag._assign_in.items():
-        idx(target)
-        for source in sources:
-            idx(source)
-    for source, targets in pag._assign_out.items():
-        idx(source)
-        for target in targets:
-            idx(target)
-    for target, pairs in pag._load_in.items():
-        idx(target)
-        for base, _field in pairs:
-            idx(base)
-    for base, pairs in pag._load_out.items():
-        idx(base)
-        for _field, target in pairs:
-            idx(target)
-    for base, pairs in pag._store_in.items():
-        idx(base)
-        for value, _field in pairs:
-            idx(value)
-    for value, pairs in pag._store_out.items():
-        idx(value)
-        for _field, base in pairs:
-            idx(base)
-    for target, pairs in pag._exit_in.items():
-        idx(target)
-        for retvar, _site in pairs:
-            idx(retvar)
-    for formal, pairs in pag._entry_in.items():
-        idx(formal)
-        for actual, _site in pairs:
-            idx(actual)
-    for target, sources in pag._global_in.items():
-        idx(target)
-        for source in sources:
-            idx(source)
-    for actual, pairs in pag._entry_out.items():
-        idx(actual)
-        for _site, formal in pairs:
-            idx(formal)
-    for retvar, pairs in pag._exit_out.items():
-        idx(retvar)
-        for _site, target in pairs:
-            idx(target)
-    for source, targets in pag._global_out.items():
-        idx(source)
-        for target in targets:
-            idx(target)
-
+    touched = []
+    touch = touched.append
+    touch_all = touched.extend
+    for edges, position in (
+        (pag._new_in, None),
+        (pag._assign_in, None),
+        (pag._assign_out, None),
+        (pag._load_in, 0),
+        (pag._load_out, 1),
+        (pag._store_in, 0),
+        (pag._store_out, 1),
+        (pag._exit_in, 0),
+        (pag._entry_in, 0),
+        (pag._global_in, None),
+        (pag._entry_out, 1),
+        (pag._exit_out, 1),
+        (pag._global_out, None),
+    ):
+        pick = None if position is None else itemgetter(position)
+        for node, items in edges.items():
+            touch(node)
+            touch_all(items if pick is None else map(pick, items))
+    nodes = list(dict.fromkeys(touched))
     n = len(nodes)
+    node_index = dict(zip(nodes, range(n)))
+    index_of = node_index.__getitem__
+    arrays = {}
+
+    def nodes_group(edges, off, val):
+        arrays[off], flat = _group(edges, index_of, n)
+        arrays[val] = array("i", map(index_of, flat))
+
+    def pairs_group(edges, off, key, val, key_of, node_at, key_at):
+        arrays[off], flat = _group(edges, index_of, n)
+        keys = list(map(key_at, flat))
+        # Intern in edge order, so ids stay deterministic per process.
+        ids = {k: key_of(k) for k in dict.fromkeys(keys)}
+        arrays[key] = array("i", map(ids.__getitem__, keys))
+        arrays[val] = array("i", map(index_of, map(node_at, flat)))
+
+    nodes_group(pag._new_in, "new_off", "new_val")
+    nodes_group(pag._assign_in, "as_off", "as_val")
+    pairs_group(
+        pag._load_in, "li_off", "li_tok", "li_val",
+        lambda fld: token_id(fld, FAM_LOAD), _FIRST, _SECOND,
+    )
+    nodes_group(pag._assign_out, "at_off", "at_val")
+    pairs_group(pag._load_out, "lf_off", "lf_fid", "lf_val", field_id, _SECOND, _FIRST)
+    pairs_group(pag._store_in, "si_off", "si_fid", "si_val", field_id, _FIRST, _SECOND)
+    pairs_group(
+        pag._store_out, "sf_off", "sf_tok", "sf_val",
+        lambda fld: token_id(fld, FAM_STORE), _SECOND, _FIRST,
+    )
+
+    # Crossing lists in the worklist's order: exits/entries first, then
+    # the context-clearing assignglobal hops.
+    recursive = pag._recursive_sites
+    for prefix, calls, returns, hops, target_at in (
+        ("cb", pag._exit_in, pag._entry_in, pag._global_in, 0),
+        ("cf", pag._entry_out, pag._exit_out, pag._global_out, 1),
+    ):
+        site_at = 1 - target_at
+        rows = {}
+        for edges, op, op_rec in (
+            (calls, OP_PUSH, OP_PUSH_REC),
+            (returns, OP_POP, OP_POP_REC),
+        ):
+            for node, pairs in edges.items():
+                rows.setdefault(node, []).extend([
+                    (
+                        op_rec if pair[site_at] in recursive else op,
+                        pair[site_at],
+                        index_of(pair[target_at]),
+                    )
+                    for pair in pairs
+                ])
+        for node, targets in hops.items():
+            rows.setdefault(node, []).extend(
+                [(OP_CLEAR, 0, index_of(target)) for target in targets]
+            )
+        arrays[prefix + "_off"], flat = _group(rows, index_of, n)
+        arrays[prefix + "_op"] = array("i", map(_FIRST, flat))
+        arrays[prefix + "_site"] = array("i", map(_SECOND, flat))
+        arrays[prefix + "_tgt"] = array("i", map(_THIRD, flat))
+
+    flags = bytearray(n + 1)  # trailing zero sentinel for index -1
+    for bit, groups in (
+        (FLAG_GLOBAL_IN, (pag._global_in, pag._entry_in, pag._exit_in)),
+        (FLAG_GLOBAL_OUT, (pag._global_out, pag._entry_out, pag._exit_out)),
+        (FLAG_LOCAL, (
+            pag._new_in, pag._assign_in, pag._assign_out, pag._load_in,
+            pag._load_out, pag._store_in, pag._store_out,
+        )),
+    ):
+        for i in map(index_of, set().union(*groups)):
+            flags[i] |= bit
+    flags = bytes(flags)
+    return nodes, node_index, arrays, flags, _fingerprint(pag, nodes, arrays, flags)
+
+
+def compile_csr(pag):
+    """Lower ``pag`` into a fresh :class:`CsrImage` (see :func:`_lower`).
+
+    Builds only the dense arrays the kernel reads; the ``array`` loops'
+    row views follow on first use.
+    """
+    nodes, node_index, arrays, flags, fingerprint = _lower(pag)
     image = CsrImage()
-    image.n_nodes = n
+    image.n_nodes = len(nodes)
     image.nodes = nodes
     image.node_index = node_index
-
-    new_in = pag._new_in
-    assign_in = pag._assign_in
-    assign_out = pag._assign_out
-    load_in = pag._load_in
-    load_out = pag._load_out
-    store_in = pag._store_in
-    store_out = pag._store_out
-    recursive = pag._recursive_sites
-    empty = ()
-
-    new_off, new_val = [0], []
-    as_off, as_val = [0], []
-    li_off, li_tok, li_val = [0], [], []
-    at_off, at_val = [0], []
-    lf_off, lf_fid, lf_val = [0], [], []
-    si_off, si_fid, si_val = [0], [], []
-    sf_off, sf_tok, sf_val = [0], [], []
-    cb_off, cb_op, cb_site, cb_tgt = [0], [], [], []
-    cf_off, cf_op, cf_site, cf_tgt = [0], [], [], []
-    flags = bytearray(n + 1)  # trailing zero sentinel for index -1
-
-    for i, node in enumerate(nodes):
-        for obj in new_in.get(node, empty):
-            new_val.append(node_index[obj])
-        new_off.append(len(new_val))
-        for source in assign_in.get(node, empty):
-            as_val.append(node_index[source])
-        as_off.append(len(as_val))
-        for base, fld in load_in.get(node, empty):
-            li_tok.append(token_id(fld, FAM_LOAD))
-            li_val.append(node_index[base])
-        li_off.append(len(li_val))
-        for target in assign_out.get(node, empty):
-            at_val.append(node_index[target])
-        at_off.append(len(at_val))
-        for fld, target in load_out.get(node, empty):
-            lf_fid.append(field_id(fld))
-            lf_val.append(node_index[target])
-        lf_off.append(len(lf_val))
-        for value, fld in store_in.get(node, empty):
-            si_fid.append(field_id(fld))
-            si_val.append(node_index[value])
-        si_off.append(len(si_val))
-        for fld, base in store_out.get(node, empty):
-            sf_tok.append(token_id(fld, FAM_STORE))
-            sf_val.append(node_index[base])
-        sf_off.append(len(sf_val))
-
-        # Crossing lists in the worklist's order: exits/entries first,
-        # then the context-clearing assignglobal hops.
-        for retvar, site in pag._exit_in.get(node, empty):
-            cb_op.append(OP_PUSH_REC if site in recursive else OP_PUSH)
-            cb_site.append(site)
-            cb_tgt.append(node_index[retvar])
-        for actual, site in pag._entry_in.get(node, empty):
-            cb_op.append(OP_POP_REC if site in recursive else OP_POP)
-            cb_site.append(site)
-            cb_tgt.append(node_index[actual])
-        for source in pag._global_in.get(node, empty):
-            cb_op.append(OP_CLEAR)
-            cb_site.append(0)
-            cb_tgt.append(node_index[source])
-        cb_off.append(len(cb_op))
-        for site, formal in pag._entry_out.get(node, empty):
-            cf_op.append(OP_PUSH_REC if site in recursive else OP_PUSH)
-            cf_site.append(site)
-            cf_tgt.append(node_index[formal])
-        for site, target in pag._exit_out.get(node, empty):
-            cf_op.append(OP_POP_REC if site in recursive else OP_POP)
-            cf_site.append(site)
-            cf_tgt.append(node_index[target])
-        for target in pag._global_out.get(node, empty):
-            cf_op.append(OP_CLEAR)
-            cf_site.append(0)
-            cf_tgt.append(node_index[target])
-        cf_off.append(len(cf_op))
-
-        flag = 0
-        if pag.has_global_in(node):
-            flag |= FLAG_GLOBAL_IN
-        if pag.has_global_out(node):
-            flag |= FLAG_GLOBAL_OUT
-        if pag.has_local_edges(node):
-            flag |= FLAG_LOCAL
-        flags[i] = flag
-
-    local = locals()
     for name in _ARRAY_NAMES:
-        setattr(image, name, array("i", local[name]))
-    image.flags = bytes(flags)
+        setattr(image, name, arrays[name])
+    image.flags = flags
     image.tokens = token_table()
     image.tok_fid = {token: field_id(token[0]) for token in image.tokens}
     image.edge_counts = pag.edge_counts()
     image.node_counts = pag.node_counts()
-    image.fingerprint = pag_fingerprint(pag)
+    image.fingerprint = fingerprint
     image.source = "compiled"
     image.kernel_abi = KERNEL_ABI_VERSION
     image._buffer = None
-    image._finalize()
+    image._native = None
     return image
 
 
@@ -569,6 +586,7 @@ class CsrSection:
         except (ValueError, UnicodeDecodeError) as exc:
             raise SnapshotError(f"CSR meta is not valid JSON: {exc}") from None
         self._meta = _check_meta(meta, payload_len)
+        self._minor = minor
         self._payload = payload
         # Value-range validation (new with the native kernel): the C
         # loops index these arrays without Python's bounds checks, so a
@@ -592,6 +610,11 @@ class CsrSection:
             raise SnapshotError("CSR image edge counts do not match this PAG")
         if meta["node_counts"] != pag.node_counts():
             raise SnapshotError("CSR image node counts do not match this PAG")
+        if self._minor < _FINGERPRINT_MINOR:
+            raise SnapshotError(
+                f"CSR image format 1.{self._minor} predates this build's "
+                f"fingerprint (1.{_FINGERPRINT_MINOR}); recompile it"
+            )
         if meta["fingerprint"] != pag_fingerprint(pag):
             raise SnapshotError("CSR image fingerprint does not match this PAG")
         nodes = [_resolve_compact(pag, wire) for wire in meta["nodes"]]
@@ -621,7 +644,7 @@ class CsrSection:
         # falls back to the pure-Python loops (answers unchanged).
         image.kernel_abi = meta.get("kernel_abi")
         image._buffer = self._buffer
-        image._finalize()
+        image._native = None
         return image
 
 

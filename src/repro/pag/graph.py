@@ -180,6 +180,9 @@ class PAG:
         #: insertion and by :meth:`mark_recursive_site` (the image folds
         #: the recursive bit into its cross-op codes).
         self._csr = None
+        #: Memo of :func:`repro.pag.csr.pag_fingerprint`, reset with
+        #: ``_csr``.
+        self._fingerprint = None
         #: Compile counters, exposed so the warm-start path can assert
         #: it never recompiled (``csr_compiles == 0`` after an mmap
         #: install is the acceptance gate of the zero-copy path).
@@ -249,6 +252,7 @@ class PAG:
         self._edge_counts[kind] += 1
         self._adjacency = None
         self._csr = None
+        self._fingerprint = None
         return True
 
     def add_new(self, obj, target):
@@ -313,6 +317,7 @@ class PAG:
             # Adjacency records test recursiveness live, but the CSR
             # image bakes it into its cross-op codes.
             self._csr = None
+            self._fingerprint = None
 
     # ------------------------------------------------------------------
     # adjacency accessors (value-flow direction documented per method)
@@ -437,6 +442,7 @@ class PAG:
 
             image = compile_csr(self)
             self._csr = image
+            self._fingerprint = image.fingerprint
             self.csr_compiles += 1
         return image
 
@@ -515,11 +521,19 @@ class PAG:
         for source, targets in self._global_out.items():
             record(source).global_targets = tuple(targets)
 
+        # The boundary predicates, as key sets of the edge dicts (what
+        # has_global_in/has_global_out/has_local_edges probe per node).
+        global_in = set().union(self._global_in, self._entry_in, self._exit_in)
+        global_out = set().union(self._global_out, self._entry_out, self._exit_out)
+        local = set().union(
+            self._new_in, self._assign_in, self._assign_out, self._load_in,
+            self._load_out, self._store_in, self._store_out,
+        )
         for index, (node, rec) in enumerate(records.items()):
             rec.index = index
-            rec.has_global_in = self.has_global_in(node)
-            rec.has_global_out = self.has_global_out(node)
-            rec.has_local_edges = self.has_local_edges(node)
+            rec.has_global_in = node in global_in
+            rec.has_global_out = node in global_out
+            rec.has_local_edges = node in local
 
         def target_index(node):
             # Every traversal target is an edge endpoint, so it always
@@ -527,61 +541,70 @@ class PAG:
             return records[node].index
 
         # Second pass: append each local-edge target's index, so the
-        # PPTA can key its visited set on ints.
+        # PPTA can key its visited set on ints.  Empty fields stay the
+        # shared empty tuple.
         for rec in records.values():
-            rec.assign_sources = tuple(
-                (x, target_index(x)) for x in rec.assign_sources
-            )
-            rec.assign_targets = tuple(
-                (x, target_index(x)) for x in rec.assign_targets
-            )
-            rec.load_into = tuple(
-                (base, field, token, target_index(base))
-                for base, field, token in rec.load_into
-            )
-            rec.load_from = tuple(
-                (field, x, target_index(x)) for field, x in rec.load_from
-            )
-            rec.store_into = tuple(
-                (x, field, target_index(x)) for x, field in rec.store_into
-            )
-            rec.store_from = tuple(
-                (field, base, token, target_index(base))
-                for field, base, token in rec.store_from
-            )
+            if rec.assign_sources:
+                rec.assign_sources = tuple(
+                    (x, target_index(x)) for x in rec.assign_sources
+                )
+            if rec.assign_targets:
+                rec.assign_targets = tuple(
+                    (x, target_index(x)) for x in rec.assign_targets
+                )
+            if rec.load_into:
+                rec.load_into = tuple(
+                    (base, field, token, target_index(base))
+                    for base, field, token in rec.load_into
+                )
+            if rec.load_from:
+                rec.load_from = tuple(
+                    (field, x, target_index(x)) for field, x in rec.load_from
+                )
+            if rec.store_into:
+                rec.store_into = tuple(
+                    (x, field, target_index(x)) for x, field in rec.store_into
+                )
+            if rec.store_from:
+                rec.store_from = tuple(
+                    (field, base, token, target_index(base))
+                    for field, base, token in rec.store_from
+                )
 
         for rec in records.values():
             # Combined crossing lists, in the order the worklists cross
             # edges: exits/entries first, then the context-clearing
             # assignglobal hops.
-            rec.cross_backward = tuple(
-                [
-                    (CROSS_PUSH, retvar, site, target_index(retvar))
-                    for retvar, site in rec.exit_into
-                ]
-                + [
-                    (CROSS_POP, actual, site, target_index(actual))
-                    for actual, site in rec.entry_into
-                ]
-                + [
-                    (CROSS_CLEAR, y, None, target_index(y))
-                    for y in rec.global_sources
-                ]
-            )
-            rec.cross_forward = tuple(
-                [
-                    (CROSS_PUSH, formal, site, target_index(formal))
-                    for site, formal in rec.entry_from
-                ]
-                + [
-                    (CROSS_POP, target, site, target_index(target))
-                    for site, target in rec.exit_from
-                ]
-                + [
-                    (CROSS_CLEAR, y, None, target_index(y))
-                    for y in rec.global_targets
-                ]
-            )
+            if rec.exit_into or rec.entry_into or rec.global_sources:
+                rec.cross_backward = tuple(
+                    [
+                        (CROSS_PUSH, retvar, site, target_index(retvar))
+                        for retvar, site in rec.exit_into
+                    ]
+                    + [
+                        (CROSS_POP, actual, site, target_index(actual))
+                        for actual, site in rec.entry_into
+                    ]
+                    + [
+                        (CROSS_CLEAR, y, None, target_index(y))
+                        for y in rec.global_sources
+                    ]
+                )
+            if rec.entry_from or rec.exit_from or rec.global_targets:
+                rec.cross_forward = tuple(
+                    [
+                        (CROSS_PUSH, formal, site, target_index(formal))
+                        for site, formal in rec.entry_from
+                    ]
+                    + [
+                        (CROSS_POP, target, site, target_index(target))
+                        for site, target in rec.exit_from
+                    ]
+                    + [
+                        (CROSS_CLEAR, y, None, target_index(y))
+                        for y in rec.global_targets
+                    ]
+                )
         return records
 
     # ------------------------------------------------------------------

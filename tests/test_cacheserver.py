@@ -1244,3 +1244,72 @@ class TestAsyncServingTier:
         finally:
             cache.close()
             server.stop()
+
+
+class TestLongFlights:
+    """A pipelined flight longer than the socket buffers can hold.
+
+    A shard answers a flight line by line.  A client that wrote the
+    whole flight before reading let the answers pile up until the
+    shard blocked on its writes and stopped reading, while the client
+    blocked on the rest of its flight: a big ``batch-store`` flush then
+    timed out and every entry counted as a ``store_error``.  Shrinking
+    the client's socket buffers reproduces with 12,000 entries what a
+    full 36,778-entry flush hit at the default sizes.
+    """
+
+    ENTRIES = 12_000
+
+    @pytest.fixture
+    def small_buffers(self, monkeypatch):
+        import socket
+
+        connect = socket.create_connection
+
+        def create_connection(*args, **kwargs):
+            sock = connect(*args, **kwargs)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            return sock
+
+        monkeypatch.setattr(socket, "create_connection", create_connection)
+        monkeypatch.setattr(RemoteSummaryCache, "FLUSH_CHUNK", 32)
+
+    @pytest.mark.parametrize("tier", ["threaded", "async"])
+    def test_a_long_batch_store_flush_lands_whole(self, tier, small_buffers):
+        from repro.analysis.ppta import PptaResult
+        from repro.bench.generator import GeneratorConfig, generate_program
+        from repro.cacheserver.aserver import AsyncShardServer
+        from repro.cfl.rsm import FAM_LOAD, S1
+        from repro.cfl.stacks import EMPTY_STACK, intern_token
+
+        pag = build_pag(
+            generate_program(
+                GeneratorConfig(seed=3, domain_classes=4, data_classes=3, layers=2)
+            )
+        )
+        nodes = sorted(pag.local_var_nodes(), key=lambda node: node.sort_key)
+        obj = min(pag.object_nodes(), key=lambda node: node.sort_key)
+        stacks = [EMPTY_STACK]
+        while len(stacks) * len(nodes) < self.ENTRIES:
+            token = intern_token(f"f{len(stacks)}", FAM_LOAD)
+            stacks.append(stacks[-1].push(token))
+        summary = PptaResult((obj,), (), steps=1)
+        server_cls = ShardServer if tier == "threaded" else AsyncShardServer
+        server = server_cls(0, 1).start()
+        cache = RemoteSummaryCache((server.address,), pipeline=True, timeout=2.0)
+        try:
+            cache.bind_pag(pag)
+            cache.begin_batch()
+            before = cache.remote_stats().round_trips
+            for i in range(self.ENTRIES):
+                cache.store(nodes[i % len(nodes)], stacks[i // len(nodes)], S1, summary)
+            cache.end_batch()
+            stats = cache.remote_stats()
+            assert stats.store_errors == 0
+            assert stats.stores == self.ENTRIES
+            assert stats.round_trips - before == 1  # one flight, one round trip
+            assert server.store.stats_snapshot().entries == self.ENTRIES
+        finally:
+            cache.close()
+            server.stop()

@@ -309,6 +309,20 @@ class TestCorruptionBattery:
         with pytest.raises(SnapshotError):
             load_snapshot(snapshot_path)
 
+    def test_image_with_an_older_fingerprint_is_refused(self, snapshot_path, pag):
+        """Format 1.2 redefined the fingerprint: a 1.1 image loads, but
+        installing it fails the typed check instead of comparing
+        fingerprints of two different definitions."""
+        offset = self._csr_offset(snapshot_path)
+
+        def downgrade(blob):
+            blob[offset + 10 : offset + 12] = struct.pack("=H", 1)
+
+        self._mutated(snapshot_path, downgrade)
+        snapshot = load_snapshot(snapshot_path)
+        with pytest.raises(SnapshotError, match="predates"):
+            snapshot.csr.image_for(pag)
+
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "garbage.snap"
         path.write_bytes(b"\xfe\xed\xfa\xce" * 64)

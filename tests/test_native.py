@@ -140,13 +140,45 @@ class TestSelection:
             EnginePolicy(traversal_impl="turbo")
 
     def test_env_boot_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRAVERSAL", "native")
-        assert ppta._default_impl() == "native"
+        monkeypatch.setenv("REPRO_TRAVERSAL", "fast")
+        assert ppta._default_impl() == "fast"
         monkeypatch.setenv("REPRO_TRAVERSAL", "turbo")
         # A stale env value must not brick the process.
-        assert ppta._default_impl() == "fast"
+        assert ppta._default_impl() == "native"
         monkeypatch.delenv("REPRO_TRAVERSAL")
-        assert ppta._default_impl() == "fast"
+        assert ppta._default_impl() == "native"
+
+    @pytest.mark.parametrize("host", ["disabled", "no-compiler"])
+    def test_unpinned_engine_falls_back_on_a_kernelless_host(
+        self, monkeypatch, tmp_path, fresh_kernel_state, host
+    ):
+        """The boot default is ``native``; where the kernel cannot load,
+        an engine with no impl pin answers like ``reference`` on the
+        ``array`` loop and says why in its stats."""
+        pag = make_pag(seed=5)
+        nodes = list(pag.local_var_nodes())
+        reference = PointsToEngine(pag, EnginePolicy(traversal_impl="reference"))
+        want = [sorted(map(repr, reference.query(n).pairs)) for n in nodes]
+        monkeypatch.delenv("REPRO_TRAVERSAL", raising=False)
+        if host == "disabled":
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+        else:
+            monkeypatch.delenv("REPRO_NATIVE", raising=False)
+            monkeypatch.setenv("CC", "/nonexistent")
+            monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "empty"))
+        binding._reset()
+        engine = PointsToEngine(pag, EnginePolicy())
+        with ppta.traversal_impl(ppta._default_impl()):
+            got = [sorted(map(repr, engine.query(n).pairs)) for n in nodes]
+            stats = engine.stats()
+        assert got == want
+        assert engine.steps_total == reference.steps_total
+        assert stats.traversal_impl == "native"
+        reason = stats.native_unavailable
+        if host == "disabled":
+            assert reason == "disabled (REPRO_NATIVE=0)"
+        else:
+            assert "no C compiler" in reason
 
 
 class TestStatsPlumbing:
@@ -249,3 +281,69 @@ class TestPopulatedCaches:
         native = self._run("native", warm_start=path)
         assert native == self._run("reference", warm_start=path)
         assert native[1] > 0
+
+
+class TestListeningAnnouncement:
+    """``repro-serve --listen`` reports the impl it will answer with on
+    its ``listening`` line — the default depends on a compiler being
+    present, so a host on the fallback must be visible at start-up."""
+
+    PROGRAM = """\
+class Thing { }
+class Main {
+  static method main() {
+    a = new Thing;
+    b = a;
+  }
+}
+"""
+
+    def _announce(self, tmp_path, **env_overrides):
+        import json
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        program = tmp_path / "prog.pir"
+        program.write_text(self.PROGRAM, encoding="utf-8")
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env.pop("REPRO_TRAVERSAL", None)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env.update(env_overrides)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.api.service",
+                "--program", str(program), "--listen", "127.0.0.1:0",
+            ],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=env,
+        )
+        try:
+            return json.loads(proc.stdout.readline())
+        finally:
+            proc.terminate()
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
+    def test_default_host_reports_native(self, tmp_path):
+        announce = self._announce(tmp_path)
+        assert announce["event"] == "listening"
+        assert announce["traversal_impl"] == "native"
+        ok, reason = availability()
+        assert announce["native_unavailable"] == (None if ok else reason)
+
+    def test_disabled_kernel_is_reported(self, tmp_path):
+        announce = self._announce(tmp_path, REPRO_NATIVE="0")
+        assert announce["traversal_impl"] == "native"
+        assert announce["native_unavailable"] == "disabled (REPRO_NATIVE=0)"
