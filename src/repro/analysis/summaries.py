@@ -274,7 +274,8 @@ class SummaryStore(SummaryBackend):
         #: since its last sync, in order (``None`` otherwise — a store
         #: without a mirror pays one attribute test per change).  The
         #: next native query drains it: resident keys are put again,
-        #: removed ones deleted from the kernel's index.
+        #: removed ones deleted from the kernel's index.  It never
+        #: outgrows the store (see ``_drop_native_mirror``).
         self._native_journal = None
 
     # ------------------------------------------------------------------
@@ -367,6 +368,8 @@ class SummaryStore(SummaryBackend):
         journal = self._native_journal
         if journal is not None:
             journal.append(key)
+            if len(journal) > len(self._entries):
+                self._drop_native_mirror()
         self._enforce_capacity()
         return True
 
@@ -379,6 +382,8 @@ class SummaryStore(SummaryBackend):
         journal = self._native_journal
         if journal is not None:
             journal.append(key)
+            if len(journal) > len(self._entries):
+                self._drop_native_mirror()
         self._facts -= entry.size
         method = key[0].method
         if method is not None:
@@ -416,6 +421,14 @@ class SummaryStore(SummaryBackend):
         self.evictions = 0
         self.invalidated = 0
         self._fast_memo = None
+        self._drop_native_mirror()
+
+    def _drop_native_mirror(self):
+        """Forget the kernel mirror and its journal; the next native
+        query bulk-imports the store afresh.  Also how a journal that
+        no native query drains (the impl switched, or the kernel
+        refused the image) stays bounded: once it outgrows the store,
+        replaying it would cost more than a fresh import anyway."""
         self._native_memo = None
         self._native_journal = None
 
@@ -535,6 +548,8 @@ class SummaryCache(SummaryStore):
         journal = self._native_journal
         if journal is not None:
             journal.append(key)
+            if len(journal) > len(entries):
+                self._drop_native_mirror()
         return True
 
 

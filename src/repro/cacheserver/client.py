@@ -159,11 +159,11 @@ class ShardLink:
 
     :meth:`request_many` pipelines several request lines into one
     flight, so a chunked bulk operation still costs a single network
-    round trip.  A flight longer than :data:`WINDOW_BYTES` is written
-    in windows, reading whatever responses have arrived in between:
-    the shard answers line by line, and unread answers would otherwise
-    fill the socket buffers until the shard stopped reading the flight
-    and both sides stalled.
+    round trip.  A flight is written in windows of at most
+    :data:`WINDOW_BYTES`, reading whatever responses have arrived in
+    between: the shard answers line by line, and unread answers would
+    otherwise fill the socket buffers until the shard stopped reading
+    the flight and both sides stalled.
 
     **Reconnect-and-seed**: when the link re-establishes a connection
     it had before (the shard restarted, or the network blipped), it
@@ -176,7 +176,7 @@ class ShardLink:
     re-adopts entries it already holds (stores are idempotent).
     """
 
-    #: Write window of a long flight (see above).
+    #: Largest single write of a flight (see above).
     WINDOW_BYTES = 64 * 1024
 
     def __init__(self, address, timeout=1.0, retry_interval=None, retry=None,
@@ -221,8 +221,8 @@ class ShardLink:
     def request_many(self, lines):
         """Pipeline many request lines in one flight; aligned responses.
 
-        The whole exchange is one lock hold and one round trip (a long
-        flight reads early responses between its write windows): the
+        The whole exchange is one lock hold and one round trip (early
+        responses are read between the flight's write windows): the
         server answers in order, so response *i* belongs to line *i*.
         Any transport failure tears the link down (no partial
         results — the caller cannot tell which ops landed, the same
@@ -291,12 +291,9 @@ class ShardLink:
 
     def _send(self, payload, count):
         """Write ``payload`` (``count`` request lines); returns the
-        responses read while writing (none for a short flight)."""
+        responses read while writing."""
         sock = self._sock
         window = self.WINDOW_BYTES
-        if len(payload) <= window:
-            sock.sendall(payload)
-            return []
         responses = []
         view = memoryview(payload)
         sent = 0

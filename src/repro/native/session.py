@@ -683,6 +683,8 @@ def explore_native(analysis, var, context, pairs, budget):
         return False
     ctx0 = ng.cstack_to_c(context)
     if ctx0 is None:
+        if ng.broken is not None:
+            _retire(ng, cache)  # graph_for refuses this image from now on
         return False
     image = ng.image
     config = analysis.config

@@ -34,9 +34,10 @@ The image serializes into a versioned binary section
 the file with ``mmap`` and casts zero-copy ``memoryview`` rows over it,
 so a warm-started engine installs the image without recompiling —
 :attr:`PAG.csr_compiles <repro.pag.graph.PAG>` stays at zero on the warm
-path.  A fingerprint over the lowered arrays and node keys (plus the
-recursive-site set, :func:`pag_fingerprint`) guards installs: an image
-of a different program version is rejected with a typed
+path.  A fingerprint over the PAG's edge dicts, node keys and
+recursive-site set (:func:`pag_fingerprint`, one pass that builds no
+arrays) guards installs: an image of a different program version is
+rejected with a typed
 :class:`~repro.api.protocol.SnapshotError`, never silently consumed.
 """
 
@@ -44,7 +45,7 @@ import json
 import struct
 import sys
 from array import array
-from itertools import accumulate, chain
+from itertools import chain
 from operator import attrgetter, itemgetter
 from zlib import crc32
 
@@ -267,48 +268,91 @@ class CsrImage:
 
 
 def pag_fingerprint(pag):
-    """A crc32 identifying ``pag``'s graph: its CSR lowering's node
-    keys, edge arrays and recursive-site set.
+    """A crc32 identifying ``pag``'s graph: the contents and order of
+    its edge dicts, the keys of the nodes they touch, and its
+    recursive-site set.
 
     Deterministic for a given program version across processes and
-    hosts (edge dicts are built in program order; token and field ids
-    are hashed by name, ints little-endian), and any wiring difference
-    — same counts, same node names, different edges — changes it, so a
-    stale image can never be installed over a drifted graph.  Memoized
-    on the PAG until its next edge insertion; a compile fills the memo
-    as a by-product, so only a graph never compiled pays a lowering
-    here.
+    hosts (edge dicts are built in program order; fields and call
+    sites are hashed by value, ints little-endian), and any wiring
+    difference — same counts, same node names, different edges or a
+    different per-node edge order — changes it, so a stale image can
+    never be installed over a drifted graph.  One pass over the edge
+    dicts, no arrays built: a warm install pays this, not a lowering.
+    Memoized on the PAG until its next edge insertion; a compile fills
+    the memo from the node walk it needs anyway.
     """
     fingerprint = pag._fingerprint
     if fingerprint is None:
-        fingerprint = _lower(pag)[4]
-        pag._fingerprint = fingerprint
+        fingerprint = pag._fingerprint = _fingerprint(pag, *_walk(pag))
     return fingerprint
 
+
+#: The PAG's edge dicts in lowering order, each with the position of
+#: the node in its items (``None``: the items are nodes).  First touch
+#: along this order assigns the node indices, so it fixes the image's
+#: bytes; it is the order ``PAG._compile_adjacency`` walks the dicts.
+_EDGE_DICTS = (
+    ("_new_in", None),
+    ("_assign_in", None),
+    ("_assign_out", None),
+    ("_load_in", 0),
+    ("_load_out", 1),
+    ("_store_in", 0),
+    ("_store_out", 1),
+    ("_exit_in", 0),
+    ("_entry_in", 0),
+    ("_global_in", None),
+    ("_entry_out", 1),
+    ("_exit_out", 1),
+    ("_global_out", None),
+)
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 _SORT_KEY = attrgetter("sort_key")
 
 
-def _fingerprint(pag, nodes, arrays, flags):
+def _walk(pag):
+    """Every node ``pag``'s edge dicts mention, in :data:`_EDGE_DICTS`
+    order with repeats (``touched``: each key, then its items' nodes),
+    and the first-touch node table and index that stream induces."""
+    touched = []
+    touch = touched.append
+    touch_all = touched.extend
+    for name, position in _EDGE_DICTS:
+        pick = None if position is None else itemgetter(position)
+        for node, items in getattr(pag, name).items():
+            touch(node)
+            touch_all(items if pick is None else map(pick, items))
+    nodes = list(dict.fromkeys(touched))
+    return touched, nodes, dict(zip(nodes, range(len(nodes))))
+
+
+def _fingerprint(pag, touched, nodes, node_index):
+    """:func:`pag_fingerprint` over :func:`_walk`'s output: the node
+    keys in index order, the touched stream as indices, the dicts'
+    shapes (key count, then each key's item count) and the items'
+    labels (field names, call sites)."""
     h = crc32(repr(sorted(pag.recursive_sites())).encode())
-    keys = chain.from_iterable(map(_SORT_KEY, nodes))
-    h = crc32("\x1f".join(map(str, keys)).encode(), h)
-    tokens = ["%s\x1e%s" % token for token in token_table()]
-    fields = field_table()
-    for name in _ARRAY_NAMES:
-        data = arrays[name]
-        if name in _TOKEN_VALUED:
-            raw = "\x1f".join(map(tokens.__getitem__, data)).encode()
-        elif name in _FIELD_VALUED:
-            raw = "\x1f".join(map(fields.__getitem__, data)).encode()
-        else:
-            if not _LITTLE_ENDIAN:
-                data = array("i", data)
-                data.byteswap()
-            raw = data.tobytes()
-        h = crc32(raw, crc32(b"%d:" % len(raw), h))
-    return crc32(flags, h)
+    # One format call for all node keys (every sort_key is a triple).
+    keys = tuple(chain.from_iterable(map(_SORT_KEY, nodes)))
+    h = crc32(("%s\x1f%s\x1f%s\x1e" * len(nodes) % keys).encode(), h)
+    stream = array("i", list(map(node_index.__getitem__, touched)))
+    shape = array("i")
+    labels = []
+    for name, position in _EDGE_DICTS:
+        edges = getattr(pag, name)
+        shape.append(len(edges))
+        shape.extend(map(len, edges.values()))
+        if position is not None:
+            label = itemgetter(1 - position)
+            labels.extend(map(label, chain.from_iterable(edges.values())))
+    if not _LITTLE_ENDIAN:
+        stream.byteswap()
+        shape.byteswap()
+    h = crc32(stream.tobytes(), h)
+    h = crc32(shape.tobytes(), h)
+    return crc32("\x1f".join(map(str, labels)).encode(), h)
 
 
 # ----------------------------------------------------------------------
@@ -337,37 +381,15 @@ def _lower(pag):
     """``pag`` as dense arrays: ``(nodes, node_index, arrays, flags,
     fingerprint)`` with ``arrays`` keyed by :data:`_ARRAY_NAMES`.
 
-    Node indices are assigned on first touch in the same dict-iteration
-    order as ``PAG._compile_adjacency``, so both lowered forms agree on
-    which nodes exist (every edge endpoint); each CSR group is built in
-    one pass over its edge dict, keeping the accessor lists' per-node
-    order exactly.
+    Node indices come from :func:`_walk` (first touch, in the same
+    dict-iteration order as ``PAG._compile_adjacency``, so both lowered
+    forms agree on which nodes exist: every edge endpoint); each CSR
+    group is built in one pass over its edge dict, keeping the accessor
+    lists' per-node order exactly.  The fingerprint reuses the walk
+    unless the PAG already memoized it.
     """
-    touched = []
-    touch = touched.append
-    touch_all = touched.extend
-    for edges, position in (
-        (pag._new_in, None),
-        (pag._assign_in, None),
-        (pag._assign_out, None),
-        (pag._load_in, 0),
-        (pag._load_out, 1),
-        (pag._store_in, 0),
-        (pag._store_out, 1),
-        (pag._exit_in, 0),
-        (pag._entry_in, 0),
-        (pag._global_in, None),
-        (pag._entry_out, 1),
-        (pag._exit_out, 1),
-        (pag._global_out, None),
-    ):
-        pick = None if position is None else itemgetter(position)
-        for node, items in edges.items():
-            touch(node)
-            touch_all(items if pick is None else map(pick, items))
-    nodes = list(dict.fromkeys(touched))
+    touched, nodes, node_index = _walk(pag)
     n = len(nodes)
-    node_index = dict(zip(nodes, range(n)))
     index_of = node_index.__getitem__
     arrays = {}
 
@@ -440,7 +462,10 @@ def _lower(pag):
         for i in map(index_of, set().union(*groups)):
             flags[i] |= bit
     flags = bytes(flags)
-    return nodes, node_index, arrays, flags, _fingerprint(pag, nodes, arrays, flags)
+    fingerprint = pag._fingerprint
+    if fingerprint is None:
+        fingerprint = _fingerprint(pag, touched, nodes, node_index)
+    return nodes, node_index, arrays, flags, fingerprint
 
 
 def compile_csr(pag):

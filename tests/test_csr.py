@@ -22,6 +22,7 @@ from repro.bench.runner import bench_analysis_config, bench_engine_policy
 from repro.cfl.rsm import FAM_LOAD, FAM_STORE
 from repro.cfl.stacks import field_id, token_id
 from repro.engine.policy import EnginePolicy
+from repro.pag import csr as csr_module
 from repro.pag.csr import (
     CSR_FORMAT_VERSION,
     KERNEL_ABI_VERSION,
@@ -30,6 +31,7 @@ from repro.pag.csr import (
     pag_fingerprint,
     serialize_csr,
 )
+from repro.pag.graph import PAG
 
 SOURCE = """
 class Animal { }
@@ -121,6 +123,31 @@ class TestCompileAndInvalidation:
         with pytest.raises(SnapshotError):
             pag.install_csr(other.csr())
 
+    def test_fingerprint_covers_per_node_edge_order(self):
+        """Same edges, same value-flow-forward lists: only the order of
+        ``v``'s incoming assigns differs, and the fingerprint with it.
+        A compile and a fresh graph's fingerprint agree."""
+
+        def build(order):
+            graph = PAG()
+            a, b, v, w = (graph.local_var("M.m", name) for name in "abvw")
+            edges = {"av": (a, v), "bv": (b, v), "aw": (a, w)}
+            for name in order:
+                graph.add_assign(*edges[name])
+            return graph
+
+        def forward(graph):
+            return [
+                (kind, src.sort_key, label, tgt.sort_key)
+                for kind, src, label, tgt in graph.iter_edges()
+            ]
+
+        first, second = ["aw", "bv", "av"], ["aw", "av", "bv"]
+        assert forward(build(first)) == forward(build(second))
+        assert pag_fingerprint(build(first)) != pag_fingerprint(build(second))
+        for order in (first, second):
+            assert compile_csr(build(order)).fingerprint == pag_fingerprint(build(order))
+
     def test_install_adopts_a_matching_image(self, pag):
         image = compile_csr(pag)
         pag.install_csr(image)
@@ -179,7 +206,7 @@ class TestSnapshotRoundTrip:
         assert loaded.tokens == image.tokens
         assert loaded.nodes == image.nodes
 
-    def test_warm_start_answers_without_recompiling(self, pag, tmp_path):
+    def test_warm_start_answers_without_recompiling(self, pag, tmp_path, monkeypatch):
         path = tmp_path / "warm.snap"
         with traversal_impl("array"):
             cold = PointsToEngine(pag, bench_engine_policy())
@@ -188,6 +215,12 @@ class TestSnapshotRoundTrip:
                 for node in self.query_nodes(pag)
             ]
             cold.save_cache(path, csr=True)
+
+            # Not even the fingerprint check may lower the fresh graph.
+            def refuse(_pag):
+                raise AssertionError("the warm path lowered the PAG")
+
+            monkeypatch.setattr(csr_module, "_lower", refuse)
 
             fresh = build_pag(parse_program(SOURCE))
             policy = bench_engine_policy()

@@ -9,7 +9,8 @@ through every way the store changes — queries, invalidations, a
 replaced summary, ``clear``, an edit and its revert, a snapshot warm
 start — and after each step requires equal answers, per-query step
 counts, and cache hit/miss/entry counts.  Two more tests pin the sync's
-cost through the session's work counters rather than timing.
+cost through the session's work counters rather than timing, and two
+that the journal stays bounded when no native sync drains it.
 """
 
 import pytest
@@ -23,6 +24,7 @@ from repro.engine.core import PointsToEngine
 from repro.engine.policy import EnginePolicy
 from repro.ir.builder import MethodBuilder
 from repro.native import availability
+from repro.native import session as native_session
 
 CONFIG = GeneratorConfig(
     seed=3, domain_classes=4, data_classes=3, layers=2, cast_density=0.6
@@ -186,3 +188,49 @@ def test_invalidate_requery_cycles_keep_kernel_records_bounded():
         assert session.live() == len(engine.cache)
         assert session.records() <= 2 * session.live()
     assert rebuilds  # the bound held because the mirror was rebuilt
+
+
+def test_journal_never_outgrows_the_store_while_native_is_not_reached():
+    """An observer sends the engine's worklists through the reference
+    loop, so no native sync drains the journal; it must still stay no
+    longer than the store (the mirror is dropped once it would), and
+    native resumes in parity once the observer is gone."""
+    pair = Lockstep()
+    pair.check()
+    cache = pair.native.cache
+    assert cache._native_journal is not None
+    pair.native.analysis.observer = lambda event, **data: None
+    methods = sorted(cache._by_method)
+    for cycle in range(200):
+        method = methods[cycle % len(methods)]
+        pair.apply(lambda engine: engine.invalidate_method(method))
+        assert observe(pair.native) == observe(pair.reference)
+        journal = cache._native_journal
+        if journal is None:
+            break
+        assert len(journal) <= len(cache)
+    assert cache._native_journal is None and cache._native_memo is None
+    pair.native.analysis.observer = None
+    pair.check()
+
+
+def test_kernel_oom_after_the_sync_retires_the_mirror(monkeypatch):
+    """Kernel OOM while translating the query context (after the
+    session synced) poisons the graph: later queries never reach the
+    session again, so the mirror and its journal must go at once."""
+    pair = Lockstep()
+    pair.check()
+    cache = pair.native.cache
+    assert cache._native_journal is not None
+
+    def out_of_memory(graph, stack):
+        graph.broken = "kernel out of memory"
+        return None
+
+    monkeypatch.setattr(native_session._NativeGraph, "cstack_to_c", out_of_memory)
+    assert observe(pair.native) == observe(pair.reference)
+    assert cache._native_memo is None and cache._native_journal is None
+    method = busiest_method(cache)
+    pair.apply(lambda engine: engine.invalidate_method(method))
+    assert cache._native_journal is None  # nothing left to journal for
+    assert observe(pair.native) == observe(pair.reference)
