@@ -39,7 +39,7 @@ def perf_fields(batch_stats):
     wall-clock varies by host but is recorded alongside so committed
     BENCH files carry the throughput trajectory too — the
     ``repro-perf`` harness (``BENCH_hotpath.json``) owns the
-    fast-vs-reference comparison itself.
+    impl-vs-reference comparison itself.
     """
     return {
         "steps": batch_stats.steps,

@@ -40,14 +40,12 @@ from repro.analysis.base import (
 from repro.analysis.ppta import (
     PptaResult,
     _run_ppta_array,
-    _run_ppta_fast,
     active_traversal_impl,
     run_ppta,
 )
 from repro.analysis.summaries import SummaryCache, SummaryStore
 from repro.cfl.rsm import S1, S2
 from repro.cfl.stacks import EMPTY_STACK
-from repro.pag.graph import EMPTY_ADJACENCY
 from repro.util.errors import BudgetExceededError
 
 #: Lazily bound ``repro.native.session.explore_native`` (the native
@@ -124,37 +122,62 @@ class DynSum(DemandPointsToAnalysis):
         return QueryResult(var, pairs, complete, budget.steps, stats)
 
     def _explore(self, var, context, pairs, budget):
-        """Algorithm 4's worklist.
+        """Algorithm 4's worklist, dispatched on the active impl.
 
-        Four equivalent implementations: ``"native"`` (the default)
-        runs the worklist in the C kernel via :meth:`_explore_native`,
-        falling back to ``"array"`` — :meth:`_explore_array`, the same
-        loop over the CSR image's dense int arrays — when the kernel is
-        unavailable or refuses the cache; ``"fast"`` takes the inlined
-        record loop below (records, locals-bound names, context ops
-        unrolled); traced queries (an attached observer) and
+        ``"native"`` (the default) runs the worklist in the C kernel via
+        :meth:`_explore_native`, falling back to ``"array"`` —
+        :meth:`_explore_array`, the same loop in Python over the CSR
+        image's dense int arrays — when the kernel is unavailable or
+        refuses the cache.  Traced queries (an attached observer) and
         reference-mode runs (:func:`~repro.analysis.ppta.traversal_impl`
-        ``"reference"``) take :meth:`_explore_reference` — the retained
-        pre-optimization loop over the PAG accessor surface.  All of
-        them charge the budget once per pop and probe the cache
-        identically.
+        ``"reference"``) take :meth:`_explore_reference`, the oracle
+        loop over the PAG accessor surface.  All of them charge the
+        budget once per pop and probe the cache identically.
         """
         impl = active_traversal_impl()
         if self.observer is not None or impl == "reference":
             return self._explore_reference(var, context, pairs, budget)
-        if impl == "native":
-            if self._explore_native(var, context, pairs, budget):
-                return None
-            # Kernel unavailable (or this cache/context is not
-            # representable): rerun on the array loop.  A refused
-            # native attempt touches no Python-side state — budget,
-            # pairs and cache counters read as if it never happened.
-            return self._explore_array(var, context, pairs, budget)
-        if impl == "array":
-            return self._explore_array(var, context, pairs, budget)
+        if impl == "native" and self._explore_native(var, context, pairs, budget):
+            return None
+        # ``array``, or a native attempt the kernel refused (unavailable,
+        # or this cache/context is not representable).  A refused
+        # attempt touches no Python-side state — budget, pairs and cache
+        # counters read as if it never happened.
+        return self._explore_array(var, context, pairs, budget)
+
+    def _explore_native(self, var, context, pairs, budget):
+        """Algorithm 4's worklist in the C kernel — ``True`` when the
+        query was handled there (see
+        :func:`repro.native.session.explore_native` for the marshalling
+        and the bit-parity contract with :meth:`_explore_array`)."""
+        if not _NATIVE_EXPLORE:
+            from repro.native.session import explore_native
+
+            _NATIVE_EXPLORE.append(explore_native)
+        return _NATIVE_EXPLORE[0](self, var, context, pairs, budget)
+
+    def _explore_array(self, var, context, pairs, budget):
+        """Algorithm 4's worklist over the CSR image.
+
+        Pop-for-pop the reference loop (:meth:`_explore_reference`):
+        the same budget charging, the same cache probes (structural
+        ``(node, stack, state)`` keys on the shared cache, so summaries
+        interoperate across impls) and the same boundary-crossing order.
+        What changes is the representation — it runs over
+        :class:`repro.pag.csr.CsrImage` rows: the boundary flags are one
+        ``bytes`` index, the crossing rows carry pre-packed target
+        addends plus the target node (recursive-site handling is folded
+        into the op codes at compile time), and the visited set keys on
+        ``(packed state int, context uid)`` pairs.
+        """
         pag = self.pag
-        get_record = pag.adjacency().get
-        empty_record = EMPTY_ADJACENCY
+        image = pag.csr()
+        node_index_get = image.node_index.get
+        n = image.n_nodes
+        stride = n * 4 + 4
+        flags = image.flags
+        cb_rows = image.cb_rows
+        cf_rows = image.cf_rows
         cache = self.cache
         cache_lookup = cache.lookup
         cache_store = cache.store
@@ -166,7 +189,6 @@ class DynSum(DemandPointsToAnalysis):
         )
         max_depth = self.config.max_field_depth
         track = self.config.track_heap_contexts
-        recursive_sites = pag.recursive_sites()
         limit = budget.limit
         # Local mirror of budget.steps: synced to the budget object
         # around every PPTA call and on every exit, so the shared budget
@@ -174,67 +196,72 @@ class DynSum(DemandPointsToAnalysis):
         total = budget.steps
         ceiling = limit if limit is not None else float("inf")
         empty_stack = EMPTY_STACK
-        ppta = _run_ppta_fast
-        # The visited set holds all-int keys (record index, field-stack
-        # uid, state, context uid): stacks are canonical (hash-consed),
-        # so uid equality is structural equality, and an int tuple
-        # hashes without a Python-level Stack.__hash__ call per probe.
-        start_rec = get_record(var)
-        start_index = start_rec.index if start_rec is not None else -1
-        seen = {(start_index, EMPTY_STACK._uid, S1, context._uid)}
+        ppta = _run_ppta_array
+        t0 = node_index_get(var, n) * 4 + S1
+        # Visited keys are single ints: (field-stack uid * stride +
+        # packed state) shifted past a 33-bit context-uid field.  Stack
+        # uids are sequential interning counters, and 2**33 live stacks
+        # would exhaust memory thousands of times over, so the packing
+        # is exact (an encoding, not a hash) — and an int key needs no
+        # tuple allocation and no element-wise hash on every crossing
+        # edge, nor a Python-level Stack.__hash__ call.
+        seen = {(EMPTY_STACK._uid * stride + t0) << 33 | context._uid}
         seen_add = seen.add
-        worklist = deque([(var, EMPTY_STACK, S1, context)])
+        # Worklist items carry the packed state int ``t`` (index*4 +
+        # state) straight off the crossing rows: the pop recovers
+        # ``s = t & 3`` and ``ui = t >> 2`` with two int ops instead of
+        # threading both through every tuple.
+        worklist = deque([(var, t0, EMPTY_STACK, context)])
         pop = worklist.popleft
         push = worklist.append
         pairs_add = pairs.add
         size_of = len  # LOAD_FAST for the add-and-compare seen probes
         new_set = set  # miss-path per-method index allocation
 
-        # Int-keyed probe memo (record index, stack uid, state), carried
-        # on the cache across queries: repeat probes of one summary —
-        # DYNSUM's whole reuse pattern — skip the structural key build.
-        # The memo mirrors a subset of the cache's entries for ONE
-        # compiled adjacency; the cache resets it on every removal or
-        # replacement, and a PAG recompile (different map object)
-        # retires it here.  Memo answers still count as cache hits,
-        # exactly as the repeated cache.lookup they replace would have;
-        # hits accumulate locally and flush in the finally, so the
-        # cache's counters read identically on every exit path.
+        # Int-keyed probe memo (packed key ``stack uid * stride + t``),
+        # carried on the cache across queries: repeat probes of one
+        # summary — DYNSUM's whole reuse pattern — skip the structural
+        # key build.  The memo mirrors a subset of the cache's entries
+        # for ONE CSR image; the cache resets it on every removal or
+        # replacement, and a new image (a different numbering would
+        # alias keys) retires it here.  Memo answers still count as
+        # cache hits, exactly as the repeated lookup they replace
+        # would have; hits accumulate locally and flush in the finally,
+        # so the cache's counters read identically on every exit path.
         if plain_entries_get is not None:
-            adjacency_map = pag.adjacency()
-            memo_pair = cache._fast_memo
-            if memo_pair is None or memo_pair[0] is not adjacency_map:
-                memo_pair = (adjacency_map, {})
-                cache._fast_memo = memo_pair
+            memo_pair = cache._probe_memo
+            if memo_pair is None or memo_pair[0] is not image:
+                memo_pair = (image, {})
+                cache._probe_memo = memo_pair
             qmemo = memo_pair[1]
         else:
             qmemo = {}
         qmemo_get = qmemo.get
-        # The inline insert bypasses cache.store, so it journals for
-        # the native mirror itself (None: no mirror to keep in step).
+        # The inline insert below bypasses cache.store, so it journals
+        # for the native mirror itself (None: no mirror to keep in step).
         journal = cache._native_journal if plain_entries_get is not None else None
         hits = 0
 
         try:
             while worklist:
-                u, f, s, c = pop()
+                u, t, f, c = pop()
                 total += 1
                 if total > ceiling:
                     budget.steps = total
                     raise BudgetExceededError(limit)
-                rec = get_record(u)
-                if rec is None:
-                    rec = empty_record
-                if rec.has_local_edges:
+                s = t & 3
+                ui = t >> 2
+                flag = flags[ui]  # sentinel index n reads the zero byte
+                if flag & 4:  # FLAG_LOCAL
                     if plain_entries_get is not None:
-                        mkey = (rec.index, f._uid, s)
+                        mkey = f._uid * stride + t
                         summary = qmemo_get(mkey)
                         if summary is None:
                             key = (u, f, s)
                             summary = plain_entries_get(key)
                             if summary is None:
                                 cache.misses += 1
-                                # run_ppta charges the shared budget
+                                # The PPTA charges the shared budget
                                 # itself — hand the mirror over and take
                                 # it back after.
                                 budget.steps = total
@@ -273,7 +300,7 @@ class DynSum(DemandPointsToAnalysis):
                     boundaries = summary.boundaries
                     if not boundaries:
                         continue
-                elif rec.has_global_in if s == S1 else rec.has_global_out:
+                elif flag & s:  # FLAG_GLOBAL_IN gates S1, _OUT gates S2
                     # Section 4.3: no local edges — the node is its own
                     # (trivial) boundary; no cache probe, no PptaResult.
                     boundaries = ((u, f, s),)
@@ -282,183 +309,7 @@ class DynSum(DemandPointsToAnalysis):
                 for x, f1, s1 in boundaries:
                     # A node is frequently its own boundary (trivial
                     # nodes always, summarised nodes often) — reuse its
-                    # record.
-                    brec = rec if x is u else get_record(x)
-                    if brec is None:
-                        continue  # no global edges to cross
-                    # RRP over the combined crossing list: backward
-                    # crosses exit (push) / entry (pop-or-empty) /
-                    # assignglobal (clear); forward mirrors with entry
-                    # pushing (base.cross_* unrolled; op codes from
-                    # pag.graph).
-                    crossings = (
-                        brec.cross_backward if s1 == S1 else brec.cross_forward
-                    )
-                    f1_uid = f1._uid
-                    for op, target, site, tindex in crossings:
-                        if op == 0:  # CROSS_PUSH
-                            ctx = c if site in recursive_sites else c.push(site)
-                        elif op == 1:  # CROSS_POP
-                            if site in recursive_sites or c._rest is None:
-                                ctx = c
-                            elif c._top == site:
-                                ctx = c._rest
-                            else:
-                                continue  # unrealizable
-                        else:  # CROSS_CLEAR
-                            ctx = empty_stack
-                        key = (tindex, f1_uid, s1, ctx._uid)
-                        size = size_of(seen)
-                        seen_add(key)
-                        if size_of(seen) != size:
-                            push((target, f1, s1, ctx))
-            budget.steps = total
-        finally:
-            if hits:
-                cache.hits += hits
-
-    def _explore_native(self, var, context, pairs, budget):
-        """Algorithm 4's worklist in the C kernel — ``True`` when the
-        query was handled there (see
-        :func:`repro.native.session.explore_native` for the marshalling
-        and the bit-parity contract with :meth:`_explore_array`)."""
-        if not _NATIVE_EXPLORE:
-            from repro.native.session import explore_native
-
-            _NATIVE_EXPLORE.append(explore_native)
-        return _NATIVE_EXPLORE[0](self, var, context, pairs, budget)
-
-    def _explore_array(self, var, context, pairs, budget):
-        """Algorithm 4's worklist over the CSR image.
-
-        Mirrors the fast loop in :meth:`_explore` pop-for-pop — same
-        budget charging, same cache probe discipline (structural
-        ``(node, stack, state)`` keys on the shared cache, so summaries
-        interoperate across impls), same boundary-crossing order — but
-        over :class:`repro.pag.csr.CsrImage` rows: the boundary flags
-        are one ``bytes`` index, the crossing rows carry pre-packed
-        target addends plus the target node (recursive-site handling is
-        folded into the op codes at compile time), and the visited set
-        keys on ``(packed state int, context uid)`` pairs.
-        """
-        pag = self.pag
-        image = pag.csr()
-        node_index_get = image.node_index.get
-        n = image.n_nodes
-        stride = n * 4 + 4
-        flags = image.flags
-        cb_rows = image.cb_rows
-        cf_rows = image.cf_rows
-        cache = self.cache
-        cache_lookup = cache.lookup
-        cache_store = cache.store
-        plain_entries_get = (
-            cache._entries.get if type(cache) is SummaryCache else None
-        )
-        max_depth = self.config.max_field_depth
-        track = self.config.track_heap_contexts
-        limit = budget.limit
-        total = budget.steps
-        ceiling = limit if limit is not None else float("inf")
-        empty_stack = EMPTY_STACK
-        ppta = _run_ppta_array
-        t0 = node_index_get(var, n) * 4 + S1
-        # Visited keys are single ints: (field-stack uid * stride +
-        # packed state) shifted past a 33-bit context-uid field.  Stack
-        # uids are sequential interning counters, and 2**33 live stacks
-        # would exhaust memory thousands of times over, so the packing
-        # is exact (an encoding, not a hash) — and an int key skips the
-        # tuple allocation and element-wise hash of the fast loop's
-        # tuple keys on every crossing edge.
-        seen = {(EMPTY_STACK._uid * stride + t0) << 33 | context._uid}
-        seen_add = seen.add
-        # Worklist items carry the packed state int ``t`` (index*4 +
-        # state) straight off the crossing rows: the pop recovers
-        # ``s = t & 3`` and ``ui = t >> 2`` with two int ops instead of
-        # threading both through every tuple.
-        worklist = deque([(var, t0, EMPTY_STACK, context)])
-        pop = worklist.popleft
-        push = worklist.append
-        pairs_add = pairs.add
-        size_of = len  # LOAD_FAST for the add-and-compare seen probes
-        new_set = set  # miss-path per-method index allocation
-
-        # The probe memo (packed int key) is retired whenever the CSR
-        # image changes identity — a different numbering would alias
-        # keys — mirroring how the fast loop retires it per adjacency
-        # compile.  Shared-cache semantics are unchanged: memo answers
-        # count as hits, flushed in the finally.
-        if plain_entries_get is not None:
-            memo_pair = cache._fast_memo
-            if memo_pair is None or memo_pair[0] is not image:
-                memo_pair = (image, {})
-                cache._fast_memo = memo_pair
-            qmemo = memo_pair[1]
-        else:
-            qmemo = {}
-        qmemo_get = qmemo.get
-        # Inline inserts journal for the native mirror (see _explore).
-        journal = cache._native_journal if plain_entries_get is not None else None
-        hits = 0
-
-        try:
-            while worklist:
-                u, t, f, c = pop()
-                total += 1
-                if total > ceiling:
-                    budget.steps = total
-                    raise BudgetExceededError(limit)
-                s = t & 3
-                ui = t >> 2
-                flag = flags[ui]  # sentinel index n reads the zero byte
-                if flag & 4:  # FLAG_LOCAL
-                    if plain_entries_get is not None:
-                        mkey = f._uid * stride + t
-                        summary = qmemo_get(mkey)
-                        if summary is None:
-                            key = (u, f, s)
-                            summary = plain_entries_get(key)
-                            if summary is None:
-                                cache.misses += 1
-                                budget.steps = total
-                                summary = ppta(pag, u, f, s, budget, max_depth)
-                                total = budget.steps
-                                cache._entries[key] = summary
-                                cache._facts += summary.size
-                                method = u.method
-                                if method is not None:
-                                    cache._by_method.setdefault(
-                                        method, new_set()
-                                    ).add(key)
-                                if journal is not None:
-                                    journal.append(key)
-                            else:
-                                hits += 1
-                            qmemo[mkey] = summary
-                        else:
-                            hits += 1
-                    else:
-                        summary = cache_lookup(u, f, s)
-                        if summary is None:
-                            budget.steps = total
-                            summary = ppta(pag, u, f, s, budget, max_depth)
-                            total = budget.steps
-                            cache_store(u, f, s, summary)
-                    objects = summary.objects
-                    if objects:
-                        ctx = c if track else empty_stack
-                        for obj in objects:
-                            pairs_add((obj, ctx))
-                    boundaries = summary.boundaries
-                    if not boundaries:
-                        continue
-                elif flag & s:  # FLAG_GLOBAL_IN gates S1, _OUT gates S2
-                    # Section 4.3: no local edges — the node is its own
-                    # (trivial) boundary; no cache probe, no PptaResult.
-                    boundaries = ((u, f, s),)
-                else:
-                    continue
-                for x, f1, s1 in boundaries:
+                    # index.
                     xi = ui if x is u else node_index_get(x, n)
                     row = cb_rows[xi] if s1 == S1 else cf_rows[xi]
                     if not row:
@@ -489,15 +340,14 @@ class DynSum(DemandPointsToAnalysis):
                 cache.hits += hits
 
     def _explore_reference(self, var, context, pairs, budget):
-        """The retained pre-optimization worklist (PAG accessor surface).
+        """The oracle worklist, over the PAG accessor surface.
 
-        Verbatim the loop the fast path replaced: helper calls per pop,
-        accessor methods per edge list.  Runs for traced queries (the
-        observer hooks live here) and under
-        ``traversal_impl("reference")`` — paired with
-        :func:`~repro.analysis.ppta.run_ppta_reference` it *is* the
-        pre-PR DYNSUM, the baseline ``repro-perf`` measures speedups
-        against and the differential tests compare answers with.
+        Straight-line code: helper calls per pop, accessor methods per
+        edge list.  Runs for traced queries (the observer hooks live
+        here) and under ``traversal_impl("reference")`` — paired with
+        :func:`~repro.analysis.ppta.run_ppta_reference` it is the
+        baseline ``repro-perf`` measures speedups against and the
+        differential tests compare answers with.
         """
         start = (var, EMPTY_STACK, S1, context)
         seen = {start}
@@ -521,9 +371,9 @@ class DynSum(DemandPointsToAnalysis):
                     pairs.add((obj, ctx))
             for x, f1, s1 in summary.boundaries:
                 if s1 == S1:
-                    self._cross_backward(x, f1, c, propagate)
+                    self._cross_in(x, f1, c, propagate)
                 else:
-                    self._cross_forward(x, f1, c, propagate)
+                    self._cross_out(x, f1, c, propagate)
 
     def _summarize(self, node, fstack, state, budget):
         """Algorithm 4 lines 5–9: consult the cache, else run the PPTA.
@@ -539,10 +389,10 @@ class DynSum(DemandPointsToAnalysis):
             )
             boundaries = ((node, fstack, state),) if has_boundary else ()
             return PptaResult((), boundaries)
-        # Probe through the generic store surface (the pre-PR probe
-        # path): the fast loop's specialised plain-cache probe is part
-        # of what reference-mode measurements baseline against, so it
-        # must not leak in here.  Counters and results are identical.
+        # Probe through the generic store surface: the array loop's
+        # specialised plain-cache probe is part of what reference-mode
+        # measurements baseline against, so it must not leak in here.
+        # Counters and results are identical.
         cache = self.cache
         if type(cache) is SummaryCache:
             cached = SummaryStore.lookup(cache, node, fstack, state)
@@ -568,7 +418,7 @@ class DynSum(DemandPointsToAnalysis):
     # ------------------------------------------------------------------
     # global-edge crossings (Algorithm 4 lines 12–28)
     # ------------------------------------------------------------------
-    def _cross_backward(self, x, f, c, propagate):
+    def _cross_in(self, x, f, c, propagate):
         pag = self.pag
         for retvar, site in pag.exit_into(x):
             propagate(retvar, f, S1, cross_exit_backward(pag, c, site))
@@ -579,7 +429,7 @@ class DynSum(DemandPointsToAnalysis):
         for y in pag.global_sources(x):
             propagate(y, f, S1, EMPTY_STACK)
 
-    def _cross_forward(self, x, f, c, propagate):
+    def _cross_out(self, x, f, c, propagate):
         pag = self.pag
         for site, formal in pag.entry_from(x):
             propagate(formal, f, S2, cross_entry_forward(pag, c, site))

@@ -56,8 +56,8 @@ class NoRefine(DemandPointsToAnalysis):
     # the exploded-state worklist
     # ------------------------------------------------------------------
     def _explore(self, var, context, pairs, budget):
-        # One precompiled adjacency record per popped state (the same
-        # map the PPTA fast path runs over) instead of accessor calls.
+        # One precompiled adjacency record per popped state instead of
+        # accessor calls.
         get_record = self.pag.adjacency().get
         empty_record = EMPTY_ADJACENCY
         depth_limit = self.config.max_field_depth
@@ -95,9 +95,9 @@ class NoRefine(DemandPointsToAnalysis):
                 pairs.update((obj, ctx) for obj in new_sources)
             else:
                 propagate(v, f, S2, c)
-        for x, _xi in rec.assign_sources:
+        for x in rec.assign_sources:
             propagate(x, f, S1, c)
-        for base, _g, token, _bi in rec.load_into:
+        for base, _g, token in rec.load_into:
             self._check_depth(f, depth_limit, budget)
             propagate(base, f.push(token), S1, c)
         for retvar, site in rec.exit_into:
@@ -111,19 +111,19 @@ class NoRefine(DemandPointsToAnalysis):
 
     def _expand_s2(self, rec, v, f, c, propagate, depth_limit, budget):
         pag = self.pag
-        for x, _xi in rec.assign_targets:
+        for x in rec.assign_targets:
             propagate(x, f, S2, c)
         top = f.peek()
         if top is not None:
             top_field = top[0]
-            for g, x, _xi in rec.load_from:
+            for g, x in rec.load_from:
                 if g == top_field:  # forward load closes either family
                     propagate(x, f.pop(), S2, c)
             if top[1] == FAM_LOAD:
-                for x, g, _xi in rec.store_into:
+                for x, g in rec.store_into:
                     if g == top_field:  # store-bar closes family A only
                         propagate(x, f.pop(), S1, c)
-        for _g, b, token, _bi in rec.store_from:
+        for _g, b, token in rec.store_from:
             self._check_depth(f, depth_limit, budget)
             propagate(b, f.push(token), S1, c)
         for site, formal in rec.entry_from:

@@ -26,30 +26,30 @@ so that long local assign chains cannot overflow Python's call stack; the
 ``visited`` set on ``(node, field-stack, state)`` triples plays the role
 of Algorithm 3's ``visited`` parameter, preventing cyclic re-traversal.
 
-Two implementations live here, answer-identical by construction and by
+Three implementations live here, answer-identical by construction and by
 the differential battery in ``tests/test_ppta_fastpath.py``:
 
-* :func:`_run_ppta_fast` — the production loop.  It runs over the PAG's
-  precompiled :class:`~repro.pag.graph.NodeAdjacency` records (one dict
-  lookup per popped state instead of 8+ accessor calls), pushes interned
-  ``(field, family)`` tokens through hash-consed stacks, binds every hot
-  name locally, and charges the budget with a local counter that is
-  synced back on every exit path — so steps, abort behaviour and results
-  are bit-identical to the reference.
-* :func:`run_ppta_reference` — the straight-line accessor-based loop
-  (the pre-optimization implementation), retained as the oracle for the
-  differential tests and the ``repro-perf`` speedup measurement.
+* :func:`_run_ppta_native` — the default.  It runs the loop in the C
+  kernel (``repro/native/kernel.c``) over the PAG's CSR image, and
+  reruns on ``array`` whenever the kernel cannot serve.
+* :func:`_run_ppta_array` — the pure-Python loop over the same CSR image
+  (:mod:`repro.pag.csr`): packed-int states, pre-packed target rows,
+  interned push tokens through hash-consed stacks, every hot name bound
+  locally, and a local step counter synced back to the budget on every
+  exit path — so steps, abort behaviour and results are bit-identical
+  to the reference.
+* :func:`run_ppta_reference` — the straight-line accessor-based loop,
+  retained as the oracle for the differential tests and the baseline of
+  the ``repro-perf`` speedup measurement.
 
 :func:`run_ppta` dispatches to the active implementation;
 :func:`traversal_impl` switches it (the perf harness runs whole
-workloads under either).
+workloads under each).
 """
 
-import os
 from contextlib import contextmanager
 
 from repro.cfl.rsm import FAM_LOAD, FAM_STORE, S1, S2
-from repro.pag.graph import EMPTY_ADJACENCY
 from repro.util.errors import BudgetExceededError
 
 
@@ -99,255 +99,53 @@ def _boundary_order(boundary):
 
 
 # ----------------------------------------------------------------------
-# the production loop
-# ----------------------------------------------------------------------
-def _run_ppta_fast(pag, node, field_stack, state, budget, max_field_depth=None):
-    """The optimized ``DSPOINTSTO`` loop (see module docstring).
-
-    Private slots of :class:`~repro.cfl.stacks.Stack` are read directly
-    (``_rest``/``_size``/``_top``) — the properties they back are
-    function calls, and this loop runs ~75k times per budget-bound
-    query.
-    """
-    adjacency = pag.adjacency()
-    get_record = adjacency.get
-    # Lists, not sets: a state is popped at most once (the visited set
-    # guards every push), each boundary IS its popped state, and each
-    # object belongs to exactly one ``new`` edge — so neither list can
-    # ever see a duplicate.
-    objects = []
-    boundaries = []
-    start_rec = get_record(node)
-    start_index = start_rec.index if start_rec is not None else -1
-    steps_before = budget.steps
-    limit = budget.limit
-
-    # ------------------------------------------------------------------
-    # Single-expansion prologue.  Most summaries (~75% on the synthetic
-    # suite) need only one or two states; expanding the start state into
-    # a plain ``pending`` list first lets the single-state majority skip
-    # the visited-set machinery entirely.  Within one expansion every
-    # pushed item is distinct (disjoint edge groups, distinct
-    # stacks/states), so the only duplicate possible is a self-loop back
-    # to the start — guarded by identity (``x is node``) since stack and
-    # state match the start's exactly there.
-    # ------------------------------------------------------------------
-    if limit is not None and steps_before >= limit:
-        budget.steps = steps_before + 1
-        raise BudgetExceededError(limit)
-    rec0 = start_rec if start_rec is not None else EMPTY_ADJACENCY
-    f0 = field_stack
-    pending = []
-    if state == S1:
-        new_sources = rec0.new_sources
-        if new_sources:
-            if f0._rest is None:
-                objects.extend(new_sources)
-            else:
-                pending.append((node, start_index, f0, S2))
-        for x, xindex in rec0.assign_sources:
-            if x is node:
-                continue  # self-assign: equals the start state
-            pending.append((x, xindex, f0, S1))
-        loads = rec0.load_into
-        if loads:
-            if max_field_depth is not None and f0._size >= max_field_depth:
-                budget.steps = steps_before + 1
-                raise BudgetExceededError(limit)
-            for base, _field, token, bindex in loads:
-                pending.append((base, bindex, f0.push(token), S1))
-        if rec0.has_global_in:
-            boundaries.append((node, f0, S1))
-    else:
-        for x, xindex in rec0.assign_targets:
-            if x is node:
-                continue  # self-assign: equals the start state
-            pending.append((x, xindex, f0, S2))
-        rest = f0._rest
-        if rest is not None:
-            top = f0._top
-            top_field = top[0]
-            for g, x, xindex in rec0.load_from:
-                if g == top_field:
-                    pending.append((x, xindex, rest, S2))
-            if top[1] == FAM_LOAD:
-                for x, g, xindex in rec0.store_into:
-                    if g == top_field:
-                        pending.append((x, xindex, rest, S1))
-        stores = rec0.store_from
-        if stores:
-            if max_field_depth is not None and f0._size >= max_field_depth:
-                budget.steps = steps_before + 1
-                raise BudgetExceededError(limit)
-            for _field, b, token, bindex in stores:
-                pending.append((b, bindex, f0.push(token), S1))
-        if rec0.has_global_out:
-            boundaries.append((node, f0, S2))
-    if not pending:
-        budget.steps = steps_before + 1
-        return PptaResult(
-            sorted(objects, key=_object_order) if len(objects) > 1 else objects,
-            boundaries,  # at most one entry here — no sort needed
-            steps=1,
-        )
-
-    # ------------------------------------------------------------------
-    # General phase: the full worklist, seeded with the prologue's
-    # pushes (LIFO order identical to an in-loop start expansion).
-    # ------------------------------------------------------------------
-    # Visited keys are all ints (record index, field-stack uid, state):
-    # stacks are canonical (hash-consed pushes), so uid equality is
-    # structural equality, and the int tuple hashes without a
-    # Python-level Stack.__hash__ call.  Stack items carry the node's
-    # index along for the turnaround push.
-    visited = {(start_index, field_stack._uid, state)}
-    stack = []
-    for item in pending:
-        visited.add((item[1], item[2]._uid, item[3]))
-        stack.append(item)
-    # Locals-bound hot names: every global/attribute read below this
-    # line that the loop repeats is now a LOAD_FAST.
-    visited_add = visited.add
-    stack_pop = stack.pop
-    stack_append = stack.append
-    add_boundary = boundaries.append
-    add_objects = objects.extend
-    empty_record = EMPTY_ADJACENCY
-    push_limit = max_field_depth
-    size_of = len  # LOAD_FAST for the add-and-compare visited probes
-    allowed = None if limit is None else limit - steps_before
-    steps = 1  # the prologue's start expansion
-    try:
-        while stack:
-            v, vindex, f, s = stack_pop()
-            steps += 1
-            if allowed is not None and steps > allowed:
-                raise BudgetExceededError(limit)
-            rec = get_record(v)
-            if rec is None:
-                rec = empty_record
-            # Insertion pattern throughout: add + size check instead of
-            # `in` + add — one hash per attempted push, not two.
-            f_uid = f._uid
-            if s == S1:
-                new_sources = rec.new_sources
-                if new_sources:
-                    if f._rest is None:  # empty stack: emit the objects
-                        add_objects(new_sources)
-                    else:
-                        # "new new-bar" turnaround (Algorithm 3 line 10).
-                        key = (vindex, f_uid, S2)
-                        size = size_of(visited)
-                        visited_add(key)
-                        if size_of(visited) != size:
-                            stack_append((v, vindex, f, S2))
-                for x, xindex in rec.assign_sources:
-                    key = (xindex, f_uid, S1)
-                    size = size_of(visited)
-                    visited_add(key)
-                    if size_of(visited) != size:
-                        stack_append((x, xindex, f, S1))
-                loads = rec.load_into
-                if loads:
-                    if push_limit is not None and f._size >= push_limit:
-                        raise BudgetExceededError(limit)
-                    for base, _field, token, bindex in loads:
-                        pushed = f.push(token)
-                        key = (bindex, pushed._uid, S1)
-                        size = size_of(visited)
-                        visited_add(key)
-                        if size_of(visited) != size:
-                            stack_append((base, bindex, pushed, S1))
-                if rec.has_global_in:
-                    add_boundary((v, f, S1))
-            else:
-                for x, xindex in rec.assign_targets:
-                    key = (xindex, f_uid, S2)
-                    size = size_of(visited)
-                    visited_add(key)
-                    if size_of(visited) != size:
-                        stack_append((x, xindex, f, S2))
-                rest = f._rest
-                if rest is not None:
-                    top = f._top
-                    top_field = top[0]
-                    rest_uid = rest._uid
-                    for g, x, xindex in rec.load_from:
-                        if g == top_field:  # forward load closes either family
-                            key = (xindex, rest_uid, S2)
-                            size = size_of(visited)
-                            visited_add(key)
-                            if size_of(visited) != size:
-                                stack_append((x, xindex, rest, S2))
-                    if top[1] == FAM_LOAD:
-                        for x, g, xindex in rec.store_into:
-                            if g == top_field:
-                                # store-bar: only a pending backward load
-                                # may be closed here; the matching store's
-                                # value continues backward.
-                                key = (xindex, rest_uid, S1)
-                                size = size_of(visited)
-                                visited_add(key)
-                                if size_of(visited) != size:
-                                    stack_append((x, xindex, rest, S1))
-                stores = rec.store_from
-                if stores:
-                    # The tracked object is stored into b.g — look for
-                    # aliases of the base backward, with g pending (B).
-                    if push_limit is not None and f._size >= push_limit:
-                        raise BudgetExceededError(limit)
-                    for _field, b, token, bindex in stores:
-                        pushed = f.push(token)
-                        key = (bindex, pushed._uid, S1)
-                        size = size_of(visited)
-                        visited_add(key)
-                        if size_of(visited) != size:
-                            stack_append((b, bindex, pushed, S1))
-                if rec.has_global_out:
-                    add_boundary((v, f, S2))
-    finally:
-        # Sync the local step counter on every exit path (normal,
-        # budget-abort, depth-abort) so the budget object reads exactly
-        # as if charge() had been called once per pop.
-        budget.steps = steps_before + steps
-    # Singleton/empty fact sets need no sort — the common case for the
-    # paper's small, local-heavy methods.
-    return PptaResult(
-        sorted(objects, key=_object_order) if len(objects) > 1 else objects,
-        sorted(boundaries, key=_boundary_order) if len(boundaries) > 1 else boundaries,
-        steps=steps,
-    )
-
-
-# ----------------------------------------------------------------------
 # the CSR array loop
 # ----------------------------------------------------------------------
 def _run_ppta_array(pag, node, field_stack, state, budget, max_field_depth=None):
     """``DSPOINTSTO`` over the CSR image (:mod:`repro.pag.csr`).
 
-    Structured statement-for-statement like :func:`_run_ppta_fast` — the
-    same prologue, the same push order per expansion, the same LIFO
-    discipline and depth-check placement — so steps, abort behaviour and
-    results stay bit-identical; what changes is the representation.  A
+    Pushes in the reference loop's order per expansion, with the same
+    LIFO discipline and depth-check placement, so steps, abort
+    behaviour and results stay bit-identical to
+    :func:`run_ppta_reference`; what changes is the representation.  A
     traversal state is one **packed int** ``t = index * 4 + state``
     (an unindexed start maps to the sentinel index ``n_nodes``, whose
     rows are empty), worklist items are ``(t, stack)`` pairs, and the
     visited key is ``stack._uid * stride + t`` with
     ``stride = 4 * (n_nodes + 1)`` — injective because ``t < stride``.
-    The image rows carry targets *pre-packed*, so one attempted push
-    costs an int add and an int hash where the fast loop builds and
-    hashes a 3-tuple.  Like the fast loop, the general-phase locals are
-    bound only after the prologue — the single-expansion majority never
-    pays for them.
+    Stacks are canonical (hash-consed pushes), so uid equality is
+    structural equality.  The image rows carry targets *pre-packed*, so
+    one attempted push costs an int add and an int hash — no tuple is
+    built or hashed.
+
+    Private slots of :class:`~repro.cfl.stacks.Stack` are read directly
+    (``_rest``/``_size``/``_top``/``_uid``): the properties they back
+    are function calls, and this loop runs ~75k times per budget-bound
+    query.
     """
     image = pag.csr()
     n = image.n_nodes
     si = image.node_index.get(node, n)
     steps_before = budget.steps
     limit = budget.limit
+    # Lists, not sets: a state is popped at most once (the visited set
+    # guards every push), each boundary IS its popped state, and each
+    # object belongs to exactly one ``new`` edge — so neither list can
+    # ever see a duplicate.
     objects = []
     boundaries = []
 
+    # ------------------------------------------------------------------
+    # Single-expansion prologue.  Most summaries (~75% on the synthetic
+    # suite) need only one or two states; expanding the start state into
+    # a plain ``pending`` list first lets the single-state majority skip
+    # the visited-set machinery and the general-phase local bindings
+    # entirely.  Within one expansion every pushed item is distinct
+    # (disjoint edge groups, distinct stacks/states), so the only
+    # duplicate possible is a self-loop back to the start — guarded by
+    # comparing the packed target with the start state, since stack and
+    # state match the start's exactly there.
+    # ------------------------------------------------------------------
     if limit is not None and steps_before >= limit:
         budget.steps = steps_before + 1
         raise BudgetExceededError(limit)
@@ -407,7 +205,12 @@ def _run_ppta_array(pag, node, field_stack, state, budget, max_field_depth=None)
             steps=1,
         )
 
-    # General phase (see _run_ppta_fast): bind the loop locals now.
+    # ------------------------------------------------------------------
+    # General phase: the full worklist, seeded with the prologue's
+    # pushes (LIFO order identical to an in-loop start expansion).
+    # Locals-bound hot names: every global/attribute read below this
+    # line that the loop repeats is now a LOAD_FAST.
+    # ------------------------------------------------------------------
     stride = n * 4 + 4
     nodes = image.nodes
     new_rows = image.new_rows
@@ -439,6 +242,8 @@ def _run_ppta_array(pag, node, field_stack, state, budget, max_field_depth=None)
             steps += 1
             if allowed is not None and steps > allowed:
                 raise BudgetExceededError(limit)
+            # Insertion pattern throughout: add + size check instead of
+            # `in` + add — one hash per attempted push, not two.
             fkey = f._uid * stride
             vi = t >> 2
             if t & 1:  # S1 (states are 1 and 2 — bit 0 distinguishes)
@@ -518,7 +323,12 @@ def _run_ppta_array(pag, node, field_stack, state, budget, max_field_depth=None)
                 if flags[vi] & 2:
                     add_boundary((nodes[vi], f, S2))
     finally:
+        # Sync the local step counter on every exit path (normal,
+        # budget-abort, depth-abort) so the budget object reads exactly
+        # as if charge() had been called once per pop.
         budget.steps = steps_before + steps
+    # Singleton/empty fact sets need no sort — the common case for the
+    # paper's small, local-heavy methods.
     return PptaResult(
         sorted(objects, key=_object_order) if len(objects) > 1 else objects,
         sorted(boundaries, key=_boundary_order) if len(boundaries) > 1 else boundaries,
@@ -527,18 +337,17 @@ def _run_ppta_array(pag, node, field_stack, state, budget, max_field_depth=None)
 
 
 # ----------------------------------------------------------------------
-# the retained reference implementation (pre-optimization loop)
+# the reference implementation (the oracle)
 # ----------------------------------------------------------------------
 def run_ppta_reference(pag, node, field_stack, state, budget, max_field_depth=None):
     """Accessor-based ``DSPOINTSTO`` — the differential oracle.
 
-    Structured exactly as the pre-fast-path implementation: one helper
-    call per state expansion, PAG accessor methods for every edge list,
-    fresh stack-entry tuples and freshly allocated stack nodes
-    (``push_uncached``) per push.  Kept so the optimized loop can always
-    be checked (and benchmarked) against straight-line code.  Only the
-    fact ordering is shared with the fast loop (structural sort keys),
-    so the two return bit-identical results.
+    Straight-line code: one helper call per state expansion, PAG
+    accessor methods for every edge list, fresh stack-entry tuples and
+    freshly allocated stack nodes (``push_uncached``) per push.  Kept so
+    the ``array`` and ``native`` loops can always be checked (and
+    benchmarked) against it.  Only the fact ordering is shared with them
+    (structural sort keys), so all three return bit-identical results.
     """
     objects = set()
     boundaries = set()
@@ -651,27 +460,17 @@ def _run_ppta_native(pag, node, field_stack, state, budget, max_field_depth=None
 # implementation dispatch
 # ----------------------------------------------------------------------
 TRAVERSAL_IMPLS = {
-    "fast": _run_ppta_fast,
     "array": _run_ppta_array,
     "native": _run_ppta_native,
     "reference": run_ppta_reference,
 }
 
-
-def _default_impl():
-    """The boot-time impl: ``$REPRO_TRAVERSAL`` when it names a known
-    implementation, else ``native`` (unknown values are ignored rather
-    than fatal — a stale env var must not brick the process).  A host
-    where the kernel cannot load answers ``native`` queries on the
-    ``array`` loop, with the reason in engine stats."""
-    env = os.environ.get("REPRO_TRAVERSAL", "").strip()
-    return env if env in TRAVERSAL_IMPLS else "native"
-
-
-#: The active implementation, mutated only by :func:`traversal_impl` /
-#: :func:`set_traversal_impl`.  A one-slot dict rather than a module
-#: global so ``from ppta import run_ppta`` bindings stay valid.
-_ACTIVE = {"impl": _default_impl()}
+#: The active implementation, mutated only by :func:`traversal_impl`.
+#: ``native`` from boot: a host where the kernel cannot load answers on
+#: the ``array`` loop, with the reason in engine stats.  A one-slot dict
+#: rather than a module global so ``from ppta import run_ppta`` bindings
+#: stay valid.
+_ACTIVE = {"impl": "native"}
 
 
 def active_traversal_impl():
@@ -679,25 +478,20 @@ def active_traversal_impl():
     return _ACTIVE["impl"]
 
 
-def set_traversal_impl(name):
-    """Select the PPTA implementation globally
-    (``fast``/``array``/``native``/``reference``)."""
+@contextmanager
+def traversal_impl(name):
+    """Temporarily select a PPTA implementation
+    (``array``/``native``/``reference``).
+
+    Used by the differential tests and the ``repro-perf`` harness to run
+    whole workloads under one loop.  Process-global — callers must not
+    fan traversals out on a thread pool while switched.
+    """
     if name not in TRAVERSAL_IMPLS:
         known = ", ".join(sorted(TRAVERSAL_IMPLS))
         raise ValueError(f"unknown traversal impl {name!r}; known: {known}")
-    _ACTIVE["impl"] = name
-
-
-@contextmanager
-def traversal_impl(name):
-    """Temporarily select a PPTA implementation.
-
-    Used by the differential tests and the ``repro-perf`` harness to run
-    whole workloads under the reference loop.  Process-global — callers
-    must not fan traversals out on a thread pool while switched.
-    """
     previous = _ACTIVE["impl"]
-    set_traversal_impl(name)
+    _ACTIVE["impl"] = name
     try:
         yield
     finally:

@@ -150,9 +150,9 @@ class RefinePts(DemandPointsToAnalysis):
                 pairs.update((obj, ctx) for obj in new_sources)
             else:
                 propagate(v, f, S2, c)
-        for x, _xi in rec.assign_sources:
+        for x in rec.assign_sources:
             propagate(x, f, S1, c)
-        for base, g, token, _bi in rec.load_into:
+        for base, g, token in rec.load_into:
             edge = (base, g, v)
             if edge in refined:
                 self._check_depth(f, depth_limit, budget)
@@ -186,21 +186,21 @@ class RefinePts(DemandPointsToAnalysis):
         budget,
     ):
         pag = self.pag
-        for x, _xi in rec.assign_targets:
+        for x in rec.assign_targets:
             propagate(x, f, S2, c)
         top = f.peek()
         if top is not None:
             top_field = top[0]
-            for g, x, _xi in rec.load_from:
+            for g, x in rec.load_from:
                 # Only refined loads participate in the field-sensitive
                 # forward match; unrefined ones are covered by match edges.
                 if g == top_field and (v, g, x) in refined:
                     propagate(x, f.pop(), S2, c)
             if top[1] == FAM_LOAD:
-                for x, g, _xi in rec.store_into:
+                for x, g in rec.store_into:
                     if g == top_field:  # store-bar closes family A only
                         propagate(x, f.pop(), S1, c)
-        for g, b, token, _bi in rec.store_from:
+        for g, b, token in rec.store_from:
             if g in refined_fields:
                 self._check_depth(f, depth_limit, budget)
                 propagate(b, f.push(token), S1, c)

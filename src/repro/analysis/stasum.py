@@ -157,28 +157,28 @@ class StaSum(DemandPointsToAnalysis):
                         # applies.  Explored unconditionally — one source
                         # of STASUM's imprecision.
                         push_state(v, pops, (), S2)
-                for x, _xi in rec.assign_sources:
+                for x in rec.assign_sources:
                     push_state(x, pops, pushes, S1)
-                for base, _g, token, _bi in rec.load_into:
+                for base, _g, token in rec.load_into:
                     push_state(base, pops, pushes + (token,), S1)
                 if rec.has_global_in:
                     boundaries.add((pops, pushes, v, S1))
             else:
-                for x, _xi in rec.assign_targets:
+                for x in rec.assign_targets:
                     push_state(x, pops, pushes, S2)
-                for g, x, _xi in rec.load_from:
+                for g, x in rec.load_from:
                     if pushes:
                         if pushes[-1][0] == g:  # either family
                             push_state(x, pops, pushes[:-1], S2)
                     else:
                         push_state(x, pops + ((_POP_ANY, g),), (), S2)
-                for x, g, _xi in rec.store_into:
+                for x, g in rec.store_into:
                     if pushes:
                         if pushes[-1] == (g, FAM_LOAD):  # store-bar: A only
                             push_state(x, pops, pushes[:-1], S1)
                     else:
                         push_state(x, pops + ((_POP_LOAD_ONLY, g),), (), S1)
-                for _g, b, token, _bi in rec.store_from:
+                for _g, b, token in rec.store_from:
                     push_state(b, pops, pushes + (token,), S1)
                 if rec.has_global_out:
                     boundaries.add((pops, pushes, v, S2))

@@ -260,13 +260,13 @@ class SummaryStore(SummaryBackend):
         self.misses = 0
         self.evictions = 0
         self.invalidated = 0
-        #: Probe memo of the DYNSUM fast path: ``(adjacency_map,
-        #: {(record index, stack uid, state): summary})`` — an int-keyed
-        #: mirror of a *subset* of ``_entries``, valid only for one
-        #: compiled PAG adjacency.  Any removal or replacement resets it
-        #: (see ``_invalidate_fast_memo``); only the plain unbounded
-        #: cache ever populates it.
-        self._fast_memo = None
+        #: Probe memo of DYNSUM's ``array`` loop: ``(CsrImage,
+        #: {packed key: summary})``, the packed key being ``stack uid *
+        #: stride + index * 4 + state`` in that image's numbering — an
+        #: int-keyed mirror of a *subset* of ``_entries``, valid only for
+        #: that image.  Any removal or replacement resets it to ``None``;
+        #: only the plain unbounded cache ever populates it.
+        self._probe_memo = None
         #: The native kernel's mirror of this cache: ``(CsrImage,
         #: _NativeSession-or-None)`` (see ``repro.native.session``).
         self._native_memo = None
@@ -356,7 +356,7 @@ class SummaryStore(SummaryBackend):
             ):
                 self._touch(key)
                 return False
-            self._fast_memo = None  # the replaced summary may be memoed
+            self._probe_memo = None  # the replaced summary may be memoed
             self._facts += ppta_result.size - resident.size
             self._entries[key] = ppta_result
             self._touch(key)
@@ -378,7 +378,7 @@ class SummaryStore(SummaryBackend):
         entry = self._entries.pop(key, None)
         if entry is None:
             return None
-        self._fast_memo = None  # the dropped summary may be memoed
+        self._probe_memo = None  # the dropped summary may be memoed
         journal = self._native_journal
         if journal is not None:
             journal.append(key)
@@ -420,7 +420,7 @@ class SummaryStore(SummaryBackend):
         self.misses = 0
         self.evictions = 0
         self.invalidated = 0
-        self._fast_memo = None
+        self._probe_memo = None
         self._drop_native_mirror()
 
     def _drop_native_mirror(self):
@@ -515,8 +515,7 @@ class SummaryCache(SummaryStore):
 
     def lookup(self, node, field_stack, state):
         """Unbounded-store specialisation: no recency to refresh, so the
-        probe is one dict get plus a counter — this is the hottest store
-        call on the DYNSUM fast path."""
+        probe is one dict get plus a counter."""
         entry = self._entries.get((node, field_stack, state))
         if entry is None:
             self.misses += 1
@@ -537,7 +536,7 @@ class SummaryCache(SummaryStore):
                 and resident.boundaries == ppta_result.boundaries
             ):
                 return False
-            self._fast_memo = None  # the replaced summary may be memoed
+            self._probe_memo = None  # the replaced summary may be memoed
             self._facts += ppta_result.size - resident.size
             entries[key] = ppta_result
         else:

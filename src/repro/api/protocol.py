@@ -609,7 +609,8 @@ class StatsResponse:
 
     Protocol 1.5 adds ``traversal_impl`` — which PPTA traversal
     implementation the engine's queries run under
-    (``fast``/``array``/``native``/``reference``) — and
+    (``array``/``native``/``reference``; peers before 1.5 ran
+    ``fast``, the default when the field is absent) — and
     ``native_unavailable``: when the selection is ``native`` but the
     compiled kernel cannot serve, the reason (the engine silently
     degrades to the pure-Python ``array`` impl with identical answers);

@@ -153,7 +153,7 @@ class Stack:
         the allocation cost the production ``push`` eliminated.
         Structurally interchangeable with :meth:`push`; the returned
         stack is *not* canonical, so reference-mode runs must not share
-        an engine with fast-mode runs being measured.
+        an engine with ``array``/``native`` runs being measured.
         """
         return Stack(value, self)
 

@@ -50,14 +50,8 @@ class HotFunction(NamedTuple):
 
 #: Hot traversal functions, keyed by path relative to the repo root.
 HOT_FUNCTIONS: Dict[str, Tuple[HotFunction, ...]] = {
-    "src/repro/analysis/ppta.py": (
-        HotFunction("_run_ppta_fast"),
-        HotFunction("_run_ppta_array"),
-    ),
-    "src/repro/analysis/dynsum.py": (
-        HotFunction("DynSum._explore"),
-        HotFunction("DynSum._explore_array"),
-    ),
+    "src/repro/analysis/ppta.py": (HotFunction("_run_ppta_array"),),
+    "src/repro/analysis/dynsum.py": (HotFunction("DynSum._explore_array"),),
     "src/repro/native/kernel.c": (
         HotFunction("rk_ppta", impl="native"),
         HotFunction("rk_dynsum", impl="native"),

@@ -92,7 +92,7 @@ class EngineStats:
     #: The PPTA traversal implementation this engine's queries run
     #: under: the policy's ``traversal_impl`` when pinned, else the
     #: process-global selection at snapshot time.
-    traversal_impl: str = "fast"
+    traversal_impl: str = "native"
     #: Why the native kernel cannot serve this engine (``None`` when it
     #: can, or when the engine is not running under the ``native``
     #: impl).  A non-``None`` reason means the ``native`` selection is
@@ -483,7 +483,7 @@ class PointsToEngine:
             # selected impl.
             from repro.native.session import native_unavailable_reason
 
-            native_unavailable = native_unavailable_reason(self.pag)
+            native_unavailable = native_unavailable_reason(self.pag, cache)
         return EngineStats(
             analysis=self.analysis.name,
             queries=self.queries_answered,

@@ -267,15 +267,16 @@ class EnginePolicy:
     warmth_carryover: bool = True
     parallelism: Optional[int] = None
     #: Which PPTA traversal implementation the engine's queries run
-    #: under (``fast``/``array``/``native``/``reference``).  ``None``
-    #: (the default) leaves the process-global selection alone —
-    #: whatever :func:`repro.analysis.ppta.set_traversal_impl` or the
-    #: ``REPRO_TRAVERSAL`` environment variable chose.  Setting it pins
-    #: the impl for this engine's query paths only (applied as a scoped
-    #: override around each query/batch, not a global mutation).  The
-    #: ``native`` impl degrades to ``array`` silently when the kernel
-    #: cannot load — answers never change, and ``stats()`` reports the
-    #: reason as ``native_unavailable``.
+    #: under (``array``/``native``/``reference``).  ``None`` (the
+    #: default) leaves the process-global selection alone — ``native``
+    #: unless a :func:`repro.analysis.ppta.traversal_impl` scope says
+    #: otherwise.  Setting it pins the impl for this engine's query
+    #: paths only (applied as a scoped override around each
+    #: query/batch, not a global mutation).  The ``native`` impl
+    #: degrades to ``array`` silently when the kernel cannot load or
+    #: does not mirror the engine's summary store — answers never
+    #: change, and ``stats()`` reports the reason as
+    #: ``native_unavailable``.
     traversal_impl: Optional[str] = None
     #: Path to a :mod:`repro.api.snapshot` summary-snapshot file; when
     #: set, a freshly constructed engine replays the snapshot's entries

@@ -54,6 +54,7 @@ _INT32_MAX = 2 ** 31 - 1
 # and there is no cycle — ppta/dynsum never import this module at
 # module level.
 from repro.analysis.ppta import PptaResult, _boundary_order, _object_order
+from repro.analysis.summaries import SummaryCache
 from repro.cfl.rsm import FAM_LOAD, S1
 from repro.cfl.stacks import EMPTY_STACK
 from repro.util.errors import BudgetExceededError
@@ -378,16 +379,20 @@ def graph_for(pag):
     return native
 
 
-def native_unavailable_reason(pag=None):
+def native_unavailable_reason(pag=None, store=None):
     """Why the native impl would fall back right now, or ``None``.
 
     Reports the binding-level reason (no compiler, disabled, ABI
-    mismatch) first; with a ``pag`` whose CSR image has already been
-    refused by the kernel, that image-level reason instead.
+    mismatch) first; then, with a summary ``store`` the kernel does not
+    mirror (anything but a plain ``SummaryCache``), that the store runs
+    on the array loop; then, with a ``pag`` whose CSR image has already
+    been refused by the kernel, that image-level reason.
     """
     ok, reason = availability()
     if not ok:
         return reason
+    if store is not None and type(store) is not SummaryCache:
+        return f"{type(store).__name__} runs on the array loop"
     if pag is not None:
         image = pag._csr
         if image is not None:
@@ -670,8 +675,6 @@ def explore_native(analysis, var, context, pairs, budget):
     impl would), or ``False`` to make the caller rerun on the
     pure-Python path with all Python-side state untouched.
     """
-    from repro.analysis.summaries import SummaryCache
-
     cache = analysis.cache
     if type(cache) is not SummaryCache:
         return False  # bounded/sharded/remote caches stay pure-Python

@@ -1,17 +1,14 @@
 """The CSR traversal image: the PAG lowered to dense int arrays.
 
-:class:`~repro.pag.graph.NodeAdjacency` records (PR 5) collapsed the
-accessor surface into one dict probe per visited state, but the inner
-loops still chase per-node record objects and per-edge tuples.  This
-module compiles the whole PAG into a handful of contiguous buffers — a
-**CSR image** — so the ``traversal_impl("array")`` loops in
-:mod:`repro.analysis.ppta` / :mod:`repro.analysis.dynsum` index plain
-``array('i')`` rows with int-keyed visited sets and touch no per-node
-Python object at all:
+This module compiles the whole PAG into a handful of contiguous
+buffers — a **CSR image** — that DYNSUM's traversal loops run over: the
+``array`` loops in :mod:`repro.analysis.ppta` /
+:mod:`repro.analysis.dynsum` index plain ``array('i')`` rows with
+int-keyed visited sets and touch no per-node Python object at all, and
+the C kernel (:mod:`repro.native`) reads the same buffers:
 
 * a **node table** (``nodes``/``node_index``) assigning every edge
-  endpoint a dense index, in the same first-touch order the adjacency
-  compiler uses;
+  endpoint a dense index, in first-touch order along :func:`_walk`;
 * one **CSR group** (offsets + parallel value arrays) per local edge
   family, in exactly the per-node order of the accessor lists — the
   bit-equality of answers *and* step counts against
@@ -183,9 +180,8 @@ class CsrImage:
         addend of :func:`repro.analysis.ppta._run_ppta_array`'s packing
         — so the loops turn one row element into a visited key with a
         single int add.  Runs at most once per image, on the first row
-        access; unlike ``PAG._compile_adjacency`` it touches no PAG dicts
-        and builds no per-node objects, so a warm start stays free of
-        graph recompilation.
+        access; it touches no PAG dicts and builds no per-node objects,
+        so a warm start stays free of graph recompilation.
         """
         n = self.n_nodes
         nodes = self.nodes
@@ -290,8 +286,8 @@ def pag_fingerprint(pag):
 
 #: The PAG's edge dicts in lowering order, each with the position of
 #: the node in its items (``None``: the items are nodes).  First touch
-#: along this order assigns the node indices, so it fixes the image's
-#: bytes; it is the order ``PAG._compile_adjacency`` walks the dicts.
+#: along this order (see :func:`_walk`) assigns the node indices, so it
+#: fixes the image's bytes.
 _EDGE_DICTS = (
     ("_new_in", None),
     ("_assign_in", None),
@@ -381,9 +377,8 @@ def _lower(pag):
     """``pag`` as dense arrays: ``(nodes, node_index, arrays, flags,
     fingerprint)`` with ``arrays`` keyed by :data:`_ARRAY_NAMES`.
 
-    Node indices come from :func:`_walk` (first touch, in the same
-    dict-iteration order as ``PAG._compile_adjacency``, so both lowered
-    forms agree on which nodes exist: every edge endpoint); each CSR
+    Node indices come from :func:`_walk` (first touch along
+    :data:`_EDGE_DICTS`, so every edge endpoint has one); each CSR
     group is built in one pass over its edge dict, keeping the accessor
     lists' per-node order exactly.  The fingerprint reuses the walk
     unless the PAG already memoized it.

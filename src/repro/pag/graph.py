@@ -50,23 +50,20 @@ _EMPTY = ()
 class NodeAdjacency:
     """Precompiled adjacency record for one PAG node.
 
-    The demand traversals are the repo's hot path, and the accessor-based
-    PAG surface costs them 8+ method calls (each a dict probe) per
-    visited state.  A record folds everything one state expansion needs
-    into a single dict lookup plus attribute reads:
+    The accessor-based PAG surface costs a traversal 8+ method calls
+    (each a dict probe) per visited state.  A record folds everything
+    one state expansion of STASUM, REFINEPTS or NOREFINE needs into a
+    single dict lookup plus attribute reads:
 
-    * local edges, in the accessors' orientation and order, each item
-      ending in the *target's record index* (for int-keyed visited
-      sets) — ``assign_sources``/``assign_targets`` items are
-      ``(x, xindex)``, ``load_from`` items ``(field, x, xindex)``,
-      ``store_into`` items ``(x, field, xindex)``, and
-      ``load_into``/``store_from`` items ``(base|field, …, token,
-      index)`` where ``token`` is the interned ``(field, family)`` push
+    * local edges, each field equal to its accessor's tuple (same
+      orientation and order), except that ``load_into`` items are
+      ``(base, field, token)`` and ``store_from`` items ``(field, base,
+      token)``, where ``token`` is the interned ``(field, family)`` push
       entry, so the inner loops never build stack-entry tuples;
     * the boundary predicates (``has_global_in`` / ``has_global_out`` /
       ``has_local_edges``) as plain booleans;
     * the global edges the worklists cross (entry/exit/assignglobal,
-      both directions), raw and as combined ``cross_*`` op lists.
+      both directions).
 
     Records are immutable snapshots: :meth:`PAG.adjacency` compiles the
     map lazily and every edge insertion invalidates it.
@@ -89,16 +86,9 @@ class NodeAdjacency:
         "entry_from",
         "exit_from",
         "global_targets",
-        "cross_backward",
-        "cross_forward",
-        "index",
     )
 
     def __init__(self):
-        #: Dense per-compile node index (-1 on the shared empty record);
-        #: the worklists combine it with stack uids into all-int visited
-        #: keys that hash without a Python-level __hash__ call.
-        self.index = -1
         self.new_sources = _EMPTY
         self.assign_sources = _EMPTY
         self.assign_targets = _EMPTY
@@ -115,19 +105,6 @@ class NodeAdjacency:
         self.entry_from = _EMPTY
         self.exit_from = _EMPTY
         self.global_targets = _EMPTY
-        self.cross_backward = _EMPTY
-        self.cross_forward = _EMPTY
-
-
-#: Ops of the combined crossing lists (``cross_backward`` /
-#: ``cross_forward``): each item is ``(op, node, site, node_index)`` —
-#: push the site, pop-or-empty against it, or clear the context
-#: (``site`` is ``None``).  One tuple per direction, so the worklist
-#: pays a single loop per boundary instead of three; ``node_index`` is
-#: the target's :attr:`NodeAdjacency.index` for int-keyed visited sets.
-CROSS_PUSH = 0
-CROSS_POP = 1
-CROSS_CLEAR = 2
 
 
 #: Shared record for nodes with no edges at all (e.g. a freshly interned
@@ -404,12 +381,12 @@ class PAG:
         return site_id in self._recursive_sites
 
     def recursive_sites(self):
-        """The live set of recursive call-site ids — exposed so the hot
-        worklists can test membership without a method call per edge."""
+        """The live set of recursive call-site ids (the CSR compile folds
+        it into its cross-op codes)."""
         return self._recursive_sites
 
     # ------------------------------------------------------------------
-    # compiled adjacency (the traversal fast path)
+    # compiled views (records for the baselines, CSR for DYNSUM)
     # ------------------------------------------------------------------
     def adjacency(self):
         """The node -> :class:`NodeAdjacency` map, compiled on demand.
@@ -480,34 +457,22 @@ class PAG:
             record(target).new_sources = tuple(sources)
         for target, sources in self._assign_in.items():
             record(target).assign_sources = tuple(sources)
-            for source in sources:
-                record(source)
         for source, targets in self._assign_out.items():
             record(source).assign_targets = tuple(targets)
-            for target in targets:
-                record(target)
         for target, pairs in self._load_in.items():
             record(target).load_into = tuple(
                 (base, field, intern_token(field, FAM_LOAD))
                 for base, field in pairs
             )
-            for base, _field in pairs:
-                record(base)
         for base, pairs in self._load_out.items():
             record(base).load_from = tuple(pairs)
-            for _field, target in pairs:
-                record(target)
         for base, pairs in self._store_in.items():
             record(base).store_into = tuple(pairs)
-            for value, _field in pairs:
-                record(value)
         for value, pairs in self._store_out.items():
             record(value).store_from = tuple(
                 (field, base, intern_token(field, FAM_STORE))
                 for field, base in pairs
             )
-            for _field, base in pairs:
-                record(base)
         for target, pairs in self._exit_in.items():
             record(target).exit_into = tuple(pairs)
         for formal, pairs in self._entry_in.items():
@@ -529,82 +494,10 @@ class PAG:
             self._new_in, self._assign_in, self._assign_out, self._load_in,
             self._load_out, self._store_in, self._store_out,
         )
-        for index, (node, rec) in enumerate(records.items()):
-            rec.index = index
+        for node, rec in records.items():
             rec.has_global_in = node in global_in
             rec.has_global_out = node in global_out
             rec.has_local_edges = node in local
-
-        def target_index(node):
-            # Every traversal target is an edge endpoint, so it always
-            # has a record of its own (ensured above).
-            return records[node].index
-
-        # Second pass: append each local-edge target's index, so the
-        # PPTA can key its visited set on ints.  Empty fields stay the
-        # shared empty tuple.
-        for rec in records.values():
-            if rec.assign_sources:
-                rec.assign_sources = tuple(
-                    (x, target_index(x)) for x in rec.assign_sources
-                )
-            if rec.assign_targets:
-                rec.assign_targets = tuple(
-                    (x, target_index(x)) for x in rec.assign_targets
-                )
-            if rec.load_into:
-                rec.load_into = tuple(
-                    (base, field, token, target_index(base))
-                    for base, field, token in rec.load_into
-                )
-            if rec.load_from:
-                rec.load_from = tuple(
-                    (field, x, target_index(x)) for field, x in rec.load_from
-                )
-            if rec.store_into:
-                rec.store_into = tuple(
-                    (x, field, target_index(x)) for x, field in rec.store_into
-                )
-            if rec.store_from:
-                rec.store_from = tuple(
-                    (field, base, token, target_index(base))
-                    for field, base, token in rec.store_from
-                )
-
-        for rec in records.values():
-            # Combined crossing lists, in the order the worklists cross
-            # edges: exits/entries first, then the context-clearing
-            # assignglobal hops.
-            if rec.exit_into or rec.entry_into or rec.global_sources:
-                rec.cross_backward = tuple(
-                    [
-                        (CROSS_PUSH, retvar, site, target_index(retvar))
-                        for retvar, site in rec.exit_into
-                    ]
-                    + [
-                        (CROSS_POP, actual, site, target_index(actual))
-                        for actual, site in rec.entry_into
-                    ]
-                    + [
-                        (CROSS_CLEAR, y, None, target_index(y))
-                        for y in rec.global_sources
-                    ]
-                )
-            if rec.entry_from or rec.exit_from or rec.global_targets:
-                rec.cross_forward = tuple(
-                    [
-                        (CROSS_PUSH, formal, site, target_index(formal))
-                        for site, formal in rec.entry_from
-                    ]
-                    + [
-                        (CROSS_POP, target, site, target_index(target))
-                        for site, target in rec.exit_from
-                    ]
-                    + [
-                        (CROSS_CLEAR, y, None, target_index(y))
-                        for y in rec.global_targets
-                    ]
-                )
         return records
 
     # ------------------------------------------------------------------

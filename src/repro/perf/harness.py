@@ -13,15 +13,14 @@ PAPERS.md).  This harness measures **steps per second**:
   instance — the long-running-host regime the paper motivates (round 1
   runs cold, later rounds run on a warm summary cache).  Each workload
   runs under the optimized traversal implementations
-  (:func:`repro.analysis.ppta.traversal_impl`): ``fast`` — the
-  record-based loop — ``array`` — the CSR-image loop
-  (:mod:`repro.pag.csr`) — and ``native`` — the compiled C kernel over
-  the same CSR arrays (:mod:`repro.native`, skipped with a log line
-  when the kernel cannot load) — against ``reference``, the retained
-  pre-optimization loop (accessor-based PPTA + worklist).  Answers are
-  asserted element-wise identical and step counts bit-equal across all
-  implementations; the ratios of wall times are the speedups each
-  optimized loop buys.
+  (:func:`repro.analysis.ppta.traversal_impl`): ``array`` — the
+  pure-Python loop over the CSR image (:mod:`repro.pag.csr`) — and
+  ``native`` — the compiled C kernel over the same CSR arrays
+  (:mod:`repro.native`, skipped with a log line when the kernel cannot
+  load) — against ``reference``, the oracle loop (accessor-based PPTA
+  + worklist).  Answers are asserted element-wise identical and step
+  counts bit-equal across all implementations; the ratios of wall
+  times are the speedups each optimized loop buys.
 * **warmstart** — cold engine construction + queries versus an engine
   warm-started from a CSR-bearing snapshot
   (``save_cache(path, csr=True)``): the warm path must answer from the
@@ -37,8 +36,8 @@ PAPERS.md).  This harness measures **steps per second**:
   gates on every seed keeping answers element-wise identical to a
   fault-free run while provably injecting — the robustness analogue of
   the identical-answers invariant the figure4 sweep enforces.
-* **profile** — cProfile top-N of one fast figure4 run, so the next
-  hot-spot hunt starts from data.
+* **profile** — cProfile top-N of one figure4 run under the active
+  impl, so the next hot-spot hunt starts from data.
 
 Wall-clock numbers vary with the host; the committed baseline
 (``benchmarks/BENCH_hotpath.json``) records them for trajectory, while
@@ -109,17 +108,13 @@ STRESS_WORKLOADS = (
 #: from a sweep (with a log line) when the compiled kernel cannot load
 #: on the host — timing it there would silently measure the ``array``
 #: fallback instead.
-OPTIMIZED_IMPLS = ("fast", "array", "native")
+OPTIMIZED_IMPLS = ("array", "native")
 
 #: The loop bodies each optimized impl actually exercises, as
 #: ``"<relpath>::<QualName>"`` ids.  CI asserts this equals
 #: :func:`repro.devtools.registry.hot_function_ids` — a function cannot
 #: be hot for the HOT001 linter yet unmeasured here, or vice versa.
 MEASURED_HOT_FUNCTIONS = {
-    "fast": (
-        "src/repro/analysis/dynsum.py::DynSum._explore",
-        "src/repro/analysis/ppta.py::_run_ppta_fast",
-    ),
     "array": (
         "src/repro/analysis/dynsum.py::DynSum._explore_array",
         "src/repro/analysis/ppta.py::_run_ppta_array",
@@ -208,8 +203,7 @@ def run_figure4(
     workloads = []
     totals = {impl: 0.0 for impl in sweep}
     for name, instance in _workload_instances(benchmarks, scale, stress=stress):
-        # Compile both traversal substrates once, outside every timer.
-        instance.pag.adjacency()
+        # Compile the traversal substrate once, outside every timer.
         instance.pag.csr()
         for client_name in clients:
             client = CLIENTS[client_name](instance.pag)
@@ -255,16 +249,12 @@ def run_figure4(
                     "time_sec": round(best[impl], 6),
                     "steps_per_sec": round(ref_steps / best[impl]),
                 }
-            if "fast" in impls:
-                row["speedup"] = round(best["reference"] / best["fast"], 3)
             if "array" in impls:
                 row["speedup_array"] = round(best["reference"] / best["array"], 3)
             if "native" in impls:
                 row["speedup_native"] = round(
                     best["reference"] / best["native"], 3
                 )
-            if "fast" in impls and "array" in impls:
-                row["array_vs_fast"] = round(best["fast"] / best["array"], 3)
             if "array" in impls and "native" in impls:
                 row["native_vs_array"] = round(
                     best["array"] / best["native"], 3
@@ -279,8 +269,6 @@ def run_figure4(
     aggregate = {
         f"time_sec_{impl}": round(totals[impl], 6) for impl in sweep
     }
-    if "fast" in impls and totals["fast"]:
-        aggregate["speedup"] = round(totals["reference"] / totals["fast"], 3)
     if "array" in impls and totals["array"]:
         aggregate["speedup_array"] = round(
             totals["reference"] / totals["array"], 3
@@ -289,8 +277,6 @@ def run_figure4(
         aggregate["speedup_native"] = round(
             totals["reference"] / totals["native"], 3
         )
-    if "fast" in impls and "array" in impls and totals["array"]:
-        aggregate["array_vs_fast"] = round(totals["fast"] / totals["array"], 3)
     if "array" in impls and "native" in impls and totals["native"]:
         aggregate["native_vs_array"] = round(
             totals["array"] / totals["native"], 3
@@ -302,7 +288,7 @@ def run_warmstart(rounds=2, log=lambda s: None):
     """Cold engine bring-up versus a CSR warm start; the ``warmstart``
     section.
 
-    Cold: build the PAG's adjacency + CSR and answer the query stream.
+    Cold: build the PAG's CSR image and answer the query stream.
     Warm: a fresh engine over the same program, warm-started from the
     cold engine's ``save_cache(path, csr=True)`` snapshot — summaries
     replay into the store and the CSR image maps zero-copy, so the warm
@@ -317,7 +303,6 @@ def run_warmstart(rounds=2, log=lambda s: None):
     with ppta.traversal_impl("array"):
         cold_engine = cold_instance.engine()
         started = time.perf_counter()
-        cold_instance.pag.adjacency()
         cold_instance.pag.csr()
         for _round in range(rounds):
             cold_answers = [cold_engine.query(node) for node in nodes]
@@ -517,10 +502,9 @@ def run_chaos(quick=False, scale=0.3, log=lambda s: None):
 
 
 def run_profile(benchmarks, scale, top=12):
-    """cProfile one fast figure4 pass; returns the top-N rows."""
+    """cProfile one figure4 pass; returns the top-N rows."""
     name = benchmarks[0]
     instance = load_benchmark(name, scale=scale)
-    instance.pag.adjacency()
     client = CLIENTS["SafeCast"](instance.pag)
     nodes = [query.node(instance.pag) for query in client.queries()]
     analysis = DynSum(instance.pag, bench_analysis_config())
@@ -563,7 +547,8 @@ def run_perf(
 
     ``check`` additionally gates on the invariants (answers identical,
     steps equal — always asserted — plus recorded throughput, the array
-    loop holding the fast baseline, and sub-linear eviction cost).
+    and native loops clearing their baselines, a warm start with zero
+    recompiles, and sub-linear eviction cost).
     """
     benchmarks = tuple(benchmarks or (("jython",) if quick else FIGURE_BENCHMARKS))
     clients = tuple(clients or (("SafeCast",) if quick else ("SafeCast", "NullDeref")))
@@ -600,8 +585,9 @@ def run_perf(
         # Version 3 adds the native-kernel column (speedup_native /
         # native_vs_array) to figure4 rows and aggregates; version 4
         # adds the chaos soak section (seeded fault schedules against
-        # the shared-cache service).
-        "version": 4,
+        # the shared-cache service); version 5 drops the record loop's
+        # column and the two ratios taken against it, with that loop.
+        "version": 5,
         "quick": quick,
         "python": sys.version.split()[0],
         "figure4": figure4,
@@ -629,16 +615,14 @@ def _check_report(report):
                 )
     aggregate = report["figure4"]["aggregate"]
     speedups = [
-        aggregate.get(key) for key in ("speedup", "speedup_array")
+        aggregate.get(key) for key in ("speedup_array", "speedup_native")
         if key in aggregate
     ]
     if not speedups or any(not s or s <= 0 for s in speedups):
         raise PerfCheckError("aggregate speedup not recorded")
     # The array loop must clear the reference interpreter by a wide
-    # margin and hold the fast-path baseline measured in the *same* run
-    # (same host, interleaved timing): a drop past the noise floor means
-    # the CSR backend has regressed against the loop it shipped to beat.
-    # Ratio gates only fire on sweeps that can carry a ratio: best-of
+    # margin in the *same* run (same host, interleaved timing).  Ratio
+    # gates only fire on sweeps that can carry a ratio: best-of
     # at least MIN_GATED_REPS interleaved reps (one sample per impl is
     # a coin flip on a loaded host — single-rep sweeps measured array
     # at 0.82x reference where best-of-3 gives 2x) and enough measured
@@ -651,11 +635,6 @@ def _check_report(report):
             raise PerfCheckError(
                 f"array speedup over reference fell to "
                 f"{aggregate['speedup_array']}x (< 1.5x)"
-            )
-        if "array_vs_fast" in aggregate and aggregate["array_vs_fast"] < 0.85:
-            raise PerfCheckError(
-                f"array throughput regressed to {aggregate['array_vs_fast']}x "
-                f"of the fast baseline (< 0.85x)"
             )
     # The C kernel's whole reason to exist is clearing the best
     # pure-Python loop by a wide margin in the same interleaved run.
@@ -705,7 +684,7 @@ def _check_report(report):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="repro-perf",
-        description="wall-clock perf harness: steps/sec fast/array/native "
+        description="wall-clock perf harness: steps/sec array/native "
         "vs reference, CSR warm starts, eviction scaling, cProfile top-N",
     )
     parser.add_argument(
@@ -764,14 +743,10 @@ def main(argv=None):
         return 1
     aggregate = report["figure4"]["aggregate"]
     parts = []
-    if "speedup" in aggregate:
-        parts.append(f"fast {aggregate['speedup']}x")
     if "speedup_array" in aggregate:
         parts.append(f"array {aggregate['speedup_array']}x")
     if "speedup_native" in aggregate:
         parts.append(f"native {aggregate['speedup_native']}x")
-    if "array_vs_fast" in aggregate:
-        parts.append(f"array/fast {aggregate['array_vs_fast']}x")
     if "native_vs_array" in aggregate:
         parts.append(f"native/array {aggregate['native_vs_array']}x")
     warmstart = report["warmstart"]

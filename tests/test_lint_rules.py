@@ -187,21 +187,25 @@ class TestShardLockNesting:
 HOT_VIOLATING = """
     FUEL = 3
 
-    def _run_ppta_fast(records, work):
+    def _run_ppta_array(records, work):
         out = []
         out_append = out.append
-        for item in work:
-            out_append(transform(item))
-        return out
-
-    def _run_ppta_array(records, work):
         total = 0
         for item in work:
+            out_append(transform(item))
             try:
                 total += self.weight(item)
             except KeyError:
                 pass
-        return total
+        return out, total
+
+    def run_ppta_reference(records, work):
+        # Unregistered: the same violations are not flagged here.
+        for item in work:
+            try:
+                transform(self.weight(item))
+            except KeyError:
+                pass
 """
 
 HOT_CONFORMING = """
@@ -210,20 +214,16 @@ HOT_CONFORMING = """
     class BudgetError(Exception):
         pass
 
-    def _run_ppta_fast(records, work, transform):
+    def _run_ppta_array(records, work, transform):
         out = []
         out_append = out.append
+        total = 0
         for item in work:
             if item > FUEL:
                 raise BudgetError(item)
             out_append(transform(item))
-        return out
-
-    def _run_ppta_array(records, work):
-        total = 0
-        for item in work:
             total += item
-        return total
+        return out, total
 """
 
 
@@ -231,12 +231,20 @@ class TestHotLoopHygiene:
     def test_loop_body_violations_are_flagged(self, tmp_path, capsys):
         write(tmp_path, "src/repro/analysis/ppta.py", HOT_VIOLATING)
         assert lint(tmp_path, "--rule", "HOT001") == 1
-        messages = [m for _, _, m in findings_of(capsys)]
+        rows = findings_of(capsys)
+        messages = [m for _, _, m in rows]
         assert any("global-name load of 'transform'" in m for m in messages)
         assert any("try/except inside a loop body" in m for m in messages)
         assert any("self attribute load '.weight'" in m for m in messages)
         # `self` itself is also an unbound global here; the point is the
         # discipline flags every unbound name, not the exact taxonomy.
+        # Every finding lies in the registered loop, none in the
+        # unregistered run_ppta_reference below it.
+        unregistered = HOT_VIOLATING[
+            : HOT_VIOLATING.index("def run_ppta_reference")
+        ].count("\n") + 1
+        lines = [int(location.split(":")[1]) for location, _, _ in rows]
+        assert lines and all(line < unregistered for line in lines)
 
     def test_const_and_raise_exemptions(self, tmp_path):
         # FUEL (ALL_CAPS) and BudgetError (raise callee) load in the
@@ -248,7 +256,7 @@ class TestHotLoopHygiene:
         write(
             tmp_path,
             "src/repro/analysis/ppta.py",
-            "def _run_ppta_fast(records, work):\n    return []\n",
+            "def run_ppta_reference(records, work):\n    return []\n",
         )
         assert lint(tmp_path, "--rule", "HOT001") == 1
         messages = [m for _, _, m in findings_of(capsys)]
@@ -275,7 +283,7 @@ class TestHotLoopHygiene:
             HOT_FUNCTIONS,
             "src/repro/analysis/ppta.py",
             (
-                HotFunction("_run_ppta_fast"),
+                HotFunction("_run_ppta_array"),
                 HotFunction("rk_ppta", impl="native"),
             ),
         )
@@ -283,7 +291,7 @@ class TestHotLoopHygiene:
             tmp_path,
             "src/repro/analysis/ppta.py",
             "# C twin: rk_ppta\n"
-            "def _run_ppta_fast(records, work):\n    return []\n",
+            "def _run_ppta_array(records, work):\n    return []\n",
         )
         assert lint(tmp_path, "--rule", "HOT001") == 0
 

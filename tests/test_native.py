@@ -11,9 +11,10 @@ kernel's bit-parity with the reference loop; this module pins the
   and step counts identical, with the reason reported through engine
   stats as ``native_unavailable``;
 * the :class:`~repro.engine.policy.EnginePolicy` ``traversal_impl``
-  knob and the ``REPRO_TRAVERSAL`` boot default select the impl, and
-  the selection plus any native fallback reason travel over the wire
-  on ``stats-result`` (protocol 1.5).
+  knob selects the impl (``native`` from boot), and the selection plus
+  any native fallback reason — a kernel that cannot load, or a summary
+  store it does not mirror — travel over the wire on ``stats-result``
+  (protocol 1.5).
 """
 
 import pytest
@@ -26,7 +27,7 @@ from repro.api.service import PointsToService
 from repro.bench.generator import GeneratorConfig, generate_program
 from repro.bench.runner import bench_analysis_config
 from repro.engine.core import PointsToEngine
-from repro.engine.policy import EnginePolicy
+from repro.engine.policy import CachePolicy, EnginePolicy
 from repro.native import availability, binding
 from repro.pag.builder import build_pag
 
@@ -135,18 +136,21 @@ class TestSelection:
         with ppta.traversal_impl("array"):
             assert engine.stats().traversal_impl == "array"
 
-    def test_unknown_impl_is_rejected(self):
+    @pytest.mark.parametrize("name", ["turbo", "fast"])
+    def test_unknown_impl_is_rejected(self, name):
         with pytest.raises(ValueError, match="unknown traversal impl"):
-            EnginePolicy(traversal_impl="turbo")
+            EnginePolicy(traversal_impl=name)
+        with pytest.raises(ValueError, match="unknown traversal impl"):
+            with ppta.traversal_impl(name):
+                pass
 
-    def test_env_boot_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRAVERSAL", "fast")
-        assert ppta._default_impl() == "fast"
-        monkeypatch.setenv("REPRO_TRAVERSAL", "turbo")
-        # A stale env value must not brick the process.
-        assert ppta._default_impl() == "native"
-        monkeypatch.delenv("REPRO_TRAVERSAL")
-        assert ppta._default_impl() == "native"
+    def test_serve_rejects_an_unknown_impl(self, capsys):
+        from repro.api.service import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--program", "unused.pir", "--traversal-impl", "fast"])
+        assert exc.value.code == 2
+        assert "--traversal-impl" in capsys.readouterr().err
 
     @pytest.mark.parametrize("host", ["disabled", "no-compiler"])
     def test_unpinned_engine_falls_back_on_a_kernelless_host(
@@ -159,7 +163,6 @@ class TestSelection:
         nodes = list(pag.local_var_nodes())
         reference = PointsToEngine(pag, EnginePolicy(traversal_impl="reference"))
         want = [sorted(map(repr, reference.query(n).pairs)) for n in nodes]
-        monkeypatch.delenv("REPRO_TRAVERSAL", raising=False)
         if host == "disabled":
             monkeypatch.setenv("REPRO_NATIVE", "0")
         else:
@@ -168,9 +171,8 @@ class TestSelection:
             monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "empty"))
         binding._reset()
         engine = PointsToEngine(pag, EnginePolicy())
-        with ppta.traversal_impl(ppta._default_impl()):
-            got = [sorted(map(repr, engine.query(n).pairs)) for n in nodes]
-            stats = engine.stats()
+        got = [sorted(map(repr, engine.query(n).pairs)) for n in nodes]
+        stats = engine.stats()
         assert got == want
         assert engine.steps_total == reference.steps_total
         assert stats.traversal_impl == "native"
@@ -200,9 +202,33 @@ class TestStatsPlumbing:
         )
         assert engine.stats().native_unavailable is None
 
-    def test_stats_response_carries_the_fields(self):
+    @pytest.mark.parametrize(
+        "cache",
+        [CachePolicy(max_entries=64), CachePolicy(max_entries=64, eviction="cost"),
+         CachePolicy(shards=2)],
+        ids=["bounded", "cost-aware", "sharded"],
+    )
+    def test_unmirrored_stores_report_why(self, cache):
+        """The kernel mirrors only the plain ``SummaryCache``; any other
+        store answers every query on the array loop, and stats say so
+        (a kernelless host reports its binding reason first)."""
         engine = PointsToEngine(
-            make_pag(), EnginePolicy(traversal_impl="native")
+            make_pag(),
+            EnginePolicy(traversal_impl="native", cache=cache, parallelism=1),
+        )
+        for node in list(engine.pag.local_var_nodes())[:3]:
+            engine.query(node)
+        store = type(engine.cache).__name__
+        assert store != "SummaryCache"
+        ok, reason = availability()
+        want = f"{store} runs on the array loop" if ok else reason
+        assert engine.stats().native_unavailable == want
+
+    def test_stats_response_carries_the_fields(self):
+        # parallelism=1 keeps the plain store the kernel mirrors, so a
+        # host with a kernel reports no reason.
+        engine = PointsToEngine(
+            make_pag(), EnginePolicy(traversal_impl="native", parallelism=1)
         )
         for node in list(engine.pag.local_var_nodes())[:3]:
             engine.query(node)
@@ -311,7 +337,9 @@ class Main {
         program.write_text(self.PROGRAM, encoding="utf-8")
         src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
         env = dict(os.environ)
-        env.pop("REPRO_TRAVERSAL", None)
+        # A single-worker host: a worker-count override would shard the
+        # store, which the kernel does not mirror.
+        env.pop("REPRO_PARALLELISM", None)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         env.update(env_overrides)
         proc = subprocess.Popen(

@@ -37,15 +37,29 @@ def quick_report():
 
 class TestReportShape:
     def test_figure4_rows_and_aggregate(self, quick_report):
+        from repro.native import availability
+
         section = quick_report["figure4"]
         assert section["workloads"], "sweep produced no workloads"
+        # native joins the sweep only where the kernel loads.
+        impls = ("array", "native") if availability()[0] else ("array",)
+        ratios = {f"speedup_{impl}" for impl in impls}
+        if len(impls) == 2:
+            ratios.add("native_vs_array")
+        # Exact key sets: the array/native columns and their ratios,
+        # and nothing for a loop the sweep no longer runs.
+        row_keys = {"benchmark", "client", "queries", "rounds", "steps"}
+        row_keys |= {"reference", *impls} | ratios
         for row in section["workloads"]:
+            assert set(row) == row_keys
             assert row["steps"] > 0
-            assert row["fast"]["steps_per_sec"] > 0
-            assert row["reference"]["steps_per_sec"] > 0
-            assert row["speedup"] > 0
+            for impl in ("reference", *impls):
+                assert row[impl]["steps_per_sec"] > 0
+            assert all(row[ratio] > 0 for ratio in ratios)
         aggregate = section["aggregate"]
-        assert aggregate["speedup"] > 0
+        times = {f"time_sec_{impl}" for impl in ("reference", *impls)}
+        assert set(aggregate) == times | ratios
+        assert all(aggregate[ratio] > 0 for ratio in ratios)
         # The generator microbenchmark rides along with the figure
         # benchmarks.
         assert any(

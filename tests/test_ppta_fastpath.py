@@ -1,22 +1,24 @@
-"""Differential battery: the optimized traversals vs the retained reference.
+"""Differential battery: the optimized traversals vs the reference oracle.
 
-The hot-path overhaul rewrote the PPTA inner loop and the DYNSUM
-worklist over precompiled adjacency records, interned push tokens and
-int-keyed visited sets, and routed STASUM/REFINEPTS/NOREFINE over the
-same records.  The pre-optimization implementation is retained
-(:func:`repro.analysis.ppta.run_ppta_reference` plus DYNSUM's
-``_explore_reference``), switched in with
+The PPTA inner loop and the DYNSUM worklist run over the PAG's CSR
+image — in Python (``array``) and in the C kernel (``native``) — with
+interned push tokens and int-keyed visited sets; STASUM, REFINEPTS and
+NOREFINE run over the PAG's precompiled adjacency records.  The
+accessor-based oracle (:func:`repro.analysis.ppta.run_ppta_reference`
+plus DYNSUM's ``_explore_reference``) is switched in with
 :func:`repro.analysis.ppta.traversal_impl` — and this battery pins the
 equivalence over ~50 generated programs:
 
-* DYNSUM and STASUM run under **every** implementation (``fast``,
-  ``array``, and — when the compiled kernel loads — ``native``) on
-  fresh instances: query results element-wise identical, step counts
-  bit-equal, and (DYNSUM) the cached summaries' object/boundary sets
-  identical entry for entry;
+* DYNSUM and STASUM run under **every** implementation (``array`` and
+  — when the compiled kernel loads — ``native``) on fresh instances:
+  query results element-wise identical, step counts bit-equal, and
+  (DYNSUM) the cached summaries' object/boundary sets identical entry
+  for entry;
 * NOREFINE and REFINEPTS (whose record-based loops have no switch) are
   pinned by the full-precision invariant: wherever they and the
-  reference DYNSUM all complete, the answers coincide.
+  reference DYNSUM all complete, the answers coincide;
+* the records themselves are pinned field by field against the PAG
+  accessors, so the baselines' view of the graph cannot drift.
 
 A subprocess pair also checks that summary fact *ordering* — now sorted
 on structural ``(kind, owner, name)`` node keys rather than ``repr`` —
@@ -40,8 +42,11 @@ from repro.analysis.stasum import StaSum
 from repro.bench.generator import GeneratorConfig, generate_program
 from repro.bench.runner import bench_analysis_config
 from repro.clients import SafeCastClient
+from repro.cfl.rsm import FAM_LOAD, FAM_STORE
+from repro.cfl.stacks import intern_token
 from repro.native import availability
 from repro.pag.builder import build_pag
+from repro.pag.graph import EMPTY_ADJACENCY, NodeAdjacency
 
 
 def _battery_impls():
@@ -50,7 +55,7 @@ def _battery_impls():
     :func:`test_native_rows_covered_or_skipped`'s explicit skip
     instead, and the dispatch fallback keeps it answer-identical
     anyway)."""
-    impls = ["fast", "array"]
+    impls = ["array"]
     if availability()[0]:
         impls.append("native")
     return tuple(impls)
@@ -127,7 +132,7 @@ def summary_facts(cache):
 @pytest.mark.parametrize("chunk", range(10))
 def test_differential_battery(chunk):
     """Five programs per chunk (pytest-parallel friendly), all four
-    analyses, fast vs array vs native vs reference."""
+    analyses, array vs native vs reference."""
     impls = _battery_impls()
     for config in CONFIGS[chunk * 5 : chunk * 5 + 5]:
         pag = make_pag(config)
@@ -181,6 +186,46 @@ def test_differential_battery(chunk):
                 assert canonical(nr) == ref["dyn"][index], (label, index)
             if rp.complete:
                 assert canonical(rp) == ref["dyn"][index], (label, index)
+
+
+def assert_records_match_accessors(pag):
+    """Every :class:`NodeAdjacency` field of every node equals the PAG
+    accessor of the same name — with the interned push token appended
+    to ``load_into``/``store_from`` items — and the three boundary
+    predicates equal ``pag.has_*``.  Nodes without a record read the
+    shared empty one, which must then match too."""
+    records = pag.adjacency()
+    nodes = pag.local_var_nodes() + pag.global_var_nodes() + pag.object_nodes()
+    assert set(records) <= set(nodes)
+    for node in nodes:
+        rec = records.get(node, EMPTY_ADJACENCY)
+        for name in NodeAdjacency.__slots__:
+            want = getattr(pag, name)(node)
+            if name == "load_into":
+                want = tuple((b, g, intern_token(g, FAM_LOAD)) for b, g in want)
+            elif name == "store_from":
+                want = tuple((g, b, intern_token(g, FAM_STORE)) for g, b in want)
+            elif not name.startswith("has_"):
+                want = tuple(want)
+            assert getattr(rec, name) == want, (node, name)
+        # The canonical token object, not an equal copy: the stacks
+        # hash-cons on it.
+        for _base, g, token in rec.load_into:
+            assert token is intern_token(g, FAM_LOAD), node
+        for g, _base, token in rec.store_from:
+            assert token is intern_token(g, FAM_STORE), node
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_records_match_accessors(chunk):
+    """STASUM, REFINEPTS and NOREFINE read the records, not the
+    accessors: pin them on the battery's programs."""
+    for config in CONFIGS[chunk * 5 : chunk * 5 + 5]:
+        assert_records_match_accessors(make_pag(config))
+
+
+def test_figure2_records_match_accessors(figure2_pag):
+    assert_records_match_accessors(figure2_pag)
 
 
 def test_native_rows_covered_or_skipped():
