@@ -4,8 +4,9 @@ The full grid: 9 benchmarks x 3 clients x 3 analyses.  Each cell issues
 every query of the client through a fresh analysis instance, exactly as
 the paper measures a batch run.  Wall-clock is what pytest-benchmark
 records; the printed table additionally reports the deterministic
-traversal-step counts, which are the numbers EXPERIMENTS.md compares
-against the paper (shape, not absolute seconds).
+traversal-step counts, which are the numbers to compare against the
+paper (shape, not absolute seconds; see README's "Reproducing the
+paper").
 """
 
 import pytest

@@ -6,7 +6,8 @@ generated once per session and shared; every analysis cell runs under
 (step counts are exact) and wall-clock variance is reported alongside.
 
 Set ``REPRO_BENCH_SCALE`` (e.g. ``0.5``) to shrink the suite for smoke
-runs; the shipped EXPERIMENTS.md numbers use the default scale of 1.0.
+runs; the artifacts in README's "Reproducing the paper" section use the
+default scale of 1.0.
 """
 
 import os

@@ -53,10 +53,7 @@ def fresh_engine(addresses):
     shard servers."""
     return PointsToEngine(
         build_pag(parse_program(SHARED_CACHE_SOURCE)),
-        EnginePolicy(
-            cache=CachePolicy(remote=addresses, remote_timeout=2.0),
-            parallelism=1,
-        ),
+        EnginePolicy(cache=CachePolicy(remote=addresses, remote_timeout=2.0)),
     )
 
 

@@ -54,7 +54,6 @@ from repro.analysis.summaries import (
     BoundedSummaryCache,
     CacheStats,
     CostAwareSummaryCache,
-    ShardedSummaryCache,
     SummaryBackend,
     SummaryStore,
 )
@@ -69,17 +68,14 @@ from repro.api import (
 from repro.callgraph import AndersenAnalysis, CallGraph, rta_call_graph
 from repro.cfl import EMPTY_STACK, Stack
 from repro.engine import (
-    BatchExecutor,
     BatchResult,
     BatchStats,
     CachePolicy,
     EditSession,
     EnginePolicy,
     EngineStats,
-    ParallelExecutor,
     PointsToEngine,
     QuerySpec,
-    SequentialExecutor,
 )
 from repro.clients import (
     ALL_CLIENTS,
@@ -97,7 +93,6 @@ __all__ = [
     "AliasResult",
     "AnalysisConfig",
     "AndersenAnalysis",
-    "BatchExecutor",
     "BatchResult",
     "BatchStats",
     "BoundedSummaryCache",
@@ -118,7 +113,6 @@ __all__ = [
     "NullDerefClient",
     "PAG",
     "PROTOCOL_VERSION",
-    "ParallelExecutor",
     "PointsToEngine",
     "PointsToService",
     "ProgramBuilder",
@@ -128,8 +122,6 @@ __all__ = [
     "QueryTracer",
     "RefinePts",
     "SafeCastClient",
-    "SequentialExecutor",
-    "ShardedSummaryCache",
     "SnapshotError",
     "StaSum",
     "Stack",

@@ -36,7 +36,6 @@ from repro.analysis.summaries import (
     BoundedSummaryCache,
     CacheStats,
     CostAwareSummaryCache,
-    ShardedSummaryCache,
     SummaryBackend,
     SummaryCache,
     SummaryStore,
@@ -62,7 +61,6 @@ __all__ = [
     "StaSum",
     "TraceStep",
     "format_trace",
-    "ShardedSummaryCache",
     "SummaryBackend",
     "SummaryCache",
     "SummaryStore",

@@ -159,10 +159,10 @@ class DemandPointsToAnalysis:
         self.pag = pag
         self.config = config or AnalysisConfig()
         #: Cumulative counters across all queries (reset with
-        #: :meth:`reset_stats`).  Updates are lock-protected so the
-        #: engine's parallel batch executor can issue concurrent
-        #: ``points_to`` calls without losing counts — per-query state is
-        #: otherwise traversal-local and the PAG is read-only.
+        #: :meth:`reset_stats`).  Updates are lock-protected because an
+        #: analysis is a public object: a host may call ``points_to``
+        #: from threads of its own, and ``+=`` on a shared int is not
+        #: atomic under the GIL.
         self.total_steps = 0  # guarded-by: _counter_lock
         self.total_queries = 0  # guarded-by: _counter_lock
         self.incomplete_queries = 0  # guarded-by: _counter_lock

@@ -110,10 +110,8 @@ class DynSum(DemandPointsToAnalysis):
             self._explore(var, context, pairs, budget)
         except BudgetExceededError:
             complete = False
-        # Window deltas over the shared cache's counters: exact when
-        # queries run one at a time; under the engine's parallel executor
-        # a result's own window may include probes of concurrently
-        # running traversals (batch-level stats remain exact).
+        # Window deltas over the cache's counters: queries run one at a
+        # time, so the window holds exactly this traversal's probes.
         stats = {
             "cache_hits": self.cache.hits - hits_before,
             "cache_misses": self.cache.misses - misses_before,
@@ -183,7 +181,7 @@ class DynSum(DemandPointsToAnalysis):
         cache_store = cache.store
         # The default unbounded cache needs no recency bookkeeping, so
         # its probe can be one inlined dict get; every other backend
-        # (bounded, sharded, remote) goes through its lookup method.
+        # (bounded, cost-aware, remote) goes through its lookup method.
         plain_entries_get = (
             cache._entries.get if type(cache) is SummaryCache else None
         )
@@ -268,9 +266,10 @@ class DynSum(DemandPointsToAnalysis):
                                 summary = ppta(pag, u, f, s, budget, max_depth)
                                 total = budget.steps
                                 # Inline plain-cache insert: the probe
-                                # just missed and nothing ran in
-                                # between, so the key is absent (plain
-                                # caches never serve parallel batches).
+                                # just missed and the PPTA in between
+                                # does not touch the cache, so the key
+                                # is absent (a store serves one thread
+                                # at a time).
                                 cache._entries[key] = summary
                                 cache._facts += summary.size
                                 method = u.method

@@ -8,7 +8,7 @@ summary serves every calling context of the method, and every later query.
 Every store is a **backend** behind one explicit contract,
 :class:`SummaryBackend` — the seam the engine, the incremental session,
 the snapshot layer and the process-level cache service all program
-against.  Four local backends ship here:
+against.  Three local backends ship here:
 
 * :class:`SummaryCache` — the unbounded store of the paper's experiments
   (queries stop at a few thousand, so the cache never needs a ceiling);
@@ -21,20 +21,14 @@ against.  Four local backends ship here:
   chosen by **recomputation value**: the entry with the lowest
   steps-to-recompute per byte of memory freed goes first (summaries
   record the PPTA steps that built them), so one giant cheap summary can
-  no longer push out many expensive small ones the way pure LRU lets it;
-* :class:`ShardedSummaryCache` — N independent shards, partitioned by
-  the key node's **method** (the invalidation granularity), each with
-  its own lock, so parallel traversals, eviction and
-  ``invalidate_method`` never contend on one global structure.  This is
-  the store the engine's :class:`~repro.engine.executor.ParallelExecutor`
-  requires, and the partition (:func:`shard_for_method`, CRC-32) that the
-  multi-process cache service inherits unchanged.
+  no longer push out many expensive small ones the way pure LRU lets it.
 
-A fifth backend lives out of tree:
+A fourth backend lives out of tree:
 :class:`repro.cacheserver.client.RemoteSummaryCache` speaks the same
-contract but forwards traffic to shard-server *processes*, with a local
-read-through tier — the engine cannot tell the difference, which is the
-point of the seam.
+contract but forwards traffic to shard-server *processes*, partitioned
+by the key node's method (:func:`shard_for_method`, CRC-32), with a
+local read-through tier — the engine cannot tell the difference, which
+is the point of the seam.
 
 Eviction is always *safe*: a summary is a pure memo of ``DSPOINTSTO``, so
 dropping one never changes any answer — only the cost of recomputing it.
@@ -45,7 +39,6 @@ and capacity eviction compose freely because both merely forget memos
 """
 
 import heapq
-import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -98,7 +91,7 @@ class SummaryBackend:
     The engine layer (:class:`~repro.engine.core.PointsToEngine`), the
     incremental session, the snapshot codec and the cache service client
     only ever call what is declared here, so a backend can be an
-    in-process dict, a sharded locked store, or a stub forwarding to
+    in-process dict, a capacity-bounded store, or a stub forwarding to
     shard-server processes without any caller changing.
 
     The contract splits into:
@@ -116,17 +109,15 @@ class SummaryBackend:
       is attached to an analysis.  Local backends ignore it; a remote
       backend needs the PAG to resolve wire entries back to nodes.
 
-    ``concurrent_safe`` declares whether the backend tolerates concurrent
-    ``lookup``/``store``/``invalidate_method`` calls from multiple
-    threads; the engine's parallel executor refuses to fan out over one
-    that does not.  ``eviction`` names the capacity policy (``"lru"`` or
-    ``"cost"``) so snapshots can round-trip it.
+    The contract does not ask for thread safety: the engine drives its
+    store from the one thread that runs a batch.  ``eviction`` names the
+    capacity policy (``"lru"`` or ``"cost"``) so snapshots can
+    round-trip it.
     """
 
     #: Capacity limits (``None`` = unbounded).
     max_entries = None
     max_facts = None
-    concurrent_safe = False
     eviction = "lru"
 
     # -- the cache protocol -------------------------------------------
@@ -201,7 +192,7 @@ class SummaryBackend:
 
     def spawn(self):
         """A fresh, empty backend with the same policy (capacity,
-        sharding, remote topology)."""
+        eviction, remote topology)."""
         raise NotImplementedError
 
     # -- environment hooks --------------------------------------------
@@ -790,15 +781,6 @@ class CostAwareSummaryCache(BoundedSummaryCache):
             self._heap = sorted(self._rank.values())
 
 
-def _split_cap(total, shards):
-    """Partition an integer capacity across ``shards`` (remainder spread
-    over the first shards).  ``None`` stays unbounded everywhere."""
-    if total is None:
-        return [None] * shards
-    base, extra = divmod(total, shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
-
-
 #: Known capacity-eviction policies (see :class:`CostAwareSummaryCache`).
 EVICTION_POLICIES = ("lru", "cost")
 
@@ -819,256 +801,3 @@ def shard_for_method(method_qname, n_shards):
     ``PYTHONHASHSEED`` values.
     """
     return zlib.crc32(str(method_qname or "").encode("utf-8")) % n_shards
-
-
-class ShardedSummaryCache(SummaryBackend):
-    """N independent summary shards, partitioned by the key node's method.
-
-    The method is the natural partition key because it is already the
-    invalidation granularity: every key of one method lands in one
-    shard, so ``invalidate_method`` — like ``lookup``/``store``/LRU
-    eviction — takes exactly one shard lock and never contends with
-    traffic on other methods.  This is the concurrency story the
-    engine's :class:`~repro.engine.executor.ParallelExecutor` requires
-    (``concurrent_safe`` is True) and the partition a later
-    multi-process cache service can inherit unchanged.
-
-    ``max_entries``/``max_facts`` are *global* ceilings split across the
-    shards (remainder on the first shards), so each shard is an
-    independent LRU within its slice of the budget; both caps must be at
-    least ``shards`` so every shard can hold an entry.  With no caps the
-    shards are unbounded.
-
-    The class mirrors the whole :class:`SummaryStore` surface plus
-    :meth:`shard_snapshots` for per-shard accounting.  Aggregate counter
-    reads (``hits``, ``misses``, …) sum per-shard counters without
-    taking every lock — each shard's counters only ever grow, so a
-    concurrent reader sees a slightly stale but never-corrupt total;
-    :meth:`stats_snapshot` reads each shard under its lock.
-    """
-
-    concurrent_safe = True
-
-    def __init__(self, shards=4, max_entries=None, max_facts=None, eviction="lru",
-                 admit_facts=None):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if max_entries is not None and max_entries < shards:
-            raise ValueError(
-                f"max_entries={max_entries} cannot feed {shards} shards; "
-                "need at least one entry per shard"
-            )
-        if max_facts is not None and max_facts < shards:
-            raise ValueError(
-                f"max_facts={max_facts} cannot feed {shards} shards; "
-                "need at least one fact per shard"
-            )
-        check_eviction(eviction)
-        bounded = max_entries is not None or max_facts is not None
-        if eviction == "cost" and not bounded:
-            raise ValueError(
-                "eviction='cost' needs a capacity ceiling (max_entries "
-                "and/or max_facts); unbounded shards never evict, so "
-                "the policy would be silently inert"
-            )
-        self.n_shards = shards
-        self.max_entries = max_entries
-        self.max_facts = max_facts
-        self.eviction = eviction
-        #: Size-based admission bound (cost-aware shards only; see
-        #: :class:`CostAwareSummaryCache`).  Per entry, so not split.
-        self.admit_facts = admit_facts if eviction == "cost" else None
-        entry_caps = _split_cap(max_entries, shards)
-        fact_caps = _split_cap(max_facts, shards)
-        if not bounded:
-            self._shards = tuple(SummaryCache() for _ in range(shards))
-        elif eviction == "cost":
-            self._shards = tuple(
-                CostAwareSummaryCache(
-                    max_entries=entry_caps[i],
-                    max_facts=fact_caps[i],
-                    admit_facts=self.admit_facts,
-                )
-                for i in range(shards)
-            )
-        else:
-            self._shards = tuple(
-                BoundedSummaryCache(
-                    max_entries=entry_caps[i], max_facts=fact_caps[i]
-                )
-                for i in range(shards)
-            )
-        self._locks = tuple(threading.RLock() for _ in range(shards))
-
-    # ------------------------------------------------------------------
-    # partitioning
-    # ------------------------------------------------------------------
-    def shard_index(self, method_qname):
-        return shard_for_method(method_qname, self.n_shards)
-
-    def _slot(self, node):
-        index = self.shard_index(getattr(node, "method", None))
-        return self._shards[index], self._locks[index]
-
-    def spawn(self):
-        """A fresh, empty store with the same shard/capacity policy
-        (and the same per-method consistency epochs)."""
-        fresh = type(self)(
-            shards=self.n_shards,
-            max_entries=self.max_entries,
-            max_facts=self.max_facts,
-            eviction=self.eviction,
-            admit_facts=self.admit_facts,
-        )
-        fresh.adopt_epochs(self.method_epochs())
-        return fresh
-
-    # ------------------------------------------------------------------
-    # the cache contract
-    # ------------------------------------------------------------------
-    def lookup(self, node, field_stack, state):
-        shard, lock = self._slot(node)
-        with lock:
-            return shard.lookup(node, field_stack, state)
-
-    def store(self, node, field_stack, state, ppta_result):
-        shard, lock = self._slot(node)
-        with lock:
-            return shard.store(node, field_stack, state, ppta_result)
-
-    def invalidate_method(self, method_qname):
-        # The facade keeps its own epoch table (the sub-shard bumps its
-        # copy too, but callers read epochs off the facade).
-        self.bump_epoch(method_qname)
-        index = self.shard_index(method_qname)
-        with self._locks[index]:
-            return self._shards[index].invalidate_method(method_qname)
-
-    def has_room(self, node, facts=0):
-        shard, lock = self._slot(node)
-        with lock:
-            return shard.has_room(node, facts)
-
-    def promote(self, key):
-        shard, lock = self._slot(key[0])
-        with lock:
-            shard.promote(key)
-
-    def clear(self):
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                shard.clear()
-
-    def restore_counters(self, shard_stats):
-        """Per-shard counter restore: one :class:`CacheStats` per shard,
-        in shard order (counters are per-shard state, so an aggregate
-        alone could not be restored faithfully)."""
-        if len(shard_stats) != self.n_shards:
-            raise ValueError(
-                f"expected {self.n_shards} shard stats, got {len(shard_stats)}"
-            )
-        for shard, lock, stats in zip(self._shards, self._locks, shard_stats):
-            with lock:
-                shard.restore_counters(stats)
-
-    # ------------------------------------------------------------------
-    # aggregate counters (sums over shards)
-    # ------------------------------------------------------------------
-    @property
-    def hits(self):
-        return sum(shard.hits for shard in self._shards)
-
-    @property
-    def misses(self):
-        return sum(shard.misses for shard in self._shards)
-
-    @property
-    def evictions(self):
-        return sum(shard.evictions for shard in self._shards)
-
-    @property
-    def invalidated(self):
-        return sum(shard.invalidated for shard in self._shards)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def entries(self):
-        """All entries, shard by shard (per-shard LRU order within)."""
-        items = []
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                items.extend(shard.entries())
-        return iter(items)
-
-    def entries_by_recency(self, hottest_first=True):
-        """Per-shard recency order, shards concatenated.
-
-        Cross-shard interleaving is unspecified — which is exactly what
-        migration needs, because capacity is also per shard: within each
-        shard the hottest entries come first.
-        """
-        items = []
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                items.extend(shard.entries_by_recency(hottest_first))
-        return iter(items)
-
-    def __len__(self):
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, key):
-        shard, lock = self._slot(key[0])
-        with lock:
-            return key in shard
-
-    def summary_point_count(self):
-        # A key lives in exactly one shard (by its node's method), so the
-        # per-shard distinct counts are disjoint and sum exactly.
-        return sum(shard.summary_point_count() for shard in self._shards)
-
-    def total_facts(self):
-        return sum(shard.total_facts() for shard in self._shards)
-
-    def approx_bytes(self):
-        return sum(shard.approx_bytes() for shard in self._shards)
-
-    def shard_snapshots(self):
-        """Per-shard :class:`CacheStats`, each read under its lock."""
-        snapshots = []
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                snapshots.append(shard.stats_snapshot())
-        return snapshots
-
-    def stats_snapshot(self):
-        """Aggregated :class:`CacheStats` across all shards.
-
-        The per-shard reads are individually atomic, so the aggregate
-        always reconciles: ``hits + misses`` equals the probes the
-        shards answered, and ``facts``/``entries`` equal the shard sums.
-        """
-        shards = self.shard_snapshots()
-        return CacheStats(
-            entries=sum(s.entries for s in shards),
-            facts=sum(s.facts for s in shards),
-            hits=sum(s.hits for s in shards),
-            misses=sum(s.misses for s in shards),
-            evictions=sum(s.evictions for s in shards),
-            invalidated=sum(s.invalidated for s in shards),
-            approx_bytes=sum(s.approx_bytes for s in shards),
-            max_entries=self.max_entries,
-            max_facts=self.max_facts,
-        )
-
-    def __repr__(self):
-        caps = []
-        if self.max_entries is not None:
-            caps.append(f"max_entries={self.max_entries}")
-        if self.max_facts is not None:
-            caps.append(f"max_facts={self.max_facts}")
-        cap = ", ".join(caps) or "unbounded"
-        return (
-            f"ShardedSummaryCache({self.n_shards} shards, {len(self)} "
-            f"summaries, {cap}, hits={self.hits}, misses={self.misses})"
-        )

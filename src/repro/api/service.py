@@ -399,11 +399,9 @@ def _build_engine(args):
         analysis=args.analysis,
         budget=args.budget,
         max_field_depth=args.max_field_depth,
-        parallelism=args.parallelism,
         cache=CachePolicy(
             max_entries=args.max_entries,
             max_facts=args.max_facts,
-            shards=args.shards,
             eviction=args.eviction,
             remote=remote,
             remote_timeout=args.remote_timeout,
@@ -442,10 +440,8 @@ def main(argv=None):
         "--budget", type=int, default=DEFAULT_BUDGET, help="per-query step budget"
     )
     parser.add_argument("--max-field-depth", type=int, default=None)
-    parser.add_argument("--parallelism", type=int, default=None)
     parser.add_argument("--max-entries", type=int, default=None)
     parser.add_argument("--max-facts", type=int, default=None)
-    parser.add_argument("--shards", type=int, default=None)
     parser.add_argument(
         "--eviction",
         choices=("lru", "cost"),

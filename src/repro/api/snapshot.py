@@ -4,19 +4,23 @@ DYNSUM summaries are pure, context-independent memos keyed by *nominal*
 node identity — ``(method, var)`` for locals, stable allocation labels
 for objects — which makes the whole store a durable artifact: saved by
 one process, replayed by another (a restarted IDE host, the next CI
-run), or shipped to a remote shard server.  A snapshot round-trips all
-three store classes (:class:`~repro.analysis.summaries.SummaryCache`,
+run), or shipped to a remote shard server.  A snapshot round-trips
+every local store class (:class:`~repro.analysis.summaries.SummaryCache`,
 :class:`~repro.analysis.summaries.BoundedSummaryCache`,
-:class:`~repro.analysis.summaries.ShardedSummaryCache`) and preserves
+:class:`~repro.analysis.summaries.CostAwareSummaryCache`) and preserves
 
 * every entry — key node, field stack, direction, and the summary's
   objects and boundary tuples;
 * **LRU recency order** — entries are recorded coldest-first, so
-  replaying them through ``store()`` reconstructs each (shard's) LRU
-  order exactly;
-* the **capacity policy** (``max_entries``/``max_facts``/``shards``) and
-  the lifetime counters of :class:`~repro.analysis.summaries.CacheStats`
-  (per shard for sharded stores — counters are per-shard state).
+  replaying them through ``store()`` reconstructs the LRU order exactly;
+* the **capacity policy** (``max_entries``/``max_facts``/``eviction``)
+  and the lifetime counters of
+  :class:`~repro.analysis.summaries.CacheStats`.
+
+Files written by earlier builds may say ``"store": "sharded"`` and carry
+per-shard ``shard_stats``.  They are still validated (the shard stats
+must reconcile with the aggregate) and load as one store with the same
+total caps and the aggregate counters.
 
 Loading is paranoid: a snapshot whose recorded stats disagree with its
 own entries, whose version is unsupported, or whose structure is damaged
@@ -37,7 +41,6 @@ from repro.analysis.summaries import (
     BoundedSummaryCache,
     CacheStats,
     CostAwareSummaryCache,
-    ShardedSummaryCache,
     SummaryCache,
     check_eviction,
 )
@@ -58,6 +61,8 @@ _KIND = "summary-snapshot"
 
 _STORE_UNBOUNDED = "unbounded"
 _STORE_BOUNDED = "bounded"
+#: Read only: a store partitioned into locked shards, written by earlier
+#: builds; it loads as one store (see :meth:`SummarySnapshot.from_payload`).
 _STORE_SHARDED = "sharded"
 
 
@@ -255,17 +260,11 @@ class SummarySnapshot:
     start).
     """
 
-    __slots__ = (
-        "store_kind", "shards", "stats", "shard_stats", "entries", "eviction",
-        "csr",
-    )
+    __slots__ = ("store_kind", "stats", "entries", "eviction", "csr")
 
-    def __init__(self, store_kind, shards, stats, shard_stats, entries,
-                 eviction="lru"):
+    def __init__(self, store_kind, stats, entries, eviction="lru"):
         self.store_kind = store_kind
-        self.shards = shards
         self.stats = stats
-        self.shard_stats = shard_stats
         self.entries = entries
         self.eviction = eviction
         #: Optional :class:`repro.pag.csr.CsrSection` — present when the
@@ -289,17 +288,14 @@ class SummarySnapshot:
         local_tier = getattr(store, "local_tier", None)
         if local_tier is not None:
             store = local_tier
-        if isinstance(store, ShardedSummaryCache):
-            store_kind, shards = _STORE_SHARDED, store.n_shards
-            shard_stats = store.shard_snapshots()
-        elif isinstance(store, BoundedSummaryCache):
-            store_kind, shards, shard_stats = _STORE_BOUNDED, None, None
+        if isinstance(store, BoundedSummaryCache):
+            store_kind = _STORE_BOUNDED
         elif isinstance(store, SummaryCache):
-            store_kind, shards, shard_stats = _STORE_UNBOUNDED, None, None
+            store_kind = _STORE_UNBOUNDED
         else:
             raise SnapshotError(
                 f"cannot snapshot a {type(store).__name__}; expected one of "
-                "SummaryCache, BoundedSummaryCache, ShardedSummaryCache"
+                "SummaryCache, BoundedSummaryCache, CostAwareSummaryCache"
             )
         entries = [
             entry_to_wire(node, stack, state, summary)
@@ -310,9 +306,7 @@ class SummarySnapshot:
         ]
         return cls(
             store_kind,
-            shards,
             store.stats_snapshot(),
-            shard_stats,
             entries,
             eviction=getattr(store, "eviction", "lru"),
         )
@@ -325,14 +319,12 @@ class SummarySnapshot:
             "kind": _KIND,
             "snapshot_version": SNAPSHOT_VERSION,
             "store": self.store_kind,
-            "shards": self.shards,
+            "shards": None,  # non-null only in "sharded" files
             "stats": _stats_to_wire(self.stats),
             "entries": self.entries,
         }
         if self.eviction != "lru":
             payload["eviction"] = self.eviction
-        if self.shard_stats is not None:
-            payload["shard_stats"] = [_stats_to_wire(s) for s in self.shard_stats]
         return payload
 
     def dumps(self):
@@ -351,7 +343,10 @@ class SummarySnapshot:
     def from_payload(cls, payload):
         """Validate a decoded payload: structure, version, and the
         stats/entries reconciliation (recorded entry and fact totals must
-        equal what the entry list actually holds)."""
+        equal what the entry list actually holds).  A ``"sharded"``
+        payload must also carry one ``shard_stats`` record per shard,
+        summing to the aggregate; it then becomes a bounded or
+        unbounded snapshot with the aggregate stats."""
         if not isinstance(payload, dict) or payload.get("kind") != _KIND:
             raise SnapshotError(f"not a {_KIND} payload")
         _check_snapshot_version(payload.get("snapshot_version"))
@@ -386,6 +381,7 @@ class SummarySnapshot:
             shard_stats = [
                 _stats_from_wire(s, f"shard_stats[{i}]") for i, s in enumerate(raw)
             ]
+            store_kind = _STORE_BOUNDED if stats.bounded else _STORE_UNBOUNDED
         elif shards is not None:
             raise SnapshotError("'shards' is only valid for sharded stores")
         entries = payload.get("entries")
@@ -416,21 +412,13 @@ class SummarySnapshot:
                         f"shard stats do not reconcile: aggregate {name}="
                         f"{total} but the shards sum to {per_shard}"
                     )
-        return cls(store_kind, shards, stats, shard_stats, entries,
-                   eviction=eviction)
+        return cls(store_kind, stats, entries, eviction=eviction)
 
     # ------------------------------------------------------------------
     # restore
     # ------------------------------------------------------------------
     def make_store(self):
         """An empty store with the snapshot's class and capacity policy."""
-        if self.store_kind == _STORE_SHARDED:
-            return ShardedSummaryCache(
-                shards=self.shards,
-                max_entries=self.stats.max_entries,
-                max_facts=self.stats.max_facts,
-                eviction=self.eviction,
-            )
         if self.store_kind == _STORE_BOUNDED:
             cls = (
                 CostAwareSummaryCache
@@ -458,10 +446,7 @@ class SummarySnapshot:
                 "snapshot entries exceed its own capacity policy: "
                 f"{loaded} loaded but only {len(store)} resident"
             )
-        if self.shard_stats is not None:
-            store.restore_counters(self.shard_stats)
-        else:
-            store.restore_counters(self.stats)
+        store.restore_counters(self.stats)
         return store
 
     def load_into(self, store, pag, strict=False):

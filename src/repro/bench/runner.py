@@ -50,21 +50,13 @@ def bench_analysis_config(budget=None):
     return AnalysisConfig(budget=budget, max_field_depth=BENCH_FIELD_DEPTH_LIMIT)
 
 
-def bench_engine_policy(analysis="DYNSUM", cache=None, parallelism=1):
+def bench_engine_policy(analysis="DYNSUM", cache=None):
     """The :class:`~repro.engine.policy.EnginePolicy` counterpart of
-    :func:`bench_analysis_config`: same k-limit, any analysis/cache.
-
-    ``parallelism`` is pinned to 1 by default — the paper's protocols
-    are sequential and their step counts must stay deterministic even
-    under a ``REPRO_PARALLELISM`` environment override; parallel
-    measurements (``benchmarks/bench_parallel_batch.py``) opt in
-    explicitly.
-    """
+    :func:`bench_analysis_config`: same k-limit, any analysis/cache."""
     return EnginePolicy(
         analysis=analysis,
         max_field_depth=BENCH_FIELD_DEPTH_LIMIT,
         cache=cache or CachePolicy(),
-        parallelism=parallelism,
     )
 
 

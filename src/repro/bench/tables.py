@@ -1,8 +1,9 @@
 """Plain-text renderers for every table and figure of the paper.
 
 Each formatter consumes the runner's result objects and prints rows in
-the paper's layout, so EXPERIMENTS.md can be regenerated mechanically and
-paper-vs-measured comparisons stay side by side.
+the paper's layout, so the artifacts listed in README's "Reproducing the
+paper" section regenerate mechanically and paper-vs-measured comparisons
+stay side by side.
 """
 
 

@@ -1,15 +1,14 @@
 """The process-level shared summary-cache service.
 
-The GIL caps what thread-level parallelism (PR 2) can buy; the next
-scaling rung is sharing DYNSUM summaries **across analysis processes**.
-This package is that rung, built on two earlier layers: summaries
-travel in the :mod:`repro.api.snapshot` entry format over the
-store-level ops of the versioned wire protocol
+An engine runs each batch on its calling thread; this package shares
+DYNSUM summaries **across analysis processes** instead.  It is built on
+two earlier layers: summaries travel in the :mod:`repro.api.snapshot`
+entry format over the store-level ops of the versioned wire protocol
 (``lookup``/``store``/``invalidate``/``store-stats``), and the service
-is partitioned by the same CRC-32 method partition
-(:func:`~repro.analysis.summaries.shard_for_method`) the in-process
-:class:`~repro.analysis.summaries.ShardedSummaryCache` uses — one
-shard-server *process* per shard instead of one lock.
+is partitioned by a stable CRC-32 of the key node's method
+(:func:`~repro.analysis.summaries.shard_for_method`) — one shard-server
+*process* per partition, and the method is the invalidation
+granularity, so an edit touches exactly one shard.
 
 Three pieces:
 

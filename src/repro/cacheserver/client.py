@@ -348,9 +348,8 @@ class RemoteSummaryCache(SummaryBackend):
     (``CacheCluster.addresses``, or what ``repro-cached`` printed);
     ``local`` is the read-through tier — any local backend, defaulting
     to an unbounded :class:`~repro.analysis.summaries.SummaryCache`.
-    The tier also decides ``concurrent_safe``: give a parallel engine a
-    sharded tier (``CachePolicy(remote=..., shards=N)`` does) and the
-    links serialize per shard on their own locks.
+    Summaries route to shard servers by
+    :func:`~repro.analysis.summaries.shard_for_method`.
     """
 
     #: Entries per pipelined ``batch-store`` line; larger flushes are
@@ -447,10 +446,6 @@ class RemoteSummaryCache(SummaryBackend):
     # ------------------------------------------------------------------
     # backend plumbing
     # ------------------------------------------------------------------
-    @property
-    def concurrent_safe(self):
-        return self.local_tier.concurrent_safe
-
     @property
     def eviction(self):
         return self.local_tier.eviction

@@ -103,14 +103,13 @@ def build_engine(args):
     cache = CachePolicy(
         max_entries=args.max_entries,
         max_facts=args.max_facts,
-        shards=args.shards,
         eviction=args.eviction,
         remote=remote,
         remote_timeout=args.remote_timeout,
         remote_pipeline=args.pipeline if remote else None,
         fault_schedule=args.faults if remote else None,
     )
-    # The paper protocol's policy (field-depth k-limit, sequential) —
+    # The paper protocol's policy (field-depth k-limit) —
     # the same numbers every other benchmark in the repo reports.
     return PointsToEngine(pag, bench_engine_policy(cache=cache)), pag
 
@@ -229,7 +228,6 @@ def main(argv=None):
     )
     parser.add_argument("--max-entries", type=int, default=None)
     parser.add_argument("--max-facts", type=int, default=None)
-    parser.add_argument("--shards", type=int, default=None)
     parser.add_argument("--eviction", choices=("lru", "cost"), default="lru")
     parser.add_argument(
         "--rounds", type=int, default=1, help="workload repetitions (default 1)"

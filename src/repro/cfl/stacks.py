@@ -48,8 +48,8 @@ _TOKENS = {}
 def intern_token(field, family):
     """The canonical tuple for a field-stack entry ``(field, family)``.
 
-    ``dict.setdefault`` keeps the intern race-free under the engine's
-    thread-pool executor (two racing calls return the same tuple).
+    ``dict.setdefault`` keeps the intern race-free when a host queries
+    from threads of its own (two racing calls return the same tuple).
     """
     token = (field, family)
     return _TOKENS.setdefault(token, token)

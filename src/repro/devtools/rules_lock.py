@@ -16,11 +16,12 @@ benign where a lost update is not.
 
 **LOCK002** — in a class that owns a *family* of shard locks
 (``self._locks``), no second shard lock may be acquired while one is
-held.  The codebase acquires shard locks one at a time today
-(``shard, lock = self._slot(node); with lock:`` and
-``for shard, lock in zip(self._shards, self._locks):``); keeping it
-that way is the deadlock-freedom precondition for the planned shard
-rebalancing, which will move entries *between* shards.
+held: a shard lock is taken one at a time
+(``shard, lock = self._slot(node); with lock:`` or
+``for shard, lock in zip(self._shards, self._locks):``), the
+deadlock-freedom precondition for any code that moves entries *between*
+shards.  No class under ``src/`` owns such a family today; the rule
+keeps the precondition for the next one.
 """
 
 import ast

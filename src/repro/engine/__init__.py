@@ -17,21 +17,13 @@ workloads, code edits — through it:
 
 The engine owns the analysis (chosen by
 :class:`~repro.engine.policy.EnginePolicy`), the summary store (bounded
-and/or sharded, per :class:`~repro.engine.policy.CachePolicy`), the
-batch scheduler (:mod:`repro.engine.scheduler`), the batch executor —
-sequential or thread-pooled, per the policy's ``parallelism``
-(:mod:`repro.engine.executor`) — and the edit machinery
-(:mod:`repro.engine.session`).
+and/or remote, per :class:`~repro.engine.policy.CachePolicy`), the
+batch scheduler (:mod:`repro.engine.scheduler`) and the edit machinery
+(:mod:`repro.engine.session`).  A batch runs its planned traversals on
+the calling thread.
 """
 
 from repro.engine.core import EngineStats, PointsToEngine
-from repro.engine.executor import (
-    BatchExecutor,
-    ParallelExecutor,
-    SequentialExecutor,
-    default_parallelism,
-    make_executor,
-)
 from repro.engine.policy import ANALYSES, CachePolicy, EnginePolicy, resolve_analysis
 from repro.engine.scheduler import (
     BatchPlan,
@@ -45,7 +37,6 @@ from repro.engine.session import EditSession
 
 __all__ = [
     "ANALYSES",
-    "BatchExecutor",
     "BatchPlan",
     "BatchResult",
     "BatchStats",
@@ -53,13 +44,9 @@ __all__ = [
     "EditSession",
     "EnginePolicy",
     "EngineStats",
-    "ParallelExecutor",
     "PointsToEngine",
     "QuerySpec",
-    "SequentialExecutor",
     "as_spec",
-    "default_parallelism",
-    "make_executor",
     "plan_batch",
     "resolve_analysis",
 ]

@@ -7,10 +7,9 @@ Sections 1 and 5.3) actually needs:
 * ``engine.query(v)`` / ``engine.query_name(m, v)`` — single demand
   queries, by PAG node or by name;
 * ``engine.query_batch(vs)`` — the batch path: requests are deduplicated,
-  ordered for summary-cache warmth, executed (sequentially or on a
-  thread pool, per the policy's ``parallelism`` — answers are memo-pure,
-  so parallelism is only a cost lever), and fanned back out in request
-  order, with per-batch stats mirroring the Figure 4/5 protocol;
+  ordered for summary-cache warmth, executed one after another on the
+  calling thread, and fanned back out in request order, with per-batch
+  stats mirroring the Figure 4/5 protocol;
 * ``engine.alias(a, b)`` — may-alias queries;
 * ``engine.run_client(cls)`` — a whole client workload through the batch
   path;
@@ -25,10 +24,9 @@ Sections 1 and 5.3) actually needs:
 
 Which analysis runs, its budget, and whether the summary cache is
 unbounded or LRU-capped are all decided by the engine's immutable
-:class:`~repro.engine.policy.EnginePolicy`.  The engine is the seam later
-scaling work (sharded caches, async batch execution, multi-process
-serving) builds on: callers own sessions and policies, never analysis
-internals.
+:class:`~repro.engine.policy.EnginePolicy`.  The engine is the seam the
+multi-process serving tiers build on: callers own sessions and policies,
+never analysis internals.
 """
 
 from contextlib import nullcontext
@@ -38,7 +36,6 @@ from repro.analysis.dynsum import DynSum
 from repro.analysis.incremental import IncrementalAnalysisSession
 from repro.analysis.ppta import active_traversal_impl, traversal_impl
 from repro.cfl.stacks import EMPTY_STACK
-from repro.engine.executor import SequentialExecutor
 from repro.engine.policy import EnginePolicy
 from repro.engine.scheduler import (
     BatchResult,
@@ -201,9 +198,10 @@ class PointsToEngine:
 
         A pinned ``policy.traversal_impl`` is applied around each
         execution rather than mutated globally at construction, so two
-        engines with different pins coexist in one process (sequential
-        use — the underlying selection is process-global, like
-        :func:`~repro.analysis.ppta.traversal_impl` itself).
+        engines with different pins coexist in one process as long as
+        one thread drives them — the underlying selection is
+        process-global, like :func:`~repro.analysis.ppta.traversal_impl`
+        itself.
         """
         if self.policy.traversal_impl is None:
             return nullcontext()
@@ -245,51 +243,21 @@ class PointsToEngine:
             self.incomplete_total += 1
         return result
 
-    def _resolve_executor(self, parallelism=None):
-        """The executor for one batch (``parallelism`` overrides policy).
-
-        A parallel executor is only honoured when the summary store can
-        take concurrent traffic (``concurrent_safe`` — see
-        :class:`~repro.analysis.summaries.ShardedSummaryCache`); engines
-        wrapping an analysis with a plain unsynchronised cache degrade
-        to sequential execution rather than corrupt the store.
-        Cache-less analyses parallelise freely: their per-query state is
-        traversal-local and the base counters are lock-protected.
-        """
-        executor = self.policy.make_executor(parallelism)
-        if executor.parallelism > 1:
-            cache = self.cache
-            if cache is not None and not getattr(cache, "concurrent_safe", False):
-                return SequentialExecutor()
-        return executor
-
-    def query_batch(
-        self, items, context=EMPTY_STACK, dedupe=None, reorder=None, parallelism=None
-    ):
+    def query_batch(self, items, context=EMPTY_STACK, dedupe=None, reorder=None):
         """Answer a batch of queries; results align with request order.
 
-        ``dedupe``/``reorder``/``parallelism`` default to the engine
-        policy.  A ``parallelism > 1`` request (per call or per policy)
-        is honoured only when the summary store can take concurrent
-        traffic — engines whose store is a plain unsynchronised cache
-        (e.g. built via :meth:`wrap` around an existing analysis) run
-        the batch sequentially instead; ``stats.parallelism`` reports
-        the worker count that actually executed.  Batching never
-        changes answers — deduplicated requests
-        share the identical result a sequential run would produce,
-        ordering only decides which traversals find the summary cache
-        warm, and parallel execution (requests are independent, summaries
-        are pure memos) only decides which thread pays for a summary
-        first.  Under a parallel executor the batch-level stats still
-        reconcile exactly (counter updates are lock- or shard-atomic);
-        only each *result's* own ``stats`` deltas may include probes of
-        concurrently running traversals.  Returns a
+        ``dedupe``/``reorder`` default to the engine policy.  The planned
+        traversals run one after another on the calling thread, between
+        the store's ``begin_batch``/``end_batch`` hooks.  Batching never
+        changes answers — deduplicated requests share the identical
+        result a sequential run would produce, and ordering only decides
+        which traversals find the summary cache warm.  Returns a
         :class:`~repro.engine.scheduler.BatchResult` whose ``stats``
-        mirror one batch of the Figure 4/5 protocol.
+        mirror one batch of the Figure 4/5 protocol; each result's own
+        ``stats`` covers exactly its traversal's cache probes.
         """
         dedupe = self.policy.dedupe if dedupe is None else dedupe
         reorder = self.policy.reorder if reorder is None else reorder
-        executor = self._resolve_executor(parallelism)
         pag = self.pag
         analysis = self.analysis
         specs = [as_spec(item, pag, context) for item in items]
@@ -308,10 +276,6 @@ class PointsToEngine:
         summaries_before = len(cache) if cache is not None else 0
         steps_before = analysis.total_steps
         unique_results = [None] * len(plan.unique)
-        ordered_specs = [plan.unique[index] for index in plan.order]
-
-        def run_one(spec):
-            return analysis.points_to(spec.node, spec.context, spec.client)
 
         # Pipelined backends (the remote shared-cache client in
         # CachePolicy(remote_pipeline=True) mode) expose batch hooks:
@@ -327,12 +291,14 @@ class PointsToEngine:
             if begin_batch is not None:
                 begin_batch()
             try:
-                outcomes = executor.map(run_one, ordered_specs)
+                for index in plan.order:
+                    spec = plan.unique[index]
+                    unique_results[index] = analysis.points_to(
+                        spec.node, spec.context, spec.client
+                    )
             finally:
                 if end_batch is not None:
                     end_batch()
-        for index, outcome in zip(plan.order, outcomes):
-            unique_results[index] = outcome
         results = [unique_results[index] for index in plan.assignment]
         complete = sum(1 for r in unique_results if r.complete)
         stats = BatchStats(
@@ -352,7 +318,6 @@ class PointsToEngine:
                 if cache is not None
                 else 0
             ),
-            parallelism=executor.parallelism,
         )
         self.batches_run += 1
         self.queries_answered += plan.n_requests

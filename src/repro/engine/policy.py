@@ -23,12 +23,10 @@ from repro.analysis.stasum import StaSum
 from repro.analysis.summaries import (
     BoundedSummaryCache,
     CostAwareSummaryCache,
-    ShardedSummaryCache,
     SummaryCache,
     check_eviction,
 )
 from repro.cfl.budget import DEFAULT_BUDGET
-from repro.engine.executor import default_parallelism, make_executor
 
 #: Registry of engine-drivable analyses, keyed by their Table 2 names.
 ANALYSES = {
@@ -49,7 +47,7 @@ def resolve_analysis(name):
 
 @dataclass(frozen=True)
 class CachePolicy:
-    """Bounding, partitioning and backend policy for the summary store.
+    """Bounding and backend policy for the summary store.
 
     Both limits ``None`` (the default) selects the paper's unbounded
     :class:`~repro.analysis.summaries.SummaryCache`; setting either picks
@@ -61,14 +59,6 @@ class CachePolicy:
     (:class:`~repro.analysis.summaries.CostAwareSummaryCache`), which
     beats LRU on bounded budgets because summaries record what they cost
     to build.
-
-    ``shards`` partitions the store into that many independently locked
-    shards by the key node's method
-    (:class:`~repro.analysis.summaries.ShardedSummaryCache`) — required
-    for parallel batch execution, and ``shards=1`` is the "just add a
-    lock" configuration.  Left ``None``, the store is unsharded unless
-    the engine's ``parallelism`` forces a concurrency-safe default (one
-    shard per worker).
 
     ``remote`` joins the store to a shared cache service: a tuple of
     ``"host:port"`` addresses, one per shard server, in shard order
@@ -83,7 +73,6 @@ class CachePolicy:
 
     max_entries: Optional[int] = None
     max_facts: Optional[int] = None
-    shards: Optional[int] = None
     eviction: str = "lru"
     #: Size-based admission bound for ``eviction="cost"``: summaries
     #: holding more than this many facts are not cached at all (see
@@ -165,35 +154,9 @@ class CachePolicy:
             return self.remote is not None
         return bool(self.remote_pipeline)
 
-    @property
-    def sharded(self):
-        return self.shards is not None
-
-    def make_store(self, default_shards=None):
-        """Instantiate the configured store.
-
-        ``default_shards`` is the engine's fallback when ``shards`` is
-        unset (its worker count, so parallel engines get a
-        concurrency-safe store by default); it is clamped to the
-        capacity limits, whereas an explicit ``shards`` that the limits
-        cannot feed raises.
-        """
-        shards = self.shards
-        if shards is None and default_shards is not None:
-            shards = max(1, min(
-                default_shards,
-                self.max_entries if self.max_entries is not None else default_shards,
-                self.max_facts if self.max_facts is not None else default_shards,
-            ))
-        if shards is not None:
-            store = ShardedSummaryCache(
-                shards=shards,
-                max_entries=self.max_entries,
-                max_facts=self.max_facts,
-                eviction=self.eviction,
-                admit_facts=self.admit_facts,
-            )
-        elif self.bounded:
+    def make_store(self):
+        """Instantiate the configured store."""
+        if self.bounded:
             if self.eviction == "cost":
                 store = CostAwareSummaryCache(
                     max_entries=self.max_entries,
@@ -235,19 +198,6 @@ class EnginePolicy:
     still-warm summaries — which is what keeps hit rates high when the
     cache is LRU-bounded.  The shipped paper protocols disable both to
     stay faithful to the published query streams.
-
-    ``parallelism`` is the batch executor's worker count: 1 runs batches
-    sequentially (the paper's protocol), ``N > 1`` fans a batch's unique
-    traversals out on a thread pool — answers are memo-pure, so this is
-    purely a cost lever.  ``None`` (the default) defers to the
-    ``REPRO_PARALLELISM`` environment variable (1 when unset), which is
-    how the CI matrix replays the engine tests on a pool.  A parallel
-    engine needs a concurrency-safe summary store, so an unset
-    ``cache.shards`` defaults to one shard per worker; engines given a
-    store that is *not* concurrency-safe (e.g. ``wrap()`` around an
-    existing analysis with a plain cache) degrade parallel batches to
-    sequential execution — ``BatchStats.parallelism`` reports what
-    actually ran.
     """
 
     analysis: str = DynSum.name
@@ -265,7 +215,6 @@ class EnginePolicy:
     #: when ``reorder`` is off (the paper protocols), free when the
     #: store is unbounded.
     warmth_carryover: bool = True
-    parallelism: Optional[int] = None
     #: Which PPTA traversal implementation the engine's queries run
     #: under (``array``/``native``/``reference``).  ``None`` (the
     #: default) leaves the process-global selection alone — ``native``
@@ -300,23 +249,9 @@ class EnginePolicy:
     def analysis_class(self):
         return resolve_analysis(self.analysis)
 
-    def effective_parallelism(self):
-        """The resolved worker count (environment default when unset)."""
-        if self.parallelism is None:
-            return default_parallelism()
-        return max(1, int(self.parallelism))
-
-    def make_executor(self, parallelism=None):
-        """The batch executor (``parallelism`` overrides the policy)."""
-        if parallelism is None:
-            parallelism = self.effective_parallelism()
-        return make_executor(parallelism)
-
     def make_store(self):
-        """The summary store, sharded by default when the policy's
-        parallelism demands a concurrency-safe cache."""
-        workers = self.effective_parallelism()
-        return self.cache.make_store(default_shards=workers if workers > 1 else None)
+        """The summary store the cache policy configures."""
+        return self.cache.make_store()
 
     def analysis_config(self):
         return AnalysisConfig(

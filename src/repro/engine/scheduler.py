@@ -205,8 +205,6 @@ class BatchStats:
     summaries_before: int = 0
     summaries_after: int = 0
     evictions: int = 0
-    #: Worker threads the executor ran the batch on (1 = sequential).
-    parallelism: int = 1
 
     @property
     def n_deduped(self):

@@ -677,7 +677,7 @@ def explore_native(analysis, var, context, pairs, budget):
     """
     cache = analysis.cache
     if type(cache) is not SummaryCache:
-        return False  # bounded/sharded/remote caches stay pure-Python
+        return False  # bounded/cost-aware/remote caches stay pure-Python
     ng = graph_for(analysis.pag)
     if ng is None:
         return False

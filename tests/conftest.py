@@ -1,8 +1,38 @@
 """Shared fixtures: canonical programs used across the test suite."""
 
+import importlib.util
+import pathlib
+import sys
+
 import pytest
 
 from repro import build_pag, parse_program
+
+EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
+
+
+def _example_programs():
+    """Every PIR program shipped in ``examples/`` — each module-level
+    ALL-CAPS source-string constant of each example script."""
+    programs = {}
+    sys.path.insert(0, str(EXAMPLES_DIR))  # examples import one another
+    try:
+        for path in sorted(EXAMPLES_DIR.glob("*.py")):
+            spec = importlib.util.spec_from_file_location(
+                f"_example_{path.stem}", path
+            )
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            for name, value in vars(module).items():
+                if name.isupper() and isinstance(value, str) and "class " in value:
+                    programs[f"{path.stem}:{name}"] = value
+    finally:
+        sys.path.remove(str(EXAMPLES_DIR))
+    return programs
+
+
+#: ``{"<example stem>:<CONSTANT>": source}`` for every shipped example.
+EXAMPLE_PROGRAMS = _example_programs()
 
 #: The paper's Figure 2 program, transcribed into PIR.  Variable and
 #: method names mirror the paper (init == the Vector constructor,

@@ -3,8 +3,11 @@
 Covers the corners the main behavioural suites do not: partially
 balanced contexts, explicit initial contexts, static/virtual dispatch
 mixtures, inheritance dispatch in the PAG, multi-target call sites, and
-the interaction of globals with context clearing.
+the interaction of globals with context clearing, and the cumulative
+counters under threads a host starts itself.
 """
+
+import threading
 
 import pytest
 
@@ -240,3 +243,44 @@ class TestDegenerateQueries:
         ci = ContextInsensitivePta(pag).points_to_name("Main.main", "out")
         cs = NoRefine(pag).points_to_name("Main.main", "out")
         assert ci.objects == cs.objects
+
+
+class TestHostThreads:
+    """An analysis is a public object: a host may call ``points_to``
+    from threads of its own, and the cumulative counters stay exact."""
+
+    N_THREADS = 4
+    ROUNDS = 25
+
+    def test_counters_stay_exact_under_host_threads(self):
+        pag = make_pag(TestChainsThroughEverything.SOURCE)
+        nodes = sorted(pag.local_var_nodes(), key=repr)
+        reference = NoRefine(pag)  # also compiles the PAG's adjacency
+        expected = {node: reference.points_to(node).pairs for node in nodes}
+        analysis = NoRefine(pag)
+        barrier = threading.Barrier(self.N_THREADS)
+        answered = [[] for _ in range(self.N_THREADS)]
+
+        def host_thread(slot):
+            barrier.wait()
+            for _ in range(self.ROUNDS):
+                for node in nodes:
+                    answered[slot].append(analysis.points_to(node))
+
+        threads = [
+            threading.Thread(target=host_thread, args=(slot,))
+            for slot in range(self.N_THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        results = [result for slot in answered for result in slot]
+        assert len(results) == self.N_THREADS * self.ROUNDS * len(nodes)
+        assert analysis.total_queries == len(results)
+        assert analysis.total_steps == sum(result.steps for result in results)
+        assert analysis.incomplete_queries == sum(
+            not result.complete for result in results
+        )
+        for result in results:
+            assert result.pairs == expected[result.query]

@@ -26,6 +26,12 @@ from repro import (
     build_pag,
     parse_program,
 )
+from repro.analysis.summaries import (
+    BoundedSummaryCache,
+    CostAwareSummaryCache,
+    SummaryCache,
+    shard_for_method,
+)
 from repro.api import (
     PROTOCOL_VERSION,
     AliasRequest,
@@ -225,6 +231,31 @@ def _snapshot_payload(pag):
     return SummarySnapshot.capture(engine.cache).to_payload()
 
 
+def _split(total, shards):
+    """``total`` spread over ``shards`` (remainder on the first ones)."""
+    if total is None:
+        return [None] * shards
+    base, extra = divmod(total, shards)
+    return [base + (1 if i < extra else 0) for i in range(shards)]
+
+
+def _as_sharded(payload, shards=2):
+    """A captured payload rewritten in the snapshot-1.1 ``"sharded"``
+    form: entries partitioned by their key node's method, one
+    ``shard_stats`` record per shard, summing to the aggregate."""
+    stats = payload["stats"]
+    per_shard = [dict(stats, entries=0, facts=0) for _ in range(shards)]
+    for entry in payload["entries"]:
+        record = per_shard[shard_for_method(entry["node"].get("method"), shards)]
+        record["entries"] += 1
+        record["facts"] += len(entry["objects"]) + len(entry["boundaries"])
+    for field in ("hits", "misses", "evictions", "invalidated", "approx_bytes",
+                  "max_entries", "max_facts"):
+        for record, part in zip(per_shard, _split(stats[field], shards)):
+            record[field] = part
+    return dict(payload, store="sharded", shards=shards, shard_stats=per_shard)
+
+
 class TestAdversarialSnapshot:
     def test_truncated_json(self):
         with pytest.raises(SnapshotError):
@@ -278,15 +309,12 @@ class TestAdversarialSnapshot:
             SummarySnapshot.from_payload(payload)
 
     def test_sharded_needs_reconciling_shard_stats(self, pag):
-        engine = PointsToEngine(
-            pag, bench_engine_policy(cache=CachePolicy(shards=4))
-        )
-        engine.query_name("Main.main", "s1")
-        payload = SummarySnapshot.capture(engine.cache).to_payload()
+        SummarySnapshot.from_payload(_as_sharded(_snapshot_payload(pag)))
+        payload = _as_sharded(_snapshot_payload(pag))
         del payload["shard_stats"]
         with pytest.raises(SnapshotError):
             SummarySnapshot.from_payload(payload)
-        payload = SummarySnapshot.capture(engine.cache).to_payload()
+        payload = _as_sharded(_snapshot_payload(pag))
         payload["shard_stats"][0]["hits"] += 1
         with pytest.raises(SnapshotError) as info:
             SummarySnapshot.from_payload(payload)
@@ -360,8 +388,7 @@ class TestAdversarialSnapshot:
 STORE_POLICIES = {
     "unbounded": CachePolicy(),
     "bounded": CachePolicy(max_entries=12),
-    "sharded": CachePolicy(shards=4),
-    "sharded-bounded": CachePolicy(shards=4, max_entries=12),
+    "facts-bounded": CachePolicy(max_facts=20),
 }
 
 
@@ -387,8 +414,6 @@ def test_snapshot_round_trip_preserves_everything(pag, policy_name):
     for (_, a), (_, b) in zip(original, round_tripped):
         assert a.objects == b.objects
         assert a.boundaries == b.boundaries
-    if hasattr(store, "shard_snapshots"):
-        assert restored.shard_snapshots() == store.shard_snapshots()
 
     # Answers are preserved: a fresh DYNSUM over the restored store
     # answers identically to one over the original store — and entirely
@@ -402,3 +427,53 @@ def test_snapshot_round_trip_preserves_everything(pag, policy_name):
         assert warm_result.pairs == cold_result.pairs
         assert warm_result.complete == cold_result.complete
         assert warm_result.steps <= cold_result.steps
+
+
+# ----------------------------------------------------------------------
+# snapshot: "sharded" files from earlier builds load as one store
+# ----------------------------------------------------------------------
+SHARDED_SOURCE_POLICIES = {
+    "unbounded": (CachePolicy(), SummaryCache),
+    "bounded-lru": (CachePolicy(max_entries=12), BoundedSummaryCache),
+    "bounded-cost": (
+        CachePolicy(max_entries=12, eviction="cost"),
+        CostAwareSummaryCache,
+    ),
+}
+
+
+@pytest.mark.parametrize("policy_name", sorted(SHARDED_SOURCE_POLICIES))
+def test_sharded_snapshot_restores_as_one_store(pag, policy_name, tmp_path):
+    """A snapshot-1.1 ``"store": "sharded"`` payload restores as one
+    store of the matching class, with the shards' summed caps and the
+    aggregate counters, and warm-starts an engine that answers like a
+    cold one."""
+    policy, store_class = SHARDED_SOURCE_POLICIES[policy_name]
+    source = PointsToEngine(pag, bench_engine_policy(cache=policy))
+    for var in ("s1", "s2", "v1", "c2", "s1"):
+        source.query_name("Main.main", var)
+    payload = _as_sharded(SummarySnapshot.capture(source.cache).to_payload())
+    assert payload.get("eviction", "lru") == source.cache.eviction
+
+    snapshot = SummarySnapshot.loads(json.dumps(payload))
+    store = snapshot.restore(pag)
+    assert type(store) is store_class
+    caps = [record["max_entries"] for record in payload["shard_stats"]]
+    assert store.max_entries == (None if None in caps else sum(caps))
+    assert store.stats_snapshot() == source.cache.stats_snapshot()
+    rewritten = snapshot.to_payload()
+    assert rewritten["store"] != "sharded"
+    assert "shard_stats" not in rewritten
+
+    path = tmp_path / "sharded.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    warm = PointsToEngine(
+        pag, EnginePolicy(max_field_depth=16, warm_start=str(path))
+    )
+    cold = PointsToEngine(pag, EnginePolicy(max_field_depth=16))
+    assert warm.warm_loaded == len(payload["entries"]) > 0
+    for var in ("s1", "s2", "v1", "v2", "c1", "c2"):
+        warm_result = warm.query_name("Main.main", var)
+        cold_result = cold.query_name("Main.main", var)
+        assert warm_result.pairs == cold_result.pairs
+        assert warm_result.complete == cold_result.complete

@@ -13,7 +13,6 @@ processes, real client processes, cross-process invalidation — is
 covered by ``tests/test_shared_cache_proc.py``.
 """
 
-import importlib.util
 import pathlib
 import sys
 from types import SimpleNamespace
@@ -27,6 +26,8 @@ from repro import (
     build_pag,
     parse_program,
 )
+from repro.analysis.ppta import PptaResult
+from repro.analysis.summaries import shard_for_method
 from repro.api.codec import decode_response, encode
 from repro.api.protocol import (
     ErrorResponse,
@@ -45,32 +46,12 @@ from repro.bench.suite import load_benchmark
 from repro.cacheserver.client import RemoteSummaryCache, ShardLink, ShardUnavailable
 from repro.cacheserver.server import ShardServer
 from repro.cacheserver.store import WireSummaryStore
+from repro.cfl.rsm import S1
+from repro.cfl.stacks import EMPTY_STACK
 from repro.clients import SafeCastClient
+from repro.pag.nodes import LocalNode, ObjectNode
 
-EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
-
-
-def _example_programs():
-    """Every PIR program shipped in ``examples/`` (same collection rule
-    as tests/test_parallel_engine.py)."""
-    programs = {}
-    sys.path.insert(0, str(EXAMPLES_DIR))
-    try:
-        for path in sorted(EXAMPLES_DIR.glob("*.py")):
-            spec = importlib.util.spec_from_file_location(
-                f"_cacheserver_example_{path.stem}", path
-            )
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            for name, value in vars(module).items():
-                if name.isupper() and isinstance(value, str) and "class " in value:
-                    programs[f"{path.stem}:{name}"] = value
-    finally:
-        sys.path.remove(str(EXAMPLES_DIR))
-    return programs
-
-
-EXAMPLE_PROGRAMS = _example_programs()
+from conftest import EXAMPLE_PROGRAMS
 
 SRC = """
 class Thing { }
@@ -120,7 +101,6 @@ def remote_policy(servers, **cache_kwargs):
             remote=tuple(s.address for s in servers), remote_timeout=2.0,
             **cache_kwargs,
         ),
-        parallelism=1,
     )
 
 
@@ -256,6 +236,15 @@ class TestShardServerDispatch:
         assert isinstance(response, ErrorResponse)
         assert response.code == "wrong-shard"
 
+    def test_shard_for_method_is_crc32_of_the_name(self):
+        """Every process and every ``PYTHONHASHSEED`` routes a method to
+        the same shard; a method-less key routes like ``""``."""
+        # zlib.crc32(b"A.m") == 3055364652
+        assert [shard_for_method("A.m", n) for n in (1, 2, 3, 5)] == [
+            3055364652 % n for n in (1, 2, 3, 5)
+        ]
+        assert shard_for_method(None, 7) == shard_for_method("", 7) == 0
+
     def test_malformed_payloads_become_typed_errors(self):
         server = self.make_server()
         for line in (
@@ -277,6 +266,64 @@ class TestShardServerDispatch:
         assert "store-level" in response.message
 
 
+class TestRemoteRouting:
+    """The client stub routes every key by its node's method, so one
+    method's summaries (the invalidation unit) live on one shard."""
+
+    N_SHARDS = 4
+
+    @pytest.fixture
+    def fleet(self):
+        servers = [ShardServer(i, self.N_SHARDS).start() for i in range(self.N_SHARDS)]
+        store = RemoteSummaryCache(tuple(s.address for s in servers), timeout=2.0)
+        yield store, servers
+        store.close()
+        for server in servers:
+            server.stop()
+
+    @staticmethod
+    def publish(store, method, name):
+        memo = PptaResult((ObjectNode("o", "Thing", method),), ())
+        store.store(LocalNode(method, name), EMPTY_STACK, S1, memo)
+
+    def test_one_methods_keys_land_on_its_owner(self, fleet):
+        store, servers = fleet
+        for i in range(6):
+            self.publish(store, "A.m", f"v{i}")
+        owner = shard_for_method("A.m", self.N_SHARDS)
+        assert [len(s.store) for s in servers] == [
+            6 if index == owner else 0 for index in range(self.N_SHARDS)
+        ]
+
+    def test_methods_spread_over_the_fleet(self, fleet):
+        store, servers = fleet
+        methods = [f"Class{i}.m" for i in range(32)]
+        for method in methods:
+            self.publish(store, method, "v")
+        owners = [shard_for_method(method, self.N_SHARDS) for method in methods]
+        assert [len(s.store) for s in servers] == [
+            owners.count(index) for index in range(self.N_SHARDS)
+        ]
+        assert len(set(owners)) > 1
+
+    def test_invalidate_reaches_only_the_owner(self, fleet):
+        store, servers = fleet
+        methods = [f"Class{i}.m" for i in range(32)]
+        for method in methods:
+            self.publish(store, method, "v")
+        self.publish(store, "Class0.m", "w")
+        owner = shard_for_method("Class0.m", self.N_SHARDS)
+        sizes = [len(s.store) for s in servers]
+        assert store.invalidate_method("Class0.m") == 2
+        assert [s.store.invalidated for s in servers] == [
+            2 if index == owner else 0 for index in range(self.N_SHARDS)
+        ]
+        assert [len(s.store) for s in servers] == [
+            size - 2 if index == owner else size
+            for index, size in enumerate(sizes)
+        ]
+
+
 # ----------------------------------------------------------------------
 # the client stub + engine: identity under every service condition
 # ----------------------------------------------------------------------
@@ -295,7 +342,7 @@ class TestRemoteEngineIdentity:
 
     def _check_one_program(self, label, source, cluster):
         plain = PointsToEngine(
-            build_pag(parse_program(source)), EnginePolicy(parallelism=1)
+            build_pag(parse_program(source)), EnginePolicy()
         )
         first = PointsToEngine(
             build_pag(parse_program(source)), remote_policy(cluster)
@@ -361,11 +408,10 @@ class TestRemoteEngineIdentity:
             cache=CachePolicy(
                 remote=("127.0.0.1:1", "127.0.0.1:9"), remote_timeout=0.2
             ),
-            parallelism=1,
         )
         engine = PointsToEngine(pag, policy)
         plain = PointsToEngine(
-            build_pag(parse_program(SRC)), EnginePolicy(parallelism=1)
+            build_pag(parse_program(SRC)), EnginePolicy()
         )
         queries = all_locals(plain.pag)
         down = engine.query_batch(queries)
@@ -431,7 +477,7 @@ class TestRemoteEngineIdentity:
         snapshot through store() — write-through — so one snapshot file
         can warm the whole service."""
         pag = build_pag(parse_program(SRC))
-        donor = PointsToEngine(pag, EnginePolicy(parallelism=1))
+        donor = PointsToEngine(pag, EnginePolicy())
         donor.query_batch(all_locals(pag))
         path = tmp_path / "seed.json"
         donor.save_cache(path)
@@ -442,7 +488,6 @@ class TestRemoteEngineIdentity:
                 cache=CachePolicy(
                     remote=tuple(s.address for s in cluster), remote_timeout=2.0
                 ),
-                parallelism=1,
                 warm_start=str(path),
             ),
         )
@@ -482,34 +527,6 @@ class TestEngineWiring:
         assert store.eviction == "lru"
         cost = CachePolicy(remote=("127.0.0.1:1",), max_entries=8, eviction="cost")
         assert cost.make_store().eviction == "cost"
-
-    def test_parallel_engine_gets_concurrency_safe_remote_store(self):
-        policy = EnginePolicy(
-            cache=CachePolicy(remote=("127.0.0.1:1",)), parallelism=4
-        )
-        store = policy.make_store()
-        assert isinstance(store, RemoteSummaryCache)
-        assert store.concurrent_safe  # sharded local tier under the stub
-
-    def test_parallel_remote_engine_matches_sequential(self, cluster):
-        instance = load_benchmark("soot-c", scale=0.3)
-        client = SafeCastClient(instance.pag)
-        sequential = PointsToEngine(instance.pag, bench_engine_policy())
-        _sv, sbatch = client.run_engine(sequential, dedupe=False, reorder=False)
-        parallel = PointsToEngine(
-            instance.pag,
-            EnginePolicy(
-                max_field_depth=16,
-                cache=CachePolicy(
-                    remote=tuple(s.address for s in cluster), remote_timeout=2.0
-                ),
-                parallelism=4,
-            ),
-        )
-        _pv, pbatch = client.run_engine(parallel, dedupe=False, reorder=False)
-        assert pbatch.stats.parallelism == 4
-        for mine, theirs in zip(pbatch.results, sbatch.results):
-            assert canonical(mine) == canonical(theirs)
 
     def test_edit_session_invalidates_through_the_service(self, cluster):
         from repro.ir.parser import parse_program as parse
@@ -554,7 +571,7 @@ class TestServiceSurface:
         # traffic: a repro-serve client must be able to observe where
         # its answers came from.
         pag = build_pag(parse_program(SRC))
-        donor = PointsToEngine(pag, EnginePolicy(parallelism=1))
+        donor = PointsToEngine(pag, EnginePolicy())
         donor.query_batch(all_locals(pag))
         path = tmp_path / "warm.json"
         donor.save_cache(path)
@@ -565,7 +582,6 @@ class TestServiceSurface:
                 cache=CachePolicy(
                     remote=tuple(s.address for s in cluster), remote_timeout=2.0
                 ),
-                parallelism=1,
                 warm_start=str(path),
             ),
         )
@@ -608,7 +624,7 @@ class TestServiceSurface:
         from repro.api.service import PointsToService
 
         engine = PointsToEngine(
-            build_pag(parse_program(SRC)), EnginePolicy(parallelism=1)
+            build_pag(parse_program(SRC)), EnginePolicy()
         )
         service = PointsToService(engine)
         payload = json.loads(
@@ -621,7 +637,7 @@ class TestServiceSurface:
         from repro.api.service import PointsToService
 
         engine = PointsToEngine(
-            build_pag(parse_program(SRC)), EnginePolicy(parallelism=1)
+            build_pag(parse_program(SRC)), EnginePolicy()
         )
         engine.query_name("Helper.make", "u")
         service = PointsToService(engine)
@@ -660,7 +676,7 @@ class TestServiceSurface:
 
         engine = PointsToEngine(
             build_pag(parse_program(SRC)),
-            EnginePolicy(analysis="CIPTA", parallelism=1),
+            EnginePolicy(analysis="CIPTA"),
         )
         service = PointsToService(engine)
         response = decode_response(
@@ -811,7 +827,6 @@ class TestPipelinedRemoteBatches:
 
         policy = EnginePolicy(
             max_field_depth=BENCH_FIELD_DEPTH_LIMIT,
-            parallelism=1,
             cache=CachePolicy(
                 remote=tuple(s.address for s in servers),
                 remote_timeout=2.0,
@@ -849,7 +864,7 @@ class TestPipelinedRemoteBatches:
 
         local = PointsToEngine(
             instance.pag,
-            EnginePolicy(max_field_depth=16, parallelism=1),
+            EnginePolicy(max_field_depth=16),
         )
         _v, local_batch = client.run_engine(local, dedupe=False, reorder=False)
         digest = [canonical(r) for r in local_batch.results]
@@ -1029,7 +1044,7 @@ class TestEpochConsistency:
             build_pag(parse_program(SRC)), remote_policy(cluster)
         )
         plain = PointsToEngine(
-            build_pag(parse_program(SRC)), EnginePolicy(parallelism=1)
+            build_pag(parse_program(SRC)), EnginePolicy()
         )
         queries = all_locals(plain.pag)
         got = engine_c.query_batch(queries)
@@ -1235,7 +1250,7 @@ class TestAsyncServingTier:
 
         instance = load_benchmark("jython", config=GENERATOR_CONFIG)
         local = PointsToEngine(
-            instance.pag, EnginePolicy(max_field_depth=16, parallelism=1)
+            instance.pag, EnginePolicy(max_field_depth=16)
         )
         client = NullDerefClient(instance.pag)
         local.query_batch(client.specs(client.queries()), dedupe=False, reorder=False)

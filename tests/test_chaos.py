@@ -342,11 +342,10 @@ def _warm_engine_against(server):
         cache=CachePolicy(
             remote=(server.address,), remote_timeout=2.0, retry=CHAOS_RETRY
         ),
-        parallelism=1,
     )
     engine = PointsToEngine(pag, policy)
     plain = PointsToEngine(
-        build_pag(parse_program(SRC)), EnginePolicy(parallelism=1)
+        build_pag(parse_program(SRC)), EnginePolicy()
     )
     queries = []
     for qname in sorted(pag.methods()):

@@ -23,7 +23,6 @@ from repro import (
     BoundedSummaryCache,
     CostAwareSummaryCache,
     PointsToEngine,
-    ShardedSummaryCache,
 )
 from repro.analysis.ppta import PptaResult
 from repro.analysis.summaries import entry_cost_score
@@ -103,20 +102,8 @@ class TestMechanics:
         with pytest.raises(ValueError, match="inert"):
             CostAwareSummaryCache()
         with pytest.raises(ValueError, match="inert"):
-            ShardedSummaryCache(shards=2, eviction="cost")
-        with pytest.raises(ValueError, match="inert"):
             CachePolicy(eviction="cost")
         assert CachePolicy(eviction="cost", max_facts=100).bounded
-
-    def test_sharded_cost_store(self):
-        store = ShardedSummaryCache(shards=2, max_entries=4, eviction="cost")
-        assert store.eviction == "cost"
-        clone = store.spawn()
-        assert clone.eviction == "cost"
-        for i in range(8):
-            store.store(node(f"v{i}", method=f"M{i}.m"), EMPTY_STACK, S1,
-                        summary(steps=i, method=f"M{i}.m"))
-        assert len(store) <= 4
 
 
 #: (benchmark, client, max_facts) cells where the sweep found cost-aware

@@ -227,7 +227,6 @@ class TestSnapshotRoundTrip:
             policy = EnginePolicy(
                 analysis=policy.analysis,
                 max_field_depth=policy.max_field_depth,
-                parallelism=1,
                 warm_start=str(path),
             )
             warm = PointsToEngine(fresh, policy)

@@ -2,9 +2,10 @@
 
 The acceptance properties from the engine's design brief:
 
-* ``query_batch`` over the Figure-4 workload produces **identical**
-  points-to sets to sequential queries, while reporting a strictly
-  higher summary-cache hit rate than cold per-query runs;
+* ``query_batch`` over the Figure-4 workload (and over every shipped
+  example program) produces **identical** points-to sets to sequential
+  queries, while reporting a strictly higher summary-cache hit rate
+  than cold per-query runs;
 * a bounded cache honours its size cap without changing any answer.
 """
 
@@ -14,9 +15,11 @@ from repro import (
     AnalysisConfig,
     BoundedSummaryCache,
     CachePolicy,
+    CostAwareSummaryCache,
     DynSum,
     EnginePolicy,
     PointsToEngine,
+    SummaryCache,
     build_pag,
     parse_program,
 )
@@ -26,6 +29,8 @@ from repro.clients import ALL_CLIENTS, SafeCastClient
 from repro.engine import QuerySpec, as_spec, plan_batch, resolve_analysis
 from repro.engine.scheduler import warmth_key
 from repro.util.errors import IRError
+
+from conftest import EXAMPLE_PROGRAMS
 
 SOURCE = """
 class Animal { }
@@ -165,40 +170,6 @@ class TestPolicy:
         assert isinstance(bounded, BoundedSummaryCache)
         assert bounded.max_entries == 4
 
-    def test_cache_policy_shards(self):
-        from repro import ShardedSummaryCache
-
-        store = CachePolicy(shards=4).make_store()
-        assert isinstance(store, ShardedSummaryCache)
-        assert store.n_shards == 4
-        # Auto-sharding from the engine's parallelism clamps to the caps…
-        auto = CachePolicy(max_entries=2).make_store(default_shards=4)
-        assert isinstance(auto, ShardedSummaryCache)
-        assert auto.n_shards == 2
-        # …but an explicit shard count the caps cannot feed is an error.
-        with pytest.raises(ValueError):
-            CachePolicy(max_entries=2, shards=4).make_store()
-
-    def test_engine_policy_parallelism(self, monkeypatch):
-        from repro.engine.executor import (
-            PARALLELISM_ENV,
-            ParallelExecutor,
-            SequentialExecutor,
-        )
-
-        assert isinstance(
-            EnginePolicy(parallelism=1).make_executor(), SequentialExecutor
-        )
-        executor = EnginePolicy(parallelism=3).make_executor()
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.parallelism == 3
-        # Unset parallelism defers to the environment override.
-        monkeypatch.setenv(PARALLELISM_ENV, "2")
-        assert EnginePolicy().effective_parallelism() == 2
-        assert EnginePolicy(parallelism=5).effective_parallelism() == 5
-        monkeypatch.delenv(PARALLELISM_ENV)
-        assert EnginePolicy().effective_parallelism() == 1
-
     def test_engine_per_analysis(self, pag):
         for name in ("DYNSUM", "STASUM", "REFINEPTS", "NOREFINE"):
             engine = PointsToEngine(pag, EnginePolicy(analysis=name))
@@ -271,7 +242,9 @@ class TestEngineBasics:
             PointsToEngine(pag).edit_session()
 
     def test_edit_session_flow(self):
-        engine = PointsToEngine.for_program(parse_program(SOURCE))
+        engine = PointsToEngine.for_program(
+            parse_program(SOURCE), EnginePolicy(cache=CachePolicy(max_entries=64))
+        )
         session = engine.edit_session()
         before = engine.query_name("Main.main", "d")
         steps_before_edit = engine.stats().steps
@@ -279,6 +252,10 @@ class TestEngineBasics:
         report = session.edit("Kennel.put", lambda method: None)
         assert session.edit_count == 1
         assert report.migrated > 0
+        # The migrated store keeps the capacity policy.
+        assert type(engine.cache) is BoundedSummaryCache
+        assert engine.cache.max_entries == 64
+        assert report.migrated == len(engine.cache)
         after = engine.query_name("Main.main", "d")
         assert sorted(repr(o) for o in after.objects) == sorted(
             repr(o) for o in before.objects
@@ -296,6 +273,125 @@ class TestEngineBasics:
         assert engine.stats().steps == 0
         engine.query_name("Main.main", "c")
         assert 0 < engine.stats().steps < analysis.total_steps
+
+
+class _HookedCache(SummaryCache):
+    """A plain store with batch hooks that log the probes (hits plus
+    misses) and entries the store held when each hook ran."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def begin_batch(self):
+        self.events.append(("begin", self.hits + self.misses, len(self)))
+
+    def end_batch(self):
+        self.events.append(("end", self.hits + self.misses, len(self)))
+
+
+class TestBatchLoop:
+    """``query_batch`` runs its planned traversals one after another on
+    the calling thread, between the store's batch hooks."""
+
+    def test_hooks_bracket_every_traversal(self, pag):
+        cache = _HookedCache()
+        engine = PointsToEngine.wrap(DynSum(pag, cache=cache))
+        batch = engine.query_batch(
+            [("Main.main", "d"), ("Main.main", "c"), ("Kennel.get", "r")]
+        )
+        assert batch.stats.probes > 0
+        assert cache.events == [
+            ("begin", 0, 0),
+            ("end", batch.stats.probes, batch.stats.summaries_after),
+        ]
+
+    def test_failing_traversal_propagates_and_still_ends_the_batch(self, pag):
+        cache = _HookedCache()
+        analysis = DynSum(pag, cache=cache)
+        engine = PointsToEngine.wrap(analysis)
+        answer = analysis.points_to
+        calls = []
+
+        def second_call_fails(node, context, client):
+            calls.append(node)
+            if len(calls) == 2:
+                raise RuntimeError("traversal failed")
+            return answer(node, context, client)
+
+        analysis.points_to = second_call_fails
+        items = [("Main.main", "d"), ("Main.main", "c"), ("Main.main", "rex")]
+        with pytest.raises(RuntimeError, match="traversal failed"):
+            engine.query_batch(items, reorder=False)
+        assert len(calls) == 2  # the loop stops at the failure
+        assert [event for event, _probes, _entries in cache.events] == [
+            "begin", "end",
+        ]
+        assert engine.stats().batches == 0
+        del analysis.points_to
+        batch = engine.query_batch(items, reorder=False)
+        classes = [sorted(o.class_name for o in r.objects) for r in batch]
+        assert classes == [["Dog"], ["Cat"], ["Dog"]]
+        assert engine.stats().batches == 1
+
+    def test_reordered_batch_results_align_with_requests(self, pag):
+        nodes = [
+            pag.find_local("Main.main", "d"),
+            pag.find_local("Kennel.get", "r"),
+            pag.find_local("Main.main", "c"),
+            pag.find_local("Kennel.put", "a"),
+            pag.find_local("Main.main", "rex"),
+        ]
+        batch = PointsToEngine(pag).query_batch(nodes, dedupe=False, reorder=True)
+        assert batch.stats.reordered
+        assert [result.query for result in batch] == nodes
+        reference = DynSum(pag)
+        for node, result in zip(nodes, batch):
+            assert result.pairs == reference.points_to(node).pairs, node
+
+    def test_second_batch_reports_deltas_over_a_warm_store(self, pag):
+        engine = PointsToEngine(pag)
+        nodes = sorted(
+            pag.local_var_nodes(), key=lambda n: (str(n.method), str(n.name))
+        )
+        first = engine.query_batch(nodes)
+        second = engine.query_batch(nodes)
+        store = engine.cache.stats_snapshot()
+        assert first.stats.summaries_before == 0
+        assert second.stats.summaries_before == first.stats.summaries_after
+        assert second.stats.summaries_after == len(engine.cache)
+        assert first.stats.probes + second.stats.probes == store.probes
+        assert first.stats.cache_hits + second.stats.cache_hits == store.hits
+        assert second.stats.steps < first.stats.steps
+        assert engine.stats().steps == first.stats.steps + second.stats.steps
+        for cold, warm in zip(first.results, second.results):
+            assert warm.pairs == cold.pairs
+
+    def test_cacheless_analysis_batches_without_store_traffic(self, pag):
+        engine = PointsToEngine(pag, EnginePolicy(analysis="NOREFINE"))
+        assert engine.cache is None
+        batch = engine.query_batch([("Main.main", "d"), ("Main.main", "c")])
+        stats = batch.stats
+        assert (stats.cache_hits, stats.cache_misses, stats.evictions) == (0, 0, 0)
+        assert (stats.summaries_before, stats.summaries_after) == (0, 0)
+        assert stats.steps == engine.analysis.total_steps > 0
+        classes = [sorted(o.class_name for o in r.objects) for r in batch]
+        assert classes == [["Dog"], ["Cat"]]
+
+    def test_edit_session_keeps_a_cost_aware_policy(self):
+        engine = PointsToEngine.for_program(
+            parse_program(SOURCE),
+            EnginePolicy(cache=CachePolicy(max_entries=64, eviction="cost")),
+        )
+        before = engine.query_name("Main.main", "d")
+        report = engine.edit_session().edit("Kennel.put", lambda method: None)
+        cache = engine.cache
+        assert type(cache) is CostAwareSummaryCache
+        assert cache.eviction == "cost"
+        assert cache.max_entries == 64
+        assert report.migrated == len(cache) > 0
+        after = engine.query_name("Main.main", "d")
+        assert {repr(o) for o in after.objects} == {repr(o) for o in before.objects}
 
 
 def _workload(instance, client_cls):
@@ -370,3 +466,71 @@ class TestAcceptance:
                 query.node(instance.pag), client=client.predicate(query)
             )
             assert result.pairs == expected.pairs, query
+
+    @pytest.mark.parametrize(
+        "cache",
+        [
+            CachePolicy(),
+            CachePolicy(max_entries=32),
+            CachePolicy(max_entries=32, eviction="cost"),
+        ],
+        ids=["plain", "bounded", "cost-aware"],
+    )
+    def test_per_result_probe_stats_sum_to_batch(self, figure4_instance, cache):
+        """Each result's own ``stats`` counts its traversal's cache
+        probes alone: over a ``dedupe=False`` batch they sum to the
+        batch's probe deltas."""
+        instance = figure4_instance
+        client, queries = _workload(instance, SafeCastClient)
+        engine = PointsToEngine(
+            instance.pag, EnginePolicy(max_field_depth=16, cache=cache)
+        )
+        _verdicts, batch = engine.run_client(client, queries, dedupe=False)
+        stats = batch.stats
+        assert len(batch.results) == stats.n_unique == len(queries)
+        assert stats.cache_hits > 0 and stats.cache_misses > 0
+        # The batch's deltas are the store's own totals: the engine was
+        # fresh, and nothing else probed.
+        assert stats.probes == engine.cache.stats_snapshot().probes
+        assert stats.summaries_before == 0
+        assert stats.summaries_after == len(engine.cache)
+        assert sum(r.stats["cache_hits"] for r in batch.results) == stats.cache_hits
+        assert (
+            sum(r.stats["cache_misses"] for r in batch.results)
+            == stats.cache_misses
+        )
+
+
+#: Stores for the example-program battery.  The caps are tiny, so the
+#: bounded stores evict on every shipped example.
+EXAMPLE_CACHES = {
+    "plain": CachePolicy(),
+    "bounded": CachePolicy(max_entries=2),
+    "cost-aware": CachePolicy(max_entries=2, eviction="cost"),
+}
+
+
+class TestExamplePrograms:
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_PROGRAMS))
+    @pytest.mark.parametrize("cache", sorted(EXAMPLE_CACHES))
+    def test_batch_equals_sequential_on_example(self, cache, name):
+        """Over every query a shipped example admits, a batch (dedupe,
+        reorder, shared store, evictions) answers element-wise like
+        one-at-a-time queries on a fresh unbounded analysis."""
+        pag = build_pag(parse_program(EXAMPLE_PROGRAMS[name]))
+        workload = sorted(
+            pag.local_var_nodes(), key=lambda n: (str(n.method), str(n.name))
+        )
+        assert workload  # every shipped example has local variables
+        engine = PointsToEngine(pag, EnginePolicy(cache=EXAMPLE_CACHES[cache]))
+        batch = engine.query_batch(workload)
+        reference = DynSum(pag, engine.analysis.config)
+        assert len(batch) == len(workload)
+        for node, result in zip(workload, batch.results):
+            expected = reference.points_to(node)
+            assert result.pairs == expected.pairs, node
+            assert result.complete == expected.complete, node
+        cap = engine.cache.max_entries
+        if cap is not None:
+            assert len(engine.cache) <= cap
+            assert batch.stats.evictions > 0

@@ -68,13 +68,6 @@ def test_ide_session():
     assert "safe" in out
 
 
-def test_parallel_batch():
-    out = run_example("parallel_batch.py")
-    assert "identical answers: yes" in out
-    assert "shard stats" in out
-    assert "reconciled" in out
-
-
 def test_client_comparison():
     out = run_example("client_comparison.py", "luindex")
     assert "SafeCast" in out

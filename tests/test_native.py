@@ -204,9 +204,8 @@ class TestStatsPlumbing:
 
     @pytest.mark.parametrize(
         "cache",
-        [CachePolicy(max_entries=64), CachePolicy(max_entries=64, eviction="cost"),
-         CachePolicy(shards=2)],
-        ids=["bounded", "cost-aware", "sharded"],
+        [CachePolicy(max_entries=64), CachePolicy(max_entries=64, eviction="cost")],
+        ids=["bounded", "cost-aware"],
     )
     def test_unmirrored_stores_report_why(self, cache):
         """The kernel mirrors only the plain ``SummaryCache``; any other
@@ -214,7 +213,7 @@ class TestStatsPlumbing:
         (a kernelless host reports its binding reason first)."""
         engine = PointsToEngine(
             make_pag(),
-            EnginePolicy(traversal_impl="native", cache=cache, parallelism=1),
+            EnginePolicy(traversal_impl="native", cache=cache),
         )
         for node in list(engine.pag.local_var_nodes())[:3]:
             engine.query(node)
@@ -225,11 +224,9 @@ class TestStatsPlumbing:
         assert engine.stats().native_unavailable == want
 
     def test_stats_response_carries_the_fields(self):
-        # parallelism=1 keeps the plain store the kernel mirrors, so a
+        # The default plain store is the one the kernel mirrors, so a
         # host with a kernel reports no reason.
-        engine = PointsToEngine(
-            make_pag(), EnginePolicy(traversal_impl="native", parallelism=1)
-        )
+        engine = PointsToEngine(make_pag(), EnginePolicy(traversal_impl="native"))
         for node in list(engine.pag.local_var_nodes())[:3]:
             engine.query(node)
         response = PointsToService(engine).handle(StatsRequest())
@@ -265,7 +262,6 @@ class TestPopulatedCaches:
             EnginePolicy(
                 traversal_impl=impl,
                 max_field_depth=16,
-                parallelism=1,
                 warm_start=warm_start,
             ),
         )
@@ -299,7 +295,7 @@ class TestPopulatedCaches:
         path = str(tmp_path / "cache.json")
         seed = PointsToEngine.for_program(
             generate_program(self.CONFIG),
-            EnginePolicy(max_field_depth=16, parallelism=1),
+            EnginePolicy(max_field_depth=16),
         )
         client = SafeCastClient(seed.pag)
         seed.query_batch(client.specs(client.queries()))
@@ -337,9 +333,6 @@ class Main {
         program.write_text(self.PROGRAM, encoding="utf-8")
         src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
         env = dict(os.environ)
-        # A single-worker host: a worker-count override would shard the
-        # store, which the kernel does not mirror.
-        env.pop("REPRO_PARALLELISM", None)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         env.update(env_overrides)
         proc = subprocess.Popen(

@@ -44,7 +44,6 @@ def make_engine(impl, warm_start=None):
         EnginePolicy(
             traversal_impl=impl,
             max_field_depth=16,
-            parallelism=1,
             warm_start=warm_start,
         ),
     )

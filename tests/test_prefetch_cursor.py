@@ -79,7 +79,7 @@ def assert_local_answers(engine, queries):
     """Run one batch; its answers must equal a local engine's."""
     key = tuple(queries)
     if key not in LOCAL:
-        local = PointsToEngine(program_pag(), EnginePolicy(parallelism=1))
+        local = PointsToEngine(program_pag(), EnginePolicy())
         LOCAL[key] = [canonical(r) for r in local.query_batch(queries)]
     assert [canonical(r) for r in engine.query_batch(queries)] == LOCAL[key]
 
@@ -88,7 +88,6 @@ def remote_engine(addresses):
     return PointsToEngine(
         program_pag(),
         EnginePolicy(
-            parallelism=1,
             cache=CachePolicy(remote=tuple(addresses), remote_timeout=5.0),
         ),
     )
@@ -316,7 +315,7 @@ class TestCursorlessSenders:
                 server.stop()
 
     def test_points_to_service_keeps_full_dumps(self):
-        served = PointsToEngine(program_pag(), EnginePolicy(parallelism=1))
+        served = PointsToEngine(program_pag(), EnginePolicy())
         served.query_batch(QUERIES)
         server = AsyncLineServer(
             PointsToService(served).handle_line, dispatch_workers=1

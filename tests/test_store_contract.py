@@ -4,11 +4,12 @@ The engine treats every :class:`~repro.analysis.summaries
 .SummaryBackend` as interchangeable — ``lookup``/``store``/``spawn``/
 ``invalidate_method``/``entries_by_recency``/``stats_snapshot`` with
 exactly reconciling accounting.  This suite runs the same battery
-against every local backend (unbounded, LRU-bounded, cost-aware,
-sharded, bounded-sharded) **and** the remote-backed store stub over
-live in-process shard servers, so no backend's surface can silently
-drift: a method added to the base contract fails here until every
-backend grows it.
+against every local backend (unbounded, LRU-bounded, cost-aware)
+**and** the remote-backed store stub over live in-process shard
+servers — on the threaded and the asyncio transport, and over each
+local-tier policy — so no backend's surface can silently drift: a
+method added to the base contract fails here until every backend grows
+it.
 """
 
 import pytest
@@ -16,44 +17,63 @@ import pytest
 from repro import (
     BoundedSummaryCache,
     CostAwareSummaryCache,
-    ShardedSummaryCache,
     SummaryCache,
 )
 from repro.analysis.ppta import PptaResult
 from repro.analysis.summaries import SummaryStore
+from repro.cacheserver.aserver import AsyncShardServer
 from repro.cacheserver.client import RemoteSummaryCache
 from repro.cacheserver.server import ShardServer
 from repro.cfl.rsm import S1, S2
 from repro.cfl.stacks import EMPTY_STACK
 from repro.pag.nodes import LocalNode, ObjectNode
 
+def _bounded():
+    return BoundedSummaryCache(max_entries=64, max_facts=4096)
+
+
+def _cost():
+    return CostAwareSummaryCache(max_entries=64, max_facts=4096)
+
+
 #: name -> (factory, is_lru): caps are generous enough that the battery
 #: never evicts, so accounting assertions hold for every variant alike.
 STORE_VARIANTS = {
-    "unbounded": (lambda: SummaryCache(), False),
-    "bounded": (lambda: BoundedSummaryCache(max_entries=64, max_facts=4096), True),
-    "cost": (lambda: CostAwareSummaryCache(max_entries=64, max_facts=4096), True),
-    "sharded": (lambda: ShardedSummaryCache(shards=4), False),
-    "sharded-bounded": (
-        lambda: ShardedSummaryCache(shards=4, max_entries=64, max_facts=4096),
-        True,
-    ),
-    "remote": (None, False),  # built per test over fresh shard servers
+    "unbounded": (SummaryCache, False),
+    "bounded": (_bounded, True),
+    "cost": (_cost, True),
 }
 
+#: Remote-backed variants, each built per test over two fresh shard
+#: servers: name -> (server class, local-tier factory, is_lru).
+#: ``remote-async`` runs on the asyncio tier ``repro-cached`` serves by
+#: default; the bounded ones carry the local tier that
+#: ``CachePolicy(remote=..., max_entries=...)`` wraps.
+REMOTE_VARIANTS = {
+    "remote": (ShardServer, SummaryCache, False),
+    "remote-async": (AsyncShardServer, SummaryCache, False),
+    "remote-bounded": (ShardServer, _bounded, True),
+    "remote-cost": (ShardServer, _cost, True),
+}
 
-@pytest.fixture(params=sorted(STORE_VARIANTS), ids=sorted(STORE_VARIANTS))
+VARIANT_NAMES = sorted([*STORE_VARIANTS, *REMOTE_VARIANTS])
+
+
+@pytest.fixture(params=VARIANT_NAMES, ids=VARIANT_NAMES)
 def variant(request):
-    factory, is_lru = STORE_VARIANTS[request.param]
-    if request.param == "remote":
-        servers = [ShardServer(i, 2).start() for i in range(2)]
-        store = RemoteSummaryCache(tuple(s.address for s in servers), timeout=2.0)
-        yield store, is_lru
-        store.close()
-        for server in servers:
-            server.stop()
+    if request.param in STORE_VARIANTS:
+        factory, is_lru = STORE_VARIANTS[request.param]
+        yield factory(), is_lru
         return
-    yield factory(), is_lru
+    server_class, local_factory, is_lru = REMOTE_VARIANTS[request.param]
+    servers = [server_class(i, 2).start() for i in range(2)]
+    store = RemoteSummaryCache(
+        tuple(s.address for s in servers), local=local_factory(), timeout=2.0
+    )
+    yield store, is_lru
+    store.close()
+    for server in servers:
+        server.stop()
 
 
 # PAG nodes compare by identity (the PAG interns them); the battery
@@ -125,9 +145,7 @@ class TestContract:
         assert len(clone) == 0
         assert clone.max_entries == store.max_entries
         assert clone.max_facts == store.max_facts
-        assert clone.concurrent_safe == store.concurrent_safe
-        if isinstance(store, ShardedSummaryCache):
-            assert clone.n_shards == store.n_shards
+        assert clone.eviction == store.eviction
 
     def test_invalidate_method_drops_exactly_its_keys(self, variant):
         store, _lru = variant
@@ -152,8 +170,6 @@ class TestContract:
         hottest = [key for key, _ in store.entries_by_recency(hottest_first=True)]
         assert len(coldest) == len(hottest) == len(store) == 5
         assert set(coldest) == set(hottest)
-        # All keys share one method, hence (for sharded stores) one
-        # shard, so the two directions are exact mirrors.
         assert hottest == list(reversed(coldest))
 
     def test_lru_recency_follows_lookups(self, variant):
@@ -230,20 +246,16 @@ class TestContract:
             hottest_first=False
         ):
             clone.store(key_node, stack, state, memo)
-        if isinstance(store, ShardedSummaryCache):
-            clone.restore_counters(store.shard_snapshots())
-        else:
-            clone.restore_counters(store.stats_snapshot())
+        clone.restore_counters(store.stats_snapshot())
         assert clone.stats_snapshot() == store.stats_snapshot()
 
 
 @pytest.mark.parametrize(
     "mirror_factory",
     [
-        lambda: ShardedSummaryCache(shards=2),
         lambda: RemoteSummaryCache(("127.0.0.1:1",)),  # never connected
     ],
-    ids=["sharded", "remote"],
+    ids=["remote"],
 )
 def test_mirrors_cover_the_summary_store_surface(mirror_factory):
     """Every public attribute of the base contract must exist on every
@@ -252,6 +264,6 @@ def test_mirrors_cover_the_summary_store_surface(mirror_factory):
     public = [name for name in vars(SummaryStore) if not name.startswith("_")]
     public += ["__len__", "__contains__", "hits", "misses", "evictions",
                "invalidated", "stats_snapshot", "bind_pag", "eviction",
-               "concurrent_safe", "has_room", "promote", "spawn"]
+               "has_room", "promote", "spawn"]
     missing = [name for name in public if not hasattr(mirror, name)]
     assert not missing, f"{type(mirror).__name__} lacks {missing}"

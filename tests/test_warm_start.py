@@ -13,7 +13,9 @@ from dataclasses import replace
 import pytest
 
 from repro import (
+    BoundedSummaryCache,
     CachePolicy,
+    CostAwareSummaryCache,
     EnginePolicy,
     PointsToEngine,
     SnapshotError,
@@ -25,7 +27,7 @@ from repro.bench.suite import load_benchmark
 from repro.clients import ALL_CLIENTS
 from repro.util.errors import IRError
 
-from test_parallel_engine import EXAMPLE_PROGRAMS
+from conftest import EXAMPLE_PROGRAMS
 
 
 def _query_nodes(pag):
@@ -104,21 +106,42 @@ def test_figure4_workload_warm_start(figure4_instance, client_cls, tmp_path):
     assert warm_batch.stats.hit_rate >= cold_batch.stats.hit_rate
 
 
-def test_warm_start_into_sharded_store(tmp_path):
+def test_warm_start_into_bounded_store(tmp_path):
     """The snapshot is store-shape-agnostic: saved from an unbounded
-    cache, replayed into a sharded (or bounded) one — the policy of the
-    *new* engine wins, answers never change."""
+    cache, replayed into a bounded one — the policy of the *new* engine
+    wins, answers never change."""
     pag = build_pag(parse_program(EXAMPLE_PROGRAMS[sorted(EXAMPLE_PROGRAMS)[0]]))
     items = _query_nodes(pag)
     cold, cold_batch, warm, warm_batch, snapshot = _run_cold_and_warm(
-        pag, items, tmp_path, warm_cache_kwargs={"shards": 4}
+        pag, items, tmp_path, warm_cache_kwargs={"max_entries": 4096}
     )
-    assert warm.cache.n_shards == 4
+    assert type(warm.cache) is BoundedSummaryCache
+    assert warm.cache.max_entries == 4096
     assert warm.warm_loaded == len(snapshot.entries)
     for cold_result, warm_result in zip(cold_batch.results, warm_batch.results):
         assert warm_result.pairs == cold_result.pairs
     assert warm_batch.stats.steps < cold_batch.stats.steps
 
+
+def test_warm_start_into_a_cost_aware_store_below_the_snapshot(tmp_path):
+    """Replayed into a cost-aware store whose cap is below the
+    snapshot's size, the new engine's policy still wins: the cap holds,
+    evictions absorb the overflow, and no answer changes."""
+    pag = build_pag(parse_program(EXAMPLE_PROGRAMS[sorted(EXAMPLE_PROGRAMS)[0]]))
+    items = _query_nodes(pag)
+    cold, cold_batch, warm, warm_batch, snapshot = _run_cold_and_warm(
+        pag, items, tmp_path,
+        warm_cache_kwargs={"max_entries": 4, "eviction": "cost"},
+    )
+    assert type(warm.cache) is CostAwareSummaryCache
+    assert warm.cache.eviction == "cost"
+    assert len(snapshot.entries) > 4
+    assert warm.warm_loaded == len(snapshot.entries)
+    assert len(warm.cache) <= 4
+    assert warm.cache.evictions > 0
+    for cold_result, warm_result in zip(cold_batch.results, warm_batch.results):
+        assert warm_result.pairs == cold_result.pairs
+        assert warm_result.complete == cold_result.complete
 
 def test_warm_start_skips_entries_of_a_different_program(tmp_path):
     """Program drift between save and restart: unresolvable entries are

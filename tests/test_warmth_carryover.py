@@ -44,7 +44,6 @@ def _engine(carryover, max_entries=3):
         build_pag(parse_program(_program())),
         EnginePolicy(
             cache=CachePolicy(max_entries=max_entries),
-            parallelism=1,
             warmth_carryover=carryover,
         ),
     )
@@ -112,11 +111,11 @@ class TestEngineCarryover:
         # carryover lever must be exactly free.
         on = PointsToEngine(
             build_pag(parse_program(_program())),
-            EnginePolicy(parallelism=1, warmth_carryover=True),
+            EnginePolicy(warmth_carryover=True),
         )
         off = PointsToEngine(
             build_pag(parse_program(_program())),
-            EnginePolicy(parallelism=1, warmth_carryover=False),
+            EnginePolicy(warmth_carryover=False),
         )
         for _ in range(2):
             batch_on = on.query_batch(QUERIES)
