@@ -780,6 +780,26 @@ class CostAwareSummaryCache(BoundedSummaryCache):
         if len(self._heap) > 2 * len(self._rank) + 64:
             self._heap = sorted(self._rank.values())
 
+    def cost_state(self, keys):
+        """The inflation clock and the priorities of the resident
+        ``keys``, in the caller's order — what a snapshot records so a
+        restored store evicts like this one."""
+        rank = self._rank
+        return self._clock, [rank[key][0] for key in keys]
+
+    def adopt_cost_state(self, clock, priorities):
+        """Re-apply a recorded clock and ``(key, priority)`` pairs after
+        a snapshot replay.  Keys no longer resident are ignored; each
+        entry keeps the stamp the replay gave it, so ties still break
+        by recency.  The clock never moves backwards."""
+        rank = self._rank
+        for key, priority in priorities:
+            record = rank.get(key)
+            if record is not None:
+                rank[key] = (priority, record[1], key)
+        self._heap = sorted(rank.values())
+        self._clock = max(self._clock, clock)
+
 
 #: Known capacity-eviction policies (see :class:`CostAwareSummaryCache`).
 EVICTION_POLICIES = ("lru", "cost")

@@ -89,14 +89,17 @@ from repro.engine.scheduler import BatchStats
 #: ``batch-stored``, the ``epoch_rejections``/``reconnects``/
 #: ``seeded_entries`` counters on the remote stats, and the optional
 #: transport-level ``id`` envelope key the async tier echoes for
-#: request multiplexing.  1.3 added ``csr_warm`` on ``stats-result``
-#: (a snapshot-borne CSR traversal image was adopted at warm start);
-#: 1.2 added the batched store-level ops (``batch-lookup``/
-#: ``batch-store``/``batch-invalidate``/``fetch-methods``) that
-#: amortise round trips, plus ``round_trips``/``prefetched`` on the
-#: remote stats; 1.1 added the store-level ops
-#: (``lookup``/``store``/``store-stats``) and the warm-start/remote
-#: counters on ``stats-result``; 1.0 traffic decodes unchanged.
+#: request multiplexing.  1.3 added a ``stats-result`` flag for a
+#: snapshot-borne CSR traversal image adopted at warm start; snapshots
+#: no longer carry images, so the flag is withdrawn and not sent
+#: (responses ignore unknown fields, so a peer that still sends it
+#: decodes fine).  1.2 added the batched store-level ops
+#: (``batch-lookup``/``batch-store``/``batch-invalidate``/
+#: ``fetch-methods``) that amortise round trips, plus
+#: ``round_trips``/``prefetched`` on the remote stats; 1.1 added the
+#: store-level ops (``lookup``/``store``/``store-stats``) and the
+#: warm-start/remote counters on ``stats-result``; 1.0 traffic decodes
+#: unchanged.
 PROTOCOL_VERSION = "1.7"
 
 
@@ -601,9 +604,7 @@ class StatsResponse:
     cache-less analyses.
 
     ``warm_loaded``/``warm_skipped`` report snapshot warm-start
-    provenance, and ``csr_warm`` whether the warm start also adopted a
-    snapshot-borne CSR traversal image (so the engine never recompiled
-    its graph); ``remote`` is the client-side shared-cache accounting
+    provenance; ``remote`` is the client-side shared-cache accounting
     (:class:`RemoteStoreStats`) or null when the engine's store is
     purely local.
 
@@ -628,7 +629,6 @@ class StatsResponse:
     cache: Optional[CacheStats] = None
     warm_loaded: int = 0
     warm_skipped: int = 0
-    csr_warm: bool = False
     remote: Optional[RemoteStoreStats] = None
     traversal_impl: str = "fast"
     native_unavailable: Optional[str] = None

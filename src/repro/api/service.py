@@ -296,7 +296,6 @@ class PointsToService:
             cache=stats.cache,
             warm_loaded=stats.warm_loaded,
             warm_skipped=stats.warm_skipped,
-            csr_warm=stats.csr_warm,
             remote=stats.remote,
             traversal_impl=stats.traversal_impl,
             native_unavailable=stats.native_unavailable,
@@ -505,15 +504,6 @@ def main(argv=None):
         help="write a summary snapshot to PATH on EOF",
     )
     parser.add_argument(
-        "--save-csr",
-        action="store_true",
-        help=(
-            "embed the compiled CSR traversal image in the --save-cache "
-            "snapshot (binary container); a later --warm-start maps it "
-            "zero-copy and skips graph recompilation"
-        ),
-    )
-    parser.add_argument(
         "--traversal-impl",
         choices=sorted(TRAVERSAL_IMPLS),
         default=None,
@@ -521,8 +511,6 @@ def main(argv=None):
         "(default: the process default)",
     )
     args = parser.parse_args(argv)
-    if args.save_csr and args.save_cache is None:
-        parser.error("--save-csr requires --save-cache")
 
     try:
         engine = _build_engine(args)
@@ -607,13 +595,13 @@ def main(argv=None):
         return status
     if args.save_cache is not None:
         try:
-            snapshot = engine.save_cache(args.save_cache, csr=args.save_csr)
+            snapshot = engine.save_cache(args.save_cache)
         except (WireError, IRError, OSError) as exc:
             print(f"repro-serve: {exc}", file=sys.stderr)
             return 2
         print(
             f"repro-serve: saved {len(snapshot.entries)} summaries "
-            f"{'+ CSR image ' if args.save_csr else ''}to {args.save_cache}",
+            f"to {args.save_cache}",
             file=sys.stderr,
         )
     return 0

@@ -15,7 +15,15 @@ every local store class (:class:`~repro.analysis.summaries.SummaryCache`,
   replaying them through ``store()`` reconstructs the LRU order exactly;
 * the **capacity policy** (``max_entries``/``max_facts``/``eviction``)
   and the lifetime counters of
-  :class:`~repro.analysis.summaries.CacheStats`.
+  :class:`~repro.analysis.summaries.CacheStats`;
+* for a cost-aware store, its **eviction state** — the inflation clock
+  and each entry's priority — so the restored store picks the same
+  victims as the original.
+
+A snapshot has one on-disk form: its canonical JSON text.  The binary
+``RSNP`` container that earlier builds could write (the JSON plus a
+serialized CSR image) is refused with a typed error that says to
+re-save; traversal images are always compiled from the live PAG.
 
 Files written by earlier builds may say ``"store": "sharded"`` and carry
 per-shard ``shard_stats``.  They are still validated (the shard stats
@@ -33,8 +41,7 @@ the program may have drifted since the save.
 """
 
 import json
-import mmap
-import struct
+import math
 
 from repro.analysis.ppta import PptaResult
 from repro.analysis.summaries import (
@@ -55,7 +62,10 @@ from repro.util.errors import IRError
 #: added two optional fields: per-entry ``steps`` (the recomputation
 #: cost cost-aware eviction ranks by) and a top-level ``eviction``
 #: policy name; 1.0 snapshots load unchanged (steps default to 0).
-SNAPSHOT_VERSION = "1.1"
+#: 1.2 adds the optional top-level ``cost`` object of a cost-aware
+#: store (``clock`` and one ``priorities`` value per entry); 1.0/1.1
+#: files load as before, with priorities recomputed on replay.
+SNAPSHOT_VERSION = "1.2"
 
 _KIND = "summary-snapshot"
 
@@ -255,23 +265,22 @@ class SummarySnapshot:
     Build with :meth:`capture` (from a live store) or :meth:`loads` /
     :meth:`from_payload` (from serialized form — both validate
     structure, version, and stats/entry reconciliation).  Turn back into
-    a store with :meth:`restore` (exact store class, policy, recency and
-    counters) or feed an existing store with :meth:`load_into` (warm
-    start).
+    a store with :meth:`restore` (exact store class, policy, recency,
+    eviction state and counters) or feed an existing store with
+    :meth:`load_into` (warm start).
     """
 
-    __slots__ = ("store_kind", "stats", "entries", "eviction", "csr")
+    __slots__ = ("store_kind", "stats", "entries", "eviction", "cost")
 
-    def __init__(self, store_kind, stats, entries, eviction="lru"):
+    def __init__(self, store_kind, stats, entries, eviction="lru", cost=None):
         self.store_kind = store_kind
         self.stats = stats
         self.entries = entries
         self.eviction = eviction
-        #: Optional :class:`repro.pag.csr.CsrSection` — present when the
-        #: snapshot was read from a binary container that carries a
-        #: compiled traversal image (see :func:`save_store` /
-        #: :func:`load_snapshot`).  Not part of the JSON payload.
-        self.csr = None
+        #: ``(clock, priorities)`` of a cost-aware store — its inflation
+        #: clock and one priority per entry, aligned with ``entries`` —
+        #: or ``None`` (other stores, and cost-aware files before 1.2).
+        self.cost = cost
 
     # ------------------------------------------------------------------
     # capture
@@ -297,18 +306,21 @@ class SummarySnapshot:
                 f"cannot snapshot a {type(store).__name__}; expected one of "
                 "SummaryCache, BoundedSummaryCache, CostAwareSummaryCache"
             )
+        # Coldest-first, so replaying store() rebuilds recency order.
+        resident = list(store.entries_by_recency(hottest_first=False))
         entries = [
             entry_to_wire(node, stack, state, summary)
-            # Coldest-first, so replaying store() rebuilds recency order.
-            for (node, stack, state), summary in store.entries_by_recency(
-                hottest_first=False
-            )
+            for (node, stack, state), summary in resident
         ]
+        cost = None
+        if isinstance(store, CostAwareSummaryCache):
+            cost = store.cost_state(key for key, _summary in resident)
         return cls(
             store_kind,
             store.stats_snapshot(),
             entries,
             eviction=getattr(store, "eviction", "lru"),
+            cost=cost,
         )
 
     # ------------------------------------------------------------------
@@ -325,6 +337,9 @@ class SummarySnapshot:
         }
         if self.eviction != "lru":
             payload["eviction"] = self.eviction
+        if self.cost is not None:
+            clock, priorities = self.cost
+            payload["cost"] = {"clock": clock, "priorities": priorities}
         return payload
 
     def dumps(self):
@@ -412,7 +427,8 @@ class SummarySnapshot:
                         f"shard stats do not reconcile: aggregate {name}="
                         f"{total} but the shards sum to {per_shard}"
                     )
-        return cls(store_kind, stats, entries, eviction=eviction)
+        cost = _cost_from_wire(payload.get("cost"), eviction, len(entries))
+        return cls(store_kind, stats, entries, eviction=eviction, cost=cost)
 
     # ------------------------------------------------------------------
     # restore
@@ -435,7 +451,8 @@ class SummarySnapshot:
 
         With ``strict`` (the default) every entry must resolve and fit —
         the exact round-trip guarantee; ``strict=False`` skips entries
-        whose nodes no longer exist.  Lifetime counters are restored
+        whose nodes no longer exist.  Lifetime counters (and a cost-aware
+        store's eviction state, see :meth:`load_into`) are restored
         either way, so ``stats_snapshot()`` of a strict round-trip equals
         the saved one.
         """
@@ -454,7 +471,13 @@ class SummarySnapshot:
         (coldest-first, preserving recency), resolving node references
         against ``pag``.  Returns ``(loaded, skipped)``; counters of the
         target store are left alone — a warm start is new traffic, not
-        resumed accounting."""
+        resumed accounting.
+
+        When both the snapshot and ``store`` are cost-aware, the
+        recorded clock and the loaded entries' priorities are re-applied
+        after the replay, so the store evicts as the original would."""
+        adopt = self.cost is not None and isinstance(store, CostAwareSummaryCache)
+        adopted = []
         loaded = skipped = 0
         for i, entry in enumerate(self.entries):
             resolved = self._resolve_entry(pag, entry)
@@ -469,6 +492,10 @@ class SummarySnapshot:
             node, stack, state, summary = resolved
             store.store(node, stack, state, summary)
             loaded += 1
+            if adopt:
+                adopted.append(((node, stack, state), self.cost[1][i]))
+        if adopt:
+            store.adopt_cost_state(self.cost[0], adopted)
         return loaded, skipped
 
     @staticmethod
@@ -496,6 +523,37 @@ def _check_snapshot_version(version):
             f"unsupported snapshot_version {version!r} "
             f"(this build reads {SNAPSHOT_VERSION})"
         )
+
+
+def _cost_from_wire(wire, eviction, n_entries):
+    """The validated ``(clock, priorities)`` of a ``cost`` object, or
+    ``None`` when the payload carries none."""
+    if wire is None:
+        return None
+    if eviction != "cost":
+        raise SnapshotError("'cost' is only valid for cost-aware stores")
+    if not isinstance(wire, dict) or set(wire) != {"clock", "priorities"}:
+        raise SnapshotError("'cost' must be an object with 'clock' and 'priorities'")
+    priorities = wire["priorities"]
+    if not isinstance(priorities, list) or len(priorities) != n_entries:
+        raise SnapshotError(
+            f"'cost.priorities' must hold one number per entry ({n_entries})"
+        )
+    numbers = []
+    for value in (wire["clock"], *priorities):
+        number = math.nan
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:  # an int past the float range
+                number = math.inf
+        if not (0 <= number < math.inf):  # also rejects NaN
+            raise SnapshotError(
+                "'cost' values must be finite non-negative numbers, "
+                f"got {type(value).__name__} {str(value)[:32]}"
+            )
+        numbers.append(number)
+    return numbers[0], numbers[1:]
 
 
 def _stats_to_wire(stats):
@@ -581,124 +639,37 @@ def _check_boundary(boundary, path):
 
 # ----------------------------------------------------------------------
 # file convenience — what engine persistence calls
-#
-# Two on-disk forms share one loader:
-#
-# * the historical **JSON text file** (the snapshot payload alone);
-# * the **binary container** — a fixed big-endian header, the same JSON
-#   payload as a section, then a :func:`repro.pag.csr.serialize_csr`
-#   CSR section, 16-byte aligned so the loader can ``mmap`` the file
-#   and hand the traversal arrays out as zero-copy views of the page
-#   cache (no parse, no copy; the kernel shares the pages across
-#   processes warm-starting from the same file).
-#
-# ``load_snapshot`` sniffs the leading magic, so callers never say
-# which form they have.
 # ----------------------------------------------------------------------
-#: Magic + header of the binary container: magic, format major/minor,
-#: JSON section length, CSR section offset and length.  Big-endian —
-#: the *container* framing is portable; only the CSR payload inside is
-#: native-endian (and says so in its own header).
-_CONTAINER_MAGIC = b"RSNP"
-_CONTAINER_HEADER = struct.Struct("!4sHHQQQ")
-_CONTAINER_VERSION = (1, 0)
+#: Leading bytes of the binary snapshot container (the JSON payload
+#: plus a serialized CSR image) that earlier builds wrote.  This build
+#: refuses such files by name.
+_WITHDRAWN_CONTAINER_MAGIC = b"RSNP"
 
 
-def _align16(n):
-    return (n + 15) & ~15
-
-
-def save_store(store, path, csr_image=None):
-    """Snapshot ``store`` and write it to ``path``; returns the
-    :class:`SummarySnapshot`.
-
-    Without ``csr_image`` this writes the canonical JSON text form.
-    With one (a :class:`repro.pag.csr.CsrImage`) it writes the binary
-    container embedding both the JSON payload and the serialized CSR
-    section, which :func:`load_snapshot` maps back zero-copy.
-    """
+def save_store(store, path):
+    """Snapshot ``store`` and write it to ``path`` as canonical JSON
+    text; returns the :class:`SummarySnapshot`."""
     snapshot = SummarySnapshot.capture(store)
-    if csr_image is None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(snapshot.dumps())
-            handle.write("\n")
-        return snapshot
-    from repro.pag.csr import serialize_csr
-
-    json_bytes = snapshot.dumps().encode("utf-8")
-    csr_offset = _align16(_CONTAINER_HEADER.size + len(json_bytes))
-    csr_bytes = serialize_csr(csr_image)
-    header = _CONTAINER_HEADER.pack(
-        _CONTAINER_MAGIC,
-        _CONTAINER_VERSION[0],
-        _CONTAINER_VERSION[1],
-        len(json_bytes),
-        csr_offset,
-        len(csr_bytes),
-    )
-    with open(path, "wb") as handle:
-        handle.write(header)
-        handle.write(json_bytes)
-        handle.write(b"\0" * (csr_offset - _CONTAINER_HEADER.size - len(json_bytes)))
-        handle.write(csr_bytes)
-    return snapshot
-
-
-def _load_container(path):
-    """Map a binary container and validate both sections."""
-    from repro.pag.csr import CsrSection
-
-    try:
-        with open(path, "rb") as handle:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    except (OSError, ValueError) as exc:
-        raise SnapshotError(f"cannot map snapshot {path!r}: {exc}") from None
-    view = memoryview(mapped)
-    size = len(view)
-    if size < _CONTAINER_HEADER.size:
-        raise SnapshotError(f"snapshot {path!r}: truncated container header")
-    magic, major, minor, json_len, csr_offset, csr_len = _CONTAINER_HEADER.unpack_from(
-        view, 0
-    )
-    if major != _CONTAINER_VERSION[0]:
-        raise SnapshotError(
-            f"snapshot {path!r}: unsupported container version {major}.{minor} "
-            f"(this build reads {_CONTAINER_VERSION[0]}.x)"
-        )
-    if _CONTAINER_HEADER.size + json_len > size:
-        raise SnapshotError(f"snapshot {path!r}: truncated JSON section")
-    if csr_offset + csr_len > size or csr_offset < _CONTAINER_HEADER.size + json_len:
-        raise SnapshotError(f"snapshot {path!r}: CSR section out of bounds")
-    try:
-        text = bytes(view[_CONTAINER_HEADER.size : _CONTAINER_HEADER.size + json_len]).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SnapshotError(f"snapshot {path!r}: JSON section not UTF-8: {exc}") from None
-    snapshot = SummarySnapshot.loads(text)
-    # The section validates its own framing (magic, endianness, CRC,
-    # array bounds) and keeps the mapping alive through its buffer ref —
-    # the arrays handed out later are views of the page cache.
-    snapshot.csr = CsrSection(view, csr_offset, csr_len)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(snapshot.dumps())
+        handle.write("\n")
     return snapshot
 
 
 def load_snapshot(path):
-    """Read and validate a snapshot file (JSON text or binary container).
-
-    Container files come back with :attr:`SummarySnapshot.csr` set to
-    the mapped CSR section; JSON files with it ``None``.
-    """
+    """Read and validate a snapshot file."""
     try:
         with open(path, "rb") as handle:
-            head = handle.read(len(_CONTAINER_MAGIC))
+            raw = handle.read()
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path!r}: {exc}") from None
-    if head == _CONTAINER_MAGIC:
-        return _load_container(path)
+    if raw.startswith(_WITHDRAWN_CONTAINER_MAGIC):
+        raise SnapshotError(
+            f"snapshot {path!r} is a binary RSNP container, a format this "
+            "build no longer reads; re-save it with save_cache()"
+        )
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise SnapshotError(f"cannot read snapshot {path!r}: {exc}") from None
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SnapshotError(f"snapshot {path!r} is not UTF-8: {exc}") from None
     return SummarySnapshot.loads(text)

@@ -96,11 +96,6 @@ def token_table():
     return list(_TOKEN_LIST)
 
 
-def field_table():
-    """Snapshot of the field-name table: ``fid -> field``."""
-    return list(_FIELD_LIST)
-
-
 class Stack:
     """An immutable stack (persistent linked list).
 

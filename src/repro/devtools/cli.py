@@ -25,7 +25,7 @@ from repro.devtools.analyzer import (
 from repro.devtools.rules_async import NoBlockingInAsync
 from repro.devtools.rules_err import FailOpenAccounting, TypedErrorDiscipline
 from repro.devtools.rules_hot import HotLoopHygiene
-from repro.devtools.rules_lock import LockDiscipline, ShardLockNesting
+from repro.devtools.rules_lock import LockDiscipline
 from repro.devtools.rules_wire import ProtocolDrift
 
 #: Every shipped rule, in catalogue order.
@@ -33,7 +33,6 @@ ALL_RULES: Dict[str, Rule] = {
     rule.id: rule
     for rule in (
         LockDiscipline(),
-        ShardLockNesting(),
         HotLoopHygiene(),
         NoBlockingInAsync(),
         ProtocolDrift(),

@@ -1,4 +1,4 @@
-"""LOCK001 / LOCK002: the locking discipline rules.
+"""LOCK001: the locking discipline rule.
 
 **LOCK001** — a field declared guarded (a ``# guarded-by: <lock_attr>``
 comment on its ``self.<field> = ...`` line, conventionally in
@@ -13,20 +13,11 @@ comment on its ``self.<field> = ...`` line, conventionally in
 Reads are deliberately out of scope: the codebase's counters are
 documented lock-free monotonic reads, and the GIL makes a stale read
 benign where a lost update is not.
-
-**LOCK002** — in a class that owns a *family* of shard locks
-(``self._locks``), no second shard lock may be acquired while one is
-held: a shard lock is taken one at a time
-(``shard, lock = self._slot(node); with lock:`` or
-``for shard, lock in zip(self._shards, self._locks):``), the
-deadlock-freedom precondition for any code that moves entries *between*
-shards.  No class under ``src/`` owns such a family today; the rule
-keeps the precondition for the next one.
 """
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List
 
 from repro.devtools.analyzer import (
     Finding,
@@ -34,7 +25,6 @@ from repro.devtools.analyzer import (
     Project,
     Rule,
     mutated_self_attr,
-    self_attr_root,
 )
 
 _GUARD_RE = re.compile(r"#\s*guarded-by:\s*([A-Za-z_][A-Za-z0-9_]*)")
@@ -204,154 +194,3 @@ class LockDiscipline(Rule):
             or held_expr == f"self.{lock}"
             or held_expr.endswith(f".{lock}")
         )
-
-
-class ShardLockNesting(Rule):
-    id = "LOCK002"
-    summary = "no second shard lock may be acquired while one is held"
-
-    def check_module(self, module: Module, project: Project) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef) and self._owns_lock_family(node):
-                for func in _class_functions(node):
-                    assert isinstance(
-                        func, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    )
-                    lock_names = self._shard_lock_names(func)
-                    yield from self._walk(
-                        module, node, func, func.body, lock_names, 0
-                    )
-
-    @staticmethod
-    def _owns_lock_family(cls: ast.ClassDef) -> bool:
-        for node in ast.walk(cls):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and target.attr == "_locks"
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        return True
-        return False
-
-    @staticmethod
-    def _shard_lock_names(
-        func: ast.AST,
-    ) -> Set[str]:
-        """Local names that hold one shard lock: targets of
-        ``..., lock = self._slot(...)`` unpacks and of ``for`` loops
-        iterating anything derived from ``self._locks``."""
-        names: Set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign):
-                source = ast.unparse(node.value)
-                if "._slot(" in source or "._locks" in source:
-                    for target in node.targets:
-                        elements = (
-                            target.elts
-                            if isinstance(target, (ast.Tuple, ast.List))
-                            else [target]
-                        )
-                        for element in elements:
-                            if isinstance(
-                                element, ast.Name
-                            ) and "lock" in element.id:
-                                names.add(element.id)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                if "._locks" in ast.unparse(node.iter):
-                    target = node.target
-                    elements = (
-                        target.elts
-                        if isinstance(target, (ast.Tuple, ast.List))
-                        else [target]
-                    )
-                    for element in elements:
-                        if isinstance(
-                            element, ast.Name
-                        ) and "lock" in element.id:
-                            names.add(element.id)
-        return names
-
-    def _is_shard_lock(self, expr: ast.expr, lock_names: Set[str]) -> bool:
-        if isinstance(expr, ast.Name):
-            return expr.id in lock_names
-        source = ast.unparse(expr)
-        return "._locks[" in source
-
-    def _walk(
-        self,
-        module: Module,
-        cls: ast.ClassDef,
-        func: ast.AST,
-        body: List[ast.stmt],
-        lock_names: Set[str],
-        depth: int,
-    ) -> Iterator[Finding]:
-        func_name = getattr(func, "name", "<lambda>")
-        for stmt in body:
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                inner_depth = depth
-                for item in stmt.items:
-                    if self._is_shard_lock(item.context_expr, lock_names):
-                        inner_depth += 1
-                        if inner_depth > 1:
-                            yield Finding(
-                                file=module.relpath,
-                                line=item.context_expr.lineno,
-                                col=item.context_expr.col_offset,
-                                rule=self.id,
-                                message=(
-                                    f"{cls.name}.{func_name} acquires a "
-                                    f"second shard lock "
-                                    f"('{ast.unparse(item.context_expr)}') "
-                                    f"while already holding one"
-                                ),
-                            )
-                yield from self._walk(
-                    module, cls, func, stmt.body, lock_names, inner_depth
-                )
-            elif isinstance(
-                stmt,
-                (ast.For, ast.AsyncFor, ast.While, ast.If, ast.Try),
-            ):
-                for child_body in self._bodies(stmt):
-                    yield from self._walk(
-                        module, cls, func, child_body, lock_names, depth
-                    )
-            elif depth > 0:
-                # ``lock.acquire()`` on a second shard lock while one is
-                # held is the same deadlock precondition without a
-                # ``with``.
-                for node in ast.walk(stmt):
-                    if (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "acquire"
-                        and self._is_shard_lock(node.func.value, lock_names)
-                    ):
-                        yield Finding(
-                            file=module.relpath,
-                            line=node.lineno,
-                            col=node.col_offset,
-                            rule=self.id,
-                            message=(
-                                f"{cls.name}.{func_name} calls acquire() "
-                                f"on a second shard lock "
-                                f"('{ast.unparse(node.func.value)}') while "
-                                f"already holding one"
-                            ),
-                        )
-
-    @staticmethod
-    def _bodies(stmt: ast.stmt) -> Iterator[List[ast.stmt]]:
-        if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While, ast.If)):
-            yield stmt.body
-            yield stmt.orelse
-        elif isinstance(stmt, ast.Try):
-            yield stmt.body
-            for handler in stmt.handlers:
-                yield handler.body
-            yield stmt.orelse
-            yield stmt.finalbody

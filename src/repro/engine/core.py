@@ -77,10 +77,6 @@ class EngineStats:
     #: the store from ``EnginePolicy(warm_start=...)``, zero otherwise.
     warm_loaded: int = 0
     warm_skipped: int = 0
-    #: True when the warm-start snapshot carried a CSR traversal image
-    #: that matched this engine's PAG and was installed zero-copy (the
-    #: array backend then starts without compiling adjacency or CSR).
-    csr_warm: bool = False
     #: Shared-cache provenance: a
     #: :class:`~repro.api.protocol.RemoteStoreStats` when the store is
     #: remote-backed (hit/miss/fallback counters of the service
@@ -143,7 +139,6 @@ class PointsToEngine:
         #: of) the store from ``policy.warm_start``, zero otherwise.
         self.warm_loaded = 0
         self.warm_skipped = 0
-        self.csr_warm = False
         #: Cross-batch warmth statistics (method -> recency stamp) —
         #: the scheduler's carryover input; see ``query_batch``.
         self._method_warmth = {}
@@ -368,45 +363,25 @@ class PointsToEngine:
         Entries that no longer resolve in this engine's PAG are skipped
         — summaries are pure memos, so a partial warm start affects cost
         only.  The store's counters are untouched: warm-started entries
-        answer future probes as hits, which is the whole point.
+        answer future probes as hits, which is the whole point.  The
+        traversal image is compiled from this PAG on the first query,
+        as on a cold start.
         """
-        from repro.api.protocol import SnapshotError
         from repro.api.snapshot import load_snapshot
 
         cache = self._require_cache("warm-start from")
-        snapshot = load_snapshot(path)
-        self.warm_loaded, self.warm_skipped = snapshot.load_into(
+        self.warm_loaded, self.warm_skipped = load_snapshot(path).load_into(
             cache, self.pag, strict=False
         )
-        if snapshot.csr is not None:
-            # A binary container also carries the compiled traversal
-            # image.  When it still matches this PAG, install it as
-            # zero-copy mmap views — the array backend then starts with
-            # no adjacency/CSR compile at all.  A stale image (the
-            # program drifted since the save) is simply dropped, like a
-            # non-resolving summary entry: correctness never depends on
-            # the warm start.
-            try:
-                self.pag.install_csr(snapshot.csr.image_for(self.pag))
-            except SnapshotError:
-                self.csr_warm = False
-            else:
-                self.csr_warm = True
 
-    def save_cache(self, path, csr=False):
+    def save_cache(self, path):
         """Write the summary store to ``path`` as a
-        :class:`~repro.api.snapshot.SummarySnapshot`.
+        :class:`~repro.api.snapshot.SummarySnapshot` (canonical JSON).
         A later engine — same process or the next one — warms from it
-        via ``EnginePolicy(warm_start=path)``.  Returns the snapshot.
-
-        By default this is the canonical JSON text form.  With
-        ``csr=True`` it writes the binary container that additionally
-        embeds this PAG's compiled CSR traversal image, letting the next
-        process mmap the arrays back without recompiling anything."""
+        via ``EnginePolicy(warm_start=path)``.  Returns the snapshot."""
         from repro.api.snapshot import save_store
 
-        cache = self._require_cache("save")
-        return save_store(cache, path, csr_image=self.pag.csr() if csr else None)
+        return save_store(self._require_cache("save"), path)
 
     # ------------------------------------------------------------------
     # maintenance: edits and invalidation
@@ -461,7 +436,6 @@ class PointsToEngine:
             cache=cache.stats_snapshot() if cache is not None else None,
             warm_loaded=self.warm_loaded,
             warm_skipped=self.warm_skipped,
-            csr_warm=self.csr_warm,
             remote=remote_stats() if remote_stats is not None else None,
             traversal_impl=impl,
             native_unavailable=native_unavailable,

@@ -34,9 +34,10 @@ import tempfile
 from typing import List, Optional, Tuple
 
 #: The binding's kernel ABI.  Must equal ``RK_ABI_VERSION`` in
-#: ``kernel.c`` *and* :data:`repro.pag.csr.KERNEL_ABI_VERSION` (the
-#: stamp written into CSR snapshot containers).  Bump all three
-#: together whenever the kernel's view of the image layout changes.
+#: ``kernel.c``; the loader refuses a library that reports another, and
+#: the compiled-library cache keys on it.  Bump both together whenever
+#: the kernel's view of the image layout or the call signatures
+#: changes.
 RK_ABI_VERSION = 1
 
 _I32 = ctypes.c_int32

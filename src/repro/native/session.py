@@ -4,12 +4,11 @@ Two object layers bridge the gap between the pure-Python analyses and
 the C kernel in ``kernel.c``:
 
 * :class:`_NativeGraph` — one per :class:`~repro.pag.csr.CsrImage`,
-  cached on ``image._native``.  Hands the kernel borrowed pointers to
-  the 26 CSR arrays (``array('i')`` copies for mmap images, whose
-  ``memoryview`` rows are read-only and unaddressable through ctypes),
-  plus the token tables and the **sort ranks**: the Python-computed
-  ordinal of every node's ``sort_key`` and every token tuple, which
-  make the kernel's boundary sort order-isomorphic to
+  cached on ``image._native``.  Hands the kernel borrowed pointers into
+  the image's 26 ``array('i')`` CSR buffers (no copy), plus the token
+  tables and the **sort ranks**: the Python-computed ordinal of every
+  node's ``sort_key`` and every token tuple, which make the kernel's
+  boundary sort order-isomorphic to
   :func:`~repro.analysis.ppta._boundary_order` without ever comparing
   Python objects in C.  It also owns the py↔C translation caches for
   hash-consed stacks — both sides intern, so the mapping is a pair of
@@ -38,7 +37,6 @@ from ctypes import POINTER, byref, c_int32, c_int64, cast
 from repro.native.binding import (
     _GRAPH_ERRORS,
     N_ARRAYS,
-    RK_ABI_VERSION,
     availability,
     load_kernel,
 )
@@ -63,16 +61,6 @@ from repro.util.errors import BudgetExceededError
 def _addr(int_array):
     """A ``POINTER(c_int32)`` over an ``array('i')`` buffer."""
     return cast(int_array.buffer_info()[0], _PI32)
-
-
-def _as_int_array(data):
-    """``data`` as an addressable ``array('i')`` (zero-copy when it
-    already is one — the compiled-image case)."""
-    if isinstance(data, array):
-        return data
-    copy = array("i")
-    copy.frombytes(data.tobytes())
-    return copy
 
 
 class _NativeGraph:
@@ -297,18 +285,8 @@ class _NativeGraph:
 
 def _build_graph(lib, image):
     """A :class:`_NativeGraph` over ``image``, or a reason string."""
-    from repro.pag.csr import _ARRAY_NAMES, KERNEL_ABI_VERSION
+    from repro.pag.csr import _ARRAY_NAMES
 
-    abi = getattr(image, "kernel_abi", None)
-    if abi != KERNEL_ABI_VERSION:
-        if abi is None:
-            return "snapshot predates the kernel ABI stamp; regenerate it"
-        return (
-            f"snapshot kernel ABI {abi} does not match this build's "
-            f"{KERNEL_ABI_VERSION}"
-        )
-    if abi != RK_ABI_VERSION:  # csr.py and binding.py must agree
-        return "kernel ABI constants disagree across modules"
     n = image.n_nodes
     if n >= 2 ** 29:  # index * 4 + state must stay in int32
         return f"image too large for the kernel ({n} nodes)"
@@ -316,11 +294,11 @@ def _build_graph(lib, image):
     pointers = (_PI32 * N_ARRAYS)()
     counts = (c_int32 * N_ARRAYS)()
     for i, name in enumerate(_ARRAY_NAMES):
-        buf = _as_int_array(getattr(image, name))
+        buf = getattr(image, name)
         keep.append(buf)
         pointers[i] = _addr(buf)
         counts[i] = len(buf)
-    flags = bytes(image.flags)
+    flags = image.flags
     keep.append(flags)
 
     tokens = image.tokens

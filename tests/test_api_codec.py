@@ -389,6 +389,7 @@ STORE_POLICIES = {
     "unbounded": CachePolicy(),
     "bounded": CachePolicy(max_entries=12),
     "facts-bounded": CachePolicy(max_facts=20),
+    "cost": CachePolicy(max_entries=12, eviction="cost"),
 }
 
 
@@ -414,6 +415,9 @@ def test_snapshot_round_trip_preserves_everything(pag, policy_name):
     for (_, a), (_, b) in zip(original, round_tripped):
         assert a.objects == b.objects
         assert a.boundaries == b.boundaries
+    if isinstance(store, CostAwareSummaryCache):
+        keys = [key for key, _ in original]
+        assert restored.cost_state(keys) == store.cost_state(keys)
 
     # Answers are preserved: a fresh DYNSUM over the restored store
     # answers identically to one over the original store — and entirely
@@ -427,6 +431,108 @@ def test_snapshot_round_trip_preserves_everything(pag, policy_name):
         assert warm_result.pairs == cold_result.pairs
         assert warm_result.complete == cold_result.complete
         assert warm_result.steps <= cold_result.steps
+
+
+def test_restored_cost_aware_store_evicts_like_the_original(pag):
+    """A restored cost-aware store carries the original's inflation
+    clock and priorities, so once its cap bites it evicts the same
+    victims: the next queries cost the same steps on both."""
+    engine = PointsToEngine(
+        pag,
+        bench_engine_policy(cache=CachePolicy(max_entries=12, eviction="cost")),
+    )
+    for var in ("s1", "s2", "v1", "c2", "s1"):
+        engine.query_name("Main.main", var)
+    store = engine.cache
+    restored = SummarySnapshot.loads(
+        SummarySnapshot.capture(store).dumps()
+    ).restore(pag)
+    config = engine.analysis.config
+
+    def steps(cache):
+        analysis = DynSum(pag, config, cache=cache)
+        return [
+            analysis.points_to_name("Main.main", var).steps
+            for var in ("s1", "s2")
+        ]
+
+    assert steps(store) == [69, 72]
+    assert steps(restored) == [69, 72]
+
+
+def test_warm_start_adopts_cost_state_only_into_cost_aware_stores(pag):
+    """``load_into`` re-applies the clock and priorities when both sides
+    are cost-aware; a 1.1 file (no ``cost``) and an LRU target replay
+    entries as before."""
+    source = PointsToEngine(
+        pag,
+        bench_engine_policy(cache=CachePolicy(max_entries=12, eviction="cost")),
+    )
+    for var in ("s1", "s2", "v1", "c2", "s1"):
+        source.query_name("Main.main", var)
+    payload = SummarySnapshot.capture(source.cache).to_payload()
+    assert payload["snapshot_version"] == "1.2"
+    assert len(payload["cost"]["priorities"]) == len(payload["entries"])
+    assert "priority" not in payload["entries"][0]
+    keys = [key for key, _ in source.cache.entries_by_recency(hottest_first=False)]
+
+    target = CostAwareSummaryCache(max_entries=12)
+    SummarySnapshot.from_payload(payload).load_into(target, pag)
+    assert target.cost_state(keys) == source.cache.cost_state(keys)
+
+    legacy = dict(payload, snapshot_version="1.1")
+    del legacy["cost"]
+    target = CostAwareSummaryCache(max_entries=12)
+    SummarySnapshot.from_payload(legacy).load_into(target, pag)
+    assert target.cost_state(keys)[0] == 0.0
+
+    lru = BoundedSummaryCache(max_entries=12)
+    assert SummarySnapshot.from_payload(payload).load_into(lru, pag) == (
+        len(keys),
+        0,
+    )
+
+
+@pytest.mark.parametrize(
+    "make_cost",
+    [
+        lambda n: {"clock": 0.0},
+        lambda n: {"clock": 0.0, "priorities": "all"},
+        lambda n: {"clock": 0.0, "priorities": [0.0] * (n + 1)},
+        lambda n: {"clock": -1.0, "priorities": [0.0] * n},
+        lambda n: {"clock": "x", "priorities": [0.0] * n},
+        lambda n: {"clock": True, "priorities": [0.0] * n},
+        lambda n: {"clock": 0.0, "priorities": [float("nan")] * n},
+        lambda n: {"clock": 10**400, "priorities": [0.0] * n},
+    ],
+    ids=[
+        "missing", "not-array", "misaligned", "negative", "string", "bool",
+        "nan", "huge",
+    ],
+)
+def test_malformed_cost_state_is_a_typed_error(pag, make_cost):
+    source = PointsToEngine(
+        pag,
+        bench_engine_policy(cache=CachePolicy(max_entries=12, eviction="cost")),
+    )
+    source.query_name("Main.main", "s1")
+    payload = SummarySnapshot.capture(source.cache).to_payload()
+    cost = make_cost(len(payload["entries"]))
+    with pytest.raises(SnapshotError, match="cost"):
+        SummarySnapshot.from_payload(dict(payload, cost=cost))
+
+
+def test_cost_state_requires_a_cost_aware_snapshot(pag):
+    source = PointsToEngine(
+        pag, bench_engine_policy(cache=CachePolicy(max_entries=12))
+    )
+    source.query_name("Main.main", "s1")
+    payload = SummarySnapshot.capture(source.cache).to_payload()
+    assert "cost" not in payload
+    priorities = [0.0] * len(payload["entries"])
+    bad = dict(payload, cost={"clock": 0.0, "priorities": priorities})
+    with pytest.raises(SnapshotError, match="only valid for cost-aware"):
+        SummarySnapshot.from_payload(bad)
 
 
 # ----------------------------------------------------------------------

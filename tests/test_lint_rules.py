@@ -127,61 +127,6 @@ class TestLockDiscipline:
 
 
 # ----------------------------------------------------------------------
-# LOCK002
-# ----------------------------------------------------------------------
-SHARD_VIOLATING = """
-    import threading
-
-    class Sharded:
-        def __init__(self, n):
-            self._shards = tuple({} for _ in range(n))
-            self._locks = tuple(threading.Lock() for _ in range(n))
-
-        def _slot(self, key):
-            index = hash(key) % len(self._shards)
-            return self._shards[index], self._locks[index]
-
-        def move(self, a, b):
-            shard, lock = self._slot(a)
-            other, dst_lock = self._slot(b)
-            with lock:
-                with dst_lock:
-                    other.update(shard)
-"""
-
-SHARD_CONFORMING = """
-    import threading
-
-    class Sharded:
-        def __init__(self, n):
-            self._shards = tuple({} for _ in range(n))
-            self._locks = tuple(threading.Lock() for _ in range(n))
-
-        def _slot(self, key):
-            index = hash(key) % len(self._shards)
-            return self._shards[index], self._locks[index]
-
-        def clear(self):
-            for shard, lock in zip(self._shards, self._locks):
-                with lock:
-                    shard.clear()
-"""
-
-
-class TestShardLockNesting:
-    def test_nested_shard_locks_are_flagged(self, tmp_path, capsys):
-        write(tmp_path, "src/shards.py", SHARD_VIOLATING)
-        assert lint(tmp_path, "--rule", "LOCK002") == 1
-        rows = findings_of(capsys)
-        assert len(rows) == 1
-        assert "second shard lock" in rows[0][2]
-
-    def test_one_lock_at_a_time_is_clean(self, tmp_path):
-        write(tmp_path, "src/shards.py", SHARD_CONFORMING)
-        assert lint(tmp_path, "--rule", "LOCK002") == 0
-
-
-# ----------------------------------------------------------------------
 # HOT001 (fixtures live at the registered relpath)
 # ----------------------------------------------------------------------
 HOT_VIOLATING = """
@@ -733,13 +678,11 @@ class TestCliSurface:
         assert lint(tmp_path, "--list-rules") == 0
         out = capsys.readouterr().out
         for rule_id in (
-            "LOCK001", "LOCK002", "HOT001", "ASYNC001", "WIRE001", "ERR001",
-            "ERR002",
+            "LOCK001", "HOT001", "ASYNC001", "WIRE001", "ERR001", "ERR002",
         ):
             assert rule_id in out
         assert set(ALL_RULES) == {
-            "LOCK001", "LOCK002", "HOT001", "ASYNC001", "WIRE001", "ERR001",
-            "ERR002",
+            "LOCK001", "HOT001", "ASYNC001", "WIRE001", "ERR001", "ERR002",
         }
 
     def test_unknown_rule_is_a_usage_error(self, tmp_path):

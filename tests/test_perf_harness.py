@@ -85,6 +85,25 @@ class TestReportShape:
             assert row["faults"] > 0
             assert row["spec"].startswith("seed=")
 
+    def test_warmstart_section_runs_the_default_impl(self, quick_report):
+        from repro.analysis.ppta import active_traversal_impl
+        from repro.native import availability
+
+        section = quick_report["warmstart"]
+        assert set(section) == {
+            "queries", "cold_sec", "warm_sec", "warm_load_sec",
+            "warm_query_sec", "speedup", "query_speedup", "snapshot_bytes",
+            "warm_loaded", "traversal_impl", "native_unavailable",
+            "adjacency_compiles", "csr_compiles",
+        }
+        assert section["traversal_impl"] == active_traversal_impl()
+        native_ok, native_reason = availability()
+        assert section["native_unavailable"] == (None if native_ok else native_reason)
+        assert section["warm_loaded"] > 0
+        assert section["csr_compiles"] == 1
+        assert section["adjacency_compiles"] == 0
+        assert section["speedup"] > 0 and section["query_speedup"] > 0
+
     def test_check_flag_recorded(self, quick_report):
         assert quick_report["checked"] is True
         assert json.dumps(quick_report)  # JSON-serializable end to end
@@ -103,6 +122,18 @@ class TestInvariants:
             ("jython",), ("SafeCast",), rounds=1, reps=1, scale=0.4
         )
         assert section["workloads"][0]["steps"] > 0
+
+    @pytest.mark.parametrize(
+        "compiles", [(0, 0), (2, 0), (1, 1)], ids=["none", "twice", "adjacency"]
+    )
+    def test_warmstart_gate_wants_one_csr_compile(self, compiles):
+        report = TestRatioGates._report(1, 2.0)
+        csr, adjacency = compiles
+        report["warmstart"] = {"csr_compiles": csr, "adjacency_compiles": adjacency}
+        with pytest.raises(PerfCheckError, match="warm start"):
+            _check_report(report)
+        report["warmstart"] = {"csr_compiles": 1, "adjacency_compiles": 0}
+        _check_report(report)
 
     def test_perf_check_error_is_an_assertion(self):
         assert issubclass(PerfCheckError, AssertionError)

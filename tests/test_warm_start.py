@@ -106,6 +106,46 @@ def test_figure4_workload_warm_start(figure4_instance, client_cls, tmp_path):
     assert warm_batch.stats.hit_rate >= cold_batch.stats.hit_rate
 
 
+#: Stores for the warm-start impl differential; the caps are small
+#: enough that the bounded stores evict on the shipped examples.
+WARM_CACHES = {
+    "plain": CachePolicy(),
+    "bounded": CachePolicy(max_entries=4),
+    "cost-aware": CachePolicy(max_entries=4, eviction="cost"),
+}
+
+
+def _answers(results):
+    return [(sorted(map(repr, r.pairs)), r.complete) for r in results]
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_PROGRAMS))
+@pytest.mark.parametrize("cache", sorted(WARM_CACHES))
+def test_warm_start_answers_match_across_impls(cache, name, tmp_path):
+    """One JSON snapshot warm-starts one engine per traversal impl, each
+    over a freshly built PAG (as in a new process): every local gets the
+    same answer and step count under ``array``, ``native`` and
+    ``reference``, and the answers equal the cold engine's."""
+    source = EXAMPLE_PROGRAMS[name]
+    policy = bench_engine_policy(cache=WARM_CACHES[cache])
+    pag = build_pag(parse_program(source))
+    cold = PointsToEngine(pag, policy)
+    cold_answers = _answers([cold.query(node) for node in _query_nodes(pag)])
+    path = tmp_path / "summaries.json"
+    snapshot = cold.save_cache(path)
+    runs = {}
+    for impl in ("array", "native", "reference"):
+        fresh = build_pag(parse_program(source))
+        warm = PointsToEngine(
+            fresh, replace(policy, warm_start=str(path), traversal_impl=impl)
+        )
+        assert warm.warm_loaded == len(snapshot.entries)
+        results = [warm.query(node) for node in _query_nodes(fresh)]
+        runs[impl] = (_answers(results), [r.steps for r in results])
+    assert runs["array"] == runs["native"] == runs["reference"]
+    assert runs["reference"][0] == cold_answers
+
+
 def test_warm_start_into_bounded_store(tmp_path):
     """The snapshot is store-shape-agnostic: saved from an unbounded
     cache, replayed into a bounded one — the policy of the *new* engine
