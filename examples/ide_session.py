@@ -6,10 +6,10 @@ edits".  This example is that scenario end to end, driven entirely
 through the :class:`~repro.engine.core.PointsToEngine` a host would own:
 queries (whole SafeCast workloads, as engine batches) keep flowing while
 an :class:`~repro.engine.session.EditSession` applies method-body edits.
-Each edit drops exactly the summaries it can invalidate (the edited
-method plus any method whose boundary surface changed), migrates the
-rest across the PAG rebuild, and post-edit answers are identical to a
-cold start — only cheaper.
+Each edit patches the program's PAG in place and drops exactly the
+summaries it can invalidate (the edited method plus any method whose
+boundary surface changed); the rest stay resident, and post-edit
+answers are identical to a cold start — only cheaper.
 
 Run with::
 

@@ -4,59 +4,77 @@ The paper motivates DYNSUM for "environments such as JIT compilers and
 IDEs ... especially when the program undergoes constantly a lot of
 changes" (Sections 1, 5.3, 7).  This module supplies the host-side glue
 that scenario needs: an :class:`IncrementalAnalysisSession` owns a
-program, its PAG and a DYNSUM instance, accepts method-body edits, and
-carries every still-valid summary across the rebuild.
+program, its Andersen fixpoint, its PAG and a DYNSUM instance, and
+accepts method-body edits.  An edit costs O(edited method), not
+O(program): the fixpoint, the PAG (node objects and edge dicts) and the
+summary store all survive it.  Only these are touched:
+
+* the edited method's constraints, edges and summaries;
+* the edges the solver's delta changes (call sites that gained targets,
+  methods that became reachable, callers of a method whose returns
+  changed);
+* the summaries of methods whose boundary surface changed.
 
 Correctness rests on three observations:
 
 1. PPTA summaries are *method-local*: every node and object a summary
    mentions belongs to the method of its key (a tested invariant), so a
-   summary survives any edit that leaves its method's body unchanged —
-   **provided** its facts can be re-anchored in the new PAG;
-2. node identity is nominal (``(method, variable)`` for locals,
-   per-method stable labels for objects — see ``Program.finalize``), so
-   re-anchoring is a dictionary lookup;
+   summary survives any edit that leaves its method's body unchanged;
+2. node objects survive the edit — the PAG is patched in place
+   (:meth:`~repro.pag.graph.PAG.replace_method_edges`), so a surviving
+   summary needs no re-anchoring at all;
 3. a summary's *boundary surface* — which of its method's nodes carry
    global edges, and in which direction — depends on the rest of the
    program (an edit elsewhere can add the first call into a method).
-   Summaries of methods whose surface changed are dropped too, since
+   Summaries of methods whose surface changed are invalidated too, since
    their recorded boundary tuples could otherwise miss new crossings.
+   Only methods owning an endpoint of an added or removed global edge
+   can change surface, so only those are re-examined.
 
-Everything else is conservative bookkeeping; answers after an edit are
-identical to a cold start (a property test), only cheaper.
+Two kinds of edit fall back to a full solve, still on the same PAG and
+store (:attr:`EditReport.rebuilt`): one that adds or removes a call
+statement (``Program.finalize`` numbers call sites program-wide, so
+later sites shift), and one that costs the call graph an edge.  Either
+way the patched PAG equals a fresh :func:`~repro.pag.builder.build_pag`
+— the same edge dicts in the same order, hence the same CSR image and
+``pag_fingerprint`` — and answers equal a cold start's (a fuzzed
+property), only cheaper.  A failed edit (the callback or the update
+raises) restores the method body and leaves everything else as it was.
 """
 
 from repro.analysis.base import AnalysisConfig
 from repro.analysis.dynsum import DynSum
-from repro.analysis.ppta import PptaResult
+from repro.callgraph.andersen import AndersenAnalysis, method_constraints
 from repro.ir.builder import MethodBuilder
-from repro.pag.builder import build_pag
+from repro.pag.builder import build_pag, rebuild_edges, regenerate_edges
+from repro.pag.edges import GLOBAL_EDGE_KINDS
 from repro.util.errors import IRError
 
 
 class EditReport:
     """What one edit cost: which methods lost summaries and why.
 
-    ``migrated`` is reconciled against the post-edit store — it counts
-    summaries actually *resident* after the rebuild, so
-    ``migrated == len(new cache)`` and ``migrated + dropped`` equals the
-    old cache's entry count, even when a capacity-bounded spawn cannot
-    admit everything.
+    ``dropped`` counts the summaries the edit invalidated and
+    ``migrated`` those still resident after it, so ``migrated +
+    dropped`` equals the store's entry count before the edit.
+    ``rebuilt`` is true when the edit fell back to a full solve.
     """
 
-    __slots__ = ("edited", "surface_changed", "dropped", "migrated")
+    __slots__ = ("edited", "surface_changed", "dropped", "migrated", "rebuilt")
 
-    def __init__(self, edited, surface_changed, dropped, migrated):
+    def __init__(self, edited, surface_changed, dropped, migrated, rebuilt=False):
         self.edited = tuple(edited)
         self.surface_changed = tuple(surface_changed)
         self.dropped = dropped
         self.migrated = migrated
+        self.rebuilt = rebuilt
 
     def __repr__(self):
         return (
             f"EditReport(edited={list(self.edited)}, "
             f"surface_changed={list(self.surface_changed)}, "
-            f"dropped={self.dropped}, migrated={self.migrated})"
+            f"dropped={self.dropped}, migrated={self.migrated}, "
+            f"rebuilt={self.rebuilt})"
         )
 
 
@@ -81,11 +99,17 @@ class IncrementalAnalysisSession:
         self.program = program
         self.config = config or AnalysisConfig()
         self.pag = build_pag(program)
+        #: The Andersen fixpoint edits patch: solved on the first edit
+        #: and kept from then on, so a session that never edits does
+        #: not hold it.
+        self.solver = None
         #: ``cache`` may be any :class:`~repro.analysis.summaries
         #: .SummaryStore` (e.g. a ``BoundedSummaryCache`` for memory-capped
-        #: hosts); rebuilds migrate into a ``spawn()`` of the same policy.
+        #: hosts); it lives as long as the session.
         self.analysis = DynSum(self.pag, self.config, cache=cache)
-        self._surface = self._boundary_surface(self.pag)
+        self._surface = {
+            qname: _method_surface(self.pag, qname) for qname in self.pag.methods()
+        }
         self.edit_count = 0
 
     # ------------------------------------------------------------------
@@ -111,141 +135,134 @@ class IncrementalAnalysisSession:
         emptied method and appends the new body.  Returns an
         :class:`EditReport`.
         """
-        method = self.program.lookup_method(method_qname)
-        method.statements.clear()
-        build_fn(MethodBuilder(method))
-        return self._after_edit([method_qname])
+
+        def rebuild(method):
+            method.statements.clear()
+            build_fn(MethodBuilder(method))
+
+        return self._edit(method_qname, rebuild)
 
     def edit(self, method_qname, mutate_fn):
         """Arbitrary in-place mutation of a method (``mutate_fn(method)``),
         followed by re-analysis."""
+        return self._edit(method_qname, mutate_fn)
+
+    def _edit(self, method_qname, mutate):
+        """Apply ``mutate`` to the method and update the analysis state.
+        On any exception the body is restored and the PAG, the solver,
+        the store and ``edit_count`` are left as they were."""
         method = self.program.lookup_method(method_qname)
-        mutate_fn(method)
-        return self._after_edit([method_qname])
-
-    def _after_edit(self, edited_methods):
+        if self.solver is None:
+            self.solver = AndersenAnalysis(self.program)
+            self.solver.solve()
+            self.pag.call_graph = self.solver.call_graph  # an equal graph
+        body = [_copy_statement(stmt) for stmt in method.statements]
+        touched = False
+        try:
+            mutate(method)
+            renumbered = self.program.refinalize(method)
+            if not renumbered:
+                self.program.finalize()
+            method_constraints(method)  # rejects unknown statements first
+            touched = True
+            report = self._update(method_qname, not renumbered)
+        except BaseException:
+            method.statements[:] = body
+            self.program.finalize()
+            if touched:
+                self._resolve()
+            raise
         self.edit_count += 1
-        self.program.finalize()
-        new_pag = build_pag(self.program)
-        new_surface = self._boundary_surface(new_pag)
+        return report
 
-        surface_changed = {
-            qname
-            for qname in set(self._surface) | set(new_surface)
-            if self._surface.get(qname) != new_surface.get(qname)
-            and qname not in edited_methods
-        }
-        drop = set(edited_methods) | surface_changed
+    def _resolve(self):
+        """Solve afresh and re-derive every edge on the kept PAG."""
+        self.solver = AndersenAnalysis(self.program)
+        self.solver.solve()
+        rebuild_edges(self.pag, self.solver.call_graph)
 
-        old_cache = self.analysis.cache
-        stored_keys = []
-        dropped = 0
-        # Invalidate the stale methods *through* the store, not just by
-        # skipping them during migration: a backend shared beyond this
-        # process (repro.cacheserver's remote store) must tell the owning
-        # shard server, or other clients would keep fetching summaries of
-        # the pre-edit body.  For local stores this is the same drop the
-        # skip performed, with identical accounting.
-        for qname in sorted(drop):
-            dropped += old_cache.invalidate_method(qname)
-        # Spawn *after* the invalidations: each invalidate bumps the
-        # method's consistency epoch, and the spawn carries the epochs
-        # forward — the post-edit cache must publish at the post-edit
-        # epochs or a shared shard server would refuse its stores as
-        # stale (protocol 1.4).
-        new_cache = old_cache.spawn()
-        # Migration writes land in the process-local store only: for a
-        # remote-backed cache that is the read-through tier — every
-        # surviving summary was already published when first computed,
-        # so write-through here would pay one blocking round-trip per
-        # entry to re-store what the shard servers already hold.
-        migration_target = getattr(new_cache, "local_tier", new_cache)
-        # Hottest-first: when the spawn is capacity-bounded, the most
-        # recently useful summaries claim the room and the cold tail is
-        # skipped outright (`has_room`) instead of being stored and then
-        # churned back out by eviction.
-        for (node, stack, state), summary in old_cache.entries_by_recency(
-            hottest_first=True
-        ):
-            # Entries of dropped methods are already gone: the
-            # invalidation loop above removed them from old_cache (and
-            # counted them) before this iteration started.
-            moved = self._migrate_entry(new_pag, node, stack, state, summary)
-            if moved is None:
-                dropped += 1
-                continue
-            new_node, new_summary = moved
-            if not new_cache.has_room(new_node, new_summary.size):
-                dropped += 1
-                continue
-            migration_target.store(new_node, stack, state, new_summary)
-            stored_keys.append((new_node, stack, state))
-        # Hottest-first insertion leaves recency inverted in the new
-        # store; promote coldest-to-hottest so LRU order matches reality.
-        for key in reversed(stored_keys):
-            new_cache.promote(key)
-        # Reconcile the report against the new store: only entries
-        # actually resident after migration count as migrated.
-        migrated = sum(1 for key in stored_keys if key in new_cache)
-        dropped += len(stored_keys) - migrated
-
-        self.pag = new_pag
-        self.analysis = DynSum(new_pag, self.config, cache=new_cache)
-        self._surface = new_surface
-        return EditReport(edited_methods, sorted(surface_changed), dropped, migrated)
-
-    # ------------------------------------------------------------------
-    # migration machinery
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _boundary_surface(pag):
-        """Per-method fingerprint of which nodes touch global edges.
-
-        Node *names* are used (identity is per-PAG); local edges of
-        un-edited methods cannot change, so a stable fingerprint means
-        stale summaries cannot miss a boundary crossing.
-        """
-        surface = {}
-        for qname in pag.methods():
-            entries = frozenset(
-                (getattr(node, "name", node.method), pag.has_global_in(node), pag.has_global_out(node))
-                for node in pag.nodes_of_method(qname)
-                if node.is_local_var
+    def _update(self, qname, calls_changed):
+        pag = self.pag
+        delta = None if calls_changed else self.solver.update(qname)
+        if delta is None:
+            self._resolve()
+            examine = set(self._surface) | set(pag.methods())
+        else:
+            call_graph = self.solver.call_graph
+            regenerate = set(delta.methods)
+            regenerate.update(call_graph.caller_of_site(site) for site in delta.sites)
+            if delta.returns_changed:
+                regenerate.update(
+                    call_graph.caller_of_site(site)
+                    for site in call_graph.call_sites_into(qname)
+                )
+            if call_graph.is_reachable(qname):
+                regenerate.add(qname)
+            removed, added = (
+                regenerate_edges(pag, sorted(regenerate)) if regenerate else ([], [])
             )
-            surface[qname] = entries
-        return surface
+            examine = set(delta.methods)
+            for sig in removed + added:
+                if sig[0] in GLOBAL_EDGE_KINDS:
+                    examine.update((sig[1].method, sig[-1].method))
+            examine.discard(None)
+        surface_changed = set()
+        for method in examine:
+            surface = _method_surface(pag, method)
+            if surface != self._surface.get(method, frozenset()):
+                if method != qname:
+                    surface_changed.add(method)
+                if surface:
+                    self._surface[method] = surface
+                else:
+                    self._surface.pop(method, None)
+        # Invalidate *through* the store: each invalidation bumps the
+        # method's consistency epoch, and a backend shared beyond this
+        # process (repro.cacheserver's remote store) tells the owning
+        # shard, so other clients stop fetching pre-edit summaries.
+        cache = self.analysis.cache
+        dropped = sum(
+            cache.invalidate_method(method) for method in sorted(surface_changed | {qname})
+        )
+        # Re-bind: a remote store re-fingerprints the edited PAG and
+        # fetches everything again; local stores ignore it.
+        cache.bind_pag(pag)
+        return EditReport(
+            [qname], sorted(surface_changed), dropped, len(cache), rebuilt=delta is None
+        )
 
-    def _migrate_entry(self, new_pag, node, stack, state, summary):
-        """Re-anchor one cache entry in ``new_pag`` or return ``None``."""
-        new_node = self._find_node(new_pag, node)
-        if new_node is None:
-            return None
-        objects = []
-        for obj in summary.objects:
-            moved = self._find_object(new_pag, obj)
-            if moved is None:
-                return None
-            objects.append(moved)
-        boundaries = []
-        for bnode, bstack, bstate in summary.boundaries:
-            moved = self._find_node(new_pag, bnode)
-            if moved is None:
-                return None
-            boundaries.append((moved, bstack, bstate))
-        return new_node, PptaResult(objects, boundaries, steps=summary.steps)
 
-    @staticmethod
-    def _find_node(new_pag, node):
-        if not node.is_local_var:
-            return None
-        try:
-            return new_pag.find_local(node.method, node.name)
-        except IRError:
-            return None
+def _method_surface(pag, qname):
+    """Which of ``qname``'s locals touch global edges, by name."""
+    return frozenset(
+        (node.name, pag.has_global_in(node), pag.has_global_out(node))
+        for node in pag.nodes_of_method(qname)
+        if node.is_local_var
+    )
 
-    @staticmethod
-    def _find_object(new_pag, obj):
-        try:
-            return new_pag.object_node(obj.object_id)
-        except IRError:
-            return None
+
+#: Statement class -> its slot names, for :func:`_copy_statement`.
+_SLOTS = {}
+
+
+def _copy_statement(stmt):
+    """A detached copy of ``stmt`` (its ``args`` list included), for
+    restoring a body after a failed edit."""
+    cls = type(stmt)
+    slots = _SLOTS.get(cls)
+    if slots is None:
+        slots = _SLOTS[cls] = [
+            name for klass in cls.__mro__ for name in getattr(klass, "__slots__", ())
+        ]
+    clone = cls.__new__(cls)
+    for name in slots:
+        value = getattr(stmt, name, _UNSET)
+        if value is not _UNSET:
+            setattr(clone, name, list(value) if type(value) is list else value)
+    state = getattr(stmt, "__dict__", None)
+    if state:
+        clone.__dict__.update(state)
+    return clone
+
+
+_UNSET = object()

@@ -98,9 +98,8 @@ class SummaryBackend:
 
     * **the cache protocol** — :meth:`lookup`, :meth:`store`,
       :meth:`invalidate_method`, :meth:`clear` (Algorithm 4's surface
-      plus the IDE edit hook);
-    * **capacity cooperation** — :meth:`has_room`, :meth:`promote`,
-      :meth:`spawn` (what summary migration after an edit needs);
+      plus the IDE edit hook; an edit invalidates through the live
+      store, which outlives it);
     * **introspection** — :meth:`entries`, :meth:`entries_by_recency`,
       ``len()``, ``in``, :meth:`summary_point_count`,
       :meth:`total_facts`, :meth:`approx_bytes`, :meth:`stats_snapshot`,
@@ -142,8 +141,8 @@ class SummaryBackend:
     # write-throughs from clients that have not observed an edit yet —
     # stale summaries are rejected at the wire instead of silently
     # overwriting fresher ones.  Epochs are *version* state, not cache
-    # content: ``clear()`` keeps them, ``spawn()`` carries them into
-    # the fresh store, and invalidating an absent method still bumps.
+    # content: ``clear()`` keeps them, and invalidating an absent
+    # method still bumps.
 
     def method_epoch(self, method_qname):
         """The current consistency epoch of ``method_qname`` (0 if the
@@ -167,8 +166,7 @@ class SummaryBackend:
         return dict(getattr(self, "_method_epochs", None) or {})
 
     def adopt_epochs(self, epochs):
-        """Merge ``epochs`` in, keeping the larger value per method —
-        how :meth:`spawn` carries version state into a fresh store."""
+        """Merge ``epochs`` in, keeping the larger value per method."""
         if not epochs:
             return
         mine = getattr(self, "_method_epochs", None)
@@ -179,31 +177,15 @@ class SummaryBackend:
             if epoch > mine.get(method, 0):
                 mine[method] = epoch
 
-    # -- capacity cooperation -----------------------------------------
-    def has_room(self, node, facts=0):
-        """Would storing a ``facts``-sized summary for ``node`` fit
-        without evicting a resident entry?  Unbounded backends always
-        say yes; capacity-aware callers (summary migration after an
-        edit) use this to *skip* entries instead of churning the store."""
-        return True
-
-    def promote(self, key):
-        """Mark ``key`` most-recently-used without recording a probe."""
-
-    def spawn(self):
-        """A fresh, empty backend with the same policy (capacity,
-        eviction, remote topology)."""
-        raise NotImplementedError
-
     # -- environment hooks --------------------------------------------
     def bind_pag(self, pag):
         """Attach the PAG the backend's summaries are anchored in.
 
-        Called by :class:`~repro.analysis.dynsum.DynSum` on construction
-        (and again after every incremental rebuild).  Local backends
-        store plain node objects and need nothing; a remote backend uses
-        the PAG to resolve wire-form entries it fetches from shard
-        servers.
+        Called by :class:`~repro.analysis.dynsum.DynSum` on construction,
+        and by the incremental session after every edit (the patched PAG
+        has a new fingerprint).  Local backends store plain node objects
+        and need nothing; a remote backend uses the PAG to resolve
+        wire-form entries it fetches from shard servers.
         """
 
     # -- introspection -------------------------------------------------
@@ -280,29 +262,6 @@ class SummaryStore(SummaryBackend):
 
     def _enforce_capacity(self):
         """Evict until within capacity (no-op for unbounded stores)."""
-
-    def promote(self, key):
-        """Mark ``key`` most-recently-used without recording a probe.
-
-        Migration uses this to reconstruct recency order in a freshly
-        spawned store; unlike :meth:`lookup` it never perturbs the
-        hit/miss accounting.
-        """
-        if key in self._entries:
-            self._touch(key)
-
-    def spawn(self):
-        """A fresh, empty store with the same capacity policy.
-
-        Used when a host rebuilds its PAG (see
-        :class:`~repro.analysis.incremental.IncrementalAnalysisSession`)
-        and needs a like-configured cache to migrate summaries into.
-        Consistency epochs ride along — they version the program, not
-        the resident entries.
-        """
-        fresh = type(self)()
-        fresh.adopt_epochs(self.method_epochs())
-        return fresh
 
     # ------------------------------------------------------------------
     # the cache contract (Algorithm 4 lines 5-9 call these)
@@ -567,24 +526,8 @@ class BoundedSummaryCache(SummaryStore):
     def _make_container(self):
         return OrderedDict()
 
-    def spawn(self):
-        fresh = type(self)(max_entries=self.max_entries, max_facts=self.max_facts)
-        fresh.adopt_epochs(self.method_epochs())
-        return fresh
-
     def _touch(self, key):
         self._entries.move_to_end(key)
-
-    def has_room(self, node, facts=0):
-        if not self._entries:
-            # Mirror `_enforce_capacity`'s single-resident-entry
-            # allowance: one pathological summary is always admitted.
-            return True
-        if self.max_entries is not None and len(self._entries) >= self.max_entries:
-            return False
-        if self.max_facts is not None and self._facts + facts > self.max_facts:
-            return False
-        return True
 
     def _over_capacity(self):
         if self.max_entries is not None and len(self._entries) > self.max_entries:
@@ -685,15 +628,6 @@ class CostAwareSummaryCache(BoundedSummaryCache):
         self._rank = {}
         self._heap = []
         self._stamp = 0
-
-    def spawn(self):
-        fresh = type(self)(
-            max_entries=self.max_entries,
-            max_facts=self.max_facts,
-            admit_facts=self.admit_facts,
-        )
-        fresh.adopt_epochs(self.method_epochs())
-        return fresh
 
     def _touch(self, key):
         super()._touch(key)

@@ -357,7 +357,7 @@ class RemoteSummaryCache(SummaryBackend):
     FLUSH_CHUNK = 256
 
     def __init__(self, addresses, local=None, timeout=1.0, retry_interval=None,
-                 pipeline=False, retry=None, fault_schedule=None, _links=None):
+                 pipeline=False, retry=None, fault_schedule=None):
         addresses = tuple(addresses)
         if not addresses:
             raise ValueError("RemoteSummaryCache needs at least one shard address")
@@ -376,31 +376,25 @@ class RemoteSummaryCache(SummaryBackend):
         self.pipeline = pipeline
         self.retry_interval = retry_interval
         self.local_tier = local if local is not None else SummaryCache()
-        if _links is not None:
-            # Spawn path: links (and their injector/breakers — process
-            # state) are shared across generations.
-            self._links = _links
-            self._faults = _links[0].faults if _links else None
-        else:
-            schedule = coerce_schedule(fault_schedule)
-            if schedule is None:
-                schedule = FaultSchedule.from_env()
-            self._faults = (
-                FaultInjector(schedule, side="client")
-                if schedule is not None
-                else None
+        schedule = coerce_schedule(fault_schedule)
+        if schedule is None:
+            schedule = FaultSchedule.from_env()
+        self._faults = (
+            FaultInjector(schedule, side="client")
+            if schedule is not None
+            else None
+        )
+        self._links = tuple(
+            ShardLink(
+                address,
+                timeout=timeout,
+                retry_interval=retry_interval,
+                retry=retry,
+                faults=self._faults,
+                shard_index=index,
             )
-            self._links = tuple(
-                ShardLink(
-                    address,
-                    timeout=timeout,
-                    retry_interval=retry_interval,
-                    retry=retry,
-                    faults=self._faults,
-                    shard_index=index,
-                )
-                for index, address in enumerate(addresses)
-            )
+            for index, address in enumerate(addresses)
+        )
         self._pag = None
         self._fingerprint = None
         self._stats_lock = threading.Lock()
@@ -436,9 +430,7 @@ class RemoteSummaryCache(SummaryBackend):
         self._cursors = [None] * self.n_shards  # guarded-by: _cursor_lock
         self._cursor_resets = [0] * self.n_shards  # guarded-by: _cursor_lock
         # Reconnect-and-seed: each link re-warms a restarted shard from
-        # this client's tier.  Links are shared across spawn
-        # generations; the newest backend (re)binds the hooks, which is
-        # the one whose tier and epochs are current.
+        # this client's tier and epochs.
         for index, link in enumerate(self._links):
             link.seed_provider = self._make_seed_provider(index)
             link.on_seed = self._seed_ack
@@ -631,8 +623,8 @@ class RemoteSummaryCache(SummaryBackend):
         """Drop one method's summaries locally **and** on its owning
         shard server, so other clients observe the edit at their next
         fetch.  Returns the *local* entries dropped — the same
-        process-resident count every other backend reports (edit
-        migration reconciles against it); the remote acknowledgement is
+        process-resident count every other backend reports (an edit's
+        report counts it as ``dropped``); the remote acknowledgement is
         counted in :meth:`remote_stats` (``invalidations`` vs.
         ``invalidation_errors``)."""
         # Bump this client's consistency epoch *first*: everything sent
@@ -912,32 +904,8 @@ class RemoteSummaryCache(SummaryBackend):
                 self._remote[name] = 0
 
     # ------------------------------------------------------------------
-    # capacity cooperation + introspection: the local tier's business
+    # introspection: the local tier's business
     # ------------------------------------------------------------------
-    def has_room(self, node, facts=0):
-        return self.local_tier.has_room(node, facts)
-
-    def promote(self, key):
-        self.local_tier.promote(key)
-
-    def spawn(self):
-        """Same topology (shared links — the service connection is
-        process state), fresh local tier of the same policy.  The
-        spawn carries the consistency epochs forward: a post-edit
-        cache must keep publishing at the post-edit epoch, or the
-        service would refuse everything it stores."""
-        fresh = type(self)(
-            self.addresses,
-            local=self.local_tier.spawn(),
-            timeout=self.timeout,
-            retry_interval=self.retry_interval,
-            pipeline=self.pipeline,
-            retry=self.retry_policy,
-            _links=self._links,
-        )
-        fresh.adopt_epochs(self.method_epochs())
-        return fresh
-
     def entries(self):
         return self.local_tier.entries()
 

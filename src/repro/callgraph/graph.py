@@ -21,6 +21,9 @@ class CallGraph:
         self._targets = {}
         self._callers = {}
         self._site_caller = {}
+        #: caller -> its call sites with at least one target, so the
+        #: method-level successor map is one pass over the sites.
+        self._sites_of = {}
         self._scc_of = None
         self._recursive_sites = None
 
@@ -37,6 +40,7 @@ class CallGraph:
         """Record that call site ``site_id`` (in ``caller``) may invoke
         ``callee``.  Returns True when the edge is new."""
         self._site_caller[site_id] = caller
+        self._sites_of.setdefault(caller, set()).add(site_id)
         targets = self._targets.setdefault(site_id, set())
         if callee in targets:
             return False
@@ -46,6 +50,27 @@ class CallGraph:
         self.add_method(callee)
         self._invalidate()
         return True
+
+    def remove_edge(self, site_id, callee):
+        """Forget that ``site_id`` may invoke ``callee`` (an incremental
+        solver retracting a call).  Reachability is left as it is; a site
+        left without targets is forgotten entirely."""
+        targets = self._targets.get(site_id)
+        if targets is None or callee not in targets:
+            return
+        targets.discard(callee)
+        callers = self._callers[callee]
+        callers.discard(site_id)
+        if not callers:
+            del self._callers[callee]
+        if not targets:
+            del self._targets[site_id]
+            caller = self._site_caller.pop(site_id)
+            sites = self._sites_of[caller]
+            sites.discard(site_id)
+            if not sites:
+                del self._sites_of[caller]
+        self._invalidate()
 
     def _invalidate(self):
         self._scc_of = None
@@ -83,9 +108,8 @@ class CallGraph:
     def method_successors(self, qualified_name):
         """Methods directly called from ``qualified_name``."""
         result = set()
-        for site_id, targets in self._targets.items():
-            if self._site_caller.get(site_id) == qualified_name:
-                result.update(targets)
+        for site_id in self._sites_of.get(qualified_name, ()):
+            result.update(self._targets[site_id])
         return result
 
     # ------------------------------------------------------------------
@@ -93,7 +117,10 @@ class CallGraph:
     # ------------------------------------------------------------------
     def _compute_sccs(self):
         """Iterative Tarjan over the method-level graph."""
-        successors = {m: sorted(self.method_successors(m)) for m in self._reachable}
+        successors = {}
+        for site_id, targets in self._targets.items():
+            successors.setdefault(self._site_caller[site_id], set()).update(targets)
+        successors = {m: sorted(callees) for m, callees in successors.items()}
         index_of = {}
         lowlink = {}
         on_stack = set()

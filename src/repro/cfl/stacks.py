@@ -57,9 +57,9 @@ def intern_token(field, family):
 
 #: Process-global dense ids for interned tokens and field names, used by
 #: the CSR traversal image (:mod:`repro.pag.csr`).  Ids are assigned on
-#: first intern and NEVER reassigned or reset: a PAG rebuild (an
-#: ``edit_session`` edit builds a whole new PAG) or a CSR recompile
-#: reuses the ids it minted before, so compiled images of successive
+#: first intern and NEVER reassigned or reset: a CSR recompile (every
+#: ``edit_session`` edit patches the PAG and lowers it again) or a fresh
+#: PAG reuses the ids minted before, so compiled images of successive
 #: program versions agree on token numbering and the intern tables never
 #: have to be rebuilt alongside the adjacency.
 _TOKEN_IDS = {}

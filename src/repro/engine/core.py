@@ -13,8 +13,9 @@ Sections 1 and 5.3) actually needs:
 * ``engine.alias(a, b)`` — may-alias queries;
 * ``engine.run_client(cls)`` — a whole client workload through the batch
   path;
-* ``engine.edit_session()`` — code edits with summary invalidation and
-  migration (program-backed DYNSUM engines);
+* ``engine.edit_session()`` — code edits that patch the PAG in place and
+  invalidate only the summaries they can stale (program-backed DYNSUM
+  engines);
 * ``engine.stats()`` — a point-in-time snapshot of query, step and cache
   accounting;
 * ``engine.save_cache(path)`` and ``EnginePolicy(warm_start=path)`` —
@@ -65,13 +66,13 @@ class EngineStats:
     batches: int
     deduped: int
     #: Steps/incomplete are accumulated by the engine itself, so they
-    #: survive the analysis-instance swap an edit performs and exclude
-    #: any traffic a wrapped analysis answered before the engine existed.
+    #: exclude any traffic a wrapped analysis answered before the engine
+    #: existed.
     steps: int
     incomplete: int
     edits: int
-    #: Snapshot of the *current* summary store (edits migrate into a
-    #: fresh store, so its probe counters restart per program version).
+    #: Snapshot of the summary store (it outlives edits, so its probe
+    #: counters span every program version).
     cache: object = None
     #: Warm-start provenance: summaries replayed into (skipped out of)
     #: the store from ``EnginePolicy(warm_start=...)``, zero otherwise.
@@ -410,8 +411,8 @@ class PointsToEngine:
         """A point-in-time :class:`EngineStats` snapshot.
 
         Steps and incomplete counts are the engine's own accumulation,
-        so they keep growing across edits (which swap the analysis
-        instance underneath) and never include pre-wrap traffic.
+        so they keep growing across edits and never include pre-wrap
+        traffic.
         """
         cache = self.cache
         remote_stats = getattr(cache, "remote_stats", None)

@@ -5,9 +5,10 @@ constantly a lot of changes" (Sections 1, 5.3, 7).  An
 :class:`EditSession` is how such a host talks to the engine: it applies
 method-body edits through the underlying
 :class:`~repro.analysis.incremental.IncrementalAnalysisSession` (which
-drops exactly the summaries an edit can stale and migrates the rest
-across the PAG rebuild), or cheaply invalidates a method's summaries
-without reparsing anything.  Queries keep flowing through the engine the
+patches the Andersen fixpoint and the PAG in place and invalidates, in
+the live store, exactly the summaries an edit can stale), or cheaply
+invalidates a method's summaries without reparsing anything.  A failed
+edit leaves the engine as it was.  Queries keep flowing through the engine the
 whole time — post-edit answers are identical to a cold start, only
 cheaper, and the session keeps the transcript of what each edit cost.
 """

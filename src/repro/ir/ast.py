@@ -373,7 +373,8 @@ class Program:
         self._finalized = False
         self._methods_by_qname = {}
         self._call_sites = {}
-        self._allocations = []
+        self._method_sites = {}
+        self._allocations = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -393,32 +394,57 @@ class Program:
         """
         self._methods_by_qname = {}
         self._call_sites = {}
-        self._allocations = []
+        self._method_sites = {}
+        self._allocations = {}
         site_id = 0
         for class_name in sorted(self.classes):
             class_def = self.classes[class_name]
             for method_name in class_def.methods:
                 method = class_def.methods[method_name]
                 self._methods_by_qname[method.qualified_name] = method
-                # Object labels are numbered *per method* so that editing
-                # one method never renumbers another's allocations — the
-                # stability incremental re-analysis relies on.
-                object_seq = 0
-                for stmt in method.statements:
-                    if stmt.kind == "call":
-                        site_id += 1
-                        stmt.site_id = site_id
-                        self._call_sites[site_id] = (method, stmt)
-                    elif stmt.kind == "alloc":
-                        object_seq += 1
-                        stmt.object_id = f"o{object_seq}@{method.qualified_name}"
-                        self._allocations.append((method, stmt))
-                    elif stmt.kind == "null":
-                        object_seq += 1
-                        stmt.object_id = f"o{object_seq}@{method.qualified_name}#null"
-                        self._allocations.append((method, stmt))
+                site_id = self._number(method, site_id)
         self._finalized = True
         return self
+
+    def refinalize(self, method):
+        """Re-number one edited method exactly as :meth:`finalize` would,
+        in O(method).  Possible only while the method keeps its number of
+        call statements (otherwise every later site id shifts); returns
+        False and changes nothing when it did not — call
+        :meth:`finalize` then."""
+        self._require_finalized()
+        sites = self._method_sites[method.qualified_name]
+        if sum(1 for stmt in method.statements if stmt.kind == "call") != len(sites):
+            return False
+        self._number(method, sites.start - 1)
+        return True
+
+    def _number(self, method, site_id):
+        """Number ``method``'s call sites after ``site_id`` and its
+        object labels, and index them; returns the last site id used."""
+        qname = method.qualified_name
+        first = site_id + 1
+        allocations = []
+        # Object labels are numbered *per method* so that editing one
+        # method never renumbers another's allocations — the stability
+        # incremental re-analysis relies on.
+        object_seq = 0
+        for stmt in method.statements:
+            if stmt.kind == "call":
+                site_id += 1
+                stmt.site_id = site_id
+                self._call_sites[site_id] = (method, stmt)
+            elif stmt.kind == "alloc":
+                object_seq += 1
+                stmt.object_id = f"o{object_seq}@{qname}"
+                allocations.append((method, stmt))
+            elif stmt.kind == "null":
+                object_seq += 1
+                stmt.object_id = f"o{object_seq}@{qname}#null"
+                allocations.append((method, stmt))
+        self._allocations[qname] = allocations
+        self._method_sites[qname] = range(first, site_id + 1)
+        return site_id
 
     # ------------------------------------------------------------------
     # queries
@@ -468,7 +494,7 @@ class Program:
     def allocations(self):
         """All ``(enclosing method, Alloc)`` pairs, in program order."""
         self._require_finalized()
-        return list(self._allocations)
+        return [pair for qname in self._methods_by_qname for pair in self._allocations[qname]]
 
     def statements(self):
         """Iterate ``(method, statement)`` over the whole program."""

@@ -8,10 +8,16 @@ Call sites whose caller and callee share a call-graph SCC are marked
 recursive on the PAG; demand analyses cross their ``entry``/``exit`` edges
 without pushing or popping context ("recursion cycles collapsed",
 Section 5.1).
+
+After an edit, :func:`regenerate_edges` re-derives the edges of a few
+methods in place (the same statement rules, recorded instead of
+inserted), and :func:`rebuild_edges` re-derives all of them on the same
+PAG; either way the result equals a fresh :func:`build_pag`.
 """
 
 from repro.callgraph.andersen import AndersenAnalysis
 from repro.ir.types import ClassHierarchy
+from repro.pag.edges import ASSIGN, ASSIGN_GLOBAL, ENTRY, EXIT, LOAD, NEW, STORE
 from repro.util.errors import IRError
 
 
@@ -31,6 +37,11 @@ def build_pag(program, call_graph=None, hierarchy=None):
         hierarchy = ClassHierarchy(program)
 
     pag = PAG(program, call_graph, hierarchy)
+    _add_program_edges(pag, call_graph, program)
+    return pag
+
+
+def _add_program_edges(pag, call_graph, program):
     reachable = call_graph.reachable_methods
 
     for method, stmt in program.statements():
@@ -40,7 +51,82 @@ def build_pag(program, call_graph=None, hierarchy=None):
 
     for site_id in call_graph.recursive_sites:
         pag.mark_recursive_site(site_id)
-    return pag
+
+
+def rebuild_edges(pag, call_graph):
+    """Re-derive every edge of ``pag`` under ``call_graph`` in place,
+    keeping the node objects that survive (an edit the incremental path
+    cannot follow).  Equals a fresh :func:`build_pag`."""
+    pag.call_graph = call_graph
+    pag.clear_edges()
+    _add_program_edges(pag, call_graph, pag.program)
+    pag.prune_nodes()
+
+
+def regenerate_edges(pag, methods):
+    """Re-derive the edges of ``methods`` (qualified names) in place under
+    ``pag.call_graph``; see :meth:`~repro.pag.graph.PAG.replace_method_edges`.
+    Returns its ``(removed, added)`` edge signatures."""
+    program = pag.program
+
+    def segment_of(qname):
+        return method_edges(pag, program.lookup_method(qname))
+
+    segments = {qname: segment_of(qname) for qname in methods}
+    result = pag.replace_method_edges(segments, segment_of)
+    pag.set_recursive_sites(pag.call_graph.recursive_sites)
+    return result
+
+
+def method_edges(pag, method):
+    """The edges ``method``'s statements emit under ``pag.call_graph``,
+    as signatures in build order (empty when it is unreachable).  Nodes
+    are interned in ``pag``; no edge is inserted."""
+    recorder = _EdgeRecorder(pag)
+    call_graph = pag.call_graph
+    if call_graph.is_reachable(method.qualified_name):
+        for stmt in method.statements:
+            _add_statement_edges(recorder, call_graph, pag.program, method, stmt)
+    return recorder.edges
+
+
+class _EdgeRecorder:
+    """Stands in for the PAG in the statement rules below: nodes are
+    interned in the real PAG, edges are recorded as the signatures
+    ``PAG._note_edge`` deduplicates on, in emission order."""
+
+    def __init__(self, pag):
+        self.local_var = pag.local_var
+        self.global_var = pag.global_var
+        self.object_node = pag.object_node
+        self.edges = []
+        self._seen = set()
+
+    def _emit(self, sig):
+        if sig not in self._seen:
+            self._seen.add(sig)
+            self.edges.append(sig)
+
+    def add_new(self, obj, target):
+        self._emit((NEW, obj, target))
+
+    def add_assign(self, source, target):
+        self._emit((ASSIGN, source, target))
+
+    def add_load(self, base, field, target):
+        self._emit((LOAD, base, field, target))
+
+    def add_store(self, value, field, base):
+        self._emit((STORE, value, field, base))
+
+    def add_global_assign(self, source, target):
+        self._emit((ASSIGN_GLOBAL, source, target))
+
+    def add_entry(self, actual, site_id, formal):
+        self._emit((ENTRY, actual, site_id, formal))
+
+    def add_exit(self, retvar, site_id, target):
+        self._emit((EXIT, retvar, site_id, target))
 
 
 def _add_statement_edges(pag, call_graph, program, method, stmt):

@@ -150,6 +150,11 @@ class PAG:
         self._edge_counts = {kind: 0 for kind in ALL_EDGE_KINDS}
         self._edge_seen = set()
         self._recursive_sites = set()
+        #: Edge segments (see :meth:`replace_method_edges`) of the methods
+        #: regenerated so far, so the next edit of one diffs in order.
+        self._segments = {}
+        #: Lazily built: method -> its position in program order.
+        self._method_rank = None
         #: Lazily compiled node -> NodeAdjacency map (see
         #: :meth:`adjacency`); any edge insertion resets it.
         self._adjacency = None
@@ -191,10 +196,13 @@ class PAG:
     def object_node(self, object_id, class_name=None, method_qname=None):
         """The unique :class:`ObjectNode` for an allocation.
 
-        Lookup-only when ``class_name`` is omitted.
+        Lookup-only when ``class_name`` is omitted.  A known label whose
+        class differs from ``class_name`` is re-interned as a new node.
         """
         node = self._objects.get(object_id)
-        if node is None:
+        if node is None or (class_name is not None and node.class_name != class_name):
+            # A relabelled allocation (an edit inserted one earlier in
+            # its method) gets a fresh node: a node's class never changes.
             if class_name is None:
                 raise IRError(f"unknown object {object_id!r}")
             node = ObjectNode(object_id, class_name, method_qname)
@@ -295,6 +303,252 @@ class PAG:
             # image bakes it into its cross-op codes.
             self._csr = None
             self._fingerprint = None
+
+    def set_recursive_sites(self, sites):
+        """Replace the recursive-site set (an edit changed the call
+        graph); resets the CSR image only when the set changed."""
+        sites = set(sites)
+        if sites != self._recursive_sites:
+            self._recursive_sites = sites
+            self._csr = None
+            self._fingerprint = None
+
+    # ------------------------------------------------------------------
+    # incremental maintenance: per-method edge segments
+    # ------------------------------------------------------------------
+    def replace_method_edges(self, segments, segment_of):
+        """Swap the edges of some methods for new ones, in place.
+
+        Every edge is emitted by exactly one method's statements — its
+        *owner* (:func:`edge_owner`) — so the edges of a program split
+        into per-method **segments**.  ``segments`` maps each method to
+        regenerate to its new segment: edge signatures (the tuples
+        ``_note_edge`` deduplicates on) in the order
+        :func:`~repro.pag.builder.build_pag` emits them, an empty list
+        for an unreachable method.  ``segment_of(method)`` yields the
+        current segment of any other method; it is consulted only when
+        an edge dict's key moves into that method's run of keys.
+
+        A fresh build appends edges segment by segment in program
+        order, so every edge dict keeps its keys ordered by the position
+        of their first item, and every item list by position, where a
+        position is (owner's rank in program order, index in the
+        owner's segment).  This method restores exactly that order, so
+        the dicts, the CSR image and :func:`~repro.pag.csr.pag_fingerprint`
+        equal a fresh build's.  Only the keys the changed edges touch
+        are re-sorted; a dict is rebuilt (at C speed) only when one of
+        its keys has to move.  Nodes left without any edge are dropped.
+        Returns ``(removed, added)`` edge signatures.
+        """
+        rank = self._ranks()
+        seq = {}
+        removed, added = [], []
+        reordered = set()  # owners whose kept edges may have moved
+        for qname, new in segments.items():
+            seq.update(zip(new, range(len(new))))
+            old = self._segments.get(qname)
+            if old is None:
+                old = self._owned_edges(qname)
+                reordered.add(qname)
+            new_set = set(new)
+            old_set = set(old)
+            if qname not in reordered and [e for e in old if e in new_set] != [
+                e for e in new if e in old_set
+            ]:
+                reordered.add(qname)
+            if qname in reordered:
+                removed += old
+                added += new
+            else:
+                removed += [e for e in old if e not in new_set]
+                added += [e for e in new if e not in old_set]
+        touched = {}
+        for sig in removed:
+            self._edge_seen.discard(sig)
+            self._edge_counts[sig[0]] -= 1
+            for name, key, item in _edge_entries(sig):
+                edges = getattr(self, name)
+                first = touched.setdefault(name, {})
+                if key not in first:
+                    first[key] = _first_item(edges, key)
+                if name == "_new_out":
+                    del edges[key]
+                    continue
+                items = edges[key]
+                items.remove(item)
+                if not items:
+                    del edges[key]
+        for sig in added:
+            self._edge_seen.add(sig)
+            self._edge_counts[sig[0]] += 1
+            for name, key, item in _edge_entries(sig):
+                edges = getattr(self, name)
+                first = touched.setdefault(name, {})
+                if key not in first:
+                    first[key] = _first_item(edges, key)
+                if name == "_new_out":
+                    edges[key] = item
+                else:
+                    edges.setdefault(key, []).append(item)
+        generated = dict(segments)
+        for name, firsts in touched.items():
+            self._reorder(name, firsts, rank, seq, segments, reordered, generated, segment_of)
+        for qname, new in segments.items():
+            if new:
+                self._segments[qname] = tuple(new)
+            else:
+                self._segments.pop(qname, None)
+        if removed or added:
+            self._drop_isolated(
+                {sig[1] for sig in removed} | {sig[-1] for sig in removed}
+            )
+            self._adjacency = None
+            self._csr = None
+            self._fingerprint = None
+        return removed, added
+
+    def _ranks(self):
+        rank = self._method_rank
+        if rank is None:
+            rank = self._method_rank = {
+                method.qualified_name: index
+                for index, method in enumerate(self.program.methods())
+            }
+        return rank
+
+    def _owned_edges(self, qname):
+        """The signatures of every edge ``qname`` owns, found through
+        its nodes (unordered)."""
+        edges = []
+        for node in self._method_nodes.get(qname, _EMPTY):
+            if node.is_object:
+                target = self._new_out.get(node)
+                if target is not None:
+                    edges.append((NEW, node, target))
+                continue
+            edges += [(ASSIGN, node, t) for t in self._assign_out.get(node, _EMPTY)]
+            edges += [(LOAD, node, f, t) for f, t in self._load_out.get(node, _EMPTY)]
+            edges += [(STORE, node, f, b) for f, b in self._store_out.get(node, _EMPTY)]
+            edges += [(ASSIGN_GLOBAL, node, g) for g in self._global_out.get(node, _EMPTY)]
+            edges += [(ASSIGN_GLOBAL, g, node) for g in self._global_in.get(node, _EMPTY)]
+            edges += [(ENTRY, node, i, p) for i, p in self._entry_out.get(node, _EMPTY)]
+            edges += [(EXIT, r, i, node) for r, i in self._exit_in.get(node, _EMPTY)]
+        return edges
+
+    def _reorder(self, name, firsts, rank, seq, segments, reordered, generated, segment_of):
+        """Restore build order in edge dict ``name`` after the keys in
+        ``firsts`` (key -> first item before the change, or ``_ABSENT``)
+        had items removed or appended."""
+        edges = getattr(self, name)
+        signature = _SIGNATURE[name]
+        dirty = set()
+        for key, was_first in firsts.items():
+            if key not in edges:
+                continue
+            if name != "_new_out":
+                items = edges[key]
+                if len(items) > 1:
+                    ordered = sorted(
+                        enumerate(items),
+                        key=lambda pair: _position(
+                            signature(key, pair[1]), pair[0], rank, seq, segments
+                        ),
+                    )
+                    items[:] = [item for _index, item in ordered]
+            first = _first_item(edges, key)
+            owner = edge_owner(signature(key, first))
+            if was_first is _ABSENT or was_first != first or owner in reordered:
+                dirty.add(owner)
+        if not dirty:
+            return
+        blocks = {}
+        for owner in dirty:
+            segment = generated.get(owner)
+            if segment is None:
+                segment = generated[owner] = segment_of(owner)
+            block = []
+            seen = set()
+            for sig in segment:
+                for entry_name, key, _item in _edge_entries(sig):
+                    if entry_name != name or key in seen or key not in edges:
+                        continue
+                    seen.add(key)
+                    if edge_owner(signature(key, _first_item(edges, key))) == owner:
+                        block.append(key)
+            blocks[owner] = block
+        placed = set()
+        for block in blocks.values():
+            placed.update(block)
+        order = [key for key in edges if key not in placed]
+
+        def first_rank(key):
+            return rank[edge_owner(signature(key, _first_item(edges, key)))]
+
+        for owner in sorted(blocks, key=rank.__getitem__, reverse=True):
+            target = rank[owner]
+            lo, hi = 0, len(order)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if first_rank(order[mid]) < target:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            order[lo:lo] = blocks[owner]
+        if order != list(edges):
+            rebuilt = [(key, edges[key]) for key in order]
+            edges.clear()
+            edges.update(rebuilt)
+
+    def _drop_isolated(self, candidates):
+        """Forget the nodes among ``candidates`` that no edge touches."""
+        for node in candidates:
+            if any(node in edges for edges in self._direction_dicts()):
+                continue
+            if node.is_local_var:
+                table, key = self._locals, (node.method, node.name)
+            elif node.is_object:
+                table, key = self._objects, node.object_id
+            else:
+                table, key = self._globals, (node.class_name, node.field)
+            if table.get(key) is node:
+                del table[key]
+            owned = self._method_nodes.get(node.method)
+            if owned is not None and node in owned:
+                owned.remove(node)
+                if not owned:
+                    del self._method_nodes[node.method]
+
+    def _direction_dicts(self):
+        return (
+            self._new_in, self._new_out, self._assign_in, self._assign_out,
+            self._load_in, self._load_out, self._store_in, self._store_out,
+            self._entry_in, self._entry_out, self._exit_in, self._exit_out,
+            self._global_in, self._global_out,
+        )
+
+    def clear_edges(self):
+        """Drop every edge and the recursive-site set, keeping the node
+        objects (a full re-derivation re-adds edges through ``add_*``
+        and then :meth:`prune_nodes`)."""
+        for edges in self._direction_dicts():
+            edges.clear()
+        self._loads_by_field.clear()
+        self._stores_by_field.clear()
+        self._edge_counts = {kind: 0 for kind in ALL_EDGE_KINDS}
+        self._edge_seen = set()
+        self._recursive_sites = set()
+        self._segments = {}
+        self._adjacency = None
+        self._csr = None
+        self._fingerprint = None
+
+    def prune_nodes(self):
+        """Forget every node no edge touches."""
+        nodes = list(self._locals.values()) + list(self._globals.values())
+        nodes += list(self._objects.values())
+        for owned in self._method_nodes.values():
+            nodes += owned
+        self._drop_isolated(set(nodes))
 
     # ------------------------------------------------------------------
     # adjacency accessors (value-flow direction documented per method)
@@ -548,3 +802,83 @@ class PAG:
             f"edges={sum(self._edge_counts.values())}, "
             f"locality={self.locality():.1%})"
         )
+
+
+# ----------------------------------------------------------------------
+# edge signatures: where each edge lives, and who owns it
+# ----------------------------------------------------------------------
+_ABSENT = object()
+
+
+def _first_item(edges, key):
+    value = edges.get(key, _ABSENT)
+    if value is _ABSENT or not isinstance(value, list):
+        return value  # ``_new_out`` maps an object to its one target
+    return value[0]
+
+
+def edge_owner(sig):
+    """The method whose statements emit the edge with signature ``sig``
+    (the caller, for ``entry``/``exit`` edges)."""
+    kind = sig[0]
+    if kind == NEW or kind == ASSIGN_GLOBAL:
+        return sig[1].method or sig[2].method
+    if kind == EXIT:
+        return sig[3].method
+    return sig[1].method
+
+
+def _edge_entries(sig):
+    """``(dict name, key, item)`` for every dict an edge is stored in."""
+    kind = sig[0]
+    if kind == NEW:
+        return (("_new_out", sig[1], sig[2]), ("_new_in", sig[2], sig[1]))
+    if kind == ASSIGN:
+        return (("_assign_out", sig[1], sig[2]), ("_assign_in", sig[2], sig[1]))
+    if kind == ASSIGN_GLOBAL:
+        return (("_global_out", sig[1], sig[2]), ("_global_in", sig[2], sig[1]))
+    a, label, b = sig[1], sig[2], sig[3]
+    if kind == LOAD:
+        return (
+            ("_load_out", a, (label, b)),
+            ("_load_in", b, (a, label)),
+            ("_loads_by_field", label, (a, b)),
+        )
+    if kind == STORE:
+        return (
+            ("_store_out", a, (label, b)),
+            ("_store_in", b, (a, label)),
+            ("_stores_by_field", label, (a, b)),
+        )
+    if kind == ENTRY:
+        return (("_entry_out", a, (label, b)), ("_entry_in", b, (a, label)))
+    return (("_exit_out", a, (label, b)), ("_exit_in", b, (a, label)))
+
+
+#: Edge dict name -> ``(key, item) -> signature``.
+_SIGNATURE = {
+    "_new_out": lambda k, v: (NEW, k, v),
+    "_new_in": lambda k, v: (NEW, v, k),
+    "_assign_out": lambda k, v: (ASSIGN, k, v),
+    "_assign_in": lambda k, v: (ASSIGN, v, k),
+    "_global_out": lambda k, v: (ASSIGN_GLOBAL, k, v),
+    "_global_in": lambda k, v: (ASSIGN_GLOBAL, v, k),
+    "_load_out": lambda k, v: (LOAD, k, v[0], v[1]),
+    "_load_in": lambda k, v: (LOAD, v[0], v[1], k),
+    "_loads_by_field": lambda k, v: (LOAD, v[0], k, v[1]),
+    "_store_out": lambda k, v: (STORE, k, v[0], v[1]),
+    "_store_in": lambda k, v: (STORE, v[0], v[1], k),
+    "_stores_by_field": lambda k, v: (STORE, v[0], k, v[1]),
+    "_entry_out": lambda k, v: (ENTRY, k, v[0], v[1]),
+    "_entry_in": lambda k, v: (ENTRY, v[0], v[1], k),
+    "_exit_out": lambda k, v: (EXIT, k, v[0], v[1]),
+    "_exit_in": lambda k, v: (EXIT, v[0], v[1], k),
+}
+
+
+def _position(sig, index, rank, seq, segments):
+    """Sort key of an item: its owner's rank, then its index in the
+    owner's new segment — or, for an owner left unchanged, its current
+    index (those items keep their relative order)."""
+    owner = edge_owner(sig)
+    return (rank[owner], seq[sig] if owner in segments else index)

@@ -26,6 +26,14 @@ PAPERS.md).  This harness measures **steps per second**:
   default traversal impl: the warm path must answer like the cold one,
   load every saved summary, and compile its CSR image exactly once
   (and adjacency never).
+* **edits** — edit-storm's cycle on the generator program: append
+  ``v = new Object`` to the cast source of the middle SafeCast query,
+  revert it, and so on, with one SafeCast batch after each edit, on a
+  program-backed engine (:meth:`PointsToEngine.for_program`).  It
+  records the median edit and batch times, how many edits fell back to
+  a full solve, the CSR compiles each edit cost, and what a cold
+  ``for_program`` costs; ``--check`` gates on answers equal to a cold
+  engine's after every edit, no fallback, and one compile per edit.
 * **eviction** — the heap-backed victim index of
   :class:`~repro.analysis.summaries.CostAwareSummaryCache`: per-eviction
   wall time across store sizes.  O(log n) shows as a near-flat curve;
@@ -51,6 +59,7 @@ import cProfile
 import json
 import os
 import pstats
+import statistics
 import sys
 import tempfile
 import time
@@ -60,13 +69,14 @@ from repro.analysis import ppta
 from repro.analysis.dynsum import DynSum
 from repro.analysis.ppta import PptaResult
 from repro.analysis.summaries import CostAwareSummaryCache
-from repro.bench.generator import GeneratorConfig
+from repro.bench.generator import GeneratorConfig, generate_program
 from repro.bench.runner import bench_analysis_config, bench_engine_policy
 from repro.bench.suite import load_benchmark
 from repro.cfl.rsm import S1
 from repro.cfl.stacks import EMPTY_STACK
 from repro.clients import ALL_CLIENTS
 from repro.engine.core import PointsToEngine
+from repro.ir.builder import MethodBuilder
 from repro.pag.nodes import LocalNode
 
 #: The Figure-4 benchmarks (paper Section 5.3) the harness replays.
@@ -376,6 +386,101 @@ def run_warmstart(rounds=2, log=lambda s: None):
     return section
 
 
+def _edit_answers(engine):
+    """One SafeCast batch in stream order, as comparable answers."""
+    client = CLIENTS["SafeCast"](engine.pag)
+    batch = engine.query_batch(
+        client.specs(client.queries()), dedupe=False, reorder=False
+    )
+    return [
+        (
+            result.complete,
+            sorted(
+                (obj.object_id, obj.class_name, ctx.to_tuple())
+                for obj, ctx in result.pairs
+            ),
+        )
+        for result in batch.results
+    ]
+
+
+def run_edits(rounds=10, log=lambda s: None):
+    """Edit-storm's edit/revert cycle on ``GENERATOR_CONFIG``; the
+    ``edits`` section.
+
+    ``rounds`` edit/revert pairs, one SafeCast batch after each edit.
+    The batch's answers must equal a cold engine's over the same
+    program version, and each report's ``migrated + dropped`` the
+    store's entry count before its edit; a violation raises
+    :class:`PerfCheckError` regardless of ``--check`` (which also gates
+    on ``rebuilt == 0`` and one CSR compile per edit).
+    """
+    policy = bench_engine_policy()
+    program = generate_program(GENERATOR_CONFIG)
+    started = time.perf_counter()
+    engine = PointsToEngine.for_program(program, policy)
+    cold_sec = time.perf_counter() - started
+    queries = CLIENTS["SafeCast"](engine.pag).queries()
+    target = queries[len(queries) // 2]
+
+    def redirect(method):
+        MethodBuilder(method).alloc(target.var, "Object")
+
+    def revert(method):
+        method.statements.pop()
+
+    edited_program = generate_program(GENERATOR_CONFIG)
+    redirect(edited_program.lookup_method(target.method))
+    edited_program.finalize()
+    want = {
+        False: _edit_answers(PointsToEngine.for_program(generate_program(GENERATOR_CONFIG), policy)),
+        True: _edit_answers(PointsToEngine.for_program(edited_program, policy)),
+    }
+    session = engine.edit_session()
+    _edit_answers(engine)  # the store warms before the first edit
+    edit_times, batch_times, compiles = [], [], []
+    for index in range(2 * rounds):
+        edited = index % 2 == 0
+        entries = len(engine.cache)
+        started = time.perf_counter()
+        report = session.edit(target.method, redirect if edited else revert)
+        edit_times.append(time.perf_counter() - started)
+        if report.migrated + report.dropped != entries:
+            raise PerfCheckError(
+                f"edit {index + 1}: migrated {report.migrated} + dropped "
+                f"{report.dropped} != {entries} entries before the edit"
+            )
+        before = engine.pag.csr_compiles
+        started = time.perf_counter()
+        answers = _edit_answers(engine)
+        batch_times.append(time.perf_counter() - started)
+        compiles.append(engine.pag.csr_compiles - before)
+        if answers != want[edited]:
+            raise PerfCheckError(
+                f"edit {index + 1}: answers differ from a cold engine's"
+            )
+    reports = session.reports
+    section = {
+        "edits": len(reports),
+        "target": f"{target.method}:{target.var}",
+        "edit_ms": round(statistics.median(edit_times) * 1000, 3),
+        "batch_ms": round(statistics.median(batch_times) * 1000, 3),
+        "cold_for_program_ms": round(cold_sec * 1000, 3),
+        "rebuilt": sum(1 for report in reports if report.rebuilt),
+        "csr_compiles_per_edit": sorted(set(compiles)),
+        "migrated": round(statistics.mean(r.migrated for r in reports), 1),
+        "dropped": round(statistics.mean(r.dropped for r in reports), 1),
+        "traversal_impl": engine.stats().traversal_impl,
+    }
+    log(
+        f"  edit={section['edit_ms']:.1f}ms batch={section['batch_ms']:.1f}ms "
+        f"(cold for_program {section['cold_for_program_ms']:.1f}ms, "
+        f"{section['rebuilt']} rebuilt of {section['edits']}, "
+        f"csr compiles/edit {section['csr_compiles_per_edit']})"
+    )
+    return section
+
+
 def run_eviction(sizes, inserts=2_000, log=lambda s: None):
     """The victim-index microbenchmark; returns the ``eviction`` section.
 
@@ -552,8 +657,8 @@ def run_perf(
     ``check`` additionally gates on the invariants (answers identical,
     steps equal — always asserted — plus recorded throughput, the array
     and native loops clearing their baselines, a warm start with one
-    CSR compile and no adjacency compile, and sub-linear eviction
-    cost).
+    CSR compile and no adjacency compile, edits with no full-solve
+    fallback and one CSR compile each, and sub-linear eviction cost).
     """
     benchmarks = tuple(benchmarks or (("jython",) if quick else FIGURE_BENCHMARKS))
     clients = tuple(clients or (("SafeCast",) if quick else ("SafeCast", "NullDeref")))
@@ -576,6 +681,8 @@ def run_perf(
     )
     log("warmstart (JSON snapshot, default impl):")
     warmstart = run_warmstart(rounds=rounds, log=log)
+    log("edits (edit-storm's edit/revert cycle, program-backed engine):")
+    edits = run_edits(rounds=3 if quick else 10, log=log)
     log("eviction (heap-backed victim index):")
     eviction = run_eviction(
         EVICTION_SIZES_QUICK if quick else EVICTION_SIZES,
@@ -594,12 +701,15 @@ def run_perf(
         # column and the two ratios taken against it, with that loop;
         # version 6 times the warm start from a JSON snapshot under the
         # default impl and replaces its CSR-adoption flag with the
-        # ``traversal_impl``/``native_unavailable`` it ran under.
-        "version": 6,
+        # ``traversal_impl``/``native_unavailable`` it ran under; version
+        # 7 adds the edits section (edit-storm's cycle on the generator
+        # program).
+        "version": 7,
         "quick": quick,
         "python": sys.version.split()[0],
         "figure4": figure4,
         "warmstart": warmstart,
+        "edits": edits,
         "eviction": eviction,
         "chaos": chaos,
         "profile": profile,
@@ -663,6 +773,18 @@ def _check_report(report):
         raise PerfCheckError(
             "warm start must compile its CSR image once and adjacency never"
         )
+    edits = report.get("edits")
+    if edits is not None:
+        if edits["rebuilt"]:
+            raise PerfCheckError(
+                f"{edits['rebuilt']} of {edits['edits']} edits fell back "
+                "to a full solve; edit-storm's edits keep the call graph"
+            )
+        if edits["csr_compiles_per_edit"] != [1]:
+            raise PerfCheckError(
+                f"edits compiled the CSR image {edits['csr_compiles_per_edit']} "
+                "times each (want exactly 1)"
+            )
     chaos = report.get("chaos")
     if chaos is not None:
         if not chaos["schedules"]:
@@ -758,10 +880,12 @@ def main(argv=None):
     if "native_vs_array" in aggregate:
         parts.append(f"native/array {aggregate['native_vs_array']}x")
     warmstart = report["warmstart"]
+    edits = report["edits"]
     print(
         f"aggregate speedup over reference: {', '.join(parts)}; "
         f"warm start {warmstart['speedup']}x total, "
         f"{warmstart['query_speedup']}x serving; "
+        f"edit {edits['edit_ms']}ms + batch {edits['batch_ms']}ms; "
         f"eviction flatness {report['eviction']['flatness_ratio']}",
         file=sys.stderr,
     )

@@ -424,7 +424,9 @@ def test_snapshot_round_trip_preserves_everything(pag, policy_name):
     # from warm summaries (no new entries).
     config = engine.analysis.config
     warm = DynSum(pag, config, cache=restored)
-    cold = DynSum(pag, config, cache=store.spawn())
+    cold = DynSum(
+        pag, config, cache=bench_engine_policy(cache=STORE_POLICIES[policy_name]).make_store()
+    )
     for var in ("s1", "s2", "v1", "c2"):
         warm_result = warm.points_to_name("Main.main", var)
         cold_result = cold.points_to_name("Main.main", var)

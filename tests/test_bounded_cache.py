@@ -155,14 +155,6 @@ class TestSizeCaps:
         assert snap.bounded and snap.max_entries == 2
         assert snap.approx_bytes > 0
 
-    def test_spawn_preserves_policy(self):
-        cache = BoundedSummaryCache(max_entries=5, max_facts=100)
-        child = cache.spawn()
-        assert isinstance(child, BoundedSummaryCache)
-        assert child.max_entries == 5 and child.max_facts == 100
-        assert len(child) == 0
-        assert isinstance(SummaryCache().spawn(), SummaryCache)
-
 
 class TestEvictionNeverChangesAnswers:
     def test_requery_after_eviction_equals_pre_eviction(self, pag):
@@ -219,8 +211,8 @@ class TestInvalidationAndEviction:
         assert after.pairs == before.pairs
 
     def test_incremental_session_preserves_cache_policy(self):
-        """An edit rebuilds the PAG; the migrated-into cache must keep
-        the same bounds (spawn), and answers must be unchanged."""
+        """An edit patches the PAG in place; the live cache keeps its
+        bounds, and answers must be unchanged."""
         session = IncrementalAnalysisSession(
             parse_program(SOURCE), cache=BoundedSummaryCache(max_entries=8)
         )

@@ -49,6 +49,7 @@ from repro.cacheserver.store import WireSummaryStore
 from repro.cfl.rsm import S1
 from repro.cfl.stacks import EMPTY_STACK
 from repro.clients import SafeCastClient
+from repro.pag.csr import pag_fingerprint
 from repro.pag.nodes import LocalNode, ObjectNode
 
 from conftest import EXAMPLE_PROGRAMS
@@ -540,6 +541,8 @@ class TestEngineWiring:
         engine.query_name("Main.main", "b")  # a summary that survives the edit
         served_before = sum(len(s.store) for s in cluster)
         assert served_before > 0
+        stores_before = engine.cache.remote_stats().stores
+        fingerprint_before = engine.cache._fingerprint
 
         def new_body(m):
             m.alloc("t", "Other").ret("t")
@@ -548,11 +551,13 @@ class TestEngineWiring:
         # The owning shard no longer serves Helper.make summaries.
         owners = [s for s in cluster if s.store.invalidated > 0]
         assert owners, "no shard observed the invalidation"
-        # Migration re-anchors surviving summaries *locally only* — the
-        # servers already hold them, so the freshly spawned store (its
-        # counters restart per program version) made zero publishes.
-        assert len(engine.cache.local_tier) > 0  # something did migrate
-        assert engine.cache.remote_stats().stores == 0
+        # Surviving summaries stay resident in the live local tier; the
+        # edit publishes nothing (the servers already hold them) and
+        # re-binds the store to the edited PAG's fingerprint.
+        assert len(engine.cache.local_tier) > 0  # something survived
+        assert engine.cache.remote_stats().stores == stores_before
+        assert engine.cache._fingerprint == pag_fingerprint(engine.pag)
+        assert engine.cache._fingerprint != fingerprint_before
         # Post-edit answers are correct (fresh computation, new class).
         result = engine.query_name("Helper.make", "t")
         assert {obj.class_name for obj, _ in result.pairs} == {"Other"}

@@ -7,7 +7,12 @@ from repro.callgraph.cha import rta_call_graph
 from repro.callgraph.graph import CallGraph
 from repro.ir.parser import parse_program
 
-from tests.conftest import FIGURE2_SOURCE, RECURSION_SOURCE, TWO_CALLS_SOURCE
+from tests.conftest import (
+    EXAMPLE_PROGRAMS,
+    FIGURE2_SOURCE,
+    RECURSION_SOURCE,
+    TWO_CALLS_SOURCE,
+)
 
 
 class TestCallGraphStructure:
@@ -174,3 +179,80 @@ class TestRta:
         precise_ids = {o.object_id for o in nr_precise.objects}
         coarse_ids = {o.object_id for o in nr_coarse.objects}
         assert precise_ids <= coarse_ids
+
+
+# ----------------------------------------------------------------------
+# SCCs against a brute-force reachability oracle
+# ----------------------------------------------------------------------
+def _oracle(cg):
+    """``(recursive sites, same-SCC relation)`` by brute force: a site
+    is recursive when its caller is reachable from one of its callees
+    (a self-call included); two methods share an SCC when each reaches
+    the other."""
+    succ = {m: set() for m in cg.reachable_methods}
+    for _site, caller, callee in cg.edges():
+        succ[caller].add(callee)
+
+    def reach(start):
+        seen, stack = set(), list(succ.get(start, ()))
+        while stack:
+            m = stack.pop()
+            if m not in seen:
+                seen.add(m)
+                stack.extend(succ.get(m, ()))
+        return seen
+
+    closure = {m: reach(m) for m in succ}
+    recursive = {
+        site for site, caller, callee in cg.edges()
+        if callee == caller or caller in closure[callee]
+    }
+    same = {
+        (a, b) for a in succ for b in succ
+        if a == b or (b in closure[a] and a in closure[b])
+    }
+    return recursive, same
+
+
+def _assert_sccs_match_oracle(cg):
+    recursive, same = _oracle(cg)
+    assert cg.recursive_sites == recursive
+    methods = sorted(cg.reachable_methods)
+    for a in methods:
+        for b in methods:
+            assert (cg.scc_of(a) == cg.scc_of(b)) == ((a, b) in same), (a, b)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_PROGRAMS))
+def test_sccs_match_oracle_on_examples(name):
+    program = parse_program(EXAMPLE_PROGRAMS[name])
+    _assert_sccs_match_oracle(AndersenAnalysis(program).solve().call_graph)
+
+
+def test_sccs_match_oracle_on_deep_recursion():
+    from repro.bench.generator import generate_program
+    from repro.perf.harness import STRESS_WORKLOADS
+
+    config = dict(STRESS_WORKLOADS)["gen-recursion"]
+    call_graph = AndersenAnalysis(generate_program(config)).solve().call_graph
+    assert call_graph.recursive_sites
+    _assert_sccs_match_oracle(call_graph)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sccs_match_oracle_on_random_graphs(seed):
+    import random
+
+    rng = random.Random(seed)
+    methods = [f"M.m{i}" for i in range(rng.randint(3, 14))]
+    cg = CallGraph(methods[0])
+    cg.add_method(methods[0])
+    for site in range(1, rng.randint(2, 40)):
+        caller = rng.choice(methods)
+        for callee in rng.sample(methods, rng.randint(1, 3)):
+            cg.add_edge(site, caller, callee)
+    _assert_sccs_match_oracle(cg)
+    # Retracting edges keeps the index and the SCCs exact.
+    for site, _caller, callee in list(cg.edges())[::3]:
+        cg.remove_edge(site, callee)
+    _assert_sccs_match_oracle(cg)

@@ -263,8 +263,6 @@ class TestHeapVictimIndex:
         assert (big_node, EMPTY_STACK, S1) not in store
         # The small resident entry is untouched.
         assert store.lookup(small_node, EMPTY_STACK, S1) is small
-        # spawn() preserves the admission policy.
-        assert store.spawn().admit_facts == 2
 
     def test_admission_applies_to_replacements_too(self):
         """The self-heal path (a differing publish for a resident key)

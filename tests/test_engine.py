@@ -252,7 +252,7 @@ class TestEngineBasics:
         report = session.edit("Kennel.put", lambda method: None)
         assert session.edit_count == 1
         assert report.migrated > 0
-        # The migrated store keeps the capacity policy.
+        # The live store survives the edit, capacity policy and all.
         assert type(engine.cache) is BoundedSummaryCache
         assert engine.cache.max_entries == 64
         assert report.migrated == len(engine.cache)

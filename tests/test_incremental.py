@@ -4,12 +4,16 @@ import pytest
 
 from repro import (
     BoundedSummaryCache,
-    DynSum,
+    CostAwareSummaryCache,
     IncrementalAnalysisSession,
     NoRefine,
     build_pag,
     parse_program,
 )
+from repro.ir.ast import Statement
+from repro.ir.builder import MethodBuilder
+from repro.pag.csr import pag_fingerprint
+from repro.util.errors import IRError
 
 SOURCE = """
 class Thing { }
@@ -184,86 +188,130 @@ class TestObjectIdStability:
         assert before == after
 
 
-class DownsizingCache(BoundedSummaryCache):
-    """A bounded cache modelling a host that tightens its memory budget
-    across rebuilds: every ``spawn()`` is capped at ``spawn_entries``."""
-
-    def __init__(self, max_entries=None, spawn_entries=2):
-        super().__init__(max_entries=max_entries)
-        self.spawn_entries = spawn_entries
-
-    def spawn(self):
-        return BoundedSummaryCache(max_entries=self.spawn_entries)
-
-
-class TestMigrationAccounting:
-    """Regression: ``EditReport.migrated`` used to count every
-    ``new_cache.store()`` call, so when a capacity-bounded spawn could
-    not hold everything, the report claimed more migrated summaries than
-    were actually resident after the edit (and migration churned the
-    spawn through needless evictions)."""
-
-    SPAWN_CAP = 2
-
-    def _warm_session(self):
-        session = IncrementalAnalysisSession(
-            parse_program(SOURCE),
-            cache=DownsizingCache(max_entries=64, spawn_entries=self.SPAWN_CAP),
+class TestInPlaceEdits:
+    def test_edit_keeps_the_pag_and_its_nodes(self, session):
+        pag = session.pag
+        out = pag.find_local("Main.main", "out")
+        report = session.replace_body(
+            "Factory.create", lambda m: m.alloc("g", "Gadget").ret("g")
         )
+        assert not report.rebuilt
+        assert session.pag is pag
+        assert pag.find_local("Main.main", "out") is out
+        fresh = build_pag(session.program)
+        assert pag_fingerprint(pag) == pag_fingerprint(fresh)
+
+    def test_adding_a_call_falls_back_to_a_full_solve(self, session):
         session.points_to_name("Main.main", "out")
-        session.points_to_name("Main.main", "copy")
+        pag = session.pag
+        report = session.edit(
+            "Main.main", lambda m: MethodBuilder(m).scall("Factory", "create", target="extra")
+        )
+        assert report.rebuilt
+        assert session.pag is pag
+        assert classes(session.points_to_name("Main.main", "extra")) == ["Thing"]
+        assert pag_fingerprint(pag) == pag_fingerprint(build_pag(session.program))
+
+
+class TestFailedEdits:
+    """A failed edit restores the body and leaves the PAG, the solver,
+    the store and ``edit_count`` as they were."""
+
+    def _state(self, session):
+        return (
+            session.edit_count,
+            pag_fingerprint(session.pag),
+            [key for key, _ in session.analysis.cache.entries()],
+        )
+
+    def test_raising_callback_leaves_the_session_unchanged(self, session):
+        assert classes(session.points_to_name("Main.main", "out")) == ["Thing"]
+        body = [repr(stmt) for stmt in session.program.lookup_method("Factory.create").statements]
+        before = self._state(session)
+
+        def broken(m):
+            m.alloc("g", "Gadget")
+            raise RuntimeError("editor crashed")
+
+        with pytest.raises(RuntimeError):
+            session.replace_body("Factory.create", broken)
+        method = session.program.lookup_method("Factory.create")
+        assert [repr(stmt) for stmt in method.statements] == body
+        assert self._state(session) == before
+        session.edit("Main.main", lambda m: None)
+        assert classes(session.points_to_name("Main.main", "out")) == ["Thing"]
+
+    def test_rejected_statement_leaves_the_session_unchanged(self, session):
+        session.points_to_name("Main.main", "out")
+        before = self._state(session)
+
+        class Bogus(Statement):
+            kind = "bogus"
+
+        with pytest.raises(IRError, match="bogus"):
+            session.edit("Store.get", lambda m: m.statements.append(Bogus()))
+        assert all(s.kind != "bogus" for s in session.program.lookup_method("Store.get").statements)
+        assert self._state(session) == before
+        report = session.replace_body(
+            "Factory.create", lambda m: m.alloc("g", "Gadget").ret("g")
+        )
+        assert session.edit_count == 1 and not report.rebuilt
+        assert classes(session.points_to_name("Main.main", "out")) == ["Gadget"]
+
+
+STORES = {
+    "unbounded": lambda: None,
+    "bounded": lambda: BoundedSummaryCache(max_entries=64),
+    "cost-aware": lambda: CostAwareSummaryCache(max_entries=64),
+}
+
+
+class TestStoreAcrossEdits:
+    """The live store outlives an edit: only the edited and
+    surface-changed methods lose entries."""
+
+    def _warm(self, cache):
+        session = IncrementalAnalysisSession(parse_program(SOURCE), cache=cache)
+        for var in ("out", "copy", "a"):
+            session.points_to_name("Main.main", var)
         session.points_to_name("Store.get", "r")
+        session.points_to_name("Factory.create", "t")
         return session
 
-    def test_migrated_reconciles_with_resident_entries(self):
-        session = self._warm_session()
-        old_entries = len(session.analysis.cache)
-        migratable = sum(
-            1
-            for (key_node, _stack, _state), _summary in session.analysis.cache.entries()
-            if key_node.method != "Factory.create"
-        )
-        assert migratable > self.SPAWN_CAP  # the capped spawn must bite
-
-        report = session.replace_body(
+    @staticmethod
+    def _edit(session):
+        return session.replace_body(
             "Factory.create", lambda m: m.alloc("t", "Thing").ret("t")
         )
-        new_cache = session.analysis.cache
 
-        # The report reconciles against what is actually resident.
-        assert report.migrated == len(new_cache)
-        assert report.migrated <= self.SPAWN_CAP
-        assert report.migrated + report.dropped == old_entries
-        # Capacity-aware migration admits instead of churning: nothing
-        # stored into the spawn is evicted by migration itself.
-        assert new_cache.evictions == 0
+    @pytest.mark.parametrize("store", sorted(STORES))
+    def test_migrated_plus_dropped_is_the_pre_edit_count(self, store):
+        session = self._warm(STORES[store]())
+        before = len(session.analysis.cache)
+        report = self._edit(session)
+        assert report.dropped > 0 and report.migrated > 0
+        assert report.migrated + report.dropped == before
+        assert report.migrated == len(session.analysis.cache)
 
-    def test_capped_spawn_keeps_hottest_entries(self):
-        session = self._warm_session()
-        # Touch Store.get's summaries last so they are the hottest.
-        session.points_to_name("Store.get", "r")
-        hottest = [
-            (key_node.method, key_node.name, stack, state)
-            for (key_node, stack, state), _summary in (
-                session.analysis.cache.entries_by_recency(hottest_first=True)
-            )
-            if key_node.method != "Factory.create"
-        ][: self.SPAWN_CAP]
+    def test_bounded_store_keeps_survivors_and_their_recency(self):
+        session = self._warm(BoundedSummaryCache(max_entries=64))
+        cache = session.analysis.cache
+        survivors = [
+            (key, summary)
+            for key, summary in cache.entries_by_recency(hottest_first=True)
+            if key[0].method != "Factory.create"
+        ]
+        self._edit(session)
+        assert session.analysis.cache is cache
+        after = list(cache.entries_by_recency(hottest_first=True))
+        assert [key for key, _ in after] == [key for key, _ in survivors]
+        assert all(a is b for (_, a), (_, b) in zip(after, survivors))
 
-        session.replace_body(
-            "Factory.create", lambda m: m.alloc("t", "Thing").ret("t")
-        )
-        resident = {
-            (key_node.method, key_node.name, stack, state)
-            for (key_node, stack, state), _summary in session.analysis.cache.entries()
-        }
-        for key in hottest:
-            assert key in resident
-
-    def test_answers_unchanged_after_downsized_migration(self):
-        session = self._warm_session()
-        session.replace_body(
-            "Factory.create", lambda m: m.alloc("t", "Thing").ret("t")
-        )
-        assert classes(session.points_to_name("Main.main", "out")) == ["Thing"]
-        assert classes(session.points_to_name("Main.main", "copy")) == ["Other"]
+    def test_cost_aware_store_keeps_priorities_and_clock(self):
+        session = self._warm(CostAwareSummaryCache(max_entries=64))
+        cache = session.analysis.cache
+        keys = [key for key, _ in cache.entries() if key[0].method != "Factory.create"]
+        clock, priorities = cache.cost_state(keys)
+        self._edit(session)
+        assert cache.cost_state(keys) == (clock, priorities)
+        assert cache.method_epoch("Factory.create") == 1

@@ -239,7 +239,7 @@ class TestStatsPlumbing:
 class TestPopulatedCaches:
     """A native engine whose summary cache is already populated when
     the kernel session first mirrors it — a snapshot warm start, or the
-    migrated store after an edit — must answer exactly like
+    live store after an edit — must answer exactly like
     ``reference``, steps included (the mirror path once crashed here
     with an ``AttributeError``)."""
 

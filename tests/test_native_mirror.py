@@ -136,7 +136,8 @@ def test_parity_through_every_kind_of_store_change(tmp_path):
     pair.apply(lambda engine: engine.cache.clear())
     pair.check()
 
-    # an edit, then its revert (each rebuilds the PAG and migrates)
+    # an edit, then its revert (each patches the PAG, so the next query
+    # lowers a new CSR image and re-imports the mirror)
     def alloc(method):
         MethodBuilder(method).alloc(query.var, "Object")
 

@@ -104,6 +104,25 @@ class TestReportShape:
         assert section["adjacency_compiles"] == 0
         assert section["speedup"] > 0 and section["query_speedup"] > 0
 
+    def test_edits_section_reports_the_cycle(self, quick_report):
+        from repro.analysis.ppta import active_traversal_impl
+
+        section = quick_report["edits"]
+        assert set(section) == {
+            "edits", "target", "edit_ms", "batch_ms", "cold_for_program_ms",
+            "rebuilt", "csr_compiles_per_edit", "migrated", "dropped",
+            "traversal_impl",
+        }
+        assert section["edits"] == 6  # --quick: three edit/revert rounds
+        assert section["target"].startswith("Main.main:")
+        assert section["rebuilt"] == 0
+        assert section["csr_compiles_per_edit"] == [1]
+        assert section["migrated"] > 0 and section["dropped"] > 0
+        assert section["edit_ms"] > 0 and section["batch_ms"] > 0
+        assert section["cold_for_program_ms"] > 0
+        assert section["traversal_impl"] == active_traversal_impl()
+        assert quick_report["version"] == 7
+
     def test_check_flag_recorded(self, quick_report):
         assert quick_report["checked"] is True
         assert json.dumps(quick_report)  # JSON-serializable end to end
@@ -133,6 +152,23 @@ class TestInvariants:
         with pytest.raises(PerfCheckError, match="warm start"):
             _check_report(report)
         report["warmstart"] = {"csr_compiles": 1, "adjacency_compiles": 0}
+        _check_report(report)
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"edits": 4, "rebuilt": 1, "csr_compiles_per_edit": [1]}, "full solve"),
+            ({"edits": 4, "rebuilt": 0, "csr_compiles_per_edit": [1, 2]}, "exactly 1"),
+            ({"edits": 4, "rebuilt": 0, "csr_compiles_per_edit": [0]}, "exactly 1"),
+        ],
+        ids=["rebuilt", "two-compiles", "no-compile"],
+    )
+    def test_edits_gate(self, edits, message):
+        report = TestRatioGates._report(1, 2.0)
+        report["edits"] = edits
+        with pytest.raises(PerfCheckError, match=message):
+            _check_report(report)
+        report["edits"] = {"edits": 4, "rebuilt": 0, "csr_compiles_per_edit": [1]}
         _check_report(report)
 
     def test_perf_check_error_is_an_assertion(self):

@@ -1,7 +1,7 @@
 """One shared battery for every summary-store backend.
 
 The engine treats every :class:`~repro.analysis.summaries
-.SummaryBackend` as interchangeable — ``lookup``/``store``/``spawn``/
+.SummaryBackend` as interchangeable — ``lookup``/``store``/
 ``invalidate_method``/``entries_by_recency``/``stats_snapshot`` with
 exactly reconciling accounting.  This suite runs the same battery
 against every local backend (unbounded, LRU-bounded, cost-aware)
@@ -34,6 +34,18 @@ def _bounded():
 
 def _cost():
     return CostAwareSummaryCache(max_entries=64, max_facts=4096)
+
+
+def _empty_like(store):
+    """A fresh, empty store with ``store``'s policy and topology."""
+    local = getattr(store, "local_tier", store)
+    if isinstance(local, BoundedSummaryCache):
+        fresh = type(local)(max_entries=local.max_entries, max_facts=local.max_facts)
+    else:
+        fresh = SummaryCache()
+    if local is store:
+        return fresh
+    return RemoteSummaryCache(store.addresses, local=fresh, timeout=2.0)
 
 
 #: name -> (factory, is_lru): caps are generous enough that the battery
@@ -137,16 +149,6 @@ class TestContract:
         assert store.total_facts() == 1
         assert store.lookup(key_node, EMPTY_STACK, S1) is fresh
 
-    def test_spawn_is_empty_with_same_policy(self, variant):
-        store, _lru = variant
-        store.store(node(), EMPTY_STACK, S1, summary())
-        clone = store.spawn()
-        assert type(clone) is type(store)
-        assert len(clone) == 0
-        assert clone.max_entries == store.max_entries
-        assert clone.max_facts == store.max_facts
-        assert clone.eviction == store.eviction
-
     def test_invalidate_method_drops_exactly_its_keys(self, variant):
         store, _lru = variant
         for i in range(3):
@@ -184,18 +186,6 @@ class TestContract:
         else:
             # Documented fallback: insertion order stands in for recency.
             assert hottest[0] == (nodes[2], EMPTY_STACK, S1)
-
-    def test_promote_refreshes_recency_without_probes(self, variant):
-        store, is_lru = variant
-        nodes = [node("A.m", f"v{i}") for i in range(3)]
-        for key_node in nodes:
-            store.store(key_node, EMPTY_STACK, S1, summary(method="A.m"))
-        probes_before = (store.hits, store.misses)
-        store.promote((nodes[0], EMPTY_STACK, S1))
-        assert (store.hits, store.misses) == probes_before
-        if is_lru:
-            hottest = next(iter(store.entries_by_recency(hottest_first=True)))[0]
-            assert hottest == (nodes[0], EMPTY_STACK, S1)
 
     def test_stats_snapshot_reconciles(self, variant):
         store, _lru = variant
@@ -241,13 +231,17 @@ class TestContract:
         # restore the non-probe counters cannot pass by accident.
         store.store(node("B.n", "z"), EMPTY_STACK, S2, summary(method="B.n"))
         assert store.invalidate_method("B.n") == 1
-        clone = store.spawn()
-        for (key_node, stack, state), memo in store.entries_by_recency(
-            hottest_first=False
-        ):
-            clone.store(key_node, stack, state, memo)
-        clone.restore_counters(store.stats_snapshot())
-        assert clone.stats_snapshot() == store.stats_snapshot()
+        clone = _empty_like(store)
+        try:
+            for (key_node, stack, state), memo in store.entries_by_recency(
+                hottest_first=False
+            ):
+                clone.store(key_node, stack, state, memo)
+            clone.restore_counters(store.stats_snapshot())
+            assert clone.stats_snapshot() == store.stats_snapshot()
+        finally:
+            if clone is not store and hasattr(clone, "close"):
+                clone.close()
 
 
 @pytest.mark.parametrize(
@@ -263,7 +257,6 @@ def test_mirrors_cover_the_summary_store_surface(mirror_factory):
     mirror = mirror_factory()
     public = [name for name in vars(SummaryStore) if not name.startswith("_")]
     public += ["__len__", "__contains__", "hits", "misses", "evictions",
-               "invalidated", "stats_snapshot", "bind_pag", "eviction",
-               "has_room", "promote", "spawn"]
+               "invalidated", "stats_snapshot", "bind_pag", "eviction"]
     missing = [name for name in public if not hasattr(mirror, name)]
     assert not missing, f"{type(mirror).__name__} lacks {missing}"
