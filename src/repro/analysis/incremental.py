@@ -36,10 +36,15 @@ store (:attr:`EditReport.rebuilt`): one that adds or removes a call
 statement (``Program.finalize`` numbers call sites program-wide, so
 later sites shift), and one that costs the call graph an edge.  Either
 way the patched PAG equals a fresh :func:`~repro.pag.builder.build_pag`
-— the same edge dicts in the same order, hence the same CSR image and
+— the same edge dicts in the same order, hence the same
 ``pag_fingerprint`` — and answers equal a cold start's (a fuzzed
-property), only cheaper.  A failed edit (the callback or the update
-raises) restores the method body and leaves everything else as it was.
+property), only cheaper.  The CSR image the traversals read is patched
+rather than re-lowered (:func:`~repro.pag.csr.patch_csr`): it equals a
+fresh compile's up to node numbering, and its surviving node indices
+let the native kernel keep its graph and summary mirror across the
+edit; a full solve compiles it afresh.  A failed edit (the callback or
+the update raises) restores the method body and leaves everything else
+as it was.
 """
 
 from repro.analysis.base import AnalysisConfig

@@ -38,18 +38,18 @@ from typing import List, Optional, Tuple
 #: the compiled-library cache keys on it.  Bump both together whenever
 #: the kernel's view of the image layout or the call signatures
 #: changes.
-RK_ABI_VERSION = 1
+RK_ABI_VERSION = 2
 
 _I32 = ctypes.c_int32
 _I64 = ctypes.c_int64
 _PI32 = ctypes.POINTER(ctypes.c_int32)
 _PI64 = ctypes.POINTER(ctypes.c_int64)
 
-#: Number of CSR arrays handed to ``rk_graph_new`` —
-#: ``len(repro.pag.csr._ARRAY_NAMES)``.
+#: Number of CSR arrays handed to ``rk_graph_new``/``rk_graph_rebind``
+#: — ``len(repro.pag.csr._ARRAY_NAMES)``.
 N_ARRAYS = 26
 
-#: ``rk_graph_new`` error codes -> reasons.
+#: ``rk_graph_new``/``rk_graph_rebind`` error codes -> reasons.
 _GRAPH_ERRORS = {
     1: "kernel out of memory",
     2: "CSR image rejected by the kernel (malformed offsets)",
@@ -203,6 +203,8 @@ def _declare(lib: ctypes.PyDLL) -> None:
         _PI32,                      # out: error code
     ]
     lib.rk_graph_new.restype = void_p
+    lib.rk_graph_rebind.argtypes = [void_p] + lib.rk_graph_new.argtypes[:-1]
+    lib.rk_graph_rebind.restype = _I32
     lib.rk_graph_free.argtypes = [void_p]
     lib.rk_graph_free.restype = None
     lib.rk_graph_add_token.argtypes = [void_p, _I32, _I32]
@@ -238,6 +240,8 @@ def _declare(lib: ctypes.PyDLL) -> None:
         _PI32, _PI32, _PI32,        # boundary offsets (n + 1), states, stacks
     ]
     lib.rk_summary_put_many.restype = _I32
+    lib.rk_session_compact.argtypes = [void_p]
+    lib.rk_session_compact.restype = _I32
     lib.rk_summary_del.argtypes = [void_p, _I32, _PI32, _PI32]
     lib.rk_summary_del.restype = _I32
     lib.rk_ppta.argtypes = [void_p, _I32, _I32, _I64, _I64, _I32]

@@ -24,12 +24,17 @@
  *                copies of the token/rank tables (they grow when the
  *                binding registers synthetic tokens) and the two
  *                hash-consed stack tables (field stacks + context
- *                stacks, shared by every session over the image).
- *   RkSession  — one per (image, SummaryCache) pair; owns the summary
+ *                stacks, shared by every session over the image).  An
+ *                edit's patched image (repro.pag.csr.patch_csr) keeps
+ *                every surviving node's index, so rk_graph_rebind points
+ *                the same graph at it: the stack tables and every
+ *                session over the graph stay valid.
+ *   RkSession  — one per (graph, SummaryCache) pair; owns the summary
  *                table mirroring the Python cache's `_entries`.  Records
  *                are append-only; a replaced or deleted key leaves a dead
- *                record behind, and the binding rebuilds the session
- *                once dead records outnumber live ones.
+ *                record behind, and the binding compacts the session
+ *                (rk_session_compact) once dead records outnumber live
+ *                ones.
  *   Rk*Result  — malloc'd per call, freed by the matching rk_*_free.
  *
  * Registered in repro.devtools.registry.HOT_FUNCTIONS (impl="native"):
@@ -40,7 +45,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define RK_ABI_VERSION 1
+#define RK_ABI_VERSION 2
 
 /* RSM states and token families (repro.cfl.rsm). */
 #define RK_S1 1
@@ -64,7 +69,8 @@
 #define RK_ABORT 1 /* budget or depth cutoff — mirrors BudgetExceededError */
 #define RK_ERR_OOM (-2)
 
-/* rk_graph_new error codes (the binding maps them to reason strings). */
+/* rk_graph_new / rk_graph_rebind error codes (the binding maps them to
+ * reason strings). */
 #define RK_GERR_OOM 1
 #define RK_GERR_OFFSETS 2
 #define RK_GERR_RANGE 3
@@ -439,14 +445,11 @@ int rk_abi_version(void) {
     return RK_ABI_VERSION;
 }
 
-/* arrays: the 26 CSR arrays in _ARRAY_NAMES order; counts: their
- * element counts.  All pointers are borrowed — the binding keeps the
- * owning Python objects alive for the handle's lifetime. */
-RkGraph *rk_graph_new(int32_t n, const int32_t **arrays, const int32_t *counts,
-                      const uint8_t *flags, int32_t n_tokens,
-                      const int32_t *tok_fid, const int32_t *tok_fam,
-                      const int32_t *tok_rank, const int32_t *node_rank,
-                      int32_t *err) {
+/* The validation rk_graph_new and rk_graph_rebind share: offsets are
+ * well-formed CSR over n nodes, node-valued arrays index [0, n), token
+ * ids [0, n_tokens) and op codes are known.  0 or an RK_GERR_* code. */
+static int check_image(int32_t n, const int32_t **arrays, const int32_t *counts,
+                       int32_t n_tokens) {
     static const int off_of_val[A_COUNT] = {
         /* value-array index -> its offsets-array index; offsets map to
          * themselves. */
@@ -469,38 +472,43 @@ RkGraph *rk_graph_new(int32_t n, const int32_t **arrays, const int32_t *counts,
         0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1,
         0, 0, 0, 1, 0, 0, 0, 1,
     };
-    RkGraph *g;
     int i;
 
-    *err = 0;
     for (i = 0; i < A_COUNT; i++) {
         if (is_off[i]) {
-            if (counts[i] != n + 1) {
-                *err = RK_GERR_OFFSETS;
-                return NULL;
-            }
+            if (counts[i] != n + 1)
+                return RK_GERR_OFFSETS;
         } else {
             /* every value array's count must equal its group total */
-            if (check_offsets(arrays[off_of_val[i]], n, counts[i]) < 0) {
-                *err = RK_GERR_OFFSETS;
-                return NULL;
-            }
+            if (check_offsets(arrays[off_of_val[i]], n, counts[i]) < 0)
+                return RK_GERR_OFFSETS;
         }
     }
-    for (i = 0; i < A_COUNT; i++) {
-        if (is_node[i] && check_range(arrays[i], counts[i], 0, n) < 0) {
-            *err = RK_GERR_RANGE;
-            return NULL;
-        }
-    }
+    for (i = 0; i < A_COUNT; i++)
+        if (is_node[i] && check_range(arrays[i], counts[i], 0, n) < 0)
+            return RK_GERR_RANGE;
     if (check_range(arrays[A_LI_TOK], counts[A_LI_TOK], 0, n_tokens) < 0 ||
         check_range(arrays[A_SF_TOK], counts[A_SF_TOK], 0, n_tokens) < 0 ||
         check_range(arrays[A_CB_OP], counts[A_CB_OP], 0, RK_OP_CLEAR + 1) < 0 ||
-        check_range(arrays[A_CF_OP], counts[A_CF_OP], 0, RK_OP_CLEAR + 1) < 0) {
-        *err = RK_GERR_RANGE;
-        return NULL;
-    }
+        check_range(arrays[A_CF_OP], counts[A_CF_OP], 0, RK_OP_CLEAR + 1) < 0)
+        return RK_GERR_RANGE;
+    return 0;
+}
 
+/* arrays: the 26 CSR arrays in _ARRAY_NAMES order; counts: their
+ * element counts.  All pointers are borrowed — the binding keeps the
+ * owning Python objects alive for the handle's lifetime. */
+RkGraph *rk_graph_new(int32_t n, const int32_t **arrays, const int32_t *counts,
+                      const uint8_t *flags, int32_t n_tokens,
+                      const int32_t *tok_fid, const int32_t *tok_fam,
+                      const int32_t *tok_rank, const int32_t *node_rank,
+                      int32_t *err) {
+    RkGraph *g;
+    int i;
+
+    *err = check_image(n, arrays, counts, n_tokens);
+    if (*err)
+        return NULL;
     g = (RkGraph *)calloc(1, sizeof(RkGraph));
     if (!g) {
         *err = RK_GERR_OOM;
@@ -537,6 +545,52 @@ oom:
     stacks_free(&g->cstacks);
     free(g);
     return NULL;
+}
+
+/* Point g at a patched image of the one it reads (same arguments as
+ * rk_graph_new; the old buffers must stay alive until this returns).
+ * A patch keeps every surviving node's index and appends new ones, so
+ * n may not shrink: the stack tables and every session over g — whose
+ * records name nodes by index — stay valid.  The token tables are
+ * rewritten for ids [0, n_tokens); synthetic ids above stay (the
+ * binding starts a fresh graph instead when new image tokens would
+ * land on them).  node_rank is replaced.  0, or an RK_GERR_* code with
+ * g untouched. */
+int32_t rk_graph_rebind(RkGraph *g, int32_t n, const int32_t **arrays,
+                        const int32_t *counts, const uint8_t *flags,
+                        int32_t n_tokens, const int32_t *tok_fid,
+                        const int32_t *tok_fam, const int32_t *tok_rank,
+                        const int32_t *node_rank) {
+    int32_t *ranks;
+    int err, i;
+
+    if (n < g->n)
+        return RK_GERR_RANGE;
+    err = check_image(n, arrays, counts, n_tokens);
+    if (err)
+        return err;
+    if ((n_tokens > g->tok_fid.cap && buf_grow(&g->tok_fid, n_tokens) < 0) ||
+        (n_tokens > g->tok_fam.cap && buf_grow(&g->tok_fam, n_tokens) < 0) ||
+        (n_tokens > g->tok_rank.cap && buf_grow(&g->tok_rank, n_tokens) < 0))
+        return RK_GERR_OOM;
+    ranks = (int32_t *)realloc(g->node_rank, ((size_t)n + 1) * sizeof(int32_t));
+    if (!ranks)
+        return RK_GERR_OOM;
+    g->node_rank = ranks;
+    memcpy(ranks, node_rank, (size_t)n * sizeof(int32_t));
+    ranks[n] = n;
+    for (i = 0; i < n_tokens; i++) {
+        g->tok_fid.data[i] = tok_fid[i];
+        g->tok_fam.data[i] = tok_fam[i];
+        g->tok_rank.data[i] = tok_rank[i];
+    }
+    if (n_tokens > g->tok_fid.len)
+        g->tok_fid.len = g->tok_fam.len = g->tok_rank.len = n_tokens;
+    g->n = n;
+    for (i = 0; i < A_COUNT; i++)
+        g->a[i] = arrays[i];
+    g->flags = flags;
+    return 0;
 }
 
 void rk_graph_free(RkGraph *g) {
@@ -705,6 +759,39 @@ int32_t rk_summary_put_many(RkSession *s, int32_t n, const int32_t *t,
                            n_b) < 0)
             return -1;
     }
+    return 0;
+}
+
+/* Drop the dead records: copy the live ones — those the index still
+ * points at — in record order into fresh pools behind a fresh index, so
+ * deleted keys leave no tombstones either.  No Python round trip: the
+ * kernel already holds every live summary.  0, or -1 on OOM (s is then
+ * untouched; the binding retires it). */
+int32_t rk_session_compact(RkSession *s) {
+    RkSession *c = rk_session_new(s->g);
+    RkSession old;
+    int32_t r;
+    if (!c)
+        return -1;
+    for (r = 0; r < s->rec_t.len; r++) {
+        int32_t t = s->rec_t.data[r], f = s->rec_f.data[r];
+        int32_t o = s->rec_obj_off.data[r], n_obj = s->rec_obj_off.data[r + 1] - o;
+        int32_t b = s->rec_b_off.data[r], n_b = s->rec_b_off.data[r + 1] - b;
+        if (kmap_get(&s->index, summary_key(t, f)) != r)
+            continue; /* replaced or deleted */
+        /* no offset arithmetic on a NULL pool (nothing pooled yet) */
+        if (session_commit(c, t, f, s->rec_steps.data[r],
+                           n_obj ? s->obj_pool.data + o : NULL, n_obj,
+                           n_b ? s->b_t_pool.data + b : NULL,
+                           n_b ? s->b_f_pool.data + b : NULL, n_b) < 0) {
+            rk_session_free(c);
+            return -1;
+        }
+    }
+    old = *s;
+    *s = *c;
+    *c = old;
+    rk_session_free(c); /* frees the old pools */
     return 0;
 }
 

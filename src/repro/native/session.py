@@ -3,24 +3,31 @@
 Two object layers bridge the gap between the pure-Python analyses and
 the C kernel in ``kernel.c``:
 
-* :class:`_NativeGraph` — one per :class:`~repro.pag.csr.CsrImage`,
+* :class:`_NativeGraph` — the kernel's twin of one CSR image lineage,
   cached on ``image._native``.  Hands the kernel borrowed pointers into
   the image's 26 ``array('i')`` CSR buffers (no copy), plus the token
-  tables and the **sort ranks**: the Python-computed ordinal of every
+  tables and the **sort ranks**: Python-computed ranks of every live
   node's ``sort_key`` and every token tuple, which make the kernel's
   boundary sort order-isomorphic to
   :func:`~repro.analysis.ppta._boundary_order` without ever comparing
-  Python objects in C.  It also owns the py↔C translation caches for
-  hash-consed stacks — both sides intern, so the mapping is a pair of
-  dicts that only ever grows along push chains.
-* :class:`_NativeSession` — one per ``(SummaryCache, image)`` pair,
+  Python objects in C (see :class:`_NodeRanks`).  It also owns the
+  py↔C translation caches for hash-consed stacks — both sides intern,
+  so the mapping is a pair of dicts that only ever grows along push
+  chains.  An edit's patched image (:func:`repro.pag.csr.patch_csr`)
+  inherits the twin, which **rebinds** to it on first use: surviving
+  nodes keep their indices, so the kernel graph, its stack tables and
+  every summary session over it carry on — only a fresh compile (the
+  first, a full solve, an ``add_*`` insertion, a changed recursive-site
+  set, compaction) builds a new graph.
+* :class:`_NativeSession` — one per ``(SummaryCache, graph)`` pair,
   cached on ``cache._native_memo``.  Mirrors the cache's ``_entries``
   into the kernel's summary table so the kernel can probe and commit
   summaries without calling back into Python.  The first sync imports
-  every entry in one bulk call; later syncs replay only the keys the
-  cache journaled since (inserted, replaced or removed — removals
-  become kernel deletes), and the session is rebuilt once dead records
-  outnumber live ones (see :func:`_session_for`).
+  every entry in one bulk call; later syncs — across rebinds too —
+  replay only the keys the cache journaled since (inserted, replaced or
+  removed — removals become kernel deletes), and the kernel compacts
+  the session in place once dead records outnumber live ones (see
+  :func:`_session_for`).
 
 Everything here is **refuse-and-fall-back**: any state the kernel
 cannot represent (a stack value outside int32, a foreign token in an
@@ -32,6 +39,7 @@ usable, only latency does.
 
 import weakref
 from array import array
+from bisect import bisect_left
 from ctypes import POINTER, byref, c_int32, c_int64, cast
 
 from repro.native.binding import (
@@ -64,13 +72,18 @@ def _addr(int_array):
 
 
 class _NativeGraph:
-    """The kernel-side twin of one CSR image (see module docstring)."""
+    """The kernel-side twin of one CSR image lineage (see module
+    docstring)."""
 
     __slots__ = (
         "lib",
         "_image",
         "handle",
         "keep",
+        "tok_tables",
+        "ranks",
+        "dead",
+        "generation",
         "tok_index",
         "tokens_by_id",
         "n_image_tokens",
@@ -81,22 +94,32 @@ class _NativeGraph:
         "broken",
     )
 
-    def __init__(self, lib, image, handle, keep, tok_index, tokens_by_id):
+    def __init__(self, lib, image, handle, keep, tok_tables, ranks):
         self.lib = lib
         # The image owns this graph (``image._native``); a weak
-        # back-reference keeps the pair out of the cyclic GC, so an
-        # edit's superseded image and kernel handle are freed as soon
-        # as the image is dropped, not at the next full collection.
+        # back-reference keeps the pair out of the cyclic GC, so a
+        # superseded image and kernel handle are freed as soon as the
+        # image is dropped, not at the next full collection.
         self._image = weakref.ref(image)
         self.handle = handle
-        #: Buffers the kernel borrows pointers into — kept alive here.
+        #: Buffers the kernel borrows pointers into — kept alive here
+        #: until a rebind points the kernel at the next image's.
         self.keep = keep
-        self.tok_index = tok_index
-        self.tokens_by_id = tokens_by_id
+        #: ``(tok_fid, tok_fam, tok_rank)`` as last handed to the kernel.
+        self.tok_tables = tok_tables
+        self.ranks = ranks
+        #: The bound image's ``dead`` set, and how many rebinds so far
+        #: (a session synced at an older generation re-examines the keys
+        #: it skipped — see :func:`_session_for`).
+        self.dead = image.dead
+        self.generation = 0
+        tokens = image.tokens
+        self.tok_index = {token: i for i, token in enumerate(tokens)}
+        self.tokens_by_id = list(tokens)
         #: Ids below this are the image's own tokens; at or above are
         #: synthetics registered for standalone-PPTA start stacks
         #: (rank 0 — they never reach a session's boundary sort).
-        self.n_image_tokens = len(tokens_by_id)
+        self.n_image_tokens = len(tokens)
         self.fs_py2c = {EMPTY_STACK: 0}
         self.fs_c2py = {0: EMPTY_STACK}
         self.cs_py2c = {EMPTY_STACK: 0}
@@ -283,13 +306,100 @@ class _NativeGraph:
         return stack
 
 
-def _build_graph(lib, image):
-    """A :class:`_NativeGraph` over ``image``, or a reason string."""
+#: Node sort ranks live in [0, 2**31): int32, with room between
+#: neighbours for the nodes later patches append.
+_RANK_SPAN = 2 ** 31 - 1
+
+
+class _NodeRanks:
+    """Kernel sort ranks of a CSR image lineage's live nodes.
+
+    ``rank[i]`` orders node ``i`` among the live nodes exactly as its
+    ``sort_key`` does.  A full ranking — one sort, when a graph is
+    built — spaces the ranks evenly.  After a patch, a dropped node
+    leaves the order and an appended one takes the midpoint of its new
+    neighbours' ranks (a bisect over the live keys, no re-sort); only a
+    neighbourhood with no room left re-spaces every rank, which is O(n)
+    and still sorts nothing.  A dead node keeps a stale rank: no live
+    row names it, so the kernel never compares it — and a dead index
+    never comes back to life (:func:`repro.pag.csr.patch_csr`).
+    """
+
+    __slots__ = ("rank", "keys", "order", "gap")
+
+    def __init__(self, image):
+        nodes = image.nodes
+        dead = image.dead
+        #: Live node indices in sort-key order, and their keys.
+        self.order = sorted(
+            (i for i in range(image.n_nodes) if i not in dead),
+            key=lambda i: nodes[i].sort_key,
+        )
+        self.keys = [nodes[i].sort_key for i in self.order]
+        self.rank = array("i", [0]) * image.n_nodes
+        self._respace()
+
+    def _respace(self):
+        self.gap = gap = max(1, _RANK_SPAN // (len(self.order) + 1))
+        rank = self.rank
+        for pos, i in enumerate(self.order, 1):
+            rank[i] = pos * gap
+
+    def follow(self, image, dead_before):
+        """Fit the ranks to ``image``, a patch of the image they fit
+        (whose dead set was ``dead_before``)."""
+        nodes = image.nodes
+        dead = image.dead
+        rank, keys, order = self.rank, self.keys, self.order
+        fitted = len(rank)
+        rank.extend(array("i", [0]) * (image.n_nodes - fitted))
+        for i in dead - dead_before:
+            if i >= fitted:
+                continue  # appended and dropped again: never ranked
+            key = nodes[i].sort_key
+            pos = bisect_left(keys, key)
+            while order[pos] != i:
+                pos += 1
+            del keys[pos], order[pos]
+        crowded = False
+        for i in range(fitted, image.n_nodes):
+            if i in dead:
+                continue
+            key = nodes[i].sort_key
+            pos = bisect_left(keys, key)
+            lo = rank[order[pos - 1]] if pos else 0
+            if pos < len(order):
+                hi = rank[order[pos]]
+            else:
+                hi = min(lo + 2 * self.gap, _RANK_SPAN)
+            keys.insert(pos, key)
+            order.insert(pos, i)
+            if hi - lo < 2:
+                crowded = True
+            else:
+                rank[i] = (lo + hi) // 2
+        if crowded:
+            self._respace()
+
+
+def _token_tables(image):
+    """The kernel's token tables for ``image``: field ids, families
+    and sort ranks, indexed by token id."""
+    tokens = image.tokens
+    tok_fid_map = image.tok_fid
+    tok_fid = array("i", [tok_fid_map.get(t, -1) for t in tokens])
+    tok_fam = array("i", [0 if t[1] == FAM_LOAD else 1 for t in tokens])
+    tok_rank = array("i", [0] * len(tokens))
+    for pos, idx in enumerate(sorted(range(len(tokens)), key=tokens.__getitem__)):
+        tok_rank[idx] = pos
+    return tok_fid, tok_fam, tok_rank
+
+
+def _image_buffers(image):
+    """``(keep, pointers, counts)``: borrowed pointers to ``image``'s
+    CSR arrays, their element counts, and the buffers behind them."""
     from repro.pag.csr import _ARRAY_NAMES
 
-    n = image.n_nodes
-    if n >= 2 ** 29:  # index * 4 + state must stay in int32
-        return f"image too large for the kernel ({n} nodes)"
     keep = []
     pointers = (_PI32 * N_ARRAYS)()
     counts = (c_int32 * N_ARRAYS)()
@@ -298,48 +408,95 @@ def _build_graph(lib, image):
         keep.append(buf)
         pointers[i] = _addr(buf)
         counts[i] = len(buf)
-    flags = image.flags
-    keep.append(flags)
+    keep.append(image.flags)
+    return keep, pointers, counts
 
-    tokens = image.tokens
-    tok_fid_map = image.tok_fid
-    tok_fid = array("i", [tok_fid_map.get(t, -1) for t in tokens])
-    tok_fam = array("i", [0 if t[1] == FAM_LOAD else 1 for t in tokens])
-    tok_rank = array("i", [0] * len(tokens))
-    for pos, idx in enumerate(sorted(range(len(tokens)), key=tokens.__getitem__)):
-        tok_rank[idx] = pos
-    nodes = image.nodes
-    node_rank = array("i", [0] * n)
-    order = sorted(range(n), key=lambda i: nodes[i].sort_key)
-    for pos, idx in enumerate(order):
-        node_rank[idx] = pos
-    keep.extend((tok_fid, tok_fam, tok_rank, node_rank))
 
+def _too_large(image):
+    n = image.n_nodes
+    if n >= 2 ** 29:  # index * 4 + state must stay in int32
+        return f"image too large for the kernel ({n} nodes)"
+    return None
+
+
+def _build_graph(lib, image):
+    """A :class:`_NativeGraph` over ``image``, or a reason string."""
+    reason = _too_large(image)
+    if reason is not None:
+        return reason
+    keep, pointers, counts = _image_buffers(image)
+    tok_tables = _token_tables(image)
+    ranks = _NodeRanks(image)
     err = c_int32(0)
     handle = lib.rk_graph_new(
-        n,
+        image.n_nodes,
         pointers,
         counts,
-        flags,
-        len(tokens),
-        _addr(tok_fid),
-        _addr(tok_fam),
-        _addr(tok_rank),
-        _addr(node_rank),
+        image.flags,
+        len(image.tokens),
+        *map(_addr, tok_tables),
+        _addr(ranks.rank),
         byref(err),
     )
     if not handle:
         return _GRAPH_ERRORS.get(err.value, f"kernel rejected the image ({err.value})")
-    tok_index = {token: i for i, token in enumerate(tokens)}
-    return _NativeGraph(lib, image, handle, keep, tok_index, list(tokens))
+    return _NativeGraph(lib, image, handle, keep, tok_tables, ranks)
+
+
+def _rebind(ng, image):
+    """``ng`` pointed at ``image``, a patch of the image it reads; a
+    fresh graph when it cannot follow, or a reason string.
+
+    The patch kept every surviving node's index, so the kernel keeps
+    its stack tables and sessions: only the array pointers, the node
+    ranks and — when the patch interned new tokens — the token tables
+    change.  New tokens take the ids after the image's own, so a graph
+    whose synthetic tokens already hold those ids starts afresh.
+    """
+    reason = _too_large(image)
+    if reason is not None:
+        return reason
+    tokens = image.tokens
+    new_tokens = tokens[ng.n_image_tokens:]
+    tok_tables = ng.tok_tables
+    if new_tokens:
+        if len(ng.tokens_by_id) > ng.n_image_tokens:
+            return _build_graph(ng.lib, image)
+        tok_tables = _token_tables(image)
+    ng.ranks.follow(image, ng.dead)
+    keep, pointers, counts = _image_buffers(image)
+    err = ng.lib.rk_graph_rebind(
+        ng.handle,
+        image.n_nodes,
+        pointers,
+        counts,
+        image.flags,
+        len(tokens),
+        *map(_addr, tok_tables),
+        _addr(ng.ranks.rank),
+    )
+    if err:
+        return _GRAPH_ERRORS.get(err, f"kernel rejected the image ({err})")
+    ng.keep = keep  # the kernel no longer reads the old buffers
+    ng._image = weakref.ref(image)
+    ng.dead = image.dead
+    ng.generation += 1
+    if new_tokens:
+        ng.tok_tables = tok_tables
+        ng.tok_index.update(zip(new_tokens, range(ng.n_image_tokens, len(tokens))))
+        ng.tokens_by_id.extend(new_tokens)
+        ng.n_image_tokens = len(tokens)
+    return ng
 
 
 def graph_for(pag):
     """The native twin of ``pag``'s CSR image, or ``None`` (fall back).
 
-    The outcome — graph or reason — is cached on ``image._native``; a
-    poisoned graph (kernel OOM) is retired here, replacing the cached
-    graph with its reason so later calls fail fast.
+    The outcome — graph or reason — is cached on ``image._native``.  A
+    patched image arrives with its parent's graph, which is rebound to
+    it here, before any kernel call reads the new image.  A poisoned
+    graph (kernel OOM) is retired here, replacing the cached graph with
+    its reason so later calls fail fast.
     """
     lib, _reason = load_kernel()
     if lib is None:
@@ -347,8 +504,9 @@ def graph_for(pag):
     image = pag.csr()
     native = image._native
     if native is None:
-        native = _build_graph(lib, image)
-        image._native = native
+        native = image._native = _build_graph(lib, image)
+    elif type(native) is _NativeGraph and native.image is not image:
+        native = image._native = _rebind(native, image)
     if type(native) is not _NativeGraph:
         return None  # a cached reason string
     if native.broken is not None:
@@ -449,18 +607,23 @@ class _NativeSession:
     """A kernel summary table mirroring one plain ``SummaryCache``.
 
     The counters count work, not time, so a test can assert what a sync
-    touched: ``imported`` entries sent to the kernel (full imports,
-    rebuilds and re-puts of journaled keys), ``deleted`` keys a journal
-    drain removed from the kernel index.
+    touched: ``imported`` entries sent to the kernel (full imports and
+    re-puts of journaled keys), ``deleted`` keys a journal drain removed
+    from the kernel index.
     """
 
-    __slots__ = ("graph", "handle", "imported", "deleted")
+    __slots__ = ("graph", "handle", "imported", "deleted", "skipped")
 
     def __init__(self, graph, handle):
         self.graph = graph  # strong ref: the graph must outlive us
         self.handle = handle
         self.imported = 0
         self.deleted = 0
+        #: Keys :func:`_put` skipped as out of the kernel's reach (node
+        #: not in the image, token not in its table), as an ordered
+        #: set; a rebind may bring them in, so the first sync after one
+        #: puts them again.
+        self.skipped = {}
 
     def __del__(self):
         try:
@@ -483,36 +646,48 @@ def _session_for(ng, cache):
     """The kernel session mirroring ``cache``, synced; ``None`` refuses
     native for this cache.
 
-    The first native query on a cache (or the first over a new image)
+    The first native query on a cache (or the first over a new graph)
     bulk-imports every entry and starts the cache's journal,
     ``cache._native_journal``.  From then on the store appends to it
     every key it inserts, replaces or removes, and each sync replays
     only the journaled keys: one still resident is put again, one gone
-    is deleted from the kernel index.  Summaries the kernel computed
+    is deleted from the kernel index.  An edit's rebind keeps the
+    session — node indices survive the patch, and a dropped node stays
+    resolvable until compaction, so removals drain under the numbering
+    they were recorded in — and the first sync after it also re-puts
+    the keys earlier imports skipped.  Summaries the kernel computed
     itself go straight into ``_entries`` and never enter the journal.
     Replaced and deleted keys leave dead records in the kernel pools;
-    once those outnumber the live ones the session is rebuilt from the
-    live entries, so a long edit session's kernel memory stays bounded.
+    once those outnumber the live ones the kernel compacts the session
+    in place (no re-import), so a long edit session's kernel memory
+    stays bounded.
 
-    An entry the kernel cannot represent refuses native for the cache
-    until it is cleared or the image changes — the refusal is cached,
-    so later queries fall back at once instead of re-importing.
+    The memo is ``(graph, session, generation)``.  An entry the kernel
+    cannot represent refuses native for the cache until it is cleared
+    or the graph moves to another image — the refusal is cached as a
+    ``None`` session, so later queries fall back at once instead of
+    re-importing.
     """
     memo = cache._native_memo
-    if memo is None or memo[0] is not ng.image:
+    if memo is None or memo[0] is not ng:
         return _fresh_session(ng, cache)
-    sess = memo[1]
-    if sess is None:
-        return None  # refused earlier (unrepresentable entry)
+    _graph, sess, generation = memo
+    if sess is None:  # refused earlier (unrepresentable entry)
+        return None if generation == ng.generation else _fresh_session(ng, cache)
     journal = cache._native_journal
+    if generation != ng.generation:
+        journal.extend(sess.skipped)
+        sess.skipped = {}
+        cache._native_memo = (ng, sess, ng.generation)
     if journal:
         keys = dict.fromkeys(journal)  # in order, each key once
         journal.clear()
         if not _drain(ng, sess, cache._entries, keys):
             return _retire(ng, cache)
         live = sess.live()
-        if sess.records() - live > live:
-            return _fresh_session(ng, cache)
+        if sess.records() - live > live and ng.lib.rk_session_compact(sess.handle):
+            ng.broken = "kernel out of memory"
+            return _retire(ng, cache)
     return sess
 
 
@@ -525,7 +700,7 @@ def _fresh_session(ng, cache):
     sess = _NativeSession(ng, handle)
     if not _put(ng, sess, list(cache._entries.items())):
         return _retire(ng, cache)
-    cache._native_memo = (ng.image, sess)
+    cache._native_memo = (ng, sess, ng.generation)
     cache._native_journal = []
     return sess
 
@@ -534,10 +709,11 @@ def _retire(ng, cache):
     """Drop ``cache``'s mirror and journal; always ``None``.
 
     After kernel OOM (``ng.broken`` set) the next query starts over on
-    a fresh graph; otherwise the refusal is cached against this image.
+    a fresh graph; otherwise the refusal is cached against this graph
+    until it rebinds.
     """
     cache._native_journal = None
-    cache._native_memo = None if ng.broken is not None else (ng.image, None)
+    cache._native_memo = None if ng.broken is not None else (ng, None, ng.generation)
     return None
 
 
@@ -577,9 +753,10 @@ def _put(ng, sess, items):
     ``rk_summary_put_many`` call over flat arrays; ``False`` refuses
     the session (or reports kernel OOM, with ``ng.broken`` set).
 
-    Keys the kernel can never be asked about — a node not in the image,
-    or a stack with a non-image token (the native worklist only ever
-    carries image tokens) — are skipped, not imported.  An entry it
+    Keys the kernel cannot be asked about over this image — a node not
+    in it, or a stack with a non-image token (the native worklist only
+    ever carries image tokens) — are skipped, not imported, and noted in
+    ``sess.skipped`` for the next rebind.  An entry it
     *could* be asked about but cannot represent (an object outside the
     image, a foreign boundary token) refuses the whole session: a
     partial mirror would make probes miss where Python hits, diverging
@@ -597,15 +774,19 @@ def _put(ng, sess, items):
     b_off = array("i", [0])
     b_t = array("i")
     b_f = array("i")
-    for (node, fstack, state), summary in items:
+    skipped = sess.skipped
+    for key, summary in items:
+        node, fstack, state = key
         si = index_get(node)
         if si is None:
-            continue  # unreachable natively: skip
+            skipped[key] = None  # unreachable natively
+            continue
         f = to_c(fstack, True)
         if f is None:
             if ng.broken is not None:
                 return False
-            continue  # foreign key token: never probed natively
+            skipped[key] = None  # foreign key token: never probed natively
+            continue
         for obj in summary.objects:
             oi = index_get(obj)
             if oi is None:

@@ -41,6 +41,7 @@ from repro.pag.edges import (
 )
 from repro.cfl.rsm import FAM_LOAD, FAM_STORE
 from repro.cfl.stacks import intern_token
+from repro.pag.csr import ROW_DICTS
 from repro.pag.nodes import GlobalNode, LocalNode, ObjectNode
 from repro.util.errors import IRError
 
@@ -158,18 +159,24 @@ class PAG:
         #: Lazily compiled node -> NodeAdjacency map (see
         #: :meth:`adjacency`); any edge insertion resets it.
         self._adjacency = None
-        #: Lazily compiled CSR image (see :meth:`csr`); reset by edge
+        #: Lazily built CSR image (see :meth:`csr`); reset by edge
         #: insertion and by :meth:`mark_recursive_site` (the image folds
         #: the recursive bit into its cross-op codes).
         self._csr = None
-        #: Memo of :func:`repro.pag.csr.pag_fingerprint`, reset with
-        #: ``_csr``.
+        #: After :meth:`replace_method_edges`: ``(image, changed,
+        #: dropped)`` — the last image and the nodes edits changed since
+        #: — which :meth:`csr` patches instead of lowering afresh.
+        self._csr_patch = None
+        #: Memo of :func:`repro.pag.csr.pag_fingerprint`, reset by every
+        #: edge change.
         self._fingerprint = None
-        #: Compile counters: how often this graph was lowered.  The perf
-        #: harness's warm-start section gates on exactly one CSR compile
-        #: and no adjacency compile.
+        #: Compile counters: how often this graph was lowered (and how
+        #: often its CSR image was patched instead).  The perf harness
+        #: gates on them: one CSR compile and no adjacency compile for a
+        #: warm start, one patch and no compile per edit.
         self.adjacency_compiles = 0
         self.csr_compiles = 0
+        self.csr_patches = 0
 
     # ------------------------------------------------------------------
     # node interning
@@ -236,8 +243,7 @@ class PAG:
         self._edge_seen.add(signature)
         self._edge_counts[kind] += 1
         self._adjacency = None
-        self._csr = None
-        self._fingerprint = None
+        self._csr = self._csr_patch = self._fingerprint = None
         return True
 
     def add_new(self, obj, target):
@@ -301,8 +307,7 @@ class PAG:
             self._recursive_sites.add(site_id)
             # Adjacency records test recursiveness live, but the CSR
             # image bakes it into its cross-op codes.
-            self._csr = None
-            self._fingerprint = None
+            self._csr = self._csr_patch = self._fingerprint = None
 
     def set_recursive_sites(self, sites):
         """Replace the recursive-site set (an edit changed the call
@@ -310,8 +315,7 @@ class PAG:
         sites = set(sites)
         if sites != self._recursive_sites:
             self._recursive_sites = sites
-            self._csr = None
-            self._fingerprint = None
+            self._csr = self._csr_patch = self._fingerprint = None
 
     # ------------------------------------------------------------------
     # incremental maintenance: per-method edge segments
@@ -334,11 +338,14 @@ class PAG:
         of their first item, and every item list by position, where a
         position is (owner's rank in program order, index in the
         owner's segment).  This method restores exactly that order, so
-        the dicts, the CSR image and :func:`~repro.pag.csr.pag_fingerprint`
-        equal a fresh build's.  Only the keys the changed edges touch
-        are re-sorted; a dict is rebuilt (at C speed) only when one of
-        its keys has to move.  Nodes left without any edge are dropped.
-        Returns ``(removed, added)`` edge signatures.
+        the dicts and :func:`~repro.pag.csr.pag_fingerprint` equal a
+        fresh build's.  Only the keys the changed edges touch are
+        re-sorted; a dict is rebuilt (at C speed) only when one of its
+        keys has to move.  Nodes left without any edge are dropped.
+        The nodes whose CSR rows changed — the touched keys and the
+        dropped nodes — are passed on to the next :meth:`csr`, which
+        patches the last image with them.  Returns ``(removed, added)``
+        edge signatures.
         """
         rank = self._ranks()
         seq = {}
@@ -399,12 +406,22 @@ class PAG:
             else:
                 self._segments.pop(qname, None)
         if removed or added:
-            self._drop_isolated(
+            dropped = self._drop_isolated(
                 {sig[1] for sig in removed} | {sig[-1] for sig in removed}
             )
             self._adjacency = None
-            self._csr = None
             self._fingerprint = None
+            changed = [
+                key for name, firsts in touched.items() if name in ROW_DICTS
+                for key in firsts
+            ]
+            image = self._csr
+            if image is not None:
+                self._csr = None
+                self._csr_patch = (image, dict.fromkeys(changed), set(dropped))
+            elif self._csr_patch is not None:
+                self._csr_patch[1].update(dict.fromkeys(changed))
+                self._csr_patch[2].update(dropped)
         return removed, added
 
     def _ranks(self):
@@ -500,10 +517,13 @@ class PAG:
             edges.update(rebuilt)
 
     def _drop_isolated(self, candidates):
-        """Forget the nodes among ``candidates`` that no edge touches."""
+        """Forget the nodes among ``candidates`` that no edge touches;
+        returns them."""
+        dropped = []
         for node in candidates:
             if any(node in edges for edges in self._direction_dicts()):
                 continue
+            dropped.append(node)
             if node.is_local_var:
                 table, key = self._locals, (node.method, node.name)
             elif node.is_object:
@@ -517,6 +537,7 @@ class PAG:
                 owned.remove(node)
                 if not owned:
                     del self._method_nodes[node.method]
+        return dropped
 
     def _direction_dicts(self):
         return (
@@ -539,8 +560,7 @@ class PAG:
         self._recursive_sites = set()
         self._segments = {}
         self._adjacency = None
-        self._csr = None
-        self._fingerprint = None
+        self._csr = self._csr_patch = self._fingerprint = None
 
     def prune_nodes(self):
         """Forget every node no edge touches."""
@@ -659,22 +679,32 @@ class PAG:
 
     def csr(self):
         """The CSR traversal image (:class:`~repro.pag.csr.CsrImage`),
-        compiled on demand.
+        built on demand.
 
-        Like :meth:`adjacency`, any ``add_*`` edge insertion resets it
-        (and :meth:`mark_recursive_site` does too — the image folds the
-        recursive bit into its cross-op codes).  Token and field ids
-        come from the process-global intern pool, so recompiles and PAG
-        rebuilds never renumber them.
+        After :meth:`replace_method_edges` (an edit) the last image is
+        *patched* (:func:`~repro.pag.csr.patch_csr`): surviving nodes
+        keep their indices, so the image equals a fresh compile's up to
+        node numbering.  Everything else compiles the whole graph
+        afresh (:func:`~repro.pag.csr.compile_csr`): the first call, any
+        ``add_*`` edge insertion, a changed recursive-site set (the
+        image folds the recursive bit into its cross-op codes), a full
+        re-derivation, and compaction once a patch would leave more
+        dead rows than live ones.  Token and field ids come from the
+        process-global intern pool, so neither path renumbers them.
         """
         image = self._csr
         if image is None:
-            from repro.pag.csr import compile_csr
+            from repro.pag.csr import compile_csr, patch_csr
 
-            image = compile_csr(self)
+            pending, self._csr_patch = self._csr_patch, None
+            if pending is not None:
+                image = patch_csr(self, *pending)
+            if image is None:
+                image = compile_csr(self)
+                self.csr_compiles += 1
+            else:
+                self.csr_patches += 1
             self._csr = image
-            self._fingerprint = image.fingerprint
-            self.csr_compiles += 1
         return image
 
     def _compile_adjacency(self):

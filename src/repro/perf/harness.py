@@ -31,9 +31,11 @@ PAPERS.md).  This harness measures **steps per second**:
   revert it, and so on, with one SafeCast batch after each edit, on a
   program-backed engine (:meth:`PointsToEngine.for_program`).  It
   records the median edit and batch times, how many edits fell back to
-  a full solve, the CSR compiles each edit cost, and what a cold
-  ``for_program`` costs; ``--check`` gates on answers equal to a cold
-  engine's after every edit, no fallback, and one compile per edit.
+  a full solve, the CSR compiles and patches each edit cost, the
+  summaries the native kernel's mirror re-imported per edit, and what
+  a cold ``for_program`` costs; ``--check`` gates on answers equal to
+  a cold engine's after every edit, no fallback, one CSR patch and no
+  compile per edit, and — with the kernel loaded — no mirror import.
 * **eviction** — the heap-backed victim index of
   :class:`~repro.analysis.summaries.CostAwareSummaryCache`: per-eviction
   wall time across store sizes.  O(log n) shows as a near-flat curve;
@@ -413,7 +415,8 @@ def run_edits(rounds=10, log=lambda s: None):
     program version, and each report's ``migrated + dropped`` the
     store's entry count before its edit; a violation raises
     :class:`PerfCheckError` regardless of ``--check`` (which also gates
-    on ``rebuilt == 0`` and one CSR compile per edit).
+    on ``rebuilt == 0``, one CSR patch and no compile per edit, and no
+    kernel-mirror import per edit).
     """
     policy = bench_engine_policy()
     program = generate_program(GENERATOR_CONFIG)
@@ -438,7 +441,7 @@ def run_edits(rounds=10, log=lambda s: None):
     }
     session = engine.edit_session()
     _edit_answers(engine)  # the store warms before the first edit
-    edit_times, batch_times, compiles = [], [], []
+    edit_times, batch_times, compiles, patches, imported = [], [], [], [], []
     for index in range(2 * rounds):
         edited = index % 2 == 0
         entries = len(engine.cache)
@@ -450,11 +453,14 @@ def run_edits(rounds=10, log=lambda s: None):
                 f"edit {index + 1}: migrated {report.migrated} + dropped "
                 f"{report.dropped} != {entries} entries before the edit"
             )
-        before = engine.pag.csr_compiles
+        pag = engine.pag
+        before = (pag.csr_compiles, pag.csr_patches, _mirror(engine.cache))
         started = time.perf_counter()
         answers = _edit_answers(engine)
         batch_times.append(time.perf_counter() - started)
-        compiles.append(engine.pag.csr_compiles - before)
+        compiles.append(pag.csr_compiles - before[0])
+        patches.append(pag.csr_patches - before[1])
+        imported.append(_imported_since(before[2], _mirror(engine.cache)))
         if answers != want[edited]:
             raise PerfCheckError(
                 f"edit {index + 1}: answers differ from a cold engine's"
@@ -468,6 +474,10 @@ def run_edits(rounds=10, log=lambda s: None):
         "cold_for_program_ms": round(cold_sec * 1000, 3),
         "rebuilt": sum(1 for report in reports if report.rebuilt),
         "csr_compiles_per_edit": sorted(set(compiles)),
+        "csr_patches_per_edit": sorted(set(patches)),
+        "mirror_imported_per_edit": (
+            None if None in imported else sorted(set(imported))
+        ),
         "migrated": round(statistics.mean(r.migrated for r in reports), 1),
         "dropped": round(statistics.mean(r.dropped for r in reports), 1),
         "traversal_impl": engine.stats().traversal_impl,
@@ -476,9 +486,26 @@ def run_edits(rounds=10, log=lambda s: None):
         f"  edit={section['edit_ms']:.1f}ms batch={section['batch_ms']:.1f}ms "
         f"(cold for_program {section['cold_for_program_ms']:.1f}ms, "
         f"{section['rebuilt']} rebuilt of {section['edits']}, "
-        f"csr compiles/edit {section['csr_compiles_per_edit']})"
+        f"csr compiles/edit {section['csr_compiles_per_edit']}, "
+        f"patches/edit {section['csr_patches_per_edit']}, "
+        f"mirror imports/edit {section['mirror_imported_per_edit']})"
     )
     return section
+
+
+def _mirror(cache):
+    """The native kernel's mirror session of ``cache``, or ``None``."""
+    memo = cache._native_memo
+    return None if memo is None else memo[1]
+
+
+def _imported_since(before, after):
+    """Entries the kernel mirror imported between two observations of
+    it (a replaced session counts its whole import); ``None`` without a
+    mirror."""
+    if after is None:
+        return None
+    return after.imported - (before.imported if after is before else 0)
 
 
 def run_eviction(sizes, inserts=2_000, log=lambda s: None):
@@ -703,8 +730,9 @@ def run_perf(
         # default impl and replaces its CSR-adoption flag with the
         # ``traversal_impl``/``native_unavailable`` it ran under; version
         # 7 adds the edits section (edit-storm's cycle on the generator
-        # program).
-        "version": 7,
+        # program); version 8 adds its CSR patches and kernel-mirror
+        # imports per edit.
+        "version": 8,
         "quick": quick,
         "python": sys.version.split()[0],
         "figure4": figure4,
@@ -780,11 +808,25 @@ def _check_report(report):
                 f"{edits['rebuilt']} of {edits['edits']} edits fell back "
                 "to a full solve; edit-storm's edits keep the call graph"
             )
-        if edits["csr_compiles_per_edit"] != [1]:
+        if edits["csr_compiles_per_edit"] != [0]:
             raise PerfCheckError(
                 f"edits compiled the CSR image {edits['csr_compiles_per_edit']} "
+                "times each (want 0: an edit patches the image)"
+            )
+        if edits.get("csr_patches_per_edit") != [1]:
+            raise PerfCheckError(
+                f"edits patched the CSR image {edits.get('csr_patches_per_edit')} "
                 "times each (want exactly 1)"
             )
+        from repro.native import availability
+
+        if edits.get("traversal_impl") == "native" and availability()[0]:
+            if edits.get("mirror_imported_per_edit") != [0]:
+                raise PerfCheckError(
+                    "edits re-imported the kernel's summary mirror "
+                    f"({edits.get('mirror_imported_per_edit')} entries each; "
+                    "want 0: the rebound graph keeps it)"
+                )
     chaos = report.get("chaos")
     if chaos is not None:
         if not chaos["schedules"]:

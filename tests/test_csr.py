@@ -1,7 +1,9 @@
 """Tests for the CSR-compiled traversal core (:mod:`repro.pag.csr`).
 
 Covers the image lifecycle (lazy compile, edge-insert invalidation,
-counters), the token intern pool's stability across graph rebuilds, and
+counters), the program fingerprint staying off the compile path (only
+the remote tier computes it, once per ``bind_pag``), the token intern
+pool's stability across graph rebuilds, and
 the snapshot files a warm start reads: JSON snapshots load, and every
 malformed file — including the binary container earlier builds wrote
 beside the JSON form — surfaces as a typed
@@ -22,7 +24,8 @@ from repro.api.snapshot import load_snapshot, load_store
 from repro.bench.runner import bench_engine_policy
 from repro.cfl.rsm import FAM_LOAD, FAM_STORE
 from repro.cfl.stacks import field_id, token_id
-from repro.engine.policy import EnginePolicy
+from repro.engine.policy import CachePolicy, EnginePolicy
+from repro.pag import csr as csr_module
 from repro.pag.csr import _ARRAY_NAMES, compile_csr, pag_fingerprint
 from repro.pag.graph import PAG
 
@@ -68,7 +71,7 @@ class TestCompileAndInvalidation:
         assert image.n_nodes == sum(pag.node_counts().values())
         assert image.edge_counts == pag.edge_counts()
         assert image.node_counts == pag.node_counts()
-        assert image.fingerprint == pag_fingerprint(pag)
+        assert pag_fingerprint(pag) == pag_fingerprint(build_pag(parse_program(SOURCE)))
         # Offsets are proper CSR: n+1 entries, monotone, flags sized n+1
         # with a zero sentinel byte.
         assert len(image.as_off) == image.n_nodes + 1
@@ -97,13 +100,14 @@ class TestCompileAndInvalidation:
 
     def test_edge_insert_invalidates(self, pag):
         first = pag.csr()
+        before = pag_fingerprint(pag)
         lhs = pag.local_var("Main.main", "d")
         rhs = pag.local_var("Main.main", "extra")
         pag.add_assign(lhs, rhs)
         second = pag.csr()
         assert second is not first
         assert pag.csr_compiles == 2
-        assert second.fingerprint == pag_fingerprint(pag) != first.fingerprint
+        assert pag_fingerprint(pag) != before
 
     def test_fingerprint_covers_per_node_edge_order(self):
         """Same edges, same value-flow-forward lists: only the order of
@@ -128,7 +132,40 @@ class TestCompileAndInvalidation:
         assert forward(build(first)) == forward(build(second))
         assert pag_fingerprint(build(first)) != pag_fingerprint(build(second))
         for order in (first, second):
-            assert compile_csr(build(order)).fingerprint == pag_fingerprint(build(order))
+            assert pag_fingerprint(build(order)) == pag_fingerprint(build(order))
+
+    def test_compile_leaves_the_fingerprint_unset(self, pag):
+        image = pag.csr()
+        assert pag._fingerprint is None
+        assert not hasattr(image, "fingerprint")
+
+    def test_remote_tier_fingerprints_once_per_bind(self, monkeypatch):
+        """The remote tier is the fingerprint's only reader: binding a
+        PAG hashes it once, compiles and patches never do, and an edit
+        (which rebinds) hashes the edited graph once more."""
+        hashed = []
+        real = csr_module._fingerprint
+
+        def counting(*args):
+            hashed.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(csr_module, "_fingerprint", counting)
+        engine = PointsToEngine.for_program(
+            parse_program(SOURCE),
+            EnginePolicy(cache=CachePolicy(remote=("127.0.0.1:1",), remote_timeout=0.2)),
+        )
+        pag = engine.pag
+        assert hashed == [pag]
+        pag.csr()
+        assert hashed == [pag]
+        engine.edit_session().edit(
+            "Main.main", lambda method: method.statements.pop()
+        )
+        assert hashed == [pag, pag]
+        pag.csr()
+        assert pag.csr_patches == 1
+        assert hashed == [pag, pag]
 
 
 class TestTokenPoolStability:

@@ -12,6 +12,13 @@ scratch:
 
 * the PAG's edge dicts (key order and per-key order included), node
   keys, recursive sites and ``pag_fingerprint``;
+* the session's CSR image — patched, not recompiled — against
+  ``compile_csr`` of the fresh build, up to node numbering: every live
+  node's rows (node-valued entries mapped to sort keys), flags byte and
+  token ids, every other row empty with flag zero and listed as dead,
+  and the node count within the compaction bound;
+* under ``native``, that an edit which is not ``rebuilt`` keeps the
+  kernel graph and the summary mirror's kernel session;
 * the kept solver's points-to sets and call graph, against
   ``AndersenAnalysis(program).solve()``;
 * every local's answer and completeness under ``reference``, ``array``
@@ -21,10 +28,11 @@ scratch:
 * ``rebuilt``, which must be false whenever site numbering and the call
   graph are kept.
 
-Tier-1 runs a short fixed set of seeds.  For a longer budget run the
-module directly — ``PYTHONPATH=src python tests/test_edit_fuzz.py 200``
-checks seeds 0..199 (CI does this under the sanitized kernel).  Every
-failing example found is kept below as a named regression case.
+Tier-1 runs a short fixed set of seeds (0..15).  For a longer budget
+run the module directly — ``PYTHONPATH=src python tests/test_edit_fuzz.py
+N [START]`` checks seeds START..START+N-1 (START defaults to 0; CI runs
+``60 16`` under the sanitized kernel, disjoint from tier-1's seeds).
+Every failing example found is kept below as a named regression case.
 """
 
 import copy
@@ -40,10 +48,13 @@ from repro.analysis.incremental import IncrementalAnalysisSession
 from repro.analysis.ppta import traversal_impl
 from repro.bench.generator import GeneratorConfig, generate_program
 from repro.callgraph.andersen import AndersenAnalysis, AndersenResult
+from repro.clients import SafeCastClient
 from repro.ir.ast import Alloc, Call, Copy, Load, NullAssign, StaticGet, StaticPut, Store
+from repro.ir.builder import MethodBuilder
 from repro.ir.parser import parse_program
+from repro.native import session as native_session
 from repro.pag.builder import build_pag
-from repro.pag.csr import pag_fingerprint
+from repro.pag.csr import _GROUPS, compile_csr, pag_fingerprint
 from repro.pag.nodes import Node
 
 IMPLS = ("reference", "array", "native")
@@ -96,6 +107,63 @@ def pag_state(pag):
     state["edge_counts"] = pag.edge_counts()
     state["fingerprint"] = pag_fingerprint(pag)
     return state
+
+
+#: CSR value arrays whose entries are node indices.
+NODE_VALUED = {
+    "new_val", "as_val", "li_val", "at_val", "lf_val", "si_val", "sf_val",
+    "cb_tgt", "cf_tgt",
+}
+
+
+def csr_rows(image, index):
+    """Node ``index``'s rows in every CSR group, node indices mapped to
+    sort keys, and its flags byte: what a patch must get right."""
+    rows = []
+    for offsets, *columns in _GROUPS:
+        lo, hi = getattr(image, offsets)[index], getattr(image, offsets)[index + 1]
+        rows.append(tuple(
+            tuple(
+                image.nodes[x].sort_key if name in NODE_VALUED else x
+                for x in getattr(image, name)[lo:hi]
+            )
+            for name in columns
+        ))
+    return tuple(rows), image.flags[index]
+
+
+def check_image(pag, fresh):
+    """``pag``'s CSR image equals a fresh compile of ``fresh`` up to
+    numbering; returns the image."""
+    image = pag.csr()
+    want = compile_csr(fresh)
+    interned = {
+        node.sort_key: node
+        for table in (pag._locals, pag._globals, pag._objects)
+        for node in table.values()
+    }
+    live = set()
+    for index, node in enumerate(want.nodes):
+        mine = image.node_index[interned[node.sort_key]]
+        live.add(mine)
+        assert csr_rows(image, mine) == csr_rows(want, index), node
+    empty = (tuple(((),) * (len(group) - 1) for group in _GROUPS), 0)
+    others = set(range(image.n_nodes)) - live
+    for index in others:
+        assert csr_rows(image, index) == empty, image.nodes[index]
+    assert image.dead == others
+    assert image.n_nodes <= 2 * want.n_nodes  # compaction bound
+    assert image.flags[image.n_nodes] == 0  # sentinel
+    return image
+
+
+def kernel_state(session):
+    """``(graph, kernel session)`` the native impl keeps for
+    ``session`` (``None`` for either it does not hold)."""
+    native = session.pag.csr()._native
+    graph = native if isinstance(native, native_session._NativeGraph) else None
+    memo = session.analysis.cache._native_memo
+    return graph, memo[1] if memo is not None else None
 
 
 def solver_state(result):
@@ -214,11 +282,17 @@ def random_edit(rng, program, reachable):
 # ----------------------------------------------------------------------
 # the oracle
 # ----------------------------------------------------------------------
-def check(session, report, numbering_before, edges_before):
+def check(session, report, numbering_before, edges_before, kernel_before=(None, None)):
     program = session.program
     fresh_program = copy.deepcopy(program)
     fresh_program.finalize()
     fresh = build_pag(fresh_program)
+    compiles = session.pag.csr_compiles
+    if session.analysis.cache._native_memo is None:
+        # The edit's removals outgrew the store's journal bound, which
+        # drops the mirror by design: the next query imports afresh.
+        kernel_before = (kernel_before[0], None)
+    check_image(session.pag, fresh)
 
     # the store holds nothing of an edited or surface-changed method
     stale = set(report.edited) | set(report.surface_changed)
@@ -246,6 +320,22 @@ def check(session, report, numbering_before, edges_before):
                 warm = session.points_to(node)
                 want = cold.points_to(fresh.find_local(node.method, node.name))
                 assert answer(warm) == answer(want), (impl, node)
+        if impl == "native":
+            check_kernel_kept(session, report, compiles, kernel_before)
+
+
+def check_kernel_kept(session, report, compiles, kernel_before):
+    """A patched image (no full solve, no compaction) keeps the kernel
+    graph, and a mirror the edit left in place keeps its kernel
+    session."""
+    graph, mirror = kernel_before
+    if report.rebuilt or session.pag.csr_compiles != compiles:
+        return
+    now_graph, now_mirror = kernel_state(session)
+    if graph is not None:
+        assert now_graph is graph
+    if mirror is not None:
+        assert now_mirror is mirror
 
 
 def warm_up(session):
@@ -270,8 +360,9 @@ def run_case(seed, edits=EDITS_PER_CASE, cache=None):
         edges = list(session.pag.call_graph.edges())
         method = program.lookup_method(qname)
         undo = (qname, copy.deepcopy(method.statements))
+        kernel = kernel_state(session)
         report = session.edit(qname, mutate)
-        check(session, report, numbering, edges)
+        check(session, report, numbering, edges, kernel)
         warm_up(session)
 
 
@@ -340,12 +431,49 @@ def test_relabelled_allocation_gets_a_fresh_object_node():
     assert before.class_name == "A"
 
 
+def test_edit_storm_cycle_keeps_the_kernel_and_bounds_dead_rows():
+    """Edit-storm's cycle: append ``v = new Object`` to a SafeCast
+    query's cast source, revert, six times over.  Each edit appends one
+    object node and each revert drops it, so the patched image gains one
+    dead row per revert and stays within the compaction bound; answers
+    stay a cold engine's, and the kernel graph and mirror are kept."""
+    session = IncrementalAnalysisSession(small_program(1), CONFIG)
+    warm_up(session)
+    queries = SafeCastClient(session.pag).queries()
+    target = queries[len(queries) // 2]
+
+    def append(method):
+        MethodBuilder(method).alloc(target.var, "Object")
+
+    def revert(method):
+        method.statements.pop()
+
+    session.pag.csr()
+    compiles = session.pag.csr_compiles
+    for index in range(12):
+        numbering = site_numbering(session.program)
+        edges = list(session.pag.call_graph.edges())
+        kernel = kernel_state(session)
+        report = session.edit(target.method, revert if index % 2 else append)
+        assert not report.rebuilt
+        check(session, report, numbering, edges, kernel)
+        image = session.pag.csr()
+        assert len(image.dead) == (index + 1) // 2
+        assert image.n_nodes <= 2 * (image.n_nodes - len(image.dead))
+    assert session.pag.csr_compiles == compiles  # every edit patched
+    assert session.pag.csr_patches == 12
+
+
 def main(argv):
     seeds = int(argv[1]) if len(argv) > 1 else 50
-    for seed in range(seeds):
+    start = int(argv[2]) if len(argv) > 2 else 0
+    for seed in range(start, start + seeds):
         run_case(seed)
         print(f"seed {seed}: ok", flush=True)
-    print(f"edit fuzzer: {seeds} seeds x {EDITS_PER_CASE} edits passed")
+    print(
+        f"edit fuzzer: seeds {start}..{start + seeds - 1} "
+        f"x {EDITS_PER_CASE} edits passed"
+    )
 
 
 if __name__ == "__main__":

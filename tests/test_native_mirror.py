@@ -3,28 +3,34 @@
 A native engine mirrors its plain ``SummaryCache`` into the kernel's
 summary table and keeps it in step through the store's journal: every
 insert, replacement and removal is replayed at the next sync, and the
-kernel session is rebuilt once dead records outnumber live ones.  This
-battery drives a native engine and a ``reference`` engine in lockstep
-through every way the store changes — queries, invalidations, a
-replaced summary, ``clear``, an edit and its revert, a snapshot warm
-start — and after each step requires equal answers, per-query step
-counts, and cache hit/miss/entry counts.  Two more tests pin the sync's
-cost through the session's work counters rather than timing, and two
-that the journal stays bounded when no native sync drains it.
+kernel compacts the session once dead records outnumber live ones.  An
+edit patches the CSR image, and the kernel graph rebinds to it with its
+sessions kept.  This battery drives a native, an ``array`` and a
+``reference`` engine in lockstep through every way the store changes —
+queries, invalidations, a replaced summary, ``clear``, an edit/revert
+cycle, a snapshot warm start — and after each step requires equal
+answers, per-query step counts, and cache hit/miss/entry counts.  More
+tests pin the sync's cost through the session's work counters rather
+than timing (after an invalidate and after an edit), the ``array``
+loop's probe memo across a patched image, and that the journal stays
+bounded when no native sync drains it.
 """
 
 import pytest
 
 from repro.analysis.ppta import PptaResult
 from repro.bench.generator import GeneratorConfig, generate_program
-from repro.cfl.rsm import S1
-from repro.cfl.stacks import EMPTY_STACK
+from repro.cfl.rsm import FAM_LOAD, S1
+from repro.cfl.stacks import EMPTY_STACK, intern_token
 from repro.clients import NullDerefClient, SafeCastClient
 from repro.engine.core import PointsToEngine
 from repro.engine.policy import EnginePolicy
 from repro.ir.builder import MethodBuilder
+from repro.ir.parser import parse_program
 from repro.native import availability
 from repro.native import session as native_session
+from repro.pag.builder import build_pag
+from repro.pag.csr import compile_csr
 
 CONFIG = GeneratorConfig(
     seed=3, domain_classes=4, data_classes=3, layers=2, cast_density=0.6
@@ -83,16 +89,20 @@ def busiest_method(cache):
 class Lockstep:
     def __init__(self, make=make_engine):
         self.native = make("native")
+        self.array = make("array")
         self.reference = make("reference")
 
     def apply(self, fn):
         fn(self.native)
+        fn(self.array)
         fn(self.reference)
 
     def check(self):
         got = observe(self.native)
+        array = observe(self.array)
         want = observe(self.reference)
         assert got == want
+        assert array == want
         mirror(self.native)
         return got
 
@@ -136,18 +146,19 @@ def test_parity_through_every_kind_of_store_change(tmp_path):
     pair.apply(lambda engine: engine.cache.clear())
     pair.check()
 
-    # an edit, then its revert (each patches the PAG, so the next query
-    # lowers a new CSR image and re-imports the mirror)
+    # an edit/revert cycle, three times over (each edit patches the PAG
+    # and its CSR image; the next native query rebinds the kernel graph
+    # to the patched image and drains the journal into the kept mirror)
     def alloc(method):
         MethodBuilder(method).alloc(query.var, "Object")
 
     def revert(method):
         method.statements.pop()
 
-    pair.apply(lambda engine: engine.edit_session().edit(query.method, alloc))
-    pair.check()
-    pair.apply(lambda engine: engine.edit_session().edit(query.method, revert))
-    pair.check()
+    for step in range(6):
+        edit = revert if step % 2 else alloc
+        pair.apply(lambda engine: engine.edit_session().edit(query.method, edit))
+        pair.check()
 
     # a snapshot warm start
     path = str(tmp_path / "cache.json")
@@ -172,22 +183,137 @@ def test_sync_after_an_invalidate_touches_only_that_methods_keys():
     assert session.imported == imported
 
 
+def cast_query(engine):
+    """A SafeCast query whose method holds resident summaries, but
+    fewer than half of the store's (so an edit there leaves the
+    mirror's dead-record and journal bounds alone)."""
+    cache = engine.cache
+    for query in SafeCastClient(engine.pag).queries():
+        resident = len(cache._by_method.get(query.method, ()))
+        if 0 < 2 * resident < len(cache):
+            return query
+    raise AssertionError("no SafeCast query in a lightly cached method")
+
+
+def test_sync_after_an_edit_touches_only_the_edited_keys():
+    engine = make_engine("native")
+    observe(engine)
+    observe(engine)
+    session = mirror(engine)
+    graph = session.graph
+    imported, deleted = session.imported, session.deleted
+    query = cast_query(engine)
+    report = engine.edit_session().edit(
+        query.method, lambda method: MethodBuilder(method).alloc(query.var, "Object")
+    )
+    assert not report.rebuilt and report.dropped > 0
+    observe(engine)
+    assert mirror(engine) is session  # kept across the image change
+    assert session.graph is graph and graph.image is engine.pag.csr()
+    assert session.imported == imported  # no re-import
+    assert session.deleted - deleted == report.dropped
+
+
+def test_a_key_skipped_at_import_is_put_once_an_edit_brings_it_in():
+    """An entry whose field stack holds a token the image never interned
+    is out of the kernel's reach and skipped; once an edit adds that
+    field to the program, the rebound graph knows the token and the
+    next sync puts the key, so the kept mirror holds every entry."""
+    engine = make_engine("native")
+    observe(engine)
+    session = mirror(engine)
+    cache = engine.cache
+    assert session.live() == len(cache)
+    (node, _stack, state), summary = next(iter(cache._entries.items()))
+    field = "mirror_skipped_field"
+    cache.store(node, EMPTY_STACK.push(intern_token(field, FAM_LOAD)), state, summary)
+    observe(engine)
+    assert session.live() == len(cache) - 1  # skipped
+    other = next(
+        m for m in sorted(engine.pag.call_graph.reachable_methods) if m != node.method
+    )
+    report = engine.edit_session().edit(
+        other, lambda method: MethodBuilder(method).load("mirror_t", "mirror_b", field)
+    )
+    assert not report.rebuilt
+    observe(engine)
+    assert mirror(engine) is session
+    assert session.live() == len(cache)
+
+
+def test_rebind_refuses_an_image_that_renumbers():
+    """Kernel sessions name nodes by index, so the kernel refuses to
+    rebind a graph to an image numbering fewer nodes; the graph keeps
+    serving its own image."""
+    engine = make_engine("native")
+    observe(engine)
+    before = observe(engine)
+    graph = mirror(engine).graph
+    smaller = compile_csr(
+        build_pag(parse_program("class Main { static method main() { a = new Main; } }"))
+    )
+    assert native_session._rebind(graph, smaller) == (
+        "CSR image rejected by the kernel (array values out of range)"
+    )
+    assert graph.image is engine.pag.csr()
+    assert observe(engine)[0] == before[0]
+
+
+def test_probe_memo_follows_a_patched_image():
+    """The ``array`` loop's probe memo packs keys with the image's node
+    count; an edit that appends a node but removes nothing resident
+    leaves the store's memo in place, so only the patched image being a
+    new object retires it.  Answers must stay a cold engine's."""
+    engine = make_engine("array")
+
+    def answers(target):
+        client = SafeCastClient(target.pag)
+        batch = target.query_batch(
+            client.specs(client.queries()), dedupe=False, reorder=False
+        )
+        return [sorted(map(repr, r.pairs)) for r in batch.results]
+
+    answers(engine)
+    memo = engine.cache._probe_memo
+    assert memo is not None and memo[1]
+    cold = sorted(
+        set(engine.pag.call_graph.reachable_methods) - set(engine.cache._by_method)
+    )
+    method = cold[0]
+
+    def alloc(target):
+        MethodBuilder(target).alloc("probe_memo_fresh", "Object")
+
+    image = engine.pag.csr()
+    report = engine.edit_session().edit(method, alloc)
+    assert not report.rebuilt and report.dropped == 0
+    patched = engine.pag.csr()
+    assert patched.n_nodes > image.n_nodes and engine.pag.csr_patches == 1
+    assert engine.cache._probe_memo is memo  # the store had no cause to drop it
+    program = generate_program(CONFIG)
+    alloc(program.lookup_method(method))
+    program.finalize()
+    fresh = PointsToEngine.for_program(program, EnginePolicy(traversal_impl="array"))
+    assert answers(engine) == answers(fresh)
+
+
 def test_invalidate_requery_cycles_keep_kernel_records_bounded():
     engine = make_engine("native")
     observe(engine)
-    previous = mirror(engine)
-    rebuilds = 0
+    session = mirror(engine)
+    records = session.records()
+    compactions = 0
     methods = sorted(engine.cache._by_method)
     for cycle in range(24):
         engine.invalidate_method(methods[cycle % len(methods)])
         observe(engine)
-        session = mirror(engine)
-        if session is not previous:
-            rebuilds += 1
-            previous = session
+        assert mirror(engine) is session  # compacted in place, never rebuilt
+        if session.records() < records:
+            compactions += 1
+        records = session.records()
         assert session.live() == len(engine.cache)
         assert session.records() <= 2 * session.live()
-    assert rebuilds  # the bound held because the mirror was rebuilt
+    assert compactions  # the bound held because the kernel compacted
 
 
 def test_journal_never_outgrows_the_store_while_native_is_not_reached():
@@ -204,7 +330,8 @@ def test_journal_never_outgrows_the_store_while_native_is_not_reached():
     for cycle in range(200):
         method = methods[cycle % len(methods)]
         pair.apply(lambda engine: engine.invalidate_method(method))
-        assert observe(pair.native) == observe(pair.reference)
+        want = observe(pair.reference)
+        assert observe(pair.native) == want == observe(pair.array)
         journal = cache._native_journal
         if journal is None:
             break

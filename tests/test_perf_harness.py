@@ -108,20 +108,25 @@ class TestReportShape:
         from repro.analysis.ppta import active_traversal_impl
 
         section = quick_report["edits"]
+        from repro.native import availability
+
         assert set(section) == {
             "edits", "target", "edit_ms", "batch_ms", "cold_for_program_ms",
-            "rebuilt", "csr_compiles_per_edit", "migrated", "dropped",
-            "traversal_impl",
+            "rebuilt", "csr_compiles_per_edit", "csr_patches_per_edit",
+            "mirror_imported_per_edit", "migrated", "dropped", "traversal_impl",
         }
         assert section["edits"] == 6  # --quick: three edit/revert rounds
         assert section["target"].startswith("Main.main:")
         assert section["rebuilt"] == 0
-        assert section["csr_compiles_per_edit"] == [1]
+        assert section["csr_compiles_per_edit"] == [0]
+        assert section["csr_patches_per_edit"] == [1]
+        native = section["traversal_impl"] == "native" and availability()[0]
+        assert section["mirror_imported_per_edit"] == ([0] if native else None)
         assert section["migrated"] > 0 and section["dropped"] > 0
         assert section["edit_ms"] > 0 and section["batch_ms"] > 0
         assert section["cold_for_program_ms"] > 0
         assert section["traversal_impl"] == active_traversal_impl()
-        assert quick_report["version"] == 7
+        assert quick_report["version"] == 8
 
     def test_check_flag_recorded(self, quick_report):
         assert quick_report["checked"] is True
@@ -154,21 +159,43 @@ class TestInvariants:
         report["warmstart"] = {"csr_compiles": 1, "adjacency_compiles": 0}
         _check_report(report)
 
+    PATCHED = {
+        "edits": 4, "rebuilt": 0, "csr_compiles_per_edit": [0],
+        "csr_patches_per_edit": [1], "traversal_impl": "native",
+        "mirror_imported_per_edit": [0],
+    }
+
     @pytest.mark.parametrize(
-        "edits, message",
+        "change, message",
         [
-            ({"edits": 4, "rebuilt": 1, "csr_compiles_per_edit": [1]}, "full solve"),
-            ({"edits": 4, "rebuilt": 0, "csr_compiles_per_edit": [1, 2]}, "exactly 1"),
-            ({"edits": 4, "rebuilt": 0, "csr_compiles_per_edit": [0]}, "exactly 1"),
+            ({"rebuilt": 1}, "full solve"),
+            ({"csr_compiles_per_edit": [1]}, "want 0"),
+            ({"csr_compiles_per_edit": [0, 1]}, "want 0"),
+            ({"csr_patches_per_edit": [0]}, "exactly 1"),
+            ({"csr_patches_per_edit": [1, 2]}, "exactly 1"),
         ],
-        ids=["rebuilt", "two-compiles", "no-compile"],
+        ids=["rebuilt", "compiled", "sometimes-compiled", "no-patch", "two-patches"],
     )
-    def test_edits_gate(self, edits, message):
+    def test_edits_gate(self, change, message):
         report = TestRatioGates._report(1, 2.0)
-        report["edits"] = edits
+        report["edits"] = {**self.PATCHED, **change}
         with pytest.raises(PerfCheckError, match=message):
             _check_report(report)
-        report["edits"] = {"edits": 4, "rebuilt": 0, "csr_compiles_per_edit": [1]}
+        report["edits"] = dict(self.PATCHED)
+        _check_report(report)
+
+    @pytest.mark.parametrize("imported", [[1843], [0, 12], None])
+    def test_edits_gate_wants_the_mirror_kept(self, imported):
+        from repro.native import availability
+
+        report = TestRatioGates._report(1, 2.0)
+        report["edits"] = {**self.PATCHED, "mirror_imported_per_edit": imported}
+        if availability()[0]:
+            with pytest.raises(PerfCheckError, match="summary mirror"):
+                _check_report(report)
+        else:
+            _check_report(report)  # no kernel loaded: no mirror to keep
+        report["edits"]["traversal_impl"] = "array"
         _check_report(report)
 
     def test_perf_check_error_is_an_assertion(self):
