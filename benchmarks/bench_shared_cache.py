@@ -16,8 +16,11 @@ Asserted per benchmark: all clients' answers are element-wise identical
 to a single-process engine's (the canonical-results digest), the warm
 client saw zero remote errors, and the warm client completed in
 **< 75 %** of the cold client's steps — the acceptance bar of the
-shared-cache milestone.  Reported: steps, step ratio, remote hit/store
-traffic, and wall time per client.
+shared-cache milestone.  Reported per client: steps, step ratio and
+remote hit/store/round-trip traffic.  The client processes are not
+timed: a whole ``subprocess.run`` is mostly interpreter start-up, and
+e2ebench's ``shared-threaded`` workload times this deployment shape in
+process.
 
 A second protocol sweeps the **serving tier**: a warm cluster serves
 1/4/16 concurrent pipelined clients, once on the default asyncio tier
@@ -27,8 +30,9 @@ count — the async tier must cost no more than the threaded one at a
 single client while multiplexing 16 from one loop.
 
 Set ``REPRO_WRITE_BASELINE=1`` to (re)write ``BENCH_shared.json``.
-Wall-clock fields vary by host; the committed baseline records the
-deterministic step comparison and service traffic, not timings.
+Its step, store, hit and round-trip counts are exact; the wall-clock
+fields — the in-process ``single_process`` row and the concurrency
+sweep — vary by host.
 """
 
 import json
@@ -72,15 +76,11 @@ def _run_client_process(addresses, name, pipeline=None):
         command.append("--pipeline")
     elif pipeline is False:
         command.append("--no-pipeline")
-    started = time.perf_counter()
     proc = subprocess.run(
         command, capture_output=True, text=True, env=env, timeout=580,
     )
-    elapsed = time.perf_counter() - started
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    report["time_sec"] = elapsed
-    return report
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("name", FIGURE_BENCHMARKS)
@@ -124,20 +124,17 @@ def test_shared_cache_warm_client(benchmark, figure_instances, name):
             "single_process": perf_fields(batch.stats),
             "cold": {
                 "steps": cold["steps"][0],
-                "time_sec": cold["time_sec"],
                 "stores": cold["remote"]["stores"],
                 "round_trips": cold["remote"]["round_trips"],
             },
             "warm": {
                 "steps": warm["steps"][0],
-                "time_sec": warm["time_sec"],
                 "remote_hits": warm["remote"]["remote_hits"],
                 "remote_misses": warm["remote"]["remote_misses"],
                 "round_trips": warm["remote"]["round_trips"],
             },
             "warm_pipelined": {
                 "steps": piped["steps"][0],
-                "time_sec": piped["time_sec"],
                 "prefetched": piped["remote"]["prefetched"],
                 "round_trips": piped["remote"]["round_trips"],
             },

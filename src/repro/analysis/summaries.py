@@ -290,7 +290,11 @@ class SummaryStore(SummaryBackend):
         existing entry (within one process the two are always equal —
         summaries are pure memos of ``DSPOINTSTO``) but *refreshes its
         recency*: the caller just recomputed it, which is exactly the
-        evidence an LRU policy keys eviction on.  A **differing**
+        evidence an LRU policy keys eviction on.  Equality is the
+        payload; ``steps`` is cost metadata, so the resident takes the
+        larger of the two step counts in place — the rule the shard
+        store applies, which keeps cost-aware ranks equal on both
+        sides of the wire.  A **differing**
         summary replaces the resident one: that can only happen when
         the store is fed across a program-version boundary (wire-level
         ``store`` ops, warm starts over an edited program), and there
@@ -304,6 +308,8 @@ class SummaryStore(SummaryBackend):
                 resident.objects == ppta_result.objects
                 and resident.boundaries == ppta_result.boundaries
             ):
+                if ppta_result.steps > resident.steps:
+                    resident.steps = ppta_result.steps
                 self._touch(key)
                 return False
             self._probe_memo = None  # the replaced summary may be memoed
@@ -485,6 +491,8 @@ class SummaryCache(SummaryStore):
                 resident.objects == ppta_result.objects
                 and resident.boundaries == ppta_result.boundaries
             ):
+                if ppta_result.steps > resident.steps:
+                    resident.steps = ppta_result.steps
                 return False
             self._probe_memo = None  # the replaced summary may be memoed
             self._facts += ppta_result.size - resident.size
@@ -598,29 +606,17 @@ class CostAwareSummaryCache(BoundedSummaryCache):
     ~10⁵ entries viable.  Ties on priority resolve by stamp, i.e. by
     recency — exactly the coldest-first order the scan implementation
     picked, so victim choice is unchanged.
-
-    ``admit_facts`` adds size-based **admission control** (classic
-    Greedy-Dual-Size practice): a summary holding more than that many
-    facts is not cached at all (``store`` returns False and counts it
-    in :attr:`rejected`) — one giant summary can otherwise flush an
-    entire cache of small expensive ones on its way in.  ``None`` (the
-    default) admits everything, preserving the baseline behaviour.
     """
 
     eviction = "cost"
 
-    def __init__(self, max_entries=None, max_facts=None, admit_facts=None):
+    def __init__(self, max_entries=None, max_facts=None):
         if max_entries is None and max_facts is None:
             raise ValueError(
                 "eviction='cost' needs a capacity ceiling (max_entries "
                 "and/or max_facts); an unbounded store never evicts, so "
                 "the policy would be silently inert"
             )
-        if admit_facts is not None and admit_facts < 1:
-            raise ValueError(f"admit_facts must be >= 1, got {admit_facts}")
-        self.admit_facts = admit_facts
-        #: Oversized summaries refused by admission control.
-        self.rejected = 0
         super().__init__(max_entries=max_entries, max_facts=max_facts)
         self._clock = 0.0
         #: key -> (priority, stamp); the authoritative rank.  The heap
@@ -647,26 +643,6 @@ class CostAwareSummaryCache(BoundedSummaryCache):
 
     def store(self, node, field_stack, state, ppta_result):
         key = (node, field_stack, state)
-        if self.admit_facts is not None and ppta_result.size > self.admit_facts:
-            resident = self._entries.get(key)
-            if resident is None:
-                self.rejected += 1
-                return False
-            if (
-                resident.objects == ppta_result.objects
-                and resident.boundaries == ppta_result.boundaries
-            ):
-                # Equal payload (hence equal size): recency only, as in
-                # the base rule.
-                self._touch(key)
-                return False
-            # A *differing* oversized replacement only happens across a
-            # program-version boundary (the self-heal path): the
-            # resident memo is stale, so drop it — but the oversized
-            # replacement is still refused admission.
-            self._remove(key)
-            self.rejected += 1
-            return True
         if key not in self._entries:
             # The rank must exist before _enforce_capacity can pop it.
             self._stamp += 1
@@ -691,7 +667,6 @@ class CostAwareSummaryCache(BoundedSummaryCache):
         self._rank.clear()
         self._heap = []
         self._stamp = 0
-        self.rejected = 0
 
     def _pick_victim(self):
         heap = self._heap

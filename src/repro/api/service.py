@@ -61,7 +61,7 @@ from repro.api.protocol import (
     WireError,
     WireObject,
 )
-from repro.analysis.ppta import TRAVERSAL_IMPLS, traversal_impl
+from repro.analysis.ppta import TRAVERSAL_IMPLS
 from repro.cfl.budget import DEFAULT_BUDGET
 from repro.cfl.stacks import Stack
 from repro.clients import ALL_CLIENTS
@@ -410,6 +410,7 @@ def _build_engine(args):
             remote_pipeline=args.remote_pipeline if remote else None,
         ),
         warm_start=args.warm_start,
+        traversal_impl=args.traversal_impl,
     )
     return PointsToEngine(pag, policy)
 
@@ -507,7 +508,7 @@ def main(argv=None):
         "--traversal-impl",
         choices=sorted(TRAVERSAL_IMPLS),
         default=None,
-        help="pin the PPTA traversal implementation while serving "
+        help="pin the served engine's PPTA traversal implementation "
         "(default: the process default)",
     )
     args = parser.parse_args(argv)
@@ -586,11 +587,7 @@ def main(argv=None):
         server.serve_forever()
         return 0
 
-    if args.traversal_impl is not None:
-        with traversal_impl(args.traversal_impl):
-            status = run_transport()
-    else:
-        status = run_transport()
+    status = run_transport()
     if status:
         return status
     if args.save_cache is not None:

@@ -153,9 +153,9 @@ class ShardLink:
     circuit is open every request fails fast with
     :class:`ShardUnavailable` instead of re-paying the connect timeout,
     and when the (jittered, exponential) backoff window lapses exactly
-    one caller becomes the half-open probe.  The legacy
-    ``retry_interval`` float is still accepted and mapped onto an
-    equivalent :class:`~repro.cacheserver.faults.RetryPolicy`.
+    one caller becomes the half-open probe.  Without a ``retry`` policy
+    the windows derive from ``timeout``
+    (:meth:`~repro.cacheserver.faults.RetryPolicy.from_interval`).
 
     :meth:`request_many` pipelines several request lines into one
     flight, so a chunked bulk operation still costs a single network
@@ -179,8 +179,8 @@ class ShardLink:
     #: Largest single write of a flight (see above).
     WINDOW_BYTES = 64 * 1024
 
-    def __init__(self, address, timeout=1.0, retry_interval=None, retry=None,
-                 faults=None, shard_index=0, clock=None):
+    def __init__(self, address, timeout=1.0, retry=None, faults=None,
+                 shard_index=0, clock=None):
         host, _, port = address.rpartition(":")
         if not host or not port.isdigit():
             raise ValueError(f"shard address must be 'host:port', got {address!r}")
@@ -188,11 +188,8 @@ class ShardLink:
         self.host = host
         self.port = int(port)
         self.timeout = timeout
-        self.retry_interval = retry_interval
         if retry is None:
-            retry = RetryPolicy.from_interval(
-                timeout if retry_interval is None else retry_interval
-            )
+            retry = RetryPolicy.from_interval(timeout)
         self.retry_policy = retry
         # The jitter key is the address hash: deterministic for this
         # link, different from its siblings' — no lockstep retries.
@@ -356,8 +353,8 @@ class RemoteSummaryCache(SummaryBackend):
     #: chunked and the chunks sent in ONE flight via ``request_many``.
     FLUSH_CHUNK = 256
 
-    def __init__(self, addresses, local=None, timeout=1.0, retry_interval=None,
-                 pipeline=False, retry=None, fault_schedule=None):
+    def __init__(self, addresses, local=None, timeout=1.0, pipeline=False,
+                 retry=None, fault_schedule=None):
         addresses = tuple(addresses)
         if not addresses:
             raise ValueError("RemoteSummaryCache needs at least one shard address")
@@ -374,7 +371,6 @@ class RemoteSummaryCache(SummaryBackend):
         #: memo immediately, the latency-of-visibility the multi-client
         #: tests pin down.
         self.pipeline = pipeline
-        self.retry_interval = retry_interval
         self.local_tier = local if local is not None else SummaryCache()
         schedule = coerce_schedule(fault_schedule)
         if schedule is None:
@@ -388,7 +384,6 @@ class RemoteSummaryCache(SummaryBackend):
             ShardLink(
                 address,
                 timeout=timeout,
-                retry_interval=retry_interval,
                 retry=retry,
                 faults=self._faults,
                 shard_index=index,

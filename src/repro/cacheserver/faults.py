@@ -375,7 +375,9 @@ class RetryPolicy:
 
     @classmethod
     def from_interval(cls, interval: float) -> "RetryPolicy":
-        """Back-compat mapping for the old fixed ``retry_interval``."""
+        """Backoff starting at ``interval`` and capped at eight times
+        it — what a shard link without an explicit policy derives from
+        its socket timeout."""
         return cls(initial=interval, multiplier=2.0, max_delay=interval * 8)
 
     def delay_for(self, cycle: int, key: int = 0) -> float:

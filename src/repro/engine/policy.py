@@ -74,10 +74,6 @@ class CachePolicy:
     max_entries: Optional[int] = None
     max_facts: Optional[int] = None
     eviction: str = "lru"
-    #: Size-based admission bound for ``eviction="cost"``: summaries
-    #: holding more than this many facts are not cached at all (see
-    #: :class:`~repro.analysis.summaries.CostAwareSummaryCache`).
-    admit_facts: Optional[int] = None
     remote: Optional[Tuple[str, ...]] = None
     remote_timeout: float = 1.0
     #: Pipelined remote mode (protocol 1.2): batches prefetch each
@@ -113,11 +109,6 @@ class CachePolicy:
                 "CachePolicy(eviction='cost') needs max_entries and/or "
                 "max_facts; an unbounded store never evicts, so the "
                 "policy would be silently inert"
-            )
-        if self.admit_facts is not None and self.eviction != "cost":
-            raise ValueError(
-                "CachePolicy(admit_facts=...) is an eviction='cost' "
-                "knob; LRU stores admit everything"
             )
         if self.remote_pipeline and self.remote is None:
             raise ValueError(
@@ -159,9 +150,7 @@ class CachePolicy:
         if self.bounded:
             if self.eviction == "cost":
                 store = CostAwareSummaryCache(
-                    max_entries=self.max_entries,
-                    max_facts=self.max_facts,
-                    admit_facts=self.admit_facts,
+                    max_entries=self.max_entries, max_facts=self.max_facts
                 )
             else:
                 store = BoundedSummaryCache(

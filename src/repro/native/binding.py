@@ -36,9 +36,10 @@ from typing import List, Optional, Tuple
 #: The binding's kernel ABI.  Must equal ``RK_ABI_VERSION`` in
 #: ``kernel.c``; the loader refuses a library that reports another, and
 #: the compiled-library cache keys on it.  Bump both together whenever
-#: the kernel's view of the image layout or the call signatures
-#: changes.
-RK_ABI_VERSION = 2
+#: the kernel's view of the image layout, the call signatures or the
+#: ownership of a buffer handed over changes (3: the kernel borrows the
+#: token tables with the CSR arrays and reads image tokens only).
+RK_ABI_VERSION = 3
 
 _I32 = ctypes.c_int32
 _I64 = ctypes.c_int64
@@ -207,8 +208,6 @@ def _declare(lib: ctypes.PyDLL) -> None:
     lib.rk_graph_rebind.restype = _I32
     lib.rk_graph_free.argtypes = [void_p]
     lib.rk_graph_free.restype = None
-    lib.rk_graph_add_token.argtypes = [void_p, _I32, _I32]
-    lib.rk_graph_add_token.restype = _I32
     lib.rk_graph_oom.argtypes = [void_p]
     lib.rk_graph_oom.restype = _I32
     for name in ("rk_fstack_push", "rk_cstack_push"):

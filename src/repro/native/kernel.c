@@ -20,13 +20,15 @@
  * each RkGraph.
  *
  * Ownership:
- *   RkGraph    — borrows the 26 CSR arrays + flags from Python; owns
- *                copies of the token/rank tables (they grow when the
- *                binding registers synthetic tokens) and the two
- *                hash-consed stack tables (field stacks + context
- *                stacks, shared by every session over the image).  An
- *                edit's patched image (repro.pag.csr.patch_csr) keeps
- *                every surviving node's index, so rk_graph_rebind points
+ *   RkGraph    — borrows the 26 CSR arrays + flags and the three token
+ *                tables (field id, family and sort rank per image token)
+ *                from Python; every field-stack value is an image token
+ *                id.  Owns a copy of the node ranks (plus a sentinel at
+ *                n) and the two hash-consed stack tables (field stacks +
+ *                context stacks, shared by every session over the
+ *                image).  An edit's patched image
+ *                (repro.pag.csr.patch_csr) keeps every surviving node's
+ *                index and every token's id, so rk_graph_rebind points
  *                the same graph at it: the stack tables and every
  *                session over the graph stay valid.
  *   RkSession  — one per (graph, SummaryCache) pair; owns the summary
@@ -45,7 +47,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define RK_ABI_VERSION 2
+#define RK_ABI_VERSION 3
 
 /* RSM states and token families (repro.cfl.rsm). */
 #define RK_S1 1
@@ -411,11 +413,10 @@ typedef struct {
     int32_t n;          /* node count (sentinel index is n) */
     const int32_t *a[A_COUNT];
     const uint8_t *flags; /* n + 1 bytes */
-    /* token tables — owned copies, growable (synthetic tokens the
-     * binding registers for standalone PPTA start stacks) */
-    IntBuf tok_fid;
-    IntBuf tok_fam;
-    IntBuf tok_rank;
+    /* token tables, indexed by image token id — borrowed */
+    const int32_t *tok_fid;
+    const int32_t *tok_fam;
+    const int32_t *tok_rank;
     /* node order ranks (by Node.sort_key) — owned copy */
     int32_t *node_rank;
     StackTable fstacks;
@@ -496,8 +497,9 @@ static int check_image(int32_t n, const int32_t **arrays, const int32_t *counts,
 }
 
 /* arrays: the 26 CSR arrays in _ARRAY_NAMES order; counts: their
- * element counts.  All pointers are borrowed — the binding keeps the
- * owning Python objects alive for the handle's lifetime. */
+ * element counts; tok_*: n_tokens entries each.  All pointers but
+ * node_rank (copied) are borrowed — the binding keeps the owning Python
+ * objects alive for the handle's lifetime. */
 RkGraph *rk_graph_new(int32_t n, const int32_t **arrays, const int32_t *counts,
                       const uint8_t *flags, int32_t n_tokens,
                       const int32_t *tok_fid, const int32_t *tok_fam,
@@ -518,15 +520,9 @@ RkGraph *rk_graph_new(int32_t n, const int32_t **arrays, const int32_t *counts,
     for (i = 0; i < A_COUNT; i++)
         g->a[i] = arrays[i];
     g->flags = flags;
-    buf_init(&g->tok_fid);
-    buf_init(&g->tok_fam);
-    buf_init(&g->tok_rank);
-    for (i = 0; i < n_tokens; i++) {
-        if (buf_push(&g->tok_fid, tok_fid[i]) < 0 ||
-            buf_push(&g->tok_fam, tok_fam[i]) < 0 ||
-            buf_push(&g->tok_rank, tok_rank[i]) < 0)
-            goto oom;
-    }
+    g->tok_fid = tok_fid;
+    g->tok_fam = tok_fam;
+    g->tok_rank = tok_rank;
     g->node_rank = (int32_t *)malloc(((size_t)n + 1) * sizeof(int32_t));
     if (!g->node_rank)
         goto oom;
@@ -537,9 +533,6 @@ RkGraph *rk_graph_new(int32_t n, const int32_t **arrays, const int32_t *counts,
     return g;
 oom:
     *err = RK_GERR_OOM;
-    buf_free(&g->tok_fid);
-    buf_free(&g->tok_fam);
-    buf_free(&g->tok_rank);
     free(g->node_rank);
     stacks_free(&g->fstacks);
     stacks_free(&g->cstacks);
@@ -549,13 +542,11 @@ oom:
 
 /* Point g at a patched image of the one it reads (same arguments as
  * rk_graph_new; the old buffers must stay alive until this returns).
- * A patch keeps every surviving node's index and appends new ones, so
- * n may not shrink: the stack tables and every session over g — whose
- * records name nodes by index — stay valid.  The token tables are
- * rewritten for ids [0, n_tokens); synthetic ids above stay (the
- * binding starts a fresh graph instead when new image tokens would
- * land on them).  node_rank is replaced.  0, or an RK_GERR_* code with
- * g untouched. */
+ * A patch keeps every surviving node's index and every token's id and
+ * appends new ones, so n may not shrink: the stack tables and every
+ * session over g — whose records name nodes and tokens by index — stay
+ * valid.  The borrowed pointers move to the new arrays and node_rank is
+ * replaced.  0, or an RK_GERR_* code with g untouched. */
 int32_t rk_graph_rebind(RkGraph *g, int32_t n, const int32_t **arrays,
                         const int32_t *counts, const uint8_t *flags,
                         int32_t n_tokens, const int32_t *tok_fid,
@@ -569,54 +560,29 @@ int32_t rk_graph_rebind(RkGraph *g, int32_t n, const int32_t **arrays,
     err = check_image(n, arrays, counts, n_tokens);
     if (err)
         return err;
-    if ((n_tokens > g->tok_fid.cap && buf_grow(&g->tok_fid, n_tokens) < 0) ||
-        (n_tokens > g->tok_fam.cap && buf_grow(&g->tok_fam, n_tokens) < 0) ||
-        (n_tokens > g->tok_rank.cap && buf_grow(&g->tok_rank, n_tokens) < 0))
-        return RK_GERR_OOM;
     ranks = (int32_t *)realloc(g->node_rank, ((size_t)n + 1) * sizeof(int32_t));
     if (!ranks)
         return RK_GERR_OOM;
     g->node_rank = ranks;
     memcpy(ranks, node_rank, (size_t)n * sizeof(int32_t));
     ranks[n] = n;
-    for (i = 0; i < n_tokens; i++) {
-        g->tok_fid.data[i] = tok_fid[i];
-        g->tok_fam.data[i] = tok_fam[i];
-        g->tok_rank.data[i] = tok_rank[i];
-    }
-    if (n_tokens > g->tok_fid.len)
-        g->tok_fid.len = g->tok_fam.len = g->tok_rank.len = n_tokens;
     g->n = n;
     for (i = 0; i < A_COUNT; i++)
         g->a[i] = arrays[i];
     g->flags = flags;
+    g->tok_fid = tok_fid;
+    g->tok_fam = tok_fam;
+    g->tok_rank = tok_rank;
     return 0;
 }
 
 void rk_graph_free(RkGraph *g) {
     if (!g)
         return;
-    buf_free(&g->tok_fid);
-    buf_free(&g->tok_fam);
-    buf_free(&g->tok_rank);
     free(g->node_rank);
     stacks_free(&g->fstacks);
     stacks_free(&g->cstacks);
     free(g);
-}
-
-/* Register a token the image's table does not carry (a synthetic start
- * stack element of a standalone PPTA query).  rank is unused for
- * synthetics — they can never appear in a session summary's boundary
- * sort (sessions only traverse image tokens). */
-int32_t rk_graph_add_token(RkGraph *g, int32_t fid, int32_t fam) {
-    int32_t id = g->tok_fid.len;
-    if (buf_push(&g->tok_fid, fid) < 0 || buf_push(&g->tok_fam, fam) < 0 ||
-        buf_push(&g->tok_rank, 0) < 0) {
-        g->oom = 1;
-        return -1;
-    }
-    return id;
 }
 
 int32_t rk_fstack_push(RkGraph *g, int32_t parent, int32_t value) {
@@ -828,7 +794,7 @@ static int cmp_fstack_seq(const RkGraph *g, int32_t a, int32_t b) {
     const int32_t *parent = g->fstacks.parent.data;
     const int32_t *value = g->fstacks.value.data;
     const int32_t *depth = g->fstacks.depth.data;
-    const int32_t *rank = g->tok_rank.data;
+    const int32_t *rank = g->tok_rank;
     int c;
     if (a == b)
         return 0;
@@ -986,12 +952,12 @@ static int ppta_core(RkGraph *g, int32_t start_t, int32_t f0, int64_t *ptotal,
             if (f0 != 0) {
                 int32_t top = fstacks->value.data[f0];
                 int32_t rest = fstacks->parent.data[f0];
-                int32_t top_fid = g->tok_fid.data[top];
+                int32_t top_fid = g->tok_fid[top];
                 for (j = lf_off[si]; j < lf_off[si + 1]; j++)
                     if (lf_fid[j] == top_fid)
                         if (buf_push2(&lifo, lf_val[j] * 4 + RK_S2, rest) < 0)
                             goto oom;
-                if (g->tok_fam.data[top] == RK_FAM_LOAD)
+                if (g->tok_fam[top] == RK_FAM_LOAD)
                     for (j = si_off[si]; j < si_off[si + 1]; j++)
                         if (si_fid[j] == top_fid)
                             if (buf_push2(&lifo, si_val[j] * 4 + RK_S1, rest) < 0)
@@ -1081,11 +1047,11 @@ static int ppta_core(RkGraph *g, int32_t start_t, int32_t f0, int64_t *ptotal,
                 if (f != 0) {
                     int32_t top = g->fstacks.value.data[f];
                     int32_t rest = g->fstacks.parent.data[f];
-                    int32_t top_fid = g->tok_fid.data[top];
+                    int32_t top_fid = g->tok_fid[top];
                     for (j = lf_off[vi]; j < lf_off[vi + 1]; j++)
                         if (lf_fid[j] == top_fid) /* forward load closes either family */
                             TRY_PUSH(lf_val[j] * 4 + RK_S2, rest);
-                    if (g->tok_fam.data[top] == RK_FAM_LOAD)
+                    if (g->tok_fam[top] == RK_FAM_LOAD)
                         for (j = si_off[vi]; j < si_off[vi + 1]; j++)
                             if (si_fid[j] == top_fid)
                                 /* store-bar: only a pending backward load may

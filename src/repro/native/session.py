@@ -5,20 +5,22 @@ the C kernel in ``kernel.c``:
 
 * :class:`_NativeGraph` — the kernel's twin of one CSR image lineage,
   cached on ``image._native``.  Hands the kernel borrowed pointers into
-  the image's 26 ``array('i')`` CSR buffers (no copy), plus the token
-  tables and the **sort ranks**: Python-computed ranks of every live
-  node's ``sort_key`` and every token tuple, which make the kernel's
-  boundary sort order-isomorphic to
-  :func:`~repro.analysis.ppta._boundary_order` without ever comparing
-  Python objects in C (see :class:`_NodeRanks`).  It also owns the
-  py↔C translation caches for hash-consed stacks — both sides intern,
-  so the mapping is a pair of dicts that only ever grows along push
-  chains.  An edit's patched image (:func:`repro.pag.csr.patch_csr`)
-  inherits the twin, which **rebinds** to it on first use: surviving
-  nodes keep their indices, so the kernel graph, its stack tables and
-  every summary session over it carry on — only a fresh compile (the
-  first, a full solve, an ``add_*`` insertion, a changed recursive-site
-  set, compaction) builds a new graph.
+  the image's 26 ``array('i')`` CSR buffers and into its token tables
+  (field id, family and sort rank per image token) — no copy — plus
+  the node **sort ranks**: Python-computed ranks of every live node's
+  ``sort_key`` and every token tuple, which make the kernel's boundary
+  sort order-isomorphic to :func:`~repro.analysis.ppta._boundary_order`
+  without ever comparing Python objects in C (see :class:`_NodeRanks`).
+  The kernel reads image tokens only: a field stack holding any other
+  token has no kernel id.  The twin also owns the py↔C translation
+  caches for hash-consed stacks — both sides intern, so the mapping is
+  a pair of dicts that only ever grows along push chains.  An edit's
+  patched image (:func:`repro.pag.csr.patch_csr`) inherits the twin,
+  which **rebinds** to it on first use: surviving nodes keep their
+  indices and tokens their ids, so the kernel graph, its stack tables
+  and every summary session over it carry on — only a fresh compile
+  (the first, a full solve, an ``add_*`` insertion, a changed
+  recursive-site set, compaction) builds a new graph.
 * :class:`_NativeSession` — one per ``(SummaryCache, graph)`` pair,
   cached on ``cache._native_memo``.  Mirrors the cache's ``_entries``
   into the kernel's summary table so the kernel can probe and commit
@@ -30,8 +32,9 @@ the C kernel in ``kernel.c``:
   :func:`_session_for`).
 
 Everything here is **refuse-and-fall-back**: any state the kernel
-cannot represent (a stack value outside int32, a foreign token in an
-imported boundary, kernel OOM) returns ``None``/``False`` to the
+cannot represent (a call site outside int32, a field stack holding a
+token the image never interned — a standalone PPTA's start stack or an
+imported boundary — kernel OOM) returns ``None``/``False`` to the
 dispatch layer, which reruns the query on the pure-Python ``array``
 impl — answers and step counts never depend on the kernel being
 usable, only latency does.
@@ -86,7 +89,6 @@ class _NativeGraph:
         "generation",
         "tok_index",
         "tokens_by_id",
-        "n_image_tokens",
         "fs_py2c",
         "fs_c2py",
         "cs_py2c",
@@ -105,7 +107,9 @@ class _NativeGraph:
         #: Buffers the kernel borrows pointers into — kept alive here
         #: until a rebind points the kernel at the next image's.
         self.keep = keep
-        #: ``(tok_fid, tok_fam, tok_rank)`` as last handed to the kernel.
+        #: ``(tok_fid, tok_fam, tok_rank)``, which the kernel borrows
+        #: like the CSR buffers — replaced only once a rebind accepts
+        #: the next ones.
         self.tok_tables = tok_tables
         self.ranks = ranks
         #: The bound image's ``dead`` set, and how many rebinds so far
@@ -116,10 +120,6 @@ class _NativeGraph:
         tokens = image.tokens
         self.tok_index = {token: i for i, token in enumerate(tokens)}
         self.tokens_by_id = list(tokens)
-        #: Ids below this are the image's own tokens; at or above are
-        #: synthetics registered for standalone-PPTA start stacks
-        #: (rank 0 — they never reach a session's boundary sort).
-        self.n_image_tokens = len(tokens)
         self.fs_py2c = {EMPTY_STACK: 0}
         self.fs_c2py = {0: EMPTY_STACK}
         self.cs_py2c = {EMPTY_STACK: 0}
@@ -141,55 +141,14 @@ class _NativeGraph:
             pass  # interpreter teardown
 
     # ------------------------------------------------------------------
-    # token registration
-    # ------------------------------------------------------------------
-    def _add_token(self, token):
-        """Register a non-image token (standalone start stacks only).
-
-        Mirrors the ``array`` impl's treatment of foreign tokens: the
-        field id is ``tok_fid.get(token, -1)`` — so a token the image
-        never interned matches no load/store row — and only the
-        ``FAM_LOAD`` family bit matters.
-        """
-        try:
-            fam = 0 if token[1] == FAM_LOAD else 1
-        except (TypeError, IndexError, KeyError):
-            return None
-        try:
-            fid = self.image.tok_fid.get(token, -1)
-        except TypeError:  # unhashable token — cannot key the map either
-            return None
-        if not isinstance(fid, int) or not _INT32_MIN <= fid <= _INT32_MAX:
-            return None
-        tid = self.lib.rk_graph_add_token(self.handle, fid, fam)
-        if tid < 0:
-            self.broken = "kernel out of memory"
-            return None
-        self.tok_index[token] = tid
-        self.tokens_by_id.append(token)
-        return tid
-
-    # ------------------------------------------------------------------
     # stack translation (both directions memoized along push chains)
     # ------------------------------------------------------------------
-    def fstack_to_c(self, stack, image_only=False):
-        """The kernel id of ``stack``; ``None`` when unrepresentable.
-
-        ``image_only`` refuses tokens outside the image's own table —
-        required for session imports, where a foreign token would break
-        the worklist invariant the boundary sort relies on.
-        """
+    def fstack_to_c(self, stack):
+        """The kernel id of ``stack``; ``None`` when a token on it is not
+        in the image's table (or on kernel OOM)."""
         py2c = self.fs_py2c
         got = py2c.get(stack)
         if got is not None:
-            # Until a synthetic token is registered, every translated
-            # stack holds image tokens only — skip the walk.
-            if (
-                image_only
-                and len(self.tokens_by_id) > self.n_image_tokens
-                and not self._image_only(stack)
-            ):
-                return None
             return got
         chain = []
         s = stack
@@ -201,20 +160,12 @@ class _NativeGraph:
             chain.append(s)
             s = s._rest
         tok_index = self.tok_index
-        limit = self.n_image_tokens
         push = self.lib.rk_fstack_push
         handle = self.handle
         c2py = self.fs_c2py
         for s2 in reversed(chain):
-            token = s2._top
-            tid = tok_index.get(token)
+            tid = tok_index.get(s2._top)
             if tid is None:
-                if image_only:
-                    return None
-                tid = self._add_token(token)
-                if tid is None:
-                    return None
-            elif image_only and tid >= limit:
                 return None
             cid = push(handle, cid, tid)
             if cid < 0:
@@ -223,17 +174,6 @@ class _NativeGraph:
             py2c[s2] = cid
             c2py.setdefault(cid, s2)
         return cid
-
-    def _image_only(self, stack):
-        tok_index = self.tok_index
-        limit = self.n_image_tokens
-        s = stack
-        while s._rest is not None:
-            tid = tok_index.get(s._top)
-            if tid is None or tid >= limit:
-                return False
-            s = s._rest
-        return True
 
     def fstack_from_c(self, cid):
         c2py = self.fs_c2py
@@ -444,25 +384,21 @@ def _build_graph(lib, image):
 
 
 def _rebind(ng, image):
-    """``ng`` pointed at ``image``, a patch of the image it reads; a
-    fresh graph when it cannot follow, or a reason string.
+    """``ng`` pointed at ``image``, a patch of the image it reads, or a
+    reason string.
 
-    The patch kept every surviving node's index, so the kernel keeps
-    its stack tables and sessions: only the array pointers, the node
-    ranks and — when the patch interned new tokens — the token tables
-    change.  New tokens take the ids after the image's own, so a graph
-    whose synthetic tokens already hold those ids starts afresh.
+    The patch kept every surviving node's index and every token's id,
+    so the kernel keeps its stack tables and sessions: only the array
+    pointers, the node ranks and — when the patch interned new tokens,
+    which take the ids after the old ones — the token tables change.
     """
     reason = _too_large(image)
     if reason is not None:
         return reason
     tokens = image.tokens
-    new_tokens = tokens[ng.n_image_tokens:]
-    tok_tables = ng.tok_tables
-    if new_tokens:
-        if len(ng.tokens_by_id) > ng.n_image_tokens:
-            return _build_graph(ng.lib, image)
-        tok_tables = _token_tables(image)
+    known = len(ng.tokens_by_id)
+    new_tokens = tokens[known:]
+    tok_tables = _token_tables(image) if new_tokens else ng.tok_tables
     ng.ranks.follow(image, ng.dead)
     keep, pointers, counts = _image_buffers(image)
     err = ng.lib.rk_graph_rebind(
@@ -477,15 +413,15 @@ def _rebind(ng, image):
     )
     if err:
         return _GRAPH_ERRORS.get(err, f"kernel rejected the image ({err})")
-    ng.keep = keep  # the kernel no longer reads the old buffers
+    # The kernel no longer reads the old buffers or token tables.
+    ng.keep = keep
+    ng.tok_tables = tok_tables
     ng._image = weakref.ref(image)
     ng.dead = image.dead
     ng.generation += 1
     if new_tokens:
-        ng.tok_tables = tok_tables
-        ng.tok_index.update(zip(new_tokens, range(ng.n_image_tokens, len(tokens))))
+        ng.tok_index.update(zip(new_tokens, range(known, len(tokens))))
         ng.tokens_by_id.extend(new_tokens)
-        ng.n_image_tokens = len(tokens)
     return ng
 
 
@@ -548,8 +484,9 @@ def run_ppta_native(pag, node, field_stack, state, budget, max_field_depth=None)
     ``budget.steps`` lands on exactly the same value on every path
     (normal, budget abort, depth abort), aborts raise the same
     :class:`BudgetExceededError`, and the fact lists sort under the
-    same structural keys.  On fallback the budget is untouched — the
-    pure-Python rerun proceeds as if this call never happened.
+    same structural keys.  On fallback — no kernel, or a start stack
+    holding a token the image never interned — the budget is untouched:
+    the pure-Python rerun proceeds as if this call never happened.
     """
     ng = graph_for(pag)
     if ng is None:
@@ -781,7 +718,7 @@ def _put(ng, sess, items):
         if si is None:
             skipped[key] = None  # unreachable natively
             continue
-        f = to_c(fstack, True)
+        f = to_c(fstack)
         if f is None:
             if ng.broken is not None:
                 return False
@@ -793,7 +730,7 @@ def _put(ng, sess, items):
                 return False  # cannot emit this object as an index
             objs.append(oi)
         for x, bfs, bstate in summary.boundaries:
-            bf = to_c(bfs, True)
+            bf = to_c(bfs)
             if bf is None:
                 return False
             b_t.append(index_get(x, n) * 4 + bstate)

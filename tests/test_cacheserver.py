@@ -44,6 +44,7 @@ from repro.api.protocol import (
 from repro.bench.runner import bench_engine_policy
 from repro.bench.suite import load_benchmark
 from repro.cacheserver.client import RemoteSummaryCache, ShardLink, ShardUnavailable
+from repro.cacheserver.faults import RetryPolicy
 from repro.cacheserver.server import ShardServer
 from repro.cacheserver.store import WireSummaryStore
 from repro.cfl.rsm import S1
@@ -424,7 +425,9 @@ class TestRemoteEngineIdentity:
         assert remote.remote_errors > 0
 
     def test_backoff_bounds_failed_remote_traffic(self):
-        link = ShardLink("127.0.0.1:9", timeout=0.2, retry_interval=60.0)
+        link = ShardLink(
+            "127.0.0.1:9", timeout=0.2, retry=RetryPolicy.from_interval(60.0)
+        )
         with pytest.raises(ShardUnavailable):
             link.request("{}")
         # Within the backoff window the link fails fast, without a

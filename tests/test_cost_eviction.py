@@ -182,7 +182,7 @@ def test_snapshot_round_trips_cost_policy_and_steps(figure2_pag=None):
 class TestHeapVictimIndex:
     """The heap-backed victim index must pick exactly the victims the
     O(n) scan picked (min priority, ties to the least-recently-used
-    entry), and admission control must refuse oversized summaries."""
+    entry), and the store admits a summary of any size."""
 
     def test_heap_matches_scan_oracle_on_random_workload(self):
         import random
@@ -243,55 +243,9 @@ class TestHeapVictimIndex:
             resident = {k for k, _ in store.entries()}
             assert resident == set(oracle_entries), f"round {round_index}"
 
-    def test_admission_control_refuses_oversized_summaries(self):
-        store = CostAwareSummaryCache(max_entries=8, admit_facts=2)
-        small_node, big_node = node("small"), node("big")
-        small = summary(steps=10)
-        assert small.size <= 2
-        assert store.store(small_node, EMPTY_STACK, S1, small) is True
-
-        big = PptaResult(
-            (),
-            tuple(
-                (node(f"b{i}"), EMPTY_STACK, S1) for i in range(5)
-            ),
-            steps=1000,
-        )
-        assert big.size > 2
-        assert store.store(big_node, EMPTY_STACK, S1, big) is False
-        assert store.rejected == 1
-        assert (big_node, EMPTY_STACK, S1) not in store
-        # The small resident entry is untouched.
-        assert store.lookup(small_node, EMPTY_STACK, S1) is small
-
-    def test_admission_applies_to_replacements_too(self):
-        """The self-heal path (a differing publish for a resident key)
-        must not smuggle an oversized summary past admission: the stale
-        resident is dropped, the replacement is refused."""
-        store = CostAwareSummaryCache(max_entries=8, admit_facts=2)
-        key_node = node("k")
-        assert store.store(key_node, EMPTY_STACK, S1, summary(steps=3)) is True
-        oversized = PptaResult(
-            (), tuple((node(f"b{i}"), EMPTY_STACK, S1) for i in range(5))
-        )
-        assert store.store(key_node, EMPTY_STACK, S1, oversized) is True
-        assert store.rejected == 1
-        assert (key_node, EMPTY_STACK, S1) not in store
-        assert store.total_facts() == 0
-        # An equal oversized re-store of a resident oversized entry is
-        # still a recency-only refresh (size unchanged, nothing to
-        # admit) — mirror of the base rule.
-        relaxed = CostAwareSummaryCache(max_entries=8, admit_facts=10)
-        assert relaxed.store(key_node, EMPTY_STACK, S1, oversized) is True
-        relaxed.admit_facts = 2
-        assert relaxed.store(key_node, EMPTY_STACK, S1, oversized) is False
-        assert relaxed.rejected == 0
-        assert (key_node, EMPTY_STACK, S1) in relaxed
-
     def test_admission_default_admits_everything(self):
         store = CostAwareSummaryCache(max_entries=4)
         big = PptaResult(
             (), tuple((node(f"b{i}"), EMPTY_STACK, S1) for i in range(50))
         )
         assert store.store(node("big"), EMPTY_STACK, S1, big) is True
-        assert store.rejected == 0

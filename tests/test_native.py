@@ -14,11 +14,19 @@ kernel's bit-parity with the reference loop; this module pins the
   knob selects the impl (``native`` from boot), and the selection plus
   any native fallback reason — a kernel that cannot load, or a summary
   store it does not mirror — travel over the wire on ``stats-result``
-  (protocol 1.5).
+  (protocol 1.5);
+* a standalone PPTA whose start stack names a token the CSR image never
+  interned reruns on ``array`` and leaves the kernel's token table the
+  image's;
+* the node sort ranks the kernel's boundary sort reads stay
+  order-isomorphic to ``sort_key`` as patches append and drop nodes.
 """
+
+import itertools
 
 import pytest
 
+from conftest import EXAMPLE_PROGRAMS
 from repro.analysis import ppta
 from repro.analysis.dynsum import DynSum
 from repro.api.codec import encode, decode_response
@@ -26,9 +34,14 @@ from repro.api.protocol import StatsRequest
 from repro.api.service import PointsToService
 from repro.bench.generator import GeneratorConfig, generate_program
 from repro.bench.runner import bench_analysis_config
+from repro.cfl.budget import Budget
+from repro.cfl.rsm import FAM_LOAD, FAM_STORE, S1, S2
+from repro.cfl.stacks import EMPTY_STACK, intern_token
 from repro.engine.core import PointsToEngine
 from repro.engine.policy import CachePolicy, EnginePolicy
+from repro.ir.parser import parse_program
 from repro.native import availability, binding
+from repro.native import session as native_session
 from repro.pag.builder import build_pag
 
 
@@ -151,6 +164,21 @@ class TestSelection:
             main(["--program", "unused.pir", "--traversal-impl", "fast"])
         assert exc.value.code == 2
         assert "--traversal-impl" in capsys.readouterr().err
+
+    def test_serve_pins_the_engine_not_the_process(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        import io
+
+        from repro.api.service import main
+
+        program = tmp_path / "prog.pir"
+        program.write_text(TestListeningAnnouncement.PROGRAM, encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.StringIO(encode(StatsRequest()) + "\n"))
+        assert main(["--program", str(program), "--traversal-impl", "array"]) == 0
+        stats = decode_response(capsys.readouterr().out.splitlines()[0])
+        assert stats.traversal_impl == "array"
+        assert ppta.active_traversal_impl() == "native"
 
     @pytest.mark.parametrize("host", ["disabled", "no-compiler"])
     def test_unpinned_engine_falls_back_on_a_kernelless_host(
@@ -303,6 +331,109 @@ class TestPopulatedCaches:
         native = self._run("native", warm_start=path)
         assert native == self._run("reference", warm_start=path)
         assert native[1] > 0
+
+
+#: Suffixes for field names no image has seen: each test interns its
+#: own, after compiling its image.
+_FRESH_FIELDS = itertools.count()
+
+
+def _ppta_outcome(impl, pag, node, stack, state):
+    budget = Budget(None)
+    with ppta.traversal_impl(impl):
+        result = ppta.run_ppta(pag, node, stack, state, budget)
+    return result.objects, result.boundaries, result.steps, budget.steps
+
+
+class TestForeignStartStacks:
+    """The kernel reads only the image's tokens.  A standalone PPTA whose
+    start stack holds a token the image never interned — alone, above
+    an image token or below one — has no kernel id, so ``native`` reruns
+    it on ``array`` with the budget untouched: answers and steps equal
+    ``reference``'s, and the kernel graph registers no token."""
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_PROGRAMS))
+    def test_native_reruns_on_array_and_registers_nothing(self, name):
+        pag = build_pag(parse_program(EXAMPLE_PROGRAMS[name]))
+        image = pag.csr()
+        suffix = next(_FRESH_FIELDS)
+        foreign = [
+            intern_token(f"never_interned_{suffix}", family)
+            for family in (FAM_LOAD, FAM_STORE)
+        ]
+        assert not any(token in image.tok_fid for token in foreign)
+        own = [image.tokens[t] for t in (*image.li_tok, *image.sf_tok)]
+        stacks = [EMPTY_STACK.push(token) for token in foreign]
+        if own:
+            stacks += [EMPTY_STACK.push(own[0]).push(token) for token in foreign]
+            stacks += [EMPTY_STACK.push(token).push(own[0]) for token in foreign]
+        for node in pag.local_var_nodes():
+            for state in (S1, S2):
+                for stack in stacks:
+                    want = _ppta_outcome("reference", pag, node, stack, state)
+                    assert _ppta_outcome("array", pag, node, stack, state) == want
+                    assert _ppta_outcome("native", pag, node, stack, state) == want
+        if availability()[0]:
+            graph = image._native
+            assert type(graph) is native_session._NativeGraph
+            assert len(graph.tokens_by_id) == len(image.tokens)
+            assert not any(token in graph.tok_index for token in foreign)
+
+
+class _StubNode:
+    __slots__ = ("sort_key",)
+
+    def __init__(self, sort_key):
+        self.sort_key = sort_key
+
+
+class _StubImage:
+    """What :class:`~repro.native.session._NodeRanks` reads of an image."""
+
+    def __init__(self, keys, dead=()):
+        self.nodes = [_StubNode(key) for key in keys]
+        self.n_nodes = len(keys)
+        self.dead = frozenset(dead)
+
+
+def _assert_ranks_fit(ranks, image):
+    live = [i for i in range(image.n_nodes) if i not in image.dead]
+    rank = ranks.rank
+    assert len({rank[i] for i in live}) == len(live)
+    assert all(0 <= rank[i] < 2 ** 31 for i in live)
+    by_key = sorted(live, key=lambda i: image.nodes[i].sort_key)
+    assert sorted(live, key=rank.__getitem__) == by_key
+
+
+def test_node_ranks_respace_a_crowded_gap_and_follow_drops():
+    """Appending into one rank gap halves the room each time until a
+    midpoint no longer fits; then every live rank is re-spaced.  Drops
+    leave the order, and a node appended and dropped in one patch is
+    never ranked.  Live ranks stay distinct and in ``sort_key`` order
+    throughout."""
+    keys = [(0,), (1,), (2,)]
+    image = _StubImage(keys)
+    ranks = native_session._NodeRanks(image)
+    _assert_ranks_fit(ranks, image)
+    first_gap = ranks.gap
+    for k in range(40):
+        # Just above (0,) and below the previous arrival: one gap.
+        keys.append((0, 40 - k))
+        image = _StubImage(keys, image.dead)
+        ranks.follow(image, image.dead)
+        _assert_ranks_fit(ranks, image)
+    assert ranks.gap < first_gap  # the crowded gap was re-spaced
+    dropped = {0, 4, 17, len(keys) - 1}
+    keys += [(1, 5), (1, 6)]
+    before = image.dead
+    image = _StubImage(keys, dropped | {len(keys) - 1})
+    ranks.follow(image, before)
+    _assert_ranks_fit(ranks, image)
+    assert len(ranks.order) == image.n_nodes - len(image.dead)
+    before = image.dead
+    image = _StubImage(keys, before | {1, 9})
+    ranks.follow(image, before)
+    _assert_ranks_fit(ranks, image)
 
 
 class TestListeningAnnouncement:

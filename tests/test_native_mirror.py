@@ -12,12 +12,15 @@ cycle, a snapshot warm start — and after each step requires equal
 answers, per-query step counts, and cache hit/miss/entry counts.  More
 tests pin the sync's cost through the session's work counters rather
 than timing (after an invalidate and after an edit), the ``array``
-loop's probe memo across a patched image, and that the journal stays
-bounded when no native sync drains it.
+loop's probe memo across a patched image, that the ``array`` loop's
+inline inserts reach a live mirror through the journal, and that the
+journal stays bounded when no native sync drains it.
 """
 
 import pytest
 
+from conftest import EXAMPLE_PROGRAMS
+from repro.analysis import ppta
 from repro.analysis.ppta import PptaResult
 from repro.bench.generator import GeneratorConfig, generate_program
 from repro.cfl.rsm import FAM_LOAD, S1
@@ -295,6 +298,38 @@ def test_probe_memo_follows_a_patched_image():
     program.finalize()
     fresh = PointsToEngine.for_program(program, EnginePolicy(traversal_impl="array"))
     assert answers(engine) == answers(fresh)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_PROGRAMS))
+def test_array_inserts_reach_a_live_mirror_through_the_journal(name):
+    """The ``array`` loop inserts summaries into a plain store inline;
+    while a kernel mirror is live it must journal each one, or the next
+    native query misses where Python would hit.  One unpinned engine
+    answers half the locals natively (the mirror and its journal now
+    exist), the rest under ``traversal_impl("array")``, then all of
+    them natively again: every answer and per-query step count must be
+    a ``reference`` engine's."""
+    pag = build_pag(parse_program(EXAMPLE_PROGRAMS[name]))
+    engine = PointsToEngine(pag, EnginePolicy())
+    reference = PointsToEngine(pag, EnginePolicy(traversal_impl="reference"))
+    nodes = list(pag.local_var_nodes())
+    half = len(nodes) // 2
+
+    def ask(batch):
+        def outcome(result):
+            return result.complete, result.steps, sorted(map(repr, result.pairs))
+
+        got = [outcome(engine.query(node)) for node in batch]
+        assert got == [outcome(reference.query(node)) for node in batch]
+
+    ask(nodes[:half])
+    session = mirror(engine)
+    assert engine.cache._native_journal is not None
+    with ppta.traversal_impl("array"):
+        ask(nodes[half:])
+    ask(nodes)
+    assert mirror(engine) is session
+    assert session.live() == len(engine.cache)
 
 
 def test_invalidate_requery_cycles_keep_kernel_records_bounded():

@@ -9,8 +9,12 @@ against every local backend (unbounded, LRU-bounded, cost-aware)
 servers — on the threaded and the asyncio transport, and over each
 local-tier policy — so no backend's surface can silently drift: a
 method added to the base contract fails here until every backend grows
-it.
+it.  A seeded differential then drives a local bounded store and a
+shard's wire store through one op mix and requires the same residents
+after every op.
 """
+
+import random
 
 import pytest
 
@@ -21,9 +25,11 @@ from repro import (
 )
 from repro.analysis.ppta import PptaResult
 from repro.analysis.summaries import SummaryStore
+from repro.api.snapshot import entry_to_wire, key_to_wire
 from repro.cacheserver.aserver import AsyncShardServer
 from repro.cacheserver.client import RemoteSummaryCache
 from repro.cacheserver.server import ShardServer
+from repro.cacheserver.store import WireSummaryStore, canonical_key, entry_key
 from repro.cfl.rsm import S1, S2
 from repro.cfl.stacks import EMPTY_STACK
 from repro.pag.nodes import LocalNode, ObjectNode
@@ -135,6 +141,19 @@ class TestContract:
         assert len(store) == 1
         assert store.total_facts() == 3
         assert store.lookup(key_node, EMPTY_STACK, S1) is memo
+
+    def test_equal_restore_keeps_the_larger_steps(self, variant):
+        # Steps are cost metadata, not payload: an equal re-store folds
+        # its count into the resident (the larger wins), as shards do.
+        store, _lru = variant
+        key_node = node()
+        memo = PptaResult((obj(),), (), steps=5)
+        store.store(key_node, EMPTY_STACK, S1, memo)
+        for steps in (9, 2):
+            again = PptaResult((obj(),), (), steps=steps)
+            assert store.store(key_node, EMPTY_STACK, S1, again) is False
+        assert store.lookup(key_node, EMPTY_STACK, S1) is memo
+        assert memo.steps == 9
 
     def test_differing_store_replaces_the_resident_memo(self, variant):
         # The cross-program-version self-heal rule, uniform across
@@ -260,3 +279,89 @@ def test_mirrors_cover_the_summary_store_surface(mirror_factory):
                "invalidated", "stats_snapshot", "bind_pag", "eviction"]
     missing = [name for name in public if not hasattr(mirror, name)]
     assert not missing, f"{type(mirror).__name__} lacks {missing}"
+
+
+class _TierPair:
+    """A local bounded store and a shard's :class:`WireSummaryStore` at
+    the same caps and eviction rule, driven in lockstep: after every op
+    both must hold the same keys."""
+
+    def __init__(self, eviction):
+        if eviction == "cost":
+            self.local = CostAwareSummaryCache(max_entries=8, max_facts=20)
+        else:
+            self.local = BoundedSummaryCache(max_entries=8, max_facts=20)
+        self.shard = WireSummaryStore(max_entries=8, max_facts=20, eviction=eviction)
+
+    def store(self, key, memo):
+        self.local.store(*key, memo)
+        self.shard.store(entry_to_wire(*key, memo))
+        self.check()
+
+    def lookup(self, key):
+        hit = self.local.lookup(*key)
+        assert (hit is None) == (self.shard.lookup(key_to_wire(*key)) is None)
+        self.check()
+
+    def check(self):
+        residents = {
+            canonical_key(key_to_wire(*key)) for key, _memo in self.local.entries()
+        }
+        assert residents == {
+            entry_key(entry) for entry in self.shard.entries_for_methods()
+        }
+        assert self.local.evictions == self.shard.evictions
+
+
+def _tier_memo(key, width, steps):
+    return PptaResult(
+        tuple(obj(i, key[0].method) for i in range(width)), (), steps=steps
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("eviction", ["lru", "cost"])
+def test_local_and_shard_stores_keep_the_same_residents(eviction, seed):
+    """One seeded store/lookup mix through a :class:`_TierPair`.
+    Re-stores mostly carry an equal payload with a fresh step count —
+    under ``cost`` both sides must fold it into the resident's rank
+    alike — and the many hits drive the cost index through stale-record
+    pops and compactions."""
+    rng = random.Random(seed)
+    pair = _TierPair(eviction)
+    keys = [
+        (node(f"D.m{i % 3}", f"v{i}"), EMPTY_STACK, S1) for i in range(14)
+    ]
+    for op in range(3000):
+        key = rng.choice(keys)
+        # Store-heavy stretches alternate with hit-heavy ones, in which
+        # the cost index grows until it compacts.
+        if rng.random() < (0.45 if op // 250 % 2 else 0.02):
+            # Mostly the key's own payload; now and then a differing one.
+            width = 1 + keys.index(key) % 4
+            if rng.random() < 0.1:
+                width = 1 + rng.randrange(4)
+            pair.store(key, _tier_memo(key, width, rng.randrange(1, 400)))
+        else:
+            pair.lookup(key)
+    assert pair.local.evictions > 0
+
+
+def test_cost_indexes_compact_alike_when_an_insert_evicts_twice():
+    """A hot stretch that never touches the two cheapest residents
+    leaves the cost index one record under its compaction bound with
+    their live records on top; an insert then evicts both, so the
+    bound falls below the index and the eviction path compacts it — on
+    both tiers, with the same survivors."""
+    pair = _TierPair("cost")
+    keys = [(node("E.m", f"w{i}"), EMPTY_STACK, S1) for i in range(9)]
+    widths = [2, 2, 2, 2, 3, 3, 3, 3]
+    for i, width in enumerate(widths):
+        pair.store(keys[i], _tier_memo(keys[i], width, 10 * (i + 1) ** 3))
+    for hit in range(72):
+        pair.lookup(keys[2 + hit % 6])
+    assert len(pair.shard._heap) == len(pair.local._heap) == 80
+    pair.store(keys[8], _tier_memo(keys[8], 4, 20000))
+    assert pair.shard.evictions == 2
+    assert len(pair.shard._heap) == len(pair.shard._rank) == 7
+    assert len(pair.local._heap) == len(pair.local._rank) == 7
