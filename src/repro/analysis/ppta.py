@@ -50,6 +50,7 @@ workloads under each).
 from contextlib import contextmanager
 
 from repro.cfl.rsm import FAM_LOAD, FAM_STORE, S1, S2
+from repro.cfl.stacks import lookup_field_id
 from repro.util.errors import BudgetExceededError
 
 
@@ -180,7 +181,7 @@ def _run_ppta_array(pag, node, field_stack, state, budget, max_field_depth=None)
         rest = f0._rest
         if rest is not None:
             top = f0._top
-            top_fid = image.tok_fid.get(top, -1)
+            top_fid = lookup_field_id(top[0], -1)
             for fid, t in image.lf_rows[si]:
                 if fid == top_fid:
                     pending.append((t, rest))
@@ -221,7 +222,7 @@ def _run_ppta_array(pag, node, field_stack, state, budget, max_field_depth=None)
     si_rows = image.si_rows
     sf_rows = image.sf_rows
     flags = image.flags
-    tok_fid_get = image.tok_fid.get
+    field_id_of = lookup_field_id
     visited = {field_stack._uid * stride + start}
     stack = []
     for item in pending:
@@ -287,7 +288,7 @@ def _run_ppta_array(pag, node, field_stack, state, budget, max_field_depth=None)
                 rest = f._rest
                 if rest is not None:
                     top = f._top
-                    top_fid = tok_fid_get(top, -1)
+                    top_fid = field_id_of(top[0], -1)
                     rkey = rest._uid * stride
                     for fid, t2 in lf_rows[vi]:
                         if fid == top_fid:  # forward load closes either family

@@ -292,14 +292,14 @@ class SummaryStore(SummaryBackend):
         recency*: the caller just recomputed it, which is exactly the
         evidence an LRU policy keys eviction on.  Equality is the
         payload; ``steps`` is cost metadata, so the resident takes the
-        larger of the two step counts in place — the rule the shard
-        store applies, which keeps cost-aware ranks equal on both
-        sides of the wire.  A **differing**
+        larger of the two step counts in place.  A **differing**
         summary replaces the resident one: that can only happen when
         the store is fed across a program-version boundary (wire-level
         ``store`` ops, warm starts over an edited program), and there
-        the incoming publish is the fresher truth — the same
-        self-heal rule the shard servers apply.
+        the incoming publish is the fresher truth — the self-heal rule
+        the shard servers rely on (their
+        :class:`~repro.cacheserver.store.WireSummaryStore` runs on these
+        stores).
         """
         key = (node, field_stack, state)
         resident = self._entries.get(key)
@@ -720,6 +720,18 @@ def check_eviction(eviction):
         known = ", ".join(EVICTION_POLICIES)
         raise ValueError(f"unknown eviction policy {eviction!r}; known: {known}")
     return eviction
+
+
+def make_summary_store(max_entries=None, max_facts=None, eviction="lru"):
+    """An empty local store for one capacity policy: a
+    :class:`CostAwareSummaryCache` under ``eviction="cost"``, a
+    :class:`BoundedSummaryCache` under a ceiling, else the unbounded
+    :class:`SummaryCache`."""
+    if check_eviction(eviction) == "cost":
+        return CostAwareSummaryCache(max_entries=max_entries, max_facts=max_facts)
+    if max_entries is None and max_facts is None:
+        return SummaryCache()
+    return BoundedSummaryCache(max_entries=max_entries, max_facts=max_facts)
 
 
 def shard_for_method(method_qname, n_shards):

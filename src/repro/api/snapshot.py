@@ -50,6 +50,7 @@ from repro.analysis.summaries import (
     CostAwareSummaryCache,
     SummaryCache,
     check_eviction,
+    make_summary_store,
 )
 from repro.api.codec import build_message
 from repro.api.protocol import ProtocolError, SnapshotError, split_version
@@ -434,17 +435,10 @@ class SummarySnapshot:
     # restore
     # ------------------------------------------------------------------
     def make_store(self):
-        """An empty store with the snapshot's class and capacity policy."""
-        if self.store_kind == _STORE_BOUNDED:
-            cls = (
-                CostAwareSummaryCache
-                if self.eviction == "cost"
-                else BoundedSummaryCache
-            )
-            return cls(
-                max_entries=self.stats.max_entries, max_facts=self.stats.max_facts
-            )
-        return SummaryCache()
+        """An empty store with the snapshot's capacity policy."""
+        return make_summary_store(
+            self.stats.max_entries, self.stats.max_facts, self.eviction
+        )
 
     def restore(self, pag, strict=True):
         """Rebuild the snapshotted store against ``pag``.

@@ -14,9 +14,14 @@ Three pieces:
 
 * :class:`~repro.cacheserver.server.ShardServer` — one shard: a
   JSON-lines socket server over a method-indexed, optionally bounded
-  wire-form store (:class:`~repro.cacheserver.store.WireSummaryStore`).
-  It is program-agnostic: entries are stored in wire form, so one
-  service can back any number of clients analysing the same program.
+  wire-form store (:class:`~repro.cacheserver.store.WireSummaryStore`),
+  which keeps its entries in the engine's own
+  :class:`~repro.analysis.summaries.BoundedSummaryCache` or
+  :class:`~repro.analysis.summaries.CostAwareSummaryCache`, so a shard
+  evicts, counts and versions summaries with the same code as a local
+  store.  It is program-agnostic: entries are stored in wire form, so
+  one service can back any number of clients analysing the same
+  program.
   :class:`~repro.cacheserver.server.CacheCluster` spawns N of them as
   child processes (the ``repro-cached`` launcher rides it).
 * :class:`~repro.cacheserver.client.RemoteSummaryCache` — the

@@ -7,27 +7,30 @@ objects — it keeps entries exactly as they travel: validated
 their context-free key.  Resolution back to nodes happens client-side
 (:func:`repro.api.snapshot.resolve_wire_entry`), where a PAG exists.
 
-Semantics mirror the in-process :class:`~repro.analysis.summaries
-.SummaryStore` contract — probe counting, method-indexed invalidation,
-optional entry/fact ceilings with LRU or cost-aware eviction — so the
-accounting a shard reports (:class:`~repro.analysis.summaries
-.CacheStats`) means the same thing it means locally.
+The entries live in one of the engine's own stores — a
+:class:`~repro.analysis.summaries.BoundedSummaryCache`, or a
+:class:`~repro.analysis.summaries.CostAwareSummaryCache` under
+``eviction="cost"`` — keyed by an interned per-method key node plus the
+canonical key, each behind a small adapter that reads as a summary.  So
+probe counting, the re-store rule, recency, eviction, method-indexed
+invalidation, per-method epochs and the
+:class:`~repro.analysis.summaries.CacheStats` a shard reports are the
+engine's code and mean what they mean locally.  This layer adds only
+the wire's state: the lock, program fingerprints, refused stale
+write-throughs, and the prefetch cursor's sequence stamps.
 
 Every inserted or payload-replaced entry is stamped with a sequence
 number, monotonic under the store's random ``incarnation``; that pair
 is the cursor an incremental prefetch (protocol 1.7) resumes from.
 """
 
-import heapq
 import json
 import os
 import threading
-from collections import OrderedDict
 
 from repro.analysis.summaries import (
-    ENTRY_OVERHEAD_BYTES,
-    FACT_BYTES,
-    CacheStats,
+    BoundedSummaryCache,
+    CostAwareSummaryCache,
     check_eviction,
 )
 
@@ -51,22 +54,55 @@ def entry_method(entry_or_key):
     return entry_or_key["node"].get("method")
 
 
-def _entry_facts(entry):
-    return len(entry["objects"]) + len(entry["boundaries"])
-
-
-def _entry_score(entry, facts):
-    """Steps-to-recompute per byte — the cost-aware eviction rank (the
-    wire-form twin of :func:`repro.analysis.summaries.entry_cost_score`)."""
-    return entry.get("steps", 0) / (ENTRY_OVERHEAD_BYTES + facts * FACT_BYTES)
-
-
 def _draw_incarnation():
     """A fresh random store incarnation: 48 bits, so a restarted
     process cannot plausibly reuse its predecessor's and the value
     stays exact as a JSON number everywhere.  (``os.urandom``, not
     ``secrets``: that import loads OpenSSL, megabytes per shard.)"""
     return int.from_bytes(os.urandom(6), "big")
+
+
+class _KeyNode:
+    """A wire key's node as the inner store sees it: all a local store
+    reads of a key node is its ``method`` (the invalidation index), and
+    one interned instance per method keeps the key's hash an identity
+    hash."""
+
+    __slots__ = ("method",)
+
+    def __init__(self, method):
+        self.method = method
+
+
+class _KeyNodes(dict):
+    """``method -> _KeyNode``, interned on first use."""
+
+    def __missing__(self, method):
+        node = self[method] = _KeyNode(method)
+        return node
+
+
+class _Resident:
+    """A wire entry as the inner store sees a summary: ``objects``,
+    ``boundaries`` and ``size`` are the entry's, and ``steps`` writes
+    through to the entry dict, so the larger count an equal-payload
+    re-store keeps is the one later fetches serve."""
+
+    __slots__ = ("entry", "objects", "boundaries", "size")
+
+    def __init__(self, entry):
+        self.entry = entry
+        self.objects = entry["objects"]
+        self.boundaries = entry["boundaries"]
+        self.size = len(self.objects) + len(self.boundaries)
+
+    @property
+    def steps(self):
+        return self.entry.get("steps", 0)
+
+    @steps.setter
+    def steps(self, steps):
+        self.entry["steps"] = steps
 
 
 class StaleEpochRejection(Exception):
@@ -89,79 +125,52 @@ class WireSummaryStore:
     """A method-indexed, optionally bounded store of wire-form entries.
 
     Thread-safe: one lock guards every operation (a shard server runs
-    one connection handler per client).  Capacity follows the local
-    stores' rules — least-recently-used victim by default,
-    lowest-cost-per-byte under ``eviction="cost"``, and one pathological
-    oversized entry is always admitted rather than thrashed.
+    one connection handler per client).  Capacity is the inner store's
+    — least-recently-used victim by default, lowest-cost-per-byte under
+    ``eviction="cost"``, and one pathological oversized entry is always
+    admitted rather than thrashed.  An unbounded shard still runs on
+    the recency-ordered LRU class, so a full dump is coldest-first.
     """
 
     def __init__(self, max_entries=None, max_facts=None, eviction="lru"):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if max_facts is not None and max_facts < 1:
-            raise ValueError(f"max_facts must be >= 1, got {max_facts}")
-        self.eviction = check_eviction(eviction)
-        if eviction == "cost" and max_entries is None and max_facts is None:
-            raise ValueError(
-                "eviction='cost' needs a capacity ceiling (max_entries "
-                "and/or max_facts); an unbounded store never evicts, so "
-                "the policy would be silently inert"
-            )
-        self.max_entries = max_entries
-        self.max_facts = max_facts
+        cls = (
+            CostAwareSummaryCache
+            if check_eviction(eviction) == "cost"
+            else BoundedSummaryCache
+        )
         self._lock = threading.RLock()
-        self._entries = OrderedDict()  # guarded-by: _lock — key -> entry
-        self._by_method = {}  # guarded-by: _lock
-        self._facts = 0  # guarded-by: _lock
-        # Consistency epochs (protocol 1.4): method -> the newest epoch
-        # any client has presented, and the program fingerprint that
-        # defined it.  Entries are only served/accepted at the current
-        # epoch; see `_sync_method_locked` for the full rule.
-        self._epochs = {}  # guarded-by: _lock
+        self._store = cls(  # guarded-by: _lock
+            max_entries=max_entries, max_facts=max_facts
+        )
+        self._nodes = _KeyNodes()  # guarded-by: _lock
+        # Consistency epochs (protocol 1.4) are the inner store's
+        # per-method epochs; this maps method -> the program fingerprint
+        # that pinned its current epoch (see `_sync_method_locked`).
         self._fprints = {}  # guarded-by: _lock
         #: Write-throughs refused as stale (the guard firing).
         self.stale_rejections = 0  # guarded-by: _lock
-        # Greedy-Dual state (eviction="cost"): see
-        # CostAwareSummaryCache — same rule, wire-form entries, and the
-        # same heap-backed victim index with lazy invalidation (rank is
-        # authoritative; stale heap records are skipped on pop).
-        self._clock = 0.0  # guarded-by: _lock
-        self._rank = {}  # guarded-by: _lock
-        self._heap = []  # guarded-by: _lock
-        self._stamp = 0  # guarded-by: _lock
-        # Incremental prefetch (protocol 1.7): each resident key's
-        # sequence stamp, in ascending stamp order (a plain dict: a
-        # restamp re-inserts at the end), so a delta scan walks back
-        # from the newest stamp and stops at the cursor.
+        # Incremental prefetch (protocol 1.7): the sequence stamp of
+        # every key stored since, in ascending stamp order (a plain
+        # dict: a restamp re-inserts at the end), so a delta scan walks
+        # back from the newest stamp and stops at the cursor.  Keys the
+        # inner store evicts or invalidates keep their stamp until
+        # `_prune_seqs_locked` drops it; a scan skips them.
         self.incarnation = _draw_incarnation()  # guarded-by: _lock
         self._seq = 0  # guarded-by: _lock
-        self._seqs = {}  # guarded-by: _lock — key -> stamp
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
-        self.evictions = 0  # guarded-by: _lock
-        self.invalidated = 0  # guarded-by: _lock
+        self._seqs = {}  # guarded-by: _lock — inner key -> stamp
+
+    # The inner store's capacity policy and counters, read-only.
+    max_entries = property(lambda self: self._store.max_entries)
+    max_facts = property(lambda self: self._store.max_facts)
+    eviction = property(lambda self: self._store.eviction)
+    hits = property(lambda self: self._store.hits)
+    misses = property(lambda self: self._store.misses)
+    evictions = property(lambda self: self._store.evictions)
+    invalidated = property(lambda self: self._store.invalidated)
 
     # ------------------------------------------------------------------
     # the cache contract, keyed by canonical wire keys
     # ------------------------------------------------------------------
-    def _refresh_locked(self, ckey, entry):
-        """Recency + Greedy-Dual priority refresh for one resident key."""
-        self._entries.move_to_end(ckey)
-        if self.eviction == "cost":
-            self._stamp += 1
-            record = (
-                self._clock + _entry_score(entry, _entry_facts(entry)),
-                self._stamp,
-                ckey,
-            )
-            self._rank[ckey] = record
-            heapq.heappush(self._heap, record)
-            # Compact here too, not only on eviction: hit-dominated
-            # traffic pushes a record per refresh and would otherwise
-            # grow the heap without bound.
-            if len(self._heap) > 2 * len(self._rank) + 64:
-                self._heap = sorted(self._rank.values())
-
     def _sync_method_locked(self, method, epoch, fingerprint):
         """Reconcile one op's ``(epoch, fingerprint)`` with the store's
         view of ``method``; returns whether the op may proceed.
@@ -181,16 +190,13 @@ class WireSummaryStore:
           same-named summaries).  Fingerprint-less (pre-1.4) traffic
           always passes this half of the check.
         """
-        se = self._epochs.get(method, 0)
-        if epoch > se:
-            self._drop_method_locked(method)
-            self._epochs[method] = epoch
-            if fingerprint is None:
-                self._fprints.pop(method, None)
-            else:
+        current = self._store.method_epoch(method)
+        if epoch > current:
+            self._invalidate_locked(method, epoch)
+            if fingerprint is not None:
                 self._fprints[method] = fingerprint
             return True
-        if epoch < se:
+        if epoch < current:
             return False
         if fingerprint is not None:
             recorded = self._fprints.get(method)
@@ -203,7 +209,7 @@ class WireSummaryStore:
     def method_epoch(self, method_qname):
         """The store's current consistency epoch for one method."""
         with self._lock:
-            return self._epochs.get(method_qname, 0)
+            return self._store.method_epoch(method_qname)
 
     def lookup(self, key, epoch=0, fingerprint=None):
         """The resident entry for wire key ``key``, or ``None``.
@@ -212,86 +218,62 @@ class WireSummaryStore:
         miss (never a stale entry); a key presented at a newer epoch
         than the store's drops the method's residue first.
         """
-        ckey = canonical_key(key)
         with self._lock:
-            if not self._sync_method_locked(entry_method(key), epoch, fingerprint):
-                self.misses += 1
-                return None
-            entry = self._entries.get(ckey)
-            if entry is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-                self._refresh_locked(ckey, entry)
-            return entry
+            return self._lookup_locked(key, epoch, fingerprint)
+
+    def _lookup_locked(self, key, epoch, fingerprint):
+        method = entry_method(key)
+        if not self._sync_method_locked(method, epoch, fingerprint):
+            self._store.misses += 1
+            return None
+        resident = self._store.lookup(self._nodes[method], canonical_key(key), None)
+        return None if resident is None else resident.entry
 
     def store(self, entry, epoch=0, fingerprint=None):
         """Insert a *validated* wire entry.
 
-        A resident **equal** entry only gets its recency refreshed
-        (returns False — the in-process re-store rule).  A resident
-        entry with a *different* payload is **replaced** (returns
-        True): summaries are pure memos, so two honest clients can only
-        disagree across a program edit — and then the publish is
-        fresher than whatever invalidation this shard may have missed.
-        This is what lets an edited client's write-through self-heal a
-        shard that was unreachable during the invalidate.
+        A resident entry with an **equal** payload (objects and
+        boundaries) only gets its recency refreshed and keeps the
+        larger ``steps`` (returns False — the in-process re-store
+        rule): ``steps`` is cost metadata, so a steps-only difference
+        never fakes an edit.  A resident entry with a *different*
+        payload is **replaced** (returns True): summaries are pure
+        memos, so two honest clients can only disagree across a program
+        edit — and then the publish is fresher than whatever
+        invalidation this shard may have missed.  This is what lets an
+        edited client's write-through self-heal a shard that was
+        unreachable during the invalidate.
 
         With epochs on the wire (protocol 1.4) the rule is exact: a
         write-through whose epoch *lags* the method's raises
         :class:`StaleEpochRejection` instead of being arbitrated by
         payload comparison.
         """
+        method = entry_method(entry)
         with self._lock:
-            if not self._sync_method_locked(entry_method(entry), epoch, fingerprint):
+            if not self._sync_method_locked(method, epoch, fingerprint):
                 self.stale_rejections += 1
                 raise StaleEpochRejection(
-                    entry_method(entry),
-                    epoch,
-                    self._epochs.get(entry_method(entry), 0),
+                    method, epoch, self._store.method_epoch(method)
                 )
             return self._store_locked(entry)
 
     def _store_locked(self, entry):
-        ckey = entry_key(entry)
-        resident = self._entries.get(ckey)
-        if resident is not None:
-            # Equality is the *payload* — objects and boundaries —
-            # exactly like the in-process rule.  `steps` is cost
-            # metadata, not content: a steps-only difference (e.g. a
-            # legacy snapshot replayed with steps=0) must not fake a
-            # program edit; the better cost estimate is kept instead
-            # so cost-aware eviction never loses information.
-            if (
-                resident["objects"] == entry["objects"]
-                and resident["boundaries"] == entry["boundaries"]
-            ):
-                if entry.get("steps", 0) > resident.get("steps", 0):
-                    resident["steps"] = entry.get("steps", 0)
-                self._refresh_locked(ckey, resident)
-                return False
-            self._facts += _entry_facts(entry) - _entry_facts(resident)
-            self._entries[ckey] = entry
-            self._refresh_locked(ckey, entry)
-            self._sequence_locked(ckey)
-            self._enforce_capacity_locked()
-            return True
-        self._entries[ckey] = entry
-        self._refresh_locked(ckey, entry)
-        self._sequence_locked(ckey)
-        self._facts += _entry_facts(entry)
-        method = entry_method(entry)
-        if method is not None:
-            self._by_method.setdefault(method, set()).add(ckey)
-        self._enforce_capacity_locked()
+        key = (self._nodes[entry_method(entry)], entry_key(entry), None)
+        if not self._store.store(*key, _Resident(entry)):
+            return False
+        self._seq += 1
+        self._seqs.pop(key, None)
+        self._seqs[key] = self._seq
+        self._prune_seqs_locked()
         return True
 
-    def _sequence_locked(self, ckey):
-        """Give ``ckey`` the next sequence stamp (moving it to the
-        newest end of the stamp order)."""
-        self._seq += 1
-        self._seqs.pop(ckey, None)
-        self._seqs[ckey] = self._seq
+    def _prune_seqs_locked(self):
+        """Drop the stamps of keys the inner store no longer holds, once
+        they could outnumber its residents."""
+        store = self._store
+        if len(self._seqs) > 2 * len(store) + 64:
+            self._seqs = {key: seq for key, seq in self._seqs.items() if key in store}
 
     def invalidate_method(self, method_qname, epoch=0):
         """Drop every entry of one method; returns the number dropped.
@@ -307,17 +289,10 @@ class WireSummaryStore:
             return self._invalidate_locked(method_qname, epoch)
 
     def _invalidate_locked(self, method_qname, epoch=0):
-        self._epochs[method_qname] = max(self._epochs.get(method_qname, 0) + 1, epoch)
+        dropped = self._store.invalidate_method(method_qname)
+        self._store.adopt_epochs({method_qname: epoch})
         self._fprints.pop(method_qname, None)
-        return self._drop_method_locked(method_qname)
-
-    def _drop_method_locked(self, method_qname):
-        keys = self._by_method.pop(method_qname, ())
-        dropped = 0
-        for ckey in list(keys):
-            if self._remove_locked(ckey) is not None:
-                dropped += 1
-        self.invalidated += dropped
+        self._prune_seqs_locked()
         return dropped
 
     # ------------------------------------------------------------------
@@ -334,23 +309,10 @@ class WireSummaryStore:
     def lookup_many(self, keys, epochs=(), fingerprint=None):
         """Aligned entries (or ``None``) for many wire keys at once."""
         with self._lock:
-            results = []
-            for i, key in enumerate(keys):
-                if not self._sync_method_locked(
-                    entry_method(key), self._epoch_at(epochs, i), fingerprint
-                ):
-                    self.misses += 1
-                    results.append(None)
-                    continue
-                ckey = canonical_key(key)
-                entry = self._entries.get(ckey)
-                if entry is None:
-                    self.misses += 1
-                else:
-                    self.hits += 1
-                    self._refresh_locked(ckey, entry)
-                results.append(entry)
-            return results
+            return [
+                self._lookup_locked(key, self._epoch_at(epochs, i), fingerprint)
+                for i, key in enumerate(keys)
+            ]
 
     def store_many(self, entries, epochs=(), fingerprint=None):
         """Insert many validated wire entries in one lock acquisition;
@@ -409,28 +371,31 @@ class WireSummaryStore:
         between would otherwise be skipped by every later delta.
         """
         with self._lock:
+            store = self._store
             if incarnation == self.incarnation and 0 <= since <= self._seq:
+                resident = store._entries
                 fresh = []
-                for ckey, seq in reversed(self._seqs.items()):
+                for key, seq in reversed(self._seqs.items()):
                     if seq <= since:
                         break
-                    fresh.append(self._entries[ckey])
+                    if key in resident:  # else evicted or invalidated since
+                        fresh.append((key, resident[key]))
                 fresh.reverse()
                 candidates = fresh
             else:
-                candidates = self._entries.values()
+                candidates = store.entries()
             wanted = None if methods is None else set(methods)
             entries, epochs = [], []
-            for entry in candidates:
-                method = entry_method(entry)
+            for (node, _ckey, _state), value in candidates:
+                method = node.method
                 if wanted is not None and method not in wanted:
                     continue
                 if fingerprint is not None:
                     recorded = self._fprints.get(method)
                     if recorded is not None and recorded != fingerprint:
                         continue
-                entries.append(entry)
-                epochs.append(self._epochs.get(method, 0))
+                entries.append(value.entry)
+                epochs.append(store.method_epoch(method))
             return entries, epochs, self.incarnation, self._seq
 
     def clear(self):
@@ -439,16 +404,9 @@ class WireSummaryStore:
         # and the sequence counter: every later store still gets a
         # stamp above any cursor already handed out.
         with self._lock:
-            self._entries.clear()
+            self._store.clear()
             self._seqs.clear()
-            self._by_method.clear()
-            self._facts = 0
-            self._clock = 0.0
-            self._rank.clear()
-            self._heap = []
-            self._stamp = 0
-            self.hits = self.misses = self.evictions = self.invalidated = 0
-            self.stale_rejections = 0  # guarded-by: _lock
+            self.stale_rejections = 0
 
     def restart_blank(self):
         """Forget *everything*, epochs and fingerprints included — the
@@ -460,98 +418,40 @@ class WireSummaryStore:
         child.  A respawned process also draws a new incarnation, so
         every client's next prefetch is a full dump."""
         with self._lock:
-            self.clear()
-            self._epochs.clear()
+            store = self._store
+            self._store = type(store)(
+                max_entries=store.max_entries, max_facts=store.max_facts
+            )
+            self._seqs.clear()
             self._fprints.clear()
+            self.stale_rejections = 0
             self.incarnation = _draw_incarnation()
             self._seq = 0
-
-    # ------------------------------------------------------------------
-    # capacity
-    # ------------------------------------------------------------------
-    def _remove_locked(self, ckey):
-        entry = self._entries.pop(ckey, None)
-        if entry is None:
-            return None
-        del self._seqs[ckey]
-        self._rank.pop(ckey, None)
-        self._facts -= _entry_facts(entry)
-        method = entry_method(entry)
-        if method is not None:
-            keys = self._by_method.get(method)
-            if keys is not None:
-                keys.discard(ckey)
-                if not keys:
-                    del self._by_method[method]
-        return entry
-
-    def _over_capacity_locked(self):
-        if self.max_entries is not None and len(self._entries) > self.max_entries:
-            return True
-        if self.max_facts is not None and self._facts > self.max_facts:
-            return True
-        return False
-
-    def _pick_victim_locked(self):
-        if self.eviction == "cost":
-            # Heap pop with lazy invalidation; priority ties resolve by
-            # stamp = least-recently-refreshed, the LRU order the old
-            # O(n) scan produced.
-            heap = self._heap
-            rank = self._rank
-            while heap:
-                record = heap[0]
-                if rank.get(record[2]) is not record:
-                    heapq.heappop(heap)  # stale: evicted or re-stamped
-                    continue
-                heapq.heappop(heap)
-                self._clock = record[0]
-                return record[2]
-        return next(iter(self._entries))
-
-    def _enforce_capacity_locked(self):
-        while self._over_capacity_locked() and len(self._entries) > 1:
-            self._remove_locked(self._pick_victim_locked())
-            self.evictions += 1
-        if len(self._heap) > 2 * len(self._rank) + 64:
-            self._heap = sorted(self._rank.values())
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def __len__(self):
         with self._lock:
-            return len(self._entries)
+            return len(self._store)
 
     def __contains__(self, key):
         with self._lock:
-            return canonical_key(key) in self._entries
+            return (
+                self._nodes[entry_method(key)], canonical_key(key), None
+            ) in self._store
 
     def total_facts(self):
         with self._lock:
-            return self._facts
+            return self._store.total_facts()
 
     def approx_bytes(self):
         with self._lock:
-            return (
-                len(self._entries) * ENTRY_OVERHEAD_BYTES
-                + self._facts * FACT_BYTES
-            )
+            return self._store.approx_bytes()
 
     def stats_snapshot(self):
         with self._lock:
-            return CacheStats(
-                entries=len(self._entries),
-                facts=self._facts,
-                hits=self.hits,
-                misses=self.misses,
-                evictions=self.evictions,
-                invalidated=self.invalidated,
-                approx_bytes=len(self._entries) * ENTRY_OVERHEAD_BYTES
-                + self._facts * FACT_BYTES,
-                max_entries=self.max_entries,
-                max_facts=self.max_facts,
-            )
+            return self._store.stats_snapshot()
 
     def __repr__(self):
         return (

@@ -91,6 +91,12 @@ def field_id(field):
     return fid
 
 
+#: ``lookup_field_id(field, default)`` — a field name's id, or
+#: ``default`` for a name never interned (no CSR row can carry it), so
+#: a traversal matching a stack top mints no id.
+lookup_field_id = _FIELD_IDS.get
+
+
 def token_table():
     """Snapshot of the token table: ``tid -> (field, family)``."""
     return list(_TOKEN_LIST)

@@ -257,13 +257,12 @@ class PointsToEngine:
         pag = self.pag
         analysis = self.analysis
         specs = [as_spec(item, pag, context) for item in items]
-        carryover = self.policy.warmth_carryover
         plan = plan_batch(
             specs,
             dedupe=dedupe,
             reorder=reorder,
             include_client=analysis.uses_client_predicate,
-            warmth=self._method_warmth if (carryover and reorder) else None,
+            warmth=self._method_warmth if reorder else None,
         )
         cache = self.cache
         hits_before = cache.hits if cache is not None else 0
@@ -321,16 +320,13 @@ class PointsToEngine:
         self.queries_deduped += plan.n_deduped
         self.steps_total += stats.steps
         self.incomplete_total += stats.incomplete
-        if carryover:
-            # Stamp this batch's traffic in execution order: the methods
-            # executed last are the warmest at the next batch's planning
-            # time (their summaries were touched most recently), so they
-            # get the highest stamps and run first next time.
-            for index in plan.order:
-                self._warmth_clock += 1
-                self._method_warmth[spec_method(plan.unique[index])] = (
-                    self._warmth_clock
-                )
+        # Stamp this batch's traffic in execution order: the methods
+        # executed last are the warmest at the next batch's planning
+        # time (their summaries were touched most recently), so they
+        # get the highest stamps and run first next time.
+        for index in plan.order:
+            self._warmth_clock += 1
+            self._method_warmth[spec_method(plan.unique[index])] = self._warmth_clock
         return BatchResult(results, stats, plan)
 
     def run_client(self, client_or_cls, queries=None, **batch_kwargs):

@@ -20,12 +20,7 @@ from repro.analysis.dynsum import DynSum
 from repro.analysis.norefine import NoRefine
 from repro.analysis.refinepts import RefinePts
 from repro.analysis.stasum import StaSum
-from repro.analysis.summaries import (
-    BoundedSummaryCache,
-    CostAwareSummaryCache,
-    SummaryCache,
-    check_eviction,
-)
+from repro.analysis.summaries import check_eviction, make_summary_store
 from repro.cfl.budget import DEFAULT_BUDGET
 
 #: Registry of engine-drivable analyses, keyed by their Table 2 names.
@@ -147,17 +142,7 @@ class CachePolicy:
 
     def make_store(self):
         """Instantiate the configured store."""
-        if self.bounded:
-            if self.eviction == "cost":
-                store = CostAwareSummaryCache(
-                    max_entries=self.max_entries, max_facts=self.max_facts
-                )
-            else:
-                store = BoundedSummaryCache(
-                    max_entries=self.max_entries, max_facts=self.max_facts
-                )
-        else:
-            store = SummaryCache()
+        store = make_summary_store(self.max_entries, self.max_facts, self.eviction)
         if self.remote is not None:
             # Imported lazily: repro.cacheserver rides the repro.api
             # package, which imports the engine — a module-level import
@@ -185,8 +170,12 @@ class EnginePolicy:
     repeated (node, context) queries onto one traversal, and reordering
     groups a batch's queries by method so consecutive queries hit
     still-warm summaries — which is what keeps hit rates high when the
-    cache is LRU-bounded.  The shipped paper protocols disable both to
-    stay faithful to the published query streams.
+    cache is LRU-bounded.  Reordering also plans across batches: the
+    engine records, per method, how recently earlier batches touched
+    it, and schedules a later batch's hottest methods first, so
+    summaries still resident in a bounded store are re-used before
+    colder work evicts them.  The shipped paper protocols disable both
+    to stay faithful to the published query streams.
     """
 
     analysis: str = DynSum.name
@@ -196,14 +185,6 @@ class EnginePolicy:
     cache: CachePolicy = field(default_factory=CachePolicy)
     dedupe: bool = True
     reorder: bool = True
-    #: Cross-batch query planning: when True (the default) the engine
-    #: records, per method, how recently earlier batches touched it, and
-    #: ``reorder`` schedules a later batch's hottest methods first — so
-    #: summaries still resident in a bounded store are re-used before
-    #: eviction pressure from colder work pushes them out.  Irrelevant
-    #: when ``reorder`` is off (the paper protocols), free when the
-    #: store is unbounded.
-    warmth_carryover: bool = True
     #: Which PPTA traversal implementation the engine's queries run
     #: under (``array``/``native``/``reference``).  ``None`` (the
     #: default) leaves the process-global selection alone — ``native``

@@ -345,22 +345,41 @@ def _ppta_outcome(impl, pag, node, stack, state):
     return result.objects, result.boundaries, result.steps, budget.steps
 
 
+def _loaded_field_program(field):
+    """Loads ``field`` and never stores it, so the image interns only
+    its load-family token."""
+    return (
+        f"class T {{ field {field}; }}\n"
+        "class Main { static method main() { "
+        f"y = new T; o = new T; x = y.{field}; }} }}"
+    )
+
+
 class TestForeignStartStacks:
     """The kernel reads only the image's tokens.  A standalone PPTA whose
     start stack holds a token the image never interned — alone, above
     an image token or below one — has no kernel id, so ``native`` reruns
     it on ``array`` with the budget untouched: answers and steps equal
-    ``reference``'s, and the kernel graph registers no token."""
+    ``reference``'s, and the kernel graph registers no token.  The
+    ``loaded-field`` rows use the store-family token of a field the
+    image loads: a load of that field must still close it."""
 
-    @pytest.mark.parametrize("name", sorted(EXAMPLE_PROGRAMS))
+    @pytest.mark.parametrize("name", [*sorted(EXAMPLE_PROGRAMS), "loaded-field"])
     def test_native_reruns_on_array_and_registers_nothing(self, name):
-        pag = build_pag(parse_program(EXAMPLE_PROGRAMS[name]))
-        image = pag.csr()
         suffix = next(_FRESH_FIELDS)
-        foreign = [
-            intern_token(f"never_interned_{suffix}", family)
-            for family in (FAM_LOAD, FAM_STORE)
-        ]
+        if name == "loaded-field":
+            field = f"zq_{suffix}"
+            pag = build_pag(parse_program(_loaded_field_program(field)))
+            image = pag.csr()
+            assert intern_token(field, FAM_LOAD) in image.tok_fid
+            foreign = [intern_token(field, FAM_STORE)]
+        else:
+            pag = build_pag(parse_program(EXAMPLE_PROGRAMS[name]))
+            image = pag.csr()
+            foreign = [
+                intern_token(f"never_interned_{suffix}", family)
+                for family in (FAM_LOAD, FAM_STORE)
+            ]
         assert not any(token in image.tok_fid for token in foreign)
         own = [image.tokens[t] for t in (*image.li_tok, *image.sf_tok)]
         stacks = [EMPTY_STACK.push(token) for token in foreign]

@@ -23,6 +23,7 @@ and answers stay element-wise identical to a local engine throughout.
 import dataclasses
 import os
 import pathlib
+import random
 from collections import Counter
 
 import pytest
@@ -36,7 +37,7 @@ from repro.bench.generator import GeneratorConfig, generate_program
 from repro.cacheserver.aserver import AsyncLineServer, AsyncShardServer
 from repro.cacheserver.client import ShardUnavailable
 from repro.cacheserver.server import CacheCluster, ShardServer
-from repro.cacheserver.store import WireSummaryStore
+from repro.cacheserver.store import WireSummaryStore, entry_key
 
 SRC_DIR = pathlib.Path(repro.__file__).resolve().parent.parent
 
@@ -406,3 +407,53 @@ class TestStoreStamps:
         store.store(wire_entry("d"))
         delta = store.fetch(incarnation=incarnation, since=cursor)[0]
         assert [e["node"]["name"] for e in delta] == ["d"]
+
+    @pytest.mark.parametrize("eviction", ["lru", "cost"])
+    def test_deltas_track_residents_through_evictions_and_invalidations(
+        self, eviction
+    ):
+        """A seeded mix of stores, hits, invalidations and delta fetches
+        on a 4-entry store.  Each delta holds exactly the residents
+        stamped after its cursor, oldest stamp first; the stamps of
+        evicted and invalidated keys are skipped, and pruned so they
+        never outnumber residents by more than the slack."""
+        rng = random.Random(7)
+        store = WireSummaryStore(max_entries=4, eviction=eviction)
+        incarnation = store.incarnation
+        seq = 0
+        stamped = {}  # canonical key -> the stamp of its last insert
+        cursors = [0]
+        for _op in range(400):
+            roll = rng.random()
+            method = f"A.m{rng.randrange(3)}"
+            entry = dict(
+                wire_entry(f"v{rng.randrange(48)}", 1 + rng.randrange(3), method),
+                steps=rng.randrange(1, 400),
+            )
+            epoch = store.method_epoch(method)  # a client that saw every edit
+            if roll < 0.5:
+                if store.store(entry, epoch=epoch):
+                    seq += 1
+                    stamped[entry_key(entry)] = seq
+            elif roll < 0.7:
+                key = {k: entry[k] for k in ("node", "stack", "state")}
+                store.lookup(key, epoch=epoch)
+            elif roll < 0.78:
+                store.invalidate_method(method)
+            else:
+                since = rng.choice(cursors)
+                delta, _epochs, inc, cursor = store.fetch(
+                    incarnation=incarnation, since=since
+                )
+                assert (inc, cursor) == (incarnation, seq)
+                residents = {entry_key(e) for e in store.fetch()[0]}
+                want = sorted(
+                    (key for key in residents if stamped[key] > since),
+                    key=stamped.get,
+                )
+                assert [entry_key(e) for e in delta] == want
+                cursors.append(cursor)
+            assert len(store._seqs) <= 2 * len(store) + 64
+        assert store.evictions > 0 and store.invalidated > 0
+        # More keys were stamped than the bound admits: pruning ran.
+        assert len(stamped) > 2 * 4 + 64

@@ -360,8 +360,9 @@ def test_cost_indexes_compact_alike_when_an_insert_evicts_twice():
         pair.store(keys[i], _tier_memo(keys[i], width, 10 * (i + 1) ** 3))
     for hit in range(72):
         pair.lookup(keys[2 + hit % 6])
-    assert len(pair.shard._heap) == len(pair.local._heap) == 80
+    shard = pair.shard._store
+    assert len(shard._heap) == len(pair.local._heap) == 80
     pair.store(keys[8], _tier_memo(keys[8], 4, 20000))
     assert pair.shard.evictions == 2
-    assert len(pair.shard._heap) == len(pair.shard._rank) == 7
+    assert len(shard._heap) == len(shard._rank) == 7
     assert len(pair.local._heap) == len(pair.local._rank) == 7

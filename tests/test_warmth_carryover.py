@@ -11,7 +11,8 @@ cache misses on *every* probe) disappears because the next batch starts
 from the warm end.
 
 Like every scheduling lever, carryover is cost-only — the tests assert
-identical answers with strictly fewer steps on a repeated workload.
+identical answers with strictly fewer steps on a repeated workload than
+an engine whose warmth is dropped before each batch.
 """
 
 import pytest
@@ -39,14 +40,18 @@ def _program():
 QUERIES = [(f"M.m{i:02d}", f"c{i}") for i in range(K)]
 
 
-def _engine(carryover, max_entries=3):
+def _engine(max_entries=3):
     return PointsToEngine(
         build_pag(parse_program(_program())),
-        EnginePolicy(
-            cache=CachePolicy(max_entries=max_entries),
-            warmth_carryover=carryover,
-        ),
+        EnginePolicy(cache=CachePolicy(max_entries=max_entries)),
     )
+
+
+def _without_warmth(engine, queries):
+    """One batch planned with no history: the engine's warmth is
+    dropped first."""
+    engine._method_warmth.clear()
+    return engine.query_batch(queries)
 
 
 def _canonical(batch):
@@ -81,12 +86,12 @@ class TestPlanBatch:
 
 class TestEngineCarryover:
     def test_repeated_workload_strictly_fewer_steps_same_answers(self):
-        with_carryover = _engine(carryover=True)
-        without = _engine(carryover=False)
+        with_carryover = _engine()
+        without = _engine()
         steps_on, steps_off = [], []
         for batch_index in range(3):
             on = with_carryover.query_batch(QUERIES)
-            off = without.query_batch(QUERIES)
+            off = _without_warmth(without, QUERIES)
             assert _canonical(on) == _canonical(off)
             steps_on.append(on.stats.steps)
             steps_off.append(off.stats.steps)
@@ -98,7 +103,7 @@ class TestEngineCarryover:
         assert sum(steps_on) < sum(steps_off)
 
     def test_statistics_accumulate_in_execution_order(self):
-        engine = _engine(carryover=True)
+        engine = _engine()
         engine.query_batch(QUERIES)
         warmth = engine._method_warmth
         assert len(warmth) == K
@@ -109,30 +114,24 @@ class TestEngineCarryover:
     def test_unbounded_store_is_unaffected(self):
         # With nothing ever evicted, ordering cannot change costs: the
         # carryover lever must be exactly free.
-        on = PointsToEngine(
-            build_pag(parse_program(_program())),
-            EnginePolicy(warmth_carryover=True),
-        )
-        off = PointsToEngine(
-            build_pag(parse_program(_program())),
-            EnginePolicy(warmth_carryover=False),
-        )
+        on = _engine(max_entries=None)
+        off = _engine(max_entries=None)
         for _ in range(2):
             batch_on = on.query_batch(QUERIES)
-            batch_off = off.query_batch(QUERIES)
+            batch_off = _without_warmth(off, QUERIES)
             assert _canonical(batch_on) == _canonical(batch_off)
             assert batch_on.stats.steps == batch_off.stats.steps
 
     def test_reorder_false_batches_still_feed_later_planning(self):
-        engine = _engine(carryover=True)
+        engine = _engine()
         # The paper-protocol batch (reorder=False) must not be
         # reordered -- but its traffic still teaches the planner.
         first = engine.query_batch(QUERIES, reorder=False)
-        assert not first.plan.reordered or True  # protocol order preserved
+        assert not first.plan.reordered  # protocol order preserved
         assert engine._method_warmth  # statistics were recorded
-        baseline = _engine(carryover=False)
+        baseline = _engine()
         baseline.query_batch(QUERIES, reorder=False)
         second_smart = engine.query_batch(QUERIES)
-        second_plain = baseline.query_batch(QUERIES)
+        second_plain = _without_warmth(baseline, QUERIES)
         assert _canonical(second_smart) == _canonical(second_plain)
         assert second_smart.stats.steps < second_plain.stats.steps
