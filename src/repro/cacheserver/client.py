@@ -62,12 +62,17 @@ Correctness stance — the part the tests pin down:
   the whole shard store, every later one presents the shard's
   ``(incarnation, cursor)`` and carries only the entries published or
   replaced since — so a warm batch also decodes O(new entries), not
-  O(resident entries).  Every
-  pipelined failure falls open exactly like the single-op paths, and
-  an ``invalidate_method`` purges the edited method's buffered
-  publishes before reaching the shard, so a flush can never resurrect
-  pre-edit memos.  ``pipeline=False`` (the ``--no-pipeline`` escape
-  hatches) restores immediate write-through, whose prompt cross-client
+  O(resident entries).  A shard whose prefetch answered has nothing the
+  local tier lacks, so inside the batch a local miss on its methods
+  sends no ``lookup``: a batch costs its prefetch and flush flights
+  only, and with a plain local tier it runs on the native kernel,
+  which mirrors that tier (:func:`repro.native.session.explore_native`).
+  Every pipelined failure falls open exactly like the single-op paths
+  (a shard whose prefetch failed is looked up per miss again), and an
+  ``invalidate_method`` purges the edited method's buffered publishes
+  before reaching the shard, so a flush can never resurrect pre-edit
+  memos.  ``pipeline=False`` (the ``--no-pipeline`` escape hatches)
+  restores immediate write-through, whose prompt cross-client
   visibility some multi-process tests deliberately pin down.
 
 Accounting: the backend keeps its own hit/miss counters (a hit =
@@ -81,6 +86,7 @@ import selectors
 import socket
 import threading
 import time
+import weakref
 
 from repro.analysis.summaries import (
     CacheStats,
@@ -365,11 +371,11 @@ class RemoteSummaryCache(SummaryBackend):
         #: Pipelined mode (protocol 1.2): between ``begin_batch`` and
         #: ``end_batch`` the backend prefetches each shard's entries in
         #: one ``fetch-methods`` round trip and coalesces write-through
-        #: publishes into per-shard ``batch-store`` flushes — a warm
-        #: batch then costs O(shards) round trips instead of one per
-        #: lookup.  Off by default: non-pipelined clients publish every
-        #: memo immediately, the latency-of-visibility the multi-client
-        #: tests pin down.
+        #: publishes into per-shard ``batch-store`` flushes — a batch,
+        #: cold or warm, then costs O(shards) round trips instead of one
+        #: per lookup.  Off by default: non-pipelined clients publish
+        #: every memo immediately, the latency-of-visibility the
+        #: multi-client tests pin down.
         self.pipeline = pipeline
         self.local_tier = local if local is not None else SummaryCache()
         schedule = coerce_schedule(fault_schedule)
@@ -424,11 +430,19 @@ class RemoteSummaryCache(SummaryBackend):
         self._cursor_lock = threading.Lock()
         self._cursors = [None] * self.n_shards  # guarded-by: _cursor_lock
         self._cursor_resets = [0] * self.n_shards  # guarded-by: _cursor_lock
+        # Lookup skip: per shard, the local tier's eviction count just
+        # before it adopted the shard's last full dump (``None`` until
+        # one lands after a cursor reset).  While the count stands, the
+        # tier holds every entry the shard has offered since — the dump
+        # and each delta after it.
+        self._dump_evictions = [None] * self.n_shards  # guarded-by: _cursor_lock
+        # The shards whose prefetch answered in the current pipelined
+        # batch (empty outside one).
+        self._answered = frozenset()  # guarded-by: _buffer_lock
         # Reconnect-and-seed: each link re-warms a restarted shard from
         # this client's tier and epochs.
         for index, link in enumerate(self._links):
-            link.seed_provider = self._make_seed_provider(index)
-            link.on_seed = self._seed_ack
+            link.seed_provider, link.on_seed = self._seed_hooks(index)
 
     # ------------------------------------------------------------------
     # backend plumbing
@@ -516,16 +530,56 @@ class RemoteSummaryCache(SummaryBackend):
     # the cache contract
     # ------------------------------------------------------------------
     def lookup(self, node, field_stack, state):
+        """The local tier's summary, else the owning shard's, else
+        ``None`` (the caller computes).
+
+        A local miss asks the shard with one ``lookup`` round trip —
+        except inside a pipelined batch whose prefetch answered that
+        shard, while the local tier has evicted nothing since it
+        adopted the shard's last full dump: the tier then holds every
+        entry the shard could serve, so the miss is final.  Summaries
+        are memos, so skipping the trip only narrows which other
+        clients' publishes from inside this batch are seen."""
         summary = self.local_tier.lookup(node, field_stack, state)
         if summary is not None:
             self._bump("hit")
             return summary
-        summary = self._remote_lookup(node, field_stack, state)
-        if summary is not None:
-            self._bump("hit", "remote_hits")
-            return summary
+        if not self._answered_by_prefetch(node):
+            summary = self._remote_lookup(node, field_stack, state)
+            if summary is not None:
+                self._bump("hit", "remote_hits")
+                return summary
         self._bump("miss")
         return None
+
+    def _answered_by_prefetch(self, node):
+        answered = self._answered
+        if not answered:
+            return False
+        index = shard_for_method(getattr(node, "method", None), self.n_shards)
+        return (
+            index in answered
+            and self._dump_evictions[index] == self.local_tier.evictions
+        )
+
+    def prefetch_answers_every_shard(self):
+        """Whether no probe in the current batch needs a ``lookup``:
+        the batch is pipelined, every shard's prefetch answered, and
+        the local tier has evicted nothing since (see :meth:`lookup`).
+        Then a local miss is a miss outright, and the native kernel may
+        serve this store off its local tier."""
+        if len(self._answered) != self.n_shards:
+            return False
+        evictions = self.local_tier.evictions
+        return all(count == evictions for count in self._dump_evictions)
+
+    def count_probes(self, hits, misses):
+        """Account ``hits`` and ``misses`` probes answered without this
+        store's :meth:`lookup` — the native kernel's, off the mirrored
+        local tier, during a batch the prefetch fully answered."""
+        with self._stats_lock:
+            self._hits += hits
+            self._misses += misses
 
     def _remote_lookup(self, node, field_stack, state):
         if self._pag is None:
@@ -575,13 +629,20 @@ class RemoteSummaryCache(SummaryBackend):
 
     def store(self, node, field_stack, state, ppta_result):
         stored = self.local_tier.store(node, field_stack, state, ppta_result)
-        # Write-through, best effort: a failed publish only means other
-        # clients recompute this memo themselves.
+        self.publish(node, field_stack, state, ppta_result)
+        return stored
+
+    def publish(self, node, field_stack, state, ppta_result):
+        """Write one summary through to its owning shard — the half of
+        :meth:`store` after the local tier took it, and all the native
+        kernel calls for a summary it inserted into the tier itself.
+        Best effort: a failed publish only means other clients
+        recompute this memo themselves."""
         try:
             entry = entry_to_wire(node, field_stack, state, ppta_result)
         except SnapshotError:
             self._bump("store_errors", "degraded")
-            return stored
+            return
         method = getattr(node, "method", None)
         epoch = self.method_epoch(method)
         if self._buffering:
@@ -593,7 +654,7 @@ class RemoteSummaryCache(SummaryBackend):
             with self._buffer_lock:
                 if self._buffering:
                     self._write_buffers[index].append((entry, epoch))
-                    return stored
+                    return
         try:
             response = self._exchange(
                 method,
@@ -603,7 +664,7 @@ class RemoteSummaryCache(SummaryBackend):
             )
         except (ShardUnavailable, ProtocolError):
             self._bump("store_errors", "degraded")
-            return stored
+            return
         if isinstance(response, StoreResponse):
             self._bump("stores")
         elif isinstance(response, StaleEpochResponse):
@@ -612,7 +673,6 @@ class RemoteSummaryCache(SummaryBackend):
             self._bump("epoch_rejections")
         else:
             self._bump("store_errors", "degraded")
-        return stored
 
     def invalidate_method(self, method_qname):
         """Drop one method's summaries locally **and** on its owning
@@ -682,26 +742,39 @@ class RemoteSummaryCache(SummaryBackend):
         fetch a full dump, whenever what this client would adopt may
         have changed: an epoch change for a method the shard owns
         (:meth:`invalidate_method`, :meth:`adopt_epochs`), a new PAG
-        (:meth:`bind_pag`), or a cleared tier (:meth:`clear`).  Entries
-        a bounded local tier evicts are not fetched again by the
-        prefetch; a probe for one costs a ``lookup`` round trip.
+        (:meth:`bind_pag`), or a cleared tier (:meth:`clear`).
+
+        A shard whose prefetch answered has told this batch everything
+        it holds, so until :meth:`end_batch` a local miss on a method it
+        owns sends no ``lookup`` (see :meth:`lookup`).  A shard whose
+        prefetch failed is still looked up per miss, and so is every
+        shard once a bounded local tier evicts: entries it evicted are
+        not fetched again by the prefetch, so a probe for one costs a
+        ``lookup`` round trip.  With every shard answered and a plain
+        local tier, the batch runs on the native kernel.
         """
         if not self.pipeline:
             return
-        if self._pag is not None:
-            for index, link in enumerate(self._links):
-                self._prefetch(index, link)
+        answered = frozenset(
+            index
+            for index, link in enumerate(self._links)
+            if self._pag is not None and self._prefetch(index, link)
+        )
         with self._buffer_lock:
+            self._answered = answered
             self._buffering = True
 
     def _prefetch(self, index, link):
         """One shard's ``fetch-methods`` exchange, adopted into the
-        local tier.  The shard's cursor advances only after a decoded
-        answer, and only when no reset landed while it was in flight."""
+        local tier; ``True`` when it answered.  The shard's cursor
+        advances only after a decoded answer, and only when no reset
+        landed while it was in flight (which also makes the answer not
+        count)."""
         with self._cursor_lock:
             cursor = self._cursors[index]
             generation = self._cursor_resets[index]
         incarnation, since = cursor if cursor is not None else (None, 0)
+        evictions = self.local_tier.evictions
         try:
             response = self._exchange_link(
                 link,
@@ -714,10 +787,10 @@ class RemoteSummaryCache(SummaryBackend):
             )
         except (ShardUnavailable, ProtocolError):
             self._bump("remote_errors", "degraded")
-            return
+            return False
         if not isinstance(response, MethodEntriesResponse):
             self._bump("remote_errors", "degraded")
-            return
+            return False
         epochs = response.epochs
         adopted = 0
         for position, entry in enumerate(response.entries):
@@ -743,19 +816,27 @@ class RemoteSummaryCache(SummaryBackend):
             adopted += 1
         self._bump_n("prefetched", adopted)
         with self._cursor_lock:
-            if self._cursor_resets[index] == generation:
-                self._cursors[index] = (
-                    None
-                    if response.incarnation is None
-                    else (response.incarnation, response.cursor)
-                )
+            if self._cursor_resets[index] != generation:
+                return False
+            self._cursors[index] = (
+                None
+                if response.incarnation is None
+                else (response.incarnation, response.cursor)
+            )
+            # A delta answers only under the incarnation it was asked
+            # for; anything else was the full dump.
+            if incarnation is None or response.incarnation != incarnation:
+                self._dump_evictions[index] = evictions
+        return True
 
     def _reset_cursors(self, shards):
-        """Make the next prefetch from each of ``shards`` a full dump."""
+        """Make the next prefetch from each of ``shards`` a full dump;
+        until it lands, a local miss on their methods is looked up."""
         with self._cursor_lock:
             for index in shards:
                 self._cursors[index] = None
                 self._cursor_resets[index] += 1
+                self._dump_evictions[index] = None
 
     def adopt_epochs(self, epochs):
         """Merge ``epochs`` in (see
@@ -779,6 +860,7 @@ class RemoteSummaryCache(SummaryBackend):
         if not self.pipeline:
             return
         with self._buffer_lock:
+            self._answered = frozenset()
             self._buffering = False
             pending = [list(buffer) for buffer in self._write_buffers]
             for buffer in self._write_buffers:
@@ -828,11 +910,23 @@ class RemoteSummaryCache(SummaryBackend):
     # ------------------------------------------------------------------
     # reconnect-and-seed (protocol 1.4): re-warm a restarted shard
     # ------------------------------------------------------------------
-    def _make_seed_provider(self, index):
-        def provide():
-            return self._seed_lines(index)
+    def _seed_hooks(self, index):
+        """Shard ``index``'s link's ``(seed_provider, on_seed)``.  They
+        hold this backend weakly: a link that referred back to it would
+        keep a dropped backend — its local tier and any kernel mirror of
+        that tier — alive until the cyclic GC ran."""
+        backend = weakref.ref(self)
 
-        return provide
+        def provide():
+            owner = backend()
+            return () if owner is None else owner._seed_lines(index)
+
+        def ack(seed_lines, response_lines):
+            owner = backend()
+            if owner is not None:
+                owner._seed_ack(seed_lines, response_lines)
+
+        return provide, ack
 
     def _seed_lines(self, index):
         """The ``batch-store`` request lines that re-warm shard

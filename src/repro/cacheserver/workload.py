@@ -6,7 +6,9 @@ cluster (``--remote``), replays a client workload through the paper's
 protocol (published query stream: no dedup, no reorder, sequential),
 and prints one JSON report: deterministic step counts per round, a
 canonical digest of every answer (so answers can be compared
-element-wise *across processes*), and the engine/remote accounting.
+element-wise *across processes*), the traversal impl the engine ran
+under (with ``native_unavailable``, why the kernel did not serve it),
+and the engine/remote accounting.
 
 This is the client half of the multi-process integration tests, the
 ``benchmarks/bench_shared_cache.py`` protocol, and the CI smoke job —
@@ -141,6 +143,8 @@ def run(args):
         "steps": [r["steps"] for r in rounds],
         "digest": rounds[-1]["digest"] if rounds else None,
         "invalidated": invalidated,
+        "traversal_impl": stats.traversal_impl,
+        "native_unavailable": stats.native_unavailable,
         "cache": {
             "hits": stats.cache.hits,
             "misses": stats.cache.misses,

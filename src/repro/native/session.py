@@ -22,22 +22,28 @@ the C kernel in ``kernel.c``:
   (the first, a full solve, an ``add_*`` insertion, a changed
   recursive-site set, compaction) builds a new graph.
 * :class:`_NativeSession` — one per ``(SummaryCache, graph)`` pair,
-  cached on ``cache._native_memo``.  Mirrors the cache's ``_entries``
-  into the kernel's summary table so the kernel can probe and commit
-  summaries without calling back into Python.  The first sync imports
-  every entry in one bulk call; later syncs — across rebinds too —
-  replay only the keys the cache journaled since (inserted, replaced or
-  removed — removals become kernel deletes), and the kernel compacts
-  the session in place once dead records outnumber live ones (see
-  :func:`_session_for`).
+  cached on ``cache._native_memo``.  The cache is an analysis's plain
+  store, or the plain local tier of a pipelined remote store (a
+  :class:`~repro.cacheserver.client.RemoteSummaryCache`), served during
+  each batch whose prefetch answered every shard.  Mirrors the cache's
+  ``_entries`` into the kernel's summary table so the kernel can probe
+  and commit summaries without calling back into Python.  The first
+  sync imports every entry in one bulk call; later syncs — across
+  rebinds too — replay only the keys the cache journaled since
+  (inserted, replaced or removed — removals become kernel deletes; a
+  remote store's prefetch fills arrive this way), and the kernel
+  compacts the session in place once dead records outnumber live ones
+  (see :func:`_session_for`).
 
 Everything here is **refuse-and-fall-back**: any state the kernel
 cannot represent (a call site outside int32, a field stack holding a
 token the image never interned — a standalone PPTA's start stack or an
-imported boundary — kernel OOM) returns ``None``/``False`` to the
-dispatch layer, which reruns the query on the pure-Python ``array``
-impl — answers and step counts never depend on the kernel being
-usable, only latency does.
+imported boundary — kernel OOM), and any store it does not serve (a
+bounded or cost-aware one, a remote one outside a fully prefetched
+pipelined batch), returns ``None``/``False`` to the dispatch layer,
+which reruns the query on the pure-Python ``array`` impl — answers and
+step counts never depend on the kernel being usable, only latency
+does.
 """
 
 import weakref
@@ -456,15 +462,30 @@ def native_unavailable_reason(pag=None, store=None):
 
     Reports the binding-level reason (no compiler, disabled, ABI
     mismatch) first; then, with a summary ``store`` the kernel does not
-    mirror (anything but a plain ``SummaryCache``), that the store runs
-    on the array loop; then, with a ``pag`` whose CSR image has already
-    been refused by the kernel, that image-level reason.
+    serve, why the store runs on the array loop: a local store that is
+    not a plain ``SummaryCache``, or a remote store (one with a
+    ``local_tier``) that is unpipelined or whose local tier is not
+    plain; then, with a ``pag`` whose CSR image has already been
+    refused by the kernel, that image-level reason.  A pipelined remote
+    store over a plain tier counts as served: its batches run on the
+    kernel whenever every shard's prefetch answers (see
+    :func:`explore_native`).
     """
     ok, reason = availability()
     if not ok:
         return reason
     if store is not None and type(store) is not SummaryCache:
-        return f"{type(store).__name__} runs on the array loop"
+        name = type(store).__name__
+        tier = getattr(store, "local_tier", None)
+        if tier is None:
+            return f"{name} runs on the array loop"
+        if not store.pipeline:
+            return f"{name} with remote_pipeline=False runs on the array loop"
+        if type(tier) is not SummaryCache:
+            return (
+                f"{name} over a {type(tier).__name__} local tier "
+                "runs on the array loop"
+            )
     if pag is not None:
         image = pag._csr
         if image is not None:
@@ -541,7 +562,8 @@ def run_ppta_native(pag, node, field_stack, state, budget, max_field_depth=None)
 # the DYNSUM session
 # ----------------------------------------------------------------------
 class _NativeSession:
-    """A kernel summary table mirroring one plain ``SummaryCache``.
+    """A kernel summary table mirroring one plain ``SummaryCache`` (an
+    analysis's store, or a remote store's local tier).
 
     The counters count work, not time, so a test can assert what a sync
     touched: ``imported`` entries sent to the kernel (full imports and
@@ -770,10 +792,23 @@ def explore_native(analysis, var, context, pairs, budget):
     raising :class:`BudgetExceededError` exactly where the ``array``
     impl would), or ``False`` to make the caller rerun on the
     pure-Python path with all Python-side state untouched.
+
+    The kernel mirrors a plain ``SummaryCache``: the analysis's own
+    store, or the local tier of a remote store (one with a
+    ``local_tier``) during a pipelined batch whose prefetch answered
+    every shard — then a tier miss is a miss outright, exactly as the
+    remote store's ``lookup`` decides, so the kernel's probes count on
+    both stores, and each new summary also goes to the remote store's
+    ``publish`` for the end-of-batch flush.  Every other store stays
+    pure-Python.
     """
     cache = analysis.cache
+    remote = None
     if type(cache) is not SummaryCache:
-        return False  # bounded/cost-aware/remote caches stay pure-Python
+        tier = getattr(cache, "local_tier", None)
+        if type(tier) is not SummaryCache or not cache.prefetch_answers_every_shard():
+            return False  # bounded/cost-aware stores; remote lookups per probe
+        remote, cache = cache, tier
     ng = graph_for(analysis.pag)
     if ng is None:
         return False
@@ -814,12 +849,15 @@ def explore_native(analysis, var, context, pairs, budget):
             return False
         nodes = image.nodes
         # New summaries first, in computation order, so the Python
-        # cache's dict order matches what a pure-Python run would have
-        # produced (snapshots iterate entries in insertion order).
+        # cache's dict order — and a remote store's write buffer —
+        # match what a pure-Python run would have produced (snapshots
+        # iterate entries in insertion order).  They bypass the store's
+        # journal: the kernel holds them already.
         n_new = r.n_new
         if n_new:
             entries = cache._entries
             by_method = cache._by_method
+            publish = remote.publish if remote is not None else None
             from_c = ng.fstack_from_c
             new_t = r.new_t
             new_f = r.new_f
@@ -848,6 +886,8 @@ def explore_native(analysis, var, context, pairs, budget):
                 method = node.method
                 if method is not None:
                     by_method.setdefault(method, set()).add(key)
+                if publish is not None:
+                    publish(*key, summary)
         n_pairs = r.n_pairs
         if n_pairs:
             pair_obj = r.pair_obj
@@ -859,6 +899,8 @@ def explore_native(analysis, var, context, pairs, budget):
         cache.misses += r.misses
         if r.hits:
             cache.hits += r.hits
+        if remote is not None:
+            remote.count_probes(r.hits, r.misses)
         budget.steps = r.total
     finally:
         ng.lib.rk_dyn_free(res)

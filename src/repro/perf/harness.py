@@ -47,6 +47,14 @@ PAPERS.md).  This harness measures **steps per second**:
   gates on every seed keeping answers element-wise identical to a
   fault-free run while provably injecting — the robustness analogue of
   the identical-answers invariant the figure4 sweep enforces.
+* **remote** — pipelined remote sessions on the generator program's
+  NullDeref stream (the paper's 10 batches) over two in-process async
+  shard servers: a cold session against the empty fleet and a warm one
+  served by its flushes, beside a cold local engine, with their wall
+  times, round trips, lookups and ``native_unavailable``.  ``--check``
+  gates on answers equal to the local engine's, no ``lookup`` round
+  trip in either session, and — with the kernel loaded — both running
+  on it.
 * **profile** — cProfile top-N of one figure4 run under the active
   impl, so the next hot-spot hunt starts from data.
 
@@ -637,6 +645,99 @@ def run_chaos(quick=False, scale=0.3, log=lambda s: None):
     }
 
 
+#: Batches per ``remote`` session: the paper's Figure-4 split.
+REMOTE_BATCHES = 10
+
+
+def _remote_session(policy):
+    """A fresh engine over its own generator PAG (CSR compiled before
+    the clock starts) answers the NullDeref stream in
+    :data:`REMOTE_BATCHES` batches; returns ``(seconds, answers,
+    stats)``."""
+    from repro.bench.batching import split_batches
+
+    pag = load_benchmark("jython", config=GENERATOR_CONFIG).pag
+    pag.csr()
+    engine = PointsToEngine(pag, policy)
+    client = CLIENTS["NullDeref"](pag)
+    answers = []
+    started = time.perf_counter()
+    for batch in split_batches(client.queries(), REMOTE_BATCHES):
+        result = engine.query_batch(client.specs(batch), dedupe=False, reorder=False)
+        answers.extend(result.results)
+    elapsed = time.perf_counter() - started
+    return elapsed, _canonical(answers), engine.stats()
+
+
+def run_remote(log=lambda s: None):
+    """Pipelined remote sessions against a cold local engine; the
+    ``remote`` section.
+
+    Two in-process async shard servers; the generator program's
+    NullDeref stream in the paper's 10 batches (:func:`_remote_session`),
+    each session on a fresh engine under the default impl: ``cold``
+    against the empty fleet, then ``warm`` against what the cold session
+    flushed, beside ``local_cold_sec``, the same stream on a fresh
+    engine with a plain store.  ``lookups`` counts the ``lookup`` round trips answered
+    (remote hits plus misses).  Answers must equal the local engine's;
+    a violation raises :class:`PerfCheckError` regardless of
+    ``--check`` (which also gates on no lookups in either session and,
+    with the kernel loaded, on ``native_unavailable`` being null).
+    """
+    from repro.cacheserver.aserver import AsyncShardServer
+    from repro.engine.policy import CachePolicy
+
+    local_sec, want, _stats = _remote_session(bench_engine_policy())
+    servers = [AsyncShardServer(i, 2).start() for i in range(2)]
+    try:
+        policy = bench_engine_policy(
+            cache=CachePolicy(
+                remote=tuple(server.address for server in servers),
+                remote_timeout=5.0,
+            )
+        )
+        sessions = {}
+        for name in ("cold", "warm"):
+            sec, answers, stats = _remote_session(policy)
+            if answers != want:
+                raise PerfCheckError(
+                    f"remote {name} session answers differ from a local engine's"
+                )
+            remote = stats.remote
+            sessions[name] = {
+                "sec": round(sec, 6),
+                "round_trips": remote.round_trips,
+                "lookups": remote.remote_hits + remote.remote_misses,
+                "prefetched": remote.prefetched,
+                "stores": remote.stores,
+                "steps": stats.steps,
+                "native_unavailable": stats.native_unavailable,
+            }
+    finally:
+        for server in servers:
+            server.stop()
+    section = {
+        "workload": "generator",
+        "client": "NullDeref",
+        "queries": len(want),
+        "batches": REMOTE_BATCHES,
+        "shards": len(servers),
+        "local_cold_sec": round(local_sec, 6),
+        "traversal_impl": stats.traversal_impl,
+        **sessions,
+    }
+    log(
+        f"  local cold={local_sec * 1000:7.1f}ms  "
+        + "  ".join(
+            f"{name}={row['sec'] * 1000:.1f}ms ({row['round_trips']} round "
+            f"trips, {row['lookups']} lookups)"
+            for name, row in sessions.items()
+        )
+        + f"  native_unavailable={sessions['warm']['native_unavailable']}"
+    )
+    return section
+
+
 def run_profile(benchmarks, scale, top=12):
     """cProfile one figure4 pass; returns the top-N rows."""
     name = benchmarks[0]
@@ -685,7 +786,9 @@ def run_perf(
     steps equal — always asserted — plus recorded throughput, the array
     and native loops clearing their baselines, a warm start with one
     CSR compile and no adjacency compile, edits with no full-solve
-    fallback and one CSR compile each, and sub-linear eviction cost).
+    fallback and one CSR compile each, remote sessions with no
+    ``lookup`` round trip that run on the kernel when it loads, and
+    sub-linear eviction cost).
     """
     benchmarks = tuple(benchmarks or (("jython",) if quick else FIGURE_BENCHMARKS))
     clients = tuple(clients or (("SafeCast",) if quick else ("SafeCast", "NullDeref")))
@@ -718,6 +821,8 @@ def run_perf(
     )
     log("chaos (seeded fault schedules vs the shared-cache service):")
     chaos = run_chaos(quick=quick, log=log)
+    log("remote (pipelined sessions on a 2-shard fleet vs a cold local engine):")
+    remote = run_remote(log=log)
     profile = run_profile(benchmarks, scale, top=profile_top)
     report = {
         "protocol": "repro-perf",
@@ -731,8 +836,10 @@ def run_perf(
         # ``traversal_impl``/``native_unavailable`` it ran under; version
         # 7 adds the edits section (edit-storm's cycle on the generator
         # program); version 8 adds its CSR patches and kernel-mirror
-        # imports per edit.
-        "version": 8,
+        # imports per edit; version 9 adds the remote section (cold and
+        # warm pipelined sessions on a shard fleet vs a cold local
+        # engine).
+        "version": 9,
         "quick": quick,
         "python": sys.version.split()[0],
         "figure4": figure4,
@@ -740,6 +847,7 @@ def run_perf(
         "edits": edits,
         "eviction": eviction,
         "chaos": chaos,
+        "remote": remote,
         "profile": profile,
     }
     if check:
@@ -842,6 +950,26 @@ def _check_report(report):
                     f"chaos seed {row['seed']} injected nothing "
                     f"({row['spec']}); the soak measured a clean run"
                 )
+    remote = report.get("remote")
+    if remote is not None:
+        from repro.native import availability
+
+        for name in ("cold", "warm"):
+            row = remote[name]
+            if row["lookups"]:
+                raise PerfCheckError(
+                    f"remote {name} session sent {row['lookups']} lookups "
+                    "(want 0: the batch prefetch answers every shard)"
+                )
+            if (
+                remote.get("traversal_impl") == "native"
+                and availability()[0]
+                and row["native_unavailable"] is not None
+            ):
+                raise PerfCheckError(
+                    f"remote {name} session ran off the kernel "
+                    f"({row['native_unavailable']})"
+                )
     flatness = report["eviction"]["flatness_ratio"]
     # O(log n) over two orders of magnitude of store size stays within
     # a small constant; the O(n) scan this replaced blows through it by
@@ -923,11 +1051,14 @@ def main(argv=None):
         parts.append(f"native/array {aggregate['native_vs_array']}x")
     warmstart = report["warmstart"]
     edits = report["edits"]
+    remote = report["remote"]
     print(
         f"aggregate speedup over reference: {', '.join(parts)}; "
         f"warm start {warmstart['speedup']}x total, "
         f"{warmstart['query_speedup']}x serving; "
         f"edit {edits['edit_ms']}ms + batch {edits['batch_ms']}ms; "
+        f"remote warm {remote['warm']['sec']}s vs local cold "
+        f"{remote['local_cold_sec']}s; "
         f"eviction flatness {report['eviction']['flatness_ratio']}",
         file=sys.stderr,
     )

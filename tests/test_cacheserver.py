@@ -610,21 +610,42 @@ class TestServiceSurface:
         assert isinstance(decoded, StatsResponse)
         assert decoded.remote.stores == engine.warm_loaded
 
-    def test_remote_engine_stats_say_native_does_not_serve_it(self, cluster):
-        """The kernel mirrors only a plain local store, so a
-        remote-backed engine answers on the array loop — and says so
-        (a kernelless host reports its binding reason first)."""
+    @pytest.mark.parametrize(
+        "cache_kwargs, want",
+        [
+            ({}, None),
+            (
+                {"remote_pipeline": False},
+                "RemoteSummaryCache with remote_pipeline=False runs on the "
+                "array loop",
+            ),
+            (
+                {"max_entries": 64},
+                "RemoteSummaryCache over a BoundedSummaryCache local tier "
+                "runs on the array loop",
+            ),
+        ],
+        ids=["pipelined", "unpipelined", "bounded-tier"],
+    )
+    def test_remote_engine_stats_say_whether_native_serves_it(
+        self, cluster, cache_kwargs, want
+    ):
+        """The kernel serves a pipelined remote store over a plain local
+        tier; any other remote store answers on the array loop, and the
+        stats name the cause (a kernelless host reports its binding
+        reason first)."""
         from repro.analysis.ppta import traversal_impl
         from repro.native import availability
 
-        engine = PointsToEngine(build_pag(parse_program(SRC)), remote_policy(cluster))
+        engine = PointsToEngine(
+            build_pag(parse_program(SRC)), remote_policy(cluster, **cache_kwargs)
+        )
         with traversal_impl("native"):
             engine.query_name("Main.main", "b")
             stats = engine.stats()
         ok, reason = availability()
-        want = "RemoteSummaryCache runs on the array loop" if ok else reason
         assert stats.traversal_impl == "native"
-        assert stats.native_unavailable == want
+        assert stats.native_unavailable == (want if ok else reason)
 
     def test_plain_engine_stats_have_no_remote_section(self):
         import json

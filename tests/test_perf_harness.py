@@ -126,7 +126,34 @@ class TestReportShape:
         assert section["edit_ms"] > 0 and section["batch_ms"] > 0
         assert section["cold_for_program_ms"] > 0
         assert section["traversal_impl"] == active_traversal_impl()
-        assert quick_report["version"] == 8
+        assert quick_report["version"] == 9
+
+    def test_remote_section_sends_no_lookups(self, quick_report):
+        from repro.analysis.ppta import active_traversal_impl
+        from repro.native import availability
+
+        section = quick_report["remote"]
+        assert set(section) == {
+            "workload", "client", "queries", "batches", "shards",
+            "local_cold_sec", "traversal_impl", "cold", "warm",
+        }
+        assert section["batches"] == 10 and section["shards"] == 2
+        assert section["traversal_impl"] == active_traversal_impl()
+        native_ok, native_reason = availability()
+        for name in ("cold", "warm"):
+            row = section[name]
+            assert set(row) == {
+                "sec", "round_trips", "lookups", "prefetched", "stores",
+                "steps", "native_unavailable",
+            }
+            assert row["sec"] > 0 and row["lookups"] == 0
+            assert row["native_unavailable"] == (None if native_ok else native_reason)
+        # Per batch, one prefetch per shard plus at most one flush
+        # flight per shard.
+        assert section["warm"]["round_trips"] <= 2 * 2 * section["batches"]
+        assert section["cold"]["stores"] > 0 and section["warm"]["stores"] == 0
+        assert section["warm"]["prefetched"] > 0
+        assert section["warm"]["steps"] < section["cold"]["steps"]
 
     def test_check_flag_recorded(self, quick_report):
         assert quick_report["checked"] is True
@@ -197,6 +224,37 @@ class TestInvariants:
             _check_report(report)  # no kernel loaded: no mirror to keep
         report["edits"]["traversal_impl"] = "array"
         _check_report(report)
+
+    REMOTE_ROW = {"lookups": 0, "native_unavailable": None}
+
+    @pytest.mark.parametrize("session", ["cold", "warm"])
+    @pytest.mark.parametrize(
+        "change, message, native_only",
+        [
+            ({"lookups": 3}, "lookups", False),
+            ({"native_unavailable": "RemoteSummaryCache"}, "off the kernel", True),
+        ],
+        ids=["lookups", "off-kernel"],
+    )
+    def test_remote_gate(self, session, change, message, native_only):
+        from repro.native import availability
+
+        report = TestRatioGates._report(1, 2.0)
+        report["remote"] = {
+            "traversal_impl": "native",
+            "cold": dict(self.REMOTE_ROW),
+            "warm": dict(self.REMOTE_ROW),
+        }
+        _check_report(report)
+        report["remote"][session].update(change)
+        if native_only and not availability()[0]:
+            _check_report(report)  # no kernel loaded: nothing to serve on
+        else:
+            with pytest.raises(PerfCheckError, match=message):
+                _check_report(report)
+        if native_only:
+            report["remote"]["traversal_impl"] = "array"
+            _check_report(report)
 
     def test_perf_check_error_is_an_assertion(self):
         assert issubclass(PerfCheckError, AssertionError)

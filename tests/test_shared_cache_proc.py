@@ -39,6 +39,7 @@ from repro.bench.suite import load_benchmark
 from repro.cacheserver.server import CacheCluster
 from repro.cacheserver.workload import canonical_results
 from repro.clients import SafeCastClient
+from repro.native import availability
 
 SRC_DIR = pathlib.Path(repro.__file__).resolve().parent.parent
 
@@ -130,6 +131,13 @@ class TestMultiProcessDeployment:
         assert cold["steps"][0] == base_steps
         assert cold["remote"]["remote_hits"] == 0
         assert cold["remote"]["stores"] > 0
+        # Each batch's prefetch answered both shards, so the cold client
+        # looked no probe up either, and — with the kernel loaded — both
+        # clients ran on it.
+        assert cold["remote"]["remote_misses"] == 0
+        if availability()[0]:
+            assert cold["native_unavailable"] is None
+            assert warm["native_unavailable"] is None
         assert warm["remote"]["prefetched"] > 0
         assert warm["remote"]["remote_misses"] == 0
         assert warm["remote"]["remote_errors"] == 0
