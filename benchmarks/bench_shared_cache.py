@@ -7,17 +7,18 @@ analysis *processes* replay the SafeCast paper-protocol workload
 (``python -m repro.cacheserver.workload``) against it:
 
 * **cold** — first client: empty service, every summary computed
-  locally and published (write-through);
+  locally and published in the batch's end-of-batch flush;
 * **warm** — second client: fresh process, empty local tier, warm
-  service — summaries arrive over the socket instead of being
+  service — summaries arrive in the batch's prefetch instead of being
   recomputed.
 
 Asserted per benchmark: all clients' answers are element-wise identical
 to a single-process engine's (the canonical-results digest), the warm
-client saw zero remote errors, and the warm client completed in
-**< 75 %** of the cold client's steps — the acceptance bar of the
-shared-cache milestone.  Reported per client: steps, step ratio and
-remote hit/store/round-trip traffic.  The client processes are not
+client saw zero remote errors, completed in **< 75 %** of the cold
+client's steps — the acceptance bar of the shared-cache milestone —
+and read the shards only through its prefetch: O(shards) round trips
+and no lookup.  Reported per client: steps, step ratio and remote
+prefetch/store/round-trip traffic.  The client processes are not
 timed: a whole ``subprocess.run`` is mostly interpreter start-up, and
 e2ebench's ``shared-threaded`` workload times this deployment shape in
 process.
@@ -58,7 +59,7 @@ BASELINE_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_shared.json"
 _ROWS = []
 
 
-def _run_client_process(addresses, name, pipeline=None):
+def _run_client_process(addresses, name):
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + (
@@ -69,13 +70,6 @@ def _run_client_process(addresses, name, pipeline=None):
         "--benchmark", name, "--scale", str(SCALE),
         "--client", "SafeCast", "--remote", ",".join(addresses),
     ]
-    # None rides the default (pipelined since protocol 1.4); the cold
-    # and warm rows pin the per-lookup regime explicitly so the series
-    # keeps measuring what it always measured.
-    if pipeline is True:
-        command.append("--pipeline")
-    elif pipeline is False:
-        command.append("--no-pipeline")
     proc = subprocess.run(
         command, capture_output=True, text=True, env=env, timeout=580,
     )
@@ -93,27 +87,24 @@ def test_shared_cache_warm_client(benchmark, figure_instances, name):
 
     def deployment():
         with CacheCluster.spawn(shards=2) as cluster:
-            cold = _run_client_process(cluster.addresses, name, pipeline=False)
-            warm = _run_client_process(cluster.addresses, name, pipeline=False)
-            piped = _run_client_process(cluster.addresses, name, pipeline=True)
+            cold = _run_client_process(cluster.addresses, name)
+            warm = _run_client_process(cluster.addresses, name)
         assert not any(cluster.alive())
-        return cold, warm, piped
+        return cold, warm
 
-    cold, warm, piped = benchmark.pedantic(deployment, rounds=1, iterations=1)
+    cold, warm = benchmark.pedantic(deployment, rounds=1, iterations=1)
 
-    # Element-wise identity across the process boundary, all clients.
+    # Element-wise identity across the process boundary, both clients.
     assert cold["digest"] == single_digest
     assert warm["digest"] == single_digest
-    assert piped["digest"] == single_digest
     assert warm["remote"]["remote_errors"] == 0
-    assert warm["remote"]["remote_hits"] > 0
     # The acceptance bar: a warm second client rides the service.
     assert warm["steps"][0] < 0.75 * cold["steps"][0]
-    # Protocol 1.2: a pipelined warm client pays O(shards) round trips
-    # (prefetch + flush), far below the per-lookup exchanges of the
-    # plain warm client — and answers stay identical.
-    assert piped["remote"]["prefetched"] > 0
-    assert piped["remote"]["round_trips"] < warm["remote"]["round_trips"]
+    # Its batch reads the shards only through its prefetch: O(shards)
+    # round trips (prefetch + flush), no lookup.
+    assert warm["remote"]["prefetched"] > 0
+    assert warm["remote"]["round_trips"] <= 2 * 2
+    assert warm["remote"]["remote_hits"] + warm["remote"]["remote_misses"] == 0
 
     _ROWS.append(
         {
@@ -129,14 +120,10 @@ def test_shared_cache_warm_client(benchmark, figure_instances, name):
             },
             "warm": {
                 "steps": warm["steps"][0],
+                "prefetched": warm["remote"]["prefetched"],
                 "remote_hits": warm["remote"]["remote_hits"],
                 "remote_misses": warm["remote"]["remote_misses"],
                 "round_trips": warm["remote"]["round_trips"],
-            },
-            "warm_pipelined": {
-                "steps": piped["steps"][0],
-                "prefetched": piped["remote"]["prefetched"],
-                "round_trips": piped["remote"]["round_trips"],
             },
             "step_ratio": round(warm["steps"][0] / cold["steps"][0], 4),
         }
@@ -156,7 +143,7 @@ def _concurrent_pipelined_clients(addresses, pag, n_clients):
 
     def one_client(slot):
         try:
-            cache = RemoteSummaryCache(addresses, timeout=10.0, pipeline=True)
+            cache = RemoteSummaryCache(addresses, timeout=10.0)
             cache.bind_pag(pag)
             cache.begin_batch()
             cache.end_batch()
@@ -264,9 +251,9 @@ def test_print_shared_cache(benchmark):
     header = (
         f"{'benchmark':10s} {'queries':>7s} {'cold steps':>10s} "
         f"{'warm steps':>10s} {'ratio':>6s} {'warm rt':>8s} "
-        f"{'piped rt':>8s} {'published':>9s}"
+        f"{'prefetched':>10s} {'published':>9s}"
     )
-    print("\n\nShared cache service — 2 shard processes, 3 client processes")
+    print("\n\nShared cache service — 2 shard processes, 2 client processes")
     print(header)
     print("-" * len(header))
     for row in _ROWS:
@@ -274,7 +261,7 @@ def test_print_shared_cache(benchmark):
             f"{row['benchmark']:10s} {row['n_queries']:>7d} "
             f"{row['cold']['steps']:>10d} {row['warm']['steps']:>10d} "
             f"{row['step_ratio']:>6.2f} {row['warm']['round_trips']:>8d} "
-            f"{row['warm_pipelined']['round_trips']:>8d} "
+            f"{row['warm']['prefetched']:>10d} "
             f"{row['cold']['stores']:>9d}"
         )
     if _SWEEP:

@@ -404,10 +404,6 @@ def _build_engine(args):
             eviction=args.eviction,
             remote=remote,
             remote_timeout=args.remote_timeout,
-            # Tri-state: None = pipelined iff remote (the policy's own
-            # default); an explicit --remote-pipeline/--no-remote-pipeline
-            # wins.  Without --remote the flag is inert either way.
-            remote_pipeline=args.remote_pipeline if remote else None,
         ),
         warm_start=args.warm_start,
         traversal_impl=args.traversal_impl,
@@ -463,24 +459,6 @@ def main(argv=None):
         type=float,
         default=1.0,
         help="per-operation socket timeout for the shared cache (seconds)",
-    )
-    parser.add_argument(
-        "--remote-pipeline",
-        dest="remote_pipeline",
-        action="store_true",
-        default=None,
-        help=(
-            "pipelined shared-cache mode (protocol 1.2): per-shard "
-            "prefetch at batch start, coalesced batch-store flushes at "
-            "batch end — the default whenever --remote is set"
-        ),
-    )
-    parser.add_argument(
-        "--no-remote-pipeline",
-        dest="remote_pipeline",
-        action="store_false",
-        help="immediate write-through to the shared cache (publish every "
-        "memo as it is computed instead of coalescing per batch)",
     )
     parser.add_argument(
         "--listen",

@@ -52,28 +52,27 @@ Correctness stance — the part the tests pin down:
   faults (:class:`~repro.cacheserver.faults.FaultSchedule`) count
   ``faults``, so a chaos run can prove the fail-open ladder was
   actually exercised.
-* **pipelining is the default.**  Under ``pipeline=True`` (protocol
-  1.2, and what ``CachePolicy(remote=...)`` now defaults to) the
-  engine's batch hooks make a warm batch cost O(shards) round trips:
-  ``begin_batch`` prefetches from each shard in one ``fetch-methods``
-  exchange, and write-through publishes coalesce into per-shard
-  ``batch-store`` flushes at ``end_batch``.  The prefetch is
-  incremental (protocol 1.7): a backend's first fetch from a shard is
-  the whole shard store, every later one presents the shard's
-  ``(incarnation, cursor)`` and carries only the entries published or
-  replaced since — so a warm batch also decodes O(new entries), not
-  O(resident entries).  A shard whose prefetch answered has nothing the
-  local tier lacks, so inside the batch a local miss on its methods
-  sends no ``lookup``: a batch costs its prefetch and flush flights
-  only, and with a plain local tier it runs on the native kernel,
-  which mirrors that tier (:func:`repro.native.session.explore_native`).
-  Every pipelined failure falls open exactly like the single-op paths
-  (a shard whose prefetch failed is looked up per miss again), and an
-  ``invalidate_method`` purges the edited method's buffered publishes
-  before reaching the shard, so a flush can never resurrect pre-edit
-  memos.  ``pipeline=False`` (the ``--no-pipeline`` escape hatches)
-  restores immediate write-through, whose prompt cross-client
-  visibility some multi-process tests deliberately pin down.
+* **a batch reads the shards only through its prefetch.**  The
+  engine's batch hooks make a batch cost O(shards) round trips
+  (protocol 1.2): ``begin_batch`` prefetches from each shard in one
+  ``fetch-methods`` exchange, and write-through publishes coalesce
+  into per-shard ``batch-store`` flushes at ``end_batch``.  The
+  prefetch is incremental (protocol 1.7): a backend's first fetch from
+  a shard is the whole shard store, every later one presents the
+  shard's ``(incarnation, cursor)`` and carries only the entries
+  published or replaced since — so a warm batch also decodes O(new
+  entries), not O(resident entries).  Between the hooks a local miss
+  is final and sends no ``lookup``, whichever prefetches answered and
+  whether the local tier evicted: a batch costs its prefetch and flush
+  flights only, and with a plain local tier it runs on the native
+  kernel, which mirrors that tier
+  (:func:`repro.native.session.explore_native`).  Every batch failure
+  falls open like the single-op paths, and an ``invalidate_method``
+  purges the edited method's buffered publishes before reaching the
+  shard, so a flush can never resurrect pre-edit memos.  Calls outside
+  a batch — a single engine ``query()``/``alias()``, or a direct
+  backend call — keep the per-key ``lookup`` and the immediate
+  ``store``.
 
 Accounting: the backend keeps its own hit/miss counters (a hit =
 answered from tier or service; a miss = the caller must compute), and a
@@ -359,8 +358,8 @@ class RemoteSummaryCache(SummaryBackend):
     #: chunked and the chunks sent in ONE flight via ``request_many``.
     FLUSH_CHUNK = 256
 
-    def __init__(self, addresses, local=None, timeout=1.0, pipeline=False,
-                 retry=None, fault_schedule=None):
+    def __init__(self, addresses, local=None, timeout=1.0, retry=None,
+                 fault_schedule=None):
         addresses = tuple(addresses)
         if not addresses:
             raise ValueError("RemoteSummaryCache needs at least one shard address")
@@ -368,15 +367,6 @@ class RemoteSummaryCache(SummaryBackend):
         self.n_shards = len(addresses)
         self.timeout = timeout
         self.retry_policy = retry
-        #: Pipelined mode (protocol 1.2): between ``begin_batch`` and
-        #: ``end_batch`` the backend prefetches each shard's entries in
-        #: one ``fetch-methods`` round trip and coalesces write-through
-        #: publishes into per-shard ``batch-store`` flushes — a batch,
-        #: cold or warm, then costs O(shards) round trips instead of one
-        #: per lookup.  Off by default: non-pipelined clients publish
-        #: every memo immediately, the latency-of-visibility the
-        #: multi-client tests pin down.
-        self.pipeline = pipeline
         self.local_tier = local if local is not None else SummaryCache()
         schedule = coerce_schedule(fault_schedule)
         if schedule is None:
@@ -418,7 +408,9 @@ class RemoteSummaryCache(SummaryBackend):
             "degraded": 0,
         }
         self._buffer_lock = threading.Lock()
-        self._buffering = False  # guarded-by: _buffer_lock
+        #: Whether a batch is open: a local miss is then a miss outright,
+        #: and the native kernel may serve this store off its local tier.
+        self.in_batch = False  # guarded-by: _buffer_lock
         self._write_buffers = tuple(  # guarded-by: _buffer_lock
             [] for _ in range(self.n_shards)
         )
@@ -430,15 +422,6 @@ class RemoteSummaryCache(SummaryBackend):
         self._cursor_lock = threading.Lock()
         self._cursors = [None] * self.n_shards  # guarded-by: _cursor_lock
         self._cursor_resets = [0] * self.n_shards  # guarded-by: _cursor_lock
-        # Lookup skip: per shard, the local tier's eviction count just
-        # before it adopted the shard's last full dump (``None`` until
-        # one lands after a cursor reset).  While the count stands, the
-        # tier holds every entry the shard has offered since — the dump
-        # and each delta after it.
-        self._dump_evictions = [None] * self.n_shards  # guarded-by: _cursor_lock
-        # The shards whose prefetch answered in the current pipelined
-        # batch (empty outside one).
-        self._answered = frozenset()  # guarded-by: _buffer_lock
         # Reconnect-and-seed: each link re-warms a restarted shard from
         # this client's tier and epochs.
         for index, link in enumerate(self._links):
@@ -533,18 +516,16 @@ class RemoteSummaryCache(SummaryBackend):
         """The local tier's summary, else the owning shard's, else
         ``None`` (the caller computes).
 
-        A local miss asks the shard with one ``lookup`` round trip —
-        except inside a pipelined batch whose prefetch answered that
-        shard, while the local tier has evicted nothing since it
-        adopted the shard's last full dump: the tier then holds every
-        entry the shard could serve, so the miss is final.  Summaries
-        are memos, so skipping the trip only narrows which other
-        clients' publishes from inside this batch are seen."""
+        Outside a batch a local miss asks the owning shard with one
+        ``lookup`` round trip.  Inside one (see :meth:`begin_batch`) a
+        local miss is final: the batch reads the shards only through
+        its prefetch.  Summaries are memos, so a skipped trip can only
+        cost a recompute, never change an answer."""
         summary = self.local_tier.lookup(node, field_stack, state)
         if summary is not None:
             self._bump("hit")
             return summary
-        if not self._answered_by_prefetch(node):
+        if not self.in_batch:
             summary = self._remote_lookup(node, field_stack, state)
             if summary is not None:
                 self._bump("hit", "remote_hits")
@@ -552,31 +533,10 @@ class RemoteSummaryCache(SummaryBackend):
         self._bump("miss")
         return None
 
-    def _answered_by_prefetch(self, node):
-        answered = self._answered
-        if not answered:
-            return False
-        index = shard_for_method(getattr(node, "method", None), self.n_shards)
-        return (
-            index in answered
-            and self._dump_evictions[index] == self.local_tier.evictions
-        )
-
-    def prefetch_answers_every_shard(self):
-        """Whether no probe in the current batch needs a ``lookup``:
-        the batch is pipelined, every shard's prefetch answered, and
-        the local tier has evicted nothing since (see :meth:`lookup`).
-        Then a local miss is a miss outright, and the native kernel may
-        serve this store off its local tier."""
-        if len(self._answered) != self.n_shards:
-            return False
-        evictions = self.local_tier.evictions
-        return all(count == evictions for count in self._dump_evictions)
-
     def count_probes(self, hits, misses):
         """Account ``hits`` and ``misses`` probes answered without this
         store's :meth:`lookup` — the native kernel's, off the mirrored
-        local tier, during a batch the prefetch fully answered."""
+        local tier, during a batch."""
         with self._stats_lock:
             self._hits += hits
             self._misses += misses
@@ -645,14 +605,14 @@ class RemoteSummaryCache(SummaryBackend):
             return
         method = getattr(node, "method", None)
         epoch = self.method_epoch(method)
-        if self._buffering:
+        if self.in_batch:
             # Coalesced: queue for the end-of-batch batch-store flush,
             # with the epoch *at publish time* — a later invalidate of
             # the method purges these anyway, so the pair stays
             # coherent.
             index = shard_for_method(method, self.n_shards)
             with self._buffer_lock:
-                if self._buffering:
+                if self.in_batch:
                     self._write_buffers[index].append((entry, epoch))
                     return
         try:
@@ -690,7 +650,7 @@ class RemoteSummaryCache(SummaryBackend):
         # Entries the owning shard offered earlier and the prefetch
         # skipped for an epoch mismatch may match now: re-offer them.
         self._reset_cursors((shard_for_method(method_qname, self.n_shards),))
-        if self._buffering:
+        if self.in_batch:
             # Buffered publishes of the edited method are stale now —
             # purge them so the flush cannot resurrect pre-edit memos
             # after the invalidate below.
@@ -719,14 +679,14 @@ class RemoteSummaryCache(SummaryBackend):
 
     # ------------------------------------------------------------------
     # batch hooks (protocol 1.2 pipelining) — the engine calls these
-    # around query_batch when the backend defines them
+    # around query_batch and a warm start when the backend defines them
     # ------------------------------------------------------------------
     def begin_batch(self):
-        """Start a pipelined batch: prefetch from each shard in one
+        """Start a batch: prefetch from each shard in one
         ``fetch-methods`` round trip per shard (filling the local
         read-through tier), then coalesce write-through publishes until
-        :meth:`end_batch`.  No-op unless ``pipeline``; every failure
-        falls open exactly like a missed lookup.
+        :meth:`end_batch`.  Every failure falls open exactly like a
+        missed lookup.
 
         The prefetch is incremental (protocol 1.7).  This backend's
         first fetch from a shard dumps the *whole* shard store
@@ -744,37 +704,27 @@ class RemoteSummaryCache(SummaryBackend):
         (:meth:`invalidate_method`, :meth:`adopt_epochs`), a new PAG
         (:meth:`bind_pag`), or a cleared tier (:meth:`clear`).
 
-        A shard whose prefetch answered has told this batch everything
-        it holds, so until :meth:`end_batch` a local miss on a method it
-        owns sends no ``lookup`` (see :meth:`lookup`).  A shard whose
-        prefetch failed is still looked up per miss, and so is every
-        shard once a bounded local tier evicts: entries it evicted are
-        not fetched again by the prefetch, so a probe for one costs a
-        ``lookup`` round trip.  With every shard answered and a plain
-        local tier, the batch runs on the native kernel.
+        Until :meth:`end_batch` the prefetch is the batch's only read
+        of the shards: a local miss sends no ``lookup`` (see
+        :meth:`lookup`), even for a shard whose prefetch failed or an
+        entry a bounded local tier evicted, and with a plain local tier
+        the batch runs on the native kernel.
         """
-        if not self.pipeline:
-            return
-        answered = frozenset(
-            index
-            for index, link in enumerate(self._links)
-            if self._pag is not None and self._prefetch(index, link)
-        )
+        if self._pag is not None:
+            for index, link in enumerate(self._links):
+                self._prefetch(index, link)
         with self._buffer_lock:
-            self._answered = answered
-            self._buffering = True
+            self.in_batch = True
 
     def _prefetch(self, index, link):
         """One shard's ``fetch-methods`` exchange, adopted into the
-        local tier; ``True`` when it answered.  The shard's cursor
-        advances only after a decoded answer, and only when no reset
-        landed while it was in flight (which also makes the answer not
-        count)."""
+        local tier.  The shard's cursor advances only after a decoded
+        answer, and only when no reset landed while it was in
+        flight."""
         with self._cursor_lock:
             cursor = self._cursors[index]
             generation = self._cursor_resets[index]
         incarnation, since = cursor if cursor is not None else (None, 0)
-        evictions = self.local_tier.evictions
         try:
             response = self._exchange_link(
                 link,
@@ -787,10 +737,10 @@ class RemoteSummaryCache(SummaryBackend):
             )
         except (ShardUnavailable, ProtocolError):
             self._bump("remote_errors", "degraded")
-            return False
+            return
         if not isinstance(response, MethodEntriesResponse):
             self._bump("remote_errors", "degraded")
-            return False
+            return
         epochs = response.epochs
         adopted = 0
         for position, entry in enumerate(response.entries):
@@ -816,27 +766,19 @@ class RemoteSummaryCache(SummaryBackend):
             adopted += 1
         self._bump_n("prefetched", adopted)
         with self._cursor_lock:
-            if self._cursor_resets[index] != generation:
-                return False
-            self._cursors[index] = (
-                None
-                if response.incarnation is None
-                else (response.incarnation, response.cursor)
-            )
-            # A delta answers only under the incarnation it was asked
-            # for; anything else was the full dump.
-            if incarnation is None or response.incarnation != incarnation:
-                self._dump_evictions[index] = evictions
-        return True
+            if self._cursor_resets[index] == generation:
+                self._cursors[index] = (
+                    None
+                    if response.incarnation is None
+                    else (response.incarnation, response.cursor)
+                )
 
     def _reset_cursors(self, shards):
-        """Make the next prefetch from each of ``shards`` a full dump;
-        until it lands, a local miss on their methods is looked up."""
+        """Make the next prefetch from each of ``shards`` a full dump."""
         with self._cursor_lock:
             for index in shards:
                 self._cursors[index] = None
                 self._cursor_resets[index] += 1
-                self._dump_evictions[index] = None
 
     def adopt_epochs(self, epochs):
         """Merge ``epochs`` in (see
@@ -857,11 +799,8 @@ class RemoteSummaryCache(SummaryBackend):
         """Flush the coalesced writes: per shard one ``batch-store``
         line (chunked past :data:`FLUSH_CHUNK`, the chunks pipelined in
         one flight), then return to immediate write-through."""
-        if not self.pipeline:
-            return
         with self._buffer_lock:
-            self._answered = frozenset()
-            self._buffering = False
+            self.in_batch = False
             pending = [list(buffer) for buffer in self._write_buffers]
             for buffer in self._write_buffers:
                 buffer.clear()

@@ -108,7 +108,6 @@ def build_engine(args):
         eviction=args.eviction,
         remote=remote,
         remote_timeout=args.remote_timeout,
-        remote_pipeline=args.pipeline if remote else None,
         fault_schedule=args.faults if remote else None,
     )
     # The paper protocol's policy (field-depth k-limit) —
@@ -149,6 +148,7 @@ def run(args):
             "hits": stats.cache.hits,
             "misses": stats.cache.misses,
             "entries": stats.cache.entries,
+            "evictions": stats.cache.evictions,
         }
         if stats.cache is not None
         else None,
@@ -213,22 +213,6 @@ def main(argv=None):
         "'seed=7,rate=0.1,kinds=disconnect|read-timeout' (see "
         "repro.cacheserver.faults.FaultSchedule.parse; the REPRO_FAULTS "
         "environment variable applies when this flag is absent)",
-    )
-    parser.add_argument(
-        "--pipeline",
-        dest="pipeline",
-        action="store_true",
-        default=None,
-        help="pipelined remote mode: per-shard prefetch + coalesced "
-        "batch-store flushes (protocol 1.2) — the default whenever "
-        "--remote is set",
-    )
-    parser.add_argument(
-        "--no-pipeline",
-        dest="pipeline",
-        action="store_false",
-        help="immediate write-through: publish every memo as it is "
-        "computed (pre-1.4 visibility semantics)",
     )
     parser.add_argument("--max-entries", type=int, default=None)
     parser.add_argument("--max-facts", type=int, default=None)

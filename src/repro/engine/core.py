@@ -30,7 +30,7 @@ multi-process serving tiers build on: callers own sessions and policies,
 never analysis internals.
 """
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 from repro.analysis.dynsum import DynSum
@@ -96,6 +96,25 @@ class EngineStats:
     @property
     def dedup_rate(self):
         return self.deduped / self.queries if self.queries else 0.0
+
+
+@contextmanager
+def _store_batch(cache):
+    """Run the body between ``cache``'s batch hooks, when it has them.
+
+    A remote store's ``begin_batch`` prefetches the shards and its
+    ``end_batch`` flushes what the body published, so the body costs
+    O(shards) round trips; purely local stores define neither and pay
+    nothing.  ``end_batch`` runs even when the body raises."""
+    begin_batch = getattr(cache, "begin_batch", None)
+    if begin_batch is None:
+        yield
+        return
+    begin_batch()
+    try:
+        yield
+    finally:
+        cache.end_batch()
 
 
 class PointsToEngine:
@@ -272,28 +291,17 @@ class PointsToEngine:
         steps_before = analysis.total_steps
         unique_results = [None] * len(plan.unique)
 
-        # Pipelined backends (the remote shared-cache client in
-        # CachePolicy(remote_pipeline=True) mode) expose batch hooks:
-        # begin prefetches the shards, end flushes coalesced writes.
-        # Purely local stores define neither and pay nothing.  The
-        # hooks run INSIDE the timer — the prefetch/flush round trips
-        # are this batch's cost, and moving wire work out of the
-        # measurement window would make pipelining look free.
-        begin_batch = getattr(cache, "begin_batch", None)
-        end_batch = getattr(cache, "end_batch", None)
+        # The store's batch hooks run INSIDE the timer: a remote
+        # store's prefetch and flush round trips are this batch's cost,
+        # and moving wire work out of the measurement window would make
+        # batching look free.
         timer = Timer()
-        with timer, self._traversal():
-            if begin_batch is not None:
-                begin_batch()
-            try:
-                for index in plan.order:
-                    spec = plan.unique[index]
-                    unique_results[index] = analysis.points_to(
-                        spec.node, spec.context, spec.client
-                    )
-            finally:
-                if end_batch is not None:
-                    end_batch()
+        with timer, self._traversal(), _store_batch(cache):
+            for index in plan.order:
+                spec = plan.unique[index]
+                unique_results[index] = analysis.points_to(
+                    spec.node, spec.context, spec.client
+                )
         results = [unique_results[index] for index in plan.assignment]
         complete = sum(1 for r in unique_results if r.complete)
         stats = BatchStats(
@@ -361,15 +369,18 @@ class PointsToEngine:
         — summaries are pure memos, so a partial warm start affects cost
         only.  The store's counters are untouched: warm-started entries
         answer future probes as hits, which is the whole point.  The
-        traversal image is compiled from this PAG on the first query,
-        as on a cold start.
+        replay runs between the store's batch hooks, so a remote store
+        publishes it in one flush per shard.  The traversal image is
+        compiled from this PAG on the first query, as on a cold start.
         """
         from repro.api.snapshot import load_snapshot
 
         cache = self._require_cache("warm-start from")
-        self.warm_loaded, self.warm_skipped = load_snapshot(path).load_into(
-            cache, self.pag, strict=False
-        )
+        snapshot = load_snapshot(path)
+        with _store_batch(cache):
+            self.warm_loaded, self.warm_skipped = snapshot.load_into(
+                cache, self.pag, strict=False
+            )
 
     def save_cache(self, path):
         """Write the summary store to ``path`` as a

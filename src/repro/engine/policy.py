@@ -59,9 +59,13 @@ class CachePolicy:
     ``"host:port"`` addresses, one per shard server, in shard order
     (what ``repro-cached`` prints on startup).  The local store the
     other knobs configure becomes the **read-through tier** of a
-    :class:`~repro.cacheserver.client.RemoteSummaryCache`; lookups that
-    miss locally probe the owning shard server, and misses, timeouts or
-    a dead service fall back to local computation — answers are
+    :class:`~repro.cacheserver.client.RemoteSummaryCache`.  A batch
+    prefetches each shard's entries in one round trip, treats a local
+    miss as final, and flushes its new summaries per shard at its end,
+    so it costs O(shards) round trips.  A single ``query()`` or
+    ``alias()`` runs outside a batch: a local miss probes the owning
+    shard, and a new summary is published at once.  Misses, timeouts
+    or a dead service fall back to local computation — answers are
     identical with the service up, down, or killed mid-batch.
     ``remote_timeout`` is the per-operation socket timeout in seconds.
     """
@@ -71,17 +75,6 @@ class CachePolicy:
     eviction: str = "lru"
     remote: Optional[Tuple[str, ...]] = None
     remote_timeout: float = 1.0
-    #: Pipelined remote mode (protocol 1.2): batches prefetch each
-    #: shard's entries in one round trip and coalesce write-through
-    #: publishes into per-shard batch-store flushes — a warm batch
-    #: costs O(shards) round trips instead of one per lookup.  ``None``
-    #: (the default) means *on whenever* ``remote`` *is set* — with the
-    #: epoch guard (protocol 1.4) making pipelined traffic as safe as
-    #: immediate write-through, O(shards) is the right default cost
-    #: model.  Pass ``False`` (the ``--no-remote-pipeline`` escape
-    #: hatch) to restore immediate write-through, whose prompt
-    #: mid-batch cross-client visibility some multi-process tests pin.
-    remote_pipeline: Optional[bool] = None
     #: Unified retry/backoff for the remote tier: a
     #: :class:`~repro.cacheserver.faults.RetryPolicy` (frozen, so the
     #: cache policy stays hashable) driving every shard link's circuit
@@ -105,11 +98,6 @@ class CachePolicy:
                 "max_facts; an unbounded store never evicts, so the "
                 "policy would be silently inert"
             )
-        if self.remote_pipeline and self.remote is None:
-            raise ValueError(
-                "CachePolicy(remote_pipeline=True) needs remote=... "
-                "shard addresses; there is no wire to pipeline otherwise"
-            )
         if self.fault_schedule is not None and self.remote is None:
             raise ValueError(
                 "CachePolicy(fault_schedule=...) injects faults into the "
@@ -131,15 +119,6 @@ class CachePolicy:
     def bounded(self):
         return self.max_entries is not None or self.max_facts is not None
 
-    @property
-    def effective_pipeline(self):
-        """The resolved pipelining choice: an explicit ``remote_pipeline``
-        wins; ``None`` defaults to pipelined whenever the store is
-        remote at all."""
-        if self.remote_pipeline is None:
-            return self.remote is not None
-        return bool(self.remote_pipeline)
-
     def make_store(self):
         """Instantiate the configured store."""
         store = make_summary_store(self.max_entries, self.max_facts, self.eviction)
@@ -153,7 +132,6 @@ class CachePolicy:
                 self.remote,
                 local=store,
                 timeout=self.remote_timeout,
-                pipeline=self.effective_pipeline,
                 retry=self.retry,
                 fault_schedule=self.fault_schedule,
             )

@@ -23,11 +23,11 @@ the C kernel in ``kernel.c``:
   recursive-site set, compaction) builds a new graph.
 * :class:`_NativeSession` — one per ``(SummaryCache, graph)`` pair,
   cached on ``cache._native_memo``.  The cache is an analysis's plain
-  store, or the plain local tier of a pipelined remote store (a
+  store, or the plain local tier of a remote store (a
   :class:`~repro.cacheserver.client.RemoteSummaryCache`), served during
-  each batch whose prefetch answered every shard.  Mirrors the cache's
-  ``_entries`` into the kernel's summary table so the kernel can probe
-  and commit summaries without calling back into Python.  The first
+  each of its batches.  Mirrors the cache's ``_entries`` into the
+  kernel's summary table so the kernel can probe and commit summaries
+  without calling back into Python.  The first
   sync imports every entry in one bulk call; later syncs — across
   rebinds too — replay only the keys the cache journaled since
   (inserted, replaced or removed — removals become kernel deletes; a
@@ -39,11 +39,11 @@ Everything here is **refuse-and-fall-back**: any state the kernel
 cannot represent (a call site outside int32, a field stack holding a
 token the image never interned — a standalone PPTA's start stack or an
 imported boundary — kernel OOM), and any store it does not serve (a
-bounded or cost-aware one, a remote one outside a fully prefetched
-pipelined batch), returns ``None``/``False`` to the dispatch layer,
-which reruns the query on the pure-Python ``array`` impl — answers and
-step counts never depend on the kernel being usable, only latency
-does.
+bounded or cost-aware one, a remote one outside a batch, whose local
+misses are looked up per key), returns ``None``/``False`` to the
+dispatch layer, which reruns the query on the pure-Python ``array``
+impl — answers and step counts never depend on the kernel being
+usable, only latency does.
 """
 
 import weakref
@@ -464,12 +464,12 @@ def native_unavailable_reason(pag=None, store=None):
     mismatch) first; then, with a summary ``store`` the kernel does not
     serve, why the store runs on the array loop: a local store that is
     not a plain ``SummaryCache``, or a remote store (one with a
-    ``local_tier``) that is unpipelined or whose local tier is not
-    plain; then, with a ``pag`` whose CSR image has already been
-    refused by the kernel, that image-level reason.  A pipelined remote
-    store over a plain tier counts as served: its batches run on the
-    kernel whenever every shard's prefetch answers (see
-    :func:`explore_native`).
+    ``local_tier``) whose local tier is not plain; then, with a ``pag``
+    whose CSR image has already been refused by the kernel, that
+    image-level reason.  A remote store over a plain tier counts as
+    served: every batch runs on the kernel (see
+    :func:`explore_native`), while its single queries run outside a
+    batch, on the array loop.
     """
     ok, reason = availability()
     if not ok:
@@ -479,8 +479,6 @@ def native_unavailable_reason(pag=None, store=None):
         tier = getattr(store, "local_tier", None)
         if tier is None:
             return f"{name} runs on the array loop"
-        if not store.pipeline:
-            return f"{name} with remote_pipeline=False runs on the array loop"
         if type(tier) is not SummaryCache:
             return (
                 f"{name} over a {type(tier).__name__} local tier "
@@ -795,18 +793,17 @@ def explore_native(analysis, var, context, pairs, budget):
 
     The kernel mirrors a plain ``SummaryCache``: the analysis's own
     store, or the local tier of a remote store (one with a
-    ``local_tier``) during a pipelined batch whose prefetch answered
-    every shard — then a tier miss is a miss outright, exactly as the
-    remote store's ``lookup`` decides, so the kernel's probes count on
-    both stores, and each new summary also goes to the remote store's
-    ``publish`` for the end-of-batch flush.  Every other store stays
-    pure-Python.
+    ``local_tier``) while one of its batches is open — then a tier miss
+    is a miss outright, exactly as the remote store's ``lookup``
+    decides, so the kernel's probes count on both stores, and each new
+    summary also goes to the remote store's ``publish`` for the
+    end-of-batch flush.  Every other store stays pure-Python.
     """
     cache = analysis.cache
     remote = None
     if type(cache) is not SummaryCache:
         tier = getattr(cache, "local_tier", None)
-        if type(tier) is not SummaryCache or not cache.prefetch_answers_every_shard():
+        if type(tier) is not SummaryCache or not cache.in_batch:
             return False  # bounded/cost-aware stores; remote lookups per probe
         remote, cache = cache, tier
     ng = graph_for(analysis.pag)

@@ -478,16 +478,21 @@ class TestRemoteEngineIdentity:
 
     def test_warm_start_snapshot_seeds_the_service(self, cluster, tmp_path):
         """EnginePolicy(warm_start=...) over a remote store replays the
-        snapshot through store() — write-through — so one snapshot file
-        can warm the whole service."""
-        pag = build_pag(parse_program(SRC))
+        snapshot through store() between the store's batch hooks, so one
+        snapshot file warms the whole service in one flush per shard
+        instead of one store round trip per entry."""
+
+        def jython_pag():
+            return load_benchmark("jython", scale=0.3).pag
+
+        pag = jython_pag()
         donor = PointsToEngine(pag, EnginePolicy())
         donor.query_batch(all_locals(pag))
         path = tmp_path / "seed.json"
         donor.save_cache(path)
 
         seeder = PointsToEngine(
-            build_pag(parse_program(SRC)),
+            jython_pag(),
             EnginePolicy(
                 cache=CachePolicy(
                     remote=tuple(s.address for s in cluster), remote_timeout=2.0
@@ -495,20 +500,57 @@ class TestRemoteEngineIdentity:
                 warm_start=str(path),
             ),
         )
-        assert seeder.warm_loaded > 0
+        assert seeder.warm_loaded > 100
         served = sum(len(s.store) for s in cluster)
         assert served == seeder.warm_loaded
+        seeded = seeder.stats().remote
+        assert seeded.stores == seeder.warm_loaded
+        # One prefetch and one flush per shard.
+        assert seeded.round_trips <= 2 * len(cluster)
         # A fresh client now answers from the service without computing:
-        # pipelined by default, the batch prefetch fills its tier (a
-        # non-pipelined client would score the same answers as per-probe
-        # remote hits).
-        reader = PointsToEngine(
-            build_pag(parse_program(SRC)), remote_policy(cluster)
-        )
+        # its batch prefetch fills its tier.
+        reader = PointsToEngine(jython_pag(), remote_policy(cluster))
         reader.query_batch(all_locals(reader.pag))
-        reader_remote = reader.stats().remote
-        assert reader_remote.prefetched + reader_remote.remote_hits > 0
+        assert reader.stats().remote.prefetched == seeder.warm_loaded
         assert reader.stats().cache.hits > 0
+
+    def test_warm_start_onto_a_downed_service_loads_the_local_tier(
+        self, tmp_path
+    ):
+        """A warm start whose shards are all down still fills the local
+        tier and answers like a plain engine: the replay's one flush per
+        shard fails open, so the dead service costs one fall-open per
+        shard and hook, not one per snapshot entry."""
+        pag = load_benchmark("jython", scale=0.3).pag
+        donor = PointsToEngine(pag, EnginePolicy())
+        queries = all_locals(pag)
+        baseline = donor.query_batch(queries)
+        path = tmp_path / "seed.json"
+        donor.save_cache(path)
+
+        # Nothing listens on these ports (port 1 is root-only, port 9 discard).
+        engine = PointsToEngine(
+            load_benchmark("jython", scale=0.3).pag,
+            EnginePolicy(
+                cache=CachePolicy(
+                    remote=("127.0.0.1:1", "127.0.0.1:9"), remote_timeout=0.2
+                ),
+                warm_start=str(path),
+            ),
+        )
+        assert engine.warm_loaded > 100
+        assert engine.warm_skipped == 0
+        assert len(engine.cache.local_tier) == engine.warm_loaded
+        remote = engine.stats().remote
+        assert remote.stores == 0
+        assert remote.store_errors == engine.warm_loaded
+        # At most one failed prefetch and one failed flush per shard.
+        assert 0 < remote.degraded <= 2 * remote.shards
+
+        batch = engine.query_batch(queries)
+        for mine, theirs in zip(batch, baseline):
+            assert canonical(mine) == canonical(theirs)
+        assert engine.stats().cache.hits > 0
 
 
 # ----------------------------------------------------------------------
@@ -615,25 +657,25 @@ class TestServiceSurface:
         [
             ({}, None),
             (
-                {"remote_pipeline": False},
-                "RemoteSummaryCache with remote_pipeline=False runs on the "
-                "array loop",
-            ),
-            (
                 {"max_entries": 64},
                 "RemoteSummaryCache over a BoundedSummaryCache local tier "
                 "runs on the array loop",
             ),
+            (
+                {"max_entries": 64, "eviction": "cost"},
+                "RemoteSummaryCache over a CostAwareSummaryCache local tier "
+                "runs on the array loop",
+            ),
         ],
-        ids=["pipelined", "unpipelined", "bounded-tier"],
+        ids=["pipelined", "bounded-tier", "cost-tier"],
     )
     def test_remote_engine_stats_say_whether_native_serves_it(
         self, cluster, cache_kwargs, want
     ):
-        """The kernel serves a pipelined remote store over a plain local
-        tier; any other remote store answers on the array loop, and the
-        stats name the cause (a kernelless host reports its binding
-        reason first)."""
+        """The kernel serves a remote store over a plain local tier in
+        its batches; a remote store over any other tier answers on the
+        array loop, and the stats name the cause (a kernelless host
+        reports its binding reason first)."""
         from repro.analysis.ppta import traversal_impl
         from repro.native import availability
 
@@ -846,35 +888,30 @@ class TestBatchedOpsDispatch:
 
 
 class TestPipelinedRemoteBatches:
-    """The acceptance property: a warm pipelined batch costs
-    O(shards) wire round trips — observable through the new
-    ``remote.round_trips`` counter — with answers element-wise
-    identical to local and to the non-pipelined path."""
+    """The acceptance property: a warm batch costs O(shards) wire round
+    trips — observable through the ``remote.round_trips`` counter —
+    with answers element-wise identical to local and to single queries,
+    which run outside a batch and pay per key."""
 
-    def _engine(self, servers, pipeline):
+    def _policy(self, servers):
         from repro.bench.runner import BENCH_FIELD_DEPTH_LIMIT
 
-        policy = EnginePolicy(
+        return EnginePolicy(
             max_field_depth=BENCH_FIELD_DEPTH_LIMIT,
             cache=CachePolicy(
-                remote=tuple(s.address for s in servers),
-                remote_timeout=2.0,
-                remote_pipeline=pipeline,
+                remote=tuple(s.address for s in servers), remote_timeout=2.0
             ),
         )
-        return policy
 
     def test_round_trips_counter_counts_exchanges(self, cluster):
-        from repro.bench.suite import load_benchmark
-        from repro.clients import SafeCastClient
-
         instance = load_benchmark("jython", scale=0.4)
         client = SafeCastClient(instance.pag)
-        engine = PointsToEngine(instance.pag, self._engine(cluster, False))
-        client.run_engine(engine, dedupe=False, reorder=False)
+        engine = PointsToEngine(instance.pag, self._policy(cluster))
+        for query in client.queries():
+            engine.query(query)
         stats = engine.stats().remote
-        # Unpipelined: every remote lookup and every write-through store
-        # is its own exchange.
+        # Outside a batch every remote lookup and every write-through
+        # store is its own exchange.
         expected = (
             stats.remote_hits
             + stats.remote_misses
@@ -885,9 +922,6 @@ class TestPipelinedRemoteBatches:
         assert stats.round_trips > len(cluster)
 
     def test_warm_pipelined_batch_is_o_shards_round_trips(self, cluster):
-        from repro.bench.suite import load_benchmark
-        from repro.clients import SafeCastClient
-
         instance = load_benchmark("jython", scale=0.4)
         client = SafeCastClient(instance.pag)
 
@@ -898,18 +932,18 @@ class TestPipelinedRemoteBatches:
         _v, local_batch = client.run_engine(local, dedupe=False, reorder=False)
         digest = [canonical(r) for r in local_batch.results]
 
-        # Cold pipelined publisher: prefetch finds nothing, the flush
-        # publishes every computed summary in one batch-store per shard.
-        cold = PointsToEngine(instance.pag, self._engine(cluster, True))
+        # Cold publisher: prefetch finds nothing, the flush publishes
+        # every computed summary in one batch-store per shard.
+        cold = PointsToEngine(instance.pag, self._policy(cluster))
         _v, cold_batch = client.run_engine(cold, dedupe=False, reorder=False)
         cold_stats = cold.stats().remote
         assert [canonical(r) for r in cold_batch.results] == digest
         assert cold_stats.stores > 0
         assert cold_stats.remote_errors == 0
 
-        # Warm pipelined reader: one fetch-methods round trip per shard
-        # warms the tier; every probe then hits locally.
-        warm = PointsToEngine(instance.pag, self._engine(cluster, True))
+        # Warm reader: one fetch-methods round trip per shard warms the
+        # tier; every probe then hits locally.
+        warm = PointsToEngine(instance.pag, self._policy(cluster))
         _v, warm_batch = client.run_engine(warm, dedupe=False, reorder=False)
         warm_stats = warm.stats().remote
         assert [canonical(r) for r in warm_batch.results] == digest
@@ -918,13 +952,45 @@ class TestPipelinedRemoteBatches:
         # THE acceptance bound: <= (#shards x constant), not one round
         # trip per method lookup.  The constant covers prefetch + flush.
         assert warm_stats.round_trips <= 4 * len(cluster)
-        # And strictly better than the per-lookup regime: the warm
-        # unpipelined client pays one exchange per distinct key.
-        plain = PointsToEngine(instance.pag, self._engine(cluster, False))
-        _v, plain_batch = client.run_engine(plain, dedupe=False, reorder=False)
-        plain_stats = plain.stats().remote
-        assert [canonical(r) for r in plain_batch.results] == digest
-        assert warm_stats.round_trips < plain_stats.round_trips
+        # And strictly better than the per-key regime: single queries
+        # on a fresh engine pay one exchange per distinct key.
+        single = PointsToEngine(instance.pag, self._policy(cluster))
+        single_results = [single.query(query) for query in client.queries()]
+        single_stats = single.stats().remote
+        assert [canonical(r) for r in single_results] == digest
+        assert single_stats.remote_hits > 0
+        assert warm_stats.round_trips < single_stats.round_trips
+
+    def test_workload_over_an_evicting_tier_sends_no_lookup(
+        self, cluster, capsys
+    ):
+        """``python -m repro.cacheserver.workload`` over an 8-entry
+        client tier: the tier evicts (the report's ``cache.evictions``),
+        yet no batch looks a miss up, and the answers equal a local
+        run's."""
+        import json
+
+        from repro.cacheserver.workload import main
+
+        def report(*extra):
+            argv = [
+                "--benchmark", "jython", "--scale", "0.3",
+                "--client", "NullDeref", "--rounds", "2", *extra,
+            ]
+            assert main(argv) == 0
+            return json.loads(capsys.readouterr().out)
+
+        local = report()
+        addresses = ",".join(s.address for s in cluster)
+        bounded = report("--remote", addresses, "--max-entries", "8")
+        assert bounded["digest"] == local["digest"]
+        assert bounded["cache"]["evictions"] > 0
+        remote = bounded["remote"]
+        assert remote["remote_hits"] + remote["remote_misses"] == 0
+        assert remote["remote_errors"] == 0
+        assert remote["stores"] > 0
+        # The second round's prefetch reads back what the first flushed.
+        assert remote["prefetched"] > 0
 
     def test_invalidate_purges_buffered_writes(self, cluster):
         """An edit mid-batch must not let the end-of-batch flush
@@ -941,7 +1007,6 @@ class TestPipelinedRemoteBatches:
             tuple(s.address for s in cluster),
             local=SummaryCache(),
             timeout=2.0,
-            pipeline=True,
         )
         try:
             cache.bind_pag(pag)
@@ -1045,15 +1110,6 @@ class TestEpochConsistency:
         assert isinstance(batch, BatchStoreResponse)
         assert batch.stale == (False, True)
         assert batch.stored[1] is False
-
-    def test_pipeline_defaults_on_with_remote(self):
-        assert CachePolicy(remote=("h:1",)).effective_pipeline is True
-        assert CachePolicy(
-            remote=("h:1",), remote_pipeline=False
-        ).effective_pipeline is False
-        assert CachePolicy().effective_pipeline is False
-        store = CachePolicy(remote=("127.0.0.1:1",)).make_store()
-        assert store.pipeline is True
 
     def test_lagging_client_cannot_resurrect_pre_edit_memos(self, cluster):
         """The adversarial mixed-version schedule: A publishes, A edits
@@ -1284,7 +1340,7 @@ class TestAsyncServingTier:
         client = NullDerefClient(instance.pag)
         local.query_batch(client.specs(client.queries()), dedupe=False, reorder=False)
         server = AsyncShardServer(0, 1).start()
-        cache = RemoteSummaryCache((server.address,), timeout=5.0, pipeline=True)
+        cache = RemoteSummaryCache((server.address,), timeout=5.0)
         try:
             cache.bind_pag(instance.pag)
             cache.begin_batch()
@@ -1357,7 +1413,7 @@ class TestLongFlights:
         summary = PptaResult((obj,), (), steps=1)
         server_cls = ShardServer if tier == "threaded" else AsyncShardServer
         server = server_cls(0, 1).start()
-        cache = RemoteSummaryCache((server.address,), pipeline=True, timeout=2.0)
+        cache = RemoteSummaryCache((server.address,), timeout=2.0)
         try:
             cache.bind_pag(pag)
             cache.begin_batch()

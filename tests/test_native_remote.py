@@ -1,12 +1,13 @@
-"""The native kernel serves a pipelined remote store's local tier.
+"""The native kernel serves a remote store's local tier in a batch.
 
-Inside a pipelined batch whose ``fetch-methods`` prefetch answered
-every shard, a local-tier miss is a miss outright: the shard has
-nothing the tier lacks, so ``RemoteSummaryCache.lookup`` sends no
-``lookup`` round trip, and the kernel may probe a mirror of the local
-tier instead of the ``array`` loop probing the remote store.  The
-kernel's new summaries go into the tier and, in computation order, to
-the store's write buffer for the end-of-batch flush.
+Between ``begin_batch`` and ``end_batch`` a remote store reads the
+shards only through its ``fetch-methods`` prefetch: a local-tier miss
+is a miss outright and sends no ``lookup`` round trip, whichever
+prefetches answered and whether the tier evicted.  So the kernel may
+probe a mirror of a plain local tier instead of the ``array`` loop
+probing the remote store.  The kernel's new summaries go into the tier
+and, in computation order, to the store's write buffer for the
+end-of-batch flush.
 
 The differential drives engines pinned ``native``, ``array`` and
 ``reference``, each over its own fresh in-process 2-shard
@@ -15,11 +16,12 @@ fresh engine, an invalidate and a requery.  Answers, per-query and
 engine step counts, hit/miss and remote traffic counters, and the
 entries each flush sent must be equal across impls; the native
 engine's tier must hold a live mirror.  A batch that starts with one
-shard stopped runs on ``array`` and still matches ``reference``.  The
-lookup-skip tests pin which local misses still cost a round trip: a
-shard whose prefetch failed, and a bounded tier that evicted since the
-prefetch.  A dropped remote engine frees its tier, and so the kernel
-mirror of it, without waiting for the cyclic GC.
+shard stopped also runs on the kernel and matches ``reference``.  The
+read-rule tests pin that no batch looks a miss up — not after a
+corrupted prefetch answer, not after a bounded tier evicted — while a
+miss outside a batch still is.  A dropped remote engine frees its
+tier, and so the kernel mirror of it, without waiting for the cyclic
+GC.
 """
 
 import gc
@@ -79,8 +81,7 @@ def fleets():
 
 def remote_engine(fleet, impl=None, fault_schedule=None):
     """A fresh engine over its own PAG (the way a separate process
-    builds one), joined to ``fleet`` with the default pipelined
-    client."""
+    builds one), joined to ``fleet``."""
     return PointsToEngine(
         build_pag(generate_program(CONFIG)),
         EnginePolicy(
@@ -226,7 +227,7 @@ def test_remote_sessions_match_across_impls(fleets):
 
 
 @pytest.mark.usefixtures("require_kernel")
-def test_a_batch_with_a_shard_down_runs_on_array_and_matches(fleets):
+def test_a_batch_with_a_shard_down_runs_on_the_kernel_and_matches(fleets):
     rows = {}
     for impl in IMPLS:
         fleet = fleets()
@@ -234,22 +235,24 @@ def test_a_batch_with_a_shard_down_runs_on_array_and_matches(fleets):
         observe(publisher, record_flights(publisher))
         fleet.servers[1].stop()
         engine = remote_engine(fleet, impl)
-        row = observe(engine, record_flights(engine))
+        flights = record_flights(engine)
+        row = observe(engine, flights)
         # Answers, steps and probe counts; the down shard's error
         # counts depend on its breaker's wall-clock backoff.
         rows[impl] = [
             row[name] for name in ("per_query", "steps", "hits", "misses")
         ]
-        assert not engine.cache.prefetch_answers_every_shard()
+        assert not sent_to(flights, LookupRequest)
         if impl == "native":
-            # The kernel never mirrored this engine's tier.
-            assert engine.cache.local_tier._native_memo is None
+            # The failed prefetch does not keep the batch off the kernel.
+            live_mirror(engine)
+            assert engine.stats().native_unavailable is None
     assert rows["native"] == rows["reference"]
     assert rows["array"] == rows["reference"]
 
 
 # ----------------------------------------------------------------------
-# the lookup skip
+# the read rule: a batch reads the shards only through its prefetch
 # ----------------------------------------------------------------------
 def test_a_cold_pipelined_batch_sends_no_lookup(fleets):
     engine = remote_engine(fleets())
@@ -269,13 +272,13 @@ def test_a_cold_pipelined_batch_sends_no_lookup(fleets):
     assert remote.stores > 0 and engine.stats().cache.misses > 0
 
 
-def test_a_shard_whose_prefetch_failed_is_still_looked_up(fleets):
+def test_a_shard_whose_prefetch_failed_is_not_looked_up(fleets):
     fleet = fleets()
     publisher = remote_engine(fleet)
     client = SafeCastClient(publisher.pag)
     publisher.query_batch(client.specs(client.queries()), dedupe=False, reorder=False)
     # Shard 1's prefetch answer arrives corrupted: a decode failure,
-    # not a transport one, so its link stays up for lookups.
+    # not a transport one, so its link would still carry lookups.
     schedule = FaultSchedule(
         seed=0, rate=0.0, rules=(FaultRule("corrupt", 0, shard=1),)
     )
@@ -290,15 +293,14 @@ def test_a_shard_whose_prefetch_failed_is_still_looked_up(fleets):
     ]
     remote = reader.stats().remote
     assert remote.faults == 1 and remote.remote_errors == 1
-    assert not reader.cache.prefetch_answers_every_shard()
-    assert sent_to(flights, LookupRequest) == {1}  # shard 0 answered its prefetch
-    assert remote.remote_hits > 0
+    assert not sent_to(flights, LookupRequest)
+    assert remote.remote_hits + remote.remote_misses == 0
 
 
-def test_a_bounded_tier_that_evicted_since_the_prefetch_looks_up(fleets):
+def test_an_evicted_key_is_a_miss_in_a_batch_and_looked_up_outside(fleets):
     fleet = fleets(shards=1)
     pag = PAG()
-    nodes = [pag.local_var("A.m", f"x{i}") for i in range(4)]
+    nodes = [pag.local_var("A.m", f"x{i}") for i in range(3)]
 
     def summary(steps):
         return PptaResult((), (), steps=steps)
@@ -308,7 +310,6 @@ def test_a_bounded_tier_that_evicted_since_the_prefetch_looks_up(fleets):
         fleet.addresses,
         local=BoundedSummaryCache(max_entries=2),
         timeout=5.0,
-        pipeline=True,
     )
     try:
         publisher.bind_pag(pag)
@@ -317,35 +318,26 @@ def test_a_bounded_tier_that_evicted_since_the_prefetch_looks_up(fleets):
             publisher.store(node, EMPTY_STACK, S1, summary(3))
         reader.begin_batch()
         assert reader.remote_stats().prefetched == 2
-        assert reader.prefetch_answers_every_shard()
-        # A miss the prefetch answered: no round trip.
-        assert reader.lookup(nodes[3], EMPTY_STACK, S1) is None
-        assert reader.remote_stats().remote_misses == 0
         # A local compute fills the 2-entry tier past its cap, evicting
         # the coldest prefetched entry, which the shard still holds.
         reader.store(nodes[2], EMPTY_STACK, S1, summary(5))
         assert reader.local_tier.evictions == 1
-        assert not reader.prefetch_answers_every_shard()
         evicted = next(
             node for node in nodes[:2] if (node, EMPTY_STACK, S1) not in reader
         )
+        # Inside the batch the evicted key is a miss, with no round trip.
+        trips = reader.remote_stats().round_trips
+        assert reader.lookup(evicted, EMPTY_STACK, S1) is None
+        remote = reader.remote_stats()
+        assert remote.round_trips == trips
+        assert remote.remote_hits + remote.remote_misses == 0
+        reader.end_batch()
+        # Outside a batch the same key is looked up, and the shard has it.
         assert reader.lookup(evicted, EMPTY_STACK, S1) is not None
         assert reader.remote_stats().remote_hits == 1
-        reader.end_batch()
-        # The next batch's prefetch is a delta: the tier still lacks
-        # what it evicted before, so misses are still looked up.
-        reader.begin_batch()
-        assert not reader.prefetch_answers_every_shard()
-        assert reader.lookup(nodes[3], EMPTY_STACK, S1) is None
-        assert reader.remote_stats().remote_misses == 1
-        reader.end_batch()
-        # Outside a batch every miss is looked up, as without pipelining.
-        reader.lookup(nodes[3], EMPTY_STACK, S1)
-        assert reader.remote_stats().remote_misses == 2
     finally:
         publisher.close()
         reader.close()
-
 
 
 def test_a_dropped_remote_engine_frees_its_tier_without_the_cyclic_gc(fleets):

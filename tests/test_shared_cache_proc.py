@@ -14,8 +14,9 @@ Pinned here:
   acceptance bar of ``benchmarks/BENCH_shared.json``;
 * invalidation propagates: an edit applied in one client process drops
   the owning shard server's entries, and a later client process
-  observes the drop (remote misses where a pristine service gave hits)
-  *before* its next lookup is served stale;
+  observes the drop at its prefetch (fewer entries fetched than a
+  pristine service offered), while the epoch guard refuses its flushed
+  write-throughs for the edited method;
 * killing the server processes mid-workload degrades to local compute
   with identical answers;
 * the cluster never leaks: stopping it leaves no live child processes.
@@ -65,8 +66,7 @@ def cluster(proc_env):
     assert not any(cluster.alive()), "cluster.stop() left live shard processes"
 
 
-def run_client_process(env, cluster=None, results=None, invalidate=None,
-                       pipeline=None):
+def run_client_process(env, cluster=None, results=None, invalidate=None):
     cmd = [
         sys.executable, "-m", "repro.cacheserver.workload",
         "--benchmark", BENCHMARK, "--scale", SCALE, "--client", CLIENT,
@@ -77,10 +77,6 @@ def run_client_process(env, cluster=None, results=None, invalidate=None,
         cmd += ["--results", str(results)]
     if invalidate is not None:
         cmd += ["--invalidate", invalidate]
-    if pipeline is True:
-        cmd += ["--pipeline"]
-    elif pipeline is False:
-        cmd += ["--no-pipeline"]
     proc = subprocess.run(
         cmd, capture_output=True, text=True, env=env, timeout=300
     )
@@ -154,37 +150,33 @@ class TestMultiProcessDeployment:
         base, _steps, engine = baseline_canonical()
         victim = cached_method_of(engine)
 
-        # Per-probe visibility semantics are what this test pins, so
-        # every client here runs with immediate write-through
-        # (--no-pipeline); the pipelined twin of the edit window lives
-        # in the restart/self-heal test below.
-        # A populates; B confirms a pristine warm service (no misses).
-        run_client_process(proc_env, cluster, pipeline=False)
-        warm = run_client_process(proc_env, cluster, pipeline=False)
-        assert warm["remote"]["remote_misses"] == 0
-        warm_hits = warm["remote"]["remote_hits"]
+        # Every client runs its workload as one batch, so what it
+        # publishes becomes visible at the batch's flush.
+        # A populates; B confirms a pristine warm service: its prefetch
+        # serves every probe it needs.
+        run_client_process(proc_env, cluster)
+        warm = run_client_process(proc_env, cluster)
+        assert warm["remote"]["remote_errors"] == 0
+        warm_prefetched = warm["remote"]["prefetched"]
+        assert warm_prefetched > 0
 
         # An "edit" in one client process: run, then invalidate the
         # victim method through the store (what an engine edit does).
-        editor = run_client_process(
-            proc_env, cluster, invalidate=victim, pipeline=False
-        )
+        editor = run_client_process(proc_env, cluster, invalidate=victim)
         assert editor["remote"]["invalidations"] == 1
         assert editor["remote"]["invalidation_errors"] == 0
 
-        # A later client process observes the drop before its next
-        # lookup is served: the victim's entries now miss remotely --
-        # and the answers are still exactly the baseline's.  The
-        # observer never applied the edit, so it is *behind* the
-        # victim's epoch: its recomputed write-throughs for the victim
-        # are refused by the epoch guard instead of resurrecting
-        # possibly-pre-edit memos on the shard.
+        # A later client process observes the drop at its prefetch: the
+        # victim's entries are gone, so it fetches fewer entries and
+        # recomputes the victim's -- and the answers are still exactly
+        # the baseline's.  The observer never applied the edit, so it
+        # is *behind* the victim's epoch: its flushed write-throughs for
+        # the victim are refused by the epoch guard instead of
+        # resurrecting possibly-pre-edit memos on the shard.
         observer = run_client_process(
-            proc_env, cluster, results=tmp_path / "observer.json",
-            pipeline=False,
+            proc_env, cluster, results=tmp_path / "observer.json"
         )
-        assert observer["remote"]["remote_misses"] > 0
-        assert observer["remote"]["remote_hits"] < warm_hits
+        assert observer["remote"]["prefetched"] < warm_prefetched
         assert observer["remote"]["epoch_rejections"] > 0
         assert json.loads((tmp_path / "observer.json").read_text()) == base
 
