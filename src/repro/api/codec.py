@@ -8,22 +8,31 @@ One encoding, one validator:
   transcripts diff cleanly;
 * :func:`decode_request` / :func:`decode_response` parse and validate a
   line: malformed JSON, a non-object payload, a missing or unknown
-  ``kind``, an unsupported major version, missing required fields, or
-  ill-typed values all raise a typed
+  ``kind`` (a non-string one included), an unsupported major version,
+  missing required fields, or ill-typed values all raise a typed
   :class:`~repro.api.protocol.ProtocolError` — never anything else.
   Requests additionally reject *unknown* fields (a server never
   guesses); responses ignore them (a client keeps working when a
   same-major server adds fields — the forward-compatibility half of
   the versioning policy).
 
-The validator derives each message's schema from the dataclass
-annotations (``Optional``/``Tuple`` included, nested dataclasses
-recursively), so the classes in :mod:`repro.api.protocol` are the single
-source of truth for both the Python API and the wire format.  That is
+The classes in :mod:`repro.api.protocol` are the single source of truth
+for both the Python API and the wire format: each message class gets
+one decoder and one encoder, **compiled once** from its dataclass
+annotations (``Optional``/``Tuple[X, ...]``/``Any``, scalars, and
+nested dataclasses) the first time the class crosses the wire.  The
+compiled decoder runs the field checks the annotations imply and
+nothing else — no per-value ``typing`` introspection — and formats a
+field's path (``batch.queries[0].var``) only when a check fails.  An
+annotation the codec cannot compile (``Dict``, ``bytes``,
+``Tuple[int, str]``, a multi-type ``Union``) is a ``TypeError`` naming
+``Class.field`` when its class is first used, never a silent fall-open;
+lint rule WIRE001 flags the same annotations statically.  That is also
 why the annotations must be honest — ``Optional[int]`` where null is
 legal — rather than the ``int = None`` drift this layer replaced.
 """
 
+import collections
 import dataclasses
 import json
 import typing
@@ -31,23 +40,17 @@ import typing
 from repro.api.protocol import (
     KIND_OF,
     OMIT_DEFAULT,
+    PROTOCOL_VERSION,
     REQUEST_KINDS,
     RESPONSE_KINDS,
     ProtocolError,
     check_version,
 )
 
-#: ``typing.get_type_hints`` resolved once per dataclass (the protocol
-#: classes are module-level constants, so the cache never invalidates).
-_HINTS_CACHE = {}
-
-
-def _type_hints(cls):
-    hints = _HINTS_CACHE.get(cls)
-    if hints is None:
-        hints = typing.get_type_hints(cls)
-        _HINTS_CACHE[cls] = hints
-    return hints
+#: The canonical form: sorted keys at every depth (opaque ``Any``
+#: payloads included), compact separators.  One encoder instance, so a
+#: call does not rebuild it.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 # ----------------------------------------------------------------------
@@ -58,7 +61,9 @@ def to_wire(message):
 
     The top-level message carries its ``kind``; nested dataclasses are
     plain field dicts (the decoder recovers their type from the field
-    annotation, so repeating the discriminator would be noise).
+    annotation, so repeating the discriminator would be noise).  An
+    array that holds no dataclass stays the tuple the message holds —
+    ``json`` renders it as an array all the same.
     """
     cls = type(message)
     kind = KIND_OF.get(cls)
@@ -66,47 +71,14 @@ def to_wire(message):
         raise ProtocolError(
             "invalid-request", f"{cls.__name__} is not a wire message type"
         )
-    payload = _value_to_wire(message)
+    payload = _codec(cls).encode(message)
     payload["kind"] = kind
     return payload
 
 
-#: Marks a field that is encoded whatever its value.
-_ALWAYS = object()
-
-#: Per dataclass, ``(name, omit_if)`` for each field — ``omit_if`` is
-#: the default of a :func:`~repro.api.protocol.omitted_unless_set`
-#: field, ``_ALWAYS`` otherwise.  Built once per class, like the hints.
-_FIELDS_CACHE = {}
-
-
-def _wire_fields(cls):
-    plan = _FIELDS_CACHE.get(cls)
-    if plan is None:
-        plan = tuple(
-            (f.name, f.default if f.metadata.get(OMIT_DEFAULT) else _ALWAYS)
-            for f in dataclasses.fields(cls)
-        )
-        _FIELDS_CACHE[cls] = plan
-    return plan
-
-
-def _value_to_wire(value):
-    if dataclasses.is_dataclass(value):
-        wire = {}
-        for name, omit_if in _wire_fields(type(value)):
-            item = getattr(value, name)
-            if omit_if is _ALWAYS or item != omit_if:
-                wire[name] = _value_to_wire(item)
-        return wire
-    if isinstance(value, (tuple, list)):
-        return [_value_to_wire(item) for item in value]
-    return value
-
-
 def encode(message):
     """Canonical JSON for one message: sorted keys, compact separators."""
-    return json.dumps(to_wire(message), sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(to_wire(message))
 
 
 # ----------------------------------------------------------------------
@@ -197,11 +169,14 @@ def _decode(text, registry, direction, ignore_unknown=False):
         raise ProtocolError(
             "invalid-request", f"{direction} is missing 'protocol_version'"
         )
-    check_version(version)
+    if version != PROTOCOL_VERSION:
+        check_version(version)
     kind = payload.get("kind")
     if kind is None:
         raise ProtocolError("invalid-request", f"{direction} is missing 'kind'")
-    cls = registry.get(kind)
+    # An unhashable kind (a JSON array or object) is unknown, not a
+    # TypeError escaping the typed-error contract.
+    cls = registry.get(kind) if isinstance(kind, str) else None
     if cls is None:
         known = ", ".join(sorted(registry))
         raise ProtocolError(
@@ -219,98 +194,235 @@ def build_message(cls, payload, path, ignore_unknown=False):
     (see :func:`decode_response`); known fields are always validated
     strictly either way.
     """
-    if not isinstance(payload, dict):
-        raise ProtocolError(
-            "invalid-request",
-            f"{path}: expected an object, got {type(payload).__name__}",
-        )
-    hints = _type_hints(cls)
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - known - {"kind"}
-    if unknown and not ignore_unknown:
-        raise ProtocolError(
-            "invalid-request",
-            f"{path}: unknown field(s) {sorted(unknown)!r}",
-        )
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in payload:
-            kwargs[f.name] = _coerce(
-                payload[f.name], hints[f.name], f"{path}.{f.name}", ignore_unknown
-            )
-        elif (
-            f.default is dataclasses.MISSING
-            and f.default_factory is dataclasses.MISSING
-        ):
-            raise ProtocolError(
-                "invalid-request", f"{path}: missing required field {f.name!r}"
-            )
-    return cls(**kwargs)
+    try:
+        return _codec(cls).decode(payload, ignore_unknown)
+    except _Invalid as exc:
+        where = "".join(reversed(exc.where))
+        raise ProtocolError("invalid-request", f"{path}{where}: {exc}") from None
 
 
-def _coerce(value, annotation, path, ignore_unknown=False):
-    """Check ``value`` against one annotation, recursively; JSON arrays
-    become tuples, nested objects become their annotated dataclass."""
+# ----------------------------------------------------------------------
+# the compiler: one decoder and one encoder per dataclass
+# ----------------------------------------------------------------------
+class _Invalid(Exception):
+    """A failed check inside a message.  The text is the failure;
+    ``where`` collects the path segments (``.field``, ``[index]``),
+    innermost first, as the failure unwinds through the decoders — so a
+    path is only ever formatted for a value that failed."""
+
+    def __init__(self, detail):
+        super().__init__(detail)
+        self.where = []
+
+
+#: A dataclass's compiled pair: ``decode(payload, ignore_unknown)``
+#: validates a JSON object and builds the instance, raising
+#: :class:`_Invalid`; ``encode(message)`` returns its field dict,
+#: without ``kind``.
+_Codec = collections.namedtuple("_Codec", ("decode", "encode"))
+
+
+#: Compiled codecs by class.  A codec is published only once it is
+#: fully built (its nested classes' codecs first), so a thread that
+#: finds one here never sees it half-built; two threads compiling the
+#: same class at once build equal codecs and either may win.
+_CODECS = {}
+
+
+def _codec(cls):
+    codec = _CODECS.get(cls)
+    if codec is None:
+        codec = _compile(cls)
+        _CODECS[cls] = codec
+    return codec
+
+
+def _compile(cls):
+    fields = dataclasses.fields(cls)
+    # (name, check or None for an opaque value, required)
+    plan = []
+    # (name, converter or None, omit-if value or _ALWAYS)
+    out = []
+    for f in fields:
+        where = f"{cls.__name__}.{f.name}"
+        # The annotation object itself: a postponed (string) annotation
+        # is refused like any other the codec cannot compile.
+        annotation = f.type
+        plan.append(
+            (
+                f.name,
+                _decoder(annotation, where),
+                f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING,
+            )
+        )
+        omit_if = f.default if f.metadata.get(OMIT_DEFAULT) else _ALWAYS
+        out.append((f.name, _encoder(annotation), omit_if))
+    plan = tuple(plan)
+    out = tuple(out)
+    accepted = frozenset(f.name for f in fields) | {"kind"}
+
+    def decode(payload, ignore_unknown):
+        if not isinstance(payload, dict):
+            raise _Invalid(f"expected an object, got {type(payload).__name__}")
+        if not ignore_unknown and not payload.keys() <= accepted:
+            raise _Invalid(
+                f"unknown field(s) {sorted(payload.keys() - accepted)!r}"
+            )
+        kwargs = {}
+        for name, check, required in plan:
+            if name in payload:
+                value = payload[name]
+                if check is not None:
+                    try:
+                        value = check(value, ignore_unknown)
+                    except _Invalid as exc:
+                        exc.where.append("." + name)
+                        raise
+                kwargs[name] = value
+            elif required:
+                raise _Invalid(f"missing required field {name!r}")
+        return cls(**kwargs)
+
+    def encode(message):
+        wire = {}
+        for name, convert, omit_if in out:
+            value = getattr(message, name)
+            if omit_if is _ALWAYS or value != omit_if:
+                wire[name] = value if convert is None else convert(value)
+        return wire
+
+    return _Codec(decode, encode)
+
+
+#: Marks a field that is encoded whatever its value.
+_ALWAYS = object()
+
+
+def _decoder(annotation, where):
+    """``check(value, ignore_unknown) -> value`` for one annotation, or
+    ``None`` when any JSON value passes (``Any``)."""
     if annotation is typing.Any:
         # Opaque JSON payload: the field carries a foreign format (the
         # store-level ops carry snapshot entries/keys) whose validation
         # belongs to that format's own checker, not the wire schema —
         # the dispatcher validates it before trusting it.
-        return value
+        return None
+    scalar = _SCALARS.get(annotation)
+    if scalar is not None:
+        return scalar
     origin = typing.get_origin(annotation)
+    args = typing.get_args(annotation)
     if origin is typing.Union:  # Optional[X] is Union[X, None]
-        args = typing.get_args(annotation)
-        if type(None) in args and value is None:
+        present = [a for a in args if a is not type(None)]
+        if len(present) == 1 and len(args) == 2:
+            return _optional(_decoder(present[0], where))
+    elif origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            return _array(_decoder(args[0], where), args[0])
+    elif dataclasses.is_dataclass(annotation):
+        return _codec(annotation).decode
+    raise TypeError(f"{where}: the wire codec cannot compile {annotation!r}")
+
+
+def _encoder(annotation):
+    """``convert(value) -> JSON-ready value`` for an annotation
+    :func:`_decoder` compiled, or ``None`` when the value is JSON-ready
+    as it stands (scalars, opaque payloads, and arrays or optionals of
+    those)."""
+    if annotation is typing.Any or annotation in _SCALARS:
+        return None
+    origin = typing.get_origin(annotation)
+    args = typing.get_args(annotation)
+    if origin is typing.Union:
+        inner = _encoder(next(a for a in args if a is not type(None)))
+        if inner is None:
             return None
-        non_null = [a for a in args if a is not type(None)]
-        if len(non_null) == 1:
-            return _coerce(value, non_null[0], path, ignore_unknown)
-        raise ProtocolError(
-            "invalid-request", f"{path}: unsupported union annotation {annotation!r}"
-        )
+        return lambda value: None if value is None else inner(value)
     if origin is tuple:
-        (item_type, ellipsis) = typing.get_args(annotation)
-        assert ellipsis is Ellipsis, f"non-variadic tuple annotation at {path}"
+        inner = _encoder(args[0])
+        if inner is None:
+            return None
+        return lambda value: [inner(item) for item in value]
+    return _codec(annotation).encode
+
+
+def _failure(expected, value):
+    return _Invalid(f"expected {expected}, got {type(value).__name__}")
+
+
+def _check_bool(value, ignore_unknown):
+    if value is True or value is False:
+        return value
+    raise _failure("a boolean", value)
+
+
+def _check_int(value, ignore_unknown):
+    # bool is an int subclass; true/false are not integers on the wire.
+    if isinstance(value, int) and value is not True and value is not False:
+        return value
+    raise _failure("an integer", value)
+
+
+def _check_float(value, ignore_unknown):
+    if isinstance(value, (int, float)) and value is not True and value is not False:
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer past the float range
+            raise _Invalid("expected a number, got an integer out of float range")
+    raise _failure("a number", value)
+
+
+def _check_str(value, ignore_unknown):
+    if isinstance(value, str):
+        return value
+    raise _failure("a string", value)
+
+
+_SCALARS = {
+    bool: _check_bool,
+    int: _check_int,
+    float: _check_float,
+    str: _check_str,
+}
+
+
+def _optional(check):
+    if check is None:
+        return None
+
+    def optional(value, ignore_unknown):
+        if value is None:
+            return None
+        return check(value, ignore_unknown)
+
+    return optional
+
+
+def _array(check, item_type):
+    exact = item_type if item_type in (bool, int, str) else None
+
+    def array(value, ignore_unknown):
         if not isinstance(value, (list, tuple)):
-            raise ProtocolError(
-                "invalid-request",
-                f"{path}: expected an array, got {type(value).__name__}",
-            )
-        return tuple(
-            _coerce(item, item_type, f"{path}[{i}]", ignore_unknown)
-            for i, item in enumerate(value)
-        )
-    if dataclasses.is_dataclass(annotation):
-        return build_message(annotation, value, path, ignore_unknown)
-    if annotation is bool:
-        if not isinstance(value, bool):
-            raise ProtocolError(
-                "invalid-request",
-                f"{path}: expected a boolean, got {type(value).__name__}",
-            )
-        return value
-    if annotation is int:
-        # bool is an int subclass; true/false are not integers on the wire.
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ProtocolError(
-                "invalid-request",
-                f"{path}: expected an integer, got {type(value).__name__}",
-            )
-        return value
-    if annotation is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ProtocolError(
-                "invalid-request",
-                f"{path}: expected a number, got {type(value).__name__}",
-            )
-        return float(value)
-    if annotation is str:
-        if not isinstance(value, str):
-            raise ProtocolError(
-                "invalid-request",
-                f"{path}: expected a string, got {type(value).__name__}",
-            )
-        return value
-    raise ProtocolError(
-        "invalid-request", f"{path}: unsupported annotation {annotation!r}"
-    )
+            raise _failure("an array", value)
+        if check is None:
+            return tuple(value)
+        if exact is not None:
+            # JSON scalars have exactly their type; anything else (a
+            # wrong type, or a subclass passed in process) takes the
+            # per-item path below.
+            for item in value:
+                if type(item) is not exact:
+                    break
+            else:
+                return tuple(value)
+        items = []
+        try:
+            for item in value:
+                items.append(check(item, ignore_unknown))
+        except _Invalid as exc:
+            exc.where.append(f"[{len(items)}]")  # the failing item's index
+            raise
+        return tuple(items)
+
+    return array

@@ -50,10 +50,10 @@ fields are annotated ``Any``: the codec carries them opaquely and the
 dispatcher validates them with the snapshot checkers before trusting
 them.
 
-Field types are honest: the codec derives each message's schema from the
-dataclass annotations (``Optional[int]`` really means int-or-null on the
-wire), so these classes are simultaneously the Python API and the wire
-schema.
+Field types are honest: the codec compiles each message's decoder and
+encoder from the dataclass annotations (``Optional[int]`` really means
+int-or-null on the wire), so these classes are simultaneously the Python
+API and the wire schema.
 """
 
 from dataclasses import dataclass, field

@@ -565,8 +565,8 @@ def _stats_to_wire(stats):
 
 
 def _stats_from_wire(wire, path):
-    """A validated :class:`CacheStats` from its wire dict — type checking
-    is derived from the dataclass annotations via the protocol codec."""
+    """A validated :class:`CacheStats` from its wire dict — the protocol
+    codec's decoder, compiled from the dataclass annotations."""
     try:
         return build_message(CacheStats, wire, path)
     except Exception as exc:

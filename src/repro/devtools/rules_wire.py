@@ -1,8 +1,8 @@
 """WIRE001: protocol drift.
 
 The wire contract is one schema in three places: the frozen dataclasses
-of :mod:`repro.api.protocol` (the source of truth — the codec derives
-its validators from their annotations at runtime), the kind registries
+of :mod:`repro.api.protocol` (the source of truth — the codec compiles
+its decoders and encoders from their annotations), the kind registries
 that route decoding, and the human-facing protocol-version story
 (``PROTOCOL_VERSION``, the README version table).  WIRE001 pins the
 ways they can drift:
@@ -14,10 +14,12 @@ ways they can drift:
 * every registered message must carry a ``protocol_version`` field
   defaulting to the ``PROTOCOL_VERSION`` constant — a hardcoded
   ``"1.3"`` default is exactly the silent skew this rule exists for;
-* every field annotation must be built from atoms the codec can
-  validate (builtins, ``Optional``/``Tuple``/``Dict``/``Any``, and the
-  protocol's own dataclasses) — a field the codec cannot derive a
-  validator for fails open at runtime;
+* every field annotation must be one the codec compiles: built from
+  ``bool``/``int``/``float``/``str``, ``Optional``, variadic
+  ``Tuple[X, ...]``, ``Any`` and the protocol's own dataclasses — the
+  codec refuses to build a class with any other field (``Dict``,
+  ``bytes``, a fixed-length ``Tuple[int, str]``, an ``X | None``
+  union), so this catches the drift before the first message does;
 * the version literal lives in ``protocol.py`` **only**: ``service.py``
   must import it, never re-state it; and the README's protocol version
   table must list ``PROTOCOL_VERSION`` as its newest row (docstrings
@@ -36,15 +38,13 @@ from repro.devtools.registry import WIRE_PROTOCOL_SUFFIX, WIRE_SERVICE_SUFFIX
 _VERSION_RE = re.compile(r"^\d+\.\d+$")
 _TABLE_ROW_RE = re.compile(r"^\|\s*(\d+\.\d+)\s*\|")
 
-#: Annotation atoms the codec's derived validators understand.
+#: Annotation atoms the codec compiles.
 _CODEC_ATOMS = frozenset(
     {
         "Any",
-        "Dict",
         "Optional",
         "Tuple",
         "bool",
-        "bytes",
         "float",
         "int",
         "str",
@@ -95,6 +95,36 @@ def _annotation_atoms(annotation: ast.expr) -> Set[str]:
     return atoms
 
 
+def _is_tuple_name(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "Tuple") or (
+        isinstance(node, ast.Attribute) and node.attr == "Tuple"
+    )
+
+
+def _uncompiled_shapes(annotation: ast.expr) -> List[str]:
+    """Annotation shapes built from admitted atoms that the codec still
+    cannot compile: a ``Tuple`` that is not ``Tuple[X, ...]``, and the
+    ``X | Y`` union form."""
+    variadic: Set[int] = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Subscript) and _is_tuple_name(node.value):
+            items = node.slice
+            if (
+                isinstance(items, ast.Tuple)
+                and len(items.elts) == 2
+                and isinstance(items.elts[1], ast.Constant)
+                and items.elts[1].value is Ellipsis
+            ):
+                variadic.add(id(node.value))
+    shapes: List[str] = []
+    for node in ast.walk(annotation):
+        if _is_tuple_name(node) and id(node) not in variadic:
+            shapes.append("a Tuple without '...' (only Tuple[X, ...] compiles)")
+        elif isinstance(node, ast.BinOp):
+            shapes.append("an 'X | Y' union (write Optional[X])")
+    return shapes
+
+
 class ProtocolDrift(Rule):
     id = "WIRE001"
     summary = (
@@ -112,7 +142,11 @@ class ProtocolDrift(Rule):
         version_line = 1
         imported: Set[str] = set()
         for stmt in protocol.tree.body:
-            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            # Imported names may be dataclasses from other modules
+            # (``CacheStats``); typing's own names are judged as atoms.
+            if isinstance(stmt, ast.Import) or (
+                isinstance(stmt, ast.ImportFrom) and stmt.module != "typing"
+            ):
                 for alias in stmt.names:
                     imported.add((alias.asname or alias.name).split(".")[0])
             if isinstance(stmt, ast.ClassDef) and _is_dataclass(stmt):
@@ -230,7 +264,18 @@ class ProtocolDrift(Rule):
                     message=(
                         f"{cls.name}.{field_name}: annotation uses "
                         f"{sorted(unknown)!r}, which the codec cannot "
-                        f"derive a validator for"
+                        f"compile"
+                    ),
+                )
+            for shape in _uncompiled_shapes(stmt.annotation):
+                yield Finding(
+                    file=protocol.relpath,
+                    line=stmt.lineno,
+                    col=stmt.col_offset,
+                    rule=self.id,
+                    message=(
+                        f"{cls.name}.{field_name}: annotation uses {shape}, "
+                        f"which the codec cannot compile"
                     ),
                 )
             if field_name == "protocol_version":

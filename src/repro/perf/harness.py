@@ -55,13 +55,24 @@ PAPERS.md).  This harness measures **steps per second**:
   gates on answers equal to the local engine's, no ``lookup`` round
   trip in either session, and — with the kernel loaded — both running
   on it.
+* **codec** — the wire codec on serve-ide-shaped traffic: the generator
+  program's SafeCast and NullDeref queries (with their client payloads)
+  in a seeded order with a 5% share of invalidates, answered by an
+  in-process :class:`~repro.api.service.PointsToService`.  Per line it
+  times the four codec calls of one exchange — the server's
+  ``decode_request`` and response ``encode``, the client's
+  ``decode_response`` and request ``encode`` — each beside
+  ``json.loads``/``json.dumps`` of the same lines.  ``--check`` gates
+  on ``decode_response`` costing at most
+  :data:`CODEC_DECODE_RATIO_MAX` times ``json.loads``.
 * **profile** — cProfile top-N of one figure4 run under the active
   impl, so the next hot-spot hunt starts from data.
 
 Wall-clock numbers vary with the host; the committed baseline
 (``benchmarks/BENCH_hotpath.json``) records them for trajectory, while
 ``--check`` gates only on invariants (identical answers, equal steps,
-recorded throughput, sub-linear eviction) — never on absolute times.
+recorded throughput, sub-linear eviction) and same-run ratios — never
+on absolute times.
 """
 
 import argparse
@@ -69,6 +80,7 @@ import cProfile
 import json
 import os
 import pstats
+import random
 import statistics
 import sys
 import tempfile
@@ -738,6 +750,130 @@ def run_remote(log=lambda s: None):
     return section
 
 
+#: Codec traffic: request lines per cycle (serve-ide's cycle length),
+#: the share of invalidates among them, and the cycle's seed.
+CODEC_LINES = 2000
+CODEC_INVALIDATE_SHARE = 0.05
+CODEC_SEED = 1
+#: ``--check``'s ceiling on ``decode_response`` over ``json.loads`` of
+#: the same lines: an interpretive codec, which works each message's
+#: schema out again per value, reads 12-13x here; the compiled one
+#: reads 3-4x.
+CODEC_DECODE_RATIO_MAX = 6.0
+
+
+def _codec_traffic():
+    """``[(request line, response line)]`` shaped like serve-ide's
+    cycle: SafeCast and NullDeref queries on the generator program with
+    their client payloads, in seeded order, with a
+    :data:`CODEC_INVALIDATE_SHARE` of invalidates of queried methods,
+    answered by an in-process service."""
+    from repro.api.codec import encode
+    from repro.api.protocol import InvalidateRequest, QueryRequest
+    from repro.api.service import PointsToService
+
+    pag = load_benchmark("jython", config=GENERATOR_CONFIG).pag
+    service = PointsToService(PointsToEngine(pag, bench_engine_policy()))
+    pool = [
+        query
+        for name in ("SafeCast", "NullDeref")
+        for query in CLIENTS[name](pag).queries()
+    ]
+    rng = random.Random(CODEC_SEED)
+    queried, traffic = [], []
+    for _ in range(CODEC_LINES):
+        if queried and rng.random() < CODEC_INVALIDATE_SHARE:
+            request = InvalidateRequest(method=rng.choice(queried))
+        else:
+            query = rng.choice(pool)
+            queried.append(query.method)
+            request = QueryRequest(
+                method=query.method, var=query.var, client=query.client,
+                payload=tuple(query.payload),
+            )
+        line = encode(request)
+        traffic.append((line, service.handle_line(line)))
+    return traffic
+
+
+def _per_line(fn, items, passes):
+    """Seconds per item of ``passes`` passes of ``fn`` over ``items``."""
+    started = time.perf_counter()
+    for _pass in range(passes):
+        for item in items:
+            fn(item)
+    return (time.perf_counter() - started) / (passes * len(items))
+
+
+def run_codec(reps, passes, log=lambda s: None):
+    """The codec section: each codec call of one exchange, per line,
+    beside the bare ``json`` call on the same lines (best of ``reps``
+    interleaved reps of ``passes`` passes).  Decoded messages must
+    re-encode to the very lines they came from; a violation raises
+    :class:`PerfCheckError` regardless of ``--check``."""
+    from repro.api.codec import decode_request, decode_response, encode
+
+    traffic = _codec_traffic()
+    requests = [request for request, _ in traffic]
+    responses = [response for _, response in traffic]
+    decoded_requests = [decode_request(line) for line in requests]
+    decoded_responses = [decode_response(line) for line in responses]
+    for lines, decoded in (
+        (requests, decoded_requests),
+        (responses, decoded_responses),
+    ):
+        if [encode(message) for message in decoded] != lines:
+            raise PerfCheckError("decoded messages do not re-encode to their lines")
+    canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    # One exchange in wire order: (name, codec call and its inputs, the
+    # bare json call and its inputs).
+    ops = (
+        ("decode_request", decode_request, requests, json.loads, requests),
+        ("encode_response", encode, decoded_responses,
+         canonical, [json.loads(line) for line in responses]),
+        ("decode_response", decode_response, responses, json.loads, responses),
+        ("encode_request", encode, decoded_requests,
+         canonical, [json.loads(line) for line in requests]),
+    )
+    best = {}
+    for _rep in range(reps):
+        for name, codec_fn, codec_in, json_fn, json_in in ops:
+            for key, fn, items in (
+                ((name, "codec"), codec_fn, codec_in),
+                ((name, "json"), json_fn, json_in),
+            ):
+                elapsed = _per_line(fn, items, passes)
+                best[key] = min(best.get(key, elapsed), elapsed)
+    section = {
+        "workload": "generator",
+        "clients": ["SafeCast", "NullDeref"],
+        "lines": len(traffic),
+        "invalidates": sum(
+            1 for line in requests if '"kind":"invalidate"' in line
+        ),
+        "request_bytes": round(sum(map(len, requests)) / len(traffic), 1),
+        "response_bytes": round(sum(map(len, responses)) / len(traffic), 1),
+        "reps": reps,
+        "passes": passes,
+        # Codec time per rep: what the ratio gate judges a sweep on.
+        "measured_sec": round(
+            sum(best[op[0], "codec"] for op in ops) * len(traffic) * passes, 6
+        ),
+    }
+    for name, *_calls in ops:
+        codec_s, json_s = best[name, "codec"], best[name, "json"]
+        section[name] = {
+            "codec_us": round(codec_s * 1e6, 3),
+            "json_us": round(json_s * 1e6, 3),
+            "ratio": round(codec_s / json_s, 3),
+        }
+        log(
+            f"  {name:16s} {codec_s * 1e6:7.2f}us  json {json_s * 1e6:6.2f}us  "
+            f"({section[name]['ratio']}x)"
+        )
+    return section
+
+
 def run_profile(benchmarks, scale, top=12):
     """cProfile one figure4 pass; returns the top-N rows."""
     name = benchmarks[0]
@@ -787,8 +923,9 @@ def run_perf(
     and native loops clearing their baselines, a warm start with one
     CSR compile and no adjacency compile, edits with no full-solve
     fallback and one CSR compile each, remote sessions with no
-    ``lookup`` round trip that run on the kernel when it loads, and
-    sub-linear eviction cost).
+    ``lookup`` round trip that run on the kernel when it loads, client
+    decoding within :data:`CODEC_DECODE_RATIO_MAX` of ``json.loads``,
+    and sub-linear eviction cost).
     """
     benchmarks = tuple(benchmarks or (("jython",) if quick else FIGURE_BENCHMARKS))
     clients = tuple(clients or (("SafeCast",) if quick else ("SafeCast", "NullDeref")))
@@ -823,6 +960,8 @@ def run_perf(
     chaos = run_chaos(quick=quick, log=log)
     log("remote (pipelined sessions on a 2-shard fleet vs a cold local engine):")
     remote = run_remote(log=log)
+    log("codec (serve-ide-shaped lines, each call beside bare json):")
+    codec = run_codec(reps=reps, passes=2 if quick else 5, log=log)
     profile = run_profile(benchmarks, scale, top=profile_top)
     report = {
         "protocol": "repro-perf",
@@ -838,8 +977,9 @@ def run_perf(
         # program); version 8 adds its CSR patches and kernel-mirror
         # imports per edit; version 9 adds the remote section (cold and
         # warm pipelined sessions on a shard fleet vs a cold local
-        # engine).
-        "version": 9,
+        # engine); version 10 adds the codec section (each codec call of
+        # a serve-ide exchange beside bare json on the same lines).
+        "version": 10,
         "quick": quick,
         "python": sys.version.split()[0],
         "figure4": figure4,
@@ -848,6 +988,7 @@ def run_perf(
         "eviction": eviction,
         "chaos": chaos,
         "remote": remote,
+        "codec": codec,
         "profile": profile,
     }
     if check:
@@ -970,6 +1111,19 @@ def _check_report(report):
                     f"remote {name} session ran off the kernel "
                     f"({row['native_unavailable']})"
                 )
+    codec = report.get("codec")
+    # The same rule as the figure4 ratio gates: best-of at least
+    # MIN_GATED_REPS reps, and enough measured time to carry a ratio.
+    if (
+        codec is not None
+        and codec["reps"] >= MIN_GATED_REPS
+        and codec["measured_sec"] >= 0.05
+        and codec["decode_response"]["ratio"] > CODEC_DECODE_RATIO_MAX
+    ):
+        raise PerfCheckError(
+            f"decode_response costs {codec['decode_response']['ratio']}x "
+            f"json.loads of the same lines (> {CODEC_DECODE_RATIO_MAX}x)"
+        )
     flatness = report["eviction"]["flatness_ratio"]
     # O(log n) over two orders of magnitude of store size stays within
     # a small constant; the O(n) scan this replaced blows through it by
@@ -1059,6 +1213,8 @@ def main(argv=None):
         f"edit {edits['edit_ms']}ms + batch {edits['batch_ms']}ms; "
         f"remote warm {remote['warm']['sec']}s vs local cold "
         f"{remote['local_cold_sec']}s; "
+        f"decode_response {report['codec']['decode_response']['ratio']}x "
+        f"json.loads; "
         f"eviction flatness {report['eviction']['flatness_ratio']}",
         file=sys.stderr,
     )

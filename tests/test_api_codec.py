@@ -11,7 +11,11 @@ Two properties anchor the wire layer:
   variant, over a real program's query traffic.
 """
 
+import dataclasses
 import json
+import sys
+import threading
+import typing
 
 import pytest
 
@@ -28,12 +32,15 @@ from repro import (
 )
 from repro.analysis.summaries import (
     BoundedSummaryCache,
+    CacheStats,
     CostAwareSummaryCache,
     SummaryCache,
     shard_for_method,
 )
 from repro.api import (
     PROTOCOL_VERSION,
+    REQUEST_KINDS,
+    RESPONSE_KINDS,
     AliasRequest,
     BatchRequest,
     InvalidateRequest,
@@ -46,6 +53,8 @@ from repro.api import (
     decode_response,
     encode,
 )
+from repro.api import codec, protocol
+from repro.engine.scheduler import BatchStats
 from repro.bench.runner import bench_engine_policy
 
 from conftest import FIGURE2_SOURCE
@@ -106,6 +115,37 @@ class TestAdversarialDecode:
         with pytest.raises(ProtocolError) as info:
             decode_request('{"kind":"frobnicate","protocol_version":"1.0"}')
         assert info.value.code == "unknown-kind"
+
+    @pytest.mark.parametrize(
+        "decode, direction",
+        [(decode_request, "request"), (decode_response, "response")],
+        ids=["request", "response"],
+    )
+    @pytest.mark.parametrize("kind", [["query"], {}], ids=["array", "object"])
+    def test_non_string_kind_is_unknown(self, decode, direction, kind):
+        # An unhashable kind once escaped the registry lookup as a
+        # TypeError; it is an unknown kind like any other.
+        line = json.dumps({"kind": kind, "protocol_version": PROTOCOL_VERSION})
+        with pytest.raises(ProtocolError) as info:
+            decode(line)
+        assert info.value.code == "unknown-kind"
+        assert str(info.value).startswith(f"unknown {direction} kind {kind!r};")
+
+    def test_integer_past_the_float_range_is_ill_typed(self):
+        # A float field fed a JSON integer too large for a float is a
+        # typed error, not an OverflowError from the conversion.
+        stats = dict(
+            n_requests=1, n_unique=1, reordered=False, steps=1,
+            time_sec=10**400, complete=1, incomplete=0,
+        )
+        line = json.dumps({
+            "kind": "batch-result", "results": [], "stats": stats,
+            "protocol_version": PROTOCOL_VERSION,
+        })
+        with pytest.raises(ProtocolError) as info:
+            decode_response(line)
+        assert info.value.code == "invalid-request"
+        assert str(info.value).startswith("batch-result.stats.time_sec: ")
 
     def test_missing_kind_and_missing_version(self):
         with pytest.raises(ProtocolError):
@@ -209,6 +249,74 @@ class TestCanonicalRoundTrip:
         assert list(payload) == sorted(payload)
         assert " " not in line
 
+    ENTRY = {"node": {"kind": "local", "method": "A.m", "name": "x"},
+             "stack": [], "state": 1, "objects": [], "boundaries": []}
+    CACHE_STATS = CacheStats(entries=1, facts=2, hits=3, misses=4, evictions=0,
+                             invalidated=0, approx_bytes=64, max_entries=8)
+    #: One instance of every registered kind, non-default fields set.
+    SAMPLES = {
+        "query": QueryRequest("Main.main", "s1", context=(3, 1), client="SafeCast",
+                              payload=("String",)),
+        "batch": BatchRequest(queries=(QueryRequest("A.m", "x"),), dedupe=True),
+        "alias": AliasRequest("A.m", "x", "B.n", "y", context2=(4,)),
+        "invalidate": InvalidateRequest("A.m", epoch=3, fingerprint=-7),
+        "stats": StatsRequest(protocol_version="1.0"),
+        "lookup": protocol.LookupRequest(key={"node": ENTRY["node"], "stack": [],
+                                              "state": 1}, epoch=2),
+        "store": protocol.StoreRequest(entry=ENTRY, fingerprint=11),
+        "store-stats": protocol.StoreStatsRequest(),
+        "batch-lookup": protocol.BatchLookupRequest(keys=({"state": 2}, None),
+                                                    epochs=(1, 2)),
+        "batch-store": protocol.BatchStoreRequest(entries=(ENTRY,), epochs=(5,)),
+        "batch-invalidate": protocol.BatchInvalidateRequest(methods=("A.m", "B.n")),
+        "fetch-methods": protocol.MethodEntriesRequest(methods=("A.m",),
+                                                      incarnation=9, since=4),
+        "query-result": QueryResponse(
+            objects=(WireObject("o1", "Vector", contexts=((1, 2), ())),),
+            complete=False, steps=42,
+            verdict=WireVerdict("SafeCast", "violation", offenders=("o1",)),
+        ),
+        "batch-result": protocol.BatchResponse(
+            results=(QueryResponse(objects=(), complete=True, steps=1),),
+            stats=BatchStats(n_requests=2, n_unique=1, reordered=True, steps=1,
+                             time_sec=0.25, complete=1, incomplete=0, evictions=3),
+        ),
+        "alias-result": protocol.AliasResponse(verdict=None, witnesses=("o2",),
+                                               steps=9),
+        "invalidated": protocol.InvalidateResponse(method="A.m", dropped=2),
+        "stats-result": protocol.StatsResponse(
+            analysis="DYNSUM", queries=3, executed=2, batches=1, deduped=1,
+            steps=50, incomplete=0, edits=1, cache=CACHE_STATS, warm_loaded=4,
+            remote=protocol.RemoteStoreStats(shards=2, round_trips=6,
+                                             breaker_state=("closed", "open")),
+            traversal_impl="native", native_unavailable="no compiler",
+        ),
+        "lookup-result": protocol.LookupResponse(found=True, entry=ENTRY),
+        "stored": protocol.StoreResponse(stored=False),
+        "store-stats-result": protocol.StoreStatsResponse(shard=1, shards=2,
+                                                          stats=CACHE_STATS),
+        "batch-lookup-result": protocol.BatchLookupResponse(entries=(ENTRY, None)),
+        "batch-stored": protocol.BatchStoreResponse(stored=(True, False),
+                                                    stale=(False, True)),
+        "batch-invalidated": protocol.BatchInvalidateResponse(dropped=(0, 3)),
+        "fetch-methods-result": protocol.MethodEntriesResponse(
+            entries=(ENTRY,), epochs=(1,), incarnation=77, cursor=12),
+        "stale-epoch": protocol.StaleEpochResponse(method="A.m", sent=1, current=2),
+        "error": protocol.ErrorResponse(code="unknown-kind", message="no"),
+    }
+
+    def test_samples_cover_every_registered_kind(self):
+        assert set(self.SAMPLES) == set(REQUEST_KINDS) | set(RESPONSE_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLES))
+    def test_every_registered_kind_round_trips(self, kind):
+        message = self.SAMPLES[kind]
+        decode = decode_request if kind in REQUEST_KINDS else decode_response
+        line = encode(message)
+        assert json.loads(line)["kind"] == kind
+        assert decode(line) == message
+        assert encode(decode(line)) == line
+
     def test_response_round_trip(self):
         response = QueryResponse(
             objects=(
@@ -219,6 +327,103 @@ class TestCanonicalRoundTrip:
             verdict=WireVerdict(client="SafeCast", status="safe"),
         )
         assert decode_response(encode(response)) == response
+
+
+# ----------------------------------------------------------------------
+# the compiled codec: what it builds, and what it refuses to build
+# ----------------------------------------------------------------------
+def _wire_classes():
+    """Every dataclass reachable from the kind registries, plus the
+    snapshot's ``CacheStats``."""
+    found, todo = set(), [*REQUEST_KINDS.values(), *RESPONSE_KINDS.values(), CacheStats]
+    while todo:
+        cls = todo.pop()
+        if cls in found:
+            continue
+        found.add(cls)
+        for annotation in typing.get_type_hints(cls).values():
+            todo.extend(
+                arg for arg in (annotation, *_nested_args(annotation))
+                if dataclasses.is_dataclass(arg)
+            )
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def _nested_args(annotation):
+    for arg in typing.get_args(annotation):
+        yield arg
+        yield from _nested_args(arg)
+
+
+class TestCompiledCodec:
+    @pytest.mark.parametrize("cls", _wire_classes(), ids=lambda cls: cls.__name__)
+    def test_every_wire_class_compiles(self, cls):
+        compiled = codec._codec(cls)
+        assert callable(compiled.decode) and callable(compiled.encode)
+
+    def test_nested_classes_are_reached(self):
+        names = {cls.__name__ for cls in _wire_classes()}
+        assert {"WireObject", "WireVerdict", "BatchStats", "CacheStats",
+                "RemoteStoreStats"} <= names
+
+    @pytest.mark.parametrize(
+        "annotation",
+        [typing.Dict[str, int], bytes, typing.Tuple[int, str],
+         typing.Union[int, str], typing.Tuple[int]],
+        ids=["dict", "bytes", "fixed-tuple", "union", "one-tuple"],
+    )
+    def test_uncompilable_annotation_names_the_field(self, annotation):
+        drifted = dataclasses.make_dataclass(
+            "Drifted", [("ok", int), ("value", annotation)], frozen=True
+        )
+        with pytest.raises(TypeError, match=r"Drifted\.value"):
+            codec.build_message(drifted, {"ok": 1, "value": None}, "drifted")
+
+    def test_concurrent_first_use_sees_only_whole_codecs(self):
+        """The shard tiers decode on several threads: threads racing to
+        compile the same classes must each see complete codecs."""
+        samples = [
+            (decode_request if kind in REQUEST_KINDS else decode_response,
+             encode(message), message)
+            for kind, message in TestCanonicalRoundTrip.SAMPLES.items()
+        ]
+        codec._CODECS.clear()
+        barrier = threading.Barrier(8)
+        errors = []
+
+        def worker():
+            try:
+                barrier.wait(timeout=10)
+                for decode, line, message in samples:
+                    assert decode(line) == message
+                    assert encode(message) == line
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_failure_paths_name_the_value(self):
+        line = json.dumps({
+            "kind": "batch", "protocol_version": PROTOCOL_VERSION,
+            "queries": [{"method": "M.m", "var": "v"},
+                        {"method": "M.m", "var": "v", "context": [1, "x"]}],
+        })
+        with pytest.raises(ProtocolError) as info:
+            decode_request(line)
+        assert str(info.value) == (
+            "batch.queries[1].context[1]: expected an integer, got str"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,7 @@ from repro.api.protocol import (
     LookupResponse,
     QueryRequest,
     StatsRequest,
+    StatsResponse,
     StoreRequest,
     StoreResponse,
     StoreStatsRequest,
@@ -53,7 +54,7 @@ from repro.clients import SafeCastClient
 from repro.pag.csr import pag_fingerprint
 from repro.pag.nodes import LocalNode, ObjectNode
 
-from conftest import EXAMPLE_PROGRAMS
+from conftest import EXAMPLE_PROGRAMS, FIGURE2_SOURCE
 
 SRC = """
 class Thing { }
@@ -257,6 +258,16 @@ class TestShardServerDispatch:
         ):
             response = decode_response(server.handle_line(line))
             assert isinstance(response, ErrorResponse)
+
+    @pytest.mark.parametrize("kind", ['["query"]', "{}"], ids=["array", "object"])
+    def test_non_string_kind_is_a_typed_error(self, kind):
+        server = self.make_server()
+        line = '{"kind":%s,"protocol_version":"1.7"}' % kind
+        response = decode_response(server.handle_line(line))
+        assert isinstance(response, ErrorResponse)
+        assert response.code == "unknown-kind"
+        stats = self.exchange(server, StoreStatsRequest())
+        assert isinstance(stats, StoreStatsResponse)
 
     def test_engine_vocabulary_is_refused(self):
         server = self.make_server()
@@ -1194,6 +1205,34 @@ class TestAsyncServingTier:
         # Graceful stop released the port: nothing serves there now.
         with pytest.raises(OSError):
             socket_mod.create_connection((server.host, server.port), timeout=0.5)
+
+    def test_non_string_kind_keeps_the_connection(self):
+        """``repro-serve --listen``'s shape: the async line server over a
+        ``PointsToService`` answers a non-string kind with a typed error
+        and then the next line on the same connection."""
+        import socket as socket_mod
+
+        from repro.api.service import PointsToService
+        from repro.cacheserver.aserver import AsyncLineServer
+
+        pag = build_pag(parse_program(FIGURE2_SOURCE))
+        service = PointsToService(PointsToEngine(pag, bench_engine_policy()))
+        server = AsyncLineServer(service.handle_line, dispatch_workers=1).start()
+        try:
+            sock = socket_mod.create_connection(
+                (server.host, server.port), timeout=5.0
+            )
+            with sock, sock.makefile("r", encoding="utf-8") as reader:
+                sock.sendall(
+                    b'{"kind":["query"],"protocol_version":"1.7"}\n'
+                    + encode(StatsRequest()).encode("utf-8") + b"\n"
+                )
+                first = decode_response(reader.readline())
+                second = decode_response(reader.readline())
+        finally:
+            server.stop()
+        assert isinstance(first, ErrorResponse) and first.code == "unknown-kind"
+        assert isinstance(second, StatsResponse)
 
     def test_bad_request_id_is_a_typed_error(self):
         from repro.cacheserver.aserver import AsyncShardServer

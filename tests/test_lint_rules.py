@@ -464,6 +464,30 @@ class TestProtocolDrift:
         )
         assert lint(tmp_path, "--rule", "WIRE001") == 0
 
+    @pytest.mark.parametrize(
+        "annotation, named",
+        [
+            ("Dict[str, int]", "['Dict']"),
+            ("bytes", "['bytes']"),
+            ("Tuple[int, str]", "a Tuple without '...'"),
+            ("Optional[Tuple]", "a Tuple without '...'"),
+            ("Optional[int | str]", "an 'X | Y' union"),
+        ],
+        ids=["dict", "bytes", "fixed-tuple", "bare-tuple", "pipe-union"],
+    )
+    def test_annotation_the_codec_cannot_compile_is_flagged(
+        self, tmp_path, capsys, annotation, named
+    ):
+        protocol = WIRE_CONFORMING.replace(
+            "        count: int = 0\n",
+            f"        count: int = 0\n        extra: {annotation} = None\n",
+        ).replace("from typing import", "from typing import Dict,")
+        self._project(tmp_path, protocol)
+        assert lint(tmp_path, "--rule", "WIRE001") == 1
+        (message,) = [m for _, _, m in findings_of(capsys)]
+        assert message.startswith("PingRequest.extra: annotation uses ")
+        assert named in message and "cannot compile" in message
+
 
 # ----------------------------------------------------------------------
 # ERR001

@@ -126,7 +126,7 @@ class TestReportShape:
         assert section["edit_ms"] > 0 and section["batch_ms"] > 0
         assert section["cold_for_program_ms"] > 0
         assert section["traversal_impl"] == active_traversal_impl()
-        assert quick_report["version"] == 9
+        assert quick_report["version"] == 10
 
     def test_remote_section_sends_no_lookups(self, quick_report):
         from repro.analysis.ppta import active_traversal_impl
@@ -154,6 +154,23 @@ class TestReportShape:
         assert section["cold"]["stores"] > 0 and section["warm"]["stores"] == 0
         assert section["warm"]["prefetched"] > 0
         assert section["warm"]["steps"] < section["cold"]["steps"]
+
+    def test_codec_section_times_each_call_beside_json(self, quick_report):
+        section = quick_report["codec"]
+        ops = ("decode_request", "encode_response", "decode_response",
+               "encode_request")
+        assert set(section) == {
+            "workload", "clients", "lines", "invalidates", "request_bytes",
+            "response_bytes", "reps", "passes", "measured_sec", *ops,
+        }
+        assert section["lines"] == 2000
+        # serve-ide's 5% invalidate share, seeded.
+        assert 50 < section["invalidates"] < 150
+        assert section["response_bytes"] > section["request_bytes"] > 0
+        for op in ops:
+            row = section[op]
+            assert set(row) == {"codec_us", "json_us", "ratio"}
+            assert row["codec_us"] > 0 and row["json_us"] > 0 and row["ratio"] > 0
 
     def test_check_flag_recorded(self, quick_report):
         assert quick_report["checked"] is True
@@ -254,6 +271,28 @@ class TestInvariants:
                 _check_report(report)
         if native_only:
             report["remote"]["traversal_impl"] = "array"
+            _check_report(report)
+
+    @pytest.mark.parametrize(
+        "reps, measured, ratio, fires",
+        [
+            (2, 0.2, 6.5, True),
+            (2, 0.2, 5.5, False),
+            (1, 0.2, 6.5, False),  # one sample per call: not gated
+            (2, 0.01, 6.5, False),  # too little measured time: not gated
+        ],
+        ids=["slow", "fast", "single-rep", "micro-sweep"],
+    )
+    def test_codec_gate(self, reps, measured, ratio, fires):
+        report = TestRatioGates._report(1, 2.0)
+        report["codec"] = {
+            "reps": reps, "measured_sec": measured,
+            "decode_response": {"ratio": ratio},
+        }
+        if fires:
+            with pytest.raises(PerfCheckError, match="decode_response costs"):
+                _check_report(report)
+        else:
             _check_report(report)
 
     def test_perf_check_error_is_an_assertion(self):

@@ -236,6 +236,21 @@ class TestJsonLinesLoop:
         assert responses[2].queries == 1
 
 
+    @pytest.mark.parametrize(
+        "bad", ['{"kind":["query"],"protocol_version":"1.7"}',
+                '{"kind":{},"protocol_version":"1.7"}'],
+        ids=["array-kind", "object-kind"],
+    )
+    def test_non_string_kind_is_answered_and_serving_continues(self, service, bad):
+        output = io.StringIO()
+        service.serve(io.StringIO(bad + "\n" + encode(StatsRequest()) + "\n"), output)
+        responses = [
+            decode_response(line) for line in output.getvalue().splitlines()
+        ]
+        assert [type(r) for r in responses] == [ErrorResponse, StatsResponse]
+        assert responses[0].code == "unknown-kind"
+
+
 class TestConsoleEntryPoint:
     def _run(self, argv, stdin_text, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
