@@ -140,7 +140,7 @@ def split_request_id(line):
             f"transport id must be a string or integer, got "
             f"{type(request_id).__name__}",
         )
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")), request_id
+    return _CANONICAL.encode(payload), request_id
 
 
 def attach_response_id(line, request_id):
@@ -149,7 +149,7 @@ def attach_response_id(line, request_id):
         return line
     payload = json.loads(line)
     payload["id"] = request_id
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(payload)
 
 
 def _decode(text, registry, direction, ignore_unknown=False):

@@ -62,7 +62,12 @@ from typing import Any, Optional, Tuple
 from repro.analysis.summaries import CacheStats
 from repro.engine.scheduler import BatchStats
 
-#: The protocol spoken by this build — "<major>.<minor>".  1.7 makes
+#: The protocol spoken by this build — "<major>.<minor>".  1.8 frames
+#: ``fetch-methods`` answers: a shard answers a request of 1.8 or later
+#: with a :class:`SummaryFrame` (each distinct node reference and field
+#: stack once, plus flat integer rows that index them) instead of
+#: nominal entries, and adds ``prefetch_bytes`` to the remote stats.
+#: Older requests keep their nominal answers.  1.7 makes
 #: ``fetch-methods`` incremental: a request may present the
 #: ``incarnation``/``since`` cursor of an earlier answer, and a shard
 #: whose store still runs under that incarnation returns only the
@@ -100,7 +105,10 @@ from repro.engine.scheduler import BatchStats
 #: store-level ops (``lookup``/``store``/``store-stats``) and the
 #: warm-start/remote counters on ``stats-result``; 1.0 traffic decodes
 #: unchanged.
-PROTOCOL_VERSION = "1.7"
+PROTOCOL_VERSION = "1.8"
+
+#: The first minor whose ``fetch-methods`` answers may carry a frame.
+FRAME_VERSION = (1, 8)
 
 
 #: Field metadata key: :func:`repro.api.codec.encode` leaves the field
@@ -109,12 +117,14 @@ OMIT_DEFAULT = "omit_default"
 
 
 def omitted_unless_set(default):
-    """A request field a minor revision added, encoded only when set.
+    """A field a minor revision added, encoded only when set.
 
-    Servers reject unknown request fields, so a field that is always
-    encoded would make every request of its kind undecodable for the
-    previous minor's servers.  Left at ``default``, it is absent from
-    the encoded request, which those servers still decode.
+    Servers reject unknown request fields, so a request field that is
+    always encoded would make every request of its kind undecodable for
+    the previous minor's servers.  Left at ``default``, it is absent
+    from the encoded message: those servers still decode the request,
+    and a response keeps the previous minor's bytes but for its
+    ``protocol_version``.
     """
     return field(default=default, metadata={OMIT_DEFAULT: True})
 
@@ -136,11 +146,14 @@ def split_version(version):
         ) from None
 
 
+#: This build's major version, parsed once.
+_MAJOR = split_version(PROTOCOL_VERSION)[0]
+
+
 def check_version(version):
     """Reject a major-version mismatch (minor drift is compatible)."""
     major, _minor = split_version(version)
-    ours, _ = split_version(PROTOCOL_VERSION)
-    if major != ours:
+    if major != _MAJOR:
         raise ProtocolError(
             "unsupported-version",
             f"protocol major version {major} is not supported "
@@ -494,6 +507,26 @@ class BatchInvalidateResponse:
 
 
 @dataclass(frozen=True)
+class SummaryFrame:
+    """Summary entries, dictionary-coded (protocol 1.8).
+
+    ``nodes`` holds node references as
+    :func:`~repro.api.snapshot.node_to_wire` writes them and ``stacks``
+    field stacks as :func:`~repro.api.snapshot.stack_to_wire` writes
+    them, each distinct one once.  ``rows`` is one run of integers per
+    entry: ``node, stack, state, steps, n_objects, object...,
+    n_boundaries, (node, stack, state)...``, where ``node``/``object``
+    index ``nodes`` and ``stack`` indexes ``stacks``.
+    :func:`~repro.api.snapshot.pack_frame` builds one and
+    :func:`~repro.api.snapshot.resolve_frame` validates and resolves it.
+    """
+
+    nodes: Tuple[Any, ...]
+    stacks: Tuple[Any, ...]
+    rows: Tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class MethodEntriesResponse:
     """Answer to a :class:`MethodEntriesRequest`: every matching
     resident entry, coldest-first (replaying ``store`` preserves the
@@ -512,12 +545,21 @@ class MethodEntriesResponse:
     the sender keeps no cursor (a 1.6 shard, or
     :class:`~repro.api.service.PointsToService`): every fetch is a
     full dump.
+
+    ``frame`` (protocol 1.8) carries the entries dictionary-coded; a
+    shard sends one exactly when the request's ``protocol_version`` is
+    :data:`FRAME_VERSION` or later.  A framed answer has empty
+    ``entries``, its ``epochs`` align with the frame's entries, and the
+    frame keeps the order the entries would have had.  Left out unless
+    set, so an answer without a frame has a 1.7 answer's bytes but for
+    its ``protocol_version``.
     """
 
     entries: Tuple[Any, ...]
     epochs: Tuple[int, ...] = ()
     incarnation: Optional[int] = None
     cursor: int = 0
+    frame: Optional[SummaryFrame] = omitted_unless_set(None)
     protocol_version: str = PROTOCOL_VERSION
 
 
@@ -574,6 +616,10 @@ class RemoteStoreStats:
     fingerprint-less operation); ``breaker_state`` is each shard
     link's circuit-breaker state (``closed``/``open``/``half-open``),
     shard-ordered.
+
+    Protocol 1.8 adds ``prefetch_bytes``: the size of the
+    ``fetch-methods-result`` lines the client decoded, so the cost of
+    a prefetch per ``prefetched`` entry is observable.
     """
 
     shards: int
@@ -593,6 +639,7 @@ class RemoteStoreStats:
     faults: int = 0
     degraded: int = 0
     breaker_state: Tuple[str, ...] = ()
+    prefetch_bytes: int = 0
     protocol_version: str = PROTOCOL_VERSION
 
 

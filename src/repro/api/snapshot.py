@@ -53,7 +53,12 @@ from repro.analysis.summaries import (
     make_summary_store,
 )
 from repro.api.codec import build_message
-from repro.api.protocol import ProtocolError, SnapshotError, split_version
+from repro.api.protocol import (
+    ProtocolError,
+    SnapshotError,
+    SummaryFrame,
+    split_version,
+)
 from repro.cfl.rsm import S1, S2
 from repro.cfl.stacks import Stack
 from repro.util.errors import IRError
@@ -105,6 +110,9 @@ _NODE_FIELDS = {
     "object": ("id", "class", "method"),
     "global": ("class", "field"),
 }
+#: The exact keys of each kind's reference as :func:`node_to_wire`
+#: writes it.
+_NODE_KEYS = {kind: {"kind", *fields} for kind, fields in _NODE_FIELDS.items()}
 
 
 def _check_node_wire(wire, path):
@@ -117,7 +125,11 @@ def _check_node_wire(wire, path):
     if required is None:
         raise SnapshotError(f"{path}: unknown node kind {kind!r}")
     for key in required:
-        value = wire.get(key)
+        # Every field must be present: a null ``method`` is a value, a
+        # missing one is damage that resolving would trip over.
+        if key not in wire:
+            raise SnapshotError(f"{path}: missing node field {key!r}")
+        value = wire[key]
         if not isinstance(value, str) and not (key == "method" and value is None):
             raise SnapshotError(f"{path}: node field {key!r} must be a string")
     return wire
@@ -255,6 +267,191 @@ def resolve_wire_entry(pag, entry, path="entry"):
     if node is None:
         return None
     return node, stack, state, PptaResult(objects, boundaries, steps=steps)
+
+
+# ----------------------------------------------------------------------
+# frames — many entries, each node reference and field stack once
+# (protocol 1.8's fetch-methods answers)
+# ----------------------------------------------------------------------
+def ref_key(ref):
+    """A hashable key for one validated node reference or field stack:
+    two references share a key exactly when they are equal and encode
+    to the same JSON.  ``None`` for a reference the key cannot vouch
+    for — a node whose keys are not exactly its kind's, or a stack whose
+    family is not an integer (``true`` equals ``1`` but encodes
+    differently)."""
+    if isinstance(ref, dict):
+        kind = ref["kind"]
+        if ref.keys() != _NODE_KEYS[kind]:
+            return None
+        return (kind, *[ref[name] for name in _NODE_FIELDS[kind]])
+    key = tuple(map(tuple, ref))
+    for _field, family in key:
+        if type(family) is not int:
+            return None
+    return key
+
+
+def pack_frame(entries):
+    """The :class:`~repro.api.protocol.SummaryFrame` of validated wire
+    entries, in their order.
+
+    The tables are keyed on object identity: a reference several
+    entries share (a shard store shares equal ones, see
+    :meth:`~repro.cacheserver.store.WireSummaryStore.store`) is written
+    once.  Equal references held as separate objects are each written,
+    so the frame stays correct without sharing; only its tables grow.
+    """
+    node_rows = {}
+    nodes = []
+    stack_rows = {}
+    stacks = []
+
+    def node_row(wire):
+        row = node_rows.get(id(wire))
+        if row is None:
+            row = node_rows[id(wire)] = len(nodes)
+            nodes.append(wire)
+        return row
+
+    def stack_row(wire):
+        row = stack_rows.get(id(wire))
+        if row is None:
+            row = stack_rows[id(wire)] = len(stacks)
+            stacks.append(wire)
+        return row
+
+    rows = []
+    for entry in entries:
+        objects = entry["objects"]
+        boundaries = entry["boundaries"]
+        # A validated state may be ``true`` (it equals S1); rows are
+        # integers, so it travels as the int it stands for.
+        rows += (
+            node_row(entry["node"]),
+            stack_row(entry["stack"]),
+            int(entry["state"]),
+            entry.get("steps", 0),
+            len(objects),
+        )
+        rows += [node_row(wire) for wire in objects]
+        rows.append(len(boundaries))
+        for boundary in boundaries:
+            rows += (
+                node_row(boundary["node"]),
+                stack_row(boundary["stack"]),
+                int(boundary["state"]),
+            )
+    return SummaryFrame(nodes=tuple(nodes), stacks=tuple(stacks), rows=tuple(rows))
+
+
+def resolve_frame(pag, frame, path="frame"):
+    """Validate a :class:`~repro.api.protocol.SummaryFrame` and re-anchor
+    its entries against ``pag``, each table row once.
+
+    Returns one ``(node, field_stack, state, PptaResult)`` per entry, in
+    frame order, or ``None`` where :func:`resolve_wire_entry` would
+    return it for the entry sent nominally (a referenced entity this
+    PAG lacks).  Any damage refuses the whole frame with a
+    :class:`SnapshotError` naming it (``frame.rows[17]``): a malformed
+    table row (the nominal checks and texts), an index past its table,
+    a negative integer, a state other than S1/S2, an object index
+    naming a non-object node, or rows that end mid-entry.
+    """
+    nodes = []
+    is_object = []
+    for i, wire in enumerate(frame.nodes):
+        kind = _check_node_wire(wire, f"{path}.nodes[{i}]")["kind"]
+        nodes.append(resolve_node(pag, wire))
+        is_object.append(kind == "object")
+    stacks = [
+        stack_from_wire(wire, f"{path}.stacks[{i}]")
+        for i, wire in enumerate(frame.stacks)
+    ]
+    rows = frame.rows
+    end = len(rows)
+    n_nodes = len(nodes)
+    n_stacks = len(stacks)
+    states = (S1, S2)
+    entries = []
+    pos = 0
+    while pos < end:
+        start = pos
+        if pos + 6 > end:  # the key, steps and both counts
+            raise _cut_error(path, start, end)
+        node, stack, state, steps, count = rows[pos:pos + 5]
+        if not 0 <= node < n_nodes:
+            raise _index_error(path, pos, node, "node", n_nodes)
+        if not 0 <= stack < n_stacks:
+            raise _index_error(path, pos + 1, stack, "stack", n_stacks)
+        if state not in states:
+            raise _state_error(path, pos + 2)
+        if steps < 0:
+            raise _index_error(path, pos + 3, steps, "steps")
+        if count < 0:
+            raise _index_error(path, pos + 4, count, "object count")
+        pos += 5
+        if pos + count >= end:
+            raise _cut_error(path, start, end)
+        key_node = nodes[node]
+        resolved = key_node is not None
+        objects = []
+        for at in range(pos, pos + count):
+            index = rows[at]
+            if not (0 <= index < n_nodes and is_object[index]):
+                if 0 <= index < n_nodes:
+                    raise SnapshotError(f"{path}.rows[{at}]: must be an object node")
+                raise _index_error(path, at, index, "node", n_nodes)
+            obj = nodes[index]
+            if obj is None:
+                resolved = False
+            objects.append(obj)
+        pos += count
+        n_boundaries = rows[pos]
+        if n_boundaries < 0:
+            raise _index_error(path, pos, n_boundaries, "boundary count")
+        pos += 1
+        if pos + 3 * n_boundaries > end:
+            raise _cut_error(path, start, end)
+        boundaries = []
+        for at in range(pos, pos + 3 * n_boundaries, 3):
+            bnode, bstack, bstate = rows[at:at + 3]
+            if not 0 <= bnode < n_nodes:
+                raise _index_error(path, at, bnode, "node", n_nodes)
+            if not 0 <= bstack < n_stacks:
+                raise _index_error(path, at + 1, bstack, "stack", n_stacks)
+            if bstate not in states:
+                raise _state_error(path, at + 2)
+            boundary_node = nodes[bnode]
+            if boundary_node is None:
+                resolved = False
+            boundaries.append((boundary_node, stacks[bstack], bstate))
+        pos += 3 * n_boundaries
+        entries.append(
+            (key_node, stacks[stack], state, PptaResult(objects, boundaries, steps=steps))
+            if resolved
+            else None
+        )
+    return entries
+
+
+def _index_error(path, at, value, what, limit=None):
+    if value < 0:
+        detail = f"{what} must be a non-negative integer, got {value}"
+    else:
+        detail = f"{what} index {value} is past its table ({limit} rows)"
+    return SnapshotError(f"{path}.rows[{at}]: {detail}")
+
+
+def _state_error(path, at):
+    return SnapshotError(f"{path}.rows[{at}]: state must be {S1} (S1) or {S2} (S2)")
+
+
+def _cut_error(path, start, end):
+    return SnapshotError(
+        f"{path}.rows[{start}]: the entry runs past the end of the rows "
+        f"({end} values)"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -61,7 +61,10 @@ Correctness stance — the part the tests pin down:
   a shard is the whole shard store, every later one presents the
   shard's ``(incarnation, cursor)`` and carries only the entries
   published or replaced since — so a warm batch also decodes O(new
-  entries), not O(resident entries).  Between the hooks a local miss
+  entries), not O(resident entries).  A shard frames its answer
+  (protocol 1.8): each distinct node reference and field stack once,
+  plus integer rows, validated and resolved in one pass; a damaged
+  frame is refused whole and falls open.  Between the hooks a local miss
   is final and sends no ``lookup``, whichever prefetches answered and
   whether the local tier evicted: a batch costs its prefetch and flush
   flights only, and with a plain local tier it runs on the native
@@ -113,7 +116,12 @@ from repro.api.protocol import (
     StoreStatsRequest,
     WireError,
 )
-from repro.api.snapshot import entry_to_wire, key_to_wire, resolve_wire_entry
+from repro.api.snapshot import (
+    entry_to_wire,
+    key_to_wire,
+    resolve_frame,
+    resolve_wire_entry,
+)
 from repro.cacheserver.faults import (
     CircuitBreaker,
     FaultError,
@@ -406,6 +414,7 @@ class RemoteSummaryCache(SummaryBackend):
             "reconnects": 0,
             "seeded_entries": 0,
             "degraded": 0,
+            "prefetch_bytes": 0,
         }
         self._buffer_lock = threading.Lock()
         #: Whether a batch is open: a local miss is then a miss outright,
@@ -495,19 +504,21 @@ class RemoteSummaryCache(SummaryBackend):
         return self._links[shard_for_method(method_qname, self.n_shards)]
 
     def _exchange(self, method_qname, request):
-        """One routed request/response, decoded; raises
-        :class:`ShardUnavailable` or :class:`ProtocolError` on failure.
-        Every completed exchange counts one ``round_trips``."""
-        line = self._link_for(method_qname).request(encode(request))
-        self._bump("round_trips")
-        return decode_response(line)
+        """One request/response with the shard owning ``method_qname``
+        (see :meth:`_exchange_link`)."""
+        return self._exchange_link(self._link_for(method_qname), request)
 
     def _exchange_link(self, link, request):
-        """Like :meth:`_exchange` but for an explicit link (per-shard
-        bulk ops)."""
+        """One request/response on ``link``, decoded; raises
+        :class:`ShardUnavailable` or :class:`ProtocolError` on failure.
+        Every completed exchange counts one ``round_trips``, and a
+        ``fetch-methods-result`` line its size in ``prefetch_bytes``."""
         line = link.request(encode(request))
         self._bump("round_trips")
-        return decode_response(line)
+        response = decode_response(line)
+        if isinstance(response, MethodEntriesResponse):
+            self._bump_n("prefetch_bytes", len(line))
+        return response
 
     # ------------------------------------------------------------------
     # the cache contract
@@ -718,9 +729,13 @@ class RemoteSummaryCache(SummaryBackend):
 
     def _prefetch(self, index, link):
         """One shard's ``fetch-methods`` exchange, adopted into the
-        local tier.  The shard's cursor advances only after a decoded
-        answer, and only when no reset landed while it was in
-        flight."""
+        local tier.  A shard answers this build's requests with a frame
+        (protocol 1.8), resolved by
+        :func:`~repro.api.snapshot.resolve_frame`; a 1.7 shard or a
+        :class:`~repro.api.service.PointsToService` answers with
+        nominal entries.  The shard's cursor advances only after an
+        answer was decoded and, when framed, validated, and only when
+        no reset landed while it was in flight."""
         with self._cursor_lock:
             cursor = self._cursors[index]
             generation = self._cursor_resets[index]
@@ -741,15 +756,22 @@ class RemoteSummaryCache(SummaryBackend):
         if not isinstance(response, MethodEntriesResponse):
             self._bump("remote_errors", "degraded")
             return
+        if response.frame is not None:
+            # A framed answer (protocol 1.8) resolves in one pass, and
+            # any damage refuses it whole, like an undecodable answer.
+            try:
+                resolved_entries = resolve_frame(
+                    self._pag, response.frame, "prefetch.frame"
+                )
+            except SnapshotError:
+                self._bump("remote_errors", "degraded")
+                return
+        else:
+            resolved_entries = self._resolve_nominal(response.entries)
         epochs = response.epochs
         adopted = 0
-        for position, entry in enumerate(response.entries):
+        for position, resolved in enumerate(resolved_entries):
             server_epoch = epochs[position] if position < len(epochs) else 0
-            try:
-                resolved = resolve_wire_entry(self._pag, entry, "prefetch.entry")
-            except SnapshotError:
-                self._bump("unresolved", "degraded")
-                continue
             if resolved is None:
                 self._bump("unresolved")
                 continue
@@ -772,6 +794,18 @@ class RemoteSummaryCache(SummaryBackend):
                     if response.incarnation is None
                     else (response.incarnation, response.cursor)
                 )
+
+    def _resolve_nominal(self, entries):
+        """Nominal prefetch entries (a 1.7 shard's, or
+        :class:`~repro.api.service.PointsToService`'s), resolved one at
+        a time: a damaged entry is skipped alone, as ``None``, and
+        counts ``degraded``."""
+        for entry in entries:
+            try:
+                yield resolve_wire_entry(self._pag, entry, "prefetch.entry")
+            except SnapshotError:
+                self._bump("degraded")
+                yield None
 
     def _reset_cursors(self, shards):
         """Make the next prefetch from each of ``shards`` a full dump."""

@@ -26,6 +26,7 @@ import time
 from repro.analysis.summaries import shard_for_method
 from repro.api.codec import decode_request, encode
 from repro.api.protocol import (
+    FRAME_VERSION,
     BatchInvalidateRequest,
     BatchInvalidateResponse,
     BatchLookupRequest,
@@ -45,8 +46,9 @@ from repro.api.protocol import (
     StoreStatsRequest,
     StoreStatsResponse,
     WireError,
+    split_version,
 )
-from repro.api.snapshot import check_entry, check_key
+from repro.api.snapshot import check_entry, check_key, pack_frame
 from repro.cacheserver.faults import (
     FaultInjector,
     InjectedDisconnect,
@@ -254,9 +256,21 @@ class ShardDispatcher:
                 incarnation=request.incarnation,
                 since=request.since,
             )
+            epochs = tuple(epochs) if any(epochs) else ()
+            # Framed (protocol 1.8) for a requester that reads frames;
+            # an older one gets nominal entries.  The store shares equal
+            # references, so packing is an identity lookup per reference.
+            if split_version(request.protocol_version) >= FRAME_VERSION:
+                return MethodEntriesResponse(
+                    entries=(),
+                    epochs=epochs,
+                    incarnation=incarnation,
+                    cursor=cursor,
+                    frame=pack_frame(entries),
+                )
             return MethodEntriesResponse(
                 entries=tuple(entries),
-                epochs=tuple(epochs) if any(epochs) else (),
+                epochs=epochs,
                 incarnation=incarnation,
                 cursor=cursor,
             )

@@ -22,6 +22,13 @@ write-throughs, and the prefetch cursor's sequence stamps.
 Every inserted or payload-replaced entry is stamped with a sequence
 number, monotonic under the store's random ``incarnation``; that pair
 is the cursor an incremental prefetch (protocol 1.7) resumes from.
+
+The store keeps one shared copy of each distinct node reference and
+field stack its residents hold: an entry's references are swapped for
+the shared copies before it becomes visible, and never mutated after.
+So a framed prefetch answer (protocol 1.8,
+:func:`~repro.api.snapshot.pack_frame`) finds each distinct reference
+by identity, and the shard holds each one once.
 """
 
 import json
@@ -33,6 +40,7 @@ from repro.analysis.summaries import (
     CostAwareSummaryCache,
     check_eviction,
 )
+from repro.api.snapshot import ref_key
 
 
 def canonical_key(key):
@@ -60,6 +68,22 @@ def _draw_incarnation():
     stays exact as a JSON number everywhere.  (``os.urandom``, not
     ``secrets``: that import loads OpenSSL, megabytes per shard.)"""
     return int.from_bytes(os.urandom(6), "big")
+
+
+#: How far the shared-copy table may exceed twice the distinct
+#: references of the residents (see
+#: :meth:`WireSummaryStore._check_shared_locked`).
+SHARED_SLACK = 64
+
+
+def _refs(entry):
+    """Every node reference and field stack of a wire entry."""
+    yield entry["node"]
+    yield entry["stack"]
+    yield from entry["objects"]
+    for boundary in entry["boundaries"]:
+        yield boundary["node"]
+        yield boundary["stack"]
 
 
 class _KeyNode:
@@ -158,6 +182,11 @@ class WireSummaryStore:
         self.incarnation = _draw_incarnation()  # guarded-by: _lock
         self._seq = 0  # guarded-by: _lock
         self._seqs = {}  # guarded-by: _lock — inner key -> stamp
+        # The shared copies (`_share_locked`): `ref_key` -> reference.
+        # `_released` bounds the references that left residency since
+        # the table was last rebuilt (see `_check_shared_locked`).
+        self._shared = {}  # guarded-by: _lock
+        self._released = 0  # guarded-by: _lock
 
     # The inner store's capacity policy and counters, read-only.
     max_entries = property(lambda self: self._store.max_entries)
@@ -260,13 +289,68 @@ class WireSummaryStore:
 
     def _store_locked(self, entry):
         key = (self._nodes[entry_method(entry)], entry_key(entry), None)
-        if not self._store.store(*key, _Resident(entry)):
+        before = self._resident_refs_locked()
+        resident = _Resident(entry)
+        if not self._store.store(*key, resident):
             return False
+        self._share_locked(entry)
+        # What the residents' bound lost beyond the entry it gained left
+        # residency: a replaced or an evicted entry.
+        self._released += (
+            before + 2 * (1 + resident.size) - self._resident_refs_locked()
+        )
+        self._check_shared_locked()
         self._seq += 1
         self._seqs.pop(key, None)
         self._seqs[key] = self._seq
         self._prune_seqs_locked()
         return True
+
+    def _share_locked(self, entry):
+        """Swap a just-stored entry's node references and field stacks
+        for the store's shared copies, registering the new ones.  Runs
+        under the lock that published the entry, so no reader sees the
+        swap, and a shared reference is never mutated afterwards (a
+        re-store only changes the entry's ``steps``)."""
+        shared = self._shared
+
+        def share(ref):
+            key = ref_key(ref)
+            return ref if key is None else shared.setdefault(key, ref)
+
+        entry["node"] = share(entry["node"])
+        entry["stack"] = share(entry["stack"])
+        entry["objects"][:] = map(share, entry["objects"])
+        for boundary in entry["boundaries"]:
+            boundary["node"] = share(boundary["node"])
+            boundary["stack"] = share(boundary["stack"])
+
+    def _resident_refs_locked(self):
+        """An upper bound on the references the residents hold: two per
+        entry and per fact (a key is a node and a stack, an object one
+        node, a boundary a node and a stack)."""
+        return 2 * (len(self._store) + self._store.total_facts())
+
+    def _check_shared_locked(self):
+        """Rebuild the shared copies from the residents once the
+        references released since the last rebuild could be half the
+        table.  Each copy was held by a resident when it entered the
+        table, and a released reference frees at most one copy, so the
+        table never holds more than twice the residents' distinct
+        references plus :data:`SHARED_SLACK`.  A table that only grows
+        holds live copies only and is never rebuilt; otherwise a
+        rebuild, one walk over the residents, needs half a table of
+        releases first."""
+        if 2 * self._released <= len(self._shared) + SHARED_SLACK:
+            return
+        shared = {}
+        for resident in self._store._entries.values():
+            for ref in _refs(resident.entry):
+                key = ref_key(ref)
+                if key is not None:
+                    shared[key] = ref
+        self._shared = shared
+        self._released = 0
 
     def _prune_seqs_locked(self):
         """Drop the stamps of keys the inner store no longer holds, once
@@ -289,7 +373,10 @@ class WireSummaryStore:
             return self._invalidate_locked(method_qname, epoch)
 
     def _invalidate_locked(self, method_qname, epoch=0):
+        before = self._resident_refs_locked()
         dropped = self._store.invalidate_method(method_qname)
+        self._released += before - self._resident_refs_locked()
+        self._check_shared_locked()
         self._store.adopt_epochs({method_qname: epoch})
         self._fprints.pop(method_qname, None)
         self._prune_seqs_locked()
@@ -406,6 +493,8 @@ class WireSummaryStore:
         with self._lock:
             self._store.clear()
             self._seqs.clear()
+            self._shared = {}
+            self._released = 0
             self.stale_rejections = 0
 
     def restart_blank(self):
@@ -424,6 +513,8 @@ class WireSummaryStore:
             )
             self._seqs.clear()
             self._fprints.clear()
+            self._shared = {}
+            self._released = 0
             self.stale_rejections = 0
             self.incarnation = _draw_incarnation()
             self._seq = 0

@@ -51,10 +51,12 @@ PAPERS.md).  This harness measures **steps per second**:
   NullDeref stream (the paper's 10 batches) over two in-process async
   shard servers: a cold session against the empty fleet and a warm one
   served by its flushes, beside a cold local engine, with their wall
-  times, round trips, lookups and ``native_unavailable``.  ``--check``
-  gates on answers equal to the local engine's, no ``lookup`` round
-  trip in either session, and — with the kernel loaded — both running
-  on it.
+  times, round trips, lookups, prefetch bytes and
+  ``native_unavailable``.  ``--check`` gates on answers equal to the
+  local engine's, no ``lookup`` round trip in either session, at most
+  :data:`PREFETCH_BYTES_PER_ENTRY_MAX` prefetch bytes per prefetched
+  entry in the warm session (a framed full dump), and — with the
+  kernel loaded — both running on it.
 * **codec** — the wire codec on serve-ide-shaped traffic: the generator
   program's SafeCast and NullDeref queries (with their client payloads)
   in a seeded order with a 5% share of invalidates, answered by an
@@ -659,6 +661,10 @@ def run_chaos(quick=False, scale=0.3, log=lambda s: None):
 
 #: Batches per ``remote`` session: the paper's Figure-4 split.
 REMOTE_BATCHES = 10
+#: ``--check``'s ceiling on the warm remote session's
+#: ``prefetch_bytes`` per ``prefetched`` entry.  A framed full dump of e2ebench's program
+#: reads ~54 bytes per entry, nominal entries ~311.
+PREFETCH_BYTES_PER_ENTRY_MAX = 128
 
 
 def _remote_session(policy):
@@ -691,10 +697,13 @@ def run_remote(log=lambda s: None):
     against the empty fleet, then ``warm`` against what the cold session
     flushed, beside ``local_cold_sec``, the same stream on a fresh
     engine with a plain store.  ``lookups`` counts the ``lookup`` round trips answered
-    (remote hits plus misses).  Answers must equal the local engine's;
-    a violation raises :class:`PerfCheckError` regardless of
-    ``--check`` (which also gates on no lookups in either session and,
-    with the kernel loaded, on ``native_unavailable`` being null).
+    (remote hits plus misses), ``prefetch_bytes`` the size of the
+    ``fetch-methods-result`` lines the session decoded.  Answers must
+    equal the local engine's; a violation raises
+    :class:`PerfCheckError` regardless of ``--check`` (which also gates
+    on no lookups in either session, on the warm session's prefetch
+    bytes per prefetched entry and, with the kernel loaded, on
+    ``native_unavailable`` being null).
     """
     from repro.cacheserver.aserver import AsyncShardServer
     from repro.engine.policy import CachePolicy
@@ -721,6 +730,7 @@ def run_remote(log=lambda s: None):
                 "round_trips": remote.round_trips,
                 "lookups": remote.remote_hits + remote.remote_misses,
                 "prefetched": remote.prefetched,
+                "prefetch_bytes": remote.prefetch_bytes,
                 "stores": remote.stores,
                 "steps": stats.steps,
                 "native_unavailable": stats.native_unavailable,
@@ -978,8 +988,9 @@ def run_perf(
         # imports per edit; version 9 adds the remote section (cold and
         # warm pipelined sessions on a shard fleet vs a cold local
         # engine); version 10 adds the codec section (each codec call of
-        # a serve-ide exchange beside bare json on the same lines).
-        "version": 10,
+        # a serve-ide exchange beside bare json on the same lines);
+        # version 11 adds each remote session's ``prefetch_bytes``.
+        "version": 11,
         "quick": quick,
         "python": sys.version.split()[0],
         "figure4": figure4,
@@ -1111,6 +1122,17 @@ def _check_report(report):
                     f"remote {name} session ran off the kernel "
                     f"({row['native_unavailable']})"
                 )
+        # Only the warm session's first prefetch is a full dump; the
+        # cold session's answers are deltas whose size says nothing
+        # about framing.
+        warm = remote["warm"]
+        if warm["prefetch_bytes"] > PREFETCH_BYTES_PER_ENTRY_MAX * warm["prefetched"]:
+            raise PerfCheckError(
+                f"remote warm session read {warm['prefetch_bytes']} "
+                f"prefetch bytes for {warm['prefetched']} entries (over "
+                f"{PREFETCH_BYTES_PER_ENTRY_MAX} per entry: the answers "
+                "are not framed)"
+            )
     codec = report.get("codec")
     # The same rule as the figure4 ratio gates: best-of at least
     # MIN_GATED_REPS reps, and enough measured time to carry a ratio.

@@ -355,6 +355,27 @@ def _nested_args(annotation):
         yield from _nested_args(arg)
 
 
+class TestTransportIdEnvelope:
+    """The async tier's ``"id"`` envelope re-encodes lines in the
+    canonical form: sorted keys, compact separators, ASCII escapes."""
+
+    def test_split_strips_the_id_into_canonical_bytes(self):
+        line = '{"protocol_version": "1.0", "id": 7, "kind": "stats", "x": "\u00e9"}'
+        assert codec.split_request_id(line) == (
+            '{"kind":"stats","protocol_version":"1.0","x":"\\u00e9"}', 7
+        )
+        untagged = '{"kind": "stats"}'
+        assert codec.split_request_id(untagged) == (untagged, None)
+
+    def test_attach_grafts_the_id_in_canonical_bytes(self):
+        line = encode(protocol.InvalidateResponse(method="A.\u00e9", dropped=1))
+        assert codec.attach_response_id(line, "r-1") == (
+            '{"dropped":1,"id":"r-1","kind":"invalidated","method":"A.\\u00e9",'
+            f'"protocol_version":"{PROTOCOL_VERSION}"}}'
+        )
+        assert codec.attach_response_id(line, None) is line
+
+
 class TestCompiledCodec:
     @pytest.mark.parametrize("cls", _wire_classes(), ids=lambda cls: cls.__name__)
     def test_every_wire_class_compiles(self, cls):
@@ -535,6 +556,16 @@ class TestAdversarialSnapshot:
         "unhashable-node-kind": lambda e: dict(e, node={"kind": [1]}),
         "node-field-not-a-string": lambda e: dict(
             e, node=dict(e["node"], name=3)
+        ),
+        "node-method-missing": lambda e: dict(
+            e, node={k: v for k, v in e["node"].items() if k != "method"}
+        ),
+        "object-method-missing": lambda e: dict(
+            e,
+            objects=[
+                {**{k: v for k, v in o.items() if k != "method"}, "x": 0}
+                for o in e["objects"]
+            ],
         ),
         "stack-not-an-array": lambda e: dict(e, stack="f"),
         "bad-stack-item": lambda e: dict(e, stack=[["f", 7]]),

@@ -845,18 +845,57 @@ class TestBatchedOpsDispatch:
         assert dropped.dropped == (3, 0)
 
     def test_fetch_methods_all_and_filtered(self):
-        from repro.api.protocol import MethodEntriesRequest, MethodEntriesResponse
+        """At 1.7 the answer is nominal, in the bytes a 1.7 shard
+        sends; at this build's version it is framed (protocol 1.8) and
+        resolves to the same entries in the same order."""
+        import json
+
+        from repro.api.protocol import (
+            PROTOCOL_VERSION,
+            MethodEntriesRequest,
+            MethodEntriesResponse,
+        )
+        from repro.api.snapshot import resolve_frame, resolve_wire_entry
 
         server = self.make_server()
         a = wire_entry(name="x")
         b = wire_entry(method="B.n", name="y")
         for entry in (a, b):
             self.exchange(server, StoreRequest(entry=entry))
-        everything = self.exchange(server, MethodEntriesRequest())
-        assert isinstance(everything, MethodEntriesResponse)
-        assert list(everything.entries) == [a, b]  # coldest-first
-        only_b = self.exchange(server, MethodEntriesRequest(methods=("B.n",)))
+        line = server.handle_line(
+            encode(MethodEntriesRequest(protocol_version="1.7"))
+        )
+        entries = ",".join(
+            json.dumps(entry, sort_keys=True, separators=(",", ":"))
+            for entry in (a, b)  # coldest-first
+        )
+        assert line == (
+            f'{{"cursor":2,"entries":[{entries}],"epochs":[],'
+            f'"incarnation":{server.store.incarnation},'
+            f'"kind":"fetch-methods-result","protocol_version":"{PROTOCOL_VERSION}"}}'
+        )
+        only_b = self.exchange(
+            server, MethodEntriesRequest(methods=("B.n",), protocol_version="1.7")
+        )
         assert list(only_b.entries) == [b]
+        pag = SimpleNamespace(
+            find_local=lambda method, name: (method, name),
+            object_node=lambda label: SimpleNamespace(
+                class_name="Thing", label=label
+            ),
+        )
+
+        def view(resolved):
+            node, stack, state, summary = resolved
+            return node, stack, state, summary.objects, summary.steps
+
+        for methods, want in ((None, [a, b]), (("B.n",), [b])):
+            framed = self.exchange(server, MethodEntriesRequest(methods=methods))
+            assert isinstance(framed, MethodEntriesResponse)
+            assert framed.entries == () and framed.frame is not None
+            assert [view(r) for r in resolve_frame(pag, framed.frame)] == [
+                view(resolve_wire_entry(pag, entry)) for entry in want
+            ]
 
     def test_batched_ownership_is_checked_per_element(self):
         from repro.analysis.summaries import shard_for_method

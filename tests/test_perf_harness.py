@@ -126,7 +126,7 @@ class TestReportShape:
         assert section["edit_ms"] > 0 and section["batch_ms"] > 0
         assert section["cold_for_program_ms"] > 0
         assert section["traversal_impl"] == active_traversal_impl()
-        assert quick_report["version"] == 10
+        assert quick_report["version"] == 11
 
     def test_remote_section_sends_no_lookups(self, quick_report):
         from repro.analysis.ppta import active_traversal_impl
@@ -143,8 +143,8 @@ class TestReportShape:
         for name in ("cold", "warm"):
             row = section[name]
             assert set(row) == {
-                "sec", "round_trips", "lookups", "prefetched", "stores",
-                "steps", "native_unavailable",
+                "sec", "round_trips", "lookups", "prefetched", "prefetch_bytes",
+                "stores", "steps", "native_unavailable",
             }
             assert row["sec"] > 0 and row["lookups"] == 0
             assert row["native_unavailable"] == (None if native_ok else native_reason)
@@ -154,6 +154,11 @@ class TestReportShape:
         assert section["cold"]["stores"] > 0 and section["warm"]["stores"] == 0
         assert section["warm"]["prefetched"] > 0
         assert section["warm"]["steps"] < section["cold"]["steps"]
+        # Framed answers: the warm full dump is under the gate's bytes
+        # per entry.
+        assert section["cold"]["prefetch_bytes"] > 0
+        warm = section["warm"]
+        assert 0 < warm["prefetch_bytes"] <= 128 * warm["prefetched"]
 
     def test_codec_section_times_each_call_beside_json(self, quick_report):
         section = quick_report["codec"]
@@ -242,18 +247,25 @@ class TestInvariants:
         report["edits"]["traversal_impl"] = "array"
         _check_report(report)
 
-    REMOTE_ROW = {"lookups": 0, "native_unavailable": None}
+    REMOTE_ROW = {
+        "lookups": 0, "native_unavailable": None,
+        "prefetched": 100, "prefetch_bytes": 12_800,
+    }
 
     @pytest.mark.parametrize("session", ["cold", "warm"])
     @pytest.mark.parametrize(
-        "change, message, native_only",
+        "change, message, native_only, gated",
         [
-            ({"lookups": 3}, "lookups", False),
-            ({"native_unavailable": "RemoteSummaryCache"}, "off the kernel", True),
+            ({"lookups": 3}, "lookups", False, ("cold", "warm")),
+            ({"native_unavailable": "RemoteSummaryCache"}, "off the kernel", True,
+             ("cold", "warm")),
+            # Bytes per entry gate only the warm session's full dump.
+            ({"prefetch_bytes": 12_801}, "not framed", False, ("warm",)),
+            ({"prefetched": 0, "prefetch_bytes": 110}, "not framed", False, ("warm",)),
         ],
-        ids=["lookups", "off-kernel"],
+        ids=["lookups", "off-kernel", "nominal-bytes", "bytes-for-nothing"],
     )
-    def test_remote_gate(self, session, change, message, native_only):
+    def test_remote_gate(self, session, change, message, native_only, gated):
         from repro.native import availability
 
         report = TestRatioGates._report(1, 2.0)
@@ -264,7 +276,9 @@ class TestInvariants:
         }
         _check_report(report)
         report["remote"][session].update(change)
-        if native_only and not availability()[0]:
+        if session not in gated:
+            _check_report(report)
+        elif native_only and not availability()[0]:
             _check_report(report)  # no kernel loaded: nothing to serve on
         else:
             with pytest.raises(PerfCheckError, match=message):

@@ -1,0 +1,555 @@
+"""Framed ``fetch-methods`` answers (protocol 1.8).
+
+A shard answers a request of 1.8 or later with a ``SummaryFrame``: each
+distinct node reference and field stack once, and one flat run of
+integers per entry.  Pinned here:
+
+* the version rule: a 1.7 request gets the nominal answer, the one a
+  1.7 shard sends; a 1.8 request gets a frame that resolves to the
+  same entries, in the same order;
+* the client: a framed warm prefetch fills the local tier exactly as a
+  nominal one does, and the session answers and steps like a local
+  engine holding the same summaries; a frame with an index past its
+  table is refused whole and falls open; a nominal answer (a 1.7
+  shard) is still adopted;
+* the shard store keeps one copy of each reference it holds, its
+  ``lookup`` answers keep their bytes, and its table of shared copies
+  stays bounded through invalidate/re-store churn.
+
+``tests/test_frame_fuzz.py`` fuzzes the frame decoder itself.
+"""
+
+import copy
+import dataclasses
+import functools
+import json
+import random
+
+import pytest
+
+from repro import CachePolicy, EnginePolicy, PointsToEngine, build_pag
+from repro.api.codec import decode_response, encode
+from repro.api.protocol import (
+    PROTOCOL_VERSION,
+    BatchStoreRequest,
+    LookupRequest,
+    LookupResponse,
+    MethodEntriesRequest,
+    SnapshotError,
+    StoreRequest,
+)
+from repro.api.snapshot import (
+    SummarySnapshot,
+    entry_to_wire,
+    pack_frame,
+    ref_key,
+    resolve_frame,
+    resolve_wire_entry,
+)
+from repro.bench.generator import GeneratorConfig, generate_program
+from repro.cacheserver import client as client_module
+from repro.cacheserver.server import ShardServer
+from repro.cacheserver.store import SHARED_SLACK, WireSummaryStore, entry_key
+
+CONFIG = GeneratorConfig(seed=3, domain_classes=2, data_classes=2, layers=1)
+
+
+def program_pag():
+    return build_pag(generate_program(CONFIG))
+
+
+def all_locals(pag):
+    return sorted(
+        (qname, node.name)
+        for qname in pag.methods()
+        for node in pag.nodes_of_method(qname)
+        if node.is_local_var
+    )
+
+
+QUERIES = all_locals(program_pag())
+FIRST = [q for q in QUERIES if q[0] < "Comp1"]
+SECOND = [q for q in QUERIES if q[0] >= "Comp1"]
+
+
+def canonical(result):
+    return (
+        result.complete,
+        frozenset((str(obj.object_id), ctx.to_tuple()) for obj, ctx in result.pairs),
+    )
+
+
+def local_answers(queries):
+    local = PointsToEngine(program_pag(), EnginePolicy())
+    return [canonical(r) for r in local.query_batch(queries)]
+
+
+def remote_engine(addresses):
+    return PointsToEngine(
+        program_pag(),
+        EnginePolicy(cache=CachePolicy(remote=tuple(addresses), remote_timeout=5.0)),
+    )
+
+
+def publish(addresses, queries=QUERIES):
+    """A client that computes ``queries`` and flushes them."""
+    engine = remote_engine(addresses)
+    engine.query_batch(queries)
+    engine.cache.close()
+
+
+def tier_wire(engine):
+    """The local tier, in its order, as wire entries."""
+    return [
+        entry_to_wire(node, stack, state, summary)
+        for (node, stack, state), summary in engine.cache.local_tier.entries()
+    ]
+
+
+def view(resolved):
+    """A comparable form of one resolved entry (``None`` stays)."""
+    if resolved is None:
+        return None
+    node, stack, state, summary = resolved
+    return node, stack, state, summary.objects, summary.boundaries, summary.steps
+
+
+def nominal_requests(monkeypatch):
+    """Make this process's remote clients fetch at protocol 1.7."""
+    monkeypatch.setattr(
+        client_module,
+        "MethodEntriesRequest",
+        functools.partial(MethodEntriesRequest, protocol_version="1.7"),
+    )
+
+
+@pytest.fixture
+def servers():
+    started = []
+
+    def start(cls=ShardServer):
+        fleet = [cls(index, 2).start() for index in range(2)]
+        started.extend(fleet)
+        return fleet
+
+    yield start
+    for server in started:
+        server.stop()
+
+
+def wire_entry(name, method="A.m", objects=("o1",), stack=(), boundaries=()):
+    return {
+        "node": {"kind": "local", "method": method, "name": name},
+        "stack": [list(item) for item in stack],
+        "state": 1,
+        "objects": [
+            {"kind": "object", "id": label, "class": "Thing", "method": method}
+            for label in objects
+        ],
+        "boundaries": [
+            {
+                "node": {"kind": "local", "method": method, "name": bname},
+                "stack": [["f", 0]],
+                "state": 2,
+            }
+            for bname in boundaries
+        ],
+        "steps": 4,
+    }
+
+
+# ----------------------------------------------------------------------
+# the format
+# ----------------------------------------------------------------------
+class TestFrame:
+    def test_pack_writes_each_shared_reference_once(self):
+        shared_object = {"kind": "object", "id": "o1", "class": "T", "method": "A.m"}
+        entries = [wire_entry(name) for name in "abc"]
+        for entry in entries:
+            entry["objects"] = [shared_object]
+            entry["stack"] = entries[0]["stack"]
+        frame = pack_frame(entries)
+        assert frame.nodes.count(shared_object) == 1
+        assert len(frame.stacks) == 1
+        # Equal references held as separate objects are each written.
+        unshared = pack_frame([wire_entry(name) for name in "abc"])
+        assert len(unshared.nodes) == 6 and len(unshared.stacks) == 3
+
+    def test_rows_follow_the_documented_layout(self):
+        entry = wire_entry("a", objects=("o1", "o2"), stack=[("g", 1)], boundaries=("b",))
+        frame = pack_frame([entry])
+        node, stack, state, steps, n_objects, o1, o2, n_boundaries, bn, bs, bst = (
+            frame.rows
+        )
+        assert frame.nodes[node] is entry["node"]
+        assert frame.stacks[stack] is entry["stack"]
+        assert (state, steps, n_objects, n_boundaries, bst) == (1, 4, 2, 1, 2)
+        assert [frame.nodes[o1], frame.nodes[o2]] == entry["objects"]
+        assert frame.nodes[bn] is entry["boundaries"][0]["node"]
+        assert frame.stacks[bs] is entry["boundaries"][0]["stack"]
+
+    def test_resolve_equals_the_nominal_walk(self):
+        pag = program_pag()
+        writer = PointsToEngine(pag, EnginePolicy())
+        writer.query_batch(QUERIES)
+        entries = SummarySnapshot.capture(writer.cache).entries
+        # An entity this PAG lacks: that entry alone is unresolved.
+        stale = copy.deepcopy(entries[0])
+        stale["node"]["name"] = "no_such_local"
+        entries = [*entries, stale]
+        reader = program_pag()
+        framed = resolve_frame(reader, pack_frame(entries))
+        nominal = [resolve_wire_entry(reader, entry) for entry in entries]
+        assert [view(r) for r in framed] == [view(r) for r in nominal]
+        assert framed[-1] is None and all(r is not None for r in framed[:-1])
+
+    def test_table_rows_are_checked_with_the_nominal_texts(self):
+        frame = pack_frame([wire_entry("a")])
+        junk_node = dataclasses.replace(frame, nodes=({"kind": "alien"}, *frame.nodes[1:]))
+        with pytest.raises(SnapshotError, match=r"^p\.nodes\[0\]: unknown node kind 'alien'$"):
+            resolve_frame(program_pag(), junk_node, "p")
+        # A node missing a field of its kind is refused, by the frame
+        # and by the nominal walk alike, never read as a KeyError.
+        pag = program_pag()
+        for missing in (
+            {"kind": "local", "name": "a"},
+            {"kind": "object", "id": "o1", "class": "Thing", "x": 0},
+        ):
+            text = "missing node field 'method'"
+            with pytest.raises(SnapshotError, match=rf"^p\.nodes\[1\]: {text}$"):
+                resolve_frame(pag, dataclasses.replace(
+                    frame, nodes=(frame.nodes[0], missing),
+                ), "p")
+            entry = wire_entry("a")
+            entry["objects"] = [missing]
+            with pytest.raises(SnapshotError, match=rf"^e\.objects\[0\]: {text}$"):
+                resolve_wire_entry(pag, entry, "e")
+        junk_stack = dataclasses.replace(frame, stacks=([["f", 7]],))
+        with pytest.raises(
+            SnapshotError,
+            match=r"^p\.stacks\[0\]\[0\]: field-stack entry must be \[field, family\(0\|1\)\]$",
+        ):
+            resolve_frame(program_pag(), junk_stack, "p")
+
+    #: One entry, ``wire_entry("a")``: key node 0 ("a"), stack 0, S1,
+    #: 4 steps, one object (node 1), no boundary.
+    ROWS = (0, 0, 1, 4, 1, 1, 0)
+    #: The same with one boundary: node 0, stack 0, S2.
+    BOUNDED = (0, 0, 1, 4, 1, 1, 1, 0, 0, 2)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ((2, *ROWS[1:]), r"rows\[0\]: node index 2 is past its table \(2 rows\)"),
+            ((-1, *ROWS[1:]), r"rows\[0\]: node must be a non-negative integer, got -1"),
+            ((0, 1, *ROWS[2:]), r"rows\[1\]: stack index 1 is past its table \(1 rows\)"),
+            ((0, -1, *ROWS[2:]), r"rows\[1\]: stack must be a non-negative integer"),
+            ((0, 0, 3, *ROWS[3:]), r"rows\[2\]: state must be 1 \(S1\) or 2 \(S2\)"),
+            ((0, 0, 0, *ROWS[3:]), r"rows\[2\]: state must be 1 \(S1\) or 2 \(S2\)"),
+            ((0, 0, 1, -1, *ROWS[4:]), r"rows\[3\]: steps must be a non-negative integer, got -1"),
+            ((0, 0, 1, 4, -1, 1, 0), r"rows\[4\]: object count must be a non-negative integer"),
+            ((0, 0, 1, 4, 1, 0, 0), r"rows\[5\]: must be an object node"),
+            ((0, 0, 1, 4, 1, 2, 0), r"rows\[5\]: node index 2 is past its table"),
+            ((0, 0, 1, 4, 1, -1, 0), r"rows\[5\]: node must be a non-negative integer"),
+            ((0, 0, 1, 4, 1, 1, -2), r"rows\[6\]: boundary count must be a non-negative integer"),
+            (BOUNDED[:7] + (2, 0, 2), r"rows\[7\]: node index 2 is past its table"),
+            (BOUNDED[:7] + (0, -1, 2), r"rows\[8\]: stack must be a non-negative integer"),
+            (BOUNDED[:9] + (3,), r"rows\[9\]: state must be 1 \(S1\) or 2 \(S2\)"),
+            (ROWS[:5], r"rows\[0\]: the entry runs past the end of the rows \(5 values\)"),
+            (ROWS[:6], r"rows\[0\]: the entry runs past the end of the rows \(6 values\)"),
+            ((0, 0, 1, 4, 5, 1, 0), r"rows\[0\]: the entry runs past the end of the rows"),
+            (BOUNDED[:9], r"rows\[0\]: the entry runs past the end of the rows \(9 values\)"),
+            (ROWS + ROWS[:3], r"rows\[7\]: the entry runs past the end of the rows"),
+        ],
+        ids=[
+            "node-past-table", "negative-node", "stack-past-table", "negative-stack",
+            "state-3", "state-0", "negative-steps", "negative-count", "local-as-object",
+            "object-past-table", "negative-object", "negative-boundaries",
+            "boundary-node-past-table", "negative-boundary-stack", "boundary-state",
+            "cut-after-key", "cut-after-objects", "count-past-rows",
+            "cut-in-boundary", "cut-second-entry",
+        ],
+    )
+    def test_damaged_rows_refuse_the_frame(self, rows, message):
+        frame = pack_frame([wire_entry("a")])
+        assert frame.rows == self.ROWS
+        with pytest.raises(SnapshotError, match=message):
+            resolve_frame(program_pag(), dataclasses.replace(frame, rows=rows))
+        # The undamaged forms resolve.
+        for good in (self.ROWS, self.BOUNDED, self.ROWS + self.BOUNDED):
+            resolve_frame(program_pag(), dataclasses.replace(frame, rows=good))
+
+
+# ----------------------------------------------------------------------
+# the version rule, at the dispatcher
+# ----------------------------------------------------------------------
+class TestVersionRule:
+    def make_server(self):
+        server = ShardServer(0, 1)
+        server.stop()  # dispatch only
+        return server
+
+    def fetch(self, server, **fields):
+        return decode_response(server.handle_line(encode(MethodEntriesRequest(**fields))))
+
+    def test_a_frame_resolves_to_the_nominal_entries_in_order(self):
+        server = self.make_server()
+        entries = [
+            wire_entry("a", objects=("o1", "o2"), boundaries=("b",)),
+            wire_entry("b", method="B.n", objects=("o1",), stack=[("f", 0)]),
+            wire_entry("c", objects=("o2",), boundaries=("b", "a")),
+        ]
+        server.handle_line(encode(BatchStoreRequest(entries=tuple(entries))))
+        nominal = self.fetch(server, protocol_version="1.7")
+        framed = self.fetch(server)
+        assert nominal.frame is None and list(nominal.entries) == entries
+        assert framed.entries == () and framed.frame is not None
+        assert (framed.incarnation, framed.cursor) == (
+            nominal.incarnation, nominal.cursor,
+        )
+        # Shared on store: A.m's "o1", "o2" and "b", and "a" as a key and
+        # as a boundary, are each written once.
+        assert len(framed.frame.nodes) == 7 and len(framed.frame.stacks) == 2
+        pag = program_pag()
+        assert [view(r) for r in resolve_frame(pag, framed.frame)] == [
+            view(resolve_wire_entry(pag, e)) for e in nominal.entries
+        ]
+
+    def test_a_delta_is_framed_oldest_stamp_first(self):
+        server = self.make_server()
+        server.handle_line(encode(StoreRequest(entry=wire_entry("a"))))
+        first = self.fetch(server)
+        for name in "cb":
+            server.handle_line(encode(StoreRequest(entry=wire_entry(name))))
+        delta = self.fetch(server, incarnation=first.incarnation, since=first.cursor)
+        frame = delta.frame
+        # Each entry is 7 values: a key, steps, one object, no boundary.
+        assert len(frame.rows) == 14
+        assert [frame.nodes[frame.rows[at]]["name"] for at in (0, 7)] == ["c", "b"]
+
+    def test_lookup_and_nominal_answers_keep_their_bytes(self):
+        """Sharing swaps an entry's references for equal shared copies;
+        every answer that carries entries keeps the bytes the stored
+        entries encode to, also after a refused batch."""
+        server = self.make_server()
+        originals = [
+            wire_entry("a", objects=("o1",), stack=[("f", 1)]),
+            wire_entry("b", objects=("o1",), boundaries=("a",)),
+        ]
+        # The same "o1" with a field beyond its kind's, and the same
+        # stack with its family written ``true`` (equal to 1 in Python,
+        # not on the wire): neither may be swapped for a shared copy.
+        odd = wire_entry("c", objects=("o1",))
+        odd["objects"][0]["note"] = 1
+        odd["stack"] = [["f", True]]
+        originals.append(odd)
+        server.handle_line(
+            encode(BatchStoreRequest(entries=tuple(copy.deepcopy(originals))))
+        )
+        # An object reference without its ``method`` is refused before
+        # anything of its batch is stored; the answers below are as if
+        # it was never sent.
+        bad = wire_entry("d")
+        bad["objects"] = [{"kind": "object", "id": "o1", "class": "Thing", "x": 0}]
+        answer = json.loads(
+            server.handle_line(encode(BatchStoreRequest(entries=(wire_entry("e"), bad))))
+        )
+        assert answer["code"] == "snapshot-invalid", answer
+        assert "entries[1].objects[0]: missing node field 'method'" in answer["message"]
+        for entry in originals:
+            key = {k: entry[k] for k in ("node", "stack", "state")}
+            line = server.handle_line(encode(LookupRequest(key=key)))
+            assert line == encode(LookupResponse(found=True, entry=entry))
+        line = server.handle_line(
+            encode(MethodEntriesRequest(protocol_version="1.7"))
+        )
+        entries = ",".join(
+            json.dumps(entry, sort_keys=True, separators=(",", ":"))
+            for entry in originals
+        )
+        assert line == (
+            f'{{"cursor":3,"entries":[{entries}],"epochs":[],'
+            f'"incarnation":{server.store.incarnation},'
+            f'"kind":"fetch-methods-result","protocol_version":"{PROTOCOL_VERSION}"}}'
+        )
+
+
+# ----------------------------------------------------------------------
+# the client
+# ----------------------------------------------------------------------
+class DamagedFrameShard(ShardServer):
+    """Answers with a frame whose first row indexes past the node
+    table while ``damage`` is set: valid JSON, a broken frame."""
+
+    damage = False
+
+    def _dispatch(self, request):
+        response = super()._dispatch(request)
+        frame = getattr(response, "frame", None)
+        if self.damage and frame is not None and frame.rows:
+            rows = (len(frame.nodes), *frame.rows[1:])
+            return dataclasses.replace(
+                response, frame=dataclasses.replace(frame, rows=rows)
+            )
+        return response
+
+
+class NominalShard(ShardServer):
+    """Answers ``fetch-methods`` as a 1.7 shard does: nominal entries,
+    whatever version the request carries.  Records those versions."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.versions = []
+
+    def _dispatch(self, request):
+        if isinstance(request, MethodEntriesRequest):
+            self.versions.append(request.protocol_version)
+            request = dataclasses.replace(request, protocol_version="1.7")
+        return super()._dispatch(request)
+
+
+class TestClient:
+    def test_framed_prefetch_fills_the_tier_like_a_nominal_one(
+        self, servers, monkeypatch
+    ):
+        addresses = [server.address for server in servers()]
+        publish(addresses)
+        framed = remote_engine(addresses)
+        framed.cache.begin_batch()
+        framed.cache.end_batch()
+        with monkeypatch.context() as patch:
+            nominal_requests(patch)
+            nominal = remote_engine(addresses)
+            nominal.cache.begin_batch()
+            nominal.cache.end_batch()
+        framed_stats = framed.stats().remote
+        nominal_stats = nominal.stats().remote
+        assert framed_stats.prefetched == nominal_stats.prefetched > 0
+        assert framed_stats.unresolved == nominal_stats.unresolved == 0
+        assert 0 < framed_stats.prefetch_bytes < nominal_stats.prefetch_bytes / 2
+        # Same keys, summaries and order in the local tier.
+        assert tier_wire(framed) == tier_wire(nominal)
+        # A local engine holding the same summaries, in the same order.
+        local = PointsToEngine(program_pag(), EnginePolicy())
+        SummarySnapshot.capture(nominal.cache).load_into(local.cache, local.pag)
+        want = [canonical(r) for r in local.query_batch(QUERIES)]
+        assert want == local_answers(QUERIES)
+        for engine in (framed, nominal):
+            assert [canonical(r) for r in engine.query_batch(QUERIES)] == want
+            assert engine.stats().steps == local.stats().steps
+            engine.cache.close()
+
+    def test_a_damaged_frame_is_refused_whole(self, servers):
+        fleet = servers(DamagedFrameShard)
+        addresses = [server.address for server in fleet]
+        publish(addresses, FIRST)
+        reader = remote_engine(addresses)
+        assert [canonical(r) for r in reader.query_batch(FIRST)] == local_answers(FIRST)
+        publish(addresses, SECOND)
+        cursors = list(reader.cache._cursors)
+        incarnation, since = cursors[1]
+        healthy_delta = len(fleet[1].store.fetch(incarnation=incarnation, since=since)[0])
+        incarnation, since = cursors[0]
+        assert fleet[0].store.fetch(incarnation=incarnation, since=since)[0]
+        fleet[0].damage = True
+        before = reader.stats().remote
+        assert [canonical(r) for r in reader.query_batch(SECOND)] == local_answers(SECOND)
+        after = reader.stats().remote
+        assert after.remote_errors == before.remote_errors + 1
+        assert after.degraded == before.degraded + 1
+        assert after.unresolved == before.unresolved
+        # Shard 0 adopted nothing and kept its cursor; shard 1 moved on.
+        assert after.prefetched - before.prefetched == healthy_delta > 0
+        assert reader.cache._cursors[0] == cursors[0]
+        assert reader.cache._cursors[1] != cursors[1]
+        reader.cache.close()
+
+    def test_a_nominal_answer_is_still_adopted(self, servers):
+        fleet = servers(NominalShard)
+        addresses = [server.address for server in fleet]
+        publish(addresses)
+        reader = remote_engine(addresses)
+        assert [canonical(r) for r in reader.query_batch(QUERIES)] == local_answers(QUERIES)
+        remote = reader.stats().remote
+        assert remote.prefetched == sum(len(server.store) for server in fleet) > 0
+        assert (remote.unresolved, remote.degraded) == (0, 0)
+        assert {v for server in fleet for v in server.versions} == {PROTOCOL_VERSION}
+        reader.cache.close()
+
+
+# ----------------------------------------------------------------------
+# one shared copy per reference, on the shard
+# ----------------------------------------------------------------------
+def resident_refs(store):
+    """Every node reference and field stack the residents hold."""
+    refs = []
+    for entry in store.entries_for_methods():
+        refs += [entry["node"], entry["stack"], *entry["objects"]]
+        for boundary in entry["boundaries"]:
+            refs += [boundary["node"], boundary["stack"]]
+    return refs
+
+
+class TestSharing:
+    def test_residents_hold_one_copy_of_each_reference(self):
+        store = WireSummaryStore()
+        for name in "abcd":
+            store.store(wire_entry(name, objects=("o1", "o2"), boundaries=("a",)))
+        refs = resident_refs(store)
+        assert len({id(ref) for ref in refs}) == len({ref_key(ref) for ref in refs}) == 8
+        frame = pack_frame(store.entries_for_methods())
+        assert (len(frame.nodes), len(frame.stacks)) == (6, 2)
+
+    @pytest.mark.parametrize(
+        "capacity", [{}, {"max_entries": 12}, {"max_entries": 12, "eviction": "cost"}],
+        ids=["unbounded", "lru", "cost"],
+    )
+    def test_the_table_stays_bounded_through_churn(self, capacity):
+        """Invalidate/re-store churn with payloads that change every
+        round, payload replacements and (bounded) evictions: the table
+        never holds more than twice the residents' distinct references
+        plus the slack, the residents hold only shared copies, and
+        lookups answer the bytes that were stored."""
+        rng = random.Random(11)
+        store = WireSummaryStore(**capacity)
+        methods = [f"M{i}.m" for i in range(4)]
+        stored = {}  # canonical key -> the entry as it was sent
+        ever = set()  # the key of every reference a resident ever held
+        for step in range(600):
+            method = rng.choice(methods)
+            epoch = store.method_epoch(method)
+            roll = rng.random()
+            if roll < 0.1:
+                store.invalidate_method(method)
+            else:
+                labels = tuple(f"o{rng.randrange(step // 4 + 2)}" for _ in range(2))
+                entry = wire_entry(
+                    f"v{rng.randrange(6)}", method, objects=labels,
+                    stack=[(f"f{rng.randrange(3)}", rng.randrange(2))],
+                    boundaries=(f"b{rng.randrange(step // 8 + 2)}",),
+                )
+                if roll > 0.95:
+                    # A stored reference whose keys are not its kind's
+                    # (no ``method``, one extra) is never shared.
+                    entry["objects"][0] = {
+                        "kind": "object", "id": labels[0], "class": "Thing", "x": 0,
+                    }
+                sent = copy.deepcopy(entry)
+                if store.store(entry, epoch=epoch):
+                    stored[entry_key(sent)] = sent
+            refs = [ref for ref in resident_refs(store) if ref_key(ref) is not None]
+            distinct = {ref_key(ref) for ref in refs}
+            ever |= distinct
+            assert len(store._shared) <= 2 * len(distinct) + SHARED_SLACK
+            assert all(store._shared[ref_key(ref)] is ref for ref in refs)
+        # Far more references passed through than the bound admits, so
+        # the table was rebuilt along the way.
+        assert len(ever) > 2 * (2 * len(distinct) + SHARED_SLACK)
+        assert store.invalidated > 0
+        for entry in store.entries_for_methods():
+            key = {k: entry[k] for k in ("node", "stack", "state")}
+            found = store.lookup(key, epoch=store.method_epoch(entry["node"]["method"]))
+            assert encode(LookupResponse(found=True, entry=found)) == encode(
+                LookupResponse(found=True, entry=stored[entry_key(entry)])
+            )
