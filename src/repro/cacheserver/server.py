@@ -22,6 +22,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import namedtuple
 
 from repro.analysis.summaries import shard_for_method
 from repro.api.codec import decode_request, encode
@@ -66,6 +67,11 @@ from repro.api.protocol import StaleEpochResponse
 #: How long ``CacheCluster.spawn`` waits for a child's listening line.
 SPAWN_TIMEOUT_SEC = 30.0
 
+#: A dispatcher's last full-dump ``fetch-methods`` answer: the store
+#: version it was scanned at, what the request asked (``(methods,
+#: fingerprint, framed)``), the response and its encoded line.
+_KeptDump = namedtuple("_KeptDump", "version query response line")
+
 
 class ShardDispatcher:
     """The transport-independent half of a shard server: one
@@ -75,6 +81,15 @@ class ShardDispatcher:
     both embed exactly this, so the two transports can never drift in
     semantics — and the unit tests drive :meth:`handle_line` directly
     with no socket at all.
+
+    The dispatcher keeps its last full-dump ``fetch-methods`` answer,
+    encoded, with the store :attr:`~WireSummaryStore.version` it was
+    scanned at.  A full dump asking for the same methods, fingerprint
+    and framing while the version stands is answered with that line: no
+    scan, no pack and no encode.  A warm fleet is read-mostly, so each
+    fresh engine's first prefetch costs a shard one version check.
+    ``dumps_packed`` and ``dumps_kept`` count the full dumps answered
+    each way.
     """
 
     def __init__(
@@ -101,6 +116,12 @@ class ShardDispatcher:
         if faults is not None and not isinstance(faults, FaultInjector):
             faults = FaultInjector(coerce_schedule(faults), side="server")
         self.faults = faults
+        # Published whole under the lock and read without it: a reader
+        # sees one answer or the next, never half of one.
+        self._kept_lock = threading.Lock()
+        self._kept = None  # guarded-by: _kept_lock — a _KeptDump
+        self.dumps_packed = 0  # guarded-by: _kept_lock
+        self.dumps_kept = 0  # guarded-by: _kept_lock
 
     # ------------------------------------------------------------------
     # dispatch (transport-independent; unit tests drive this directly)
@@ -117,7 +138,8 @@ class ShardDispatcher:
         ``disconnect`` raises :class:`InjectedDisconnect` for the
         transport to drop the connection, and ``truncate``/``corrupt``
         mutate the encoded response so the client's decoder must refuse
-        it and fall open.
+        it and fall open.  They damage the outgoing line only, never
+        the kept full dump.
         """
         action = (
             self.faults.begin_op(self.shard_index)
@@ -143,7 +165,11 @@ class ShardDispatcher:
         except WireError as exc:
             return encode(ErrorResponse(code=exc.code, message=str(exc)))
         try:
-            return encode(self._dispatch(request))
+            response = self._dispatch(request)
+            kept = self._kept
+            if kept is not None and response is kept.response:
+                return kept.line
+            return encode(response)
         except WireError as exc:
             return encode(ErrorResponse(code=exc.code, message=str(exc)))
         except Exception as exc:  # same no-traceback guarantee as the wire
@@ -245,41 +271,72 @@ class ShardDispatcher:
             )
             return BatchInvalidateResponse(dropped=tuple(dropped))
         if isinstance(request, MethodEntriesRequest):
-            if request.methods is not None:
-                for method in request.methods:
-                    self._check_ownership(method)
-            # Incremental (protocol 1.7): a cursor from this store's
-            # current incarnation gets only what was stamped since.
-            entries, epochs, incarnation, cursor = self.store.fetch(
-                request.methods,
-                fingerprint=request.fingerprint,
-                incarnation=request.incarnation,
-                since=request.since,
-            )
-            epochs = tuple(epochs) if any(epochs) else ()
-            # Framed (protocol 1.8) for a requester that reads frames;
-            # an older one gets nominal entries.  The store shares equal
-            # references, so packing is an identity lookup per reference.
-            if split_version(request.protocol_version) >= FRAME_VERSION:
-                return MethodEntriesResponse(
-                    entries=(),
-                    epochs=epochs,
-                    incarnation=incarnation,
-                    cursor=cursor,
-                    frame=pack_frame(entries),
-                )
-            return MethodEntriesResponse(
-                entries=tuple(entries),
-                epochs=epochs,
-                incarnation=incarnation,
-                cursor=cursor,
-            )
+            return self._fetch_methods(request)
         raise ProtocolError(
             "invalid-request",
             f"shard servers speak store-level ops only "
             f"(lookup/store/invalidate/store-stats and their 1.2 "
             f"batched forms), not {type(request).__name__}",
         )
+
+    def _fetch_methods(self, request):
+        """The ``fetch-methods`` answer: the kept full dump while it
+        stands, else a fresh scan, kept when it is a full dump."""
+        if request.methods is not None:
+            for method in request.methods:
+                self._check_ownership(method)
+        framed = split_version(request.protocol_version) >= FRAME_VERSION
+        query = (request.methods, request.fingerprint, framed)
+        kept = self._kept
+        # Equal versions mean equal dumps, and the store still has the
+        # kept answer's incarnation and cursor, which tell whether this
+        # request asks for a delta.  A match linearizes at this read.
+        if (
+            kept is not None
+            and kept.version == self.store.version
+            and kept.query == query
+            and not (
+                request.incarnation == kept.response.incarnation
+                and 0 <= request.since <= kept.response.cursor
+            )
+        ):
+            with self._kept_lock:
+                self.dumps_kept += 1
+            return kept.response
+        # Incremental (protocol 1.7): a cursor from this store's
+        # current incarnation gets only what was stamped since.
+        entries, epochs, incarnation, cursor, version = self.store.fetch(
+            request.methods,
+            fingerprint=request.fingerprint,
+            incarnation=request.incarnation,
+            since=request.since,
+        )
+        epochs = tuple(epochs) if any(epochs) else ()
+        # Framed (protocol 1.8) for a requester that reads frames, when
+        # there is anything to frame; an older one, and an empty answer,
+        # get nominal entries.  The store shares equal references, so
+        # packing is an identity lookup per reference.
+        if framed and entries:
+            response = MethodEntriesResponse(
+                entries=(),
+                epochs=epochs,
+                incarnation=incarnation,
+                cursor=cursor,
+                frame=pack_frame(entries),
+            )
+        else:
+            response = MethodEntriesResponse(
+                entries=tuple(entries),
+                epochs=epochs,
+                incarnation=incarnation,
+                cursor=cursor,
+            )
+        if version is not None:  # a full dump; a delta is never kept
+            kept = _KeptDump(version, query, response, encode(response))
+            with self._kept_lock:
+                self._kept = kept
+                self.dumps_packed += 1
+        return response
 
 
 class ShardServer(ShardDispatcher):

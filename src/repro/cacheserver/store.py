@@ -29,6 +29,12 @@ the shared copies before it becomes visible, and never mutated after.
 So a framed prefetch answer (protocol 1.8,
 :func:`~repro.api.snapshot.pack_frame`) finds each distinct reference
 by identity, and the shard holds each one once.
+
+The store's :attr:`~WireSummaryStore.version` advances, under the lock,
+with every operation that can change a full dump's bytes, so a server
+can keep the line it encoded for the last full dump and send it again
+while the version stands (see
+:class:`~repro.cacheserver.server.ShardDispatcher`).
 """
 
 import json
@@ -187,6 +193,12 @@ class WireSummaryStore:
         # the table was last rebuilt (see `_check_shared_locked`).
         self._shared = {}  # guarded-by: _lock
         self._released = 0  # guarded-by: _lock
+        #: Advanced by every operation that can change a full dump's
+        #: bytes: its entries, their order or ``steps``, their epochs,
+        #: the fingerprint filter, the incarnation or the cursor.  A
+        #: plain miss leaves it.  Read lock-free; equal versions mean
+        #: equal full dumps.
+        self.version = 0  # guarded-by: _lock
 
     # The inner store's capacity policy and counters, read-only.
     max_entries = property(lambda self: self._store.max_entries)
@@ -231,6 +243,7 @@ class WireSummaryStore:
             recorded = self._fprints.get(method)
             if recorded is None:
                 self._fprints[method] = fingerprint
+                self.version += 1  # the fingerprint filter changed
             elif recorded != fingerprint:
                 return False
         return True
@@ -256,7 +269,10 @@ class WireSummaryStore:
             self._store.misses += 1
             return None
         resident = self._store.lookup(self._nodes[method], canonical_key(key), None)
-        return None if resident is None else resident.entry
+        if resident is None:
+            return None
+        self.version += 1  # a hit refreshes recency
+        return resident.entry
 
     def store(self, entry, epoch=0, fingerprint=None):
         """Insert a *validated* wire entry.
@@ -288,6 +304,9 @@ class WireSummaryStore:
             return self._store_locked(entry)
 
     def _store_locked(self, entry):
+        # Even an equal-payload re-store refreshes recency and may raise
+        # the resident's ``steps``.
+        self.version += 1
         key = (self._nodes[entry_method(entry)], entry_key(entry), None)
         before = self._resident_refs_locked()
         resident = _Resident(entry)
@@ -373,6 +392,8 @@ class WireSummaryStore:
             return self._invalidate_locked(method_qname, epoch)
 
     def _invalidate_locked(self, method_qname, epoch=0):
+        # The epoch moves even when nothing of the method is resident.
+        self.version += 1
         before = self._resident_refs_locked()
         dropped = self._store.invalidate_method(method_qname)
         self._released += before - self._resident_refs_locked()
@@ -446,20 +467,23 @@ class WireSummaryStore:
 
     def fetch(self, methods=None, fingerprint=None, incarnation=None, since=0):
         """The ``fetch-methods`` answer: ``(entries, epochs,
-        incarnation, cursor)``.
+        incarnation, cursor, version)``.
 
         When ``incarnation`` names this store's current incarnation and
         ``since`` is a cursor it issued, only entries stamped after
         ``since`` are returned, oldest stamp first; otherwise the full
         :meth:`entries_with_epochs` dump, coldest-first.  Either way
         the filters of :meth:`entries_with_epochs` apply, and
-        ``cursor`` is the newest stamp issued so far.  The cursor is
-        read in the same lock hold as the scan: an entry stored in
-        between would otherwise be skipped by every later delta.
+        ``cursor`` is the newest stamp issued so far.  ``version`` is
+        the :attr:`version` a full dump was scanned at (``None`` for a
+        delta).  Both are read in the same lock hold as the scan: an
+        entry stored in between would otherwise be skipped by every
+        later delta, or its dump kept under a later version.
         """
         with self._lock:
             store = self._store
-            if incarnation == self.incarnation and 0 <= since <= self._seq:
+            delta = incarnation == self.incarnation and 0 <= since <= self._seq
+            if delta:
                 resident = store._entries
                 fresh = []
                 for key, seq in reversed(self._seqs.items()):
@@ -483,7 +507,8 @@ class WireSummaryStore:
                         continue
                 entries.append(value.entry)
                 epochs.append(store.method_epoch(method))
-            return entries, epochs, self.incarnation, self._seq
+            version = None if delta else self.version
+            return entries, epochs, self.incarnation, self._seq, version
 
     def clear(self):
         # Epochs and fingerprints survive a clear: they version the
@@ -491,6 +516,7 @@ class WireSummaryStore:
         # and the sequence counter: every later store still gets a
         # stamp above any cursor already handed out.
         with self._lock:
+            self.version += 1
             self._store.clear()
             self._seqs.clear()
             self._shared = {}
@@ -507,6 +533,7 @@ class WireSummaryStore:
         child.  A respawned process also draws a new incarnation, so
         every client's next prefetch is a full dump."""
         with self._lock:
+            self.version += 1
             store = self._store
             self._store = type(store)(
                 max_entries=store.max_entries, max_facts=store.max_facts

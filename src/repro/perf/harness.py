@@ -49,14 +49,17 @@ PAPERS.md).  This harness measures **steps per second**:
   the identical-answers invariant the figure4 sweep enforces.
 * **remote** — pipelined remote sessions on the generator program's
   NullDeref stream (the paper's 10 batches) over two in-process async
-  shard servers: a cold session against the empty fleet and a warm one
-  served by its flushes, beside a cold local engine, with their wall
-  times, round trips, lookups, prefetch bytes and
-  ``native_unavailable``.  ``--check`` gates on answers equal to the
-  local engine's, no ``lookup`` round trip in either session, at most
-  :data:`PREFETCH_BYTES_PER_ENTRY_MAX` prefetch bytes per prefetched
-  entry in the warm session (a framed full dump), and — with the
-  kernel loaded — both running on it.
+  shard servers: a cold session against the empty fleet, a warm one
+  served by its flushes and a rewarm one on the unchanged fleet,
+  beside a cold local engine, with their wall times, round trips,
+  lookups, prefetch bytes, ``native_unavailable`` and each shard's
+  full dumps packed and answered from its kept line.  ``--check``
+  gates on answers equal to the local engine's, no ``lookup`` round
+  trip in any session, at most :data:`PREFETCH_BYTES_PER_ENTRY_MAX`
+  prefetch bytes per prefetched entry in the warm session (a framed
+  full dump), every shard answering the rewarm session's full dump
+  from its kept line, and — with the kernel loaded — every session
+  running on it.
 * **codec** — the wire codec on serve-ide-shaped traffic: the generator
   program's SafeCast and NullDeref queries (with their client payloads)
   in a seeded order with a 5% share of invalidates, answered by an
@@ -661,6 +664,8 @@ def run_chaos(quick=False, scale=0.3, log=lambda s: None):
 
 #: Batches per ``remote`` session: the paper's Figure-4 split.
 REMOTE_BATCHES = 10
+#: The ``remote`` section's sessions, in order, each on a fresh engine.
+REMOTE_SESSIONS = ("cold", "warm", "rewarm")
 #: ``--check``'s ceiling on the warm remote session's
 #: ``prefetch_bytes`` per ``prefetched`` entry.  A framed full dump of e2ebench's program
 #: reads ~54 bytes per entry, nominal entries ~311.
@@ -695,14 +700,18 @@ def run_remote(log=lambda s: None):
     NullDeref stream in the paper's 10 batches (:func:`_remote_session`),
     each session on a fresh engine under the default impl: ``cold``
     against the empty fleet, then ``warm`` against what the cold session
-    flushed, beside ``local_cold_sec``, the same stream on a fresh
-    engine with a plain store.  ``lookups`` counts the ``lookup`` round trips answered
-    (remote hits plus misses), ``prefetch_bytes`` the size of the
-    ``fetch-methods-result`` lines the session decoded.  Answers must
-    equal the local engine's; a violation raises
+    flushed, then ``rewarm`` against the fleet the warm session left
+    unchanged, beside ``local_cold_sec``, the same stream on a fresh
+    engine with a plain store.  ``lookups`` counts the ``lookup`` round
+    trips answered (remote hits plus misses), ``prefetch_bytes`` the
+    size of the ``fetch-methods-result`` lines the session decoded, and
+    ``dumps_packed``/``dumps_kept`` each shard's full dumps scanned and
+    encoded, and answered from its kept line, during the session.
+    Answers must equal the local engine's; a violation raises
     :class:`PerfCheckError` regardless of ``--check`` (which also gates
-    on no lookups in either session, on the warm session's prefetch
-    bytes per prefetched entry and, with the kernel loaded, on
+    on no lookups in any session, on the warm session's prefetch bytes
+    per prefetched entry, on every shard answering the rewarm session's
+    full dump from its kept line and, with the kernel loaded, on
     ``native_unavailable`` being null).
     """
     from repro.cacheserver.aserver import AsyncShardServer
@@ -718,7 +727,9 @@ def run_remote(log=lambda s: None):
             )
         )
         sessions = {}
-        for name in ("cold", "warm"):
+        for name in REMOTE_SESSIONS:
+            packed = [server.dumps_packed for server in servers]
+            kept = [server.dumps_kept for server in servers]
             sec, answers, stats = _remote_session(policy)
             if answers != want:
                 raise PerfCheckError(
@@ -734,6 +745,14 @@ def run_remote(log=lambda s: None):
                 "stores": remote.stores,
                 "steps": stats.steps,
                 "native_unavailable": stats.native_unavailable,
+                "dumps_packed": [
+                    server.dumps_packed - before
+                    for server, before in zip(servers, packed)
+                ],
+                "dumps_kept": [
+                    server.dumps_kept - before
+                    for server, before in zip(servers, kept)
+                ],
             }
     finally:
         for server in servers:
@@ -933,7 +952,8 @@ def run_perf(
     and native loops clearing their baselines, a warm start with one
     CSR compile and no adjacency compile, edits with no full-solve
     fallback and one CSR compile each, remote sessions with no
-    ``lookup`` round trip that run on the kernel when it loads, client
+    ``lookup`` round trip that run on the kernel when it loads, a
+    rewarm session every shard answers from its kept full dump, client
     decoding within :data:`CODEC_DECODE_RATIO_MAX` of ``json.loads``,
     and sub-linear eviction cost).
     """
@@ -989,8 +1009,10 @@ def run_perf(
         # warm pipelined sessions on a shard fleet vs a cold local
         # engine); version 10 adds the codec section (each codec call of
         # a serve-ide exchange beside bare json on the same lines);
-        # version 11 adds each remote session's ``prefetch_bytes``.
-        "version": 11,
+        # version 11 adds each remote session's ``prefetch_bytes``;
+        # version 12 adds the rewarm session and each session's shard
+        # dumps packed and kept.
+        "version": 12,
         "quick": quick,
         "python": sys.version.split()[0],
         "figure4": figure4,
@@ -1106,7 +1128,7 @@ def _check_report(report):
     if remote is not None:
         from repro.native import availability
 
-        for name in ("cold", "warm"):
+        for name in REMOTE_SESSIONS:
             row = remote[name]
             if row["lookups"]:
                 raise PerfCheckError(
@@ -1132,6 +1154,15 @@ def _check_report(report):
                 f"prefetch bytes for {warm['prefetched']} entries (over "
                 f"{PREFETCH_BYTES_PER_ENTRY_MAX} per entry: the answers "
                 "are not framed)"
+            )
+        # The warm session wrote nothing, so each shard still has the
+        # full dump it packed for it and answers the rewarm one with it.
+        rewarm = remote["rewarm"]
+        if any(rewarm["dumps_packed"]) or not all(rewarm["dumps_kept"]):
+            raise PerfCheckError(
+                f"remote rewarm session's full dumps were packed "
+                f"{rewarm['dumps_packed']} and kept {rewarm['dumps_kept']} "
+                "times per shard (want every shard's from its kept line)"
             )
     codec = report.get("codec")
     # The same rule as the figure4 ratio gates: best-of at least
@@ -1233,7 +1264,8 @@ def main(argv=None):
         f"warm start {warmstart['speedup']}x total, "
         f"{warmstart['query_speedup']}x serving; "
         f"edit {edits['edit_ms']}ms + batch {edits['batch_ms']}ms; "
-        f"remote warm {remote['warm']['sec']}s vs local cold "
+        f"remote warm {remote['warm']['sec']}s, rewarm "
+        f"{remote['rewarm']['sec']}s vs local cold "
         f"{remote['local_cold_sec']}s; "
         f"decode_response {report['codec']['decode_response']['ratio']}x "
         f"json.loads; "

@@ -126,7 +126,7 @@ class TestReportShape:
         assert section["edit_ms"] > 0 and section["batch_ms"] > 0
         assert section["cold_for_program_ms"] > 0
         assert section["traversal_impl"] == active_traversal_impl()
-        assert quick_report["version"] == 11
+        assert quick_report["version"] == 12
 
     def test_remote_section_sends_no_lookups(self, quick_report):
         from repro.analysis.ppta import active_traversal_impl
@@ -135,16 +135,17 @@ class TestReportShape:
         section = quick_report["remote"]
         assert set(section) == {
             "workload", "client", "queries", "batches", "shards",
-            "local_cold_sec", "traversal_impl", "cold", "warm",
+            "local_cold_sec", "traversal_impl", "cold", "warm", "rewarm",
         }
         assert section["batches"] == 10 and section["shards"] == 2
         assert section["traversal_impl"] == active_traversal_impl()
         native_ok, native_reason = availability()
-        for name in ("cold", "warm"):
+        for name in ("cold", "warm", "rewarm"):
             row = section[name]
             assert set(row) == {
                 "sec", "round_trips", "lookups", "prefetched", "prefetch_bytes",
-                "stores", "steps", "native_unavailable",
+                "stores", "steps", "native_unavailable", "dumps_packed",
+                "dumps_kept",
             }
             assert row["sec"] > 0 and row["lookups"] == 0
             assert row["native_unavailable"] == (None if native_ok else native_reason)
@@ -159,6 +160,16 @@ class TestReportShape:
         assert section["cold"]["prefetch_bytes"] > 0
         warm = section["warm"]
         assert 0 < warm["prefetch_bytes"] <= 128 * warm["prefetched"]
+        # Each session's first prefetch is its one full dump per shard:
+        # the cold and warm ones find a changed store and pack, the
+        # rewarm one finds the warm one's store and its kept line.
+        for name in ("cold", "warm"):
+            assert section[name]["dumps_packed"] == [1, 1]
+            assert section[name]["dumps_kept"] == [0, 0]
+        rewarm = section["rewarm"]
+        assert (rewarm["dumps_packed"], rewarm["dumps_kept"]) == ([0, 0], [1, 1])
+        for field in ("prefetched", "prefetch_bytes", "round_trips", "steps"):
+            assert rewarm[field] == warm[field], field
 
     def test_codec_section_times_each_call_beside_json(self, quick_report):
         section = quick_report["codec"]
@@ -250,20 +261,31 @@ class TestInvariants:
     REMOTE_ROW = {
         "lookups": 0, "native_unavailable": None,
         "prefetched": 100, "prefetch_bytes": 12_800,
+        "dumps_packed": [1, 1], "dumps_kept": [0, 0],
     }
+    REWARM_ROW = {**REMOTE_ROW, "dumps_packed": [0, 0], "dumps_kept": [1, 1]}
 
-    @pytest.mark.parametrize("session", ["cold", "warm"])
+    @pytest.mark.parametrize("session", ["cold", "warm", "rewarm"])
     @pytest.mark.parametrize(
         "change, message, native_only, gated",
         [
-            ({"lookups": 3}, "lookups", False, ("cold", "warm")),
+            ({"lookups": 3}, "lookups", False, ("cold", "warm", "rewarm")),
             ({"native_unavailable": "RemoteSummaryCache"}, "off the kernel", True,
-             ("cold", "warm")),
+             ("cold", "warm", "rewarm")),
             # Bytes per entry gate only the warm session's full dump.
             ({"prefetch_bytes": 12_801}, "not framed", False, ("warm",)),
             ({"prefetched": 0, "prefetch_bytes": 110}, "not framed", False, ("warm",)),
+            # Every shard answers the rewarm session's full dump from its
+            # kept line.
+            ({"dumps_packed": [0, 1], "dumps_kept": [1, 0]}, "kept line", False,
+             ("rewarm",)),
+            ({"dumps_packed": [1, 0], "dumps_kept": [1, 1]}, "kept line", False,
+             ("rewarm",)),
+            ({"dumps_packed": [0, 0], "dumps_kept": [0, 0]}, "kept line", False,
+             ("rewarm",)),
         ],
-        ids=["lookups", "off-kernel", "nominal-bytes", "bytes-for-nothing"],
+        ids=["lookups", "off-kernel", "nominal-bytes", "bytes-for-nothing",
+             "one-shard-packed", "packed-and-kept", "no-dump"],
     )
     def test_remote_gate(self, session, change, message, native_only, gated):
         from repro.native import availability
@@ -273,6 +295,7 @@ class TestInvariants:
             "traversal_impl": "native",
             "cold": dict(self.REMOTE_ROW),
             "warm": dict(self.REMOTE_ROW),
+            "rewarm": dict(self.REWARM_ROW),
         }
         _check_report(report)
         report["remote"][session].update(change)

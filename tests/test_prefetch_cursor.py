@@ -361,7 +361,7 @@ class TestStoreStamps:
         store = WireSummaryStore()
         store.store(wire_entry("a"))
         store.store(wire_entry("b"))
-        entries, _epochs, incarnation, cursor = store.fetch()
+        entries, _epochs, incarnation, cursor, _version = store.fetch()
         assert [e["node"]["name"] for e in entries] == ["a", "b"]
         assert cursor == 2
         store.store(wire_entry("a"))  # equal re-store: recency only
@@ -369,7 +369,7 @@ class TestStoreStamps:
         assert store.fetch(incarnation=incarnation, since=cursor)[0] == []
         store.store(wire_entry("a", objects=2))  # payload replaced
         store.store(wire_entry("c"))
-        delta, _epochs, _inc, newer = store.fetch(
+        delta, _epochs, _inc, newer, _version = store.fetch(
             incarnation=incarnation, since=cursor
         )
         assert [(e["node"]["name"], len(e["objects"])) for e in delta] == [
@@ -392,7 +392,9 @@ class TestStoreStamps:
         store.restart_blank()
         assert store.incarnation != old
         store.store(wire_entry("b"))
-        entries, _epochs, incarnation, cursor = store.fetch(incarnation=old, since=1)
+        entries, _epochs, incarnation, cursor, _version = store.fetch(
+            incarnation=old, since=1
+        )
         assert [e["node"]["name"] for e in entries] == ["b"]
         assert (incarnation, cursor) == (store.incarnation, 1)
 
@@ -400,7 +402,7 @@ class TestStoreStamps:
         store = WireSummaryStore(max_entries=2)
         for name in "abc":
             store.store(wire_entry(name))  # "a" is evicted
-        _entries, _epochs, incarnation, cursor = store.fetch()
+        _entries, _epochs, incarnation, cursor, _version = store.fetch()
         assert cursor == 3
         store.clear()
         assert store.incarnation == incarnation
@@ -442,7 +444,7 @@ class TestStoreStamps:
                 store.invalidate_method(method)
             else:
                 since = rng.choice(cursors)
-                delta, _epochs, inc, cursor = store.fetch(
+                delta, _epochs, inc, cursor, _version = store.fetch(
                     incarnation=incarnation, since=since
                 )
                 assert (inc, cursor) == (incarnation, seq)

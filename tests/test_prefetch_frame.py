@@ -6,7 +6,8 @@ integers per entry.  Pinned here:
 
 * the version rule: a 1.7 request gets the nominal answer, the one a
   1.7 shard sends; a 1.8 request gets a frame that resolves to the
-  same entries, in the same order;
+  same entries, in the same order, and an empty answer (an unchanged
+  delta) carries no frame;
 * the client: a framed warm prefetch fills the local tier exactly as a
   nominal one does, and the session answers and steps like a local
   engine holding the same summaries; a frame with an index past its
@@ -326,6 +327,30 @@ class TestVersionRule:
         # Each entry is 7 values: a key, steps, one object, no boundary.
         assert len(frame.rows) == 14
         assert [frame.nodes[frame.rows[at]]["name"] for at in (0, 7)] == ["c", "b"]
+
+    def test_an_unchanged_delta_carries_no_frame(self):
+        server = self.make_server()
+        server.handle_line(encode(StoreRequest(entry=wire_entry("a"))))
+        first = self.fetch(server)
+        assert first.frame is not None
+        line = server.handle_line(
+            encode(MethodEntriesRequest(incarnation=first.incarnation, since=first.cursor))
+        )
+        assert line == (
+            f'{{"cursor":{first.cursor},"entries":[],"epochs":[],'
+            f'"incarnation":{first.incarnation},'
+            f'"kind":"fetch-methods-result","protocol_version":"{PROTOCOL_VERSION}"}}'
+        )
+        # The unchanged delta's cursor still yields exactly what is
+        # stored after it, framed.
+        server.handle_line(encode(StoreRequest(entry=wire_entry("b"))))
+        unchanged = decode_response(line)
+        delta = self.fetch(
+            server, incarnation=unchanged.incarnation, since=unchanged.cursor
+        )
+        assert delta.entries == () and delta.cursor == first.cursor + 1
+        frame = delta.frame
+        assert len(frame.rows) == 7 and frame.nodes[frame.rows[0]]["name"] == "b"
 
     def test_lookup_and_nominal_answers_keep_their_bytes(self):
         """Sharing swaps an entry's references for equal shared copies;
