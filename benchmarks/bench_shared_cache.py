@@ -24,11 +24,9 @@ e2ebench's ``shared-threaded`` workload times this deployment shape in
 process.
 
 A second protocol sweeps the **serving tier**: a warm cluster serves
-1/4/16 concurrent pipelined clients, once on the default asyncio tier
-(one event loop per shard) and once thread-per-connection
-(``--threaded``), recording wall-clock and round trips per client
-count — the async tier must cost no more than the threaded one at a
-single client while multiplexing 16 from one loop.
+1/4/16/64 concurrent pipelined clients, each with one connection (so
+one server thread) per shard, recording wall-clock and round trips per
+client count.
 
 Set ``REPRO_WRITE_BASELINE=1`` to (re)write ``BENCH_shared.json``.
 Its step, store, hit and round-trip counts are exact; the wall-clock
@@ -169,24 +167,24 @@ def _concurrent_pipelined_clients(addresses, pag, n_clients):
 
 _SWEEP = {}
 
+#: Concurrent clients per sweep step; at 64, 64 client threads and 128
+#: connection threads run at once.
+SWEEP_CLIENTS = (1, 4, 16, 64)
 
-def test_async_vs_threaded_concurrency_sweep(benchmark, figure_instances):
+
+def test_concurrency_sweep(benchmark, figure_instances):
     """The serving-tier scaling protocol: a warm 2-shard cluster serves
-    1 / 4 / 16 concurrent pipelined clients, once on the asyncio tier
-    (the default: one event loop per shard) and once on the
-    thread-per-connection tier (``--threaded``).  Wall-clock and round
-    trips are recorded per client count; the acceptance bar is that
-    async costs no more than threaded at 1 client (tolerance for
-    scheduler noise) while serving 16 clients from one loop."""
+    1 / 4 / 16 / 64 concurrent pipelined clients.  Wall-clock and round
+    trips are recorded per client count."""
     from repro.engine import CachePolicy
 
     name = FIGURE_BENCHMARKS[0]
     instance = figure_instances[name]
     client = SafeCastClient(instance.pag)
 
-    def sweep(threaded):
+    def sweep():
         rows = {}
-        with CacheCluster.spawn(shards=2, threaded=threaded) as cluster:
+        with CacheCluster.spawn(shards=2) as cluster:
             # Seed the service once so every sweep client runs warm —
             # the sweep measures the serving tier, not the analysis.
             seeder = PointsToEngine(
@@ -202,7 +200,7 @@ def test_async_vs_threaded_concurrency_sweep(benchmark, figure_instances):
                 1 for _ in seeder.cache.local_tier.entries()
             )
             assert seeded > 0
-            for n_clients in (1, 4, 16):
+            for n_clients in SWEEP_CLIENTS:
                 wall, stats = _concurrent_pipelined_clients(
                     cluster.addresses, instance.pag, n_clients
                 )
@@ -217,29 +215,17 @@ def test_async_vs_threaded_concurrency_sweep(benchmark, figure_instances):
         assert not any(cluster.alive())
         return rows
 
-    def both():
-        return sweep(threaded=False), sweep(threaded=True)
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    async_rows, threaded_rows = benchmark.pedantic(both, rounds=1, iterations=1)
-
-    # O(shards) pipelined cost regardless of tier or client count.
-    for rows in (async_rows, threaded_rows):
-        for row in rows.values():
-            assert row["round_trips_per_client"] <= 2 * 2
-    # The 1-client bar: the event loop must not cost more than the
-    # thread-per-connection transport it replaces (generous tolerance —
-    # single-digit-millisecond exchanges are scheduler-noise bound).
-    assert (
-        async_rows["1"]["wall_sec"]
-        <= threaded_rows["1"]["wall_sec"] * 1.25 + 0.25
-    )
+    # O(shards) pipelined cost regardless of client count.
+    for row in rows.values():
+        assert row["round_trips_per_client"] <= 2 * 2
     _SWEEP.update(
         {
             "benchmark": name,
             "shards": 2,
-            "clients": [1, 4, 16],
-            "async": async_rows,
-            "threaded": threaded_rows,
+            "clients": list(SWEEP_CLIENTS),
+            "rows": rows,
         }
     )
 
@@ -269,12 +255,9 @@ def test_print_shared_cache(benchmark):
             "\nServing-tier sweep — warm 2-shard cluster, "
             f"{_SWEEP['benchmark']}, concurrent pipelined clients"
         )
-        print(f"{'clients':>7s} {'async sec':>10s} {'threaded sec':>12s}")
+        print(f"{'clients':>7s} {'sec':>7s}")
         for n in _SWEEP["clients"]:
-            print(
-                f"{n:>7d} {_SWEEP['async'][str(n)]['wall_sec']:>10.3f} "
-                f"{_SWEEP['threaded'][str(n)]['wall_sec']:>12.3f}"
-            )
+            print(f"{n:>7d} {_SWEEP['rows'][str(n)]['wall_sec']:>7.3f}")
     if os.environ.get("REPRO_WRITE_BASELINE"):
         payload = {
             "protocol": "bench_shared_cache",

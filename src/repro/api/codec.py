@@ -104,54 +104,6 @@ def decode_response(text):
     return _decode(text, RESPONSE_KINDS, "response", ignore_unknown=True)
 
 
-# ----------------------------------------------------------------------
-# the transport id envelope (protocol 1.4)
-# ----------------------------------------------------------------------
-# The async tier multiplexes many in-flight requests per socket by
-# correlating each response with its request's ``"id"`` — a top-level
-# JSON key that belongs to the *transport*, not the message schema (the
-# strict request validator has never heard of it).  These helpers strip
-# the id before decoding and graft it back onto the response line.
-
-
-def split_request_id(line):
-    """``(line_without_id, request_id)`` for one raw request line.
-
-    Lines without an ``"id"`` key pass through untouched (``None`` id),
-    so the envelope costs nothing on the common single-flight path.
-    Malformed JSON also passes through — the downstream decoder owns
-    producing the typed error for it.  Ids may be strings or ints (the
-    JSON scalars that compare reliably); anything else is rejected with
-    a :class:`ProtocolError` so a client can never desynchronise its
-    correlation table silently.
-    """
-    if '"id"' not in line:
-        return line, None
-    try:
-        payload = json.loads(line)
-    except (ValueError, TypeError, RecursionError):
-        return line, None
-    if not isinstance(payload, dict) or "id" not in payload:
-        return line, None
-    request_id = payload.pop("id")
-    if not isinstance(request_id, (str, int)) or isinstance(request_id, bool):
-        raise ProtocolError(
-            "invalid-request",
-            f"transport id must be a string or integer, got "
-            f"{type(request_id).__name__}",
-        )
-    return _CANONICAL.encode(payload), request_id
-
-
-def attach_response_id(line, request_id):
-    """Graft a transport ``"id"`` onto an encoded response line."""
-    if request_id is None:
-        return line
-    payload = json.loads(line)
-    payload["id"] = request_id
-    return _CANONICAL.encode(payload)
-
-
 def _decode(text, registry, direction, ignore_unknown=False):
     try:
         payload = json.loads(text)

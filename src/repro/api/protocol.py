@@ -92,9 +92,10 @@ from repro.engine.scheduler import BatchStats
 #: behind-the-times write-throughs, per-entry ``epochs`` on
 #: ``fetch-methods-result``, aligned ``stale`` flags on
 #: ``batch-stored``, the ``epoch_rejections``/``reconnects``/
-#: ``seeded_entries`` counters on the remote stats, and the optional
-#: transport-level ``id`` envelope key the async tier echoes for
-#: request multiplexing.  1.3 added a ``stats-result`` flag for a
+#: ``seeded_entries`` counters on the remote stats; it also added a
+#: transport-level ``id`` envelope for request multiplexing, since
+#: withdrawn: a line carrying an ``id`` key is an ``invalid-request``
+#: on every transport.  1.3 added a ``stats-result`` flag for a
 #: snapshot-borne CSR traversal image adopted at warm start; snapshots
 #: no longer carry images, so the flag is withdrawn and not sent
 #: (responses ignore unknown fields, so a peer that still sends it

@@ -15,9 +15,9 @@ Two transports ship here:
   service in any host (tests drive these directly);
 * :meth:`serve` + :func:`main` — a JSON-lines stdio loop, installed as
   the ``repro-serve`` console script: one request per line on stdin, one
-  response per line on stdout, diagnostics on stderr.  This is the
-  process boundary the ROADMAP's shard servers and multi-process
-  fan-out will speak.
+  response per line on stdout, diagnostics on stderr.  With
+  ``--listen HOST:PORT`` the same lines travel over TCP instead, on the
+  cache service's :class:`~repro.cacheserver.server.LineServer`.
 
 .. code-block:: console
 
@@ -465,9 +465,8 @@ def main(argv=None):
         metavar="HOST:PORT",
         default=None,
         help=(
-            "serve the same protocol over TCP on one asyncio event loop "
-            "(port 0 = OS pick; clients may multiplex requests by "
-            "tagging lines with an \"id\") instead of stdio"
+            "serve the same protocol over TCP instead of stdio, a thread "
+            "per connection and one request at a time (port 0 = OS pick)"
         ),
     )
     parser.add_argument(
@@ -517,12 +516,11 @@ def main(argv=None):
         if args.listen is None:
             service.serve(sys.stdin, sys.stdout)
             return 0
-        # TCP mode: the whole service behind the asyncio line server —
-        # the engine tier scales the same way the cache tier does.
         import json
         import signal
+        import threading
 
-        from repro.cacheserver.aserver import AsyncLineServer
+        from repro.cacheserver.server import LineServer
 
         host, _, port = args.listen.rpartition(":")
         if not host or not port.isdigit():
@@ -531,13 +529,15 @@ def main(argv=None):
                 file=sys.stderr,
             )
             return 2
-        # dispatch_workers=1: PointsToService wraps a single engine with
-        # no internal locking, so dispatch must stay single-threaded —
-        # one worker keeps the strict handler serialization while still
-        # taking dispatch off the event loop.
-        server = AsyncLineServer(
-            service.handle_line, host=host, port=int(port), dispatch_workers=1
-        )
+        # PointsToService wraps a single engine with no internal
+        # locking: the connection threads take turns through this lock.
+        lock = threading.Lock()
+
+        def handle_line(line):
+            with lock:
+                return service.handle_line(line)
+
+        server = LineServer(handle_line, host=host, port=int(port))
         # The impl rides the announce line: the default depends on a C
         # compiler being present, so an operator can see a host that
         # answers on the pure-Python fallback.
@@ -558,11 +558,15 @@ def main(argv=None):
         sys.stdout.flush()
 
         def shutdown(signum, frame):
-            server.stop()  # graceful drain; serve_forever then returns
+            server.stop()  # serve_forever then returns
 
         signal.signal(signal.SIGTERM, shutdown)
         signal.signal(signal.SIGINT, shutdown)
         server.serve_forever()
+        # Held until exit: the snapshot --save-cache writes must see no
+        # request in flight, and a connection thread still holding a
+        # read line must not start one.
+        lock.acquire()
         return 0
 
     status = run_transport()

@@ -13,8 +13,10 @@ granularity, so an edit touches exactly one shard.
 Three pieces:
 
 * :class:`~repro.cacheserver.server.ShardServer` — one shard: a
-  JSON-lines socket server over a method-indexed, optionally bounded
-  wire-form store (:class:`~repro.cacheserver.store.WireSummaryStore`),
+  JSON-lines socket server, a thread per connection (the
+  :class:`~repro.cacheserver.server.LineServer` transport, which
+  ``repro-serve --listen`` mounts too), over a method-indexed,
+  optionally bounded wire-form store (:class:`~repro.cacheserver.store.WireSummaryStore`),
   which keeps its entries in the engine's own
   :class:`~repro.analysis.summaries.BoundedSummaryCache` or
   :class:`~repro.analysis.summaries.CostAwareSummaryCache`, so a shard

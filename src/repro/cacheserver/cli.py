@@ -89,15 +89,9 @@ def _build_parser():
     parser.add_argument(
         "--timeout", type=float, default=1.0, help="--connect socket timeout"
     )
-    parser.add_argument(
-        "--threaded",
-        action="store_true",
-        help=(
-            "serve on the thread-per-connection transport instead of the "
-            "asyncio tier (the default event-loop server; applies to "
-            "--serve-shard and to the children a launcher spawns)"
-        ),
-    )
+    # Accepted and ignored: every shard serves a thread per connection,
+    # and launch commands written when this flag chose that still pass it.
+    parser.add_argument("--threaded", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument(
         "--faults",
         metavar="SPEC",
@@ -128,13 +122,8 @@ def _resolve_faults(args):
 # mode: one shard server (the launcher's child / the pod entry point)
 # ----------------------------------------------------------------------
 def _serve_shard(args):
-    server_cls = ShardServer
-    if not args.threaded:
-        from repro.cacheserver.aserver import AsyncShardServer
-
-        server_cls = AsyncShardServer
     try:
-        server = server_cls(
+        server = ShardServer(
             args.serve_shard,
             args.shards,
             host=args.host,
@@ -150,19 +139,8 @@ def _serve_shard(args):
     print(_listening_line(server, pid=os.getpid()))
     sys.stdout.flush()
 
-    if args.threaded:
-
-        def shutdown(signum, frame):
-            server.stop()
-            raise SystemExit(0)
-
-    else:
-        # The async server drains gracefully on stop(); let
-        # serve_forever return instead of raising out of the handler
-        # (SystemExit inside a signal handler would tear through the
-        # running event loop mid-drain).
-        def shutdown(signum, frame):
-            server.stop()
+    def shutdown(signum, frame):
+        server.stop()  # serve_forever then returns
 
     signal.signal(signal.SIGTERM, shutdown)
     signal.signal(signal.SIGINT, shutdown)
@@ -189,7 +167,6 @@ def _launch_cluster(args):
             max_entries=args.max_entries,
             max_facts=args.max_facts,
             eviction=args.eviction,
-            threaded=args.threaded,
             faults=_resolve_faults(args),
         )
     except (ValueError, OSError, RuntimeError) as exc:

@@ -10,7 +10,7 @@ This module turns failure into a first-class, *deterministic* input:
 * :class:`FaultSchedule` — a frozen, seeded description of *which*
   operations fail and *how*.  Decisions are a pure function of
   ``(seed, shard, op_index)``, so a schedule replays identically across
-  runs, tiers (threaded vs async) and processes.  Schedules round-trip
+  runs, in-process servers and shard processes.  Schedules round-trip
   through a compact spec grammar (``repro-cached --faults SPEC``, env
   ``REPRO_FAULTS``) so child shard processes can be told to misbehave.
 * :class:`FaultInjector` — the stateful, thread-safe counterpart: one

@@ -9,6 +9,11 @@ belongs to a different shard is answered with a ``wrong-shard`` error
 rather than silently stored: the partition is part of the contract, and
 a routing bug should be loud.
 
+:class:`LineServer` is that transport on its own — bind and listen, the
+accept loop, a thread per connection, ``stop()`` — and it is the one
+socket server in the package: ``repro-serve --listen`` mounts a
+:class:`~repro.api.service.PointsToService` on it as well.
+
 :class:`CacheCluster` is the operational unit: it spawns N shard-server
 *processes* (``python -m repro.cacheserver --serve-shard I``), collects
 their listening addresses in shard order — exactly the tuple a client
@@ -67,6 +72,15 @@ from repro.api.protocol import StaleEpochResponse
 #: How long ``CacheCluster.spawn`` waits for a child's listening line.
 SPAWN_TIMEOUT_SEC = 30.0
 
+#: The longest request line a connection accepts, newline included.
+#: One ``FLUSH_CHUNK``-entry ``batch-store`` of generator summaries runs
+#: past 64 KiB; a longer line than this drops its connection (the client
+#: falls open) instead of making the server buffer without bound.
+MAX_LINE_BYTES = 16 * 1024 * 1024
+
+#: Pending-connection backlog of a listening socket.
+LISTEN_BACKLOG = 128
+
 #: A dispatcher's last full-dump ``fetch-methods`` answer: the store
 #: version it was scanned at, what the request asked (``(methods,
 #: fingerprint, framed)``), the response and its encoded line.
@@ -76,11 +90,9 @@ _KeptDump = namedtuple("_KeptDump", "version query response line")
 class ShardDispatcher:
     """The transport-independent half of a shard server: one
     :class:`~repro.cacheserver.store.WireSummaryStore` plus the
-    line-level request dispatch.  The threaded :class:`ShardServer`
-    and the asyncio :class:`~repro.cacheserver.aserver.AsyncShardServer`
-    both embed exactly this, so the two transports can never drift in
-    semantics — and the unit tests drive :meth:`handle_line` directly
-    with no socket at all.
+    line-level request dispatch.  :class:`ShardServer` serves it over a
+    :class:`LineServer`; the unit tests drive :meth:`handle_line`
+    directly with no socket at all.
 
     The dispatcher keeps its last full-dump ``fetch-methods`` answer,
     encoded, with the store :attr:`~WireSummaryStore.version` it was
@@ -130,8 +142,7 @@ class ShardDispatcher:
         """Decode one request line, dispatch, encode the response —
         every failure becomes a typed error line, never a traceback.
 
-        Fault injection lives HERE, on the transport-independent seam,
-        so the threaded and async tiers misbehave identically:
+        Fault injection lives HERE, on the transport-independent seam:
         ``delay`` stalls before dispatch, ``blank-restart`` wipes the
         store (the observable state of a freshly restarted shard
         process) and then serves the request against the blank store,
@@ -339,12 +350,131 @@ class ShardDispatcher:
         return response
 
 
+class LineServer:
+    """A JSON-lines TCP server with a thread per connection.
+
+    ``handle_line`` is any ``str -> str`` dispatcher: a
+    :class:`ShardDispatcher`'s, or ``repro-serve --listen``'s
+    :class:`~repro.api.service.PointsToService` behind one lock.  The
+    transport owns sockets and threads; the dispatcher owns meaning.
+    Each connection is answered in order, one response line per request
+    line.  Bytes that are not UTF-8 decode to U+FFFD, so the dispatcher
+    answers them with a typed error and the connection goes on.  A line
+    longer than :data:`MAX_LINE_BYTES` drops its connection, and so
+    does a dispatcher that raises ``OSError`` (an injected disconnect).
+
+    The socket is bound *and listening* in ``__init__`` (``port=0`` =
+    OS pick), so :attr:`address` is printable before serving starts and
+    a client that connects as soon as it is announced is queued by the
+    kernel instead of refused.
+    """
+
+    def __init__(self, handle_line, host="127.0.0.1", port=0):
+        self._handle_line = handle_line
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen(LISTEN_BACKLOG)
+        except OSError:
+            self._listener.close()
+            raise
+        # A bare close() does not take a listener down while another
+        # thread sits in accept(): the in-flight syscall keeps the
+        # kernel socket alive and the port keeps accepting.  A short
+        # accept timeout bounds how long that window can last; stop()
+        # additionally shutdown()s the listener to wake the loop now.
+        self._listener.settimeout(0.2)
+        self.host, self.port = self._listener.getsockname()[:2]
+        self._shutdown = threading.Event()
+        self._accept_thread = None
+        # Taken by connection threads and stop() only, never by the
+        # accept loop: stop() may run in a signal handler on that thread.
+        self._conn_lock = threading.Lock()
+        self._connections = set()  # guarded-by: _conn_lock
+
+    @property
+    def address(self):
+        return f"{self.host}:{self.port}"
+
+    def _serve_connection(self, conn):
+        with self._conn_lock:
+            self._connections.add(conn)
+        try:
+            conn.settimeout(None)
+            with conn.makefile("rb") as reader:
+                # Checked after registering: a stop() that listed the
+                # connections before this one joined has set the flag.
+                while not self._shutdown.is_set():
+                    raw = reader.readline(MAX_LINE_BYTES + 1)
+                    if not raw or len(raw) > MAX_LINE_BYTES:
+                        break  # the client hung up, or sent an over-long line
+                    line = raw.decode("utf-8", errors="replace").strip()
+                    if line:
+                        conn.sendall(self._handle_line(line).encode("utf-8") + b"\n")
+        except (OSError, ValueError):
+            pass  # client went away mid-line (or stop() closed us)
+        finally:
+            with self._conn_lock:
+                self._connections.discard(conn)
+            try:
+                conn.close()
+            except OSError:
+                pass
+
+    def serve_forever(self):
+        """Accept on the calling thread until :meth:`stop` (the child
+        process mode of ``repro-cached --serve-shard`` and of
+        ``repro-serve --listen``)."""
+        while not self._shutdown.is_set():
+            try:
+                conn, _addr = self._listener.accept()
+            except socket.timeout:
+                continue  # periodic shutdown-flag check
+            except OSError:
+                break  # listener closed by stop()
+            threading.Thread(
+                target=self._serve_connection, args=(conn,), daemon=True
+            ).start()
+
+    def start(self):
+        """Serve in a background thread (in-process embedding, tests)."""
+        self._accept_thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._accept_thread.start()
+        return self
+
+    def stop(self):
+        """Stop accepting and drop every open connection — after this
+        returns, clients see refused connects and closed streams, the
+        same failure surface a killed server process presents.  Safe to
+        call from a signal handler on the serving thread."""
+        self._shutdown.set()
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self._listener.close()
+        except OSError:
+            pass
+        with self._conn_lock:
+            connections = list(self._connections)
+        for conn in connections:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                conn.close()
+            except OSError:
+                pass
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=2.0)
+
+
 class ShardServer(ShardDispatcher):
-    """One shard of the cache service: a socket JSON-lines store server
-    with a thread per connection — the original transport, kept for
-    in-process embedding and as the ``--threaded`` escape hatch of
-    ``repro-cached`` (the async tier in
-    :mod:`repro.cacheserver.aserver` is the default).
+    """One shard of the cache service: the :class:`ShardDispatcher`
+    served by a :class:`LineServer`, a thread per connection.
 
     ``port=0`` (the default) lets the OS pick a free port; the bound
     address is available as :attr:`address` before :meth:`start` /
@@ -370,102 +500,25 @@ class ShardServer(ShardDispatcher):
             eviction=eviction,
             faults=faults,
         )
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(16)
-        # A bare close() does not take a listener down while another
-        # thread sits in accept(): the in-flight syscall keeps the
-        # kernel socket alive and the port keeps accepting.  A short
-        # accept timeout bounds how long that window can last; stop()
-        # additionally shutdown()s the listener to wake the loop now.
-        self._listener.settimeout(0.2)
-        self.host, self.port = self._listener.getsockname()[:2]
-        self._shutdown = threading.Event()
-        self._accept_thread = None
-        self._conn_lock = threading.Lock()
-        self._connections = set()
+        self.transport = LineServer(self.handle_line, host=host, port=port)
+        self.host, self.port = self.transport.host, self.transport.port
 
     @property
     def address(self):
-        return f"{self.host}:{self.port}"
-
-    # ------------------------------------------------------------------
-    # transport
-    # ------------------------------------------------------------------
-    def _serve_connection(self, conn):
-        try:
-            conn.settimeout(None)
-            reader = conn.makefile("r", encoding="utf-8", newline="\n")
-            writer = conn.makefile("w", encoding="utf-8", newline="\n")
-            for line in reader:
-                line = line.strip()
-                if not line:
-                    continue
-                writer.write(self.handle_line(line))
-                writer.write("\n")
-                writer.flush()
-        except (OSError, ValueError):
-            pass  # client went away mid-line (or stop() closed us)
-        finally:
-            with self._conn_lock:
-                self._connections.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _accept_loop(self):
-        while not self._shutdown.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue  # periodic shutdown-flag check
-            except OSError:
-                break  # listener closed by stop()
-            with self._conn_lock:
-                self._connections.add(conn)
-            threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            ).start()
+        return self.transport.address
 
     def start(self):
         """Serve in a background thread (in-process embedding, tests)."""
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        self.transport.start()
         return self
 
     def serve_forever(self):
-        """Serve on the calling thread until :meth:`stop` (the child
-        process mode of ``repro-cached --serve-shard``)."""
-        self._accept_loop()
+        """Serve on the calling thread until :meth:`stop`."""
+        self.transport.serve_forever()
 
     def stop(self):
-        """Stop accepting and drop every open connection — after this
-        returns, clients see refused connects and closed streams, the
-        same failure surface a killed server process presents."""
-        self._shutdown.set()
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._conn_lock:
-            connections = list(self._connections)
-        for conn in connections:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
+        """See :meth:`LineServer.stop`."""
+        self.transport.stop()
 
     def __enter__(self):
         return self
@@ -521,7 +574,6 @@ class CacheCluster:
         max_facts=None,
         eviction="lru",
         python=None,
-        threaded=False,
         faults=None,
     ):
         """Spawn ``shards`` shard-server child processes on ``host``.
@@ -529,10 +581,8 @@ class CacheCluster:
         Each child picks a free port and announces it as a JSON line on
         stdout; spawn blocks until every child has announced (or died —
         then the whole cluster is torn down and the failure raised).
-        Children serve on the asyncio tier by default; ``threaded=True``
-        keeps them on the thread-per-connection transport.  ``faults``
-        (a :class:`~repro.cacheserver.faults.FaultSchedule` or spec
-        string) makes every child inject server-side faults
+        ``faults`` (a :class:`~repro.cacheserver.faults.FaultSchedule`
+        or spec string) makes every child inject server-side faults
         deterministically — the chaos-soak battery's server leg.
         """
         python = python or sys.executable
@@ -544,7 +594,7 @@ class CacheCluster:
             for index in range(shards):
                 proc, info = cls._spawn_child(
                     python, index, shards, host, 0,
-                    max_entries, max_facts, eviction, threaded, faults_spec,
+                    max_entries, max_facts, eviction, faults_spec,
                 )
                 processes.append(proc)
                 addresses.append(f"{info['host']}:{info['port']}")
@@ -563,7 +613,6 @@ class CacheCluster:
             "max_entries": max_entries,
             "max_facts": max_facts,
             "eviction": eviction,
-            "threaded": threaded,
             "faults": faults_spec,
         }
         return cluster
@@ -571,7 +620,7 @@ class CacheCluster:
     @staticmethod
     def _spawn_child(
         python, index, shards, host, port,
-        max_entries, max_facts, eviction, threaded, faults_spec=None,
+        max_entries, max_facts, eviction, faults_spec=None,
     ):
         cmd = [
             python,
@@ -592,8 +641,6 @@ class CacheCluster:
             cmd += ["--max-entries", str(max_entries)]
         if max_facts is not None:
             cmd += ["--max-facts", str(max_facts)]
-        if threaded:
-            cmd += ["--threaded"]
         if faults_spec:
             cmd += ["--faults", faults_spec]
         proc = subprocess.Popen(
@@ -626,7 +673,7 @@ class CacheCluster:
         fresh, info = self._spawn_child(
             opts["python"], index, opts["shards"], host, int(port),
             opts["max_entries"], opts["max_facts"], opts["eviction"],
-            opts["threaded"], opts.get("faults"),
+            opts["faults"],
         )
         self.processes[index] = fresh
         if index < len(self.announcements):

@@ -1,5 +1,5 @@
 """Self-hosted developer tooling: the ``repro-lint`` static-analysis
-pass that mechanizes this repo's concurrency, hot-path, async and
+pass that mechanizes this repo's concurrency, hot-path, error and
 wire-protocol invariants (a static-analysis reproduction should dogfood
 its own discipline).
 

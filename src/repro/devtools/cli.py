@@ -22,7 +22,6 @@ from repro.devtools.analyzer import (
     split_findings,
     write_baseline,
 )
-from repro.devtools.rules_async import NoBlockingInAsync
 from repro.devtools.rules_err import FailOpenAccounting, TypedErrorDiscipline
 from repro.devtools.rules_hot import HotLoopHygiene
 from repro.devtools.rules_lock import LockDiscipline
@@ -34,7 +33,6 @@ ALL_RULES: Dict[str, Rule] = {
     for rule in (
         LockDiscipline(),
         HotLoopHygiene(),
-        NoBlockingInAsync(),
         ProtocolDrift(),
         TypedErrorDiscipline(),
         FailOpenAccounting(),
@@ -47,7 +45,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Self-hosted static analysis for this repo's concurrency, "
-            "hot-path, async and wire-protocol invariants."
+            "hot-path, error-handling and wire-protocol invariants."
         ),
     )
     parser.add_argument(

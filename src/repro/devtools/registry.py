@@ -17,9 +17,6 @@ the single place where "which code is under that invariant" lives.
   hot — the perf cross-check still covers them — but HOT001's
   Python-bytecode hygiene checks do not apply; the rule instead
   verifies the registered symbol exists in the C source.
-* :data:`ASYNC_ROOTS` — the modules whose ``async def`` bodies must
-  never block the event loop (**ASYNC001** follows their repo-internal
-  imports transitively).
 * :data:`ERROR_DISCIPLINE_PREFIXES` — the wire/serving paths where a
   broad ``except`` must re-raise or produce a typed
   :class:`~repro.api.protocol.WireError` / ``ErrorResponse``
@@ -57,10 +54,6 @@ HOT_FUNCTIONS: Dict[str, Tuple[HotFunction, ...]] = {
         HotFunction("rk_dynsum", impl="native"),
     ),
 }
-
-#: Modules whose async bodies (plus those of every repo-internal module
-#: they import, transitively) must stay non-blocking.
-ASYNC_ROOTS: Tuple[str, ...] = ("src/repro/cacheserver/aserver.py",)
 
 #: Path prefixes that count as wire/serving code for ERR001.
 ERROR_DISCIPLINE_PREFIXES: Tuple[str, ...] = (

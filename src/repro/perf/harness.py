@@ -48,8 +48,8 @@ PAPERS.md).  This harness measures **steps per second**:
   fault-free run while provably injecting — the robustness analogue of
   the identical-answers invariant the figure4 sweep enforces.
 * **remote** — pipelined remote sessions on the generator program's
-  NullDeref stream (the paper's 10 batches) over two in-process async
-  shard servers: a cold session against the empty fleet, a warm one
+  NullDeref stream (the paper's 10 batches) over two in-process shard
+  servers: a cold session against the empty fleet, a warm one
   served by its flushes and a rewarm one on the unchanged fleet,
   beside a cold local engine, with their wall times, round trips,
   lookups, prefetch bytes, ``native_unavailable`` and each shard's
@@ -696,7 +696,7 @@ def run_remote(log=lambda s: None):
     """Pipelined remote sessions against a cold local engine; the
     ``remote`` section.
 
-    Two in-process async shard servers; the generator program's
+    Two in-process shard servers; the generator program's
     NullDeref stream in the paper's 10 batches (:func:`_remote_session`),
     each session on a fresh engine under the default impl: ``cold``
     against the empty fleet, then ``warm`` against what the cold session
@@ -714,11 +714,11 @@ def run_remote(log=lambda s: None):
     full dump from its kept line and, with the kernel loaded, on
     ``native_unavailable`` being null).
     """
-    from repro.cacheserver.aserver import AsyncShardServer
+    from repro.cacheserver.server import ShardServer
     from repro.engine.policy import CachePolicy
 
     local_sec, want, _stats = _remote_session(bench_engine_policy())
-    servers = [AsyncShardServer(i, 2).start() for i in range(2)]
+    servers = [ShardServer(i, 2).start() for i in range(2)]
     try:
         policy = bench_engine_policy(
             cache=CachePolicy(

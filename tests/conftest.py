@@ -1,11 +1,17 @@
-"""Shared fixtures: canonical programs used across the test suite."""
+"""Shared fixtures: canonical programs used across the test suite, and a
+``repro-serve --listen`` child process."""
 
+import contextlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
+import repro
 from repro import build_pag, parse_program
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
@@ -187,3 +193,45 @@ def figure2_pag(figure2_program):
 def make_pag(source, entry="Main.main"):
     """Parse + build in one step for inline test programs."""
     return build_pag(parse_program(source, entry=entry))
+
+
+def child_env():
+    """The environment for a ``python -m repro...`` child process: this
+    checkout's package first on its path."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+@contextlib.contextmanager
+def serve_listen(tmp_path, source, *flags):
+    """``repro-serve --listen 127.0.0.1:0`` over ``source`` as a child
+    process: yields ``(proc, (host, port))`` once it has announced, and
+    terminates and reaps it on exit."""
+    program = tmp_path / "listen-program.pir"
+    program.write_text(source, encoding="utf-8")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.api.service", "--program", str(program),
+            "--listen", "127.0.0.1:0", *flags,
+        ],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=child_env(),
+    )
+    try:
+        announce = json.loads(proc.stdout.readline())
+        assert announce["event"] == "listening"
+        yield proc, (announce["host"], announce["port"])
+    finally:
+        if proc.poll() is None:
+            proc.terminate()
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()

@@ -355,27 +355,6 @@ def _nested_args(annotation):
         yield from _nested_args(arg)
 
 
-class TestTransportIdEnvelope:
-    """The async tier's ``"id"`` envelope re-encodes lines in the
-    canonical form: sorted keys, compact separators, ASCII escapes."""
-
-    def test_split_strips_the_id_into_canonical_bytes(self):
-        line = '{"protocol_version": "1.0", "id": 7, "kind": "stats", "x": "\u00e9"}'
-        assert codec.split_request_id(line) == (
-            '{"kind":"stats","protocol_version":"1.0","x":"\\u00e9"}', 7
-        )
-        untagged = '{"kind": "stats"}'
-        assert codec.split_request_id(untagged) == (untagged, None)
-
-    def test_attach_grafts_the_id_in_canonical_bytes(self):
-        line = encode(protocol.InvalidateResponse(method="A.\u00e9", dropped=1))
-        assert codec.attach_response_id(line, "r-1") == (
-            '{"dropped":1,"id":"r-1","kind":"invalidated","method":"A.\\u00e9",'
-            f'"protocol_version":"{PROTOCOL_VERSION}"}}'
-        )
-        assert codec.attach_response_id(line, None) is line
-
-
 class TestCompiledCodec:
     @pytest.mark.parametrize("cls", _wire_classes(), ids=lambda cls: cls.__name__)
     def test_every_wire_class_compiles(self, cls):

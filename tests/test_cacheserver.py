@@ -13,7 +13,6 @@ processes, real client processes, cross-process invalidation — is
 covered by ``tests/test_shared_cache_proc.py``.
 """
 
-import pathlib
 import sys
 from types import SimpleNamespace
 
@@ -54,7 +53,7 @@ from repro.clients import SafeCastClient
 from repro.pag.csr import pag_fingerprint
 from repro.pag.nodes import LocalNode, ObjectNode
 
-from conftest import EXAMPLE_PROGRAMS, FIGURE2_SOURCE
+from conftest import EXAMPLE_PROGRAMS, FIGURE2_SOURCE, child_env, serve_listen
 
 SRC = """
 class Thing { }
@@ -1199,102 +1198,72 @@ class TestEpochConsistency:
 
 
 # ----------------------------------------------------------------------
-# the asyncio serving tier
+# the line server: the one socket transport
 # ----------------------------------------------------------------------
-class TestAsyncServingTier:
-    def test_async_shard_serves_and_multiplexes(self):
-        import json as json_mod
-        import socket as socket_mod
+@pytest.fixture(params=["shard", "listen"])
+def line_endpoint(request, tmp_path):
+    """``(host, port)`` of a served line transport: an in-process shard,
+    or the ``repro-serve --listen`` mount in a child process."""
+    if request.param == "shard":
+        server = ShardServer(0, 1).start()
+        yield server.host, server.port
+        server.stop()
+    else:
+        with serve_listen(tmp_path, FIGURE2_SOURCE) as (_proc, address):
+            yield address
 
-        from repro.cacheserver.aserver import AsyncShardServer
 
-        server = AsyncShardServer(0, 1).start()
-        try:
-            # The classic untagged exchange, through the standard link.
-            link = ShardLink(server.address, timeout=2.0)
-            response = decode_response(
-                link.request(encode(StoreRequest(entry=wire_entry())))
-            )
-            assert isinstance(response, StoreResponse) and response.stored
-            link.close()
-            # Multiplexing: many tagged requests in flight on one raw
-            # socket; each response carries its request's id back.
-            sock = socket_mod.create_connection(
-                (server.host, server.port), timeout=5.0
-            )
-            reader = sock.makefile("r", encoding="utf-8")
-            payload = ""
-            for rid in ("a", "b", "c"):
-                tagged = json_mod.loads(
-                    encode(LookupRequest(key=wire_key(wire_entry())))
-                )
-                tagged["id"] = rid
-                payload += json_mod.dumps(tagged) + "\n"
-            sock.sendall(payload.encode("utf-8"))
-            seen = {}
-            for _ in range(3):
-                decoded = json_mod.loads(reader.readline())
-                seen[decoded.pop("id")] = decoded["kind"]
-            assert set(seen) == {"a", "b", "c"}
-            assert set(seen.values()) == {"lookup-result"}
-            reader.close()
-            sock.close()
-        finally:
-            server.stop()
-        # Graceful stop released the port: nothing serves there now.
-        with pytest.raises(OSError):
-            socket_mod.create_connection((server.host, server.port), timeout=0.5)
+def store_stats_line():
+    return (encode(StoreStatsRequest()) + "\n").encode("utf-8")
 
-    def test_non_string_kind_keeps_the_connection(self):
-        """``repro-serve --listen``'s shape: the async line server over a
-        ``PointsToService`` answers a non-string kind with a typed error
-        and then the next line on the same connection."""
-        import socket as socket_mod
 
-        from repro.api.service import PointsToService
-        from repro.cacheserver.aserver import AsyncLineServer
+class TestLineServer:
+    @pytest.mark.parametrize(
+        "line, code",
+        [
+            (b'{"kind":"store-stats\xff","protocol_version":"1.8"}', "unknown-kind"),
+            (b'{"kind":["query"],"protocol_version":"1.7"}', "unknown-kind"),
+            (b'{"kind":"store-stats","id":1,"protocol_version":"1.8"}', "invalid-request"),
+        ],
+        ids=["non-utf8", "non-string-kind", "tagged"],
+    )
+    def test_a_bad_line_gets_a_typed_error_and_the_next_is_answered(
+        self, line_endpoint, line, code
+    ):
+        import socket
 
-        pag = build_pag(parse_program(FIGURE2_SOURCE))
-        service = PointsToService(PointsToEngine(pag, bench_engine_policy()))
-        server = AsyncLineServer(service.handle_line, dispatch_workers=1).start()
-        try:
-            sock = socket_mod.create_connection(
-                (server.host, server.port), timeout=5.0
-            )
-            with sock, sock.makefile("r", encoding="utf-8") as reader:
-                sock.sendall(
-                    b'{"kind":["query"],"protocol_version":"1.7"}\n'
-                    + encode(StatsRequest()).encode("utf-8") + b"\n"
-                )
-                first = decode_response(reader.readline())
-                second = decode_response(reader.readline())
-        finally:
-            server.stop()
-        assert isinstance(first, ErrorResponse) and first.code == "unknown-kind"
-        assert isinstance(second, StatsResponse)
+        sock = socket.create_connection(line_endpoint, timeout=10.0)
+        with sock, sock.makefile("rb") as reader:
+            sock.sendall(line + b"\n" + store_stats_line())
+            first = decode_response(reader.readline().decode("utf-8"))
+            second = decode_response(reader.readline().decode("utf-8"))
+        assert isinstance(first, ErrorResponse) and first.code == code
+        assert isinstance(second, StoreStatsResponse)
 
-    def test_bad_request_id_is_a_typed_error(self):
-        from repro.cacheserver.aserver import AsyncShardServer
+    def test_an_over_long_line_drops_only_its_connection(self, line_endpoint):
+        import socket
 
-        server = AsyncShardServer(0, 1).start()
-        try:
-            link = ShardLink(server.address, timeout=2.0)
-            response = decode_response(
-                link.request('{"kind": "store-stats", "id": [1, 2]}')
-            )
-            assert isinstance(response, ErrorResponse)
-            assert response.code == "invalid-request"
-            link.close()
-        finally:
-            server.stop()
+        from repro.cacheserver.server import MAX_LINE_BYTES
+
+        hog = socket.create_connection(line_endpoint, timeout=10.0)
+        with hog:
+            try:
+                hog.sendall(b"x" * (MAX_LINE_BYTES + 1))
+                closed = hog.recv(1) == b""
+            except ConnectionResetError:
+                closed = True
+        assert closed
+        sock = socket.create_connection(line_endpoint, timeout=10.0)
+        with sock, sock.makefile("rb") as reader:
+            sock.sendall(store_stats_line())
+            reply = decode_response(reader.readline().decode("utf-8"))
+        assert isinstance(reply, StoreStatsResponse)
 
     def test_reconnect_reseeds_a_restarted_blank_server(self):
-        """Kill the (async) server, restart it blank on the same port:
-        the client's next exchange reconnects and replays its tier
-        snapshot in the same flight — the blank server is re-warmed."""
-        from repro.cacheserver.aserver import AsyncShardServer
-
-        server = AsyncShardServer(0, 1).start()
+        """Kill the server, restart it blank on the same port: the
+        client's next exchange reconnects and replays its tier snapshot
+        in the same flight — the blank server is re-warmed."""
+        server = ShardServer(0, 1).start()
         engine = PointsToEngine(
             build_pag(parse_program(SRC)), remote_policy([server])
         )
@@ -1304,7 +1273,7 @@ class TestAsyncServingTier:
         port = server.port
         server.stop()
 
-        replacement = AsyncShardServer(0, 1, port=port).start()
+        replacement = ShardServer(0, 1, port=port).start()
         try:
             assert len(replacement.store) == 0
             link = engine.cache._links[0]
@@ -1321,22 +1290,21 @@ class TestAsyncServingTier:
             assert remote.reconnects == 1
             assert remote.seeded_entries == served
         finally:
+            engine.cache.close()
             replacement.stop()
 
-    def test_a_client_may_connect_before_the_loop_runs(self):
+    def test_a_client_may_connect_before_serving_starts(self):
         """The socket listens from construction: a connect that races
-        ahead of the event loop is queued by the kernel, then served."""
+        ahead of the accept loop is queued by the kernel, then served."""
         import socket as socket_mod
 
-        from repro.cacheserver.aserver import AsyncShardServer
-
-        server = AsyncShardServer(0, 1)  # bound and listening, not serving
+        server = ShardServer(0, 1)  # bound and listening, not serving
         try:
             sock = socket_mod.create_connection(
                 (server.host, server.port), timeout=5.0
             )
             server.start()
-            sock.sendall((encode(StoreStatsRequest()) + "\n").encode("utf-8"))
+            sock.sendall(store_stats_line())
             reader = sock.makefile("r", encoding="utf-8")
             assert isinstance(decode_response(reader.readline()), StoreStatsResponse)
             reader.close()
@@ -1365,22 +1333,16 @@ class TestAsyncServingTier:
         """A client that connects once, right after the announce line,
         is served — no retry loop needed."""
         import json as json_mod
-        import os
         import socket as socket_mod
         import subprocess
 
-        import repro
-
-        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, "-m", *argv],
             stdin=subprocess.DEVNULL,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             text=True,
-            env=env,
+            env=child_env(),
         )
         try:
             announce = json_mod.loads(proc.stdout.readline())
@@ -1404,10 +1366,9 @@ class TestAsyncServingTier:
 
     def test_a_full_flush_chunk_of_generator_summaries_is_stored(self):
         """One ``FLUSH_CHUNK``-entry ``batch-store`` line of generator
-        summaries overruns asyncio's default 64 KiB line limit; the
-        async shard must still store every entry of the flush."""
+        summaries runs past 64 KiB; the shard must still store every
+        entry of the flush."""
         from repro.api.protocol import BatchStoreRequest
-        from repro.cacheserver.aserver import AsyncShardServer
         from repro.clients import NullDerefClient
         from repro.perf.harness import GENERATOR_CONFIG
 
@@ -1417,7 +1378,7 @@ class TestAsyncServingTier:
         )
         client = NullDerefClient(instance.pag)
         local.query_batch(client.specs(client.queries()), dedupe=False, reorder=False)
-        server = AsyncShardServer(0, 1).start()
+        server = ShardServer(0, 1).start()
         cache = RemoteSummaryCache((server.address,), timeout=5.0)
         try:
             cache.bind_pag(instance.pag)
@@ -1469,11 +1430,9 @@ class TestLongFlights:
         monkeypatch.setattr(socket, "create_connection", create_connection)
         monkeypatch.setattr(RemoteSummaryCache, "FLUSH_CHUNK", 32)
 
-    @pytest.mark.parametrize("tier", ["threaded", "async"])
-    def test_a_long_batch_store_flush_lands_whole(self, tier, small_buffers):
+    def test_a_long_batch_store_flush_lands_whole(self, small_buffers):
         from repro.analysis.ppta import PptaResult
         from repro.bench.generator import GeneratorConfig, generate_program
-        from repro.cacheserver.aserver import AsyncShardServer
         from repro.cfl.rsm import FAM_LOAD, S1
         from repro.cfl.stacks import EMPTY_STACK, intern_token
 
@@ -1489,8 +1448,7 @@ class TestLongFlights:
             token = intern_token(f"f{len(stacks)}", FAM_LOAD)
             stacks.append(stacks[-1].push(token))
         summary = PptaResult((obj,), (), steps=1)
-        server_cls = ShardServer if tier == "threaded" else AsyncShardServer
-        server = server_cls(0, 1).start()
+        server = ShardServer(0, 1).start()
         cache = RemoteSummaryCache((server.address,), timeout=2.0)
         try:
             cache.bind_pag(pag)

@@ -11,8 +11,8 @@ Every schedule here is a pure function of its seed: a red run replays
 exactly with the same spec, which is the entire point of
 :mod:`repro.cacheserver.faults` over ad-hoc monkeypatching.
 
-The battery covers every fault kind on both serving tiers (threaded
-and async), the Figure-4 workload plus a synthetic generator program,
+The battery covers every fault kind on the shard server, the Figure-4
+workload plus a synthetic generator program,
 the circuit breaker's bounded-cost guarantee under a dead fleet (with
 a controllable clock — no wall-clock flakiness), the per-link jitter
 that prevents reconnect storms, and the hostile reconnect-and-seed
@@ -101,18 +101,6 @@ SERVER_SCHEDULES = [
 ]
 
 
-def _async_server_cls():
-    from repro.cacheserver.aserver import AsyncShardServer
-
-    return AsyncShardServer
-
-
-TIERS = [
-    pytest.param(lambda: ShardServer, id="threaded"),
-    pytest.param(_async_server_cls, id="async"),
-]
-
-
 def canonical(result):
     return (
         result.complete,
@@ -175,14 +163,13 @@ class FakeClock:
 
 
 # ----------------------------------------------------------------------
-# the headline soak: every fault kind, both tiers, identical answers
+# the headline soak: every fault kind, identical answers
 # ----------------------------------------------------------------------
 class TestChaosIdentity:
-    @pytest.mark.parametrize("server_cls", TIERS)
-    def test_client_fault_battery_figure4(self, server_cls, figure4):
+    def test_client_fault_battery_figure4(self, figure4):
         instance, baseline = figure4
         for schedule in CLIENT_SCHEDULES:
-            servers = [server_cls()(i, 2).start() for i in range(2)]
+            servers = [ShardServer(i, 2).start() for i in range(2)]
             try:
                 answers, engine = run_workload(
                     instance, servers, fault_schedule=schedule
@@ -200,12 +187,11 @@ class TestChaosIdentity:
             assert remote.degraded >= 0, spec
             assert len(remote.breaker_state) == 2, spec
 
-    @pytest.mark.parametrize("server_cls", TIERS)
-    def test_server_fault_battery_figure4(self, server_cls, figure4):
+    def test_server_fault_battery_figure4(self, figure4):
         instance, baseline = figure4
         for schedule in SERVER_SCHEDULES:
             servers = [
-                server_cls()(i, 2, faults=schedule).start() for i in range(2)
+                ShardServer(i, 2, faults=schedule).start() for i in range(2)
             ]
             try:
                 answers, engine = run_workload(instance, servers)
@@ -221,13 +207,12 @@ class TestChaosIdentity:
             assert injected > 0, spec
             assert remote is not None, spec
 
-    @pytest.mark.parametrize("server_cls", TIERS)
-    def test_generator_workload_under_mixed_chaos(self, server_cls, generated):
+    def test_generator_workload_under_mixed_chaos(self, generated):
         instance, baseline = generated
         client_schedule = CLIENT_SCHEDULES[-1]
         server_schedule = SERVER_SCHEDULES[-1]  # blank-restart
         servers = [
-            server_cls()(i, 2, faults=server_schedule).start()
+            ShardServer(i, 2, faults=server_schedule).start()
             for i in range(2)
         ]
         try:
@@ -361,16 +346,12 @@ def _warm_engine_against(server):
 
 class TestHostileSeeding:
     def _restart_blank(self, server):
-        from repro.cacheserver.aserver import AsyncShardServer
-
         port = server.port
         server.stop()
-        return AsyncShardServer(0, 1, port=port).start()
+        return ShardServer(0, 1, port=port).start()
 
     def test_corrupted_seed_lines_do_not_poison_answers(self):
-        from repro.cacheserver.aserver import AsyncShardServer
-
-        server = AsyncShardServer(0, 1).start()
+        server = ShardServer(0, 1).start()
         engine, queries, baseline = _warm_engine_against(server)
         replacement = self._restart_blank(server)
         try:
@@ -399,9 +380,7 @@ class TestHostileSeeding:
             replacement.stop()
 
     def test_shard_dying_mid_seed_falls_open_then_recovers(self):
-        from repro.cacheserver.aserver import AsyncShardServer
-
-        server = AsyncShardServer(0, 1).start()
+        server = ShardServer(0, 1).start()
         engine, queries, baseline = _warm_engine_against(server)
         served = len(server.store)
         assert served > 0
@@ -427,7 +406,7 @@ class TestHostileSeeding:
         answers = [canonical(r) for r in engine.query_batch(queries)]
         assert answers == baseline
         # Second replacement on the same port: recovery re-seeds fully.
-        second = AsyncShardServer(0, 1, port=replacement.port).start()
+        second = ShardServer(0, 1, port=replacement.port).start()
         try:
             link.breaker.reset()
             response = decode_response(
@@ -439,9 +418,7 @@ class TestHostileSeeding:
             second.stop()
 
     def test_stale_epoch_refusal_during_seeding(self):
-        from repro.cacheserver.aserver import AsyncShardServer
-
-        server = AsyncShardServer(0, 1).start()
+        server = ShardServer(0, 1).start()
         engine, queries, baseline = _warm_engine_against(server)
         seeded_methods = sorted(
             {
@@ -527,12 +504,11 @@ class TestFailureStatsOnTheWire:
 # no orphans: every chaos server releases its port on stop
 # ----------------------------------------------------------------------
 class TestNoOrphans:
-    @pytest.mark.parametrize("server_cls", TIERS)
-    def test_chaos_server_stop_releases_the_port(self, server_cls):
+    def test_chaos_server_stop_releases_the_port(self):
         import socket
 
         schedule = SERVER_SCHEDULES[0]
-        server = server_cls()(0, 1, faults=schedule).start()
+        server = ShardServer(0, 1, faults=schedule).start()
         link = ShardLink(server.address, timeout=2.0, retry=CHAOS_RETRY)
         try:
             link.request(encode(StoreStatsRequest()))

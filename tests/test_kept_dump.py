@@ -14,8 +14,7 @@ Pinned here:
   older than the store the request found, and once the writers stop
   the next dump equals a fresh one;
 * ``truncate``/``corrupt`` faults damage the outgoing line only;
-* the threaded and async tiers both answer a repeated dump from the
-  kept line.
+* a shard server answers a repeated dump from the kept line.
 """
 
 import copy
@@ -32,7 +31,6 @@ from repro.api.protocol import (
     StoreRequest,
 )
 from repro.api.snapshot import pack_frame
-from repro.cacheserver.aserver import AsyncShardServer
 from repro.cacheserver.client import ShardLink
 from repro.cacheserver.server import ShardDispatcher, ShardServer
 from repro.cacheserver.store import StaleEpochRejection, entry_method
@@ -406,11 +404,10 @@ def test_a_damaged_full_dump_leaves_the_next_answer_intact(kind, damaged):
 
 
 # ----------------------------------------------------------------------
-# both tiers
+# over the socket
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("tier", [ShardServer, AsyncShardServer], ids=["threaded", "async"])
-def test_both_tiers_answer_a_repeated_dump_from_the_kept_line(tier):
-    server = tier(0, 1).start()
+def test_a_shard_answers_a_repeated_dump_from_the_kept_line():
+    server = ShardServer(0, 1).start()
     link = ShardLink(server.address, timeout=5.0)
     try:
         link.request(encode(StoreRequest(entry=wire_entry("a"))))

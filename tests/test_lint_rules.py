@@ -278,86 +278,6 @@ class TestHotLoopHygiene:
 
 
 # ----------------------------------------------------------------------
-# ASYNC001 (fixtures live at the registered async root)
-# ----------------------------------------------------------------------
-ASYNC_VIOLATING = """
-    import time
-
-    class Server:
-        async def tick(self):
-            time.sleep(0.1)
-
-        async def respond(self, line):
-            return self._handle_line(line)
-"""
-
-ASYNC_CONFORMING = """
-    import asyncio
-
-    class Server:
-        async def tick(self):
-            await asyncio.sleep(0.1)
-
-        async def respond(self, loop, executor, line):
-            return await loop.run_in_executor(
-                executor, self._handle_line, line
-            )
-
-        async def flush(self):
-            def drain():  # executor hand-off: runs off-loop
-                import time
-                time.sleep(0.1)
-            return drain
-"""
-
-
-class TestNoBlockingInAsync:
-    def test_blocking_calls_in_async_defs_are_flagged(self, tmp_path, capsys):
-        write(tmp_path, "src/repro/cacheserver/aserver.py", ASYNC_VIOLATING)
-        assert lint(tmp_path, "--rule", "ASYNC001") == 1
-        messages = [m for _, _, m in findings_of(capsys)]
-        assert any("time.sleep" in m and "asyncio.sleep" in m for m in messages)
-        assert any("run_in_executor" in m for m in messages)
-
-    def test_executor_handoff_is_clean(self, tmp_path):
-        # Passing the bound dispatcher *to* the executor is the fix;
-        # a nested sync def may block freely (it runs off-loop).
-        write(tmp_path, "src/repro/cacheserver/aserver.py", ASYNC_CONFORMING)
-        assert lint(tmp_path, "--rule", "ASYNC001") == 0
-
-    def test_import_closure_is_followed(self, tmp_path, capsys):
-        write(
-            tmp_path,
-            "src/repro/cacheserver/aserver.py",
-            "from repro.util.pump import pump\n",
-        )
-        write(
-            tmp_path,
-            "src/repro/util/pump.py",
-            'async def pump(path):\n    return open(path).read()\n',
-        )
-        # Same content outside the closure: not in scope, not flagged.
-        write(
-            tmp_path,
-            "src/repro/util/unrelated.py",
-            'async def pump(path):\n    return open(path).read()\n',
-        )
-        assert lint(tmp_path, "--rule", "ASYNC001") == 1
-        rows = findings_of(capsys)
-        assert len(rows) == 1
-        assert rows[0][0].startswith("src/repro/util/pump.py")
-        assert "blocking file I/O" in rows[0][2]
-
-    def test_no_async_root_means_no_scope(self, tmp_path):
-        write(
-            tmp_path,
-            "src/repro/util/pump.py",
-            'async def pump(path):\n    return open(path).read()\n',
-        )
-        assert lint(tmp_path, "--rule", "ASYNC001") == 0
-
-
-# ----------------------------------------------------------------------
 # WIRE001
 # ----------------------------------------------------------------------
 WIRE_VIOLATING = """
@@ -702,11 +622,11 @@ class TestCliSurface:
         assert lint(tmp_path, "--list-rules") == 0
         out = capsys.readouterr().out
         for rule_id in (
-            "LOCK001", "HOT001", "ASYNC001", "WIRE001", "ERR001", "ERR002",
+            "LOCK001", "HOT001", "WIRE001", "ERR001", "ERR002",
         ):
             assert rule_id in out
         assert set(ALL_RULES) == {
-            "LOCK001", "HOT001", "ASYNC001", "WIRE001", "ERR001", "ERR002",
+            "LOCK001", "HOT001", "WIRE001", "ERR001", "ERR002",
         }
 
     def test_unknown_rule_is_a_usage_error(self, tmp_path):

@@ -11,7 +11,7 @@ end-of-batch flush.
 
 The differential drives engines pinned ``native``, ``array`` and
 ``reference``, each over its own fresh in-process 2-shard
-``AsyncShardServer`` fleet, through a cold session, a warm session on a
+``ShardServer`` fleet, through a cold session, a warm session on a
 fresh engine, an invalidate and a requery.  Answers, per-query and
 engine step counts, hit/miss and remote traffic counters, and the
 entries each flush sent must be equal across impls; the native
@@ -34,9 +34,9 @@ from repro.analysis.summaries import BoundedSummaryCache
 from repro.api.codec import decode_request
 from repro.api.protocol import BatchStoreRequest, LookupRequest, MethodEntriesRequest
 from repro.bench.generator import GeneratorConfig, generate_program
-from repro.cacheserver.aserver import AsyncShardServer
 from repro.cacheserver.client import RemoteSummaryCache
 from repro.cacheserver.faults import FaultRule, FaultSchedule
+from repro.cacheserver.server import ShardServer
 from repro.cfl.rsm import S1
 from repro.cfl.stacks import EMPTY_STACK
 from repro.clients import NullDerefClient, SafeCastClient
@@ -54,10 +54,10 @@ IMPLS = ("native", "array", "reference")
 
 
 class Fleet:
-    """Two in-process async shard servers."""
+    """Two in-process shard servers."""
 
     def __init__(self, shards=2):
-        self.servers = [AsyncShardServer(i, shards).start() for i in range(shards)]
+        self.servers = [ShardServer(i, shards).start() for i in range(shards)]
         self.addresses = tuple(server.address for server in self.servers)
 
     def stop(self):

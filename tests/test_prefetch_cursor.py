@@ -3,9 +3,9 @@
 A pipelined batch prefetches from each shard with ``fetch-methods``.
 A backend's first fetch is the full dump; each later one presents the
 shard's ``(incarnation, cursor)`` and gets only the entries stored or
-replaced since.  Pinned here, against the thread-per-connection tier,
-the asyncio tier, and a live 2-shard fleet of ``repro-cached`` shard
-processes (``CacheCluster.spawn``, what the launcher runs):
+replaced since.  Pinned here, against in-process shard servers and a
+live 2-shard fleet of ``repro-cached`` shard processes
+(``CacheCluster.spawn``, what the launcher runs):
 
 * a warm backend's second batch prefetches nothing when nothing changed;
 * an entry another client publishes between batches arrives in the
@@ -34,9 +34,8 @@ from repro.api.codec import decode_request, encode
 from repro.api.protocol import MethodEntriesRequest, MethodEntriesResponse
 from repro.api.service import PointsToService
 from repro.bench.generator import GeneratorConfig, generate_program
-from repro.cacheserver.aserver import AsyncLineServer, AsyncShardServer
 from repro.cacheserver.client import ShardUnavailable
-from repro.cacheserver.server import CacheCluster, ShardServer
+from repro.cacheserver.server import CacheCluster, LineServer, ShardServer
 from repro.cacheserver.store import WireSummaryStore, entry_key
 
 SRC_DIR = pathlib.Path(repro.__file__).resolve().parent.parent
@@ -116,10 +115,10 @@ def resident(engine):
 # the fleets
 # ----------------------------------------------------------------------
 class InProcessFleet:
-    """Two in-process shard servers of one tier."""
+    """Two in-process shard servers."""
 
-    def __init__(self, server_cls):
-        self.servers = [server_cls(index, 2).start() for index in range(2)]
+    def __init__(self):
+        self.servers = [ShardServer(index, 2).start() for index in range(2)]
         self.addresses = tuple(server.address for server in self.servers)
 
     def restart_blank(self, clients):
@@ -154,7 +153,7 @@ class LiveFleet:
         assert not any(self.cluster.alive())
 
 
-@pytest.fixture(params=["threaded", "async", "live"])
+@pytest.fixture(params=["threaded", "live"])
 def fleet(request, monkeypatch):
     if request.param == "live":
         existing = os.environ.get("PYTHONPATH", "")
@@ -163,9 +162,7 @@ def fleet(request, monkeypatch):
         )
         fleet = LiveFleet()
     else:
-        fleet = InProcessFleet(
-            ShardServer if request.param == "threaded" else AsyncShardServer
-        )
+        fleet = InProcessFleet()
     yield fleet
     fleet.stop()
 
@@ -318,9 +315,7 @@ class TestCursorlessSenders:
     def test_points_to_service_keeps_full_dumps(self):
         served = PointsToEngine(program_pag(), EnginePolicy())
         served.query_batch(QUERIES)
-        server = AsyncLineServer(
-            PointsToService(served).handle_line, dispatch_workers=1
-        ).start()
+        server = LineServer(PointsToService(served).handle_line).start()
         try:
             reader = remote_engine([server.address])
             assert batch_delta(reader, QUERIES)[0] == len(served.cache)

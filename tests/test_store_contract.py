@@ -6,12 +6,11 @@ The engine treats every :class:`~repro.analysis.summaries
 exactly reconciling accounting.  This suite runs the same battery
 against every local backend (unbounded, LRU-bounded, cost-aware)
 **and** the remote-backed store stub over live in-process shard
-servers — on the threaded and the asyncio transport, and over each
-local-tier policy — so no backend's surface can silently drift: a
-method added to the base contract fails here until every backend grows
-it.  A seeded differential then drives a local bounded store and a
-shard's wire store through one op mix and requires the same residents
-after every op.
+servers — over each local-tier policy — so no backend's surface can
+silently drift: a method added to the base contract fails here until
+every backend grows it.  A seeded differential then drives a local
+bounded store and a shard's wire store through one op mix and requires
+the same residents after every op.
 """
 
 import random
@@ -26,7 +25,6 @@ from repro import (
 from repro.analysis.ppta import PptaResult
 from repro.analysis.summaries import SummaryStore
 from repro.api.snapshot import entry_to_wire, key_to_wire
-from repro.cacheserver.aserver import AsyncShardServer
 from repro.cacheserver.client import RemoteSummaryCache
 from repro.cacheserver.server import ShardServer
 from repro.cacheserver.store import WireSummaryStore, canonical_key, entry_key
@@ -63,15 +61,13 @@ STORE_VARIANTS = {
 }
 
 #: Remote-backed variants, each built per test over two fresh shard
-#: servers: name -> (server class, local-tier factory, is_lru).
-#: ``remote-async`` runs on the asyncio tier ``repro-cached`` serves by
-#: default; the bounded ones carry the local tier that
-#: ``CachePolicy(remote=..., max_entries=...)`` wraps.
+#: servers: name -> (local-tier factory, is_lru).  The bounded ones
+#: carry the local tier that ``CachePolicy(remote=..., max_entries=...)``
+#: wraps.
 REMOTE_VARIANTS = {
-    "remote": (ShardServer, SummaryCache, False),
-    "remote-async": (AsyncShardServer, SummaryCache, False),
-    "remote-bounded": (ShardServer, _bounded, True),
-    "remote-cost": (ShardServer, _cost, True),
+    "remote": (SummaryCache, False),
+    "remote-bounded": (_bounded, True),
+    "remote-cost": (_cost, True),
 }
 
 VARIANT_NAMES = sorted([*STORE_VARIANTS, *REMOTE_VARIANTS])
@@ -83,8 +79,8 @@ def variant(request):
         factory, is_lru = STORE_VARIANTS[request.param]
         yield factory(), is_lru
         return
-    server_class, local_factory, is_lru = REMOTE_VARIANTS[request.param]
-    servers = [server_class(i, 2).start() for i in range(2)]
+    local_factory, is_lru = REMOTE_VARIANTS[request.param]
+    servers = [ShardServer(i, 2).start() for i in range(2)]
     store = RemoteSummaryCache(
         tuple(s.address for s in servers), local=local_factory(), timeout=2.0
     )
