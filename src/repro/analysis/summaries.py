@@ -30,6 +30,17 @@ by the key node's method (:func:`shard_for_method`, CRC-32), with a
 local read-through tier — the engine cannot tell the difference, which
 is the point of the seam.
 
+A plain :class:`SummaryCache` that is a remote store's local tier may
+also **hold** entries it has not built: a prefetched frame's rows go
+straight into the tier's native-kernel mirror
+(``repro.native.session.hold_frame``), and the store records the frame
+block and counts its entries and facts, building no ``PptaResult``.
+Counts (``len``, :meth:`~SummaryStore.total_facts`,
+:meth:`~SummaryStore.approx_bytes`, :meth:`~SummaryStore.stats_snapshot`)
+include held entries at no cost; every other reader or writer first
+builds them, ahead of every entry the dict already holds, which is
+where per-entry adoption would have put them.
+
 Eviction is always *safe*: a summary is a pure memo of ``DSPOINTSTO``, so
 dropping one never changes any answer — only the cost of recomputing it.
 The same holds for :meth:`SummaryStore.invalidate_method`, the operation
@@ -250,6 +261,17 @@ class SummaryStore(SummaryBackend):
         #: removed ones deleted from the kernel's index.  It never
         #: outgrows the store (see ``_drop_native_mirror``).
         self._native_journal = None
+        #: Held frame blocks (``repro.api.snapshot.HeldFrame``), in
+        #: adoption order: entries the kernel mirror holds and the dict
+        #: does not, ``_held_count`` of them.  Their facts are in
+        #: ``_facts`` already.  Only a plain ``SummaryCache`` whose dict
+        #: was empty takes a block (see :meth:`_hold`).
+        self._held_blocks = ()
+        self._held_count = 0
+        #: Work counters, never reset: entries taken held, and held
+        #: entries later built in Python.
+        self.held = 0
+        self.built = 0
 
     # ------------------------------------------------------------------
     # policy hooks
@@ -259,6 +281,42 @@ class SummaryStore(SummaryBackend):
 
     def _touch(self, key):
         """Record a hit on ``key`` (recency bookkeeping; no-op here)."""
+
+    # ------------------------------------------------------------------
+    # held entries (a plain SummaryCache tier's prefetched frames)
+    # ------------------------------------------------------------------
+    def _hold(self, block):
+        """Count ``block``'s entries as resident without building them.
+
+        The caller (``repro.native.session.hold_frame``) committed them
+        to this store's kernel mirror; no key of theirs is in the dict
+        or in an earlier block.  The first reader or writer that needs
+        the entries themselves builds them (:meth:`_build_held`)."""
+        self._held_blocks += (block,)
+        self._held_count += block.count
+        self._facts += block.facts
+        self.held += block.count
+
+    def _build_held(self):
+        """Build every held entry into the dict, in adoption order,
+        ahead of the entries already there (summaries the kernel
+        computed since), and index them by method.  Nothing journals:
+        the kernel mirror holds them already."""
+        blocks = self._held_blocks
+        self._held_blocks = ()
+        self._held_count = 0
+        entries = self._entries
+        later = list(entries.items())
+        entries.clear()
+        by_method = self._by_method
+        for block in blocks:
+            for key, summary in block.build():
+                entries[key] = summary
+                method = key[0].method
+                if method is not None:
+                    by_method.setdefault(method, set()).add(key)
+            self.built += block.count
+        entries.update(later)
 
     def _enforce_capacity(self):
         """Evict until within capacity (no-op for unbounded stores)."""
@@ -324,13 +382,15 @@ class SummaryStore(SummaryBackend):
         journal = self._native_journal
         if journal is not None:
             journal.append(key)
-            if len(journal) > len(self._entries):
+            if len(journal) > len(self):
                 self._drop_native_mirror()
         self._enforce_capacity()
         return True
 
     def _remove(self, key):
         """Drop one entry and unindex it; returns the removed summary."""
+        if self._held_blocks:
+            self._build_held()
         entry = self._entries.pop(key, None)
         if entry is None:
             return None
@@ -338,7 +398,7 @@ class SummaryStore(SummaryBackend):
         journal = self._native_journal
         if journal is not None:
             journal.append(key)
-            if len(journal) > len(self._entries):
+            if len(journal) > len(self):
                 self._drop_native_mirror()
         self._facts -= entry.size
         method = key[0].method
@@ -363,6 +423,8 @@ class SummaryStore(SummaryBackend):
         way.
         """
         self.bump_epoch(method_qname)
+        if self._held_blocks:
+            self._build_held()
         keys = self._by_method.pop(method_qname, ())
         dropped = sum(1 for key in list(keys) if self._remove(key) is not None)
         self.invalidated += dropped
@@ -370,6 +432,8 @@ class SummaryStore(SummaryBackend):
 
     def clear(self):
         self._entries.clear()
+        self._held_blocks = ()
+        self._held_count = 0
         self._by_method.clear()
         self._facts = 0
         self.hits = 0
@@ -384,7 +448,10 @@ class SummaryStore(SummaryBackend):
         query bulk-imports the store afresh.  Also how a journal that
         no native query drains (the impl switched, or the kernel
         refused the image) stays bounded: once it outgrows the store,
-        replaying it would cost more than a fresh import anyway."""
+        replaying it would cost more than a fresh import anyway.  Held
+        entries live only in that mirror, so they are built first."""
+        if self._held_blocks:
+            self._build_held()
         self._native_memo = None
         self._native_journal = None
 
@@ -406,6 +473,8 @@ class SummaryStore(SummaryBackend):
     def entries(self):
         """Iterate ``((node, field_stack, state), summary)`` pairs in
         storage order (least-recently-used first for LRU stores)."""
+        if self._held_blocks:
+            self._build_held()
         return iter(self._entries.items())
 
     def entries_by_recency(self, hottest_first=True):
@@ -413,13 +482,16 @@ class SummaryStore(SummaryBackend):
         ``hottest_first``.  For LRU stores storage order *is* recency
         order; unbounded stores fall back to insertion order (newest
         entries stand in for hottest)."""
+        if self._held_blocks:
+            self._build_held()
         items = list(self._entries.items())
         return reversed(items) if hottest_first else iter(items)
 
     def __len__(self):
         """Number of summaries — the paper's Figure 5 metric ("the number
-        of summaries computed is available as the size of Cache")."""
-        return len(self._entries)
+        of summaries computed is available as the size of Cache") —
+        held ones included."""
+        return len(self._entries) + self._held_count
 
     def summary_point_count(self):
         """Distinct ``(node, direction)`` pairs holding a summary.
@@ -430,9 +502,13 @@ class SummaryStore(SummaryBackend):
         across the concrete stacks queries actually produced.  Figure 5
         therefore normalises summarised points, not raw cache keys.
         """
+        if self._held_blocks:
+            self._build_held()
         return len({(node, state) for node, _stack, state in self._entries})
 
     def __contains__(self, key):
+        if self._held_blocks:
+            self._build_held()
         return key in self._entries
 
     def total_facts(self):
@@ -441,12 +517,12 @@ class SummaryStore(SummaryBackend):
 
     def approx_bytes(self):
         """Estimated resident size under the module's memory model."""
-        return len(self._entries) * ENTRY_OVERHEAD_BYTES + self._facts * FACT_BYTES
+        return len(self) * ENTRY_OVERHEAD_BYTES + self._facts * FACT_BYTES
 
     def stats_snapshot(self):
         """An immutable :class:`CacheStats` for dashboards and tests."""
         return CacheStats(
-            entries=len(self._entries),
+            entries=len(self),
             facts=self._facts,
             hits=self.hits,
             misses=self.misses,
@@ -459,7 +535,7 @@ class SummaryStore(SummaryBackend):
 
     def __repr__(self):
         return (
-            f"{type(self).__name__}({len(self._entries)} summaries, "
+            f"{type(self).__name__}({len(self)} summaries, "
             f"hits={self.hits}, misses={self.misses})"
         )
 
@@ -471,9 +547,13 @@ class SummaryCache(SummaryStore):
 
     def lookup(self, node, field_stack, state):
         """Unbounded-store specialisation: no recency to refresh, so the
-        probe is one dict get plus a counter."""
+        probe is one dict get plus a counter.  A miss while entries are
+        held builds them and probes again (a hit needs no build)."""
         entry = self._entries.get((node, field_stack, state))
         if entry is None:
+            if self._held_blocks:
+                self._build_held()
+                return self.lookup(node, field_stack, state)
             self.misses += 1
         else:
             self.hits += 1
@@ -482,10 +562,14 @@ class SummaryCache(SummaryStore):
     def store(self, node, field_stack, state, ppta_result):
         """Unbounded-store specialisation of :meth:`SummaryStore.store`:
         same contract and accounting, minus the recency/capacity hooks
-        that are no-ops without a ceiling."""
+        that are no-ops without a ceiling.  A key the dict lacks while
+        entries are held builds them first (it may be one of them)."""
         key = (node, field_stack, state)
         entries = self._entries
         resident = entries.get(key)
+        if resident is None and self._held_blocks:
+            self._build_held()
+            resident = entries.get(key)
         if resident is not None:
             if (
                 resident.objects == ppta_result.objects
@@ -505,7 +589,7 @@ class SummaryCache(SummaryStore):
         journal = self._native_journal
         if journal is not None:
             journal.append(key)
-            if len(journal) > len(entries):
+            if len(journal) > len(entries) + self._held_count:
                 self._drop_native_mirror()
         return True
 

@@ -75,6 +75,11 @@ SNAPSHOT_VERSION = "1.2"
 
 _KIND = "summary-snapshot"
 
+#: A summary's ``steps`` must be below this, wherever an entry arrives
+#: (a snapshot, a wire entry, a frame row): the kernel mirror keeps
+#: step counts as int64.
+STEPS_LIMIT = 2 ** 63
+
 _STORE_UNBOUNDED = "unbounded"
 _STORE_BOUNDED = "bounded"
 #: Read only: a store partitioned into locked shards, written by earlier
@@ -345,19 +350,13 @@ def pack_frame(entries):
     return SummaryFrame(nodes=tuple(nodes), stacks=tuple(stacks), rows=tuple(rows))
 
 
-def resolve_frame(pag, frame, path="frame"):
-    """Validate a :class:`~repro.api.protocol.SummaryFrame` and re-anchor
-    its entries against ``pag``, each table row once.
-
-    Returns one ``(node, field_stack, state, PptaResult)`` per entry, in
-    frame order, or ``None`` where :func:`resolve_wire_entry` would
-    return it for the entry sent nominally (a referenced entity this
-    PAG lacks).  Any damage refuses the whole frame with a
-    :class:`SnapshotError` naming it (``frame.rows[17]``): a malformed
-    table row (the nominal checks and texts), an index past its table,
-    a negative integer, a state other than S1/S2, an object index
-    naming a non-object node, or rows that end mid-entry.
-    """
+def resolve_frame_tables(pag, frame, path="frame"):
+    """Validate a frame's node and stack tables and resolve them against
+    ``pag``, each row once: ``(nodes, is_object, stacks)``, one value
+    per table row — the PAG node a node row names (``None`` when this
+    PAG lacks it), whether the row is an object reference, and the
+    :class:`~repro.cfl.stacks.Stack` a stack row names.  A malformed
+    row raises the :class:`SnapshotError` the nominal checks raise."""
     nodes = []
     is_object = []
     for i, wire in enumerate(frame.nodes):
@@ -368,6 +367,27 @@ def resolve_frame(pag, frame, path="frame"):
         stack_from_wire(wire, f"{path}.stacks[{i}]")
         for i, wire in enumerate(frame.stacks)
     ]
+    return nodes, is_object, stacks
+
+
+def resolve_frame(pag, frame, path="frame", tables=None):
+    """Validate a :class:`~repro.api.protocol.SummaryFrame` and re-anchor
+    its entries against ``pag``, each table row once.
+
+    Returns one ``(node, field_stack, state, PptaResult)`` per entry, in
+    frame order, or ``None`` where :func:`resolve_wire_entry` would
+    return it for the entry sent nominally (a referenced entity this
+    PAG lacks).  Any damage refuses the whole frame with a
+    :class:`SnapshotError` naming it (``frame.rows[17]``): a malformed
+    table row (the nominal checks and texts), an index past its table,
+    a negative integer, a ``steps`` of 2**63 or more, a state other
+    than S1/S2, an object index naming a non-object node, or rows that
+    end mid-entry.  ``tables`` is what :func:`resolve_frame_tables`
+    already made of this frame, if anything.
+    """
+    if tables is None:
+        tables = resolve_frame_tables(pag, frame, path)
+    nodes, is_object, stacks = tables
     rows = frame.rows
     end = len(rows)
     n_nodes = len(nodes)
@@ -386,8 +406,8 @@ def resolve_frame(pag, frame, path="frame"):
             raise _index_error(path, pos + 1, stack, "stack", n_stacks)
         if state not in states:
             raise _state_error(path, pos + 2)
-        if steps < 0:
-            raise _index_error(path, pos + 3, steps, "steps")
+        if not 0 <= steps < STEPS_LIMIT:
+            raise _steps_error(path, pos + 3, steps)
         if count < 0:
             raise _index_error(path, pos + 4, count, "object count")
         pos += 5
@@ -435,12 +455,63 @@ def resolve_frame(pag, frame, path="frame"):
     return entries
 
 
+class HeldFrame:
+    """Frame entries a kernel session holds, with no Python summary
+    built for them yet (see ``repro.native.session.hold_frame``).
+
+    Keeps what the kernel read: the resolved ``nodes`` and ``stacks``
+    tables, the frame's ``rows``, and the row ``offsets`` of the
+    ``count`` entries it accepted, which hold ``facts`` objects and
+    boundaries in all.  :meth:`build` resolves those rows as
+    :func:`resolve_frame` does; the kernel validated them already.
+    """
+
+    __slots__ = ("nodes", "stacks", "rows", "offsets", "count", "facts")
+
+    def __init__(self, nodes, stacks, rows, offsets, count, facts):
+        self.nodes = nodes
+        self.stacks = stacks
+        self.rows = rows
+        self.offsets = offsets
+        self.count = count
+        self.facts = facts
+
+    def build(self):
+        """The held entries as ``((node, field_stack, state),
+        PptaResult)`` pairs, in frame order."""
+        nodes = self.nodes
+        stacks = self.stacks
+        rows = self.rows
+        built = []
+        for at in self.offsets:
+            node, stack, state, steps, count = rows[at:at + 5]
+            at += 5
+            objects = [nodes[index] for index in rows[at:at + count]]
+            at += count
+            end = at + 1 + 3 * rows[at]
+            boundaries = [
+                (nodes[rows[k]], stacks[rows[k + 1]], rows[k + 2])
+                for k in range(at + 1, end, 3)
+            ]
+            built.append((
+                (nodes[node], stacks[stack], state),
+                PptaResult(objects, boundaries, steps=steps),
+            ))
+        return built
+
+
 def _index_error(path, at, value, what, limit=None):
     if value < 0:
         detail = f"{what} must be a non-negative integer, got {value}"
     else:
         detail = f"{what} index {value} is past its table ({limit} rows)"
     return SnapshotError(f"{path}.rows[{at}]: {detail}")
+
+
+def _steps_error(path, at, steps):
+    if steps < 0:
+        return _index_error(path, at, steps, "steps")
+    return SnapshotError(f"{path}.rows[{at}]: steps must be below 2**63, got {steps}")
 
 
 def _state_error(path, at):
@@ -802,6 +873,8 @@ def _check_steps(entry, path):
     steps = entry.get("steps", 0)
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
         raise SnapshotError(f"{path}.steps: must be a non-negative integer")
+    if steps >= STEPS_LIMIT:
+        raise SnapshotError(f"{path}.steps: must be below 2**63, got {steps}")
     return steps
 
 

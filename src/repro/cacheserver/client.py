@@ -64,7 +64,12 @@ Correctness stance — the part the tests pin down:
   entries), not O(resident entries).  A shard frames its answer
   (protocol 1.8): each distinct node reference and field stack once,
   plus integer rows, validated and resolved in one pass; a damaged
-  frame is refused whole and falls open.  Between the hooks a local miss
+  frame, or an answer whose ``epochs`` do not align with its entries,
+  is refused whole and falls open.  A frame for a plain, empty local
+  tier, in a batch that runs on the kernel, is *held*: its rows go
+  into the tier's kernel mirror in one call, and no Python summary is
+  built until something reads one
+  (:func:`repro.native.session.hold_frame`).  Between the hooks a local miss
   is final and sends no ``lookup``, whichever prefetches answered and
   whether the local tier evicted: a batch costs its prefetch and flush
   flights only, and with a plain local tier it runs on the native
@@ -90,6 +95,7 @@ import threading
 import time
 import weakref
 
+from repro.analysis.ppta import active_traversal_impl
 from repro.analysis.summaries import (
     CacheStats,
     SummaryBackend,
@@ -120,6 +126,7 @@ from repro.api.snapshot import (
     entry_to_wire,
     key_to_wire,
     resolve_frame,
+    resolve_frame_tables,
     resolve_wire_entry,
 )
 from repro.cacheserver.faults import (
@@ -731,11 +738,14 @@ class RemoteSummaryCache(SummaryBackend):
         """One shard's ``fetch-methods`` exchange, adopted into the
         local tier.  A shard answers this build's requests with a frame
         (protocol 1.8), resolved by
-        :func:`~repro.api.snapshot.resolve_frame`; a 1.7 shard or a
+        :func:`~repro.api.snapshot.resolve_frame` or held in the
+        kernel (:meth:`_hold`); a 1.7 shard or a
         :class:`~repro.api.service.PointsToService` answers with
-        nominal entries.  The shard's cursor advances only after an
-        answer was decoded and, when framed, validated, and only when
-        no reset landed while it was in flight."""
+        nominal entries.  An answer whose non-empty ``epochs`` does not
+        hold one epoch per entry is refused whole.  The shard's cursor
+        advances only after an answer was decoded and, when framed,
+        validated, and only when no reset landed while it was in
+        flight."""
         with self._cursor_lock:
             cursor = self._cursors[index]
             generation = self._cursor_resets[index]
@@ -756,36 +766,34 @@ class RemoteSummaryCache(SummaryBackend):
         if not isinstance(response, MethodEntriesResponse):
             self._bump("remote_errors", "degraded")
             return
-        if response.frame is not None:
+        epochs = response.epochs
+        frame = response.frame
+        held = None
+        if frame is not None:
             # A framed answer (protocol 1.8) resolves in one pass, and
             # any damage refuses it whole, like an undecodable answer.
             try:
-                resolved_entries = resolve_frame(
-                    self._pag, response.frame, "prefetch.frame"
-                )
+                tables = resolve_frame_tables(self._pag, frame, "prefetch.frame")
+                held = self._hold(tables, frame.rows, epochs)
+                if held is None:
+                    entries = resolve_frame(
+                        self._pag, frame, "prefetch.frame", tables
+                    )
             except SnapshotError:
                 self._bump("remote_errors", "degraded")
                 return
         else:
-            resolved_entries = self._resolve_nominal(response.entries)
-        epochs = response.epochs
-        adopted = 0
-        for position, resolved in enumerate(resolved_entries):
-            server_epoch = epochs[position] if position < len(epochs) else 0
-            if resolved is None:
-                self._bump("unresolved")
-                continue
-            node, stack, state, summary = resolved
-            # Adopt only entries whose epoch matches this client's view
-            # of the method: an entry computed for a program version
-            # this client has not caught up to (or has moved past) must
-            # not enter the tier.
-            method = getattr(node, "method", None)
-            if server_epoch != self.method_epoch(method):
-                self._bump("unresolved")
-                continue
-            self.local_tier.store(node, stack, state, summary)
-            adopted += 1
+            entries = response.entries
+        if held is not None:
+            adopted, skipped = held
+            self._bump_n("unresolved", skipped)
+        elif epochs and len(epochs) != len(entries):
+            self._bump("remote_errors", "degraded")
+            return
+        else:
+            if frame is None:
+                entries = self._resolve_nominal(entries)
+            adopted = self._adopt(entries, epochs)
         self._bump_n("prefetched", adopted)
         with self._cursor_lock:
             if self._cursor_resets[index] == generation:
@@ -794,6 +802,48 @@ class RemoteSummaryCache(SummaryBackend):
                     if response.incarnation is None
                     else (response.incarnation, response.cursor)
                 )
+
+    def _adopt(self, resolved_entries, epochs):
+        """Store resolved prefetch entries in the local tier; returns
+        how many.  An entry is adopted only when it resolved and its
+        epoch (``epochs`` aligns one per entry, or is empty: all 0)
+        matches this client's view of its method: an entry computed for
+        a program version this client has not caught up to (or has
+        moved past) must not enter the tier."""
+        adopted = 0
+        for position, resolved in enumerate(resolved_entries):
+            if resolved is None:
+                self._bump("unresolved")
+                continue
+            node, stack, state, summary = resolved
+            method = getattr(node, "method", None)
+            server_epoch = epochs[position] if epochs else 0
+            if server_epoch != self.method_epoch(method):
+                self._bump("unresolved")
+                continue
+            self.local_tier.store(node, stack, state, summary)
+            adopted += 1
+        return adopted
+
+    def _hold(self, tables, rows, epochs):
+        """Hold a frame's entries in the local tier's kernel mirror
+        (:func:`repro.native.session.hold_frame`): ``(adopted,
+        skipped)``, or ``None`` for the per-entry path.  Only a plain
+        tier with no Python entries, in a batch that runs on the
+        kernel, is offered a frame."""
+        tier = self.local_tier
+        if (
+            type(tier) is not SummaryCache
+            or tier._entries
+            or active_traversal_impl() != "native"
+        ):
+            return None
+        # Deferred: a shard process, which never prefetches, must not
+        # load the kernel binding.
+        from repro.native.session import hold_frame
+
+        held = hold_frame(tier, self._pag, tables, rows, epochs, self.method_epochs())
+        return held if type(held) is tuple else None  # else: why not held
 
     def _resolve_nominal(self, entries):
         """Nominal prefetch entries (a 1.7 shard's, or

@@ -38,8 +38,9 @@ from typing import List, Optional, Tuple
 #: the compiled-library cache keys on it.  Bump both together whenever
 #: the kernel's view of the image layout, the call signatures or the
 #: ownership of a buffer handed over changes (3: the kernel borrows the
-#: token tables with the CSR arrays and reads image tokens only).
-RK_ABI_VERSION = 3
+#: token tables with the CSR arrays and reads image tokens only; 4:
+#: ``rk_frame_hold`` takes a prefetched frame's rows into a session).
+RK_ABI_VERSION = 4
 
 _I32 = ctypes.c_int32
 _I64 = ctypes.c_int64
@@ -243,6 +244,16 @@ def _declare(lib: ctypes.PyDLL) -> None:
     lib.rk_session_compact.restype = _I32
     lib.rk_summary_del.argtypes = [void_p, _I32, _PI32, _PI32]
     lib.rk_summary_del.restype = _I32
+    lib.rk_frame_hold.argtypes = [
+        void_p,
+        _I64, _PI64,                # frame rows
+        _I32, _PI32, _PI32, _PI64,  # per node row: image index, object?, epoch
+        _I32, _PI32,                # per stack row: field-stack id
+        _I64, _PI64,                # the answer's epochs
+        _PI64,                      # out: accepted entries' row offsets
+        _PI64,                      # out: entries, accepted, skipped, facts
+    ]
+    lib.rk_frame_hold.restype = _I32
     lib.rk_ppta.argtypes = [void_p, _I32, _I32, _I64, _I64, _I32]
     lib.rk_ppta.restype = ctypes.POINTER(RkPptaResult)
     lib.rk_ppta_free.argtypes = [ctypes.POINTER(RkPptaResult)]

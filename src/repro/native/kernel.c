@@ -36,7 +36,8 @@
  *                are append-only; a replaced or deleted key leaves a dead
  *                record behind, and the binding compacts the session
  *                (rk_session_compact) once dead records outnumber live
- *                ones.
+ *                ones.  rk_frame_hold fills it straight from a
+ *                prefetched frame's rows, with no Python summary built.
  *   Rk*Result  — malloc'd per call, freed by the matching rk_*_free.
  *
  * Registered in repro.devtools.registry.HOT_FUNCTIONS (impl="native"):
@@ -47,7 +48,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define RK_ABI_VERSION 3
+#define RK_ABI_VERSION 4
 
 /* RSM states and token families (repro.cfl.rsm). */
 #define RK_S1 1
@@ -779,6 +780,201 @@ int32_t rk_summary_del(RkSession *s, int32_t n, const int32_t *t,
         deleted++;
     }
     return deleted;
+}
+
+/* ------------------------------------------------------------------ */
+/* held frames: a prefetched frame's rows straight into a session     */
+/*                                                                    */
+/* The rows are untrusted (repro.api.protocol.SummaryFrame, one run   */
+/* per entry: node, stack, state, steps, n_objects, object...,        */
+/* n_boundaries, (node, stack, state)...).  The binding resolved the  */
+/* node and stack tables and maps each table row: node_idx to an      */
+/* image index (RK_NODE_UNRESOLVED: the entity is not in the PAG;     */
+/* RK_NODE_FOREIGN: in the PAG, not in the image), stack_id to a      */
+/* field-stack id (-1: a token outside the image).                    */
+/* ------------------------------------------------------------------ */
+#define RK_NODE_UNRESOLVED (-1)
+#define RK_NODE_FOREIGN (-2)
+
+/* rk_frame_hold outcomes (RK_OK, or RK_ERR_OOM with s poisoned). */
+#define RK_HOLD_DAMAGED 1     /* resolve_frame would raise */
+#define RK_HOLD_MISALIGNED 2  /* non-empty epochs, not one per entry */
+#define RK_HOLD_FOREIGN 3     /* an accepted entry the kernel cannot hold */
+#define RK_HOLD_REPEATED 4    /* a key twice in the frame, or already held */
+
+/* Walk the rows by repro.api.snapshot.resolve_frame's rules and commit
+ * every accepted entry into s: an entry is skipped when a node it names
+ * is RK_NODE_UNRESOLVED, or when its epoch (epochs[i], 0 when n_epochs
+ * is 0) differs from node_epoch of its key node — the prefetch's
+ * adoption filter.  Index arithmetic is int64 and compares each count
+ * against what remains, so no read leaves rows, the tables or epochs.
+ *
+ * Either every accepted entry is committed, in frame order, or none is
+ * and the outcome says why (RK_ERR_OOM poisons s mid-commit: the binding
+ * retires it): RK_HOLD_DAMAGED at the first damage (the
+ * pass/fail of resolve_frame), else RK_HOLD_MISALIGNED, else the first
+ * accepted entry the kernel refuses — a key or object node that is
+ * RK_NODE_FOREIGN, a key or boundary stack of -1 (the cases
+ * _put skips or refuses), or a key repeated in the frame or already in
+ * the session.  A boundary node that is RK_NODE_FOREIGN packs the
+ * sentinel n, as _put does.
+ *
+ * offsets must have room for n_rows / 6 + 1 values (an entry takes at
+ * least 6): it receives the row offset of each accepted entry.  out
+ * receives {entries, accepted, skipped, facts}. */
+int32_t rk_frame_hold(RkSession *s, int64_t n_rows, const int64_t *rows,
+                      int32_t n_nodes, const int32_t *node_idx,
+                      const int32_t *node_obj, const int64_t *node_epoch,
+                      int32_t n_stacks, const int32_t *stack_id,
+                      int64_t n_epochs, const int64_t *epochs,
+                      int64_t *offsets, int64_t *out) {
+    int64_t pos = 0, entries = 0, accepted = 0, skipped = 0, facts = 0;
+    int32_t refused = RK_OK, status = RK_OK;
+    int32_t n = s->g->n;
+    int64_t i, k;
+    KSet seen;
+    IntBuf objs, bt, bf;
+    out[0] = out[1] = out[2] = out[3] = 0;
+    if (kset_init(&seen, 1024) < 0) {
+        s->oom = 1;
+        return RK_ERR_OOM;
+    }
+    while (pos < n_rows) {
+        int64_t start = pos, node, stack, state, steps, count, nb, server_epoch;
+        int resolved;
+        if (n_rows - pos < 6) /* the key, steps and both counts */
+            goto damaged;
+        node = rows[pos];
+        stack = rows[pos + 1];
+        state = rows[pos + 2];
+        steps = rows[pos + 3];
+        count = rows[pos + 4];
+        if (node < 0 || node >= n_nodes || stack < 0 || stack >= n_stacks ||
+            (state != RK_S1 && state != RK_S2) || steps < 0 || count < 0)
+            goto damaged;
+        pos += 5;
+        if (count >= n_rows - pos) /* the boundary count must follow */
+            goto damaged;
+        resolved = node_idx[node] != RK_NODE_UNRESOLVED;
+        for (k = 0; k < count; k++) {
+            int64_t obj = rows[pos + k];
+            if (obj < 0 || obj >= n_nodes || !node_obj[obj])
+                goto damaged;
+            if (node_idx[obj] == RK_NODE_UNRESOLVED)
+                resolved = 0;
+        }
+        pos += count;
+        nb = rows[pos++];
+        if (nb < 0 || nb > (n_rows - pos) / 3)
+            goto damaged;
+        for (k = 0; k < nb; k++) {
+            int64_t bnode = rows[pos + 3 * k], bstack = rows[pos + 3 * k + 1];
+            int64_t bstate = rows[pos + 3 * k + 2];
+            if (bnode < 0 || bnode >= n_nodes || bstack < 0 || bstack >= n_stacks ||
+                (bstate != RK_S1 && bstate != RK_S2))
+                goto damaged;
+            if (node_idx[bnode] == RK_NODE_UNRESOLVED)
+                resolved = 0;
+        }
+        pos += 3 * nb;
+        /* entry `entries` is sound; does the prefetch adopt it? */
+        i = entries++;
+        if (!resolved) {
+            skipped++;
+            continue;
+        }
+        if (n_epochs && i >= n_epochs) {
+            if (refused == RK_OK)
+                refused = RK_HOLD_MISALIGNED;
+            continue;
+        }
+        server_epoch = n_epochs ? epochs[i] : 0;
+        if (server_epoch != node_epoch[node]) {
+            skipped++;
+            continue;
+        }
+        if (refused != RK_OK)
+            continue; /* refused already; only damage can still change that */
+        if (node_idx[node] < 0 || stack_id[stack] < 0 || count > INT32_MAX ||
+            nb > INT32_MAX)
+            refused = RK_HOLD_FOREIGN;
+        for (k = 0; k < count && refused == RK_OK; k++)
+            if (node_idx[rows[start + 5 + k]] < 0)
+                refused = RK_HOLD_FOREIGN;
+        for (k = 0; k < nb && refused == RK_OK; k++)
+            if (stack_id[rows[pos - 3 * nb + 3 * k + 1]] < 0)
+                refused = RK_HOLD_FOREIGN;
+        if (refused != RK_OK)
+            continue;
+        {
+            uint64_t key = summary_key(node_idx[node] * 4 + (int32_t)state,
+                                       stack_id[stack]);
+            int added;
+            if (kmap_get(&s->index, key) >= 0) {
+                refused = RK_HOLD_REPEATED;
+                continue;
+            }
+            added = kset_add(&seen, key, 0);
+            if (added < 0) {
+                kset_free(&seen);
+                s->oom = 1;
+                return RK_ERR_OOM;
+            }
+            if (!added) {
+                refused = RK_HOLD_REPEATED;
+                continue;
+            }
+        }
+        offsets[accepted++] = start;
+        facts += count + nb;
+    }
+    kset_free(&seen);
+    if (n_epochs && entries != n_epochs)
+        refused = RK_HOLD_MISALIGNED;
+    out[0] = entries;
+    out[2] = skipped;
+    if (refused != RK_OK)
+        return refused;
+    /* every accepted entry is sound and holdable: commit them */
+    buf_init(&objs);
+    buf_init(&bt);
+    buf_init(&bf);
+    for (i = 0; i < accepted && status == RK_OK; i++) {
+        int64_t at = offsets[i];
+        int64_t count = rows[at + 4], nb;
+        objs.len = bt.len = bf.len = 0;
+        for (k = 0; k < count && status == RK_OK; k++)
+            if (buf_push(&objs, node_idx[rows[at + 5 + k]]) < 0)
+                status = RK_ERR_OOM;
+        at += 5 + count;
+        nb = rows[at++];
+        for (k = 0; k < nb && status == RK_OK; k++, at += 3) {
+            int32_t bi = node_idx[rows[at]];
+            if (buf_push(&bt, (bi >= 0 ? bi : n) * 4 + (int32_t)rows[at + 2]) < 0 ||
+                buf_push(&bf, stack_id[rows[at + 1]]) < 0)
+                status = RK_ERR_OOM;
+        }
+        at = offsets[i];
+        if (status == RK_OK &&
+            session_commit(s, node_idx[rows[at]] * 4 + (int32_t)rows[at + 2],
+                           stack_id[rows[at + 1]], rows[at + 3], objs.data,
+                           objs.len, bt.data, bf.data, bt.len) < 0)
+            status = RK_ERR_OOM;
+    }
+    buf_free(&objs);
+    buf_free(&bt);
+    buf_free(&bf);
+    if (status != RK_OK) {
+        s->oom = 1;
+        return RK_ERR_OOM;
+    }
+    out[1] = accepted;
+    out[3] = facts;
+    return RK_OK;
+damaged:
+    kset_free(&seen);
+    out[0] = entries;
+    return RK_HOLD_DAMAGED;
 }
 
 /* ------------------------------------------------------------------ */

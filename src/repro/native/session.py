@@ -30,10 +30,22 @@ the C kernel in ``kernel.c``:
   without calling back into Python.  The first
   sync imports every entry in one bulk call; later syncs — across
   rebinds too — replay only the keys the cache journaled since
-  (inserted, replaced or removed — removals become kernel deletes; a
-  remote store's prefetch fills arrive this way), and the kernel
-  compacts the session in place once dead records outnumber live ones
-  (see :func:`_session_for`).
+  (inserted, replaced or removed — removals become kernel deletes),
+  and the kernel compacts the session in place once dead records
+  outnumber live ones (see :func:`_session_for`).
+* **Held frames** (:func:`hold_frame`) — a remote store's framed
+  prefetch into a plain tier whose dict is empty, for a batch that
+  runs on the kernel: the client resolves the frame's node and stack
+  tables, and one ``rk_frame_hold`` call walks the rows — validating
+  them by :func:`~repro.api.snapshot.resolve_frame`'s rules and
+  applying the prefetch's adoption filter — and commits every
+  accepted entry to the tier's session.  The tier records the block
+  and counts its entries and facts; it builds their ``PptaResult``
+  objects only when a Python reader needs them, and before the session
+  that holds them is retired, dropped or replaced.  Anything else — a
+  damaged or misaligned answer, a key, object or stack the kernel
+  cannot represent, a key repeated in the frame or already held, a
+  row value past int64 — takes the per-entry path unchanged.
 
 Everything here is **refuse-and-fall-back**: any state the kernel
 cannot represent (a call site outside int32, a field stack holding a
@@ -70,6 +82,7 @@ _INT32_MAX = 2 ** 31 - 1
 # module level.
 from repro.analysis.ppta import PptaResult, _boundary_order, _object_order
 from repro.analysis.summaries import SummaryCache
+from repro.api.snapshot import HeldFrame
 from repro.cfl.rsm import FAM_LOAD, S1
 from repro.cfl.stacks import EMPTY_STACK
 from repro.util.errors import BudgetExceededError
@@ -78,6 +91,11 @@ from repro.util.errors import BudgetExceededError
 def _addr(int_array):
     """A ``POINTER(c_int32)`` over an ``array('i')`` buffer."""
     return cast(int_array.buffer_info()[0], _PI32)
+
+
+def _addr64(int_array):
+    """A ``POINTER(c_int64)`` over an ``array('q')`` buffer."""
+    return cast(int_array.buffer_info()[0], _PI64)
 
 
 class _NativeGraph:
@@ -649,7 +667,10 @@ def _session_for(ng, cache):
 
 
 def _fresh_session(ng, cache):
-    """A new session holding every entry of ``cache``, or ``None``."""
+    """A new session holding every entry of ``cache``, or ``None``.
+    Entries the cache held in its previous session are built first."""
+    if cache._held_blocks:
+        cache._build_held()
     handle = ng.lib.rk_session_new(ng.handle)
     if not handle:
         ng.broken = "kernel out of memory"
@@ -667,8 +688,11 @@ def _retire(ng, cache):
 
     After kernel OOM (``ng.broken`` set) the next query starts over on
     a fresh graph; otherwise the refusal is cached against this graph
-    until it rebinds.
+    until it rebinds.  Held entries live only in the retired session,
+    so they are built first.
     """
+    if cache._held_blocks:
+        cache._build_held()
     cache._native_journal = None
     cache._native_memo = None if ng.broken is not None else (ng, None, ng.generation)
     return None
@@ -755,9 +779,12 @@ def _put(ng, sess, items):
                 return False
             b_t.append(index_get(x, n) * 4 + bstate)
             b_f.append(bf)
+        try:
+            steps.append(summary.steps)
+        except OverflowError:
+            return False  # a step count past int64
         key_t.append(si * 4 + state)
         key_f.append(f)
-        steps.append(summary.steps)
         obj_off.append(len(objs))
         b_off.append(len(b_t))
     count = len(key_t)
@@ -780,6 +807,106 @@ def _put(ng, sess, items):
         return False
     sess.imported += count
     return True
+
+
+#: ``rk_frame_hold``'s node-map values for a node row that names no
+#: PAG node, and for one whose PAG node is not in the image.
+_NODE_UNRESOLVED = -1
+_NODE_FOREIGN = -2
+
+#: Why ``rk_frame_hold`` held nothing, by its outcome code.
+HOLD_REFUSALS = {
+    1: "damaged",
+    2: "misaligned epochs",
+    3: "not representable in the kernel",
+    4: "repeated key",
+}
+
+
+def hold_frame(cache, pag, tables, rows, epochs, method_epochs):
+    """Hold a framed prefetch answer in ``cache``'s kernel session.
+
+    ``cache`` is a remote store's plain local tier with an empty dict;
+    ``tables`` is what :func:`~repro.api.snapshot.resolve_frame_tables`
+    made of the frame, ``rows`` the frame's rows, ``epochs`` the
+    answer's and ``method_epochs`` the client's non-zero method epochs.
+    One ``rk_frame_hold`` call validates the rows, skips the entries
+    the prefetch would not adopt (an unresolved reference, an epoch
+    that is not the client's) and commits the rest to the session; the
+    cache then records the block (``SummaryStore._hold``).
+
+    Returns ``(adopted, skipped)``, or with nothing held the reason
+    why: no kernel for this PAG, a row or epoch past int64, kernel OOM,
+    or a refusal of the kernel's (:data:`HOLD_REFUSALS`: damage — the
+    rows fail exactly where :func:`~repro.api.snapshot.resolve_frame`
+    raises — misaligned epochs, an entry it cannot represent, a
+    repeated key).  The caller then takes the per-entry path, which
+    answers each of those exactly as before.
+    """
+    ng = graph_for(pag)
+    if ng is None:
+        return "no kernel"
+    nodes, is_object, stacks = tables
+    try:
+        rows_q = array("q", rows)
+        epochs_q = array("q", epochs)
+        node_epoch = array(
+            "q",
+            [0 if node is None else method_epochs.get(node.method, 0) for node in nodes],
+        )
+    except OverflowError:
+        return "a value past int64"
+    index_get = ng.image.node_index.get
+    node_idx = array(
+        "i",
+        [
+            _NODE_UNRESOLVED if node is None else index_get(node, _NODE_FOREIGN)
+            for node in nodes
+        ],
+    )
+    node_obj = array("i", is_object)
+    to_c = ng.fstack_to_c
+    stack_id = array("i")
+    for stack in stacks:
+        f = to_c(stack)
+        if f is None:
+            if ng.broken is not None:
+                _retire(ng, cache)
+                return ng.broken
+            f = -1  # a token outside the image
+        stack_id.append(f)
+    sess = _session_for(ng, cache)
+    if sess is None:
+        return "no kernel session"
+    offsets = array("q", bytes(8 * (len(rows_q) // 6 + 1)))
+    out = (c_int64 * 4)()
+    rc = ng.lib.rk_frame_hold(
+        sess.handle,
+        len(rows_q),
+        _addr64(rows_q),
+        len(node_idx),
+        _addr(node_idx),
+        _addr(node_obj),
+        _addr64(node_epoch),
+        len(stack_id),
+        _addr(stack_id),
+        len(epochs_q),
+        _addr64(epochs_q),
+        _addr64(offsets),
+        out,
+    )
+    if rc < 0:
+        ng.broken = "kernel out of memory"
+        _retire(ng, cache)
+        return ng.broken
+    if rc:
+        return HOLD_REFUSALS[rc]
+    _entries, adopted, skipped, facts = out
+    if adopted:
+        del offsets[adopted:]
+        cache._hold(HeldFrame(nodes, stacks, rows, offsets, adopted, facts))
+        sess.imported += adopted
+    return adopted, skipped
 
 
 def explore_native(analysis, var, context, pairs, budget):

@@ -52,14 +52,17 @@ PAPERS.md).  This harness measures **steps per second**:
   servers: a cold session against the empty fleet, a warm one
   served by its flushes and a rewarm one on the unchanged fleet,
   beside a cold local engine, with their wall times, round trips,
-  lookups, prefetch bytes, ``native_unavailable`` and each shard's
-  full dumps packed and answered from its kept line.  ``--check``
-  gates on answers equal to the local engine's, no ``lookup`` round
-  trip in any session, at most :data:`PREFETCH_BYTES_PER_ENTRY_MAX`
-  prefetch bytes per prefetched entry in the warm session (a framed
-  full dump), every shard answering the rewarm session's full dump
-  from its kept line, and — with the kernel loaded — every session
-  running on it.
+  lookups, prefetch bytes, ``native_unavailable``, the entries the
+  local tier held in the kernel and later built in Python, and each
+  shard's full dumps packed and answered from its kept line.
+  ``--check`` gates on answers equal to the local engine's, no
+  ``lookup`` round trip in any session, at most
+  :data:`PREFETCH_BYTES_PER_ENTRY_MAX` prefetch bytes per prefetched
+  entry in the warm session (a framed full dump), every shard
+  answering the rewarm session's full dump from its kept line, and —
+  with the kernel loaded — every session running on it, and the warm
+  and rewarm sessions holding every prefetched entry and building
+  none.
 * **codec** — the wire codec on serve-ide-shaped traffic: the generator
   program's SafeCast and NullDeref queries (with their client payloads)
   in a seeded order with a 5% share of invalidates, answered by an
@@ -676,7 +679,7 @@ def _remote_session(policy):
     """A fresh engine over its own generator PAG (CSR compiled before
     the clock starts) answers the NullDeref stream in
     :data:`REMOTE_BATCHES` batches; returns ``(seconds, answers,
-    stats)``."""
+    engine)``."""
     from repro.bench.batching import split_batches
 
     pag = load_benchmark("jython", config=GENERATOR_CONFIG).pag
@@ -689,7 +692,7 @@ def _remote_session(policy):
         result = engine.query_batch(client.specs(batch), dedupe=False, reorder=False)
         answers.extend(result.results)
     elapsed = time.perf_counter() - started
-    return elapsed, _canonical(answers), engine.stats()
+    return elapsed, _canonical(answers), engine
 
 
 def run_remote(log=lambda s: None):
@@ -704,7 +707,10 @@ def run_remote(log=lambda s: None):
     unchanged, beside ``local_cold_sec``, the same stream on a fresh
     engine with a plain store.  ``lookups`` counts the ``lookup`` round
     trips answered (remote hits plus misses), ``prefetch_bytes`` the
-    size of the ``fetch-methods-result`` lines the session decoded, and
+    size of the ``fetch-methods-result`` lines the session decoded,
+    ``held`` the prefetched entries the local tier held in the kernel
+    and ``built`` those it later built in Python (both off the wire:
+    they are the tier's counters, not ``RemoteStoreStats``), and
     ``dumps_packed``/``dumps_kept`` each shard's full dumps scanned and
     encoded, and answered from its kept line, during the session.
     Answers must equal the local engine's; a violation raises
@@ -712,12 +718,13 @@ def run_remote(log=lambda s: None):
     on no lookups in any session, on the warm session's prefetch bytes
     per prefetched entry, on every shard answering the rewarm session's
     full dump from its kept line and, with the kernel loaded, on
-    ``native_unavailable`` being null).
+    ``native_unavailable`` being null and on the warm and rewarm
+    sessions holding every prefetched entry and building none).
     """
     from repro.cacheserver.server import ShardServer
     from repro.engine.policy import CachePolicy
 
-    local_sec, want, _stats = _remote_session(bench_engine_policy())
+    local_sec, want, _engine = _remote_session(bench_engine_policy())
     servers = [ShardServer(i, 2).start() for i in range(2)]
     try:
         policy = bench_engine_policy(
@@ -730,12 +737,15 @@ def run_remote(log=lambda s: None):
         for name in REMOTE_SESSIONS:
             packed = [server.dumps_packed for server in servers]
             kept = [server.dumps_kept for server in servers]
-            sec, answers, stats = _remote_session(policy)
+            sec, answers, engine = _remote_session(policy)
+            engine.cache.close()
             if answers != want:
                 raise PerfCheckError(
                     f"remote {name} session answers differ from a local engine's"
                 )
+            stats = engine.stats()
             remote = stats.remote
+            tier = engine.cache.local_tier
             sessions[name] = {
                 "sec": round(sec, 6),
                 "round_trips": remote.round_trips,
@@ -745,6 +755,8 @@ def run_remote(log=lambda s: None):
                 "stores": remote.stores,
                 "steps": stats.steps,
                 "native_unavailable": stats.native_unavailable,
+                "held": tier.held,
+                "built": tier.built,
                 "dumps_packed": [
                     server.dumps_packed - before
                     for server, before in zip(servers, packed)
@@ -1011,8 +1023,9 @@ def run_perf(
         # a serve-ide exchange beside bare json on the same lines);
         # version 11 adds each remote session's ``prefetch_bytes``;
         # version 12 adds the rewarm session and each session's shard
-        # dumps packed and kept.
-        "version": 12,
+        # dumps packed and kept; version 13 adds each remote session's
+        # entries held in the kernel and built in Python.
+        "version": 13,
         "quick": quick,
         "python": sys.version.split()[0],
         "figure4": figure4,
@@ -1164,6 +1177,18 @@ def _check_report(report):
                 f"{rewarm['dumps_packed']} and kept {rewarm['dumps_kept']} "
                 "times per shard (want every shard's from its kept line)"
             )
+        # A warm session's prefetch lands in an empty tier, in batches
+        # that run on the kernel: all of it is held, and nothing in the
+        # session reads a summary back in Python.
+        if remote.get("traversal_impl") == "native" and availability()[0]:
+            for name in ("warm", "rewarm"):
+                row = remote[name]
+                if row["held"] != row["prefetched"] or row["built"]:
+                    raise PerfCheckError(
+                        f"remote {name} session held {row['held']} of its "
+                        f"{row['prefetched']} prefetched entries and built "
+                        f"{row['built']} (want every one held, none built)"
+                    )
     codec = report.get("codec")
     # The same rule as the figure4 ratio gates: best-of at least
     # MIN_GATED_REPS reps, and enough measured time to carry a ratio.

@@ -125,7 +125,12 @@ def run_workload(instance, servers=None, fault_schedule=None):
         )
     engine = PointsToEngine(instance.pag, policy)
     client = SafeCastClient(instance.pag)
-    _verdicts, batch = client.run_engine(engine, dedupe=False, reorder=False)
+    try:
+        _verdicts, batch = client.run_engine(engine, dedupe=False, reorder=False)
+    finally:
+        close = getattr(engine.cache, "close", None)
+        if close is not None:
+            close()  # the pass is over; its stats stay readable
     return [canonical(result) for result in batch.results], engine
 
 
@@ -377,6 +382,7 @@ class TestHostileSeeding:
             answers = [canonical(r) for r in engine.query_batch(queries)]
             assert answers == baseline
         finally:
+            engine.cache.close()
             replacement.stop()
 
     def test_shard_dying_mid_seed_falls_open_then_recovers(self):
@@ -385,37 +391,40 @@ class TestHostileSeeding:
         served = len(server.store)
         assert served > 0
         replacement = self._restart_blank(server)
-        link = engine.cache._links[0]
-        with pytest.raises(ShardUnavailable):
-            link.request(encode(StoreStatsRequest()))
-        link.breaker.reset()
-        original = link.seed_provider
-
-        def dying_provider():
-            # The replacement dies while the client assembles its seed
-            # flight: the exchange must fail cleanly (no partial seed
-            # adopted), and the *next* recovery must still seed fully.
-            lines = list(original())
-            replacement.stop()
-            return lines
-
-        link.seed_provider = dying_provider
-        with pytest.raises(ShardUnavailable):
-            link.request(encode(StoreStatsRequest()))
-        link.seed_provider = original
-        answers = [canonical(r) for r in engine.query_batch(queries)]
-        assert answers == baseline
-        # Second replacement on the same port: recovery re-seeds fully.
-        second = ShardServer(0, 1, port=replacement.port).start()
         try:
-            link.breaker.reset()
-            response = decode_response(
+            link = engine.cache._links[0]
+            with pytest.raises(ShardUnavailable):
                 link.request(encode(StoreStatsRequest()))
-            )
-            assert isinstance(response, StoreStatsResponse)
-            assert response.stats.entries == served
+            link.breaker.reset()
+            original = link.seed_provider
+
+            def dying_provider():
+                # The replacement dies while the client assembles its seed
+                # flight: the exchange must fail cleanly (no partial seed
+                # adopted), and the *next* recovery must still seed fully.
+                lines = list(original())
+                replacement.stop()
+                return lines
+
+            link.seed_provider = dying_provider
+            with pytest.raises(ShardUnavailable):
+                link.request(encode(StoreStatsRequest()))
+            link.seed_provider = original
+            answers = [canonical(r) for r in engine.query_batch(queries)]
+            assert answers == baseline
+            # Second replacement on the same port: recovery re-seeds fully.
+            second = ShardServer(0, 1, port=replacement.port).start()
+            try:
+                link.breaker.reset()
+                response = decode_response(
+                    link.request(encode(StoreStatsRequest()))
+                )
+                assert isinstance(response, StoreStatsResponse)
+                assert response.stats.entries == served
+            finally:
+                second.stop()
         finally:
-            second.stop()
+            engine.cache.close()
 
     def test_stale_epoch_refusal_during_seeding(self):
         server = ShardServer(0, 1).start()
@@ -447,6 +456,7 @@ class TestHostileSeeding:
             answers = [canonical(r) for r in engine.query_batch(queries)]
             assert answers == baseline
         finally:
+            engine.cache.close()
             replacement.stop()
 
 

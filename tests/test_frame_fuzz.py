@@ -16,14 +16,23 @@ entries sent nominally, and nothing else escapes.  An empty shard's
 answer carries no frame; the empty frame an earlier 1.8 shard sent for
 it still resolves to nothing.  For a damaged frame
 those entries are what :func:`unpack`, a plain reference decoder,
-reads from it; each named defect must be refused.
+reads from it; each named defect must be refused, also a row value of
+2**31 or more, one of 2**63 or more, and a count that would overflow
+``pos + count``.
+
+The kernel's walk of a held frame (``rk_frame_hold``, through
+:func:`repro.native.session.hold_frame`) runs on the same frames: it
+calls a frame damaged exactly when ``resolve_frame`` raises, and when
+it holds one, the entries its tier later builds and its adopted and
+skipped counts equal what per-entry adoption makes of the resolved
+entries, epoch filter included; misaligned epochs are refused by both.
 
 Runs derandomized, so tier-1 sees the same examples every time.
 """
 
 import json
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import GLOBALS_SOURCE, make_pag
@@ -33,15 +42,22 @@ from repro.api.protocol import (
     MethodEntriesRequest,
     SnapshotError,
 )
+import pytest
+
+from repro.analysis.summaries import SummaryCache
 from repro.api.snapshot import (
     check_entry,
     check_key,
+    entry_to_wire,
     node_to_wire,
     pack_frame,
     resolve_frame,
+    resolve_frame_tables,
     resolve_wire_entry,
 )
 from repro.cacheserver.server import ShardDispatcher
+from repro.native import availability
+from repro.native.session import hold_frame
 
 SETTINGS = dict(
     derandomize=True,
@@ -79,6 +95,34 @@ ENTRIES = st.fixed_dictionaries(
         "steps": st.integers(min_value=0, max_value=2**40),
     }
 )
+
+#: GLOBALS_SOURCE plus loads and stores of the fields the generated
+#: stacks name, so every stack token is in the CSR image and the kernel
+#: can hold what the shard frames.  Every reference in REAL and MISSING
+#: resolves here as it does in PAG.
+FIELDS_SOURCE = """
+class A { field f; field g; field h; }
+class B { }
+class G {
+  static field slot;
+}
+class Main {
+  static method main() {
+    a = new A;
+    b = new B;
+    G::slot = a;
+    G::slot = b;
+    x = G::slot;
+    a.f = b;
+    y = a.f;
+    a.g = b;
+    y = a.g;
+    a.h = b;
+    y = a.h;
+  }
+}
+"""
+KERNEL_PAG = make_pag(FIELDS_SOURCE)
 
 JUNK_NODES = [
     {"kind": "alien"}, {"kind": ["local"]}, [], "x", None, 3,
@@ -171,6 +215,65 @@ def unpack(frame):
 REFUSED = "refused"
 
 
+def tier_view(tier):
+    """A tier's entries, nominally, in order (builds held ones)."""
+    return [entry_to_wire(*key, summary) for key, summary in tier.entries()]
+
+
+def adopt(frame, epochs=(), method_epochs=None):
+    """What the per-entry path makes of ``frame`` over
+    :data:`KERNEL_PAG`: ``(tier entries, adopted, skipped)`` after the
+    prefetch's adoption filter, ``"misaligned"``, or :data:`REFUSED`."""
+    method_epochs = method_epochs or {}
+    try:
+        resolved = resolve_frame(KERNEL_PAG, frame, "prefetch.frame")
+    except SnapshotError:
+        return REFUSED
+    if epochs and len(epochs) != len(resolved):
+        return "misaligned"
+    tier = SummaryCache()
+    adopted = skipped = 0
+    for position, entry in enumerate(resolved):
+        epoch = epochs[position] if epochs else 0
+        if entry is None or epoch != method_epochs.get(entry[0].method, 0):
+            skipped += 1
+            continue
+        tier.store(*entry)
+        adopted += 1
+    return tier_view(tier), adopted, skipped
+
+
+def hold(frame, epochs=(), method_epochs=None):
+    """What the held path makes of ``frame``: :data:`REFUSED` where the
+    kernel calls it damaged (or a row value is past int64, which the
+    per-entry path then refuses), the reason it held nothing else,
+    or ``(built entries, adopted, skipped)``."""
+    tier = SummaryCache()
+    try:
+        tables = resolve_frame_tables(KERNEL_PAG, frame, "prefetch.frame")
+    except SnapshotError:
+        return REFUSED
+    outcome = hold_frame(
+        tier, KERNEL_PAG, tables, frame.rows, epochs, method_epochs or {}
+    )
+    if outcome in ("damaged", "a value past int64"):
+        return REFUSED
+    if type(outcome) is not tuple:
+        return outcome
+    adopted, skipped = outcome
+    # Held: counted, not built, until read.
+    assert (len(tier), tier.held, tier.built) == (adopted, adopted, 0)
+    assert not tier._entries
+    built = tier_view(tier)
+    assert tier.built == adopted == len(tier)
+    return built, adopted, skipped
+
+
+needs_kernel = pytest.mark.skipif(
+    not availability()[0], reason=f"native kernel unavailable: {availability()[1]}"
+)
+
+
 def views(resolved):
     return [
         None if r is None
@@ -206,17 +309,55 @@ def test_a_valid_frame_resolves_like_its_nominal_entries(entries):
     assert reference(frame) == want
 
 
+@needs_kernel
+@settings(**SETTINGS)
+@given(st.lists(ENTRIES, max_size=8), st.data())
+def test_the_kernel_holds_a_valid_frame_like_per_entry_adoption(entries, data):
+    payload, nominal = fetched(entries)
+    frame = frame_of(payload) if nominal else pack_frame([])
+    method_epochs = {"Main.main": data.draw(st.integers(0, 2))}
+    epochs = data.draw(
+        st.one_of(
+            st.just(()),
+            st.lists(st.integers(0, 2), min_size=len(nominal), max_size=len(nominal)),
+        )
+    )
+    got = hold(frame, tuple(epochs), method_epochs)
+    assert got == adopt(frame, tuple(epochs), method_epochs)
+    assert type(got) is tuple  # a shard's frame holds nothing the kernel refuses
+    # Epochs that do not align with the entries refuse the answer, on
+    # both paths.
+    for wrong in ((0,) * (len(nominal) + 1), (0,) * (len(nominal) - 1)):
+        if wrong:
+            assert hold(frame, wrong) == "misaligned epochs"
+            assert adopt(frame, wrong) == "misaligned"
+
+
 DAMAGES = [
     "index", "negative", "cut", "count", "local", "state", "node-row", "stack-row",
     "swap",
 ]
+ROW_KINDS = KEY + ["object", "boundaries"] + BOUNDARY
+#: Each damage with each row kind it can hit, for the kernel's walk:
+#: every check it makes gets its own examples.
+TARGETS = (
+    [("index", kind) for kind in NODE_INDEX + STACK_INDEX]
+    + [("negative", kind) for kind in NODE_INDEX + STACK_INDEX]
+    + [("count", kind) for kind in ("count", "boundaries")]
+    + [("state", kind) for kind in ("state", "boundary-state")]
+    # Past int32 (and every table); a step count that large is valid.
+    + [("int32", kind) for kind in ROW_KINDS if kind != "steps"]
+    # Past int64, and past the steps bound.
+    + [("int64", kind) for kind in ROW_KINDS]
+    # A count whose ``pos + count`` would overflow int64.
+    + [("overflow", kind) for kind in ("count", "boundaries")]
+    + [(damage, None) for damage in ("cut", "local", "node-row", "stack-row", "swap")]
+)
 
 
-@settings(**{**SETTINGS, "max_examples": 300})
-@given(st.lists(ENTRIES, min_size=1, max_size=6), st.sampled_from(DAMAGES), st.data())
-def test_a_damaged_frame_is_refused_or_resolves_like_what_it_encodes(
-    entries, damage, data
-):
+def damaged_frame(entries, damage, data, target=None):
+    """A shard's frame of ``entries`` with one ``damage``, at a row of
+    kind ``target`` when one is named."""
     payload, _nominal = fetched(entries)
     wire = payload["frame"]
     rows, nodes, stacks = wire["rows"], wire["nodes"], wire["stacks"]
@@ -225,9 +366,13 @@ def test_a_damaged_frame_is_refused_or_resolves_like_what_it_encodes(
     def position(wanted, among=range(len(rows))):
         """A position holding one of the ``wanted`` kinds, drawn kind
         first, so a rare kind (a key node, a boundary count) is hit as
-        often as a common one."""
+        often as a common one; the ``target`` kind when one is named."""
         present = sorted({kinds[i] for i in among if kinds[i] in wanted})
-        kind = data.draw(st.sampled_from(present))
+        if target is None:
+            kind = data.draw(st.sampled_from(present))
+        else:
+            assume(target in present)
+            kind = target
         return data.draw(st.sampled_from([i for i in among if kinds[i] == kind]))
 
     if damage == "index":
@@ -259,11 +404,55 @@ def test_a_damaged_frame_is_refused_or_resolves_like_what_it_encodes(
         stacks[data.draw(st.integers(0, len(stacks) - 1))] = data.draw(
             st.sampled_from(JUNK_STACKS)
         )
-    else:
+    elif damage == "int32":
+        rows[position(set(kinds) - {"steps"})] = 2**31 + data.draw(st.integers(0, 3))
+    elif damage == "int64":
+        rows[position(set(kinds))] = data.draw(st.sampled_from([2**63, 2**63 + 5, 2**64]))
+    elif damage == "overflow":
+        rows[position(("count", "boundaries"))] = 2**63 - 1 - data.draw(
+            st.integers(0, 7)
+        )
+    elif damage == "swap":
         at = data.draw(st.integers(0, len(rows) - 1))
         rows[at] = data.draw(st.integers(-3, len(nodes) + 3))
-    frame = frame_of(payload)
+    return frame_of(payload)
+
+
+@settings(**{**SETTINGS, "max_examples": 300})
+@given(st.lists(ENTRIES, min_size=1, max_size=6), st.sampled_from(DAMAGES), st.data())
+def test_a_damaged_frame_is_refused_or_resolves_like_what_it_encodes(
+    entries, damage, data
+):
+    frame = damaged_frame(entries, damage, data)
     got = outcome(frame)
     assert got == reference(frame)
     if damage != "swap":
         assert got == REFUSED
+
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "damage, target", TARGETS, ids=[f"{d}-{t}" if t else d for d, t in TARGETS]
+)
+@settings(
+    **{
+        **SETTINGS,
+        "max_examples": 20,
+        "suppress_health_check": [HealthCheck.too_slow, HealthCheck.filter_too_much],
+    }
+)
+@given(entries=st.lists(ENTRIES, min_size=1, max_size=6), data=st.data())
+def test_the_kernel_calls_a_frame_damaged_exactly_when_resolve_frame_raises(
+    damage, target, entries, data
+):
+    frame = damaged_frame(entries, damage, data, target)
+    want = adopt(frame)
+    got = hold(frame)
+    if damage != "swap":
+        assert want == REFUSED
+    assert (got == REFUSED) == (want == REFUSED)
+    if type(got) is tuple:
+        assert got == want
+    elif got != REFUSED:
+        # A swap can repeat a key; the per-entry path takes the frame.
+        assert got == "repeated key" and type(want) is tuple

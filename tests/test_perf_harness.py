@@ -126,7 +126,7 @@ class TestReportShape:
         assert section["edit_ms"] > 0 and section["batch_ms"] > 0
         assert section["cold_for_program_ms"] > 0
         assert section["traversal_impl"] == active_traversal_impl()
-        assert quick_report["version"] == 12
+        assert quick_report["version"] == 13
 
     def test_remote_section_sends_no_lookups(self, quick_report):
         from repro.analysis.ppta import active_traversal_impl
@@ -144,8 +144,8 @@ class TestReportShape:
             row = section[name]
             assert set(row) == {
                 "sec", "round_trips", "lookups", "prefetched", "prefetch_bytes",
-                "stores", "steps", "native_unavailable", "dumps_packed",
-                "dumps_kept",
+                "stores", "steps", "native_unavailable", "held", "built",
+                "dumps_packed", "dumps_kept",
             }
             assert row["sec"] > 0 and row["lookups"] == 0
             assert row["native_unavailable"] == (None if native_ok else native_reason)
@@ -170,6 +170,12 @@ class TestReportShape:
         assert (rewarm["dumps_packed"], rewarm["dumps_kept"]) == ([0, 0], [1, 1])
         for field in ("prefetched", "prefetch_bytes", "round_trips", "steps"):
             assert rewarm[field] == warm[field], field
+        # A warm prefetch lands in an empty tier and stays in the kernel;
+        # the cold session's deltas arrive in a tier that is not empty.
+        assert section["cold"]["held"] == 0
+        for row in (warm, rewarm):
+            assert row["held"] == (row["prefetched"] if native_ok else 0)
+            assert row["built"] == 0
 
     def test_codec_section_times_each_call_beside_json(self, quick_report):
         section = quick_report["codec"]
@@ -260,7 +266,7 @@ class TestInvariants:
 
     REMOTE_ROW = {
         "lookups": 0, "native_unavailable": None,
-        "prefetched": 100, "prefetch_bytes": 12_800,
+        "prefetched": 100, "prefetch_bytes": 12_800, "held": 100, "built": 0,
         "dumps_packed": [1, 1], "dumps_kept": [0, 0],
     }
     REWARM_ROW = {**REMOTE_ROW, "dumps_packed": [0, 0], "dumps_kept": [1, 1]}
@@ -274,7 +280,8 @@ class TestInvariants:
              ("cold", "warm", "rewarm")),
             # Bytes per entry gate only the warm session's full dump.
             ({"prefetch_bytes": 12_801}, "not framed", False, ("warm",)),
-            ({"prefetched": 0, "prefetch_bytes": 110}, "not framed", False, ("warm",)),
+            ({"prefetched": 0, "prefetch_bytes": 110, "held": 0}, "not framed", False,
+             ("warm",)),
             # Every shard answers the rewarm session's full dump from its
             # kept line.
             ({"dumps_packed": [0, 1], "dumps_kept": [1, 0]}, "kept line", False,
@@ -283,9 +290,15 @@ class TestInvariants:
              ("rewarm",)),
             ({"dumps_packed": [0, 0], "dumps_kept": [0, 0]}, "kept line", False,
              ("rewarm",)),
+            # With the kernel, a warm prefetch is held whole and never
+            # built.
+            ({"held": 99}, "held 99 of its 100", True, ("warm", "rewarm")),
+            ({"held": 0}, "held 0 of its 100", True, ("warm", "rewarm")),
+            ({"built": 1}, "built 1", True, ("warm", "rewarm")),
         ],
         ids=["lookups", "off-kernel", "nominal-bytes", "bytes-for-nothing",
-             "one-shard-packed", "packed-and-kept", "no-dump"],
+             "one-shard-packed", "packed-and-kept", "no-dump", "held-some",
+             "held-none", "built"],
     )
     def test_remote_gate(self, session, change, message, native_only, gated):
         from repro.native import availability

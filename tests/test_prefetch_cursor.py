@@ -84,13 +84,29 @@ def assert_local_answers(engine, queries):
     assert [canonical(r) for r in engine.query_batch(queries)] == LOCAL[key]
 
 
+#: The remote stores the running test opened: its finalizer
+#: (:func:`close_remote_stores`) closes them.
+OPENED = []
+
+
 def remote_engine(addresses):
-    return PointsToEngine(
+    engine = PointsToEngine(
         program_pag(),
         EnginePolicy(
             cache=CachePolicy(remote=tuple(addresses), remote_timeout=5.0),
         ),
     )
+    OPENED.append(engine.cache)
+    return engine
+
+
+@pytest.fixture(autouse=True)
+def close_remote_stores():
+    """Close every shard link a test opened, so an unclosed socket
+    under ``python -X dev`` can only be the client's own leak."""
+    yield
+    while OPENED:
+        OPENED.pop().close()
 
 
 def batch_delta(engine, queries):
