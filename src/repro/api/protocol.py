@@ -62,7 +62,13 @@ from typing import Any, Optional, Tuple
 from repro.analysis.summaries import CacheStats
 from repro.engine.scheduler import BatchStats
 
-#: The protocol spoken by this build — "<major>.<minor>".  1.8 frames
+#: The protocol spoken by this build — "<major>.<minor>".  1.9 writes
+#: a frame's field stacks as a trie: each ``stacks`` row is ``[parent,
+#: field, family]``, one token pushed onto a stack named earlier, and
+#: stack ``0`` is the empty stack; a shard answers a request of 1.9 or
+#: later with such a frame, a 1.8 request with the 1.8 frame (under a
+#: ``"1.8"`` label, byte for byte what a 1.8 shard sends), and a
+#: client reads a frame by its answer's ``protocol_version``.  1.8 frames
 #: ``fetch-methods`` answers: a shard answers a request of 1.8 or later
 #: with a :class:`SummaryFrame` (each distinct node reference and field
 #: stack once, plus flat integer rows that index them) instead of
@@ -106,10 +112,12 @@ from repro.engine.scheduler import BatchStats
 #: store-level ops (``lookup``/``store``/``store-stats``) and the
 #: warm-start/remote counters on ``stats-result``; 1.0 traffic decodes
 #: unchanged.
-PROTOCOL_VERSION = "1.8"
+PROTOCOL_VERSION = "1.9"
 
 #: The first minor whose ``fetch-methods`` answers may carry a frame.
 FRAME_VERSION = (1, 8)
+#: The first minor whose frames write their field stacks as a trie.
+TRIE_FRAME_VERSION = (1, 9)
 
 
 #: Field metadata key: :func:`repro.api.codec.encode` leaves the field
@@ -145,6 +153,20 @@ def split_version(version):
             "invalid-request",
             f"protocol_version must be numeric, got {version!r}",
         ) from None
+
+
+def frame_version(version):
+    """The frame a ``fetch-methods`` answer at protocol ``version``
+    carries: ``None`` before 1.8 (nominal entries),
+    :data:`FRAME_VERSION` for 1.8 (a flat stack table), else
+    :data:`TRIE_FRAME_VERSION`.  A shard reads a request's version
+    this way, a client its answer's."""
+    parsed = split_version(version)
+    if parsed >= TRIE_FRAME_VERSION:
+        return TRIE_FRAME_VERSION
+    if parsed >= FRAME_VERSION:
+        return FRAME_VERSION
+    return None
 
 
 #: This build's major version, parsed once.
@@ -509,15 +531,26 @@ class BatchInvalidateResponse:
 
 @dataclass(frozen=True)
 class SummaryFrame:
-    """Summary entries, dictionary-coded (protocol 1.8).
+    """Summary entries, dictionary-coded (protocol 1.8; a trie of field
+    stacks since 1.9).
 
     ``nodes`` holds node references as
-    :func:`~repro.api.snapshot.node_to_wire` writes them and ``stacks``
-    field stacks as :func:`~repro.api.snapshot.stack_to_wire` writes
-    them, each distinct one once.  ``rows`` is one run of integers per
-    entry: ``node, stack, state, steps, n_objects, object...,
-    n_boundaries, (node, stack, state)...``, where ``node``/``object``
-    index ``nodes`` and ``stack`` indexes ``stacks``.
+    :func:`~repro.api.snapshot.node_to_wire` writes them, each distinct
+    one once.  ``rows`` is one run of integers per entry: ``node,
+    stack, state, steps, n_objects, object..., n_boundaries, (node,
+    stack, state)...``, where ``node``/``object`` index ``nodes`` and
+    ``stack`` names a field stack of ``stacks``.
+
+    At 1.9 and later ``stacks`` is a trie: row ``i`` is ``[parent,
+    field, family]``, the stack ``parent`` names with the token
+    ``(field, family)`` pushed on top.  Stack ``0`` is the empty stack
+    and has no row; stack ``k >= 1`` is row ``k - 1``.  A row's
+    ``parent`` is at most ``i`` (the empty stack or an earlier row), so
+    one pass resolves the table; ``family`` is the integer 0 or 1.  At
+    1.8 ``stacks`` holds each distinct field stack as
+    :func:`~repro.api.snapshot.stack_to_wire` writes it, and ``stack``
+    indexes it.  The frame does not say which it is: the answer's
+    ``protocol_version`` does (:func:`frame_version`).
     :func:`~repro.api.snapshot.pack_frame` builds one and
     :func:`~repro.api.snapshot.resolve_frame` validates and resolves it.
     """
@@ -549,7 +582,9 @@ class MethodEntriesResponse:
 
     ``frame`` (protocol 1.8) carries the entries dictionary-coded; a
     shard sends one exactly when the request's ``protocol_version`` is
-    :data:`FRAME_VERSION` or later.  A framed answer has empty
+    :data:`FRAME_VERSION` or later, in the layout the answer's
+    ``protocol_version`` names (:func:`frame_version`): a 1.8 request
+    is answered under a ``"1.8"`` label.  A framed answer has empty
     ``entries``, its ``epochs`` align with the frame's entries, and the
     frame keeps the order the entries would have had.  Left out unless
     set, so an answer without a frame has a 1.7 answer's bytes but for

@@ -60,7 +60,7 @@ from repro.api.protocol import (
     split_version,
 )
 from repro.cfl.rsm import S1, S2
-from repro.cfl.stacks import Stack
+from repro.cfl.stacks import EMPTY_STACK, intern_token
 from repro.util.errors import IRError
 
 #: Version of the snapshot format — "<major>.<minor>", checked on load
@@ -167,7 +167,7 @@ def stack_to_wire(stack):
 def stack_from_wire(wire, path):
     if not isinstance(wire, list):
         raise SnapshotError(f"{path}: field stack must be an array")
-    items = []
+    stack = EMPTY_STACK
     for i, item in enumerate(wire):
         if (
             not isinstance(item, (list, tuple))
@@ -178,8 +178,11 @@ def stack_from_wire(wire, path):
             raise SnapshotError(
                 f"{path}[{i}]: field-stack entry must be [field, family(0|1)]"
             )
-        items.append((item[0], item[1]))
-    return Stack.of(*items)
+        # A family equal to 0 or 1 (``true``, ``1.0``) is pushed as the
+        # int it stands for: stacks are hash-consed process-wide, so the
+        # first push of a token decides how every equal stack writes it.
+        stack = stack.push(intern_token(item[0], int(item[1])))
+    return stack
 
 
 def _check_state(state, path):
@@ -276,7 +279,7 @@ def resolve_wire_entry(pag, entry, path="entry"):
 
 # ----------------------------------------------------------------------
 # frames — many entries, each node reference and field stack once
-# (protocol 1.8's fetch-methods answers)
+# (protocol 1.8's fetch-methods answers; 1.9 writes the stacks as a trie)
 # ----------------------------------------------------------------------
 def ref_key(ref):
     """A hashable key for one validated node reference or field stack:
@@ -297,20 +300,24 @@ def ref_key(ref):
     return key
 
 
-def pack_frame(entries):
+def pack_frame(entries, trie=True):
     """The :class:`~repro.api.protocol.SummaryFrame` of validated wire
-    entries, in their order.
+    entries, in their order: with a trie of field stacks (protocol
+    1.9), or with ``trie=False`` the 1.8 flat stack table.
 
     The tables are keyed on object identity: a reference several
     entries share (a shard store shares equal ones, see
     :meth:`~repro.cacheserver.store.WireSummaryStore.store`) is written
-    once.  Equal references held as separate objects are each written,
-    so the frame stays correct without sharing; only its tables grow.
+    once.  Equal references held as separate objects are each written
+    to a flat table, so the frame stays correct without sharing; only
+    its tables grow.  A trie writes each distinct prefix once either
+    way; sharing saves walking it again.
     """
     node_rows = {}
     nodes = []
     stack_rows = {}
     stacks = []
+    children = {}  # a trie row's (parent, field, family) -> its reference
 
     def node_row(wire):
         row = node_rows.get(id(wire))
@@ -319,12 +326,30 @@ def pack_frame(entries):
             nodes.append(wire)
         return row
 
-    def stack_row(wire):
+    def flat_stack_row(wire):
         row = stack_rows.get(id(wire))
         if row is None:
             row = stack_rows[id(wire)] = len(stacks)
             stacks.append(wire)
         return row
+
+    def trie_stack_ref(wire):
+        ref = stack_rows.get(id(wire))
+        if ref is None:
+            ref = 0
+            for field, family in wire:
+                # A validated family may be ``true``: it finds the row of
+                # the 1 it equals, and a new row carries the int.
+                key = (ref, field, family)
+                child = children.get(key)
+                if child is None:
+                    stacks.append([ref, field, int(family)])
+                    child = children[key] = len(stacks)
+                ref = child
+            stack_rows[id(wire)] = ref
+        return ref
+
+    stack_row = trie_stack_ref if trie else flat_stack_row
 
     rows = []
     for entry in entries:
@@ -350,43 +375,72 @@ def pack_frame(entries):
     return SummaryFrame(nodes=tuple(nodes), stacks=tuple(stacks), rows=tuple(rows))
 
 
-def resolve_frame_tables(pag, frame, path="frame"):
+def _trie_stacks(table, path):
+    """The stacks a trie table names, by reference: the empty stack,
+    then one per row, each one interned push onto its parent."""
+    stacks = [EMPTY_STACK]
+    for i, row in enumerate(table):
+        if not isinstance(row, (list, tuple)) or len(row) != 3:
+            raise SnapshotError(
+                f"{path}.stacks[{i}]: stack row must be [parent, field, family(0|1)]"
+            )
+        parent, field, family = row
+        if type(parent) is not int or not 0 <= parent <= i:
+            raise SnapshotError(
+                f"{path}.stacks[{i}]: parent must be an integer from 0 to {i}"
+            )
+        if type(field) is not str:
+            raise SnapshotError(f"{path}.stacks[{i}]: field must be a string")
+        if type(family) is not int or not 0 <= family <= 1:
+            raise SnapshotError(f"{path}.stacks[{i}]: family must be the integer 0 or 1")
+        stacks.append(stacks[parent].push(intern_token(field, family)))
+    return stacks
+
+
+def resolve_frame_tables(pag, frame, path="frame", trie=True):
     """Validate a frame's node and stack tables and resolve them against
     ``pag``, each row once: ``(nodes, is_object, stacks)``, one value
-    per table row — the PAG node a node row names (``None`` when this
-    PAG lacks it), whether the row is an object reference, and the
-    :class:`~repro.cfl.stacks.Stack` a stack row names.  A malformed
-    row raises the :class:`SnapshotError` the nominal checks raise."""
+    per node row and per stack reference — the PAG node a node row
+    names (``None`` when this PAG lacks it), whether the row is an
+    object reference, and the :class:`~repro.cfl.stacks.Stack` a stack
+    reference names (``trie``: the empty stack, then one per trie row;
+    else one per row of a 1.8 table).  A malformed row raises a
+    :class:`SnapshotError` naming it; a node row or a 1.8 stack row
+    gets the nominal checks' text."""
     nodes = []
     is_object = []
     for i, wire in enumerate(frame.nodes):
         kind = _check_node_wire(wire, f"{path}.nodes[{i}]")["kind"]
         nodes.append(resolve_node(pag, wire))
         is_object.append(kind == "object")
-    stacks = [
-        stack_from_wire(wire, f"{path}.stacks[{i}]")
-        for i, wire in enumerate(frame.stacks)
-    ]
+    if trie:
+        stacks = _trie_stacks(frame.stacks, path)
+    else:
+        stacks = [
+            stack_from_wire(wire, f"{path}.stacks[{i}]")
+            for i, wire in enumerate(frame.stacks)
+        ]
     return nodes, is_object, stacks
 
 
-def resolve_frame(pag, frame, path="frame", tables=None):
+def resolve_frame(pag, frame, path="frame", tables=None, trie=True):
     """Validate a :class:`~repro.api.protocol.SummaryFrame` and re-anchor
-    its entries against ``pag``, each table row once.
+    its entries against ``pag``, each table row once (``trie``: as
+    :func:`resolve_frame_tables` reads the stack table).
 
     Returns one ``(node, field_stack, state, PptaResult)`` per entry, in
     frame order, or ``None`` where :func:`resolve_wire_entry` would
     return it for the entry sent nominally (a referenced entity this
     PAG lacks).  Any damage refuses the whole frame with a
     :class:`SnapshotError` naming it (``frame.rows[17]``): a malformed
-    table row (the nominal checks and texts), an index past its table,
+    table row (see :func:`resolve_frame_tables`), an index past its table,
     a negative integer, a ``steps`` of 2**63 or more, a state other
     than S1/S2, an object index naming a non-object node, or rows that
     end mid-entry.  ``tables`` is what :func:`resolve_frame_tables`
     already made of this frame, if anything.
     """
     if tables is None:
-        tables = resolve_frame_tables(pag, frame, path)
+        tables = resolve_frame_tables(pag, frame, path, trie)
     nodes, is_object, stacks = tables
     rows = frame.rows
     end = len(rows)

@@ -62,8 +62,9 @@ Correctness stance — the part the tests pin down:
   shard's ``(incarnation, cursor)`` and carries only the entries
   published or replaced since — so a warm batch also decodes O(new
   entries), not O(resident entries).  A shard frames its answer
-  (protocol 1.8): each distinct node reference and field stack once,
-  plus integer rows, validated and resolved in one pass; a damaged
+  (protocol 1.8): each distinct node reference once, the field stacks
+  as a trie (1.9; a 1.8 shard sends each stack whole), plus integer
+  rows, validated and resolved in one pass; a damaged
   frame, or an answer whose ``epochs`` do not align with its entries,
   is refused whole and falls open.  A frame for a plain, empty local
   tier, in a batch that runs on the kernel, is *held*: its rows go
@@ -120,7 +121,9 @@ from repro.api.protocol import (
     StoreResponse,
     StoreStatsResponse,
     StoreStatsRequest,
+    TRIE_FRAME_VERSION,
     WireError,
+    frame_version,
 )
 from repro.api.snapshot import (
     entry_to_wire,
@@ -736,8 +739,10 @@ class RemoteSummaryCache(SummaryBackend):
 
     def _prefetch(self, index, link):
         """One shard's ``fetch-methods`` exchange, adopted into the
-        local tier.  A shard answers this build's requests with a frame
-        (protocol 1.8), resolved by
+        local tier.  A shard answers this build's requests with a frame,
+        read in the layout the answer's ``protocol_version`` names (a
+        trie of field stacks from a 1.9 shard, a flat table from a 1.8
+        one), then resolved by
         :func:`~repro.api.snapshot.resolve_frame` or held in the
         kernel (:meth:`_hold`); a 1.7 shard or a
         :class:`~repro.api.service.PointsToService` answers with
@@ -772,8 +777,11 @@ class RemoteSummaryCache(SummaryBackend):
         if frame is not None:
             # A framed answer (protocol 1.8) resolves in one pass, and
             # any damage refuses it whole, like an undecodable answer.
+            trie = frame_version(response.protocol_version) == TRIE_FRAME_VERSION
             try:
-                tables = resolve_frame_tables(self._pag, frame, "prefetch.frame")
+                tables = resolve_frame_tables(
+                    self._pag, frame, "prefetch.frame", trie
+                )
                 held = self._hold(tables, frame.rows, epochs)
                 if held is None:
                     entries = resolve_frame(

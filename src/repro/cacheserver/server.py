@@ -33,6 +33,8 @@ from repro.analysis.summaries import shard_for_method
 from repro.api.codec import decode_request, encode
 from repro.api.protocol import (
     FRAME_VERSION,
+    PROTOCOL_VERSION,
+    TRIE_FRAME_VERSION,
     BatchInvalidateRequest,
     BatchInvalidateResponse,
     BatchLookupRequest,
@@ -52,7 +54,7 @@ from repro.api.protocol import (
     StoreStatsRequest,
     StoreStatsResponse,
     WireError,
-    split_version,
+    frame_version,
 )
 from repro.api.snapshot import check_entry, check_key, pack_frame
 from repro.cacheserver.faults import (
@@ -83,8 +85,12 @@ LISTEN_BACKLOG = 128
 
 #: A dispatcher's last full-dump ``fetch-methods`` answer: the store
 #: version it was scanned at, what the request asked (``(methods,
-#: fingerprint, framed)``), the response and its encoded line.
+#: fingerprint, frame version)``), the response and its encoded line.
 _KeptDump = namedtuple("_KeptDump", "version query response line")
+
+#: The label of a ``fetch-methods`` answer to a 1.8 requester: it gets
+#: 1.8's flat frame, byte for byte what a 1.8 shard sends.
+_FLAT_FRAME_LABEL = "%d.%d" % FRAME_VERSION
 
 
 class ShardDispatcher:
@@ -296,8 +302,8 @@ class ShardDispatcher:
         if request.methods is not None:
             for method in request.methods:
                 self._check_ownership(method)
-        framed = split_version(request.protocol_version) >= FRAME_VERSION
-        query = (request.methods, request.fingerprint, framed)
+        frame = frame_version(request.protocol_version)
+        query = (request.methods, request.fingerprint, frame)
         kept = self._kept
         # Equal versions mean equal dumps, and the store still has the
         # kept answer's incarnation and cursor, which tell whether this
@@ -323,17 +329,20 @@ class ShardDispatcher:
             since=request.since,
         )
         epochs = tuple(epochs) if any(epochs) else ()
-        # Framed (protocol 1.8) for a requester that reads frames, when
-        # there is anything to frame; an older one, and an empty answer,
-        # get nominal entries.  The store shares equal references, so
-        # packing is an identity lookup per reference.
-        if framed and entries:
+        # Framed for a requester that reads frames, in the layout it
+        # reads (a trie from 1.9, flat at 1.8), when there is anything
+        # to frame; an older one, and an empty answer, get nominal
+        # entries.  The store shares equal references, so packing is an
+        # identity lookup per reference.
+        label = _FLAT_FRAME_LABEL if frame == FRAME_VERSION else PROTOCOL_VERSION
+        if frame is not None and entries:
             response = MethodEntriesResponse(
                 entries=(),
                 epochs=epochs,
                 incarnation=incarnation,
                 cursor=cursor,
-                frame=pack_frame(entries),
+                frame=pack_frame(entries, trie=frame == TRIE_FRAME_VERSION),
+                protocol_version=label,
             )
         else:
             response = MethodEntriesResponse(
@@ -341,6 +350,7 @@ class ShardDispatcher:
                 epochs=epochs,
                 incarnation=incarnation,
                 cursor=cursor,
+                protocol_version=label,
             )
         if version is not None:  # a full dump; a delta is never kept
             kept = _KeptDump(version, query, response, encode(response))

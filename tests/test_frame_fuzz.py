@@ -4,11 +4,17 @@ Valid frames come from a shard: random entries (local, object and
 global node references, both stack families, both states, any steps;
 some naming entities the program lacks) are stored in a shard's
 ``WireSummaryStore`` and fetched through its dispatcher at protocol
-1.8, and again at 1.7 for the same entries nominally.  Damaged frames
-are such a frame's JSON with one defect: an index past its table, rows
-cut mid-entry, a negative count, an object index that names a local, a
-state of 0 or 3, a junk node row, a junk stack row, a negative index,
-or any row value swapped for a small integer.
+1.8 (a flat stack table) and 1.9 (a trie of stack rows), and again at
+1.7 for the same entries nominally.  Every property runs at both frame
+versions.  Damaged frames are such a frame's JSON with one defect: an
+index past its table, rows cut mid-entry, a negative count, an object
+index that names a local, a state of 0 or 3, a junk node row, a junk
+stack row, a negative index, or any row value swapped for a small
+integer.  A junk trie row breaks one rule of its own: a parent naming
+the row itself, a later row, a row past the table, a negative parent
+or ``true``; 2 or 4 items, or no array; a field that is not a string;
+a family outside 0/1, or ``true``.  Each is refused with a
+``SnapshotError`` naming ``frame.stacks[i]``.
 
 The property: ``resolve_frame`` either raises ``SnapshotError`` or
 returns exactly what ``resolve_wire_entry`` returns for the same
@@ -131,18 +137,64 @@ JUNK_NODES = [
 ]
 JUNK_STACKS = [{}, "x", None, [["f", 2]], [["f"]], [[1, 0]], [None], [["f", 0, 1]]]
 
+#: The frame versions: ``"1.8"`` writes a flat stack table, ``"1.9"`` a
+#: trie.  Every property below runs at both.
+VERSIONS = ("1.8", "1.9")
 
-def fetched(entries):
+
+def is_trie(version):
+    return version == "1.9"
+
+
+#: One broken rule of a trie row each; :func:`junk_trie_row` builds it.
+TRIE_DAMAGES = [
+    "parent-self", "parent-later", "parent-past-table", "parent-negative",
+    "parent-true", "two-items", "four-items", "not-an-array", "field",
+    "family", "family-true",
+]
+
+
+def junk_trie_row(damage, row, at, n_rows, data):
+    """Trie row ``at`` of ``n_rows`` (``row``, valid) broken by ``damage``."""
+    parent, field, family = row
+    if damage == "parent-self":
+        return [at + 1, field, family]
+    if damage == "parent-later":
+        return [data.draw(st.integers(at + 2, max(at + 2, n_rows))), field, family]
+    if damage == "parent-past-table":
+        return [n_rows + 1 + data.draw(st.integers(0, 3)), field, family]
+    if damage == "parent-negative":
+        return [data.draw(st.integers(-3, -1)), field, family]
+    if damage == "parent-true":
+        return [True, field, family]
+    if damage == "two-items":
+        return data.draw(st.sampled_from([[parent, field], [field, family]]))
+    if damage == "four-items":
+        return [parent, field, family, data.draw(st.sampled_from([0, family, field]))]
+    if damage == "not-an-array":
+        return data.draw(st.sampled_from([None, 5, "abc", {}]))
+    if damage == "field":
+        return [parent, data.draw(st.sampled_from([7, None, [field], True])), family]
+    if damage == "family":
+        return [parent, field, data.draw(st.sampled_from([2, -1, 1.0, "1", None]))]
+    assert damage == "family-true"
+    return [parent, field, True]
+
+
+def fetched(entries, version):
     """``(framed answer payload, nominal entries)`` of one shard holding
-    ``entries``, fetched at 1.8 and at 1.7."""
+    ``entries``, fetched at ``version`` and at 1.7."""
     shard = ShardDispatcher(0, 1)
     shard.handle_line(encode(BatchStoreRequest(entries=tuple(entries))))
     nominal = decode_response(
         shard.handle_line(encode(MethodEntriesRequest(protocol_version="1.7")))
     )
-    framed = json.loads(shard.handle_line(encode(MethodEntriesRequest())))
+    framed = json.loads(
+        shard.handle_line(encode(MethodEntriesRequest(protocol_version=version)))
+    )
     assert framed["entries"] == [] and nominal.frame is None
     assert ("frame" in framed) == bool(nominal.entries)
+    assert framed["protocol_version"] == version
     return framed, list(nominal.entries)
 
 
@@ -177,13 +229,33 @@ class Damaged(Exception):
     """A frame :func:`unpack` cannot read."""
 
 
-def unpack(frame):
+def trie_table(rows):
+    """The nominal field stack each reference of a trie table names,
+    read plainly: ``[]``, then one per row."""
+    table = [[]]
+    for i, row in enumerate(rows):
+        if type(row) not in (list, tuple) or len(row) != 3:
+            raise Damaged(f"stack row {i} is not [parent, field, family]")
+        parent, field, family = row
+        if type(parent) is not int or parent not in range(i + 1):
+            raise Damaged(f"stack row {i} names no earlier stack")
+        if type(field) is not str or type(family) is not int or family not in (0, 1):
+            raise Damaged(f"stack row {i} is no token")
+        table.append(table[parent] + [[field, family]])
+    return table
+
+
+def unpack(frame, trie):
     """The nominal entries ``frame`` encodes, read plainly; raises
     :class:`Damaged` or :class:`SnapshotError` where it is damaged."""
     for row in frame.nodes:
         check_key({"node": row, "stack": [], "state": 1})
-    for row in frame.stacks:
-        check_key({"node": REAL[0], "stack": row, "state": 1})
+    if trie:
+        stacks = trie_table(frame.stacks)
+    else:
+        stacks = frame.stacks
+        for row in stacks:
+            check_key({"node": REAL[0], "stack": row, "state": 1})
     rows = list(frame.rows)
 
     def take(table=None):
@@ -198,13 +270,13 @@ def unpack(frame):
     while rows:
         entry = {
             "node": take(frame.nodes),
-            "stack": take(frame.stacks),
+            "stack": take(stacks),
             "state": take(),
             "steps": take(),
         }
         entry["objects"] = [take(frame.nodes) for _ in range(take())]
         entry["boundaries"] = [
-            {"node": take(frame.nodes), "stack": take(frame.stacks), "state": take()}
+            {"node": take(frame.nodes), "stack": take(stacks), "state": take()}
             for _ in range(take())
         ]
         check_entry(entry)
@@ -220,13 +292,13 @@ def tier_view(tier):
     return [entry_to_wire(*key, summary) for key, summary in tier.entries()]
 
 
-def adopt(frame, epochs=(), method_epochs=None):
+def adopt(frame, trie, epochs=(), method_epochs=None):
     """What the per-entry path makes of ``frame`` over
     :data:`KERNEL_PAG`: ``(tier entries, adopted, skipped)`` after the
     prefetch's adoption filter, ``"misaligned"``, or :data:`REFUSED`."""
     method_epochs = method_epochs or {}
     try:
-        resolved = resolve_frame(KERNEL_PAG, frame, "prefetch.frame")
+        resolved = resolve_frame(KERNEL_PAG, frame, "prefetch.frame", trie=trie)
     except SnapshotError:
         return REFUSED
     if epochs and len(epochs) != len(resolved):
@@ -243,14 +315,14 @@ def adopt(frame, epochs=(), method_epochs=None):
     return tier_view(tier), adopted, skipped
 
 
-def hold(frame, epochs=(), method_epochs=None):
+def hold(frame, trie, epochs=(), method_epochs=None):
     """What the held path makes of ``frame``: :data:`REFUSED` where the
     kernel calls it damaged (or a row value is past int64, which the
     per-entry path then refuses), the reason it held nothing else,
     or ``(built entries, adopted, skipped)``."""
     tier = SummaryCache()
     try:
-        tables = resolve_frame_tables(KERNEL_PAG, frame, "prefetch.frame")
+        tables = resolve_frame_tables(KERNEL_PAG, frame, "prefetch.frame", trie)
     except SnapshotError:
         return REFUSED
     outcome = hold_frame(
@@ -282,39 +354,43 @@ def views(resolved):
     ]
 
 
-def outcome(frame):
+def outcome(frame, trie):
     """What ``resolve_frame`` makes of ``frame``: its entries' views, or
     :data:`REFUSED`.  Any exception but ``SnapshotError`` escapes."""
     try:
-        return views(resolve_frame(PAG, frame, "prefetch.frame"))
+        return views(resolve_frame(PAG, frame, "prefetch.frame", trie=trie))
     except SnapshotError:
         return REFUSED
 
 
-def reference(frame):
+def reference(frame, trie):
     """What the nominal path makes of the entries ``frame`` encodes."""
     try:
-        return views([resolve_wire_entry(PAG, e) for e in unpack(frame)])
+        return views([resolve_wire_entry(PAG, e) for e in unpack(frame, trie)])
     except (Damaged, SnapshotError):
         return REFUSED
 
 
+@pytest.mark.parametrize("version", VERSIONS)
 @settings(**SETTINGS)
-@given(st.lists(ENTRIES, max_size=8))
-def test_a_valid_frame_resolves_like_its_nominal_entries(entries):
-    payload, nominal = fetched(entries)
-    frame = frame_of(payload) if nominal else pack_frame([])
+@given(entries=st.lists(ENTRIES, max_size=8))
+def test_a_valid_frame_resolves_like_its_nominal_entries(version, entries):
+    trie = is_trie(version)
+    payload, nominal = fetched(entries, version)
+    frame = frame_of(payload) if nominal else pack_frame([], trie=trie)
     want = views([resolve_wire_entry(PAG, entry) for entry in nominal])
-    assert outcome(frame) == want
-    assert reference(frame) == want
+    assert outcome(frame, trie) == want
+    assert reference(frame, trie) == want
 
 
 @needs_kernel
+@pytest.mark.parametrize("version", VERSIONS)
 @settings(**SETTINGS)
-@given(st.lists(ENTRIES, max_size=8), st.data())
-def test_the_kernel_holds_a_valid_frame_like_per_entry_adoption(entries, data):
-    payload, nominal = fetched(entries)
-    frame = frame_of(payload) if nominal else pack_frame([])
+@given(entries=st.lists(ENTRIES, max_size=8), data=st.data())
+def test_the_kernel_holds_a_valid_frame_like_per_entry_adoption(version, entries, data):
+    trie = is_trie(version)
+    payload, nominal = fetched(entries, version)
+    frame = frame_of(payload) if nominal else pack_frame([], trie=trie)
     method_epochs = {"Main.main": data.draw(st.integers(0, 2))}
     epochs = data.draw(
         st.one_of(
@@ -322,15 +398,15 @@ def test_the_kernel_holds_a_valid_frame_like_per_entry_adoption(entries, data):
             st.lists(st.integers(0, 2), min_size=len(nominal), max_size=len(nominal)),
         )
     )
-    got = hold(frame, tuple(epochs), method_epochs)
-    assert got == adopt(frame, tuple(epochs), method_epochs)
+    got = hold(frame, trie, tuple(epochs), method_epochs)
+    assert got == adopt(frame, trie, tuple(epochs), method_epochs)
     assert type(got) is tuple  # a shard's frame holds nothing the kernel refuses
     # Epochs that do not align with the entries refuse the answer, on
     # both paths.
     for wrong in ((0,) * (len(nominal) + 1), (0,) * (len(nominal) - 1)):
         if wrong:
-            assert hold(frame, wrong) == "misaligned epochs"
-            assert adopt(frame, wrong) == "misaligned"
+            assert hold(frame, trie, wrong) == "misaligned epochs"
+            assert adopt(frame, trie, wrong) == "misaligned"
 
 
 DAMAGES = [
@@ -355,13 +431,25 @@ TARGETS = (
 )
 
 
-def damaged_frame(entries, damage, data, target=None):
-    """A shard's frame of ``entries`` with one ``damage``, at a row of
-    kind ``target`` when one is named."""
-    payload, _nominal = fetched(entries)
+def damage_trie_row(stacks, damage, data):
+    """Break one row of the trie ``stacks`` (a valid row added first
+    when it has none) by ``damage``; returns the row's index."""
+    if not stacks:
+        stacks.append([0, "f", 0])
+    at = data.draw(st.integers(0, len(stacks) - 1))
+    stacks[at] = junk_trie_row(damage, stacks[at], at, len(stacks), data)
+    return at
+
+
+def damaged_frame(entries, damage, data, target=None, version="1.9"):
+    """A shard's frame of ``entries``, fetched at ``version``, with one
+    ``damage``, at a row of kind ``target`` when one is named."""
+    payload, _nominal = fetched(entries, version)
     wire = payload["frame"]
     rows, nodes, stacks = wire["rows"], wire["nodes"], wire["stacks"]
     kinds, starts = layout(rows)
+    # A trie's references: the empty stack, then one per row.
+    n_stacks = len(stacks) + is_trie(version)
 
     def position(wanted, among=range(len(rows))):
         """A position holding one of the ``wanted`` kinds, drawn kind
@@ -377,8 +465,8 @@ def damaged_frame(entries, damage, data, target=None):
 
     if damage == "index":
         at = position(NODE_INDEX + STACK_INDEX)
-        table = stacks if kinds[at] in STACK_INDEX else nodes
-        rows[at] = len(table) + data.draw(st.integers(0, 3))
+        size = n_stacks if kinds[at] in STACK_INDEX else len(nodes)
+        rows[at] = size + data.draw(st.integers(0, 3))
     elif damage == "negative":
         rows[position(NODE_INDEX + STACK_INDEX)] = data.draw(st.integers(-3, -1))
     elif damage == "cut":  # before any value but an entry's first
@@ -400,6 +488,8 @@ def damaged_frame(entries, damage, data, target=None):
         nodes[data.draw(st.integers(0, len(nodes) - 1))] = data.draw(
             st.sampled_from(JUNK_NODES)
         )
+    elif damage == "stack-row" and is_trie(version):
+        damage_trie_row(stacks, data.draw(st.sampled_from(TRIE_DAMAGES)), data)
     elif damage == "stack-row":
         stacks[data.draw(st.integers(0, len(stacks) - 1))] = data.draw(
             st.sampled_from(JUNK_STACKS)
@@ -418,19 +508,38 @@ def damaged_frame(entries, damage, data, target=None):
     return frame_of(payload)
 
 
+@pytest.mark.parametrize("version", VERSIONS)
 @settings(**{**SETTINGS, "max_examples": 300})
-@given(st.lists(ENTRIES, min_size=1, max_size=6), st.sampled_from(DAMAGES), st.data())
+@given(
+    entries=st.lists(ENTRIES, min_size=1, max_size=6),
+    damage=st.sampled_from(DAMAGES),
+    data=st.data(),
+)
 def test_a_damaged_frame_is_refused_or_resolves_like_what_it_encodes(
-    entries, damage, data
+    version, entries, damage, data
 ):
-    frame = damaged_frame(entries, damage, data)
-    got = outcome(frame)
-    assert got == reference(frame)
+    trie = is_trie(version)
+    frame = damaged_frame(entries, damage, data, version=version)
+    got = outcome(frame, trie)
+    assert got == reference(frame, trie)
     if damage != "swap":
         assert got == REFUSED
 
 
+@pytest.mark.parametrize("damage", TRIE_DAMAGES)
+@settings(**{**SETTINGS, "max_examples": 25})
+@given(entries=st.lists(ENTRIES, min_size=1, max_size=6), data=st.data())
+def test_a_damaged_trie_row_is_refused_by_its_index(damage, entries, data):
+    payload, _nominal = fetched(entries, "1.9")
+    at = damage_trie_row(payload["frame"]["stacks"], damage, data)
+    frame = frame_of(payload)
+    with pytest.raises(SnapshotError, match=rf"^prefetch\.frame\.stacks\[{at}\]: "):
+        resolve_frame(PAG, frame, "prefetch.frame")
+    assert reference(frame, True) == REFUSED
+
+
 @needs_kernel
+@pytest.mark.parametrize("version", VERSIONS)
 @pytest.mark.parametrize(
     "damage, target", TARGETS, ids=[f"{d}-{t}" if t else d for d, t in TARGETS]
 )
@@ -443,11 +552,12 @@ def test_a_damaged_frame_is_refused_or_resolves_like_what_it_encodes(
 )
 @given(entries=st.lists(ENTRIES, min_size=1, max_size=6), data=st.data())
 def test_the_kernel_calls_a_frame_damaged_exactly_when_resolve_frame_raises(
-    damage, target, entries, data
+    version, damage, target, entries, data
 ):
-    frame = damaged_frame(entries, damage, data, target)
-    want = adopt(frame)
-    got = hold(frame)
+    trie = is_trie(version)
+    frame = damaged_frame(entries, damage, data, target, version)
+    want = adopt(frame, trie)
+    got = hold(frame, trie)
     if damage != "swap":
         assert want == REFUSED
     assert (got == REFUSED) == (want == REFUSED)

@@ -7,9 +7,12 @@ Pinned here:
   stores: after every store-level op (store, equal-payload re-store
   with more ``steps``, replace, lookup hit and miss, lookup at a newer
   epoch, fingerprint pin, invalidate with and without residents,
-  ``clear``, blank restart) the dispatcher's full dump, at 1.7 and 1.8,
-  with and without a method filter and a fingerprint, equals byte for
-  byte a fresh scan, pack and encode of the store;
+  ``clear``, blank restart) the dispatcher's full dump, at 1.7, 1.8
+  (a flat frame) and 1.9 (a trie frame), with and without a method
+  filter and a fingerprint, equals byte for byte a fresh scan, pack
+  and encode of the store;
+* 1.8 and 1.9 full dumps of an unchanged store, alternating, never get
+  each other's kept line;
 * writers alongside full-dump readers on one dispatcher: no answer is
   older than the store the request found, and once the writers stop
   the next dump equals a fresh one;
@@ -26,6 +29,7 @@ import pytest
 
 from repro.api.codec import decode_response, encode
 from repro.api.protocol import (
+    PROTOCOL_VERSION,
     MethodEntriesRequest,
     MethodEntriesResponse,
     StoreRequest,
@@ -39,10 +43,21 @@ METHODS = ("A.m", "B.n", "C.o")
 FINGERPRINTS = (11, 22)
 
 
+#: The request versions: 1.7 gets nominal entries, 1.8 a flat frame,
+#: 1.9 a trie frame.
+VERSIONS = ("1.7", "1.8", "1.9")
+
+
+def stack_of(name):
+    """A field stack of 0-2 tokens, fixed per name, so the two frames'
+    stack tables differ."""
+    return [["f", 0], ["g", 1]][: sum(map(ord, name)) % 3]
+
+
 def wire_entry(name, method="A.m", objects=("o1",), steps=4):
     return {
         "node": {"kind": "local", "method": method, "name": name},
-        "stack": [],
+        "stack": stack_of(name),
         "state": 1,
         "objects": [
             {"kind": "object", "id": label, "class": "Thing", "method": method}
@@ -57,7 +72,7 @@ def key_of(entry):
     return {k: entry[k] for k in ("node", "stack", "state")}
 
 
-def dump_request(methods=None, fingerprint=None, version="1.8"):
+def dump_request(methods=None, fingerprint=None, version=PROTOCOL_VERSION):
     return encode(
         MethodEntriesRequest(
             methods=methods, fingerprint=fingerprint, protocol_version=version
@@ -65,18 +80,21 @@ def dump_request(methods=None, fingerprint=None, version="1.8"):
     )
 
 
-def fresh_line(store, methods=None, fingerprint=None, version="1.8"):
+def fresh_line(store, methods=None, fingerprint=None, version=PROTOCOL_VERSION):
     """What a shard sends for a full dump of ``store`` as it stands:
-    a fresh scan, pack and encode."""
+    a fresh scan, pack and encode.  A 1.8 requester gets the flat frame
+    under a 1.8 label."""
     entries, epochs, incarnation, cursor, _version = store.fetch(methods, fingerprint)
     epochs = tuple(epochs) if any(epochs) else ()
-    if version == "1.8" and entries:
+    label = "1.8" if version == "1.8" else PROTOCOL_VERSION
+    if version != "1.7" and entries:
         response = MethodEntriesResponse(
             entries=(),
             epochs=epochs,
             incarnation=incarnation,
             cursor=cursor,
-            frame=pack_frame(entries),
+            frame=pack_frame(entries, trie=version == "1.9"),
+            protocol_version=label,
         )
     else:
         response = MethodEntriesResponse(
@@ -84,6 +102,7 @@ def fresh_line(store, methods=None, fingerprint=None, version="1.8"):
             epochs=epochs,
             incarnation=incarnation,
             cursor=cursor,
+            protocol_version=label,
         )
     return encode(response)
 
@@ -231,7 +250,7 @@ DUMPS = [
     (methods, fingerprint, version)
     for methods in (None, ("A.m",), ("A.m", "B.n"))
     for fingerprint in (None, *FINGERPRINTS)
-    for version in ("1.7", "1.8")
+    for version in VERSIONS
 ]
 
 CAPACITIES = {
@@ -298,6 +317,23 @@ def test_each_filter_and_framing_is_its_own_dump():
     assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (len(DUMPS), 0)
 
 
+def test_alternating_frame_versions_never_get_each_others_line():
+    dispatcher = ShardDispatcher(0, 1)
+    for name in "abc":
+        dispatcher.store.store(wire_entry(name))
+    lines = {}
+    for version in ("1.8", "1.9") * 3:
+        line = dispatcher.handle_line(dump_request(version=version))
+        assert line == fresh_line(dispatcher.store, version=version)
+        lines.setdefault(version, line)
+        assert line == lines[version]
+    assert lines["1.8"] != lines["1.9"]
+    # One line is kept: each switch packs, each repeat is kept.
+    assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (6, 0)
+    dispatcher.handle_line(dump_request(version="1.9"))
+    assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (6, 1)
+
+
 # ----------------------------------------------------------------------
 # writers alongside readers
 # ----------------------------------------------------------------------
@@ -353,7 +389,7 @@ def test_writers_alongside_full_dump_readers():
         except Exception as exc:
             errors.append(exc)
 
-    versions = ("1.7", "1.7", "1.8", "1.8")
+    versions = ("1.7", "1.7", "1.8", "1.8", "1.9", "1.9")
     seen = [[] for _ in versions]
     readers = [
         threading.Thread(target=reader, args=(version, seen[i]))
@@ -377,7 +413,7 @@ def test_writers_alongside_full_dump_readers():
     assert not errors, errors
     assert all(seen), "a reader never completed a dump"
     assert dispatcher.dumps_packed + dispatcher.dumps_kept == sum(map(len, seen))
-    for version in ("1.7", "1.8"):
+    for version in VERSIONS:
         line = dispatcher.handle_line(dump_request(version=version))
         assert line == fresh_line(store, version=version)
     kept = dispatcher.dumps_kept

@@ -155,11 +155,11 @@ class TestReportShape:
         assert section["cold"]["stores"] > 0 and section["warm"]["stores"] == 0
         assert section["warm"]["prefetched"] > 0
         assert section["warm"]["steps"] < section["cold"]["steps"]
-        # Framed answers: the warm full dump is under the gate's bytes
-        # per entry.
+        # Trie frames: the warm full dump is under the gate's bytes per
+        # entry.
         assert section["cold"]["prefetch_bytes"] > 0
         warm = section["warm"]
-        assert 0 < warm["prefetch_bytes"] <= 128 * warm["prefetched"]
+        assert 0 < warm["prefetch_bytes"] <= 48 * warm["prefetched"]
         # Each session's first prefetch is its one full dump per shard:
         # the cold and warm ones find a changed store and pack, the
         # rewarm one finds the warm one's store and its kept line.
@@ -266,7 +266,7 @@ class TestInvariants:
 
     REMOTE_ROW = {
         "lookups": 0, "native_unavailable": None,
-        "prefetched": 100, "prefetch_bytes": 12_800, "held": 100, "built": 0,
+        "prefetched": 100, "prefetch_bytes": 4_800, "held": 100, "built": 0,
         "dumps_packed": [1, 1], "dumps_kept": [0, 0],
     }
     REWARM_ROW = {**REMOTE_ROW, "dumps_packed": [0, 0], "dumps_kept": [1, 1]}
@@ -279,7 +279,7 @@ class TestInvariants:
             ({"native_unavailable": "RemoteSummaryCache"}, "off the kernel", True,
              ("cold", "warm", "rewarm")),
             # Bytes per entry gate only the warm session's full dump.
-            ({"prefetch_bytes": 12_801}, "not framed", False, ("warm",)),
+            ({"prefetch_bytes": 4_801}, "not framed", False, ("warm",)),
             ({"prefetched": 0, "prefetch_bytes": 110, "held": 0}, "not framed", False,
              ("warm",)),
             # Every shard answers the rewarm session's full dump from its

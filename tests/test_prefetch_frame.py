@@ -1,18 +1,23 @@
-"""Framed ``fetch-methods`` answers (protocol 1.8).
+"""Framed ``fetch-methods`` answers (protocol 1.8; trie frames, 1.9).
 
 A shard answers a request of 1.8 or later with a ``SummaryFrame``: each
-distinct node reference and field stack once, and one flat run of
-integers per entry.  Pinned here:
+distinct node reference once, its field stacks as a flat table (1.8)
+or a trie of ``[parent, field, family]`` rows (1.9), and one flat run
+of integers per entry.  Pinned here:
 
 * the version rule: a 1.7 request gets the nominal answer, the one a
-  1.7 shard sends; a 1.8 request gets a frame that resolves to the
-  same entries, in the same order, and an empty answer (an unchanged
-  delta) carries no frame;
+  1.7 shard sends; a 1.8 request gets the flat frame under a 1.8
+  label, byte for byte; a 1.9 request gets a trie frame; both resolve
+  to the same entries, in the same order, and an empty answer (an
+  unchanged delta) carries no frame;
+* a peer's family written ``true`` (or ``1.0``) decodes to the int
+  token on every path, so the process's canonical stack writes ``1``;
 * the client: a framed warm prefetch fills the local tier exactly as a
   nominal one does, and the session answers and steps like a local
-  engine holding the same summaries; a frame with an index past its
-  table is refused whole and falls open; a nominal answer (a 1.7
-  shard) is still adopted;
+  engine holding the same summaries; a 1.9 client reads a 1.8 shard's
+  flat frame by the answer's label, held or per entry; a frame with an
+  index past its table is refused whole and falls open; a nominal
+  answer (a 1.7 shard) is still adopted;
 * the shard store keeps one copy of each reference it holds, its
   ``lookup`` answers keep their bytes, and its table of shared copies
   stays bounded through invalidate/re-store churn.
@@ -36,6 +41,7 @@ from repro.api.protocol import (
     LookupRequest,
     LookupResponse,
     MethodEntriesRequest,
+    MethodEntriesResponse,
     SnapshotError,
     StoreRequest,
 )
@@ -45,12 +51,17 @@ from repro.api.snapshot import (
     pack_frame,
     ref_key,
     resolve_frame,
+    resolve_frame_tables,
     resolve_wire_entry,
+    stack_from_wire,
+    stack_to_wire,
 )
 from repro.bench.generator import GeneratorConfig, generate_program
 from repro.cacheserver import client as client_module
 from repro.cacheserver.server import ShardServer
 from repro.cacheserver.store import SHARED_SLACK, WireSummaryStore, entry_key
+from repro.cfl.stacks import EMPTY_STACK, Stack, intern_token
+from repro.native import availability
 
 CONFIG = GeneratorConfig(seed=3, domain_classes=2, data_classes=2, layers=1)
 
@@ -165,20 +176,26 @@ def wire_entry(name, method="A.m", objects=("o1",), stack=(), boundaries=()):
 class TestFrame:
     def test_pack_writes_each_shared_reference_once(self):
         shared_object = {"kind": "object", "id": "o1", "class": "T", "method": "A.m"}
-        entries = [wire_entry(name) for name in "abc"]
+        deep = [("f", 0), ("g", 1)]
+        entries = [wire_entry(name, stack=deep) for name in "abc"]
         for entry in entries:
             entry["objects"] = [shared_object]
             entry["stack"] = entries[0]["stack"]
-        frame = pack_frame(entries)
+        frame = pack_frame(entries, trie=False)
         assert frame.nodes.count(shared_object) == 1
         assert len(frame.stacks) == 1
-        # Equal references held as separate objects are each written.
-        unshared = pack_frame([wire_entry(name) for name in "abc"])
-        assert len(unshared.nodes) == 6 and len(unshared.stacks) == 3
+        # Equal references held as separate objects are each written to
+        # a flat table.
+        unshared = [wire_entry(name, stack=deep) for name in "abc"]
+        flat = pack_frame(unshared, trie=False)
+        assert len(flat.nodes) == 6 and len(flat.stacks) == 3
+        # A trie writes each distinct prefix once, shared or not.
+        for packed in (entries, unshared):
+            assert pack_frame(packed).stacks == ([0, "f", 0], [1, "g", 1])
 
     def test_rows_follow_the_documented_layout(self):
         entry = wire_entry("a", objects=("o1", "o2"), stack=[("g", 1)], boundaries=("b",))
-        frame = pack_frame([entry])
+        frame = pack_frame([entry], trie=False)
         node, stack, state, steps, n_objects, o1, o2, n_boundaries, bn, bs, bst = (
             frame.rows
         )
@@ -188,8 +205,35 @@ class TestFrame:
         assert [frame.nodes[o1], frame.nodes[o2]] == entry["objects"]
         assert frame.nodes[bn] is entry["boundaries"][0]["node"]
         assert frame.stacks[bs] is entry["boundaries"][0]["stack"]
+        # The trie frame: the same nodes and rows but for the stack
+        # references, 1 for row 0 (``g``), 2 for row 1 (``f``).
+        trie = pack_frame([entry])
+        assert trie.nodes == frame.nodes
+        assert trie.stacks == ([0, "g", 1], [0, "f", 0])
+        assert trie.rows == (node, 1, *frame.rows[2:9], 2, bst)
 
-    def test_resolve_equals_the_nominal_walk(self):
+    def test_trie_rows_push_onto_earlier_rows(self):
+        """Each stack's prefixes come first, a family written ``true``
+        finds the row of the 1 it equals or is packed as 1, and the
+        empty stack is reference 0, no row."""
+        stacks = [
+            [], [("f", 0)], [("f", 0), ("g", 1)], [("g", 1)],
+            [("f", 0), ("g", True)], [("h", True)],
+        ]
+        entries = [wire_entry(name, stack=stack) for name, stack in zip("abcdef", stacks)]
+        frame = pack_frame(entries)
+        assert frame.stacks == ([0, "f", 0], [1, "g", 1], [0, "g", 1], [0, "h", 1])
+        assert [frame.rows[at] for at in range(1, 42, 7)] == [0, 1, 2, 3, 2, 4]
+        for i, (parent, _field, family) in enumerate(frame.stacks):
+            assert 0 <= parent <= i and type(family) is int
+        _nodes, _is_object, resolved = resolve_frame_tables(program_pag(), frame)
+        assert [stack_to_wire(stack) for stack in resolved] == [
+            [], [["f", 0]], [["f", 0], ["g", 1]], [["g", 1]], [["h", 1]],
+        ]
+        assert resolved[2] is Stack.of(("f", 0), ("g", 1))
+
+    @pytest.mark.parametrize("trie", [True, False], ids=["trie", "flat"])
+    def test_resolve_equals_the_nominal_walk(self, trie):
         pag = program_pag()
         writer = PointsToEngine(pag, EnginePolicy())
         writer.query_batch(QUERIES)
@@ -199,7 +243,7 @@ class TestFrame:
         stale["node"]["name"] = "no_such_local"
         entries = [*entries, stale]
         reader = program_pag()
-        framed = resolve_frame(reader, pack_frame(entries))
+        framed = resolve_frame(reader, pack_frame(entries, trie=trie), trie=trie)
         nominal = [resolve_wire_entry(reader, entry) for entry in entries]
         assert [view(r) for r in framed] == [view(r) for r in nominal]
         assert framed[-1] is None and all(r is not None for r in framed[:-1])
@@ -230,7 +274,46 @@ class TestFrame:
             SnapshotError,
             match=r"^p\.stacks\[0\]\[0\]: field-stack entry must be \[field, family\(0\|1\)\]$",
         ):
-            resolve_frame(program_pag(), junk_stack, "p")
+            resolve_frame(program_pag(), junk_stack, "p", trie=False)
+
+    #: A valid trie table: ``f``, ``f.g`` and ``f.g.h``.
+    TRIE = ([0, "f", 0], [1, "g", 1], [2, "h", 0])
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([2, "g", 1], r"parent must be an integer from 0 to 1"),
+            ([3, "g", 1], r"parent must be an integer from 0 to 1"),
+            ([9, "g", 1], r"parent must be an integer from 0 to 1"),
+            ([-1, "g", 1], r"parent must be an integer from 0 to 1"),
+            ([True, "g", 1], r"parent must be an integer from 0 to 1"),
+            ([1.0, "g", 1], r"parent must be an integer from 0 to 1"),
+            ([1, "g"], r"stack row must be \[parent, field, family\(0\|1\)\]"),
+            ([1, "g", 1, 0], r"stack row must be \[parent, field, family\(0\|1\)\]"),
+            (None, r"stack row must be \[parent, field, family\(0\|1\)\]"),
+            (5, r"stack row must be \[parent, field, family\(0\|1\)\]"),
+            ({"parent": 1}, r"stack row must be \[parent, field, family\(0\|1\)\]"),
+            ([1, 7, 1], r"field must be a string"),
+            ([1, None, 1], r"field must be a string"),
+            ([1, "g", 2], r"family must be the integer 0 or 1"),
+            ([1, "g", -1], r"family must be the integer 0 or 1"),
+            ([1, "g", True], r"family must be the integer 0 or 1"),
+            ([1, "g", 1.0], r"family must be the integer 0 or 1"),
+        ],
+        ids=[
+            "parent-self", "parent-later", "parent-past-table", "parent-negative",
+            "parent-true", "parent-float", "two-items", "four-items", "null",
+            "number", "object", "field-number", "field-null", "family-2",
+            "family-negative", "family-true", "family-float",
+        ],
+    )
+    def test_a_damaged_trie_row_is_refused_by_its_index(self, row, message):
+        frame = pack_frame([wire_entry("a", stack=[("f", 0), ("g", 1), ("h", 0)])])
+        assert frame.stacks == self.TRIE and frame.rows[1] == 3
+        resolve_frame(program_pag(), frame, "p")
+        damaged = dataclasses.replace(frame, stacks=(self.TRIE[0], row, self.TRIE[2]))
+        with pytest.raises(SnapshotError, match=rf"^p\.stacks\[1\]: {message}$"):
+            resolve_frame(program_pag(), damaged, "p")
 
     #: One entry, ``wire_entry("a")``: key node 0 ("a"), stack 0, S1,
     #: 4 steps, one object (node 1), no boundary.
@@ -271,14 +354,72 @@ class TestFrame:
             "cut-in-boundary", "cut-second-entry",
         ],
     )
-    def test_damaged_rows_refuse_the_frame(self, rows, message):
-        frame = pack_frame([wire_entry("a")])
+    @pytest.mark.parametrize("trie", [True, False], ids=["trie", "flat"])
+    def test_damaged_rows_refuse_the_frame(self, rows, message, trie):
+        # The empty stack is the one stack either way: reference 0 of a
+        # trie with no rows, or row 0 of a flat table.
+        frame = pack_frame([wire_entry("a")], trie=trie)
         assert frame.rows == self.ROWS
         with pytest.raises(SnapshotError, match=message):
-            resolve_frame(program_pag(), dataclasses.replace(frame, rows=rows))
+            resolve_frame(program_pag(), dataclasses.replace(frame, rows=rows), trie=trie)
         # The undamaged forms resolve.
         for good in (self.ROWS, self.BOUNDED, self.ROWS + self.BOUNDED):
-            resolve_frame(program_pag(), dataclasses.replace(frame, rows=good))
+            resolve_frame(program_pag(), dataclasses.replace(frame, rows=good), trie=trie)
+
+
+# ----------------------------------------------------------------------
+# a peer's family written ``true``
+# ----------------------------------------------------------------------
+class TestFamilies:
+    """Stacks are hash-consed process-wide, so whichever decode pushes a
+    token first decides how every equal stack is written.  Each case
+    uses a field name of its own, which nothing else in the process
+    pushes."""
+
+    @staticmethod
+    def peer_entry(field):
+        method, name = QUERIES[0]
+        entry = wire_entry(name, method=method, objects=())
+        entry["stack"] = [[field, True], ["g", 1.0]]
+        return entry
+
+    @staticmethod
+    def canonical_stack(field):
+        return EMPTY_STACK.push(intern_token(field, 1)).push(intern_token("g", 1))
+
+    def decoded(self, path, field):
+        entry = self.peer_entry(field)
+        pag = program_pag()
+        if path == "stack":
+            return stack_from_wire(entry["stack"], "s")
+        if path == "entry":
+            return resolve_wire_entry(pag, entry)[1]
+        if path == "snapshot":
+            text = json.dumps({
+                "kind": "summary-snapshot", "snapshot_version": "1.2",
+                "store": "unbounded", "shards": None,
+                "stats": dict(
+                    entries=1, facts=0, hits=0, misses=0, evictions=0,
+                    invalidated=0, approx_bytes=0, max_entries=None, max_facts=None,
+                ),
+                "entries": [entry],
+            })
+            store = SummarySnapshot.loads(text).restore(pag)
+            [((_node, stack, _state), _summary)] = store.entries()
+            # Saved again, the stack writes the ints.
+            assert f'[["{field}",1],["g",1]]' in SummarySnapshot.capture(store).dumps()
+            return stack
+        frame = pack_frame([entry], trie=path == "trie-frame")
+        return resolve_frame(pag, frame, trie=path == "trie-frame")[0][1]
+
+    @pytest.mark.parametrize("path", ["stack", "entry", "snapshot", "flat-frame", "trie-frame"])
+    def test_a_peers_true_family_decodes_to_the_int_token(self, path):
+        field = f"peer_true_family_{path.replace('-', '_')}"
+        stack = self.decoded(path, field)
+        assert stack_to_wire(stack) == [[field, 1], ["g", 1]]
+        assert [type(family) for _field, family in stack.to_tuple()] == [int, int]
+        # The stack the analysis pushes is that one, and writes ints.
+        assert self.canonical_stack(field) is stack
 
 
 # ----------------------------------------------------------------------
@@ -293,28 +434,62 @@ class TestVersionRule:
     def fetch(self, server, **fields):
         return decode_response(server.handle_line(encode(MethodEntriesRequest(**fields))))
 
-    def test_a_frame_resolves_to_the_nominal_entries_in_order(self):
+    def test_one_store_answers_each_version_in_its_form(self):
         server = self.make_server()
         entries = [
             wire_entry("a", objects=("o1", "o2"), boundaries=("b",)),
             wire_entry("b", method="B.n", objects=("o1",), stack=[("f", 0)]),
-            wire_entry("c", objects=("o2",), boundaries=("b", "a")),
+            wire_entry("c", objects=("o2",), stack=[("f", 0), ("g", 1)], boundaries=("b", "a")),
         ]
         server.handle_line(encode(BatchStoreRequest(entries=tuple(entries))))
         nominal = self.fetch(server, protocol_version="1.7")
-        framed = self.fetch(server)
+        flat_line = server.handle_line(encode(MethodEntriesRequest(protocol_version="1.8")))
+        flat = decode_response(flat_line)
+        trie = self.fetch(server, protocol_version="1.9")
         assert nominal.frame is None and list(nominal.entries) == entries
-        assert framed.entries == () and framed.frame is not None
-        assert (framed.incarnation, framed.cursor) == (
-            nominal.incarnation, nominal.cursor,
-        )
-        # Shared on store: A.m's "o1", "o2" and "b", and "a" as a key and
-        # as a boundary, are each written once.
-        assert len(framed.frame.nodes) == 7 and len(framed.frame.stacks) == 2
+        assert nominal.protocol_version == PROTOCOL_VERSION == "1.9"
+        assert (flat.protocol_version, trie.protocol_version) == ("1.8", "1.9")
+        for framed in (flat, trie):
+            assert framed.entries == () and framed.frame is not None
+            assert (framed.incarnation, framed.cursor) == (
+                nominal.incarnation, nominal.cursor,
+            )
+            # Shared on store: A.m's "o1", "o2" and "b", and "a" as a key
+            # and as a boundary, are each written once.
+            assert len(framed.frame.nodes) == 7
+        # The 1.8 answer is 1.8's flat frame of the store, byte for byte.
+        assert flat_line == encode(MethodEntriesResponse(
+            entries=(),
+            incarnation=nominal.incarnation,
+            cursor=nominal.cursor,
+            frame=pack_frame(server.store.entries_for_methods(), trie=False),
+            protocol_version="1.8",
+        ))
+        assert len(flat.frame.stacks) == 3  # [], [f] and [f, g], once each
+        # The trie: [f] and [f, g]; the empty stack is reference 0.
+        assert trie.frame.stacks == ([0, "f", 0], [1, "g", 1])
         pag = program_pag()
-        assert [view(r) for r in resolve_frame(pag, framed.frame)] == [
-            view(resolve_wire_entry(pag, e)) for e in nominal.entries
-        ]
+        want = [view(resolve_wire_entry(pag, e)) for e in nominal.entries]
+        assert [view(r) for r in resolve_frame(pag, flat.frame, trie=False)] == want
+        assert [view(r) for r in resolve_frame(pag, trie.frame)] == want
+
+    def test_a_flat_answer_keeps_the_bytes_a_1_8_shard_sent(self):
+        server = self.make_server()
+        entry = wire_entry("x", method="B.n", objects=(), stack=[("f", 0)])
+        entry["steps"] = 3
+        server.handle_line(encode(StoreRequest(entry=entry)))
+        line = server.handle_line(encode(MethodEntriesRequest(protocol_version="1.8")))
+        assert line == (
+            '{"cursor":1,"entries":[],"epochs":[],"frame":{"nodes":'
+            '[{"kind":"local","method":"B.n","name":"x"}],'
+            '"rows":[0,0,1,3,0,0],"stacks":[[["f",0]]]},'
+            f'"incarnation":{server.store.incarnation},'
+            '"kind":"fetch-methods-result","protocol_version":"1.8"}'
+        )
+        trie = server.handle_line(encode(MethodEntriesRequest(protocol_version="1.9")))
+        assert trie == line.replace('"rows":[0,0,', '"rows":[0,1,').replace(
+            '"stacks":[[["f",0]]]', '"stacks":[[0,"f",0]]'
+        ).replace('"1.8"', '"1.9"')
 
     def test_a_delta_is_framed_oldest_stamp_first(self):
         server = self.make_server()
@@ -434,6 +609,16 @@ class NominalShard(ShardServer):
         return super()._dispatch(request)
 
 
+class FlatShard(ShardServer):
+    """Answers ``fetch-methods`` as a 1.8 shard does: a flat frame under
+    a 1.8 label, whatever version the request carries."""
+
+    def _dispatch(self, request):
+        if isinstance(request, MethodEntriesRequest):
+            request = dataclasses.replace(request, protocol_version="1.8")
+        return super()._dispatch(request)
+
+
 class TestClient:
     def test_framed_prefetch_fills_the_tier_like_a_nominal_one(
         self, servers, monkeypatch
@@ -464,6 +649,53 @@ class TestClient:
             assert [canonical(r) for r in engine.query_batch(QUERIES)] == want
             assert engine.stats().steps == local.stats().steps
             engine.cache.close()
+
+    @pytest.mark.parametrize("tier", ["held", "array", "bounded", "no-kernel"])
+    def test_a_1_8_shards_flat_frame_reads_like_a_trie(self, servers, monkeypatch, tier):
+        """The answer's label picks the reader: against 1.8 shards a 1.9
+        client holds the same entries, counts, answers and steps as
+        against 1.9 shards, held in the kernel or adopted per entry."""
+        if tier == "held" and not availability()[0]:
+            pytest.skip(f"native kernel unavailable: {availability()[1]}")
+        if tier == "no-kernel":
+            from repro.native import session as native_session
+
+            monkeypatch.setattr(native_session, "graph_for", lambda pag: None)
+        seen, sizes = [], []
+        for cls in (ShardServer, FlatShard):
+            addresses = tuple(server.address for server in servers(cls))
+            publish(addresses)
+            engine = PointsToEngine(
+                program_pag(),
+                EnginePolicy(
+                    traversal_impl="array" if tier == "array" else None,
+                    cache=CachePolicy(
+                        remote=addresses, remote_timeout=5.0,
+                        max_entries=10_000 if tier == "bounded" else None,
+                    ),
+                ),
+            )
+            try:
+                answers = [canonical(r) for r in engine.query_batch(QUERIES)]
+                stats = engine.stats()
+                sizes.append(stats.remote.prefetch_bytes)
+                seen.append({
+                    "answers": answers,
+                    "steps": stats.steps,
+                    "remote": dataclasses.replace(stats.remote, prefetch_bytes=0),
+                    "held": engine.cache.local_tier.held,
+                    "tier": tier_wire(engine),
+                })
+            finally:
+                engine.cache.close()
+        trie, flat = seen
+        assert trie == flat
+        assert trie["answers"] == local_answers(QUERIES)
+        remote = trie["remote"]
+        assert remote.prefetched > 0
+        assert (remote.unresolved, remote.degraded, remote.remote_errors) == (0, 0, 0)
+        assert trie["held"] == (remote.prefetched if tier == "held" else 0)
+        assert sizes[0] < sizes[1]
 
     def test_a_damaged_frame_is_refused_whole(self, servers):
         fleet = servers(DamagedFrameShard)
@@ -523,8 +755,10 @@ class TestSharing:
             store.store(wire_entry(name, objects=("o1", "o2"), boundaries=("a",)))
         refs = resident_refs(store)
         assert len({id(ref) for ref in refs}) == len({ref_key(ref) for ref in refs}) == 8
-        frame = pack_frame(store.entries_for_methods())
+        frame = pack_frame(store.entries_for_methods(), trie=False)
         assert (len(frame.nodes), len(frame.stacks)) == (6, 2)
+        # A trie writes only the non-empty stack, ``[["f", 0]]``.
+        assert pack_frame(store.entries_for_methods()).stacks == ([0, "f", 0],)
 
     @pytest.mark.parametrize(
         "capacity", [{}, {"max_entries": 12}, {"max_entries": 12, "eviction": "cost"}],
