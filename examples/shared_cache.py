@@ -4,7 +4,8 @@ Spawns a 2-shard cache cluster (real server processes, exactly what
 ``repro-cached --shards 2`` launches), then runs two independent
 engines against it — modelling two analysis processes working on the
 same program.  The first computes and publishes; the second is served
-by the shard servers and traverses a fraction of the steps.  Killing
+by the shard servers — its batch prefetches what the first published,
+one round trip per shard — and traverses a fraction of the steps.  Killing
 the cluster mid-session demonstrates the fail-open guarantee: answers
 never change, only cost.
 
@@ -61,7 +62,7 @@ def show(label, engine, batch):
     remote = engine.stats().remote
     print(
         f"{label}: steps={batch.stats.steps:3d}  "
-        f"remote hits={remote.remote_hits}  misses={remote.remote_misses}  "
+        f"prefetched={remote.prefetched}  round trips={remote.round_trips}  "
         f"errors={remote.remote_errors}  published={remote.stores}"
     )
     return {

@@ -27,7 +27,7 @@ A fourth backend lives out of tree:
 :class:`repro.cacheserver.client.RemoteSummaryCache` speaks the same
 contract but forwards traffic to shard-server *processes*, partitioned
 by the key node's method (:func:`shard_for_method`, CRC-32), with a
-local read-through tier — the engine cannot tell the difference, which
+local tier that prefetches fill — the engine cannot tell the difference, which
 is the point of the seam.
 
 A plain :class:`SummaryCache` that is a remote store's local tier may

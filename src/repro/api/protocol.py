@@ -34,14 +34,22 @@ Request vocabulary
 
 Store-level vocabulary (protocol 1.1)
 -------------------------------------
-The summary store itself is addressable over the wire — this is what the
-:mod:`repro.cacheserver` shard servers speak, and what
-:class:`~repro.api.service.PointsToService` also answers against its
-engine's store:
+A shard server's summary store is addressable over the wire — this is
+what the :mod:`repro.cacheserver` shard servers speak, and only they:
+:class:`~repro.api.service.PointsToService` refuses these kinds with an
+``invalid-request`` error, so its engine's store stays its own:
 
 ``lookup``       probe for one summary by its context-free key;
 ``store``        insert one completed summary;
-``store-stats``  one store's :class:`~repro.analysis.summaries.CacheStats`.
+``store-stats``  one store's :class:`~repro.analysis.summaries.CacheStats`;
+
+plus ``invalidate`` with an epoch, the batched forms of 1.2
+(``batch-lookup``/``batch-store``/``batch-invalidate``) and
+``fetch-methods``.  An engine's
+:class:`~repro.cacheserver.client.RemoteSummaryCache` sends only
+``fetch-methods``, ``batch-store`` and ``invalidate``; shards still
+answer ``lookup`` and ``store`` for the ``repro-cached --connect`` REPL
+and older clients.
 
 Keys and summaries travel in the **snapshot entry format** of
 :mod:`repro.api.snapshot` (nominal node references, wire field stacks) —
@@ -619,24 +627,25 @@ class RemoteStoreStats:
     """Accounting of one client's remote summary-store traffic.
 
     Exposed so ``repro-serve`` clients can observe **cache provenance**:
-    how many probes the shared service answered (``remote_hits``), how
-    many fell through to local compute (``remote_misses``), and how many
-    remote attempts degraded to the fallback path without an answer —
-    transport failures/timeouts (``remote_errors``) and served entries
-    that no longer resolve in this client's PAG (``unresolved``).
+    how many remote attempts degraded to the fallback path without an
+    answer — transport failures/timeouts and undecodable answers
+    (``remote_errors``) and served entries that no longer resolve in
+    this client's PAG (``unresolved``).
     ``stores``/``store_errors``/``invalidations``/``invalidation_errors``
-    count the write-side traffic the same way.
+    count the write-side traffic the same way.  ``remote_hits`` and
+    ``remote_misses`` counted per-key ``lookup`` answers; this build's
+    client sends no ``lookup`` (it reads the shards only through
+    prefetches), so they read 0 and stay for peers that read them.
 
     ``round_trips`` (protocol 1.2) counts wire exchanges — one per
     request/response flight, however many ops the line carried — so the
-    win of batched ops and prefetching is directly observable:
-    a pipelined warm batch should cost O(shards) round trips, not one
-    per lookup.  ``prefetched`` counts entries that arrived via
-    ``fetch-methods`` prefetches (they fill the local tier, so they are
-    *not* also counted as ``remote_hits``).
+    win of batched ops and prefetching is directly observable: every
+    query, alias check and batch costs O(shards) round trips.
+    ``prefetched`` counts entries that arrived via ``fetch-methods``
+    prefetches and were adopted into the local tier.
 
     Protocol 1.4 adds the consistency-epoch counters:
-    ``epoch_rejections`` write-throughs a server refused as stale
+    ``epoch_rejections`` flushed summaries a server refused as stale
     (proof the guard fired), ``reconnects`` re-established shard links
     after a drop, and ``seeded_entries`` summaries replayed into a
     freshly reconnected (possibly blank-restarted) shard by the
@@ -760,8 +769,7 @@ class ErrorResponse:
     ``unsupported-version``, ``unknown-kind``, ``unknown-node``,
     ``unknown-client``, ``snapshot-invalid``, ``internal-error``,
     ``wrong-shard`` (a store-level op routed to a shard server that does
-    not own the key's method), ``no-store`` (a store-level op against a
-    cache-less analysis).
+    not own the key's method).
     """
 
     code: str

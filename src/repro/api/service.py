@@ -7,7 +7,11 @@ engine's ordinary session surface, attaches client verdicts when a
 request names one of the registered analysis clients, and renders every
 failure as a structured :class:`~repro.api.protocol.ErrorResponse` — by
 construction, no input reachable over the wire can surface a Python
-traceback.
+traceback.  It answers the engine vocabulary only: a store-level kind
+(``lookup``, ``store``, ``store-stats``, the ``batch-*`` forms,
+``fetch-methods``) is a shard server's (``repro-cached``) and gets an
+``invalid-request`` error, so no wire client can read or rewrite the
+served engine's summary store.
 
 Two transports ship here:
 
@@ -31,33 +35,21 @@ import sys
 
 from repro.api.codec import decode_request, encode
 from repro.api.protocol import (
+    KIND_OF,
     PROTOCOL_VERSION,
+    REQUEST_KINDS,
     AliasRequest,
     AliasResponse,
     BatchRequest,
     BatchResponse,
-    BatchInvalidateRequest,
-    BatchInvalidateResponse,
-    BatchLookupRequest,
-    BatchLookupResponse,
-    BatchStoreRequest,
-    BatchStoreResponse,
     ErrorResponse,
     InvalidateRequest,
     InvalidateResponse,
-    LookupRequest,
-    LookupResponse,
-    MethodEntriesRequest,
-    MethodEntriesResponse,
     ProtocolError,
     QueryRequest,
     QueryResponse,
     StatsRequest,
     StatsResponse,
-    StoreRequest,
-    StoreResponse,
-    StoreStatsRequest,
-    StoreStatsResponse,
     WireError,
     WireObject,
 )
@@ -152,40 +144,18 @@ class PointsToService:
             return InvalidateResponse(method=request.method, dropped=dropped)
         if isinstance(request, StatsRequest):
             return self._handle_stats()
-        if isinstance(request, LookupRequest):
-            return self._handle_lookup(request)
-        if isinstance(request, StoreRequest):
-            return self._handle_store(request)
-        if isinstance(request, StoreStatsRequest):
-            store = self._require_store()
-            return StoreStatsResponse(
-                shard=0, shards=1, stats=store.stats_snapshot()
+        kind = KIND_OF.get(type(request))
+        if kind not in REQUEST_KINDS:
+            raise ProtocolError(
+                "unknown-kind", f"cannot dispatch {type(request).__name__}"
             )
-        if isinstance(request, BatchLookupRequest):
-            return BatchLookupResponse(
-                entries=tuple(
-                    self._handle_lookup(LookupRequest(key=key)).entry
-                    for key in request.keys
-                )
-            )
-        if isinstance(request, BatchStoreRequest):
-            return BatchStoreResponse(
-                stored=tuple(
-                    self._handle_store(StoreRequest(entry=entry)).stored
-                    for entry in request.entries
-                )
-            )
-        if isinstance(request, BatchInvalidateRequest):
-            return BatchInvalidateResponse(
-                dropped=tuple(
-                    self.engine.invalidate_method(method)
-                    for method in request.methods
-                )
-            )
-        if isinstance(request, MethodEntriesRequest):
-            return self._handle_fetch_methods(request)
+        # Every other request kind addresses a summary store: the
+        # engine's own is nobody else's to read or write.
         raise ProtocolError(
-            "unknown-kind", f"cannot dispatch {type(request).__name__}"
+            "invalid-request",
+            f"repro-serve speaks the engine vocabulary only (query/batch/"
+            f"alias/invalidate/stats), not the store-level {kind!r}; send "
+            "that to a repro-cached shard",
         )
 
     # ------------------------------------------------------------------
@@ -300,74 +270,6 @@ class PointsToService:
             traversal_impl=stats.traversal_impl,
             native_unavailable=stats.native_unavailable,
         )
-
-    # ------------------------------------------------------------------
-    # store-level ops — the engine's summary store over the wire
-    # ------------------------------------------------------------------
-    def _require_store(self):
-        store = self.engine.cache
-        if store is None:
-            raise WireError(
-                "no-store",
-                f"analysis {self.engine.analysis.name} has no summary "
-                "store to address",
-            )
-        return store
-
-    def _handle_lookup(self, request):
-        from repro.api.snapshot import (
-            check_key,
-            entry_to_wire,
-            resolve_node,
-            stack_from_wire,
-        )
-
-        store = self._require_store()
-        key = check_key(request.key, "lookup.key")
-        node = resolve_node(self.engine.pag, key["node"])
-        if node is None:
-            # Not an error: the key names an entity this program version
-            # does not have, so the store cannot hold a summary for it.
-            return LookupResponse(found=False)
-        stack = stack_from_wire(key["stack"], "lookup.key.stack")
-        summary = store.lookup(node, stack, key["state"])
-        if summary is None:
-            return LookupResponse(found=False)
-        return LookupResponse(
-            found=True, entry=entry_to_wire(node, stack, key["state"], summary)
-        )
-
-    def _handle_store(self, request):
-        from repro.api.snapshot import resolve_wire_entry
-
-        store = self._require_store()
-        resolved = resolve_wire_entry(self.engine.pag, request.entry, "store.entry")
-        if resolved is None:
-            # A summary for a different program version is not ours to
-            # keep — refusing is correctness-neutral (it is only a memo).
-            return StoreResponse(stored=False)
-        node, stack, state, summary = resolved
-        # store() reports whether contents changed: True for a new key
-        # or a differing summary replacing the resident one (the shard
-        # servers' self-heal rule), False for an equal re-store.
-        return StoreResponse(stored=store.store(node, stack, state, summary))
-
-    def _handle_fetch_methods(self, request):
-        from repro.api.snapshot import entry_to_wire
-
-        # The engine's store keeps no sequence stamps: every answer is
-        # the full dump, and the null incarnation tells a client's
-        # prefetch cursor to stay unset.
-        store = self._require_store()
-        wanted = set(request.methods) if request.methods is not None else None
-        entries = []
-        for (node, stack, state), summary in store.entries_by_recency(
-            hottest_first=False
-        ):
-            if wanted is not None and getattr(node, "method", None) not in wanted:
-                continue
-            entries.append(entry_to_wire(node, stack, state, summary))
-        return MethodEntriesResponse(entries=tuple(entries))
 
     def __repr__(self):
         return f"PointsToService({self.engine!r})"

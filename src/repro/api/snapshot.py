@@ -164,10 +164,12 @@ def stack_to_wire(stack):
     return [list(item) for item in stack.to_tuple()]
 
 
-def stack_from_wire(wire, path):
+def _check_stack_wire(wire, path):
+    """Structural validation of one wire field stack; returns it.  It
+    builds no :class:`~repro.cfl.stacks.Stack` and interns no token, so
+    a shard, which never reads one, keeps neither table growing."""
     if not isinstance(wire, list):
         raise SnapshotError(f"{path}: field stack must be an array")
-    stack = EMPTY_STACK
     for i, item in enumerate(wire):
         if (
             not isinstance(item, (list, tuple))
@@ -178,11 +180,22 @@ def stack_from_wire(wire, path):
             raise SnapshotError(
                 f"{path}[{i}]: field-stack entry must be [field, family(0|1)]"
             )
+    return wire
+
+
+def _push_wire(wire):
+    """The :class:`~repro.cfl.stacks.Stack` a validated wire stack names."""
+    stack = EMPTY_STACK
+    for field, family in wire:
         # A family equal to 0 or 1 (``true``, ``1.0``) is pushed as the
         # int it stands for: stacks are hash-consed process-wide, so the
         # first push of a token decides how every equal stack writes it.
-        stack = stack.push(intern_token(item[0], int(item[1])))
+        stack = stack.push(intern_token(field, int(family)))
     return stack
+
+
+def stack_from_wire(wire, path):
+    return _push_wire(_check_stack_wire(wire, path))
 
 
 def _check_state(state, path):
@@ -214,7 +227,7 @@ def check_key(key, path="key"):
     if unknown:
         raise SnapshotError(f"{path}: unknown field(s) {sorted(unknown)!r}")
     _check_node_wire(key["node"], f"{path}.node")
-    stack_from_wire(key["stack"], f"{path}.stack")
+    _check_stack_wire(key["stack"], f"{path}.stack")
     _check_state(key["state"], f"{path}.state")
     return key
 
@@ -271,7 +284,7 @@ def resolve_wire_entry(pag, entry, path="entry"):
             if bnode is None:
                 node = None
             else:
-                boundaries.append((bnode, bstack, bstate))
+                boundaries.append((bnode, _push_wire(bstack), bstate))
     if node is None:
         return None
     return node, stack, state, PptaResult(objects, boundaries, steps=steps)
@@ -613,7 +626,7 @@ class SummarySnapshot:
         """Snapshot a live store (any local backend).
 
         A remote-backed store (one exposing ``local_tier``) is captured
-        as its local read-through tier — the process-local view; the
+        as its local tier — the process-local view; the
         shard servers' contents belong to the service, not to this
         client's snapshot.
         """
@@ -899,12 +912,13 @@ def _stats_from_wire(wire, path):
 
 def check_entry(entry, path="entry"):
     """Structural validation of one wire entry; returns its fact count.
+    It builds no field stack (a shard validates every entry it stores).
 
     :func:`resolve_wire_entry` runs the same checks, in the same order,
     from the same helpers."""
     _check_entry_fields(entry, path)
     _check_node_wire(entry["node"], f"{path}.node")
-    stack_from_wire(entry["stack"], f"{path}.stack")
+    _check_stack_wire(entry["stack"], f"{path}.stack")
     _check_state(entry["state"], f"{path}.state")
     _check_steps(entry, path)
     _check_payload_arrays(entry, path)
@@ -945,12 +959,12 @@ def _check_object_wire(wire, path):
 
 
 def _check_boundary(boundary, path):
-    """One validated boundary: ``(node wire, Stack, state)``."""
+    """One validated boundary: ``(node wire, stack wire, state)``."""
     if not isinstance(boundary, dict):
         raise SnapshotError(f"{path}: must be an object")
     return (
         _check_node_wire(boundary.get("node"), f"{path}.node"),
-        stack_from_wire(boundary.get("stack"), f"{path}.stack"),
+        _check_stack_wire(boundary.get("stack"), f"{path}.stack"),
         _check_state(boundary.get("state"), f"{path}.state"),
     )
 

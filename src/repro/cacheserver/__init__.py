@@ -29,8 +29,10 @@ Three pieces:
 * :class:`~repro.cacheserver.client.RemoteSummaryCache` — the
   client-side store stub: a
   :class:`~repro.analysis.summaries.SummaryBackend` whose lookups probe
-  a local read-through tier first, then the owning shard server.
-  Misses, timeouts and dead servers fall back to local computation —
+  a local tier that prefetches fill (one ``fetch-methods`` round trip
+  per shard at the start of every query, alias check and batch) and
+  whose new summaries go out in one ``batch-store`` flush per shard at
+  its end.  Misses, timeouts and dead servers fall back to local computation —
   summaries are pure memos, so answers are element-wise identical with
   the service up, down, or killed mid-batch; only cost moves.
   Engines opt in with ``CachePolicy(remote=(addr, ...))``.

@@ -15,27 +15,26 @@ Correctness stance — the part the tests pin down:
   ``lookup() -> None`` — i.e. to local computation.  Summaries are pure
   memos, so the service can only ever move *cost*; answers are
   element-wise identical with the service up, down, or dying.
-* **local read-through tier.**  Remote hits (and local computes, via
-  write-through ``store``) land in a process-local store, so a hot key
-  costs one network round-trip per process, not per probe.  The tier
-  has the same lifetime and semantics as the purely local cache it
-  replaces: a process observes *its own* edits immediately
-  (``invalidate_method`` clears the tier **and** the owning shard), and
-  other processes observe them at their next shard fetch.  A client
-  that never applied an edit keeps serving its own pre-edit memos from
-  the tier — exactly as it would have with no service at all, which is
-  the consistency contract of the in-process cache too.
+* **local tier.**  Prefetched entries (and local computes, via
+  ``store``) land in a process-local store, which answers every
+  probe.  The tier has the same lifetime and semantics as the purely
+  local cache it replaces: a process observes *its own* edits
+  immediately (``invalidate_method`` clears the tier **and** the owning
+  shard), and other processes observe them at their next shard fetch.
+  A client that never applied an edit keeps serving its own pre-edit
+  memos from the tier — exactly as it would have with no service at
+  all, which is the consistency contract of the in-process cache too.
 * **epoch-hardened consistency (protocol 1.4).**  Every store-level op
   carries the client's per-method **consistency epoch** (bumped by
   each ``invalidate_method``) plus its program fingerprint.  The shard
   rules close the mixed-version windows the pre-1.4 tier documented
   as caveats: a server *behind* a client's epoch drops the method's
   residue and adopts (a shard that missed an invalidate self-heals on
-  first contact); a client *behind* the server is answered with a miss
-  and its write-throughs are refused with a typed ``stale-epoch``
-  response (counted in ``epoch_rejections``) — a pre-edit summary can
-  never overwrite a post-edit one, and a prefetch only adopts entries
-  whose epoch matches this client's view.  On **reconnect** to a shard
+  first contact); a client *behind* the server has its flushed
+  summaries refused one by one (``stale`` flags, counted in
+  ``epoch_rejections``) — a pre-edit summary can never overwrite a
+  post-edit one, and a prefetch only adopts entries whose epoch
+  matches this client's view.  On **reconnect** to a shard
   that dropped (restarted blank, network blip), the link replays a
   seed snapshot of the local tier's entries for that shard in the same
   flight as the first request (``reconnects``/``seeded_entries``), so
@@ -52,11 +51,12 @@ Correctness stance — the part the tests pin down:
   faults (:class:`~repro.cacheserver.faults.FaultSchedule`) count
   ``faults``, so a chaos run can prove the fail-open ladder was
   actually exercised.
-* **a batch reads the shards only through its prefetch.**  The
-  engine's batch hooks make a batch cost O(shards) round trips
-  (protocol 1.2): ``begin_batch`` prefetches from each shard in one
-  ``fetch-methods`` exchange, and write-through publishes coalesce
-  into per-shard ``batch-store`` flushes at ``end_batch``.  The
+* **the shards are read only through a prefetch.**  The engine runs
+  every query, alias check, batch and warm start between the store's
+  batch hooks, so each costs O(shards) round trips (protocol 1.2):
+  ``begin_batch`` prefetches from each shard in one ``fetch-methods``
+  exchange, and publishes queue for per-shard ``batch-store`` flushes
+  at ``end_batch`` (or :meth:`RemoteSummaryCache.close`).  The
   prefetch is incremental (protocol 1.7): a backend's first fetch from
   a shard is the whole shard store, every later one presents the
   shard's ``(incarnation, cursor)`` and carries only the entries
@@ -67,24 +67,22 @@ Correctness stance — the part the tests pin down:
   rows, validated and resolved in one pass; a damaged
   frame, or an answer whose ``epochs`` do not align with its entries,
   is refused whole and falls open.  A frame for a plain, empty local
-  tier, in a batch that runs on the kernel, is *held*: its rows go
-  into the tier's kernel mirror in one call, and no Python summary is
-  built until something reads one
-  (:func:`repro.native.session.hold_frame`).  Between the hooks a local miss
+  tier, on the kernel, is *held*: its rows go into the tier's kernel
+  mirror in one call, and no Python summary is built until something
+  reads one (:func:`repro.native.session.hold_frame`).  A local miss
   is final and sends no ``lookup``, whichever prefetches answered and
-  whether the local tier evicted: a batch costs its prefetch and flush
-  flights only, and with a plain local tier it runs on the native
-  kernel, which mirrors that tier
-  (:func:`repro.native.session.explore_native`).  Every batch failure
-  falls open like the single-op paths, and an ``invalidate_method``
-  purges the edited method's buffered publishes before reaching the
-  shard, so a flush can never resurrect pre-edit memos.  Calls outside
-  a batch — a single engine ``query()``/``alias()``, or a direct
-  backend call — keep the per-key ``lookup`` and the immediate
-  ``store``.
+  whether the local tier evicted, and a publish is never sent on its
+  own: a call costs its prefetch and flush flights only, and with a
+  plain local tier it runs on the native kernel, which mirrors that
+  tier (:func:`repro.native.session.explore_native`).  Every failure
+  falls open, and an ``invalidate_method`` purges the edited method's
+  queued publishes before reaching the shard, so a flush can never
+  resurrect pre-edit memos.  Shards still answer ``lookup`` and
+  ``store`` (the ``repro-cached --connect`` REPL and older clients send
+  them); this client does not.
 
 Accounting: the backend keeps its own hit/miss counters (a hit =
-answered from tier or service; a miss = the caller must compute), and a
+answered from the local tier; a miss = the caller must compute), and a
 :class:`~repro.api.protocol.RemoteStoreStats` of the service traffic —
 surfaced through ``EngineStats.remote`` and the ``stats`` wire op so
 clients can observe cache provenance.
@@ -109,16 +107,11 @@ from repro.api.protocol import (
     BatchStoreResponse,
     InvalidateRequest,
     InvalidateResponse,
-    LookupRequest,
-    LookupResponse,
     MethodEntriesRequest,
     MethodEntriesResponse,
     ProtocolError,
     RemoteStoreStats,
     SnapshotError,
-    StaleEpochResponse,
-    StoreRequest,
-    StoreResponse,
     StoreStatsResponse,
     StoreStatsRequest,
     TRIE_FRAME_VERSION,
@@ -127,7 +120,6 @@ from repro.api.protocol import (
 )
 from repro.api.snapshot import (
     entry_to_wire,
-    key_to_wire,
     resolve_frame,
     resolve_frame_tables,
     resolve_wire_entry,
@@ -366,7 +358,7 @@ class RemoteSummaryCache(SummaryBackend):
 
     ``addresses`` is the cluster's shard-ordered ``host:port`` tuple
     (``CacheCluster.addresses``, or what ``repro-cached`` printed);
-    ``local`` is the read-through tier — any local backend, defaulting
+    ``local`` is the local tier — any local backend, defaulting
     to an unbounded :class:`~repro.analysis.summaries.SummaryCache`.
     Summaries route to shard servers by
     :func:`~repro.analysis.summaries.shard_for_method`.
@@ -409,9 +401,9 @@ class RemoteSummaryCache(SummaryBackend):
         self._stats_lock = threading.Lock()
         self._hits = 0  # guarded-by: _stats_lock
         self._misses = 0  # guarded-by: _stats_lock
+        # ``remote_hits``/``remote_misses`` stay at their default 0:
+        # this client sends no ``lookup``.
         self._remote = {  # guarded-by: _stats_lock
-            "remote_hits": 0,
-            "remote_misses": 0,
             "remote_errors": 0,
             "unresolved": 0,
             "stores": 0,
@@ -427,9 +419,6 @@ class RemoteSummaryCache(SummaryBackend):
             "prefetch_bytes": 0,
         }
         self._buffer_lock = threading.Lock()
-        #: Whether a batch is open: a local miss is then a miss outright,
-        #: and the native kernel may serve this store off its local tier.
-        self.in_batch = False  # guarded-by: _buffer_lock
         self._write_buffers = tuple(  # guarded-by: _buffer_lock
             [] for _ in range(self.n_shards)
         )
@@ -534,79 +523,23 @@ class RemoteSummaryCache(SummaryBackend):
     # the cache contract
     # ------------------------------------------------------------------
     def lookup(self, node, field_stack, state):
-        """The local tier's summary, else the owning shard's, else
-        ``None`` (the caller computes).
+        """The local tier's summary, or ``None`` (the caller computes).
 
-        Outside a batch a local miss asks the owning shard with one
-        ``lookup`` round trip.  Inside one (see :meth:`begin_batch`) a
-        local miss is final: the batch reads the shards only through
-        its prefetch.  Summaries are memos, so a skipped trip can only
-        cost a recompute, never change an answer."""
+        A local miss is final: this store reads the shards only through
+        :meth:`begin_batch`'s prefetch, so a miss sends no ``lookup``.
+        Summaries are memos, so a key the prefetch did not bring can
+        only cost a recompute, never change an answer."""
         summary = self.local_tier.lookup(node, field_stack, state)
-        if summary is not None:
-            self._bump("hit")
-            return summary
-        if not self.in_batch:
-            summary = self._remote_lookup(node, field_stack, state)
-            if summary is not None:
-                self._bump("hit", "remote_hits")
-                return summary
-        self._bump("miss")
-        return None
+        self._bump("miss" if summary is None else "hit")
+        return summary
 
     def count_probes(self, hits, misses):
         """Account ``hits`` and ``misses`` probes answered without this
         store's :meth:`lookup` — the native kernel's, off the mirrored
-        local tier, during a batch."""
+        local tier."""
         with self._stats_lock:
             self._hits += hits
             self._misses += misses
-
-    def _remote_lookup(self, node, field_stack, state):
-        if self._pag is None:
-            return None  # nothing to resolve entries against yet
-        try:
-            key = key_to_wire(node, field_stack, state)
-        except SnapshotError:
-            self._bump("degraded")
-            return None  # a key shape the wire format cannot carry
-        method = getattr(node, "method", None)
-        try:
-            response = self._exchange(
-                method,
-                LookupRequest(
-                    key=key,
-                    epoch=self.method_epoch(method),
-                    fingerprint=self._fingerprint,
-                ),
-            )
-        except (ShardUnavailable, ProtocolError):
-            self._bump("remote_errors", "degraded")
-            return None
-        if not isinstance(response, LookupResponse):
-            self._bump("remote_errors", "degraded")
-            return None
-        if not response.found:
-            self._bump("remote_misses")
-            return None
-        try:
-            resolved = resolve_wire_entry(self._pag, response.entry, "remote.entry")
-        except SnapshotError:
-            self._bump("unresolved", "degraded")
-            return None
-        if resolved is None:
-            self._bump("unresolved")
-            return None
-        rnode, rstack, rstate, summary = resolved
-        if (rnode, rstack, rstate) != (node, field_stack, state):
-            # A served entry that answers a different key is a server
-            # bug; refusing it keeps the memo-purity argument airtight.
-            self._bump("unresolved")
-            return None
-        # Read-through fill: keep the fetched memo locally (no
-        # write-back — the service already has it).
-        self.local_tier.store(node, field_stack, state, summary)
-        return summary
 
     def store(self, node, field_stack, state, ppta_result):
         stored = self.local_tier.store(node, field_stack, state, ppta_result)
@@ -614,9 +547,12 @@ class RemoteSummaryCache(SummaryBackend):
         return stored
 
     def publish(self, node, field_stack, state, ppta_result):
-        """Write one summary through to its owning shard — the half of
+        """Queue one summary for its owning shard — the half of
         :meth:`store` after the local tier took it, and all the native
         kernel calls for a summary it inserted into the tier itself.
+        The queue goes out at :meth:`end_batch` (or :meth:`close`), each
+        summary with its method's epoch *at publish time*: a later
+        invalidate of the method purges it, so the pair stays coherent.
         Best effort: a failed publish only means other clients
         recompute this memo themselves."""
         try:
@@ -626,34 +562,9 @@ class RemoteSummaryCache(SummaryBackend):
             return
         method = getattr(node, "method", None)
         epoch = self.method_epoch(method)
-        if self.in_batch:
-            # Coalesced: queue for the end-of-batch batch-store flush,
-            # with the epoch *at publish time* — a later invalidate of
-            # the method purges these anyway, so the pair stays
-            # coherent.
-            index = shard_for_method(method, self.n_shards)
-            with self._buffer_lock:
-                if self.in_batch:
-                    self._write_buffers[index].append((entry, epoch))
-                    return
-        try:
-            response = self._exchange(
-                method,
-                StoreRequest(
-                    entry=entry, epoch=epoch, fingerprint=self._fingerprint
-                ),
-            )
-        except (ShardUnavailable, ProtocolError):
-            self._bump("store_errors", "degraded")
-            return
-        if isinstance(response, StoreResponse):
-            self._bump("stores")
-        elif isinstance(response, StaleEpochResponse):
-            # The shard is ahead of this client's view of the method —
-            # the refusal *is* the consistency mechanism, not an error.
-            self._bump("epoch_rejections")
-        else:
-            self._bump("store_errors", "degraded")
+        index = shard_for_method(method, self.n_shards)
+        with self._buffer_lock:
+            self._write_buffers[index].append((entry, epoch))
 
     def invalidate_method(self, method_qname):
         """Drop one method's summaries locally **and** on its owning
@@ -668,21 +579,20 @@ class RemoteSummaryCache(SummaryBackend):
         # below) carries the post-edit epoch, and any pre-edit traffic
         # still in flight elsewhere is now refusable server-side.
         epoch = self.bump_epoch(method_qname)
+        index = shard_for_method(method_qname, self.n_shards)
         # Entries the owning shard offered earlier and the prefetch
         # skipped for an epoch mismatch may match now: re-offer them.
-        self._reset_cursors((shard_for_method(method_qname, self.n_shards),))
-        if self.in_batch:
-            # Buffered publishes of the edited method are stale now —
-            # purge them so the flush cannot resurrect pre-edit memos
-            # after the invalidate below.
-            index = shard_for_method(method_qname, self.n_shards)
-            with self._buffer_lock:
-                buffer = self._write_buffers[index]
-                buffer[:] = [
-                    (entry, entry_epoch)
-                    for entry, entry_epoch in buffer
-                    if entry["node"].get("method") != method_qname
-                ]
+        self._reset_cursors((index,))
+        # Queued publishes of the edited method are stale now — purge
+        # them so the flush cannot resurrect pre-edit memos after the
+        # invalidate below.
+        with self._buffer_lock:
+            buffer = self._write_buffers[index]
+            buffer[:] = [
+                (entry, entry_epoch)
+                for entry, entry_epoch in buffer
+                if entry["node"].get("method") != method_qname
+            ]
         dropped = self.local_tier.invalidate_method(method_qname)
         try:
             response = self._exchange(
@@ -700,14 +610,12 @@ class RemoteSummaryCache(SummaryBackend):
 
     # ------------------------------------------------------------------
     # batch hooks (protocol 1.2 pipelining) — the engine calls these
-    # around query_batch and a warm start when the backend defines them
+    # around every query, alias check, batch and warm start
     # ------------------------------------------------------------------
     def begin_batch(self):
         """Start a batch: prefetch from each shard in one
-        ``fetch-methods`` round trip per shard (filling the local
-        read-through tier), then coalesce write-through publishes until
-        :meth:`end_batch`.  Every failure falls open exactly like a
-        missed lookup.
+        ``fetch-methods`` round trip per shard, filling the local tier.
+        Every failure falls open exactly like a local miss.
 
         The prefetch is incremental (protocol 1.7).  This backend's
         first fetch from a shard dumps the *whole* shard store
@@ -725,17 +633,14 @@ class RemoteSummaryCache(SummaryBackend):
         (:meth:`invalidate_method`, :meth:`adopt_epochs`), a new PAG
         (:meth:`bind_pag`), or a cleared tier (:meth:`clear`).
 
-        Until :meth:`end_batch` the prefetch is the batch's only read
-        of the shards: a local miss sends no ``lookup`` (see
-        :meth:`lookup`), even for a shard whose prefetch failed or an
-        entry a bounded local tier evicted, and with a plain local tier
-        the batch runs on the native kernel.
+        The prefetch is this store's only read of the shards: a local
+        miss sends no ``lookup`` (see :meth:`lookup`), even for a shard
+        whose prefetch failed or an entry a bounded local tier evicted,
+        and with a plain local tier the batch runs on the native kernel.
         """
         if self._pag is not None:
             for index, link in enumerate(self._links):
                 self._prefetch(index, link)
-        with self._buffer_lock:
-            self.in_batch = True
 
     def _prefetch(self, index, link):
         """One shard's ``fetch-methods`` exchange, adopted into the
@@ -744,9 +649,8 @@ class RemoteSummaryCache(SummaryBackend):
         trie of field stacks from a 1.9 shard, a flat table from a 1.8
         one), then resolved by
         :func:`~repro.api.snapshot.resolve_frame` or held in the
-        kernel (:meth:`_hold`); a 1.7 shard or a
-        :class:`~repro.api.service.PointsToService` answers with
-        nominal entries.  An answer whose non-empty ``epochs`` does not
+        kernel (:meth:`_hold`); a 1.7 shard answers with nominal
+        entries.  An answer whose non-empty ``epochs`` does not
         hold one epoch per entry is refused whole.  The shard's cursor
         advances only after an answer was decoded and, when framed,
         validated, and only when no reset landed while it was in
@@ -837,8 +741,8 @@ class RemoteSummaryCache(SummaryBackend):
         """Hold a frame's entries in the local tier's kernel mirror
         (:func:`repro.native.session.hold_frame`): ``(adopted,
         skipped)``, or ``None`` for the per-entry path.  Only a plain
-        tier with no Python entries, in a batch that runs on the
-        kernel, is offered a frame."""
+        tier with no Python entries, on the kernel, is offered a
+        frame."""
         tier = self.local_tier
         if (
             type(tier) is not SummaryCache
@@ -854,10 +758,9 @@ class RemoteSummaryCache(SummaryBackend):
         return held if type(held) is tuple else None  # else: why not held
 
     def _resolve_nominal(self, entries):
-        """Nominal prefetch entries (a 1.7 shard's, or
-        :class:`~repro.api.service.PointsToService`'s), resolved one at
-        a time: a damaged entry is skipped alone, as ``None``, and
-        counts ``degraded``."""
+        """Nominal prefetch entries (a 1.7 shard's), resolved one at a
+        time: a damaged entry is skipped alone, as ``None``, and counts
+        ``degraded``."""
         for entry in entries:
             try:
                 yield resolve_wire_entry(self._pag, entry, "prefetch.entry")
@@ -888,11 +791,10 @@ class RemoteSummaryCache(SummaryBackend):
         )
 
     def end_batch(self):
-        """Flush the coalesced writes: per shard one ``batch-store``
+        """Flush the queued publishes: per shard one ``batch-store``
         line (chunked past :data:`FLUSH_CHUNK`, the chunks pipelined in
-        one flight), then return to immediate write-through."""
+        one flight)."""
         with self._buffer_lock:
-            self.in_batch = False
             pending = [list(buffer) for buffer in self._write_buffers]
             for buffer in self._write_buffers:
                 buffer.clear()
@@ -1106,7 +1008,7 @@ class RemoteSummaryCache(SummaryBackend):
         return snapshots
 
     def close(self):
-        self.end_batch()  # publish whatever a dying batch left queued
+        self.end_batch()  # publish whatever is still queued
         for link in self._links:
             link.close()
 

@@ -98,19 +98,22 @@ class EngineStats:
         return self.deduped / self.queries if self.queries else 0.0
 
 
-@contextmanager
 def _store_batch(cache):
     """Run the body between ``cache``'s batch hooks, when it has them.
 
-    A remote store's ``begin_batch`` prefetches the shards and its
+    Every query, alias check, batch and warm start runs this way.  A
+    remote store's ``begin_batch`` prefetches the shards and its
     ``end_batch`` flushes what the body published, so the body costs
     O(shards) round trips; purely local stores define neither and pay
     nothing.  ``end_batch`` runs even when the body raises."""
-    begin_batch = getattr(cache, "begin_batch", None)
-    if begin_batch is None:
-        yield
-        return
-    begin_batch()
+    if getattr(cache, "begin_batch", None) is None:
+        return nullcontext()
+    return _hooked_batch(cache)
+
+
+@contextmanager
+def _hooked_batch(cache):
+    cache.begin_batch()
     try:
         yield
     finally:
@@ -227,10 +230,11 @@ class PointsToEngine:
 
         ``item`` may be a PAG node, a ``(method_qname, var_name)`` pair,
         a client :class:`~repro.clients.base.Query`, or a
-        :class:`~repro.engine.scheduler.QuerySpec`.
+        :class:`~repro.engine.scheduler.QuerySpec`.  The query runs
+        between the store's batch hooks, as a one-query batch would.
         """
         spec = as_spec(item, self.pag, context)
-        with self._traversal():
+        with self._traversal(), _store_batch(self.cache):
             result = self.analysis.points_to(
                 spec.node, spec.context, client if client is not None else spec.client
             )
@@ -246,12 +250,13 @@ class PointsToEngine:
         return self.query((method_qname, var_name), context, client)
 
     def alias(self, a, b, context1=EMPTY_STACK, context2=EMPTY_STACK):
-        """May-alias query between two variables (nodes or name pairs)."""
+        """May-alias query between two variables (nodes or name pairs),
+        run between the store's batch hooks."""
         node_a = as_spec(a, self.pag).node
         node_b = as_spec(b, self.pag).node
         self.queries_answered += 2
         self.queries_executed += 2
-        with self._traversal():
+        with self._traversal(), _store_batch(self.cache):
             result = self.analysis.may_alias(node_a, node_b, context1, context2)
         self.steps_total += result.steps
         if result.verdict is None:

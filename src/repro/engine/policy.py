@@ -58,15 +58,15 @@ class CachePolicy:
     ``remote`` joins the store to a shared cache service: a tuple of
     ``"host:port"`` addresses, one per shard server, in shard order
     (what ``repro-cached`` prints on startup).  The local store the
-    other knobs configure becomes the **read-through tier** of a
-    :class:`~repro.cacheserver.client.RemoteSummaryCache`.  A batch
-    prefetches each shard's entries in one round trip, treats a local
-    miss as final, and flushes its new summaries per shard at its end,
-    so it costs O(shards) round trips.  A single ``query()`` or
-    ``alias()`` runs outside a batch: a local miss probes the owning
-    shard, and a new summary is published at once.  Misses, timeouts
-    or a dead service fall back to local computation — answers are
-    identical with the service up, down, or killed mid-batch.
+    other knobs configure becomes the **local tier** of a
+    :class:`~repro.cacheserver.client.RemoteSummaryCache`.  Every
+    query, alias check and batch prefetches each shard's new entries in
+    one round trip, treats a local miss as final, and flushes its new
+    summaries per shard at its end, so it costs O(shards) round trips
+    (a single ``query()`` or ``alias()`` is a one-query batch).
+    Misses, timeouts or a dead service fall back to local computation
+    — answers are identical with the service up, down, or killed
+    mid-batch.
     ``remote_timeout`` is the per-operation socket timeout in seconds.
     """
 

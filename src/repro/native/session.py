@@ -24,21 +24,20 @@ the C kernel in ``kernel.c``:
 * :class:`_NativeSession` — one per ``(SummaryCache, graph)`` pair,
   cached on ``cache._native_memo``.  The cache is an analysis's plain
   store, or the plain local tier of a remote store (a
-  :class:`~repro.cacheserver.client.RemoteSummaryCache`), served during
-  each of its batches.  Mirrors the cache's ``_entries`` into the
-  kernel's summary table so the kernel can probe and commit summaries
-  without calling back into Python.  The first
-  sync imports every entry in one bulk call; later syncs — across
-  rebinds too — replay only the keys the cache journaled since
+  :class:`~repro.cacheserver.client.RemoteSummaryCache`).  Mirrors the
+  cache's ``_entries`` into the kernel's summary table so the kernel
+  can probe and commit summaries without calling back into Python.
+  The first sync imports every entry in one bulk call; later syncs —
+  across rebinds too — replay only the keys the cache journaled since
   (inserted, replaced or removed — removals become kernel deletes),
   and the kernel compacts the session in place once dead records
   outnumber live ones (see :func:`_session_for`).
 * **Held frames** (:func:`hold_frame`) — a remote store's framed
-  prefetch into a plain tier whose dict is empty, for a batch that
-  runs on the kernel: the client resolves the frame's node and stack
-  tables, and one ``rk_frame_hold`` call walks the rows — validating
-  them by :func:`~repro.api.snapshot.resolve_frame`'s rules and
-  applying the prefetch's adoption filter — and commits every
+  prefetch into a plain tier whose dict is empty, on the kernel: the
+  client resolves the frame's node and stack tables, and one
+  ``rk_frame_hold`` call walks the rows — validating them by
+  :func:`~repro.api.snapshot.resolve_frame`'s rules and applying the
+  prefetch's adoption filter — and commits every
   accepted entry to the tier's session.  The tier records the block
   and counts its entries and facts; it builds their ``PptaResult``
   objects only when a Python reader needs them, and before the session
@@ -51,11 +50,10 @@ Everything here is **refuse-and-fall-back**: any state the kernel
 cannot represent (a call site outside int32, a field stack holding a
 token the image never interned — a standalone PPTA's start stack or an
 imported boundary — kernel OOM), and any store it does not serve (a
-bounded or cost-aware one, a remote one outside a batch, whose local
-misses are looked up per key), returns ``None``/``False`` to the
-dispatch layer, which reruns the query on the pure-Python ``array``
-impl — answers and step counts never depend on the kernel being
-usable, only latency does.
+bounded or cost-aware one, or a remote one over such a tier), returns
+``None``/``False`` to the dispatch layer, which reruns the query on the
+pure-Python ``array`` impl — answers and step counts never depend on
+the kernel being usable, only latency does.
 """
 
 import weakref
@@ -485,9 +483,8 @@ def native_unavailable_reason(pag=None, store=None):
     ``local_tier``) whose local tier is not plain; then, with a ``pag``
     whose CSR image has already been refused by the kernel, that
     image-level reason.  A remote store over a plain tier counts as
-    served: every batch runs on the kernel (see
-    :func:`explore_native`), while its single queries run outside a
-    batch, on the array loop.
+    served: every call on it runs on the kernel (see
+    :func:`explore_native`).
     """
     ok, reason = availability()
     if not ok:
@@ -920,18 +917,18 @@ def explore_native(analysis, var, context, pairs, budget):
 
     The kernel mirrors a plain ``SummaryCache``: the analysis's own
     store, or the local tier of a remote store (one with a
-    ``local_tier``) while one of its batches is open — then a tier miss
-    is a miss outright, exactly as the remote store's ``lookup``
-    decides, so the kernel's probes count on both stores, and each new
-    summary also goes to the remote store's ``publish`` for the
-    end-of-batch flush.  Every other store stays pure-Python.
+    ``local_tier``) — a tier miss is a miss outright, exactly as the
+    remote store's ``lookup`` decides, so the kernel's probes count on
+    both stores, and each new summary also goes to the remote store's
+    ``publish`` for the end-of-batch flush.  Every other store stays
+    pure-Python.
     """
     cache = analysis.cache
     remote = None
     if type(cache) is not SummaryCache:
         tier = getattr(cache, "local_tier", None)
-        if type(tier) is not SummaryCache or not cache.in_batch:
-            return False  # bounded/cost-aware stores; remote lookups per probe
+        if type(tier) is not SummaryCache:
+            return False  # bounded/cost-aware stores and tiers
         remote, cache = cache, tier
     ng = graph_for(analysis.pag)
     if ng is None:

@@ -263,7 +263,13 @@ def _coerce(value, annotation, path, ignore_unknown=False):
                 "invalid-request",
                 f"{path}: expected a number, got {type(value).__name__}",
             )
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer past the float range
+            raise ProtocolError(
+                "invalid-request",
+                f"{path}: expected a number, got an integer out of float range",
+            ) from None
     if annotation is str:
         if not isinstance(value, str):
             raise ProtocolError(

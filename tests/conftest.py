@@ -180,6 +180,41 @@ class Main {
 """
 
 
+#: ``x`` copies ``a``: a served engine answers ``A`` for it.
+FORGE_SOURCE = """
+class A { }
+class B { }
+class Main {
+  static method main() {
+    a = new A;
+    b = new B;
+    x = a;
+  }
+}
+"""
+
+
+def forged_store_line():
+    """A ``store`` line for :data:`FORGE_SOURCE` whose summary for
+    ``Main.main``'s ``x`` names ``b``'s allocation: a store that took it
+    would make ``x`` answer ``B``."""
+    from repro.analysis.ppta import PptaResult
+    from repro.api.codec import encode
+    from repro.api.protocol import StoreRequest
+    from repro.api.snapshot import entry_to_wire
+    from repro.cfl.rsm import S1
+    from repro.cfl.stacks import EMPTY_STACK
+
+    pag = build_pag(parse_program(FORGE_SOURCE))
+    (b_alloc,) = [
+        node for node in pag.nodes_of_method("Main.main")
+        if node.is_object and node.class_name == "B"
+    ]
+    x = pag.find_local("Main.main", "x")
+    entry = entry_to_wire(x, EMPTY_STACK, S1, PptaResult((b_alloc,), ()))
+    return encode(StoreRequest(entry=entry))
+
+
 @pytest.fixture(scope="session")
 def figure2_program():
     return parse_program(FIGURE2_SOURCE)

@@ -229,6 +229,40 @@ class TestShardServerDispatch:
         assert (stats.shard, stats.shards) == (0, 1)
         assert stats.stats.entries == 0 and stats.stats.invalidated == 1
 
+    def test_validating_wire_stacks_builds_no_stack(self):
+        """A shard never reads a ``Stack``: storing and looking up
+        entries whose stacks no process has seen, singly and batched,
+        interns no token and pushes no stack node."""
+        from repro.api.protocol import BatchLookupRequest, BatchStoreRequest
+        from repro.cfl import stacks
+
+        server = self.make_server()
+        entries = []
+        for i in range(8):
+            entry = wire_entry(name=f"v{i}")
+            entry["stack"] = [[f"shard-only-f{i}", 0], [f"shard-only-g{i}", 1]]
+            entry["boundaries"] = [{
+                "node": entry["node"],
+                "stack": [[f"shard-only-b{i}", 1]],
+                "state": 2,
+            }]
+            entries.append(entry)
+        tokens = dict(stacks._TOKENS)
+        children = dict(EMPTY_STACK._children)
+        for entry in entries[:4]:
+            stored = self.exchange(server, StoreRequest(entry=entry))
+            assert isinstance(stored, StoreResponse) and stored.stored
+            found = self.exchange(server, LookupRequest(key=wire_key(entry)))
+            assert found.found and found.entry == entry
+        stored = self.exchange(server, BatchStoreRequest(entries=tuple(entries[4:])))
+        assert stored.stored == (True,) * 4
+        found = self.exchange(
+            server, BatchLookupRequest(keys=tuple(wire_key(e) for e in entries[4:]))
+        )
+        assert list(found.entries) == entries[4:]
+        assert stacks._TOKENS == tokens
+        assert EMPTY_STACK._children == children
+
     def test_wrong_shard_is_refused_loudly(self):
         from repro.analysis.summaries import shard_for_method
 
@@ -297,6 +331,7 @@ class TestRemoteRouting:
     def publish(store, method, name):
         memo = PptaResult((ObjectNode("o", "Thing", method),), ())
         store.store(LocalNode(method, name), EMPTY_STACK, S1, memo)
+        store.end_batch()  # a publish waits for the flush
 
     def test_one_methods_keys_land_on_its_owner(self, fleet):
         store, servers = fleet
@@ -453,14 +488,16 @@ class TestRemoteEngineIdentity:
         engine_b = PointsToEngine(
             build_pag(parse_program(source)), remote_policy(cluster)
         )
-        # A computes and publishes; B (fresh local tier) is served by the
-        # shard server.
+        # A computes and publishes; B (fresh local tier) is served by its
+        # prefetch of what A flushed.
         engine_a.query_name("Helper.make", "u")
         assert engine_b.query_name("Helper.make", "u")
-        assert engine_b.stats().remote.remote_hits > 0
+        assert engine_b.stats().remote.prefetched > 0
+        assert engine_b.stats().cache.misses == 0
         # A edits Helper.make -> invalidates through the store -> the
         # owning shard drops.  A fresh client (no stale local tier) must
-        # observe the drop: its lookups miss remotely.
+        # observe the drop: its prefetch brings none of the method's
+        # summaries, so it computes them.
         dropped = engine_a.invalidate_method("Helper.make")
         assert dropped > 0
         assert engine_a.stats().remote.invalidations > 0
@@ -468,8 +505,11 @@ class TestRemoteEngineIdentity:
             build_pag(parse_program(source)), remote_policy(cluster)
         )
         engine_c.query_name("Helper.make", "u")
-        remote_c = engine_c.stats().remote
-        assert remote_c.remote_misses > 0
+        assert engine_c.stats().cache.misses > 0
+        for engine in (engine_a, engine_b, engine_c):
+            remote = engine.stats().remote
+            assert remote.remote_hits + remote.remote_misses == 0
+            engine.cache.close()
 
     def test_save_cache_snapshots_the_local_tier(self, cluster, tmp_path):
         """A remote-backed engine's snapshot is its process-local view
@@ -714,58 +754,6 @@ class TestServiceSurface:
         assert payload["remote"] is None
         assert payload["warm_loaded"] == 0
 
-    def test_service_answers_store_level_ops_on_its_own_store(self):
-        from repro.api.service import PointsToService
-
-        engine = PointsToEngine(
-            build_pag(parse_program(SRC)), EnginePolicy()
-        )
-        engine.query_name("Helper.make", "u")
-        service = PointsToService(engine)
-        stats = decode_response(
-            service.handle_line(encode(StoreStatsRequest()))
-        )
-        assert isinstance(stats, StoreStatsResponse)
-        assert (stats.shard, stats.shards) == (0, 1)
-        assert stats.stats.entries == len(engine.cache)
-
-        # Round-trip one resident entry through lookup, then push it
-        # back through store (already resident -> stored=False).
-        from repro.api.snapshot import entry_to_wire
-
-        (node, stack, state), summary = next(engine.cache.entries())
-        entry = entry_to_wire(node, stack, state, summary)
-        key = {"node": entry["node"], "stack": entry["stack"],
-               "state": entry["state"]}
-        found = decode_response(service.handle_line(encode(LookupRequest(key=key))))
-        assert isinstance(found, LookupResponse) and found.found
-        assert found.entry == entry
-        stored = decode_response(
-            service.handle_line(encode(StoreRequest(entry=entry)))
-        )
-        assert isinstance(stored, StoreResponse) and not stored.stored
-
-        # An entry of a different program version is refused quietly.
-        foreign = wire_entry(method="Ghost.m")
-        refused = decode_response(
-            service.handle_line(encode(StoreRequest(entry=foreign)))
-        )
-        assert isinstance(refused, StoreResponse) and not refused.stored
-
-    def test_cacheless_analysis_refuses_store_ops_with_typed_error(self):
-        from repro.api.service import PointsToService
-
-        engine = PointsToEngine(
-            build_pag(parse_program(SRC)),
-            EnginePolicy(analysis="CIPTA"),
-        )
-        service = PointsToService(engine)
-        response = decode_response(
-            service.handle_line(encode(StoreStatsRequest()))
-        )
-        assert isinstance(response, ErrorResponse)
-        assert response.code == "no-store"
-
 
 # ----------------------------------------------------------------------
 # the repro-cached client REPL (scripted exchanges)
@@ -940,7 +928,7 @@ class TestPipelinedRemoteBatches:
     """The acceptance property: a warm batch costs O(shards) wire round
     trips — observable through the ``remote.round_trips`` counter —
     with answers element-wise identical to local and to single queries,
-    which run outside a batch and pay per key."""
+    each of which runs as a one-query batch."""
 
     def _policy(self, servers):
         from repro.bench.runner import BENCH_FIELD_DEPTH_LIMIT
@@ -953,22 +941,37 @@ class TestPipelinedRemoteBatches:
         )
 
     def test_round_trips_counter_counts_exchanges(self, cluster):
+        from collections import Counter
+
+        from repro.api.codec import decode_request
+
         instance = load_benchmark("jython", scale=0.4)
         client = SafeCastClient(instance.pag)
         engine = PointsToEngine(instance.pag, self._policy(cluster))
-        for query in client.queries():
-            engine.query(query)
+        flights = Counter()
+        for link in engine.cache._links:
+            send = link.request_many
+
+            def request_many(lines, send=send):
+                flights[type(decode_request(lines[0])).__name__] += 1
+                return send(lines)
+
+            link.request_many = request_many
+        queries = client.queries()
+        try:
+            for query in queries:
+                engine.query(query)
+        finally:
+            engine.cache.close()
         stats = engine.stats().remote
-        # Outside a batch every remote lookup and every write-through
-        # store is its own exchange.
-        expected = (
-            stats.remote_hits
-            + stats.remote_misses
-            + stats.stores
-            + stats.invalidations
-        )
-        assert stats.round_trips == expected
-        assert stats.round_trips > len(cluster)
+        # Each single query is a one-query batch: one prefetch per
+        # shard, then one flush per shard it published to.  No lookup
+        # and no single store is ever sent.
+        assert set(flights) == {"MethodEntriesRequest", "BatchStoreRequest"}
+        assert flights["MethodEntriesRequest"] == len(cluster) * len(queries)
+        assert stats.round_trips == sum(flights.values())
+        assert stats.remote_hits + stats.remote_misses == 0
+        assert stats.stores > 0
 
     def test_warm_pipelined_batch_is_o_shards_round_trips(self, cluster):
         instance = load_benchmark("jython", scale=0.4)
@@ -1001,14 +1004,20 @@ class TestPipelinedRemoteBatches:
         # THE acceptance bound: <= (#shards x constant), not one round
         # trip per method lookup.  The constant covers prefetch + flush.
         assert warm_stats.round_trips <= 4 * len(cluster)
-        # And strictly better than the per-key regime: single queries
-        # on a fresh engine pay one exchange per distinct key.
+        # Single queries on a fresh engine are one-query batches: each
+        # costs one prefetch per shard, and on a warm fleet nothing is
+        # computed, so nothing is flushed.
         single = PointsToEngine(instance.pag, self._policy(cluster))
-        single_results = [single.query(query) for query in client.queries()]
+        queries = client.queries()
+        single_results = [single.query(query) for query in queries]
         single_stats = single.stats().remote
         assert [canonical(r) for r in single_results] == digest
-        assert single_stats.remote_hits > 0
-        assert warm_stats.round_trips < single_stats.round_trips
+        assert single_stats.prefetched == warm_stats.prefetched
+        assert single_stats.remote_hits + single_stats.remote_misses == 0
+        assert single.stats().cache.misses == 0
+        assert single_stats.round_trips == len(cluster) * len(queries)
+        for engine in (cold, warm, single):
+            engine.cache.close()
 
     def test_workload_over_an_evicting_tier_sends_no_lookup(
         self, cluster, capsys
@@ -1202,28 +1211,31 @@ class TestEpochConsistency:
 # ----------------------------------------------------------------------
 @pytest.fixture(params=["shard", "listen"])
 def line_endpoint(request, tmp_path):
-    """``(host, port)`` of a served line transport: an in-process shard,
-    or the ``repro-serve --listen`` mount in a child process."""
+    """``((host, port), kind, answer)`` of a served line transport — an
+    in-process shard, or the ``repro-serve --listen`` mount in a child
+    process — with a stats kind it answers and the answer's class: the
+    shard speaks the store-level vocabulary, ``repro-serve`` the
+    engine's."""
     if request.param == "shard":
         server = ShardServer(0, 1).start()
-        yield server.host, server.port
+        yield (server.host, server.port), "store-stats", StoreStatsResponse
         server.stop()
     else:
         with serve_listen(tmp_path, FIGURE2_SOURCE) as (_proc, address):
-            yield address
+            yield address, "stats", StatsResponse
 
 
-def store_stats_line():
-    return (encode(StoreStatsRequest()) + "\n").encode("utf-8")
+def stats_line(kind):
+    return b'{"kind":"%s","protocol_version":"1.8"}\n' % kind.encode()
 
 
 class TestLineServer:
     @pytest.mark.parametrize(
         "line, code",
         [
-            (b'{"kind":"store-stats\xff","protocol_version":"1.8"}', "unknown-kind"),
+            (b'{"kind":"%s\xff","protocol_version":"1.8"}', "unknown-kind"),
             (b'{"kind":["query"],"protocol_version":"1.7"}', "unknown-kind"),
-            (b'{"kind":"store-stats","id":1,"protocol_version":"1.8"}', "invalid-request"),
+            (b'{"kind":"%s","id":1,"protocol_version":"1.8"}', "invalid-request"),
         ],
         ids=["non-utf8", "non-string-kind", "tagged"],
     )
@@ -1232,20 +1244,24 @@ class TestLineServer:
     ):
         import socket
 
-        sock = socket.create_connection(line_endpoint, timeout=10.0)
+        address, kind, answer = line_endpoint
+        if b"%s" in line:
+            line = line % kind.encode()
+        sock = socket.create_connection(address, timeout=10.0)
         with sock, sock.makefile("rb") as reader:
-            sock.sendall(line + b"\n" + store_stats_line())
+            sock.sendall(line + b"\n" + stats_line(kind))
             first = decode_response(reader.readline().decode("utf-8"))
             second = decode_response(reader.readline().decode("utf-8"))
         assert isinstance(first, ErrorResponse) and first.code == code
-        assert isinstance(second, StoreStatsResponse)
+        assert isinstance(second, answer)
 
     def test_an_over_long_line_drops_only_its_connection(self, line_endpoint):
         import socket
 
         from repro.cacheserver.server import MAX_LINE_BYTES
 
-        hog = socket.create_connection(line_endpoint, timeout=10.0)
+        address, kind, answer = line_endpoint
+        hog = socket.create_connection(address, timeout=10.0)
         with hog:
             try:
                 hog.sendall(b"x" * (MAX_LINE_BYTES + 1))
@@ -1253,11 +1269,11 @@ class TestLineServer:
             except ConnectionResetError:
                 closed = True
         assert closed
-        sock = socket.create_connection(line_endpoint, timeout=10.0)
+        sock = socket.create_connection(address, timeout=10.0)
         with sock, sock.makefile("rb") as reader:
-            sock.sendall(store_stats_line())
+            sock.sendall(stats_line(kind))
             reply = decode_response(reader.readline().decode("utf-8"))
-        assert isinstance(reply, StoreStatsResponse)
+        assert isinstance(reply, answer)
 
     def test_reconnect_reseeds_a_restarted_blank_server(self):
         """Kill the server, restart it blank on the same port: the
@@ -1304,7 +1320,7 @@ class TestLineServer:
                 (server.host, server.port), timeout=5.0
             )
             server.start()
-            sock.sendall(store_stats_line())
+            sock.sendall(stats_line("store-stats"))
             reader = sock.makefile("r", encoding="utf-8")
             assert isinstance(decode_response(reader.readline()), StoreStatsResponse)
             reader.close()

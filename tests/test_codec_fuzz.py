@@ -14,7 +14,8 @@ nested objects too), a non-string or unknown ``kind``, a junk
 * on every line, ``decode_request`` and ``decode_response`` return the
   oracle's message or raise a :class:`ProtocolError` with the oracle's
   code and text — so no input reachable over the wire surfaces anything
-  but a typed error.
+  but a typed error.  That includes a float field holding an integer
+  past the float range.
 
 Runs derandomized, so tier-1 sees the same examples every time.
 """
@@ -40,10 +41,12 @@ SETTINGS = dict(
 
 KINDS = sorted(REQUEST_KINDS) + sorted(RESPONSE_KINDS)
 
-#: Integers stay inside the range a JSON number round-trips through a
-#: float field (the oracle overflows past it; see
-#: ``test_api_codec.TestAdversarialDecode``).
-INTS = st.integers(min_value=-(2**63), max_value=2**63)
+#: Integers reach past the float range (±2**1024), where a float field
+#: must refuse them with a typed error.
+INTS = st.integers(min_value=-(2**1030), max_value=2**1030)
+PAST_FLOAT = st.integers(min_value=2**1024, max_value=2**1030) | st.integers(
+    min_value=-(2**1030), max_value=-(2**1024)
+)
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 TEXT = st.text(max_size=8)
 JSON_VALUES = st.recursive(
@@ -104,6 +107,21 @@ def _messages(cls):
 MESSAGES = {
     kind: _messages(cls) for kind, cls in {**REQUEST_KINDS, **RESPONSE_KINDS}.items()
 }
+
+
+def _has_float(annotation):
+    if annotation is float:
+        return True
+    if dataclasses.is_dataclass(annotation):
+        hints = typing.get_type_hints(annotation)
+        return any(_has_float(hints[f.name]) for f in dataclasses.fields(annotation))
+    return any(_has_float(arg) for arg in typing.get_args(annotation))
+
+
+#: The kinds whose schema has a float field somewhere.
+FLOAT_KINDS = [
+    kind for kind, cls in {**REQUEST_KINDS, **RESPONSE_KINDS}.items() if _has_float(cls)
+]
 
 
 def _members(value):
@@ -179,5 +197,19 @@ def test_valid_messages_encode_and_decode_like_the_oracle(kind, data):
 @given(data=st.data())
 def test_damaged_lines_decode_or_fail_like_the_oracle(kind, data):
     line = data.draw(_damaged(data.draw(MESSAGES[kind])))
+    for compiled, reference in DECODERS:
+        assert _outcome(compiled, line) == _outcome(reference, line)
+
+
+@pytest.mark.parametrize("kind", FLOAT_KINDS)
+@settings(max_examples=10, **SETTINGS)
+@given(data=st.data())
+def test_an_integer_past_the_float_range_fails_like_the_oracle(kind, data):
+    payload = json.loads(codec.encode(data.draw(MESSAGES[kind])))
+    # Every float the encoder wrote; a float field always holds one.
+    slots = [(obj, key) for obj, key in _members(payload) if type(obj[key]) is float]
+    obj, key = data.draw(st.sampled_from(slots))
+    obj[key] = data.draw(PAST_FLOAT)
+    line = json.dumps(payload, sort_keys=True)
     for compiled, reference in DECODERS:
         assert _outcome(compiled, line) == _outcome(reference, line)

@@ -292,7 +292,8 @@ class _HookedCache(SummaryCache):
 
 class TestBatchLoop:
     """``query_batch`` runs its planned traversals one after another on
-    the calling thread, between the store's batch hooks."""
+    the calling thread, between the store's batch hooks; ``query`` and
+    ``alias`` run between them too."""
 
     def test_hooks_bracket_every_traversal(self, pag):
         cache = _HookedCache()
@@ -305,6 +306,21 @@ class TestBatchLoop:
             ("begin", 0, 0),
             ("end", batch.stats.probes, batch.stats.summaries_after),
         ]
+
+    def test_single_queries_and_alias_checks_are_one_query_batches(self, pag):
+        cache = _HookedCache()
+        engine = PointsToEngine.wrap(DynSum(pag, cache=cache))
+        engine.query_name("Main.main", "d")
+        probes, entries = cache.hits + cache.misses, len(cache)
+        assert probes > 0
+        engine.alias(("Main.main", "d"), ("Main.main", "c"))
+        assert cache.events == [
+            ("begin", 0, 0),
+            ("end", probes, entries),
+            ("begin", probes, entries),
+            ("end", cache.hits + cache.misses, len(cache)),
+        ]
+        assert engine.stats().batches == 0
 
     def test_failing_traversal_propagates_and_still_ends_the_batch(self, pag):
         cache = _HookedCache()

@@ -10,7 +10,10 @@ request through one lock.  Pinned here, against the real child process:
   and no error;
 * SIGTERM to ``repro-serve --listen --save-cache PATH`` while a client
   is sending writes a snapshot that warm-starts a fresh engine to the
-  same answers.
+  same answers;
+* every connection shares the one engine, so no connection can write
+  its summary store: a forged ``store`` line gets a typed error and
+  changes no other connection's answer.
 """
 
 import signal
@@ -29,7 +32,13 @@ from repro.api.protocol import (
 )
 from repro.api.service import PointsToService
 
-from conftest import FIGURE2_SOURCE, child_env, serve_listen
+from conftest import (
+    FIGURE2_SOURCE,
+    FORGE_SOURCE,
+    child_env,
+    forged_store_line,
+    serve_listen,
+)
 
 
 def queries(pag):
@@ -176,3 +185,21 @@ def test_sigterm_writes_a_snapshot_that_warm_starts_the_same_answers(tmp_path):
     )
     assert warm.engine.warm_loaded > 0 and warm.engine.warm_skipped == 0
     assert [points_to(warm.handle_line(line)) for line in lines] == served
+
+
+def test_a_forged_store_line_changes_no_connections_answer(tmp_path):
+    query = encode(QueryRequest(method="Main.main", var="x"))
+    with serve_listen(tmp_path, FORGE_SOURCE) as (_proc, address):
+        forger = Connection(address)
+        asker = Connection(address)
+        try:
+            _complete, objects = points_to(asker.exchange(query))
+            assert [obj.class_name for obj in objects] == ["A"]
+            refused = decode_response(forger.exchange(forged_store_line()))
+            assert isinstance(refused, ErrorResponse)
+            assert refused.code == "invalid-request"
+            _complete, objects = points_to(asker.exchange(query))
+            assert [obj.class_name for obj in objects] == ["A"]
+        finally:
+            forger.close()
+            asker.close()

@@ -1,9 +1,9 @@
-"""The native kernel serves a remote store's local tier in a batch.
+"""The native kernel serves a remote store's local tier.
 
-Between ``begin_batch`` and ``end_batch`` a remote store reads the
-shards only through its ``fetch-methods`` prefetch: a local-tier miss
-is a miss outright and sends no ``lookup`` round trip, whichever
-prefetches answered and whether the tier evicted.  So the kernel may
+A remote store reads the shards only through its ``fetch-methods``
+prefetch at ``begin_batch``: a local-tier miss is a miss outright and
+sends no ``lookup`` round trip, whichever prefetches answered and
+whether the tier evicted, in a batch or outside one.  So the kernel may
 probe a mirror of a plain local tier instead of the ``array`` loop
 probing the remote store.  The kernel's new summaries go into the tier
 and, in computation order, to the store's write buffer for the
@@ -17,9 +17,9 @@ engine step counts, hit/miss and remote traffic counters, and the
 entries each flush sent must be equal across impls; the native
 engine's tier must hold a live mirror.  A batch that starts with one
 shard stopped also runs on the kernel and matches ``reference``.  The
-read-rule tests pin that no batch looks a miss up — not after a
-corrupted prefetch answer, not after a bounded tier evicted — while a
-miss outside a batch still is.  A dropped remote engine frees its
+read-rule tests pin that no miss is looked up — not after a corrupted
+prefetch answer, not after a bounded tier evicted, not outside a
+batch.  A dropped remote engine frees its
 tier, and so the kernel mirror of it, without waiting for the cyclic
 GC.
 
@@ -161,6 +161,16 @@ def sent_to(flights, kind):
         for request in flight
         if isinstance(request, kind)
     }
+
+
+def sent_to_each(flights, kind):
+    """How many ``kind`` requests each shard received, by shard."""
+    return Counter(
+        shard
+        for shard, flight in flights
+        for request in flight
+        if isinstance(request, kind)
+    ).values()
 
 
 def flushed(flights):
@@ -316,6 +326,49 @@ def test_a_cold_pipelined_batch_sends_no_lookup(fleets):
     assert remote.stores > 0 and engine.stats().cache.misses > 0
 
 
+@pytest.mark.usefixtures("require_kernel")
+def test_single_queries_and_alias_checks_are_one_query_batches(fleets):
+    """``query()`` and ``alias()`` on a remote engine send the shards
+    only ``fetch-methods`` and ``batch-store`` lines (and ``invalidate``
+    for an edit), run on the kernel over a plain tier, answer like a
+    local engine, and take equal steps under every impl on fleets
+    warmed alike."""
+    rows = {}
+    for impl in IMPLS:
+        engine = remote_engine(warm_fleet(fleets), impl)
+        flights = record_flights(engine)
+        names = program_locals(engine.pag)[::3]
+        got = answers([engine.query_name(*name) for name in names])
+        alias = engine.alias(names[0], names[1])
+        engine.invalidate_method(names[0][0])
+        got += answers([engine.query_name(*name) for name in names[:8]])
+        kinds = {type(request).__name__ for _shard, flight in flights for request in flight}
+        assert kinds == {"MethodEntriesRequest", "BatchStoreRequest", "InvalidateRequest"}
+        # One prefetch per shard per call.
+        calls = len(names) + 1 + 8
+        assert sorted(sent_to_each(flights, MethodEntriesRequest)) == [calls, calls]
+        stats = engine.stats()
+        remote = stats.remote
+        assert remote.remote_hits + remote.remote_misses == 0
+        rows[impl] = (
+            got, alias.verdict, alias.steps, stats.steps,
+            stats.cache.hits, stats.cache.misses, remote.stores,
+        )
+        if impl == "native":
+            live_mirror(engine)
+            assert stats.native_unavailable is None
+        local = PointsToEngine(
+            build_pag(generate_program(CONFIG)),
+            EnginePolicy(traversal_impl=impl, max_field_depth=16),
+        )
+        want = answers([local.query_name(*name) for name in names])
+        want += answers([local.query_name(*name) for name in names[:8]])
+        assert [(c, p) for c, _s, p in got] == [(c, p) for c, _s, p in want]
+        assert local.alias(names[0], names[1]).verdict == alias.verdict
+    assert rows["native"] == rows["reference"]
+    assert rows["array"] == rows["reference"]
+
+
 def test_a_shard_whose_prefetch_failed_is_not_looked_up(fleets):
     fleet = fleets()
     publisher = remote_engine(fleet)
@@ -341,7 +394,7 @@ def test_a_shard_whose_prefetch_failed_is_not_looked_up(fleets):
     assert remote.remote_hits + remote.remote_misses == 0
 
 
-def test_an_evicted_key_is_a_miss_in_a_batch_and_looked_up_outside(fleets):
+def test_an_evicted_key_is_a_miss_in_a_batch_and_outside(fleets):
     fleet = fleets(shards=1)
     pag = PAG()
     nodes = [pag.local_var("A.m", f"x{i}") for i in range(3)]
@@ -360,6 +413,11 @@ def test_an_evicted_key_is_a_miss_in_a_batch_and_looked_up_outside(fleets):
         reader.bind_pag(pag)
         for node in nodes[:2]:
             publisher.store(node, EMPTY_STACK, S1, summary(3))
+        # A publish waits for the flush: nothing reached the shard yet.
+        assert len(fleet.servers[0].store) == 0
+        publisher.end_batch()
+        assert len(fleet.servers[0].store) == 2
+        assert publisher.remote_stats().stores == 2
         reader.begin_batch()
         assert reader.remote_stats().prefetched == 2
         # A local compute fills the 2-entry tier past its cap, evicting
@@ -369,16 +427,17 @@ def test_an_evicted_key_is_a_miss_in_a_batch_and_looked_up_outside(fleets):
         evicted = next(
             node for node in nodes[:2] if (node, EMPTY_STACK, S1) not in reader
         )
-        # Inside the batch the evicted key is a miss, with no round trip.
+        # The evicted key is a miss, with no round trip, inside the
+        # batch and after it.
+        trips = reader.remote_stats().round_trips
+        assert reader.lookup(evicted, EMPTY_STACK, S1) is None
+        assert reader.remote_stats().round_trips == trips
+        reader.end_batch()
         trips = reader.remote_stats().round_trips
         assert reader.lookup(evicted, EMPTY_STACK, S1) is None
         remote = reader.remote_stats()
         assert remote.round_trips == trips
         assert remote.remote_hits + remote.remote_misses == 0
-        reader.end_batch()
-        # Outside a batch the same key is looked up, and the shard has it.
-        assert reader.lookup(evicted, EMPTY_STACK, S1) is not None
-        assert reader.remote_stats().remote_hits == 1
     finally:
         publisher.close()
         reader.close()

@@ -14,8 +14,8 @@ live 2-shard fleet of ``repro-cached`` shard processes
 * entries republished at a new epoch after ``invalidate_method`` are
   adopted, and entries skipped for an epoch mismatch are offered again
   once this client's epoch moves;
-* a sender that keeps no cursor (a 1.6 shard, ``PointsToService``)
-  keeps answering with full dumps;
+* a sender that keeps no cursor (a 1.6 shard) keeps answering with
+  full dumps;
 
 and answers stay element-wise identical to a local engine throughout.
 """
@@ -32,10 +32,9 @@ import repro
 from repro import CachePolicy, EnginePolicy, PointsToEngine, build_pag
 from repro.api.codec import decode_request, encode
 from repro.api.protocol import MethodEntriesRequest, MethodEntriesResponse
-from repro.api.service import PointsToService
 from repro.bench.generator import GeneratorConfig, generate_program
 from repro.cacheserver.client import ShardUnavailable
-from repro.cacheserver.server import CacheCluster, LineServer, ShardServer
+from repro.cacheserver.server import CacheCluster, ShardServer
 from repro.cacheserver.store import WireSummaryStore, entry_key
 
 SRC_DIR = pathlib.Path(repro.__file__).resolve().parent.parent
@@ -327,17 +326,6 @@ class TestCursorlessSenders:
         finally:
             for server in servers:
                 server.stop()
-
-    def test_points_to_service_keeps_full_dumps(self):
-        served = PointsToEngine(program_pag(), EnginePolicy())
-        served.query_batch(QUERIES)
-        server = LineServer(PointsToService(served).handle_line).start()
-        try:
-            reader = remote_engine([server.address])
-            assert batch_delta(reader, QUERIES)[0] == len(served.cache)
-            assert batch_delta(reader, QUERIES)[0] == len(served.cache)
-        finally:
-            server.stop()
 
     def test_a_request_without_a_cursor_carries_no_cursor_fields(self):
         # A 1.6 shard rejects unknown request fields: the cursor-less

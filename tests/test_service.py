@@ -32,7 +32,7 @@ from repro.api import (
 from repro.api.service import main as serve_main
 from repro.bench.runner import bench_engine_policy
 
-from conftest import FIGURE2_SOURCE
+from conftest import FIGURE2_SOURCE, FORGE_SOURCE, forged_store_line
 
 QUICKSTART_SOURCE = """
 class Animal { }
@@ -211,6 +211,52 @@ class TestNoTracebackReachable:
             )
         )
         assert "SafeCast" in response.message
+
+
+class TestStoreLevelKinds:
+    """The served engine's summary store is not on the wire: every
+    store-level kind gets a typed ``invalid-request`` that names
+    ``repro-cached``, whatever the analysis."""
+
+    LINES = {
+        "lookup": '{"kind":"lookup","key":{"node":{"kind":"local",'
+        '"method":"Main.main","name":"x"},"stack":[],"state":1},'
+        '"protocol_version":"1.9"}',
+        "store": forged_store_line(),
+        "store-stats": '{"kind":"store-stats","protocol_version":"1.9"}',
+        "batch-lookup": '{"kind":"batch-lookup","keys":[],"protocol_version":"1.9"}',
+        "batch-store": '{"kind":"batch-store","entries":[],"protocol_version":"1.9"}',
+        "batch-invalidate": '{"kind":"batch-invalidate","methods":["Main.main"],'
+        '"protocol_version":"1.9"}',
+        "fetch-methods": '{"kind":"fetch-methods","methods":null,'
+        '"protocol_version":"1.9"}',
+    }
+
+    @pytest.mark.parametrize("analysis", ["DYNSUM", "CIPTA"])
+    @pytest.mark.parametrize("kind", sorted(LINES))
+    def test_store_level_kinds_are_refused(self, kind, analysis):
+        service = PointsToService(
+            PointsToEngine(
+                build_pag(parse_program(FORGE_SOURCE)),
+                bench_engine_policy(analysis=analysis),
+            )
+        )
+        service.handle(QueryRequest("Main.main", "x"))
+        before = service.engine.stats()
+        response = decode_response(service.handle_line(self.LINES[kind]))
+        assert isinstance(response, ErrorResponse)
+        assert response.code == "invalid-request"
+        assert repr(kind) in response.message and "repro-cached" in response.message
+        assert service.engine.stats() == before
+
+    def test_a_forged_store_line_does_not_change_an_answer(self):
+        service = PointsToService.for_program(parse_program(FORGE_SOURCE))
+        query = QueryRequest("Main.main", "x")
+        assert [o.class_name for o in service.handle(query).objects] == ["A"]
+        refused = decode_response(service.handle_line(forged_store_line()))
+        assert isinstance(refused, ErrorResponse)
+        assert refused.code == "invalid-request"
+        assert [o.class_name for o in service.handle(query).objects] == ["A"]
 
 
 class TestJsonLinesLoop:
