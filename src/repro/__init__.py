@@ -53,7 +53,6 @@ from repro.analysis import (
 from repro.analysis.summaries import (
     BoundedSummaryCache,
     CacheStats,
-    CostAwareSummaryCache,
     SummaryBackend,
     SummaryStore,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "BoundedSummaryCache",
     "CachePolicy",
     "CacheStats",
-    "CostAwareSummaryCache",
     "CallGraph",
     "ContextInsensitivePta",
     "DynSum",

@@ -35,7 +35,6 @@ from repro.analysis.stasum import StaSum
 from repro.analysis.summaries import (
     BoundedSummaryCache,
     CacheStats,
-    CostAwareSummaryCache,
     SummaryBackend,
     SummaryCache,
     SummaryStore,
@@ -47,7 +46,6 @@ __all__ = [
     "AnalysisConfig",
     "BoundedSummaryCache",
     "CacheStats",
-    "CostAwareSummaryCache",
     "EditReport",
     "IncrementalAnalysisSession",
     "ContextInsensitivePta",

@@ -181,7 +181,7 @@ class DynSum(DemandPointsToAnalysis):
         cache_store = cache.store
         # The default unbounded cache needs no recency bookkeeping, so
         # its probe can be one inlined dict get; every other backend
-        # (bounded, cost-aware, remote) goes through its lookup method.
+        # (bounded, remote) goes through its lookup method.
         plain_entries_get = (
             cache._entries.get if type(cache) is SummaryCache else None
         )

@@ -62,11 +62,11 @@ class PptaResult:
     ``boundaries`` — ``(node, field_stack, state)`` tuples at which the
     exploration hit the method boundary.
     ``steps`` — traversal steps the PPTA charged to build this summary:
-    the recomputation cost a cache saves on a hit, which is what
-    cost-aware eviction (:class:`~repro.analysis.summaries
-    .CostAwareSummaryCache`) ranks victims by.  Zero for synthesized
-    results (trivial boundaries, legacy snapshots) — unknown cost is
-    assumed cheap.
+    the recomputation cost a cache saves on a hit.  It is metadata, not
+    payload: an equal re-store keeps the larger count, and snapshots,
+    wire entries and prefetch frames carry it, but no store decides
+    anything by it.  Zero for synthesized results (trivial boundaries,
+    legacy snapshots).
     """
 
     __slots__ = ("objects", "boundaries", "steps", "size")

@@ -8,7 +8,7 @@ summary serves every calling context of the method, and every later query.
 Every store is a **backend** behind one explicit contract,
 :class:`SummaryBackend` — the seam the engine, the incremental session,
 the snapshot layer and the process-level cache service all program
-against.  Three local backends ship here:
+against.  Two local backends ship here:
 
 * :class:`SummaryCache` — the unbounded store of the paper's experiments
   (queries stop at a few thousand, so the cache never needs a ceiling);
@@ -16,14 +16,11 @@ against.  Three local backends ship here:
   long-running IDE/JIT hosts of Sections 1 and 5.3, where query traffic
   is open-ended and memory is not.  Capacity can be capped by entry count
   and/or by total summary facts (a proxy for bytes; see
-  :meth:`SummaryStore.approx_bytes`);
-* :class:`CostAwareSummaryCache` — the same ceilings, but the victim is
-  chosen by **recomputation value**: the entry with the lowest
-  steps-to-recompute per byte of memory freed goes first (summaries
-  record the PPTA steps that built them), so one giant cheap summary can
-  no longer push out many expensive small ones the way pure LRU lets it.
+  :meth:`SummaryStore.approx_bytes`).  LRU is the only capacity policy:
+  a summary is a memo, so a policy can move only cost, and LRU was the
+  fastest policy measured on bounded Figure-4 replays.
 
-A fourth backend lives out of tree:
+A third backend lives out of tree:
 :class:`repro.cacheserver.client.RemoteSummaryCache` speaks the same
 contract but forwards traffic to shard-server *processes*, partitioned
 by the key node's method (:func:`shard_for_method`, CRC-32), with a
@@ -49,7 +46,6 @@ and capacity eviction compose freely because both merely forget memos
 (the test suite checks both properties).
 """
 
-import heapq
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -120,15 +116,12 @@ class SummaryBackend:
       backend needs the PAG to resolve wire entries back to nodes.
 
     The contract does not ask for thread safety: the engine drives its
-    store from the one thread that runs a batch.  ``eviction`` names the
-    capacity policy (``"lru"`` or ``"cost"``) so snapshots can
-    round-trip it.
+    store from the one thread that runs a batch.
     """
 
     #: Capacity limits (``None`` = unbounded).
     max_entries = None
     max_facts = None
-    eviction = "lru"
 
     # -- the cache protocol -------------------------------------------
     def lookup(self, node, field_stack, state):
@@ -229,11 +222,11 @@ class SummaryStore(SummaryBackend):
     """Shared container and bookkeeping of the in-process backends.
 
     Subclasses choose the container (:meth:`_make_container`) and the
-    capacity policy (:meth:`_touch` / :meth:`_enforce_capacity` /
-    :meth:`_pick_victim`); all the accounting — hit/miss counts,
-    per-method index, fact totals, eviction and invalidation counters —
-    lives here so stores stay interchangeable behind
-    :class:`~repro.analysis.dynsum.DynSum` and the engine layer.
+    capacity policy (:meth:`_touch` / :meth:`_enforce_capacity`); all
+    the accounting — hit/miss counts, per-method index, fact totals,
+    eviction and invalidation counters — lives here so stores stay
+    interchangeable behind :class:`~repro.analysis.dynsum.DynSum` and
+    the engine layer.
     """
 
     def __init__(self):
@@ -621,20 +614,15 @@ class BoundedSummaryCache(SummaryStore):
     def _touch(self, key):
         self._entries.move_to_end(key)
 
-    def _over_capacity(self):
-        if self.max_entries is not None and len(self._entries) > self.max_entries:
-            return True
-        if self.max_facts is not None and self._facts > self.max_facts:
-            return True
-        return False
-
-    def _pick_victim(self):
-        """The key to evict next — least-recently-used for this class."""
-        return next(iter(self._entries))
-
     def _enforce_capacity(self):
-        while self._over_capacity() and len(self._entries) > 1:
-            self._remove(self._pick_victim())
+        """Evict least-recently-used entries while a ceiling is exceeded
+        and more than one entry is resident."""
+        entries = self._entries
+        while (
+            (self.max_entries is not None and len(entries) > self.max_entries)
+            or (self.max_facts is not None and self._facts > self.max_facts)
+        ) and len(entries) > 1:
+            self._remove(next(iter(entries)))
             self.evictions += 1
 
     def __repr__(self):
@@ -650,169 +638,9 @@ class BoundedSummaryCache(SummaryStore):
         )
 
 
-def entry_cost_score(summary):
-    """Steps-to-recompute per byte freed — the cost-aware eviction rank.
-
-    Summaries record the PPTA steps that built them
-    (:attr:`~repro.analysis.ppta.PptaResult.steps`); dividing by the
-    entry's share of the memory model gives "how much recomputation does
-    one reclaimed byte cost".  The *lowest* score is the best victim.
-    Entries with unknown cost (e.g. replayed from a pre-1.1 snapshot
-    that did not record steps) score 0 and go first — unknown is assumed
-    cheap.
-    """
-    entry_bytes = ENTRY_OVERHEAD_BYTES + summary.size * FACT_BYTES
-    return getattr(summary, "steps", 0) / entry_bytes
-
-
-class CostAwareSummaryCache(BoundedSummaryCache):
-    """A bounded store that weighs recomputation cost into eviction.
-
-    Same ceilings as :class:`BoundedSummaryCache`, but the victim is
-    chosen by the Greedy-Dual rule rather than recency alone: every
-    entry carries a priority ``H = L + score`` where ``score`` is its
-    :func:`entry_cost_score` (PPTA steps to recompute per byte of
-    memory freed) and ``L`` is an inflation clock; a hit refreshes the
-    entry's ``H`` against the current clock, and evicting the
-    minimum-``H`` entry advances the clock to that value.  The clock is
-    what pure cost ranking lacks: an expensive summary that stops being
-    used ages out instead of pinning the cache forever, while among
-    equally recent entries the cheap-to-recompute ones still go first.
-    With all scores equal the rule degenerates to exact LRU, so this is
-    a strict generalisation.
-
-    Victim selection runs on a **heap-backed victim index** with lazy
-    invalidation: every priority refresh pushes a ``(priority, stamp,
-    key)`` record, stale records (key gone, or re-stamped since) are
-    discarded as they surface, and the heap is compacted when stale
-    records outnumber live ones — so eviction is O(log n) instead of
-    the O(n) scans the first cut paid, which is what keeps stores past
-    ~10⁵ entries viable.  Ties on priority resolve by stamp, i.e. by
-    recency — exactly the coldest-first order the scan implementation
-    picked, so victim choice is unchanged.
-    """
-
-    eviction = "cost"
-
-    def __init__(self, max_entries=None, max_facts=None):
-        if max_entries is None and max_facts is None:
-            raise ValueError(
-                "eviction='cost' needs a capacity ceiling (max_entries "
-                "and/or max_facts); an unbounded store never evicts, so "
-                "the policy would be silently inert"
-            )
-        super().__init__(max_entries=max_entries, max_facts=max_facts)
-        self._clock = 0.0
-        #: key -> (priority, stamp); the authoritative rank.  The heap
-        #: holds (priority, stamp, key) records, possibly stale.
-        self._rank = {}
-        self._heap = []
-        self._stamp = 0
-
-    def _touch(self, key):
-        super()._touch(key)
-        self._stamp += 1
-        record = (
-            self._clock + entry_cost_score(self._entries[key]),
-            self._stamp,
-            key,
-        )
-        self._rank[key] = record
-        heapq.heappush(self._heap, record)
-        # Compact here too, not only on eviction: a hit-dominated
-        # workload (warm cache, no stores) pushes a record per touch
-        # and would otherwise grow the heap without bound.
-        if len(self._heap) > 2 * len(self._rank) + 64:
-            self._heap = sorted(self._rank.values())
-
-    def store(self, node, field_stack, state, ppta_result):
-        key = (node, field_stack, state)
-        if key not in self._entries:
-            # The rank must exist before _enforce_capacity can pop it.
-            self._stamp += 1
-            record = (
-                self._clock + entry_cost_score(ppta_result),
-                self._stamp,
-                key,
-            )
-            self._rank[key] = record
-            heapq.heappush(self._heap, record)
-        return super().store(node, field_stack, state, ppta_result)
-
-    def _remove(self, key):
-        entry = super()._remove(key)
-        if entry is not None:
-            self._rank.pop(key, None)
-        return entry
-
-    def clear(self):
-        super().clear()
-        self._clock = 0.0
-        self._rank.clear()
-        self._heap = []
-        self._stamp = 0
-
-    def _pick_victim(self):
-        heap = self._heap
-        rank = self._rank
-        while heap:
-            record = heap[0]
-            if rank.get(record[2]) is not record:
-                heapq.heappop(heap)  # stale: evicted or re-stamped
-                continue
-            heapq.heappop(heap)
-            self._clock = record[0]
-            return record[2]
-        # Unreachable while an entry is resident (every resident key
-        # has a live heap record); guard for safety.
-        return next(iter(self._entries))
-
-    def _enforce_capacity(self):
-        super()._enforce_capacity()
-        # Compact once stale records dominate, so the heap stays O(live).
-        if len(self._heap) > 2 * len(self._rank) + 64:
-            self._heap = sorted(self._rank.values())
-
-    def cost_state(self, keys):
-        """The inflation clock and the priorities of the resident
-        ``keys``, in the caller's order — what a snapshot records so a
-        restored store evicts like this one."""
-        rank = self._rank
-        return self._clock, [rank[key][0] for key in keys]
-
-    def adopt_cost_state(self, clock, priorities):
-        """Re-apply a recorded clock and ``(key, priority)`` pairs after
-        a snapshot replay.  Keys no longer resident are ignored; each
-        entry keeps the stamp the replay gave it, so ties still break
-        by recency.  The clock never moves backwards."""
-        rank = self._rank
-        for key, priority in priorities:
-            record = rank.get(key)
-            if record is not None:
-                rank[key] = (priority, record[1], key)
-        self._heap = sorted(rank.values())
-        self._clock = max(self._clock, clock)
-
-
-#: Known capacity-eviction policies (see :class:`CostAwareSummaryCache`).
-EVICTION_POLICIES = ("lru", "cost")
-
-
-def check_eviction(eviction):
-    """Validate an eviction-policy name, returning it."""
-    if eviction not in EVICTION_POLICIES:
-        known = ", ".join(EVICTION_POLICIES)
-        raise ValueError(f"unknown eviction policy {eviction!r}; known: {known}")
-    return eviction
-
-
-def make_summary_store(max_entries=None, max_facts=None, eviction="lru"):
-    """An empty local store for one capacity policy: a
-    :class:`CostAwareSummaryCache` under ``eviction="cost"``, a
-    :class:`BoundedSummaryCache` under a ceiling, else the unbounded
-    :class:`SummaryCache`."""
-    if check_eviction(eviction) == "cost":
-        return CostAwareSummaryCache(max_entries=max_entries, max_facts=max_facts)
+def make_summary_store(max_entries=None, max_facts=None):
+    """An empty local store: a :class:`BoundedSummaryCache` under a
+    ceiling, else the unbounded :class:`SummaryCache`."""
     if max_entries is None and max_facts is None:
         return SummaryCache()
     return BoundedSummaryCache(max_entries=max_entries, max_facts=max_facts)

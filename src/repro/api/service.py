@@ -303,7 +303,6 @@ def _build_engine(args):
         cache=CachePolicy(
             max_entries=args.max_entries,
             max_facts=args.max_facts,
-            eviction=args.eviction,
             remote=remote,
             remote_timeout=args.remote_timeout,
         ),
@@ -340,12 +339,6 @@ def main(argv=None):
     parser.add_argument("--max-field-depth", type=int, default=None)
     parser.add_argument("--max-entries", type=int, default=None)
     parser.add_argument("--max-facts", type=int, default=None)
-    parser.add_argument(
-        "--eviction",
-        choices=("lru", "cost"),
-        default="lru",
-        help="capacity eviction policy for a bounded store",
-    )
     parser.add_argument(
         "--remote",
         metavar="ADDR,ADDR,...",

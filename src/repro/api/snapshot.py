@@ -5,20 +5,16 @@ node identity — ``(method, var)`` for locals, stable allocation labels
 for objects — which makes the whole store a durable artifact: saved by
 one process, replayed by another (a restarted IDE host, the next CI
 run), or shipped to a remote shard server.  A snapshot round-trips
-every local store class (:class:`~repro.analysis.summaries.SummaryCache`,
-:class:`~repro.analysis.summaries.BoundedSummaryCache`,
-:class:`~repro.analysis.summaries.CostAwareSummaryCache`) and preserves
+both local store classes (:class:`~repro.analysis.summaries.SummaryCache`
+and the LRU :class:`~repro.analysis.summaries.BoundedSummaryCache`) and
+preserves
 
 * every entry — key node, field stack, direction, and the summary's
-  objects and boundary tuples;
+  objects, boundary tuples and recorded ``steps``;
 * **LRU recency order** — entries are recorded coldest-first, so
   replaying them through ``store()`` reconstructs the LRU order exactly;
-* the **capacity policy** (``max_entries``/``max_facts``/``eviction``)
-  and the lifetime counters of
-  :class:`~repro.analysis.summaries.CacheStats`;
-* for a cost-aware store, its **eviction state** — the inflation clock
-  and each entry's priority — so the restored store picks the same
-  victims as the original.
+* the **capacity caps** (``max_entries``/``max_facts``) and the
+  lifetime counters of :class:`~repro.analysis.summaries.CacheStats`.
 
 A snapshot has one on-disk form: its canonical JSON text.  The binary
 ``RSNP`` container that earlier builds could write (the JSON plus a
@@ -28,7 +24,12 @@ re-save; traversal images are always compiled from the live PAG.
 Files written by earlier builds may say ``"store": "sharded"`` and carry
 per-shard ``shard_stats``.  They are still validated (the shard stats
 must reconcile with the aggregate) and load as one store with the same
-total caps and the aggregate counters.
+total caps and the aggregate counters.  Likewise a file from a
+cost-aware store says ``"eviction": "cost"`` and may carry a ``cost``
+object (an inflation clock and one priority per entry).  It must still
+record a ceiling, and its ``cost`` object must still be well formed;
+it then loads as an LRU store with the recorded caps, in the recorded
+coldest-first order, and the priorities are ignored.
 
 Loading is paranoid: a snapshot whose recorded stats disagree with its
 own entries, whose version is unsupported, or whose structure is damaged
@@ -47,9 +48,7 @@ from repro.analysis.ppta import PptaResult
 from repro.analysis.summaries import (
     BoundedSummaryCache,
     CacheStats,
-    CostAwareSummaryCache,
     SummaryCache,
-    check_eviction,
     make_summary_store,
 )
 from repro.api.codec import build_message
@@ -65,13 +64,17 @@ from repro.util.errors import IRError
 
 #: Version of the snapshot format — "<major>.<minor>", checked on load
 #: like the wire protocol's (major must match, minor may drift).  1.1
-#: added two optional fields: per-entry ``steps`` (the recomputation
-#: cost cost-aware eviction ranks by) and a top-level ``eviction``
-#: policy name; 1.0 snapshots load unchanged (steps default to 0).
-#: 1.2 adds the optional top-level ``cost`` object of a cost-aware
-#: store (``clock`` and one ``priorities`` value per entry); 1.0/1.1
-#: files load as before, with priorities recomputed on replay.
+#: added two optional fields: per-entry ``steps`` (what a summary cost
+#: to compute) and a top-level ``eviction`` policy name; 1.0 snapshots
+#: load unchanged (steps default to 0).  1.2 added the optional
+#: top-level ``cost`` object of a cost-aware store.  This build writes
+#: neither ``eviction`` nor ``cost`` (LRU is the only policy, and an
+#: LRU file never carried them), and reads both as described in the
+#: module docstring.
 SNAPSHOT_VERSION = "1.2"
+
+#: The ``eviction`` values a file may carry; any other is refused.
+_EVICTIONS = ("lru", "cost")
 
 _KIND = "summary-snapshot"
 
@@ -601,22 +604,17 @@ class SummarySnapshot:
     Build with :meth:`capture` (from a live store) or :meth:`loads` /
     :meth:`from_payload` (from serialized form — both validate
     structure, version, and stats/entry reconciliation).  Turn back into
-    a store with :meth:`restore` (exact store class, policy, recency,
-    eviction state and counters) or feed an existing store with
-    :meth:`load_into` (warm start).
+    a store with :meth:`restore` (exact store class, caps, recency and
+    counters) or feed an existing store with :meth:`load_into` (warm
+    start).
     """
 
-    __slots__ = ("store_kind", "stats", "entries", "eviction", "cost")
+    __slots__ = ("store_kind", "stats", "entries")
 
-    def __init__(self, store_kind, stats, entries, eviction="lru", cost=None):
+    def __init__(self, store_kind, stats, entries):
         self.store_kind = store_kind
         self.stats = stats
         self.entries = entries
-        self.eviction = eviction
-        #: ``(clock, priorities)`` of a cost-aware store — its inflation
-        #: clock and one priority per entry, aligned with ``entries`` —
-        #: or ``None`` (other stores, and cost-aware files before 1.2).
-        self.cost = cost
 
     # ------------------------------------------------------------------
     # capture
@@ -639,31 +637,23 @@ class SummarySnapshot:
             store_kind = _STORE_UNBOUNDED
         else:
             raise SnapshotError(
-                f"cannot snapshot a {type(store).__name__}; expected one of "
-                "SummaryCache, BoundedSummaryCache, CostAwareSummaryCache"
+                f"cannot snapshot a {type(store).__name__}; expected a "
+                "SummaryCache or a BoundedSummaryCache"
             )
         # Coldest-first, so replaying store() rebuilds recency order.
-        resident = list(store.entries_by_recency(hottest_first=False))
         entries = [
             entry_to_wire(node, stack, state, summary)
-            for (node, stack, state), summary in resident
+            for (node, stack, state), summary in store.entries_by_recency(
+                hottest_first=False
+            )
         ]
-        cost = None
-        if isinstance(store, CostAwareSummaryCache):
-            cost = store.cost_state(key for key, _summary in resident)
-        return cls(
-            store_kind,
-            store.stats_snapshot(),
-            entries,
-            eviction=getattr(store, "eviction", "lru"),
-            cost=cost,
-        )
+        return cls(store_kind, store.stats_snapshot(), entries)
 
     # ------------------------------------------------------------------
     # serialized form
     # ------------------------------------------------------------------
     def to_payload(self):
-        payload = {
+        return {
             "kind": _KIND,
             "snapshot_version": SNAPSHOT_VERSION,
             "store": self.store_kind,
@@ -671,12 +661,6 @@ class SummarySnapshot:
             "stats": _stats_to_wire(self.stats),
             "entries": self.entries,
         }
-        if self.eviction != "lru":
-            payload["eviction"] = self.eviction
-        if self.cost is not None:
-            clock, priorities = self.cost
-            payload["cost"] = {"clock": clock, "priorities": priorities}
-        return payload
 
     def dumps(self):
         """Canonical JSON (sorted keys, compact) of the snapshot."""
@@ -697,7 +681,8 @@ class SummarySnapshot:
         equal what the entry list actually holds).  A ``"sharded"``
         payload must also carry one ``shard_stats`` record per shard,
         summing to the aggregate; it then becomes a bounded or
-        unbounded snapshot with the aggregate stats."""
+        unbounded snapshot with the aggregate stats.  So does a
+        cost-aware file, once its ceiling and ``cost`` object pass."""
         if not isinstance(payload, dict) or payload.get("kind") != _KIND:
             raise SnapshotError(f"not a {_KIND} payload")
         _check_snapshot_version(payload.get("snapshot_version"))
@@ -705,10 +690,11 @@ class SummarySnapshot:
         if store_kind not in (_STORE_UNBOUNDED, _STORE_BOUNDED, _STORE_SHARDED):
             raise SnapshotError(f"unknown store kind {store_kind!r}")
         eviction = payload.get("eviction", "lru")
-        try:
-            check_eviction(eviction)
-        except ValueError as exc:
-            raise SnapshotError(str(exc)) from None
+        if eviction not in _EVICTIONS:
+            known = ", ".join(_EVICTIONS)
+            raise SnapshotError(
+                f"unknown eviction policy {eviction!r}; known: {known}"
+            )
         stats = _stats_from_wire(payload.get("stats"), "stats")
         if (
             eviction == "cost"
@@ -763,25 +749,22 @@ class SummarySnapshot:
                         f"shard stats do not reconcile: aggregate {name}="
                         f"{total} but the shards sum to {per_shard}"
                     )
-        cost = _cost_from_wire(payload.get("cost"), eviction, len(entries))
-        return cls(store_kind, stats, entries, eviction=eviction, cost=cost)
+        _check_cost(payload.get("cost"), eviction, len(entries))
+        return cls(store_kind, stats, entries)
 
     # ------------------------------------------------------------------
     # restore
     # ------------------------------------------------------------------
     def make_store(self):
-        """An empty store with the snapshot's capacity policy."""
-        return make_summary_store(
-            self.stats.max_entries, self.stats.max_facts, self.eviction
-        )
+        """An empty store with the snapshot's caps."""
+        return make_summary_store(self.stats.max_entries, self.stats.max_facts)
 
     def restore(self, pag, strict=True):
         """Rebuild the snapshotted store against ``pag``.
 
         With ``strict`` (the default) every entry must resolve and fit —
         the exact round-trip guarantee; ``strict=False`` skips entries
-        whose nodes no longer exist.  Lifetime counters (and a cost-aware
-        store's eviction state, see :meth:`load_into`) are restored
+        whose nodes no longer exist.  Lifetime counters are restored
         either way, so ``stats_snapshot()`` of a strict round-trip equals
         the saved one.
         """
@@ -800,13 +783,7 @@ class SummarySnapshot:
         (coldest-first, preserving recency), resolving node references
         against ``pag``.  Returns ``(loaded, skipped)``; counters of the
         target store are left alone — a warm start is new traffic, not
-        resumed accounting.
-
-        When both the snapshot and ``store`` are cost-aware, the
-        recorded clock and the loaded entries' priorities are re-applied
-        after the replay, so the store evicts as the original would."""
-        adopt = self.cost is not None and isinstance(store, CostAwareSummaryCache)
-        adopted = []
+        resumed accounting."""
         loaded = skipped = 0
         for i, entry in enumerate(self.entries):
             resolved = self._resolve_entry(pag, entry)
@@ -821,10 +798,6 @@ class SummarySnapshot:
             node, stack, state, summary = resolved
             store.store(node, stack, state, summary)
             loaded += 1
-            if adopt:
-                adopted.append(((node, stack, state), self.cost[1][i]))
-        if adopt:
-            store.adopt_cost_state(self.cost[0], adopted)
         return loaded, skipped
 
     @staticmethod
@@ -854,11 +827,12 @@ def _check_snapshot_version(version):
         )
 
 
-def _cost_from_wire(wire, eviction, n_entries):
-    """The validated ``(clock, priorities)`` of a ``cost`` object, or
-    ``None`` when the payload carries none."""
+def _check_cost(wire, eviction, n_entries):
+    """Validate a cost-aware file's ``cost`` object, if it has one: an
+    inflation clock and one priority per entry, each a finite
+    non-negative number.  Nothing reads the values."""
     if wire is None:
-        return None
+        return
     if eviction != "cost":
         raise SnapshotError("'cost' is only valid for cost-aware stores")
     if not isinstance(wire, dict) or set(wire) != {"clock", "priorities"}:
@@ -868,7 +842,6 @@ def _cost_from_wire(wire, eviction, n_entries):
         raise SnapshotError(
             f"'cost.priorities' must hold one number per entry ({n_entries})"
         )
-    numbers = []
     for value in (wire["clock"], *priorities):
         number = math.nan
         if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -881,8 +854,6 @@ def _cost_from_wire(wire, eviction, n_entries):
                 "'cost' values must be finite non-negative numbers, "
                 f"got {type(value).__name__} {str(value)[:32]}"
             )
-        numbers.append(number)
-    return numbers[0], numbers[1:]
 
 
 def _stats_to_wire(stats):

@@ -17,9 +17,8 @@ Three pieces:
   :class:`~repro.cacheserver.server.LineServer` transport, which
   ``repro-serve --listen`` mounts too), over a method-indexed,
   optionally bounded wire-form store (:class:`~repro.cacheserver.store.WireSummaryStore`),
-  which keeps its entries in the engine's own
-  :class:`~repro.analysis.summaries.BoundedSummaryCache` or
-  :class:`~repro.analysis.summaries.CostAwareSummaryCache`, so a shard
+  which keeps its entries in the engine's own LRU
+  :class:`~repro.analysis.summaries.BoundedSummaryCache`, so a shard
   evicts, counts and versions summaries with the same code as a local
   store.  It is program-agnostic: entries are stored in wire form, so
   one service can back any number of clients analysing the same

@@ -85,7 +85,6 @@ def _build_parser():
     )
     parser.add_argument("--max-entries", type=int, default=None)
     parser.add_argument("--max-facts", type=int, default=None)
-    parser.add_argument("--eviction", choices=("lru", "cost"), default="lru")
     parser.add_argument(
         "--timeout", type=float, default=1.0, help="--connect socket timeout"
     )
@@ -130,7 +129,6 @@ def _serve_shard(args):
             port=args.port,
             max_entries=args.max_entries,
             max_facts=args.max_facts,
-            eviction=args.eviction,
             faults=_resolve_faults(args),
         )
     except (ValueError, OSError) as exc:
@@ -166,7 +164,6 @@ def _launch_cluster(args):
             host=args.host,
             max_entries=args.max_entries,
             max_facts=args.max_facts,
-            eviction=args.eviction,
             faults=_resolve_faults(args),
         )
     except (ValueError, OSError, RuntimeError) as exc:

@@ -439,10 +439,6 @@ class RemoteSummaryCache(SummaryBackend):
     # backend plumbing
     # ------------------------------------------------------------------
     @property
-    def eviction(self):
-        return self.local_tier.eviction
-
-    @property
     def max_entries(self):
         return self.local_tier.max_entries
 

@@ -116,7 +116,6 @@ class ShardDispatcher:
         n_shards,
         max_entries=None,
         max_facts=None,
-        eviction="lru",
         faults=None,
     ):
         if not 0 <= shard_index < n_shards:
@@ -125,9 +124,7 @@ class ShardDispatcher:
             )
         self.shard_index = shard_index
         self.n_shards = n_shards
-        self.store = WireSummaryStore(
-            max_entries=max_entries, max_facts=max_facts, eviction=eviction
-        )
+        self.store = WireSummaryStore(max_entries=max_entries, max_facts=max_facts)
         # Server-side fault injection (``repro-cached --faults SPEC``):
         # a FaultInjector, FaultSchedule or spec string; ``None`` (the
         # production value) injects nothing.
@@ -499,7 +496,6 @@ class ShardServer(ShardDispatcher):
         port=0,
         max_entries=None,
         max_facts=None,
-        eviction="lru",
         faults=None,
     ):
         super().__init__(
@@ -507,7 +503,6 @@ class ShardServer(ShardDispatcher):
             n_shards,
             max_entries=max_entries,
             max_facts=max_facts,
-            eviction=eviction,
             faults=faults,
         )
         self.transport = LineServer(self.handle_line, host=host, port=port)
@@ -582,7 +577,6 @@ class CacheCluster:
         host="127.0.0.1",
         max_entries=None,
         max_facts=None,
-        eviction="lru",
         python=None,
         faults=None,
     ):
@@ -604,7 +598,7 @@ class CacheCluster:
             for index in range(shards):
                 proc, info = cls._spawn_child(
                     python, index, shards, host, 0,
-                    max_entries, max_facts, eviction, faults_spec,
+                    max_entries, max_facts, faults_spec,
                 )
                 processes.append(proc)
                 addresses.append(f"{info['host']}:{info['port']}")
@@ -622,7 +616,6 @@ class CacheCluster:
             "host": host,
             "max_entries": max_entries,
             "max_facts": max_facts,
-            "eviction": eviction,
             "faults": faults_spec,
         }
         return cluster
@@ -630,7 +623,7 @@ class CacheCluster:
     @staticmethod
     def _spawn_child(
         python, index, shards, host, port,
-        max_entries, max_facts, eviction, faults_spec=None,
+        max_entries, max_facts, faults_spec=None,
     ):
         cmd = [
             python,
@@ -644,8 +637,6 @@ class CacheCluster:
             host,
             "--port",
             str(port),
-            "--eviction",
-            eviction,
         ]
         if max_entries is not None:
             cmd += ["--max-entries", str(max_entries)]
@@ -656,10 +647,16 @@ class CacheCluster:
         proc = subprocess.Popen(
             cmd, stdout=subprocess.PIPE, text=True, encoding="utf-8"
         )
-        line = _readline_with_timeout(proc, SPAWN_TIMEOUT_SEC)
-        info = json.loads(line)
-        if info.get("event") != "listening":
-            raise RuntimeError(f"shard {index} announced {info!r}")
+        try:
+            info = json.loads(_readline_with_timeout(proc, SPAWN_TIMEOUT_SEC))
+            if info.get("event") != "listening":
+                raise RuntimeError(f"shard {index} announced {info!r}")
+        except BaseException:
+            # The caller never sees this child, so it cannot stop it.
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            raise
         return proc, info
 
     def restart_shard(self, index, timeout=5.0):
@@ -682,8 +679,7 @@ class CacheCluster:
         host, port = self.addresses[index].rsplit(":", 1)
         fresh, info = self._spawn_child(
             opts["python"], index, opts["shards"], host, int(port),
-            opts["max_entries"], opts["max_facts"], opts["eviction"],
-            opts["faults"],
+            opts["max_entries"], opts["max_facts"], opts["faults"],
         )
         self.processes[index] = fresh
         if index < len(self.announcements):
@@ -744,10 +740,23 @@ def _readline_with_timeout(proc, timeout):
     thread = threading.Thread(target=read, daemon=True)
     thread.start()
     thread.join(timeout)
-    line = result.get("line", "")
-    if thread.is_alive() or not line:
+    if thread.is_alive():
         raise RuntimeError(
             f"shard server (pid {proc.pid}) did not announce a listening "
             f"address within {timeout}s (exit code {proc.poll()})"
+        )
+    line = result.get("line", "")
+    if not line:
+        # End of output: the child is exiting, so reap it for its code.
+        try:
+            code = proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            raise RuntimeError(
+                f"shard server (pid {proc.pid}) closed its output "
+                "without announcing a listening address"
+            ) from None
+        raise RuntimeError(
+            f"shard server (pid {proc.pid}) exited with code {code} "
+            "before announcing"
         )
     return line

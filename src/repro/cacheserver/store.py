@@ -7,11 +7,10 @@ objects — it keeps entries exactly as they travel: validated
 their context-free key.  Resolution back to nodes happens client-side
 (:func:`repro.api.snapshot.resolve_wire_entry`), where a PAG exists.
 
-The entries live in one of the engine's own stores — a
-:class:`~repro.analysis.summaries.BoundedSummaryCache`, or a
-:class:`~repro.analysis.summaries.CostAwareSummaryCache` under
-``eviction="cost"`` — keyed by an interned per-method key node plus the
-canonical key, each behind a small adapter that reads as a summary.  So
+The entries live in the engine's own LRU store, a
+:class:`~repro.analysis.summaries.BoundedSummaryCache`, keyed by an
+interned per-method key node plus the canonical key, each behind a
+small adapter that reads as a summary.  So
 probe counting, the re-store rule, recency, eviction, method-indexed
 invalidation, per-method epochs and the
 :class:`~repro.analysis.summaries.CacheStats` a shard reports are the
@@ -42,11 +41,7 @@ import json
 import os
 import threading
 
-from repro.analysis.summaries import (
-    BoundedSummaryCache,
-    CostAwareSummaryCache,
-    check_eviction,
-)
+from repro.analysis.summaries import BoundedSummaryCache
 from repro.api.snapshot import ref_key
 
 
@@ -157,20 +152,15 @@ class WireSummaryStore:
 
     Thread-safe: one lock guards every operation (a shard server runs
     one connection handler per client).  Capacity is the inner store's
-    — least-recently-used victim by default, lowest-cost-per-byte under
-    ``eviction="cost"``, and one pathological oversized entry is always
-    admitted rather than thrashed.  An unbounded shard still runs on
-    the recency-ordered LRU class, so a full dump is coldest-first.
+    — the least-recently-used entry is the victim, and one pathological
+    oversized entry is always admitted rather than thrashed.  An
+    unbounded shard still runs on the recency-ordered LRU class, so a
+    full dump is coldest-first.
     """
 
-    def __init__(self, max_entries=None, max_facts=None, eviction="lru"):
-        cls = (
-            CostAwareSummaryCache
-            if check_eviction(eviction) == "cost"
-            else BoundedSummaryCache
-        )
+    def __init__(self, max_entries=None, max_facts=None):
         self._lock = threading.RLock()
-        self._store = cls(  # guarded-by: _lock
+        self._store = BoundedSummaryCache(  # guarded-by: _lock
             max_entries=max_entries, max_facts=max_facts
         )
         self._nodes = _KeyNodes()  # guarded-by: _lock
@@ -204,7 +194,6 @@ class WireSummaryStore:
     # The inner store's capacity policy and counters, read-only.
     max_entries = property(lambda self: self._store.max_entries)
     max_facts = property(lambda self: self._store.max_facts)
-    eviction = property(lambda self: self._store.eviction)
     hits = property(lambda self: self._store.hits)
     misses = property(lambda self: self._store.misses)
     evictions = property(lambda self: self._store.evictions)
@@ -575,5 +564,5 @@ class WireSummaryStore:
     def __repr__(self):
         return (
             f"WireSummaryStore({len(self)} entries, hits={self.hits}, "
-            f"misses={self.misses}, eviction={self.eviction!r})"
+            f"misses={self.misses}, evictions={self.evictions})"
         )

@@ -105,7 +105,6 @@ def build_engine(args):
     cache = CachePolicy(
         max_entries=args.max_entries,
         max_facts=args.max_facts,
-        eviction=args.eviction,
         remote=remote,
         remote_timeout=args.remote_timeout,
         fault_schedule=args.faults if remote else None,
@@ -117,6 +116,15 @@ def build_engine(args):
 
 def run(args):
     engine, pag = build_engine(args)
+    try:
+        return _run(args, engine, pag)
+    finally:
+        close = getattr(engine.cache, "close", None)
+        if close is not None:
+            close()  # a remote store's shard links
+
+
+def _run(args, engine, pag):
     client = CLIENTS[args.client](pag)
     rounds = []
     canonical = None
@@ -216,7 +224,6 @@ def main(argv=None):
     )
     parser.add_argument("--max-entries", type=int, default=None)
     parser.add_argument("--max-facts", type=int, default=None)
-    parser.add_argument("--eviction", choices=("lru", "cost"), default="lru")
     parser.add_argument(
         "--rounds", type=int, default=1, help="workload repetitions (default 1)"
     )

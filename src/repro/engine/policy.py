@@ -20,7 +20,7 @@ from repro.analysis.dynsum import DynSum
 from repro.analysis.norefine import NoRefine
 from repro.analysis.refinepts import RefinePts
 from repro.analysis.stasum import StaSum
-from repro.analysis.summaries import check_eviction, make_summary_store
+from repro.analysis.summaries import make_summary_store
 from repro.cfl.budget import DEFAULT_BUDGET
 
 #: Registry of engine-drivable analyses, keyed by their Table 2 names.
@@ -46,14 +46,9 @@ class CachePolicy:
 
     Both limits ``None`` (the default) selects the paper's unbounded
     :class:`~repro.analysis.summaries.SummaryCache`; setting either picks
-    the LRU :class:`~repro.analysis.summaries.BoundedSummaryCache`.
-
-    ``eviction`` chooses the capacity policy of a bounded store:
-    ``"lru"`` (the default) or ``"cost"`` — evict the entry with the
-    lowest steps-to-recompute per byte
-    (:class:`~repro.analysis.summaries.CostAwareSummaryCache`), which
-    beats LRU on bounded budgets because summaries record what they cost
-    to build.
+    the LRU :class:`~repro.analysis.summaries.BoundedSummaryCache`.  LRU
+    is the only capacity policy: evicting a memo moves only cost, and
+    LRU was the fastest policy measured on bounded Figure-4 replays.
 
     ``remote`` joins the store to a shared cache service: a tuple of
     ``"host:port"`` addresses, one per shard server, in shard order
@@ -72,7 +67,6 @@ class CachePolicy:
 
     max_entries: Optional[int] = None
     max_facts: Optional[int] = None
-    eviction: str = "lru"
     remote: Optional[Tuple[str, ...]] = None
     remote_timeout: float = 1.0
     #: Unified retry/backoff for the remote tier: a
@@ -91,13 +85,6 @@ class CachePolicy:
     fault_schedule: Optional[object] = None
 
     def __post_init__(self):
-        check_eviction(self.eviction)
-        if self.eviction == "cost" and not self.bounded:
-            raise ValueError(
-                "CachePolicy(eviction='cost') needs max_entries and/or "
-                "max_facts; an unbounded store never evicts, so the "
-                "policy would be silently inert"
-            )
         if self.fault_schedule is not None and self.remote is None:
             raise ValueError(
                 "CachePolicy(fault_schedule=...) injects faults into the "
@@ -121,7 +108,7 @@ class CachePolicy:
 
     def make_store(self):
         """Instantiate the configured store."""
-        store = make_summary_store(self.max_entries, self.max_facts, self.eviction)
+        store = make_summary_store(self.max_entries, self.max_facts)
         if self.remote is not None:
             # Imported lazily: repro.cacheserver rides the repro.api
             # package, which imports the engine — a module-level import

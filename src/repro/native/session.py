@@ -50,7 +50,8 @@ Everything here is **refuse-and-fall-back**: any state the kernel
 cannot represent (a call site outside int32, a field stack holding a
 token the image never interned — a standalone PPTA's start stack or an
 imported boundary — kernel OOM), and any store it does not serve (a
-bounded or cost-aware one, or a remote one over such a tier), returns
+bounded LRU one, which evicts mid-query and the kernel does not, or a
+remote one over such a tier), returns
 ``None``/``False`` to the dispatch layer, which reruns the query on the
 pure-Python ``array`` impl — answers and step counts never depend on
 the kernel being usable, only latency does.
@@ -478,9 +479,9 @@ def native_unavailable_reason(pag=None, store=None):
 
     Reports the binding-level reason (no compiler, disabled, ABI
     mismatch) first; then, with a summary ``store`` the kernel does not
-    serve, why the store runs on the array loop: a local store that is
-    not a plain ``SummaryCache``, or a remote store (one with a
-    ``local_tier``) whose local tier is not plain; then, with a ``pag``
+    serve, why the store runs on the array loop: a bounded
+    (``BoundedSummaryCache``, LRU) local store, or a remote store (one
+    with a ``local_tier``) over a bounded tier; then, with a ``pag``
     whose CSR image has already been refused by the kernel, that
     image-level reason.  A remote store over a plain tier counts as
     served: every call on it runs on the kernel (see
@@ -928,7 +929,7 @@ def explore_native(analysis, var, context, pairs, budget):
     if type(cache) is not SummaryCache:
         tier = getattr(cache, "local_tier", None)
         if type(tier) is not SummaryCache:
-            return False  # bounded/cost-aware stores and tiers
+            return False  # bounded stores and tiers
         remote, cache = cache, tier
     ng = graph_for(analysis.pag)
     if ng is None:

@@ -36,10 +36,10 @@ PAPERS.md).  This harness measures **steps per second**:
   a cold ``for_program`` costs; ``--check`` gates on answers equal to
   a cold engine's after every edit, no fallback, one CSR patch and no
   compile per edit, and — with the kernel loaded — no mirror import.
-* **eviction** — the heap-backed victim index of
-  :class:`~repro.analysis.summaries.CostAwareSummaryCache`: per-eviction
-  wall time across store sizes.  O(log n) shows as a near-flat curve;
-  the O(n) scan it replaced grows linearly.
+* **eviction** — the LRU store,
+  :class:`~repro.analysis.summaries.BoundedSummaryCache`: per-eviction
+  wall time across store sizes.  Taking the coldest entry is O(1) and
+  shows as a flat curve; a victim scan would grow linearly.
 * **chaos** — a seeded fault-injection soak: the Figure-4 jython
   workload replayed against live in-process shard servers under
   deterministic fault schedules (:mod:`repro.cacheserver.faults`),
@@ -98,7 +98,7 @@ from dataclasses import replace
 from repro.analysis import ppta
 from repro.analysis.dynsum import DynSum
 from repro.analysis.ppta import PptaResult
-from repro.analysis.summaries import CostAwareSummaryCache
+from repro.analysis.summaries import BoundedSummaryCache
 from repro.bench.generator import GeneratorConfig, generate_program
 from repro.bench.runner import bench_analysis_config, bench_engine_policy
 from repro.bench.suite import load_benchmark
@@ -537,30 +537,19 @@ def _imported_since(before, after):
 
 
 def run_eviction(sizes, inserts=2_000, log=lambda s: None):
-    """The victim-index microbenchmark; returns the ``eviction`` section.
+    """The eviction microbenchmark; returns the ``eviction`` section.
 
-    Fills a cost-aware store to ``size`` entries, then times ``inserts``
-    further stores — each one forcing exactly one eviction through the
-    heap-backed victim index.
+    Fills an LRU store to ``size`` entries, then times ``inserts``
+    further stores — each one evicting exactly one entry, the coldest.
     """
     rows = []
     for size in sizes:
-        store = CostAwareSummaryCache(max_entries=size)
+        store = BoundedSummaryCache(max_entries=size)
         for i in range(size):
-            store.store(
-                LocalNode(f"M{i}.m", "v"),
-                EMPTY_STACK,
-                S1,
-                PptaResult((), (), steps=i % 37),
-            )
+            store.store(LocalNode(f"M{i}.m", "v"), EMPTY_STACK, S1, PptaResult((), ()))
         started = time.perf_counter()
         for i in range(inserts):
-            store.store(
-                LocalNode(f"X{i}.m", "v"),
-                EMPTY_STACK,
-                S1,
-                PptaResult((), (), steps=i % 53),
-            )
+            store.store(LocalNode(f"X{i}.m", "v"), EMPTY_STACK, S1, PptaResult((), ()))
         elapsed = time.perf_counter() - started
         if store.evictions < inserts:
             raise PerfCheckError(
@@ -994,7 +983,7 @@ def run_perf(
     warmstart = run_warmstart(rounds=rounds, log=log)
     log("edits (edit-storm's edit/revert cycle, program-backed engine):")
     edits = run_edits(rounds=3 if quick else 10, log=log)
-    log("eviction (heap-backed victim index):")
+    log("eviction (LRU store, one eviction per store):")
     eviction = run_eviction(
         EVICTION_SIZES_QUICK if quick else EVICTION_SIZES,
         inserts=500 if quick else 2_000,
@@ -1026,8 +1015,9 @@ def run_perf(
         # version 11 adds each remote session's ``prefetch_bytes``;
         # version 12 adds the rewarm session and each session's shard
         # dumps packed and kept; version 13 adds each remote session's
-        # entries held in the kernel and built in Python.
-        "version": 13,
+        # entries held in the kernel and built in Python; version 14
+        # times the LRU store's evictions.
+        "version": 14,
         "quick": quick,
         "python": sys.version.split()[0],
         "figure4": figure4,
@@ -1205,13 +1195,13 @@ def _check_report(report):
             f"json.loads of the same lines (> {CODEC_DECODE_RATIO_MAX}x)"
         )
     flatness = report["eviction"]["flatness_ratio"]
-    # O(log n) over two orders of magnitude of store size stays within
-    # a small constant; the O(n) scan this replaced blows through it by
+    # An O(1) victim over two orders of magnitude of store size stays
+    # within a small constant; an O(n) victim scan blows through it by
     # orders of magnitude.
     if flatness is None or flatness > 8.0:
         raise PerfCheckError(
             f"eviction cost is not flat across store sizes "
-            f"(ratio {flatness}); the victim index has regressed"
+            f"(ratio {flatness}); the victim choice has regressed"
         )
 
 

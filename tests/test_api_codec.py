@@ -33,7 +33,6 @@ from repro import (
 from repro.analysis.summaries import (
     BoundedSummaryCache,
     CacheStats,
-    CostAwareSummaryCache,
     SummaryCache,
     shard_for_method,
 )
@@ -604,7 +603,6 @@ STORE_POLICIES = {
     "unbounded": CachePolicy(),
     "bounded": CachePolicy(max_entries=12),
     "facts-bounded": CachePolicy(max_facts=20),
-    "cost": CachePolicy(max_entries=12, eviction="cost"),
 }
 
 
@@ -630,9 +628,8 @@ def test_snapshot_round_trip_preserves_everything(pag, policy_name):
     for (_, a), (_, b) in zip(original, round_tripped):
         assert a.objects == b.objects
         assert a.boundaries == b.boundaries
-    if isinstance(store, CostAwareSummaryCache):
-        keys = [key for key, _ in original]
-        assert restored.cost_state(keys) == store.cost_state(keys)
+        assert a.steps == b.steps
+    assert any(memo.steps > 0 for _, memo in round_tripped)
 
     # Answers are preserved: a fresh DYNSUM over the restored store
     # answers identically to one over the original store — and entirely
@@ -650,13 +647,14 @@ def test_snapshot_round_trip_preserves_everything(pag, policy_name):
         assert warm_result.steps <= cold_result.steps
 
 
-def test_restored_cost_aware_store_evicts_like_the_original(pag):
-    """A restored cost-aware store carries the original's inflation
-    clock and priorities, so once its cap bites it evicts the same
-    victims: the next queries cost the same steps on both."""
+@pytest.mark.parametrize("policy_name", ["bounded", "facts-bounded"])
+def test_a_restored_bounded_store_evicts_like_the_original(pag, policy_name):
+    """A restored LRU store carries the original's recency order, so
+    once its cap bites it evicts the same victims: the next queries
+    cost the same steps and leave the same residents on both.  (These
+    queries cost other steps when the order is reversed.)"""
     engine = PointsToEngine(
-        pag,
-        bench_engine_policy(cache=CachePolicy(max_entries=12, eviction="cost")),
+        pag, bench_engine_policy(cache=STORE_POLICIES[policy_name])
     )
     for var in ("s1", "s2", "v1", "c2", "s1"):
         engine.query_name("Main.main", var)
@@ -666,77 +664,247 @@ def test_restored_cost_aware_store_evicts_like_the_original(pag):
     ).restore(pag)
     config = engine.analysis.config
 
-    def steps(cache):
+    def replay(cache):
+        evictions = cache.evictions
         analysis = DynSum(pag, config, cache=cache)
-        return [
+        steps = [
             analysis.points_to_name("Main.main", var).steps
-            for var in ("s1", "s2")
+            for var in ("v2", "s1", "s2")
         ]
+        residents = [key for key, _ in cache.entries_by_recency(hottest_first=False)]
+        return steps, cache.evictions - evictions, residents
 
-    assert steps(store) == [69, 72]
-    assert steps(restored) == [69, 72]
+    want = replay(store)
+    assert want[1] > 0
+    assert replay(restored) == want
 
 
-def test_warm_start_adopts_cost_state_only_into_cost_aware_stores(pag):
-    """``load_into`` re-applies the clock and priorities when both sides
-    are cost-aware; a 1.1 file (no ``cost``) and an LRU target replay
-    entries as before."""
+#: A cost-aware snapshot-1.2 file as an earlier build wrote it: Figure 2
+#: (the test module's program) under ``CachePolicy(max_entries=4,
+#: eviction="cost")`` after queries of ``s1``, ``s2``, ``v1``, ``c2`` and
+#: ``s1`` again.  Its four entries are coldest-first.
+COST_AWARE_1_2 = (
+    '{"cost":{"clock":0.08452380952380951,"priorities":[0.0863095238095'
+    '2381,0.08452380952380951,0.08750000000000002,0.09345238095238093]}'
+    ',"entries":[{"boundaries":[{"node":{"kind":"local","method":"Main.'
+    'main","name":"c1"},"stack":[["arr",0],["elems",1],["vec",1]],"stat'
+    'e":2}],"node":{"kind":"local","method":"Main.main","name":"c1"},"o'
+    'bjects":[],"stack":[["arr",0],["elems",1],["vec",1]],"state":1,"st'
+    'eps":2},{"boundaries":[],"node":{"kind":"local","method":"Client.i'
+    'nitWith","name":"this"},"objects":[],"stack":[["arr",0],["elems",1'
+    '],["vec",1]],"state":2,"steps":1},{"boundaries":[{"node":{"kind":"'
+    'local","method":"Client.retrieve","name":"t"},"stack":[["arr",0],['
+    '"elems",1]],"state":2}],"node":{"kind":"local","method":"Client.re'
+    'trieve","name":"this"},"objects":[],"stack":[["arr",0],["elems",1]'
+    ',["vec",1]],"state":2,"steps":2},{"boundaries":[{"node":{"kind":"l'
+    'ocal","method":"Vector.get","name":"r"},"stack":[],"state":2}],"no'
+    'de":{"kind":"local","method":"Vector.get","name":"this"},"objects"'
+    ':[],"stack":[["arr",0],["elems",1]],"state":2,"steps":3}],"evictio'
+    'n":"cost","kind":"summary-snapshot","shards":null,"snapshot_versio'
+    'n":"1.2","stats":{"approx_bytes":1248,"entries":4,"evictions":64,"'
+    'facts":3,"hits":0,"invalidated":0,"max_entries":4,"max_facts":null'
+    ',"misses":68},"store":"bounded"}'
+)
+
+
+def _cost_aware_payload(pag):
+    """A bounded payload marked as a cost-aware file."""
     source = PointsToEngine(
-        pag,
-        bench_engine_policy(cache=CachePolicy(max_entries=12, eviction="cost")),
+        pag, bench_engine_policy(cache=CachePolicy(max_entries=12))
     )
-    for var in ("s1", "s2", "v1", "c2", "s1"):
-        source.query_name("Main.main", var)
+    source.query_name("Main.main", "s1")
     payload = SummarySnapshot.capture(source.cache).to_payload()
-    assert payload["snapshot_version"] == "1.2"
-    assert len(payload["cost"]["priorities"]) == len(payload["entries"])
-    assert "priority" not in payload["entries"][0]
-    keys = [key for key, _ in source.cache.entries_by_recency(hottest_first=False)]
-
-    target = CostAwareSummaryCache(max_entries=12)
-    SummarySnapshot.from_payload(payload).load_into(target, pag)
-    assert target.cost_state(keys) == source.cache.cost_state(keys)
-
-    legacy = dict(payload, snapshot_version="1.1")
-    del legacy["cost"]
-    target = CostAwareSummaryCache(max_entries=12)
-    SummarySnapshot.from_payload(legacy).load_into(target, pag)
-    assert target.cost_state(keys)[0] == 0.0
-
-    lru = BoundedSummaryCache(max_entries=12)
-    assert SummarySnapshot.from_payload(payload).load_into(lru, pag) == (
-        len(keys),
-        0,
-    )
+    return dict(payload, eviction="cost")
 
 
 @pytest.mark.parametrize(
-    "make_cost",
+    "make_cost, error",
     [
-        lambda n: {"clock": 0.0},
-        lambda n: {"clock": 0.0, "priorities": "all"},
-        lambda n: {"clock": 0.0, "priorities": [0.0] * (n + 1)},
-        lambda n: {"clock": -1.0, "priorities": [0.0] * n},
-        lambda n: {"clock": "x", "priorities": [0.0] * n},
-        lambda n: {"clock": True, "priorities": [0.0] * n},
-        lambda n: {"clock": 0.0, "priorities": [float("nan")] * n},
-        lambda n: {"clock": 10**400, "priorities": [0.0] * n},
+        (
+            lambda n: {"clock": 0.0},
+            "'cost' must be an object with 'clock' and 'priorities'",
+        ),
+        (
+            lambda n: {"clock": 0.0, "priorities": "all"},
+            "'cost.priorities' must hold one number per entry ({n})",
+        ),
+        (
+            lambda n: {"clock": 0.0, "priorities": [0.0] * (n + 1)},
+            "'cost.priorities' must hold one number per entry ({n})",
+        ),
+        (
+            lambda n: {"clock": -1.0, "priorities": [0.0] * n},
+            "'cost' values must be finite non-negative numbers, got float -1.0",
+        ),
+        (
+            lambda n: {"clock": "x", "priorities": [0.0] * n},
+            "'cost' values must be finite non-negative numbers, got str x",
+        ),
+        (
+            lambda n: {"clock": True, "priorities": [0.0] * n},
+            "'cost' values must be finite non-negative numbers, got bool True",
+        ),
+        (
+            lambda n: {"clock": 0.0, "priorities": [float("nan")] * n},
+            "'cost' values must be finite non-negative numbers, got float nan",
+        ),
+        (
+            lambda n: {"clock": 10**400, "priorities": [0.0] * n},
+            "'cost' values must be finite non-negative numbers, got int "
+            + "1" + "0" * 31,
+        ),
     ],
     ids=[
         "missing", "not-array", "misaligned", "negative", "string", "bool",
         "nan", "huge",
     ],
 )
-def test_malformed_cost_state_is_a_typed_error(pag, make_cost):
-    source = PointsToEngine(
-        pag,
-        bench_engine_policy(cache=CachePolicy(max_entries=12, eviction="cost")),
+def test_malformed_cost_state_is_a_typed_error(pag, make_cost, error):
+    """A cost-aware file's ``cost`` object is still validated, with the
+    texts earlier builds gave, though nothing reads it any more."""
+    payload = _cost_aware_payload(pag)
+    n = len(payload["entries"])
+    with pytest.raises(SnapshotError) as refused:
+        SummarySnapshot.from_payload(dict(payload, cost=make_cost(n)))
+    assert str(refused.value) == error.format(n=n)
+    # Well formed, it loads (and is ignored).
+    snapshot = SummarySnapshot.from_payload(
+        dict(payload, cost={"clock": 1.5, "priorities": [2.0] * n})
     )
-    source.query_name("Main.main", "s1")
-    payload = SummarySnapshot.capture(source.cache).to_payload()
-    cost = make_cost(len(payload["entries"]))
-    with pytest.raises(SnapshotError, match="cost"):
-        SummarySnapshot.from_payload(dict(payload, cost=cost))
+    assert "cost" not in snapshot.to_payload()
+
+
+def test_a_cost_aware_file_needs_a_ceiling(pag):
+    payload = _cost_aware_payload(pag)
+    for version in ("1.1", "1.2"):
+        unbounded = dict(
+            payload,
+            snapshot_version=version,
+            stats=dict(payload["stats"], max_entries=None, max_facts=None),
+        )
+        with pytest.raises(SnapshotError) as refused:
+            SummarySnapshot.from_payload(unbounded)
+        assert str(refused.value) == (
+            "snapshot claims eviction='cost' but records no capacity "
+            "ceiling — cost-aware stores are always bounded"
+        )
+    for eviction in ("fifo", "LRU", None):
+        with pytest.raises(SnapshotError) as refused:
+            SummarySnapshot.from_payload(dict(payload, eviction=eviction))
+        assert str(refused.value) == (
+            f"unknown eviction policy {eviction!r}; known: lru, cost"
+        )
+
+
+def test_a_cost_aware_file_from_an_earlier_build_restores_as_lru(pag, tmp_path):
+    """The file restores as an LRU store with its caps, entries, order
+    (coldest first) and counters; written back, it is the same file
+    without ``eviction`` and ``cost``.  An engine warm-started from it
+    answers like a cold one."""
+    payload = json.loads(COST_AWARE_1_2)
+    assert (payload["eviction"], payload["snapshot_version"]) == ("cost", "1.2")
+    store = SummarySnapshot.loads(COST_AWARE_1_2).restore(pag)
+    assert type(store) is BoundedSummaryCache
+    assert (store.max_entries, store.max_facts) == (4, None)
+    assert [
+        (node.method, node.name)
+        for (node, _stack, _state), _summary in store.entries_by_recency(
+            hottest_first=False
+        )
+    ] == [
+        ("Main.main", "c1"),
+        ("Client.initWith", "this"),
+        ("Client.retrieve", "this"),
+        ("Vector.get", "this"),
+    ]
+    rewritten = SummarySnapshot.capture(store).to_payload()
+    assert rewritten == {
+        key: value
+        for key, value in payload.items()
+        if key not in ("eviction", "cost")
+    }
+
+    path = tmp_path / "cost-aware.json"
+    path.write_text(COST_AWARE_1_2, encoding="utf-8")
+    warm = PointsToEngine(
+        pag,
+        EnginePolicy(
+            max_field_depth=16,
+            warm_start=str(path),
+            cache=CachePolicy(max_entries=4),
+        ),
+    )
+    cold = PointsToEngine(
+        pag, EnginePolicy(max_field_depth=16, cache=CachePolicy(max_entries=4))
+    )
+    assert warm.warm_loaded == 4
+    for var in ("s1", "s2", "v1", "v2", "c1", "c2"):
+        warm_result = warm.query_name("Main.main", var)
+        cold_result = cold.query_name("Main.main", var)
+        assert warm_result.pairs == cold_result.pairs
+        assert warm_result.complete == cold_result.complete
+
+
+def test_a_1_1_cost_aware_file_restores_as_lru_too(pag):
+    """A 1.1 file never had a ``cost`` object: a cost-aware one restores
+    as the same LRU store as its 1.2 counterpart, steps included."""
+    legacy = json.loads(COST_AWARE_1_2)
+    del legacy["cost"]
+    legacy["snapshot_version"] = "1.1"
+    want = SummarySnapshot.loads(COST_AWARE_1_2).restore(pag)
+    store = SummarySnapshot.from_payload(legacy).restore(pag)
+    assert type(store) is BoundedSummaryCache
+    assert (store.max_entries, store.max_facts) == (4, None)
+    assert [
+        (key, memo.steps)
+        for key, memo in store.entries_by_recency(hottest_first=False)
+    ] == [
+        (key, memo.steps)
+        for key, memo in want.entries_by_recency(hottest_first=False)
+    ]
+    assert [memo.steps for _key, memo in store.entries()] == [2, 1, 2, 3]
+    assert store.stats_snapshot() == want.stats_snapshot()
+
+
+@pytest.mark.parametrize(
+    "caps, hottest",
+    [
+        ({"max_entries": 2}, [("Client.retrieve", "this"), ("Vector.get", "this")]),
+        ({"max_facts": 1}, [("Vector.get", "this")]),
+    ],
+    ids=["entries", "facts"],
+)
+def test_a_cost_aware_file_warm_starts_a_smaller_store(pag, tmp_path, caps, hottest):
+    """Warm-started from the cost-aware file, an engine whose store is
+    smaller than the file keeps its own caps: the replay, coldest
+    first, evicts the file's coldest entries, and the answers equal a
+    cold engine's."""
+    path = tmp_path / "cost-aware.json"
+    path.write_text(COST_AWARE_1_2, encoding="utf-8")
+    warm = PointsToEngine(
+        pag,
+        EnginePolicy(
+            max_field_depth=16, warm_start=str(path), cache=CachePolicy(**caps)
+        ),
+    )
+    cold = PointsToEngine(
+        pag, EnginePolicy(max_field_depth=16, cache=CachePolicy(**caps))
+    )
+    store = warm.cache
+    assert type(store) is BoundedSummaryCache
+    assert warm.warm_loaded == 4
+    assert store.evictions == 4 - len(hottest)
+    assert [
+        (node.method, node.name)
+        for (node, _stack, _state), _memo in store.entries_by_recency(
+            hottest_first=False
+        )
+    ] == hottest
+    for var in ("s1", "s2", "v1", "v2", "c1", "c2"):
+        warm_result = warm.query_name("Main.main", var)
+        cold_result = cold.query_name("Main.main", var)
+        assert warm_result.pairs == cold_result.pairs
+        assert warm_result.complete == cold_result.complete
 
 
 def test_cost_state_requires_a_cost_aware_snapshot(pag):
@@ -755,12 +923,15 @@ def test_cost_state_requires_a_cost_aware_snapshot(pag):
 # ----------------------------------------------------------------------
 # snapshot: "sharded" files from earlier builds load as one store
 # ----------------------------------------------------------------------
+#: name -> (source policy, restored class, what the file says beyond
+#: the capture); "bounded-cost" is an earlier cost-aware store's file.
 SHARDED_SOURCE_POLICIES = {
-    "unbounded": (CachePolicy(), SummaryCache),
-    "bounded-lru": (CachePolicy(max_entries=12), BoundedSummaryCache),
+    "unbounded": (CachePolicy(), SummaryCache, {}),
+    "bounded-lru": (CachePolicy(max_entries=12), BoundedSummaryCache, {}),
     "bounded-cost": (
-        CachePolicy(max_entries=12, eviction="cost"),
-        CostAwareSummaryCache,
+        CachePolicy(max_entries=12),
+        BoundedSummaryCache,
+        {"eviction": "cost"},
     ),
 }
 
@@ -768,15 +939,16 @@ SHARDED_SOURCE_POLICIES = {
 @pytest.mark.parametrize("policy_name", sorted(SHARDED_SOURCE_POLICIES))
 def test_sharded_snapshot_restores_as_one_store(pag, policy_name, tmp_path):
     """A snapshot-1.1 ``"store": "sharded"`` payload restores as one
-    store of the matching class, with the shards' summed caps and the
-    aggregate counters, and warm-starts an engine that answers like a
-    cold one."""
-    policy, store_class = SHARDED_SOURCE_POLICIES[policy_name]
+    store of the matching class (a cost-aware one as LRU), with the
+    shards' summed caps and the aggregate counters, and warm-starts an
+    engine that answers like a cold one."""
+    policy, store_class, legacy = SHARDED_SOURCE_POLICIES[policy_name]
     source = PointsToEngine(pag, bench_engine_policy(cache=policy))
     for var in ("s1", "s2", "v1", "c2", "s1"):
         source.query_name("Main.main", var)
-    payload = _as_sharded(SummarySnapshot.capture(source.cache).to_payload())
-    assert payload.get("eviction", "lru") == source.cache.eviction
+    payload = dict(
+        _as_sharded(SummarySnapshot.capture(source.cache).to_payload()), **legacy
+    )
 
     snapshot = SummarySnapshot.loads(json.dumps(payload))
     store = snapshot.restore(pag)
@@ -787,6 +959,7 @@ def test_sharded_snapshot_restores_as_one_store(pag, policy_name, tmp_path):
     rewritten = snapshot.to_payload()
     assert rewritten["store"] != "sharded"
     assert "shard_stats" not in rewritten
+    assert "eviction" not in rewritten
 
     path = tmp_path / "sharded.json"
     path.write_text(json.dumps(payload), encoding="utf-8")

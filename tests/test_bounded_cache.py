@@ -6,18 +6,27 @@ The load-bearing property throughout: a summary is a pure memo, so
 cost of recomputing it.
 """
 
+import importlib
+import inspect
+import random
+
 import pytest
 
 from repro import (
     AnalysisConfig,
     BoundedSummaryCache,
+    CachePolicy,
     DynSum,
     IncrementalAnalysisSession,
+    PointsToEngine,
     SummaryCache,
     build_pag,
     parse_program,
 )
 from repro.analysis.ppta import PptaResult
+from repro.bench.batching import split_batches
+from repro.bench.runner import bench_engine_policy
+from repro.bench.suite import load_benchmark
 from repro.cfl.rsm import S1
 from repro.cfl.stacks import EMPTY_STACK
 from repro.pag.nodes import LocalNode
@@ -113,6 +122,63 @@ class TestLruOrder:
         first_key, _ = next(iter(cache.entries()))
         assert first_key[0] is b
 
+    @pytest.mark.parametrize(
+        "caps",
+        [
+            {"max_entries": 6},
+            {"max_facts": 12},
+            {"max_entries": 6, "max_facts": 12},
+        ],
+        ids=["entries", "facts", "both"],
+    )
+    def test_matches_a_reference_model_on_a_random_workload(self, caps):
+        """A seeded mix of stores (new keys, equal and differing
+        payloads), hits, misses and method invalidations, replayed on a
+        dict model of the LRU rule: after every op both hold the same
+        keys in the same order (coldest first), the same fact total and
+        the same eviction count."""
+        rng = random.Random(20260728)
+        cache = BoundedSummaryCache(**caps)
+        max_entries = caps.get("max_entries")
+        max_facts = caps.get("max_facts")
+        keys = [
+            (node(method, f"v{i}"), EMPTY_STACK, S1)
+            for method in ("A.m", "B.n")
+            for i in range(8)
+        ]
+        model = {}  # key -> facts, coldest first
+        evictions = 0
+        for op in range(800):
+            key = rng.choice(keys)
+            roll = rng.random()
+            if roll < 0.5:
+                size = 1 + rng.randrange(4)
+                cache.store(*key, summary(size))
+                model.pop(key, None)
+                model[key] = size
+                while len(model) > 1 and (
+                    (max_entries is not None and len(model) > max_entries)
+                    or (max_facts is not None and sum(model.values()) > max_facts)
+                ):
+                    del model[next(iter(model))]
+                    evictions += 1
+            elif roll < 0.92:
+                hit = cache.lookup(*key)
+                assert (hit is not None) == (key in model), op
+                if key in model:
+                    model[key] = model.pop(key)
+            else:
+                method = key[0].method
+                gone = [k for k in model if k[0].method == method]
+                assert cache.invalidate_method(method) == len(gone), op
+                for k in gone:
+                    del model[k]
+            coldest = [k for k, _ in cache.entries_by_recency(hottest_first=False)]
+            assert coldest == list(model), op
+            assert cache.total_facts() == sum(model.values())
+            assert cache.evictions == evictions
+        assert evictions > 0
+
 
 class TestSizeCaps:
     def test_entry_cap_enforced(self):
@@ -182,6 +248,46 @@ class TestEvictionNeverChangesAnswers:
             analysis.points_to_name("Main.main", var)
             assert len(cache) <= 2
 
+    @pytest.mark.parametrize(
+        "name, client_name, cap",
+        [("jython", "NullDeref", 400), ("soot-c", "SafeCast", 200)],
+    )
+    def test_bounded_figure4_replay_answers_like_unbounded(
+        self, name, client_name, cap
+    ):
+        """A Figure-4 client's queries in 10 batches on one engine,
+        under a fact cap far below the unbounded store's size: every
+        verdict equals the unbounded engine's, the cap holds, and the
+        evictions cost recomputation steps, never answers."""
+        from repro.clients import ALL_CLIENTS
+
+        client_cls = {cls.name: cls for cls in ALL_CLIENTS}[client_name]
+        instance = load_benchmark(name, scale=1.0)
+        client = client_cls(instance.pag)
+        batches = split_batches(client.queries(), 10)
+        runs = {}
+        for label, cache in (
+            ("unbounded", CachePolicy()),
+            ("bounded", CachePolicy(max_facts=cap)),
+        ):
+            engine = PointsToEngine(instance.pag, bench_engine_policy(cache=cache))
+            steps, verdicts = 0, []
+            for batch in batches:
+                batch_verdicts, result = client.run_engine(
+                    engine, batch, dedupe=False, reorder=False
+                )
+                steps += result.stats.steps
+                verdicts.extend(batch_verdicts)
+            runs[label] = (verdicts, steps, engine.cache)
+        (plain, plain_steps, plain_store), (capped, capped_steps, store) = (
+            runs["unbounded"], runs["bounded"]
+        )
+        assert capped == plain
+        assert plain_store.total_facts() > cap
+        assert store.total_facts() <= cap
+        assert store.evictions > 0
+        assert capped_steps > plain_steps
+
 
 class TestInvalidationAndEviction:
     def test_invalidate_counts_only_resident_entries(self):
@@ -201,6 +307,23 @@ class TestInvalidationAndEviction:
         cache.store(node("D.n", "b"), EMPTY_STACK, S1, summary())  # evicts C.m
         assert cache.invalidate_method("C.m") == 0
         assert cache.invalidate_method("D.n") == 1
+
+    def test_fact_cap_evictions_and_invalidation_compose(self):
+        """Under a fact cap, a wide insert evicts several residents at
+        once; a later invalidation drops only the survivors of that
+        method, and the method index keeps no evicted key."""
+        cache = BoundedSummaryCache(max_facts=6)
+        for i in range(3):
+            cache.store(node("C.m", f"v{i}"), EMPTY_STACK, S1, summary(2))
+        cache.store(node("D.n", "w"), EMPTY_STACK, S1, summary(4))  # evicts 2
+        assert cache.evictions == 2
+        assert (len(cache), cache.total_facts()) == (2, 6)
+        assert cache.invalidate_method("C.m") == 1
+        assert cache.invalidated == 1
+        assert (len(cache), cache.total_facts()) == (1, 4)
+        assert "C.m" not in cache._by_method
+        assert cache.invalidate_method("D.n") == 1
+        assert cache._by_method == {} and cache.total_facts() == 0
 
     def test_invalidate_then_requery_same_answer(self, pag):
         cache = BoundedSummaryCache(max_entries=4)
@@ -226,3 +349,49 @@ class TestInvalidationAndEviction:
         assert sorted(repr(o) for o in after.objects) == sorted(
             repr(o) for o in before.objects
         )
+
+
+class TestOnePolicy:
+    """LRU is the only capacity policy: no layer takes an ``eviction``
+    argument, and a caller that still passes one fails loudly."""
+
+    def test_no_layer_takes_an_eviction_argument(self):
+        from repro.analysis.summaries import make_summary_store
+        from repro.api.snapshot import SummarySnapshot
+        from repro.cacheserver.server import (
+            CacheCluster,
+            ShardDispatcher,
+            ShardServer,
+        )
+        from repro.cacheserver.store import WireSummaryStore
+
+        for layer in (
+            CachePolicy,
+            make_summary_store,
+            WireSummaryStore,
+            ShardDispatcher,
+            ShardServer,
+            CacheCluster.spawn,
+            SummarySnapshot,
+        ):
+            assert "eviction" not in inspect.signature(layer).parameters, layer
+        with pytest.raises(TypeError):
+            CachePolicy(eviction="lru")
+        assert type(CachePolicy(max_facts=100).make_store()) is BoundedSummaryCache
+
+    @pytest.mark.parametrize(
+        "module, argv",
+        [
+            ("repro.cacheserver.cli", []),
+            ("repro.api.service", ["--program", "absent.pir"]),
+            ("repro.cacheserver.workload", ["--program", "absent.pir"]),
+        ],
+        ids=["repro-cached", "repro-serve", "workload"],
+    )
+    def test_clis_reject_the_eviction_flag(self, capsys, module, argv):
+        with pytest.raises(SystemExit) as exited:
+            importlib.import_module(module).main([*argv, "--eviction", "lru"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "unrecognized arguments: --eviction lru" in err

@@ -26,7 +26,7 @@ from repro import (
     parse_program,
 )
 from repro.analysis.ppta import PptaResult
-from repro.analysis.summaries import shard_for_method
+from repro.analysis.summaries import BoundedSummaryCache, shard_for_method
 from repro.api.codec import decode_response, encode
 from repro.api.protocol import (
     ErrorResponse,
@@ -86,6 +86,26 @@ def all_locals(pag):
             if node.is_local_var:
                 queries.append((qname, node.name))
     return sorted(queries)
+
+
+#: The remote stores the running test opened: its finalizer
+#: (:func:`close_remote_stores`) closes them.
+OPENED = []
+
+
+def opened(engine):
+    """``engine``, its remote store registered for closing."""
+    OPENED.append(engine.cache)
+    return engine
+
+
+@pytest.fixture(autouse=True)
+def close_remote_stores():
+    """Close every shard link a test opened, so an unclosed socket
+    under ``python -X dev`` can only be the client's own leak."""
+    yield
+    while OPENED:
+        OPENED.pop().close()
 
 
 @pytest.fixture
@@ -158,14 +178,6 @@ class TestWireSummaryStore:
         assert store.lookup(wire_key(wire_entry(name="v0"))) is None
         assert store.lookup(wire_key(wire_entry(name="v2"))) is not None
 
-    def test_cost_eviction_prefers_cheap_victims(self):
-        store = WireSummaryStore(max_entries=2, eviction="cost")
-        store.store(wire_entry(name="pricey", steps=1000))
-        store.store(wire_entry(name="cheap", steps=1))
-        store.store(wire_entry(name="new", steps=10))
-        assert store.lookup(wire_key(wire_entry(name="pricey"))) is not None
-        assert store.lookup(wire_key(wire_entry(name="cheap"))) is None
-
     def test_differing_payload_replaces_stale_resident_entry(self):
         """The self-heal path: a shard that missed an invalidation must
         accept an edited client's fresher publish for the same key."""
@@ -180,10 +192,9 @@ class TestWireSummaryStore:
 
     def test_steps_only_difference_is_not_an_edit(self):
         """`steps` is cost metadata, not payload: a steps=0 republish
-        (legacy snapshot replay) must neither replace the entry nor
-        collapse its cost-eviction priority — and a better estimate is
-        adopted."""
-        store = WireSummaryStore(max_entries=8, eviction="cost")
+        (legacy snapshot replay) must not replace the entry or lower
+        its step count — and a better estimate is adopted."""
+        store = WireSummaryStore(max_entries=8)
         computed = wire_entry(steps=50)
         assert store.store(computed) is True
         legacy = wire_entry(steps=0)
@@ -192,10 +203,6 @@ class TestWireSummaryStore:
         better = wire_entry(steps=80)
         assert store.store(better) is False
         assert store.lookup(wire_key(computed))["steps"] == 80
-
-    def test_cost_eviction_without_ceiling_is_refused(self):
-        with pytest.raises(ValueError, match="inert"):
-            WireSummaryStore(eviction="cost")
 
 
 # ----------------------------------------------------------------------
@@ -391,12 +398,12 @@ class TestRemoteEngineIdentity:
         plain = PointsToEngine(
             build_pag(parse_program(source)), EnginePolicy()
         )
-        first = PointsToEngine(
+        first = opened(PointsToEngine(
             build_pag(parse_program(source)), remote_policy(cluster)
-        )
-        second = PointsToEngine(
+        ))
+        second = opened(PointsToEngine(
             build_pag(parse_program(source)), remote_policy(cluster)
-        )
+        ))
         queries = all_locals(plain.pag)
         baseline = plain.query_batch(queries)
         cold = first.query_batch(queries)
@@ -516,9 +523,9 @@ class TestRemoteEngineIdentity:
         (the local tier); the servers' contents belong to the service."""
         from repro.api.snapshot import load_snapshot
 
-        engine = PointsToEngine(
+        engine = opened(PointsToEngine(
             build_pag(parse_program(SRC)), remote_policy(cluster, max_entries=32)
-        )
+        ))
         engine.query_batch(all_locals(engine.pag))
         path = tmp_path / "local-tier.json"
         snapshot = engine.save_cache(path)
@@ -541,7 +548,7 @@ class TestRemoteEngineIdentity:
         path = tmp_path / "seed.json"
         donor.save_cache(path)
 
-        seeder = PointsToEngine(
+        seeder = opened(PointsToEngine(
             jython_pag(),
             EnginePolicy(
                 cache=CachePolicy(
@@ -549,7 +556,7 @@ class TestRemoteEngineIdentity:
                 ),
                 warm_start=str(path),
             ),
-        )
+        ))
         assert seeder.warm_loaded > 100
         served = sum(len(s.store) for s in cluster)
         assert served == seeder.warm_loaded
@@ -559,7 +566,7 @@ class TestRemoteEngineIdentity:
         assert seeded.round_trips <= 2 * len(cluster)
         # A fresh client now answers from the service without computing:
         # its batch prefetch fills its tier.
-        reader = PointsToEngine(jython_pag(), remote_policy(cluster))
+        reader = opened(PointsToEngine(jython_pag(), remote_policy(cluster)))
         reader.query_batch(all_locals(reader.pag))
         assert reader.stats().remote.prefetched == seeder.warm_loaded
         assert reader.stats().cache.hits > 0
@@ -612,26 +619,19 @@ class TestEngineWiring:
         assert policy.remote == ("h:1", "h:2")
         with pytest.raises(ValueError):
             CachePolicy(remote=())
-        with pytest.raises(ValueError):
-            CachePolicy(eviction="fifo")
 
     def test_make_store_wraps_remote_around_local_policy(self):
         policy = CachePolicy(remote=("127.0.0.1:1",), max_entries=8)
         store = policy.make_store()
         assert isinstance(store, RemoteSummaryCache)
         assert store.local_tier.max_entries == 8
-        assert store.eviction == "lru"
-        cost = CachePolicy(remote=("127.0.0.1:1",), max_entries=8, eviction="cost")
-        assert cost.make_store().eviction == "cost"
+        assert type(store.local_tier) is BoundedSummaryCache
 
     def test_edit_session_invalidates_through_the_service(self, cluster):
         from repro.ir.parser import parse_program as parse
 
         program = parse(SRC)
-        engine = PointsToEngine.for_program(
-            program,
-            remote_policy(cluster),
-        )
+        engine = opened(PointsToEngine.for_program(program, remote_policy(cluster)))
         engine.query_name("Helper.make", "u")
         engine.query_name("Main.main", "b")  # a summary that survives the edit
         served_before = sum(len(s.store) for s in cluster)
@@ -676,7 +676,7 @@ class TestServiceSurface:
         path = tmp_path / "warm.json"
         donor.save_cache(path)
 
-        engine = PointsToEngine(
+        engine = opened(PointsToEngine(
             build_pag(parse_program(SRC)),
             EnginePolicy(
                 cache=CachePolicy(
@@ -684,7 +684,7 @@ class TestServiceSurface:
                 ),
                 warm_start=str(path),
             ),
-        )
+        ))
         engine.query_name("Main.main", "b")
         service = PointsToService(engine)
         line = service.handle_line('{"kind":"stats","protocol_version":"1.0"}')
@@ -712,12 +712,12 @@ class TestServiceSurface:
                 "runs on the array loop",
             ),
             (
-                {"max_entries": 64, "eviction": "cost"},
-                "RemoteSummaryCache over a CostAwareSummaryCache local tier "
+                {"max_facts": 4096},
+                "RemoteSummaryCache over a BoundedSummaryCache local tier "
                 "runs on the array loop",
             ),
         ],
-        ids=["pipelined", "bounded-tier", "cost-tier"],
+        ids=["pipelined", "bounded-tier", "facts-bounded-tier"],
     )
     def test_remote_engine_stats_say_whether_native_serves_it(
         self, cluster, cache_kwargs, want
@@ -729,9 +729,9 @@ class TestServiceSurface:
         from repro.analysis.ppta import traversal_impl
         from repro.native import availability
 
-        engine = PointsToEngine(
+        engine = opened(PointsToEngine(
             build_pag(parse_program(SRC)), remote_policy(cluster, **cache_kwargs)
-        )
+        ))
         with traversal_impl("native"):
             engine.query_name("Main.main", "b")
             stats = engine.stats()
@@ -1177,15 +1177,15 @@ class TestEpochConsistency:
         answers stay element-wise identical to a plain local engine."""
         from repro.analysis.summaries import shard_for_method
 
-        engine_a = PointsToEngine(
+        engine_a = opened(PointsToEngine(
             build_pag(parse_program(SRC)), remote_policy(cluster)
-        )
+        ))
         engine_a.query_batch(all_locals(engine_a.pag))
         assert engine_a.invalidate_method("Helper.make") > 0
 
-        engine_c = PointsToEngine(
+        engine_c = opened(PointsToEngine(
             build_pag(parse_program(SRC)), remote_policy(cluster)
-        )
+        ))
         plain = PointsToEngine(
             build_pag(parse_program(SRC)), EnginePolicy()
         )

@@ -15,7 +15,6 @@ from repro import (
     AnalysisConfig,
     BoundedSummaryCache,
     CachePolicy,
-    CostAwareSummaryCache,
     DynSum,
     EnginePolicy,
     PointsToEngine,
@@ -394,21 +393,6 @@ class TestBatchLoop:
         classes = [sorted(o.class_name for o in r.objects) for r in batch]
         assert classes == [["Dog"], ["Cat"]]
 
-    def test_edit_session_keeps_a_cost_aware_policy(self):
-        engine = PointsToEngine.for_program(
-            parse_program(SOURCE),
-            EnginePolicy(cache=CachePolicy(max_entries=64, eviction="cost")),
-        )
-        before = engine.query_name("Main.main", "d")
-        report = engine.edit_session().edit("Kennel.put", lambda method: None)
-        cache = engine.cache
-        assert type(cache) is CostAwareSummaryCache
-        assert cache.eviction == "cost"
-        assert cache.max_entries == 64
-        assert report.migrated == len(cache) > 0
-        after = engine.query_name("Main.main", "d")
-        assert {repr(o) for o in after.objects} == {repr(o) for o in before.objects}
-
 
 def _workload(instance, client_cls):
     client = client_cls(instance.pag)
@@ -488,9 +472,9 @@ class TestAcceptance:
         [
             CachePolicy(),
             CachePolicy(max_entries=32),
-            CachePolicy(max_entries=32, eviction="cost"),
+            CachePolicy(max_facts=64),
         ],
-        ids=["plain", "bounded", "cost-aware"],
+        ids=["plain", "bounded", "facts-bounded"],
     )
     def test_per_result_probe_stats_sum_to_batch(self, figure4_instance, cache):
         """Each result's own ``stats`` counts its traversal's cache
@@ -522,7 +506,7 @@ class TestAcceptance:
 EXAMPLE_CACHES = {
     "plain": CachePolicy(),
     "bounded": CachePolicy(max_entries=2),
-    "cost-aware": CachePolicy(max_entries=2, eviction="cost"),
+    "facts-bounded": CachePolicy(max_facts=2),
 }
 
 
@@ -546,7 +530,11 @@ class TestExamplePrograms:
             expected = reference.points_to(node)
             assert result.pairs == expected.pairs, node
             assert result.complete == expected.complete, node
-        cap = engine.cache.max_entries
-        if cap is not None:
-            assert len(engine.cache) <= cap
+        store = engine.cache
+        if store.max_entries is not None:
+            assert len(store) <= store.max_entries
+        if store.max_facts is not None:
+            # Exact, up to one oversized resident.
+            assert store.total_facts() <= store.max_facts or len(store) == 1
+        if store.max_entries is not None or store.max_facts is not None:
             assert batch.stats.evictions > 0

@@ -4,7 +4,6 @@ import pytest
 
 from repro import (
     BoundedSummaryCache,
-    CostAwareSummaryCache,
     IncrementalAnalysisSession,
     NoRefine,
     build_pag,
@@ -262,7 +261,7 @@ class TestFailedEdits:
 STORES = {
     "unbounded": lambda: None,
     "bounded": lambda: BoundedSummaryCache(max_entries=64),
-    "cost-aware": lambda: CostAwareSummaryCache(max_entries=64),
+    "facts-bounded": lambda: BoundedSummaryCache(max_facts=256),
 }
 
 
@@ -306,12 +305,4 @@ class TestStoreAcrossEdits:
         after = list(cache.entries_by_recency(hottest_first=True))
         assert [key for key, _ in after] == [key for key, _ in survivors]
         assert all(a is b for (_, a), (_, b) in zip(after, survivors))
-
-    def test_cost_aware_store_keeps_priorities_and_clock(self):
-        session = self._warm(CostAwareSummaryCache(max_entries=64))
-        cache = session.analysis.cache
-        keys = [key for key, _ in cache.entries() if key[0].method != "Factory.create"]
-        clock, priorities = cache.cost_state(keys)
-        self._edit(session)
-        assert cache.cost_state(keys) == (clock, priorities)
         assert cache.method_epoch("Factory.create") == 1

@@ -3,11 +3,11 @@ with the line it already encoded, while its store's version stands.
 
 Pinned here:
 
-* a seeded differential over unbounded, LRU-capped and cost-evicting
-  stores: after every store-level op (store, equal-payload re-store
-  with more ``steps``, replace, lookup hit and miss, lookup at a newer
-  epoch, fingerprint pin, invalidate with and without residents,
-  ``clear``, blank restart) the dispatcher's full dump, at 1.7, 1.8
+* a seeded differential over unbounded stores and LRU stores under an
+  entry cap or a fact cap: after every store-level op (store,
+  equal-payload re-store with more ``steps``, replace, lookup hit and
+  miss, lookup at a newer epoch, fingerprint pin, invalidate with and
+  without residents, ``clear``, blank restart) the dispatcher's full dump, at 1.7, 1.8
   (a flat frame) and 1.9 (a trie frame), with and without a method
   filter and a fingerprint, equals byte for byte a fresh scan, pack
   and encode of the store;
@@ -256,7 +256,7 @@ DUMPS = [
 CAPACITIES = {
     "unbounded": {},
     "lru": {"max_entries": 8},
-    "cost": {"max_entries": 8, "eviction": "cost"},
+    "lru-facts": {"max_facts": 4},
 }
 
 

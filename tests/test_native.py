@@ -232,23 +232,21 @@ class TestStatsPlumbing:
 
     @pytest.mark.parametrize(
         "cache",
-        [CachePolicy(max_entries=64), CachePolicy(max_entries=64, eviction="cost")],
-        ids=["bounded", "cost-aware"],
+        [CachePolicy(max_entries=64), CachePolicy(max_facts=4096)],
+        ids=["bounded", "facts-bounded"],
     )
     def test_unmirrored_stores_report_why(self, cache):
-        """The kernel mirrors only the plain ``SummaryCache``; any other
-        store answers every query on the array loop, and stats say so
-        (a kernelless host reports its binding reason first)."""
+        """The kernel mirrors only the plain ``SummaryCache``; a bounded
+        store, under either cap, answers every query on the array loop,
+        and stats say so (a kernelless host reports its binding reason
+        first)."""
         engine = PointsToEngine(
-            make_pag(),
-            EnginePolicy(traversal_impl="native", cache=cache),
+            make_pag(), EnginePolicy(traversal_impl="native", cache=cache)
         )
         for node in list(engine.pag.local_var_nodes())[:3]:
             engine.query(node)
-        store = type(engine.cache).__name__
-        assert store != "SummaryCache"
         ok, reason = availability()
-        want = f"{store} runs on the array loop" if ok else reason
+        want = "BoundedSummaryCache runs on the array loop" if ok else reason
         assert engine.stats().native_unavailable == want
 
     def test_stats_response_carries_the_fields(self):

@@ -748,7 +748,8 @@ def test_a_frame_the_kernel_does_not_hold_takes_the_per_entry_path(fleets, case)
 
 @pytest.mark.usefixtures("require_kernel")
 @pytest.mark.parametrize(
-    "variant", ["array", "reference", "bounded", "cost", "not-empty", "no-kernel"]
+    "variant",
+    ["array", "reference", "bounded", "facts-bounded", "not-empty", "no-kernel"],
 )
 def test_a_tier_the_kernel_does_not_hold_for_takes_the_per_entry_path(
     fleets, monkeypatch, variant
@@ -757,14 +758,12 @@ def test_a_tier_the_kernel_does_not_hold_for_takes_the_per_entry_path(
     impl = variant if variant in ("array", "reference") else "native"
     caps = {
         "bounded": {"max_entries": 10_000},
-        "cost": {"max_entries": 10_000, "eviction": "cost"},
-    }
+        "facts-bounded": {"max_facts": 100_000},
+    }.get(variant, {})
     policy = EnginePolicy(
         traversal_impl=impl,
         max_field_depth=16,
-        cache=CachePolicy(
-            remote=fleet.addresses, remote_timeout=5.0, **caps.get(variant, {})
-        ),
+        cache=CachePolicy(remote=fleet.addresses, remote_timeout=5.0, **caps),
     )
     engine = PointsToEngine(build_pag(generate_program(CONFIG)), policy)
     # The per-entry path over the same kind of tier.

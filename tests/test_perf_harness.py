@@ -126,7 +126,7 @@ class TestReportShape:
         assert section["edit_ms"] > 0 and section["batch_ms"] > 0
         assert section["cold_for_program_ms"] > 0
         assert section["traversal_impl"] == active_traversal_impl()
-        assert quick_report["version"] == 13
+        assert quick_report["version"] == 14
 
     def test_remote_section_sends_no_lookups(self, quick_report):
         from repro.analysis.ppta import active_traversal_impl

@@ -409,17 +409,23 @@ class TestStoreStamps:
         delta = store.fetch(incarnation=incarnation, since=cursor)[0]
         assert [e["node"]["name"] for e in delta] == ["d"]
 
-    @pytest.mark.parametrize("eviction", ["lru", "cost"])
+    @pytest.mark.parametrize(
+        "capacity, most",
+        [({"max_entries": 4}, 4), ({"max_facts": 8}, 8)],
+        ids=["entries", "facts"],
+    )
     def test_deltas_track_residents_through_evictions_and_invalidations(
-        self, eviction
+        self, capacity, most
     ):
         """A seeded mix of stores, hits, invalidations and delta fetches
-        on a 4-entry store.  Each delta holds exactly the residents
-        stamped after its cursor, oldest stamp first; the stamps of
-        evicted and invalidated keys are skipped, and pruned so they
-        never outnumber residents by more than the slack."""
+        on a small LRU store, capped by entries or by facts (at most
+        ``most`` residents either way: every entry holds a fact).  Each
+        delta holds exactly the residents stamped after its cursor,
+        oldest stamp first; the stamps of evicted and invalidated keys
+        are skipped, and pruned so they never outnumber residents by
+        more than the slack."""
         rng = random.Random(7)
-        store = WireSummaryStore(max_entries=4, eviction=eviction)
+        store = WireSummaryStore(**capacity)
         incarnation = store.incarnation
         seq = 0
         stamped = {}  # canonical key -> the stamp of its last insert
@@ -455,6 +461,7 @@ class TestStoreStamps:
                 assert [entry_key(e) for e in delta] == want
                 cursors.append(cursor)
             assert len(store._seqs) <= 2 * len(store) + 64
+            assert len(store) <= most
         assert store.evictions > 0 and store.invalidated > 0
         # More keys were stamped than the bound admits: pruning ran.
-        assert len(stamped) > 2 * 4 + 64
+        assert len(stamped) > 2 * most + 64

@@ -761,8 +761,9 @@ class TestSharing:
         assert pack_frame(store.entries_for_methods()).stacks == ([0, "f", 0],)
 
     @pytest.mark.parametrize(
-        "capacity", [{}, {"max_entries": 12}, {"max_entries": 12, "eviction": "cost"}],
-        ids=["unbounded", "lru", "cost"],
+        "capacity",
+        [{}, {"max_entries": 12}, {"max_facts": 30}],
+        ids=["unbounded", "lru", "lru-facts"],
     )
     def test_the_table_stays_bounded_through_churn(self, capacity):
         """Invalidate/re-store churn with payloads that change every
@@ -806,6 +807,7 @@ class TestSharing:
         # the table was rebuilt along the way.
         assert len(ever) > 2 * (2 * len(distinct) + SHARED_SLACK)
         assert store.invalidated > 0
+        assert (store.evictions > 0) == bool(capacity)
         for entry in store.entries_for_methods():
             key = {k: entry[k] for k in ("node", "stack", "state")}
             found = store.lookup(key, epoch=store.method_epoch(entry["node"]["method"]))

@@ -279,3 +279,29 @@ class TestMultiProcessDeployment:
             plain2.results
         )
         assert engine.stats().remote.remote_errors > 0
+
+
+def test_a_shard_that_exits_before_announcing_fails_the_spawn_at_once(
+    proc_env, monkeypatch
+):
+    """A child that refuses its options (``max_entries=0``) exits with
+    code 2 before it announces: the spawn fails at once naming that
+    code, not after the announce timeout, and leaves no child running."""
+    import time
+
+    from repro.cacheserver import server
+
+    children = []
+    real_popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        children.append(real_popen(*args, **kwargs))
+        return children[-1]
+
+    monkeypatch.setattr(server.subprocess, "Popen", recording_popen)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="exited with code 2 before announcing"):
+        CacheCluster.spawn(shards=1, max_entries=0)
+    assert time.monotonic() - started < server.SPAWN_TIMEOUT_SEC / 3
+    assert len(children) == 1
+    assert children[0].returncode == 2 and children[0].stdout.closed

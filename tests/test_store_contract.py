@@ -4,24 +4,21 @@ The engine treats every :class:`~repro.analysis.summaries
 .SummaryBackend` as interchangeable — ``lookup``/``store``/
 ``invalidate_method``/``entries_by_recency``/``stats_snapshot`` with
 exactly reconciling accounting.  This suite runs the same battery
-against every local backend (unbounded, LRU-bounded, cost-aware)
-**and** the remote-backed store stub over live in-process shard
-servers — over each local-tier policy — so no backend's surface can
-silently drift: a method added to the base contract fails here until
-every backend grows it.  A seeded differential then drives a local
-bounded store and a shard's wire store through one op mix and requires
-the same residents after every op.
+against both local backends (unbounded and LRU-bounded, under both
+caps and under a fact cap alone) **and** the remote-backed store stub
+over live in-process shard servers — over each local-tier policy — so
+no backend's surface can silently drift: a method added to the base
+contract fails here until every backend grows it.  A seeded
+differential then drives a local bounded store and a shard's wire store
+through one op mix, under each kind of cap, and requires the same
+residents after every op.
 """
 
 import random
 
 import pytest
 
-from repro import (
-    BoundedSummaryCache,
-    CostAwareSummaryCache,
-    SummaryCache,
-)
+from repro import BoundedSummaryCache, SummaryCache
 from repro.analysis.ppta import PptaResult
 from repro.analysis.summaries import SummaryStore
 from repro.api.snapshot import entry_to_wire, key_to_wire
@@ -32,12 +29,14 @@ from repro.cfl.rsm import S1, S2
 from repro.cfl.stacks import EMPTY_STACK
 from repro.pag.nodes import LocalNode, ObjectNode
 
+
 def _bounded():
     return BoundedSummaryCache(max_entries=64, max_facts=4096)
 
 
-def _cost():
-    return CostAwareSummaryCache(max_entries=64, max_facts=4096)
+def _facts_bounded():
+    """LRU under a fact ceiling alone: no entry cap to fall back on."""
+    return BoundedSummaryCache(max_facts=4096)
 
 
 def _empty_like(store):
@@ -57,7 +56,7 @@ def _empty_like(store):
 STORE_VARIANTS = {
     "unbounded": (SummaryCache, False),
     "bounded": (_bounded, True),
-    "cost": (_cost, True),
+    "facts-bounded": (_facts_bounded, True),
 }
 
 #: Remote-backed variants, each built per test over two fresh shard
@@ -67,7 +66,7 @@ STORE_VARIANTS = {
 REMOTE_VARIANTS = {
     "remote": (SummaryCache, False),
     "remote-bounded": (_bounded, True),
-    "remote-cost": (_cost, True),
+    "remote-facts-bounded": (_facts_bounded, True),
 }
 
 VARIANT_NAMES = sorted([*STORE_VARIANTS, *REMOTE_VARIANTS])
@@ -272,22 +271,19 @@ def test_mirrors_cover_the_summary_store_surface(mirror_factory):
     mirror = mirror_factory()
     public = [name for name in vars(SummaryStore) if not name.startswith("_")]
     public += ["__len__", "__contains__", "hits", "misses", "evictions",
-               "invalidated", "stats_snapshot", "bind_pag", "eviction"]
+               "invalidated", "stats_snapshot", "bind_pag"]
     missing = [name for name in public if not hasattr(mirror, name)]
     assert not missing, f"{type(mirror).__name__} lacks {missing}"
 
 
 class _TierPair:
     """A local bounded store and a shard's :class:`WireSummaryStore` at
-    the same caps and eviction rule, driven in lockstep: after every op
-    both must hold the same keys."""
+    the same caps, driven in lockstep: after every op both must hold
+    the same keys."""
 
-    def __init__(self, eviction):
-        if eviction == "cost":
-            self.local = CostAwareSummaryCache(max_entries=8, max_facts=20)
-        else:
-            self.local = BoundedSummaryCache(max_entries=8, max_facts=20)
-        self.shard = WireSummaryStore(max_entries=8, max_facts=20, eviction=eviction)
+    def __init__(self, **caps):
+        self.local = BoundedSummaryCache(**caps)
+        self.shard = WireSummaryStore(**caps)
 
     def store(self, key, memo):
         self.local.store(*key, memo)
@@ -315,23 +311,30 @@ def _tier_memo(key, width, steps):
     )
 
 
+#: name -> the caps of both sides of a :class:`_TierPair`.  Each bites
+#: under the op mix below: 14 keys of 1 to 4 facts.
+TIER_CAPS = {
+    "both": {"max_entries": 8, "max_facts": 20},
+    "entries": {"max_entries": 8},
+    "facts": {"max_facts": 20},
+}
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-@pytest.mark.parametrize("eviction", ["lru", "cost"])
-def test_local_and_shard_stores_keep_the_same_residents(eviction, seed):
+@pytest.mark.parametrize("caps", sorted(TIER_CAPS))
+def test_local_and_shard_stores_keep_the_same_residents(caps, seed):
     """One seeded store/lookup mix through a :class:`_TierPair`.
-    Re-stores mostly carry an equal payload with a fresh step count —
-    under ``cost`` both sides must fold it into the resident's rank
-    alike — and the many hits drive the cost index through stale-record
-    pops and compactions."""
+    Re-stores mostly carry an equal payload with a fresh step count;
+    the many hits reorder recency on both sides, and a payload that
+    grows or shrinks moves the fact total a fact cap watches."""
     rng = random.Random(seed)
-    pair = _TierPair(eviction)
+    pair = _TierPair(**TIER_CAPS[caps])
     keys = [
         (node(f"D.m{i % 3}", f"v{i}"), EMPTY_STACK, S1) for i in range(14)
     ]
     for op in range(3000):
         key = rng.choice(keys)
-        # Store-heavy stretches alternate with hit-heavy ones, in which
-        # the cost index grows until it compacts.
+        # Store-heavy stretches alternate with hit-heavy ones.
         if rng.random() < (0.45 if op // 250 % 2 else 0.02):
             # Mostly the key's own payload; now and then a differing one.
             width = 1 + keys.index(key) % 4
@@ -341,24 +344,6 @@ def test_local_and_shard_stores_keep_the_same_residents(eviction, seed):
         else:
             pair.lookup(key)
     assert pair.local.evictions > 0
-
-
-def test_cost_indexes_compact_alike_when_an_insert_evicts_twice():
-    """A hot stretch that never touches the two cheapest residents
-    leaves the cost index one record under its compaction bound with
-    their live records on top; an insert then evicts both, so the
-    bound falls below the index and the eviction path compacts it — on
-    both tiers, with the same survivors."""
-    pair = _TierPair("cost")
-    keys = [(node("E.m", f"w{i}"), EMPTY_STACK, S1) for i in range(9)]
-    widths = [2, 2, 2, 2, 3, 3, 3, 3]
-    for i, width in enumerate(widths):
-        pair.store(keys[i], _tier_memo(keys[i], width, 10 * (i + 1) ** 3))
-    for hit in range(72):
-        pair.lookup(keys[2 + hit % 6])
-    shard = pair.shard._store
-    assert len(shard._heap) == len(pair.local._heap) == 80
-    pair.store(keys[8], _tier_memo(keys[8], 4, 20000))
-    assert pair.shard.evictions == 2
-    assert len(shard._heap) == len(shard._rank) == 7
-    assert len(pair.local._heap) == len(pair.local._rank) == 7
+    limits = TIER_CAPS[caps]
+    assert len(pair.local) <= limits.get("max_entries", len(keys))
+    assert pair.local.total_facts() <= limits.get("max_facts", 4 * len(keys))

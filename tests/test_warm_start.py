@@ -15,7 +15,6 @@ import pytest
 from repro import (
     BoundedSummaryCache,
     CachePolicy,
-    CostAwareSummaryCache,
     EnginePolicy,
     PointsToEngine,
     SnapshotError,
@@ -111,7 +110,7 @@ def test_figure4_workload_warm_start(figure4_instance, client_cls, tmp_path):
 WARM_CACHES = {
     "plain": CachePolicy(),
     "bounded": CachePolicy(max_entries=4),
-    "cost-aware": CachePolicy(max_entries=4, eviction="cost"),
+    "facts-bounded": CachePolicy(max_facts=6),
 }
 
 
@@ -163,18 +162,16 @@ def test_warm_start_into_bounded_store(tmp_path):
     assert warm_batch.stats.steps < cold_batch.stats.steps
 
 
-def test_warm_start_into_a_cost_aware_store_below_the_snapshot(tmp_path):
-    """Replayed into a cost-aware store whose cap is below the
-    snapshot's size, the new engine's policy still wins: the cap holds,
-    evictions absorb the overflow, and no answer changes."""
+def test_warm_start_into_a_bounded_store_below_the_snapshot(tmp_path):
+    """Replayed into an LRU store whose cap is below the snapshot's
+    size, the new engine's policy still wins: the cap holds, evictions
+    absorb the overflow, and no answer changes."""
     pag = build_pag(parse_program(EXAMPLE_PROGRAMS[sorted(EXAMPLE_PROGRAMS)[0]]))
     items = _query_nodes(pag)
     cold, cold_batch, warm, warm_batch, snapshot = _run_cold_and_warm(
-        pag, items, tmp_path,
-        warm_cache_kwargs={"max_entries": 4, "eviction": "cost"},
+        pag, items, tmp_path, warm_cache_kwargs={"max_entries": 4}
     )
-    assert type(warm.cache) is CostAwareSummaryCache
-    assert warm.cache.eviction == "cost"
+    assert type(warm.cache) is BoundedSummaryCache
     assert len(snapshot.entries) > 4
     assert warm.warm_loaded == len(snapshot.entries)
     assert len(warm.cache) <= 4
