@@ -35,6 +35,8 @@ The analyses remain directly constructible (``DynSum(pag)`` etc.) for
 low-level experimentation; the engine is the supported surface for hosts.
 """
 
+import importlib
+
 from repro.analysis import (
     AliasResult,
     AnalysisConfig,
@@ -58,7 +60,6 @@ from repro.analysis.summaries import (
 )
 from repro.api import (
     PROTOCOL_VERSION,
-    PointsToService,
     ProtocolError,
     SnapshotError,
     SummarySnapshot,
@@ -86,6 +87,19 @@ from repro.ir import ProgramBuilder, parse_program, pretty_print
 from repro.pag import PAG, build_pag, compute_statistics
 
 __version__ = "1.3.0"
+
+#: Names exported lazily (PEP 562), by the module that defines them:
+#: see ``repro.api._LAZY``.
+_LAZY = {"PointsToService": "repro.api.service"}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "ALL_CLIENTS",

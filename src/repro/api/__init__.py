@@ -29,6 +29,8 @@ boundary needs to speak points-to:
     warm = EnginePolicy(warm_start="cache.json")        # ...and warm start
 """
 
+import importlib
+
 from repro.api.codec import decode_request, decode_response, encode, to_wire
 from repro.api.protocol import (
     PROTOCOL_VERSION,
@@ -59,7 +61,6 @@ from repro.api.protocol import (
     WireVerdict,
     check_version,
 )
-from repro.api.service import CLIENT_REGISTRY, PointsToService
 from repro.api.snapshot import (
     SNAPSHOT_VERSION,
     SummarySnapshot,
@@ -67,6 +68,24 @@ from repro.api.snapshot import (
     load_store,
     save_store,
 )
+
+#: Names exported lazily (PEP 562), by the module that defines them.
+#: ``python -m repro.api.service`` (``repro-serve`` run from a checkout)
+#: imports this package first; importing the service here would load it
+#: once under its own name and then run it again as ``__main__``.
+_LAZY = {
+    "CLIENT_REGISTRY": "repro.api.service",
+    "PointsToService": "repro.api.service",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "AliasRequest",

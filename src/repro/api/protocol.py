@@ -70,7 +70,14 @@ from typing import Any, Optional, Tuple
 from repro.analysis.summaries import CacheStats
 from repro.engine.scheduler import BatchStats
 
-#: The protocol spoken by this build — "<major>.<minor>".  1.9 writes
+#: The protocol spoken by this build — "<major>.<minor>".  1.10 packs
+#: a frame's rows: ``packed`` carries them as one base64 string (a
+#: width byte, then every value as a little-endian signed integer of
+#: that width: 2, 4 or 8 bytes, the smallest that holds every value)
+#: beside an empty ``rows``; a shard answers a request of 1.10 or later
+#: with such a frame, and a request of 1.9 or earlier with what a 1.9
+#: shard sends, byte for byte (a 1.8 one under a ``"1.8"`` label, a 1.7
+#: or 1.9 one under ``"1.9"``).  1.9 writes
 #: a frame's field stacks as a trie: each ``stacks`` row is ``[parent,
 #: field, family]``, one token pushed onto a stack named earlier, and
 #: stack ``0`` is the empty stack; a shard answers a request of 1.9 or
@@ -120,12 +127,14 @@ from repro.engine.scheduler import BatchStats
 #: store-level ops (``lookup``/``store``/``store-stats``) and the
 #: warm-start/remote counters on ``stats-result``; 1.0 traffic decodes
 #: unchanged.
-PROTOCOL_VERSION = "1.9"
+PROTOCOL_VERSION = "1.10"
 
 #: The first minor whose ``fetch-methods`` answers may carry a frame.
 FRAME_VERSION = (1, 8)
 #: The first minor whose frames write their field stacks as a trie.
 TRIE_FRAME_VERSION = (1, 9)
+#: The first minor whose frames carry their rows packed.
+PACKED_FRAME_VERSION = (1, 10)
 
 
 #: Field metadata key: :func:`repro.api.codec.encode` leaves the field
@@ -166,10 +175,15 @@ def split_version(version):
 def frame_version(version):
     """The frame a ``fetch-methods`` answer at protocol ``version``
     carries: ``None`` before 1.8 (nominal entries),
-    :data:`FRAME_VERSION` for 1.8 (a flat stack table), else
-    :data:`TRIE_FRAME_VERSION`.  A shard reads a request's version
-    this way, a client its answer's."""
+    :data:`FRAME_VERSION` for 1.8 (a flat stack table),
+    :data:`TRIE_FRAME_VERSION` for 1.9 (a trie, integer rows), else
+    :data:`PACKED_FRAME_VERSION` (a trie, packed rows).  Versions
+    compare as integer pairs, never as text: ``"1.10"`` is newer than
+    ``"1.9"``.  A shard reads a request's version this way, a client
+    its answer's."""
     parsed = split_version(version)
+    if parsed >= PACKED_FRAME_VERSION:
+        return PACKED_FRAME_VERSION
     if parsed >= TRIE_FRAME_VERSION:
         return TRIE_FRAME_VERSION
     if parsed >= FRAME_VERSION:
@@ -540,14 +554,21 @@ class BatchInvalidateResponse:
 @dataclass(frozen=True)
 class SummaryFrame:
     """Summary entries, dictionary-coded (protocol 1.8; a trie of field
-    stacks since 1.9).
+    stacks since 1.9; packed rows since 1.10).
 
     ``nodes`` holds node references as
     :func:`~repro.api.snapshot.node_to_wire` writes them, each distinct
-    one once.  ``rows`` is one run of integers per entry: ``node,
-    stack, state, steps, n_objects, object..., n_boundaries, (node,
-    stack, state)...``, where ``node``/``object`` index ``nodes`` and
-    ``stack`` names a field stack of ``stacks``.
+    one once.  The row values are one run of integers per entry:
+    ``node, stack, state, steps, n_objects, object..., n_boundaries,
+    (node, stack, state)...``, where ``node``/``object`` index
+    ``nodes`` and ``stack`` names a field stack of ``stacks``.
+
+    At 1.10 and later they travel in ``packed``, one base64 string
+    (standard alphabet, padded): a width byte of 2, 4 or 8, then each
+    value as a little-endian signed integer of that many bytes.  The
+    width is the smallest that holds every value, and ``rows`` is
+    empty.  Before 1.10 they are ``rows``, JSON integers, and
+    ``packed`` is left out.
 
     At 1.9 and later ``stacks`` is a trie: row ``i`` is ``[parent,
     field, family]``, the stack ``parent`` names with the token
@@ -566,6 +587,7 @@ class SummaryFrame:
     nodes: Tuple[Any, ...]
     stacks: Tuple[Any, ...]
     rows: Tuple[int, ...]
+    packed: Optional[str] = omitted_unless_set(None)
 
 
 @dataclass(frozen=True)
@@ -592,7 +614,8 @@ class MethodEntriesResponse:
     shard sends one exactly when the request's ``protocol_version`` is
     :data:`FRAME_VERSION` or later, in the layout the answer's
     ``protocol_version`` names (:func:`frame_version`): a 1.8 request
-    is answered under a ``"1.8"`` label.  A framed answer has empty
+    is answered under a ``"1.8"`` label, and a 1.7 or 1.9 one under
+    ``"1.9"``, as a 1.9 shard answers it.  A framed answer has empty
     ``entries``, its ``epochs`` align with the frame's entries, and the
     frame keeps the order the entries would have had.  Left out unless
     set, so an answer without a frame has a 1.7 answer's bytes but for

@@ -41,8 +41,11 @@ change cost, never answers), which is what engine warm-start uses when
 the program may have drifted since the save.
 """
 
+import base64
 import json
 import math
+import sys
+from array import array
 
 from repro.analysis.ppta import PptaResult
 from repro.analysis.summaries import (
@@ -295,8 +298,84 @@ def resolve_wire_entry(pag, entry, path="entry"):
 
 # ----------------------------------------------------------------------
 # frames — many entries, each node reference and field stack once
-# (protocol 1.8's fetch-methods answers; 1.9 writes the stacks as a trie)
+# (protocol 1.8's fetch-methods answers; 1.9 writes the stacks as a trie,
+# 1.10 packs the rows)
 # ----------------------------------------------------------------------
+#: The ``array`` typecode that holds a packed row of each width: signed
+#: 16-, 32- and 64-bit integers (C ``short``, ``int``, ``long long``).
+ROW_TYPECODES = {2: "h", 4: "i", 8: "q"}
+
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def pack_rows(rows):
+    """The packed form of frame rows (protocol 1.10): base64 of a width
+    byte, then each value as a little-endian signed integer of that
+    width, the smallest of 2, 4 or 8 bytes that holds every value.  A
+    value past int64 raises ``OverflowError``."""
+    for width, typecode in ROW_TYPECODES.items():  # narrowest first
+        try:
+            values = array(typecode, rows)
+        except OverflowError:
+            if width == 8:
+                raise
+            continue
+        break
+    if _BIG_ENDIAN:
+        values.byteswap()
+    return base64.b64encode(bytes((width,)) + values.tobytes()).decode("ascii")
+
+
+def unpack_rows(packed, path):
+    """The row values a packed string holds, as one ``array`` of its
+    width's typecode (:data:`ROW_TYPECODES`), in the host's byte order.
+    A string that is not strict base64 (a character outside the
+    alphabet, bad padding), a width other than 2, 4 or 8, or a byte
+    count that is not a multiple of the width raises a
+    :class:`SnapshotError` naming ``path``."""
+    # ``validate`` refuses every character outside the alphabet, but
+    # some Pythons take padding past a whole quantum: only the padded
+    # length and at most two trailing "=" are base64 as written.
+    if len(packed) % 4 or packed.find("=", 0, len(packed) - 2) >= 0:
+        raise SnapshotError(f"{path}: not base64 (bad padding)")
+    try:
+        raw = base64.b64decode(packed, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise SnapshotError(f"{path}: not base64 ({exc})") from None
+    if not raw:
+        raise SnapshotError(f"{path}: missing the width byte")
+    width = raw[0]
+    typecode = ROW_TYPECODES.get(width)
+    if typecode is None:
+        raise SnapshotError(f"{path}: row width must be 2, 4 or 8 bytes, got {width}")
+    if (len(raw) - 1) % width:
+        raise SnapshotError(
+            f"{path}: the rows take {len(raw) - 1} bytes, not a multiple of "
+            f"the width {width}"
+        )
+    values = array(typecode)
+    values.frombytes(memoryview(raw)[1:])
+    if _BIG_ENDIAN:
+        values.byteswap()
+    return values
+
+
+def frame_rows(frame, packed=False, path="frame"):
+    """A frame's row values: its ``rows``, or with ``packed`` (protocol
+    1.10) its ``packed`` string decoded by :func:`unpack_rows`.  A frame
+    that carries its rows in the other field is refused with a
+    :class:`SnapshotError` naming the field."""
+    if not packed:
+        if frame.packed is not None:
+            raise SnapshotError(f"{path}.packed: rows are packed only from 1.10")
+        return frame.rows
+    if frame.rows:
+        raise SnapshotError(f"{path}.rows: must be empty when the rows are packed")
+    if frame.packed is None:
+        raise SnapshotError(f"{path}.packed: missing")
+    return unpack_rows(frame.packed, f"{path}.packed")
+
+
 def ref_key(ref):
     """A hashable key for one validated node reference or field stack:
     two references share a key exactly when they are equal and encode
@@ -316,10 +395,11 @@ def ref_key(ref):
     return key
 
 
-def pack_frame(entries, trie=True):
+def pack_frame(entries, trie=True, packed=False):
     """The :class:`~repro.api.protocol.SummaryFrame` of validated wire
     entries, in their order: with a trie of field stacks (protocol
-    1.9), or with ``trie=False`` the 1.8 flat stack table.
+    1.9), or with ``trie=False`` the 1.8 flat stack table; with
+    ``packed`` (1.10, a trie) the rows are :func:`pack_rows`' string.
 
     The tables are keyed on object identity: a reference several
     entries share (a shard store shares equal ones, see
@@ -388,6 +468,10 @@ def pack_frame(entries, trie=True):
                 stack_row(boundary["stack"]),
                 int(boundary["state"]),
             )
+    if packed:
+        return SummaryFrame(
+            nodes=tuple(nodes), stacks=tuple(stacks), rows=(), packed=pack_rows(rows)
+        )
     return SummaryFrame(nodes=tuple(nodes), stacks=tuple(stacks), rows=tuple(rows))
 
 
@@ -439,10 +523,12 @@ def resolve_frame_tables(pag, frame, path="frame", trie=True):
     return nodes, is_object, stacks
 
 
-def resolve_frame(pag, frame, path="frame", tables=None, trie=True):
+def resolve_frame(pag, frame, path="frame", tables=None, trie=True, packed=False,
+                  rows=None):
     """Validate a :class:`~repro.api.protocol.SummaryFrame` and re-anchor
     its entries against ``pag``, each table row once (``trie``: as
-    :func:`resolve_frame_tables` reads the stack table).
+    :func:`resolve_frame_tables` reads the stack table; ``packed``: as
+    :func:`frame_rows` reads the rows).
 
     Returns one ``(node, field_stack, state, PptaResult)`` per entry, in
     frame order, or ``None`` where :func:`resolve_wire_entry` would
@@ -452,13 +538,16 @@ def resolve_frame(pag, frame, path="frame", tables=None, trie=True):
     table row (see :func:`resolve_frame_tables`), an index past its table,
     a negative integer, a ``steps`` of 2**63 or more, a state other
     than S1/S2, an object index naming a non-object node, or rows that
-    end mid-entry.  ``tables`` is what :func:`resolve_frame_tables`
-    already made of this frame, if anything.
+    end mid-entry.  ``tables`` and ``rows`` are what
+    :func:`resolve_frame_tables` and :func:`frame_rows` already made of
+    this frame, if anything.  Packed rows are read by index, and a
+    value names the same damage at every width.
     """
+    if rows is None:
+        rows = frame_rows(frame, packed, path)
     if tables is None:
         tables = resolve_frame_tables(pag, frame, path, trie)
     nodes, is_object, stacks = tables
-    rows = frame.rows
     end = len(rows)
     n_nodes = len(nodes)
     n_stacks = len(stacks)
@@ -530,7 +619,8 @@ class HeldFrame:
     built for them yet (see ``repro.native.session.hold_frame``).
 
     Keeps what the kernel read: the resolved ``nodes`` and ``stacks``
-    tables, the frame's ``rows``, and the row ``offsets`` of the
+    tables, the frame's rows (the ``array`` the kernel walked, packed
+    or not), and the row ``offsets`` of the
     ``count`` entries it accepted, which hold ``facts`` objects and
     boundaries in all.  :meth:`build` resolves those rows as
     :func:`resolve_frame` does; the kernel validated them already.

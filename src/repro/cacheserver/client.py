@@ -63,8 +63,9 @@ Correctness stance — the part the tests pin down:
   published or replaced since — so a warm batch also decodes O(new
   entries), not O(resident entries).  A shard frames its answer
   (protocol 1.8): each distinct node reference once, the field stacks
-  as a trie (1.9; a 1.8 shard sends each stack whole), plus integer
-  rows, validated and resolved in one pass; a damaged
+  as a trie (1.9; a 1.8 shard sends each stack whole), plus the entry
+  rows, packed into one base64 string (1.10; older shards send JSON
+  integers), validated and resolved in one pass; a damaged
   frame, or an answer whose ``epochs`` do not align with its entries,
   is refused whole and falls open.  A frame for a plain, empty local
   tier, on the kernel, is *held*: its rows go into the tier's kernel
@@ -103,6 +104,8 @@ from repro.analysis.summaries import (
 )
 from repro.api.codec import decode_response, encode
 from repro.api.protocol import (
+    PACKED_FRAME_VERSION,
+    TRIE_FRAME_VERSION,
     BatchStoreRequest,
     BatchStoreResponse,
     InvalidateRequest,
@@ -114,12 +117,12 @@ from repro.api.protocol import (
     SnapshotError,
     StoreStatsResponse,
     StoreStatsRequest,
-    TRIE_FRAME_VERSION,
     WireError,
     frame_version,
 )
 from repro.api.snapshot import (
     entry_to_wire,
+    frame_rows,
     resolve_frame,
     resolve_frame_tables,
     resolve_wire_entry,
@@ -641,9 +644,10 @@ class RemoteSummaryCache(SummaryBackend):
     def _prefetch(self, index, link):
         """One shard's ``fetch-methods`` exchange, adopted into the
         local tier.  A shard answers this build's requests with a frame,
-        read in the layout the answer's ``protocol_version`` names (a
-        trie of field stacks from a 1.9 shard, a flat table from a 1.8
-        one), then resolved by
+        read in the layout the answer's ``protocol_version`` names
+        (packed rows from a 1.10 shard, decoded once into one
+        ``array``; integer rows from an older one; a trie of field
+        stacks from 1.9, a flat table from a 1.8 shard), then resolved by
         :func:`~repro.api.snapshot.resolve_frame` or held in the
         kernel (:meth:`_hold`); a 1.7 shard answers with nominal
         entries.  An answer whose non-empty ``epochs`` does not
@@ -677,15 +681,18 @@ class RemoteSummaryCache(SummaryBackend):
         if frame is not None:
             # A framed answer (protocol 1.8) resolves in one pass, and
             # any damage refuses it whole, like an undecodable answer.
-            trie = frame_version(response.protocol_version) == TRIE_FRAME_VERSION
+            layout = frame_version(response.protocol_version)
             try:
-                tables = resolve_frame_tables(
-                    self._pag, frame, "prefetch.frame", trie
+                rows = frame_rows(
+                    frame, layout == PACKED_FRAME_VERSION, "prefetch.frame"
                 )
-                held = self._hold(tables, frame.rows, epochs)
+                tables = resolve_frame_tables(
+                    self._pag, frame, "prefetch.frame", layout >= TRIE_FRAME_VERSION
+                )
+                held = self._hold(tables, rows, epochs)
                 if held is None:
                     entries = resolve_frame(
-                        self._pag, frame, "prefetch.frame", tables
+                        self._pag, frame, "prefetch.frame", tables, rows=rows
                     )
             except SnapshotError:
                 self._bump("remote_errors", "degraded")

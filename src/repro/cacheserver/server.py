@@ -33,6 +33,7 @@ from repro.analysis.summaries import shard_for_method
 from repro.api.codec import decode_request, encode
 from repro.api.protocol import (
     FRAME_VERSION,
+    PACKED_FRAME_VERSION,
     PROTOCOL_VERSION,
     TRIE_FRAME_VERSION,
     BatchInvalidateRequest,
@@ -83,14 +84,21 @@ MAX_LINE_BYTES = 16 * 1024 * 1024
 #: Pending-connection backlog of a listening socket.
 LISTEN_BACKLOG = 128
 
-#: A dispatcher's last full-dump ``fetch-methods`` answer: the store
-#: version it was scanned at, what the request asked (``(methods,
-#: fingerprint, frame version)``), the response and its encoded line.
+#: A dispatcher's last full-dump ``fetch-methods`` answer at one frame
+#: version: the store version it was scanned at, what the request asked
+#: (``(methods, fingerprint)``), the response and its encoded line.
 _KeptDump = namedtuple("_KeptDump", "version query response line")
 
-#: The label of a ``fetch-methods`` answer to a 1.8 requester: it gets
-#: 1.8's flat frame, byte for byte what a 1.8 shard sends.
-_FLAT_FRAME_LABEL = "%d.%d" % FRAME_VERSION
+#: The label of a ``fetch-methods`` answer, by the frame version of its
+#: request: a request older than 1.10 gets byte for byte what a 1.9
+#: shard sends (1.8's flat frame under a 1.8 label to a 1.8 requester,
+#: a 1.9 label to a 1.7 or 1.9 one).
+_ANSWER_LABELS = {
+    None: "%d.%d" % TRIE_FRAME_VERSION,
+    FRAME_VERSION: "%d.%d" % FRAME_VERSION,
+    TRIE_FRAME_VERSION: "%d.%d" % TRIE_FRAME_VERSION,
+    PACKED_FRAME_VERSION: PROTOCOL_VERSION,
+}
 
 
 class ShardDispatcher:
@@ -100,14 +108,17 @@ class ShardDispatcher:
     :class:`LineServer`; the unit tests drive :meth:`handle_line`
     directly with no socket at all.
 
-    The dispatcher keeps its last full-dump ``fetch-methods`` answer,
-    encoded, with the store :attr:`~WireSummaryStore.version` it was
-    scanned at.  A full dump asking for the same methods, fingerprint
-    and framing while the version stands is answered with that line: no
-    scan, no pack and no encode.  A warm fleet is read-mostly, so each
-    fresh engine's first prefetch costs a shard one version check.
-    ``dumps_packed`` and ``dumps_kept`` count the full dumps answered
-    each way.
+    The dispatcher keeps its last full-dump ``fetch-methods`` answer
+    per frame version (nominal, flat, trie, packed: only the forms
+    requested), encoded, with the store
+    :attr:`~WireSummaryStore.version` it was scanned at.  A full dump
+    asking for the same methods and fingerprint in the same form while
+    the version stands is answered with that line: no scan, no pack and
+    no encode.  A warm fleet is read-mostly, so each fresh engine's
+    first prefetch costs a shard one version check, also while clients
+    of several versions share it.  A dump kept at a newer store version
+    retires the older forms.  ``dumps_packed`` and ``dumps_kept`` count
+    the full dumps answered each way.
     """
 
     def __init__(
@@ -134,7 +145,7 @@ class ShardDispatcher:
         # Published whole under the lock and read without it: a reader
         # sees one answer or the next, never half of one.
         self._kept_lock = threading.Lock()
-        self._kept = None  # guarded-by: _kept_lock — a _KeptDump
+        self._kept = {}  # guarded-by: _kept_lock — frame version -> _KeptDump
         self.dumps_packed = 0  # guarded-by: _kept_lock
         self.dumps_kept = 0  # guarded-by: _kept_lock
 
@@ -180,9 +191,9 @@ class ShardDispatcher:
             return encode(ErrorResponse(code=exc.code, message=str(exc)))
         try:
             response = self._dispatch(request)
-            kept = self._kept
-            if kept is not None and response is kept.response:
-                return kept.line
+            for kept in self._kept.values():
+                if response is kept.response:
+                    return kept.line
             return encode(response)
         except WireError as exc:
             return encode(ErrorResponse(code=exc.code, message=str(exc)))
@@ -294,14 +305,15 @@ class ShardDispatcher:
         )
 
     def _fetch_methods(self, request):
-        """The ``fetch-methods`` answer: the kept full dump while it
-        stands, else a fresh scan, kept when it is a full dump."""
+        """The ``fetch-methods`` answer: the kept full dump of the
+        request's frame version while it stands, else a fresh scan, kept
+        when it is a full dump."""
         if request.methods is not None:
             for method in request.methods:
                 self._check_ownership(method)
         frame = frame_version(request.protocol_version)
-        query = (request.methods, request.fingerprint, frame)
-        kept = self._kept
+        query = (request.methods, request.fingerprint)
+        kept = self._kept.get(frame)
         # Equal versions mean equal dumps, and the store still has the
         # kept answer's incarnation and cursor, which tell whether this
         # request asks for a delta.  A match linearizes at this read.
@@ -327,18 +339,22 @@ class ShardDispatcher:
         )
         epochs = tuple(epochs) if any(epochs) else ()
         # Framed for a requester that reads frames, in the layout it
-        # reads (a trie from 1.9, flat at 1.8), when there is anything
-        # to frame; an older one, and an empty answer, get nominal
-        # entries.  The store shares equal references, so packing is an
-        # identity lookup per reference.
-        label = _FLAT_FRAME_LABEL if frame == FRAME_VERSION else PROTOCOL_VERSION
+        # reads (packed rows from 1.10, a trie from 1.9, flat at 1.8),
+        # when there is anything to frame; an older one, and an empty
+        # answer, get nominal entries.  The store shares equal
+        # references, so packing is an identity lookup per reference.
+        label = _ANSWER_LABELS[frame]
         if frame is not None and entries:
             response = MethodEntriesResponse(
                 entries=(),
                 epochs=epochs,
                 incarnation=incarnation,
                 cursor=cursor,
-                frame=pack_frame(entries, trie=frame == TRIE_FRAME_VERSION),
+                frame=pack_frame(
+                    entries,
+                    trie=frame >= TRIE_FRAME_VERSION,
+                    packed=frame >= PACKED_FRAME_VERSION,
+                ),
                 protocol_version=label,
             )
         else:
@@ -349,11 +365,22 @@ class ShardDispatcher:
                 cursor=cursor,
                 protocol_version=label,
             )
-        if version is not None:  # a full dump; a delta is never kept
-            kept = _KeptDump(version, query, response, encode(response))
-            with self._kept_lock:
-                self._kept = kept
-                self.dumps_packed += 1
+        if version is None:  # a delta is never kept
+            return response
+        kept = _KeptDump(version, query, response, encode(response))
+        with self._kept_lock:
+            self.dumps_packed += 1
+            # One line per frame version, all scanned at one store
+            # version: a newer scan retires the other forms, and a
+            # scan that lost a race to a newer one is not kept.
+            if all(other.version <= version for other in self._kept.values()):
+                forms = {
+                    form: other
+                    for form, other in self._kept.items()
+                    if other.version == version
+                }
+                forms[frame] = kept
+                self._kept = forms
         return response
 
 

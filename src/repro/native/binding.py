@@ -39,8 +39,9 @@ from typing import List, Optional, Tuple
 #: the kernel's view of the image layout, the call signatures or the
 #: ownership of a buffer handed over changes (3: the kernel borrows the
 #: token tables with the CSR arrays and reads image tokens only; 4:
-#: ``rk_frame_hold`` takes a prefetched frame's rows into a session).
-RK_ABI_VERSION = 4
+#: ``rk_frame_hold`` takes a prefetched frame's rows into a session; 5:
+#: it reads the rows at the width they arrive in, 2, 4 or 8 bytes).
+RK_ABI_VERSION = 5
 
 _I32 = ctypes.c_int32
 _I64 = ctypes.c_int64
@@ -246,7 +247,7 @@ def _declare(lib: ctypes.PyDLL) -> None:
     lib.rk_summary_del.restype = _I32
     lib.rk_frame_hold.argtypes = [
         void_p,
-        _I64, _PI64,                # frame rows
+        _I64, void_p, _I32,         # frame rows, at a width of 2, 4 or 8 bytes
         _I32, _PI32, _PI32, _PI64,  # per node row: image index, object?, epoch
         _I32, _PI32,                # per stack row: field-stack id
         _I64, _PI64,                # the answer's epochs

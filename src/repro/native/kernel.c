@@ -37,7 +37,9 @@
  *                record behind, and the binding compacts the session
  *                (rk_session_compact) once dead records outnumber live
  *                ones.  rk_frame_hold fills it straight from a
- *                prefetched frame's rows, with no Python summary built.
+ *                prefetched frame's rows, read at the width they
+ *                arrive in (2, 4 or 8 bytes: a packed frame's buffer
+ *                as decoded, or int64), with no Python summary built.
  *   Rk*Result  — malloc'd per call, freed by the matching rk_*_free.
  *
  * Registered in repro.devtools.registry.HOT_FUNCTIONS (impl="native"):
@@ -48,7 +50,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define RK_ABI_VERSION 4
+#define RK_ABI_VERSION 5
 
 /* RSM states and token families (repro.cfl.rsm). */
 #define RK_S1 1
@@ -787,7 +789,9 @@ int32_t rk_summary_del(RkSession *s, int32_t n, const int32_t *t,
 /*                                                                    */
 /* The rows are untrusted (repro.api.protocol.SummaryFrame, one run   */
 /* per entry: node, stack, state, steps, n_objects, object...,        */
-/* n_boundaries, (node, stack, state)...).  The binding resolved the  */
+/* n_boundaries, (node, stack, state)...), signed integers of 2, 4 or */
+/* 8 bytes each in host order, read through frame_row; a packed       */
+/* frame's buffer arrives at its own width.  The binding resolved the */
 /* node and stack tables and maps each table row: node_idx to an      */
 /* image index (RK_NODE_UNRESOLVED: the entity is not in the PAG;     */
 /* RK_NODE_FOREIGN: in the PAG, not in the image), stack_id to a      */
@@ -796,13 +800,25 @@ int32_t rk_summary_del(RkSession *s, int32_t n, const int32_t *t,
 #define RK_NODE_UNRESOLVED (-1)
 #define RK_NODE_FOREIGN (-2)
 
+/* Row i of a frame whose rows are `width` bytes wide (2, 4 or 8). */
+static inline int64_t frame_row(const void *rows, int32_t width, int64_t i) {
+    if (width == 2)
+        return ((const int16_t *)rows)[i];
+    if (width == 4)
+        return ((const int32_t *)rows)[i];
+    return ((const int64_t *)rows)[i];
+}
+/* Row i of rk_frame_hold's rows (i is evaluated once). */
+#define ROW(i) frame_row(rows, width, (i))
+
 /* rk_frame_hold outcomes (RK_OK, or RK_ERR_OOM with s poisoned). */
 #define RK_HOLD_DAMAGED 1     /* resolve_frame would raise */
 #define RK_HOLD_MISALIGNED 2  /* non-empty epochs, not one per entry */
 #define RK_HOLD_FOREIGN 3     /* an accepted entry the kernel cannot hold */
 #define RK_HOLD_REPEATED 4    /* a key twice in the frame, or already held */
 
-/* Walk the rows by repro.api.snapshot.resolve_frame's rules and commit
+/* Walk the rows by repro.api.snapshot.resolve_frame's rules, at any
+ * width the same rules on the same values, and commit
  * every accepted entry into s: an entry is skipped when a node it names
  * is RK_NODE_UNRESOLVED, or when its epoch (epochs[i], 0 when n_epochs
  * is 0) differs from node_epoch of its key node — the prefetch's
@@ -819,11 +835,12 @@ int32_t rk_summary_del(RkSession *s, int32_t n, const int32_t *t,
  * the session.  A boundary node that is RK_NODE_FOREIGN packs the
  * sentinel n, as _put does.
  *
- * offsets must have room for n_rows / 6 + 1 values (an entry takes at
- * least 6): it receives the row offset of each accepted entry.  out
- * receives {entries, accepted, skipped, facts}. */
-int32_t rk_frame_hold(RkSession *s, int64_t n_rows, const int64_t *rows,
-                      int32_t n_nodes, const int32_t *node_idx,
+ * A width other than 2, 4 or 8 is RK_HOLD_DAMAGED before any row is
+ * read.  offsets must have room for n_rows / 6 + 1 values (an entry
+ * takes at least 6): it receives the row offset of each accepted entry.
+ * out receives {entries, accepted, skipped, facts}. */
+int32_t rk_frame_hold(RkSession *s, int64_t n_rows, const void *rows,
+                      int32_t width, int32_t n_nodes, const int32_t *node_idx,
                       const int32_t *node_obj, const int64_t *node_epoch,
                       int32_t n_stacks, const int32_t *stack_id,
                       int64_t n_epochs, const int64_t *epochs,
@@ -835,6 +852,8 @@ int32_t rk_frame_hold(RkSession *s, int64_t n_rows, const int64_t *rows,
     KSet seen;
     IntBuf objs, bt, bf;
     out[0] = out[1] = out[2] = out[3] = 0;
+    if (width != 2 && width != 4 && width != 8)
+        return RK_HOLD_DAMAGED;
     if (kset_init(&seen, 1024) < 0) {
         s->oom = 1;
         return RK_ERR_OOM;
@@ -844,11 +863,11 @@ int32_t rk_frame_hold(RkSession *s, int64_t n_rows, const int64_t *rows,
         int resolved;
         if (n_rows - pos < 6) /* the key, steps and both counts */
             goto damaged;
-        node = rows[pos];
-        stack = rows[pos + 1];
-        state = rows[pos + 2];
-        steps = rows[pos + 3];
-        count = rows[pos + 4];
+        node = ROW(pos);
+        stack = ROW(pos + 1);
+        state = ROW(pos + 2);
+        steps = ROW(pos + 3);
+        count = ROW(pos + 4);
         if (node < 0 || node >= n_nodes || stack < 0 || stack >= n_stacks ||
             (state != RK_S1 && state != RK_S2) || steps < 0 || count < 0)
             goto damaged;
@@ -857,19 +876,19 @@ int32_t rk_frame_hold(RkSession *s, int64_t n_rows, const int64_t *rows,
             goto damaged;
         resolved = node_idx[node] != RK_NODE_UNRESOLVED;
         for (k = 0; k < count; k++) {
-            int64_t obj = rows[pos + k];
+            int64_t obj = ROW(pos + k);
             if (obj < 0 || obj >= n_nodes || !node_obj[obj])
                 goto damaged;
             if (node_idx[obj] == RK_NODE_UNRESOLVED)
                 resolved = 0;
         }
         pos += count;
-        nb = rows[pos++];
+        nb = ROW(pos++);
         if (nb < 0 || nb > (n_rows - pos) / 3)
             goto damaged;
         for (k = 0; k < nb; k++) {
-            int64_t bnode = rows[pos + 3 * k], bstack = rows[pos + 3 * k + 1];
-            int64_t bstate = rows[pos + 3 * k + 2];
+            int64_t bnode = ROW(pos + 3 * k), bstack = ROW(pos + 3 * k + 1);
+            int64_t bstate = ROW(pos + 3 * k + 2);
             if (bnode < 0 || bnode >= n_nodes || bstack < 0 || bstack >= n_stacks ||
                 (bstate != RK_S1 && bstate != RK_S2))
                 goto damaged;
@@ -899,10 +918,10 @@ int32_t rk_frame_hold(RkSession *s, int64_t n_rows, const int64_t *rows,
             nb > INT32_MAX)
             refused = RK_HOLD_FOREIGN;
         for (k = 0; k < count && refused == RK_OK; k++)
-            if (node_idx[rows[start + 5 + k]] < 0)
+            if (node_idx[ROW(start + 5 + k)] < 0)
                 refused = RK_HOLD_FOREIGN;
         for (k = 0; k < nb && refused == RK_OK; k++)
-            if (stack_id[rows[pos - 3 * nb + 3 * k + 1]] < 0)
+            if (stack_id[ROW(pos - 3 * nb + 3 * k + 1)] < 0)
                 refused = RK_HOLD_FOREIGN;
         if (refused != RK_OK)
             continue;
@@ -941,23 +960,23 @@ int32_t rk_frame_hold(RkSession *s, int64_t n_rows, const int64_t *rows,
     buf_init(&bf);
     for (i = 0; i < accepted && status == RK_OK; i++) {
         int64_t at = offsets[i];
-        int64_t count = rows[at + 4], nb;
+        int64_t count = ROW(at + 4), nb;
         objs.len = bt.len = bf.len = 0;
         for (k = 0; k < count && status == RK_OK; k++)
-            if (buf_push(&objs, node_idx[rows[at + 5 + k]]) < 0)
+            if (buf_push(&objs, node_idx[ROW(at + 5 + k)]) < 0)
                 status = RK_ERR_OOM;
         at += 5 + count;
-        nb = rows[at++];
+        nb = ROW(at++);
         for (k = 0; k < nb && status == RK_OK; k++, at += 3) {
-            int32_t bi = node_idx[rows[at]];
-            if (buf_push(&bt, (bi >= 0 ? bi : n) * 4 + (int32_t)rows[at + 2]) < 0 ||
-                buf_push(&bf, stack_id[rows[at + 1]]) < 0)
+            int32_t bi = node_idx[ROW(at)];
+            if (buf_push(&bt, (bi >= 0 ? bi : n) * 4 + (int32_t)ROW(at + 2)) < 0 ||
+                buf_push(&bf, stack_id[ROW(at + 1)]) < 0)
                 status = RK_ERR_OOM;
         }
         at = offsets[i];
         if (status == RK_OK &&
-            session_commit(s, node_idx[rows[at]] * 4 + (int32_t)rows[at + 2],
-                           stack_id[rows[at + 1]], rows[at + 3], objs.data,
+            session_commit(s, node_idx[ROW(at)] * 4 + (int32_t)ROW(at + 2),
+                           stack_id[ROW(at + 1)], ROW(at + 3), objs.data,
                            objs.len, bt.data, bf.data, bt.len) < 0)
             status = RK_ERR_OOM;
     }
@@ -976,6 +995,7 @@ damaged:
     out[0] = entries;
     return RK_HOLD_DAMAGED;
 }
+#undef ROW
 
 /* ------------------------------------------------------------------ */
 /* boundary ordering (repro.analysis.ppta._boundary_order)            */

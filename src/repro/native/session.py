@@ -35,7 +35,9 @@ the C kernel in ``kernel.c``:
 * **Held frames** (:func:`hold_frame`) — a remote store's framed
   prefetch into a plain tier whose dict is empty, on the kernel: the
   client resolves the frame's node and stack tables, and one
-  ``rk_frame_hold`` call walks the rows — validating them by
+  ``rk_frame_hold`` call walks the rows — the packed ``array`` a 1.10
+  frame decodes to, at its width of 2, 4 or 8 bytes, with no Python
+  int built per row; a 1.8 or 1.9 frame's integers as int64 — validating them by
   :func:`~repro.api.snapshot.resolve_frame`'s rules and applying the
   prefetch's adoption filter — and commits every
   accepted entry to the tier's session.  The tier records the block
@@ -826,8 +828,11 @@ def hold_frame(cache, pag, tables, rows, epochs, method_epochs):
 
     ``cache`` is a remote store's plain local tier with an empty dict;
     ``tables`` is what :func:`~repro.api.snapshot.resolve_frame_tables`
-    made of the frame, ``rows`` the frame's rows, ``epochs`` the
-    answer's and ``method_epochs`` the client's non-zero method epochs.
+    made of the frame, ``rows`` what
+    :func:`~repro.api.snapshot.frame_rows` made of it (a packed
+    frame's ``array``, handed over as it stands with its width, or
+    JSON integers, copied into an int64 one), ``epochs`` the answer's
+    and ``method_epochs`` the client's non-zero method epochs.
     One ``rk_frame_hold`` call validates the rows, skips the entries
     the prefetch would not adopt (an unresolved reference, an epoch
     that is not the client's) and commits the rest to the session; the
@@ -846,7 +851,8 @@ def hold_frame(cache, pag, tables, rows, epochs, method_epochs):
         return "no kernel"
     nodes, is_object, stacks = tables
     try:
-        rows_q = array("q", rows)
+        if type(rows) is not array:
+            rows = array("q", rows)
         epochs_q = array("q", epochs)
         node_epoch = array(
             "q",
@@ -876,12 +882,13 @@ def hold_frame(cache, pag, tables, rows, epochs, method_epochs):
     sess = _session_for(ng, cache)
     if sess is None:
         return "no kernel session"
-    offsets = array("q", bytes(8 * (len(rows_q) // 6 + 1)))
+    offsets = array("q", bytes(8 * (len(rows) // 6 + 1)))
     out = (c_int64 * 4)()
     rc = ng.lib.rk_frame_hold(
         sess.handle,
-        len(rows_q),
-        _addr64(rows_q),
+        len(rows),
+        rows.buffer_info()[0],
+        rows.itemsize,
         len(node_idx),
         _addr(node_idx),
         _addr(node_obj),

@@ -50,11 +50,13 @@ PAPERS.md).  This harness measures **steps per second**:
 * **remote** — pipelined remote sessions on the generator program's
   NullDeref stream (the paper's 10 batches) over two in-process shard
   servers: a cold session against the empty fleet, a warm one
-  served by its flushes and a rewarm one on the unchanged fleet,
-  beside a cold local engine, with their wall times, round trips,
-  lookups, prefetch bytes, ``native_unavailable``, the entries the
-  local tier held in the kernel and later built in Python, and each
-  shard's full dumps packed and answered from its kept line.
+  served by its flushes and rewarm ones on the unchanged fleet (the
+  median of :data:`REWARM_SESSIONS`), each after a full cyclic-GC
+  pass, beside a cold local engine, with their wall times, the first
+  batch's prefetch time, round trips, lookups, prefetch bytes,
+  ``native_unavailable``, the entries the local tier held in the
+  kernel and later built in Python, and each shard's full dumps packed
+  and answered from its kept line.
   ``--check`` gates on answers equal to the local engine's, no
   ``lookup`` round trip in any session, at most
   :data:`PREFETCH_BYTES_PER_ENTRY_MAX` prefetch bytes per prefetched
@@ -85,6 +87,7 @@ on absolute times.
 
 import argparse
 import cProfile
+import gc
 import json
 import os
 import pstats
@@ -658,11 +661,15 @@ def run_chaos(quick=False, scale=0.3, log=lambda s: None):
 REMOTE_BATCHES = 10
 #: The ``remote`` section's sessions, in order, each on a fresh engine.
 REMOTE_SESSIONS = ("cold", "warm", "rewarm")
+#: How many ``rewarm`` sessions run; the section reports their median
+#: times, and each one must do the same work.
+REWARM_SESSIONS = 5
 #: ``--check``'s ceiling on the warm remote session's
 #: ``prefetch_bytes`` per ``prefetched`` entry.  A full dump of the
-#: generator program reads ~34 bytes per entry in trie frames
-#: (protocol 1.9), ~54 in flat ones (1.8) and ~311 as nominal entries,
-#: so a fall back to flat frames fails the gate.
+#: generator program reads ~35 bytes per entry in trie frames with
+#: packed rows (protocol 1.10) or integer ones (1.9), ~54 in flat ones
+#: (1.8) and ~311 as nominal entries, so a fall back to flat frames
+#: fails the gate.
 PREFETCH_BYTES_PER_ENTRY_MAX = 48
 
 
@@ -670,7 +677,10 @@ def _remote_session(policy):
     """A fresh engine over its own generator PAG (CSR compiled before
     the clock starts) answers the NullDeref stream in
     :data:`REMOTE_BATCHES` batches; returns ``(seconds, answers,
-    engine)``."""
+    engine, first prefetch seconds)``, the last one the first batch's
+    ``begin_batch`` (``None`` for a store without batch hooks).  A full
+    cyclic-GC pass runs before the clock, so no session pays for
+    garbage an earlier section left."""
     from repro.bench.batching import split_batches
 
     pag = load_benchmark("jython", config=GENERATOR_CONFIG).pag
@@ -678,12 +688,24 @@ def _remote_session(policy):
     engine = PointsToEngine(pag, policy)
     client = CLIENTS["NullDeref"](pag)
     answers = []
+    prefetches = []
+    begin_batch = getattr(engine.cache, "begin_batch", None)
+    if begin_batch is not None:
+
+        def timed_begin_batch():
+            started = time.perf_counter()
+            begin_batch()
+            prefetches.append(time.perf_counter() - started)
+
+        engine.cache.begin_batch = timed_begin_batch
+    gc.collect()
     started = time.perf_counter()
     for batch in split_batches(client.queries(), REMOTE_BATCHES):
         result = engine.query_batch(client.specs(batch), dedupe=False, reorder=False)
         answers.extend(result.results)
     elapsed = time.perf_counter() - started
-    return elapsed, _canonical(answers), engine
+    first_prefetch = prefetches[0] if prefetches else None
+    return elapsed, _canonical(answers), engine, first_prefetch
 
 
 def run_remote(log=lambda s: None):
@@ -694,9 +716,14 @@ def run_remote(log=lambda s: None):
     NullDeref stream in the paper's 10 batches (:func:`_remote_session`),
     each session on a fresh engine under the default impl: ``cold``
     against the empty fleet, then ``warm`` against what the cold session
-    flushed, then ``rewarm`` against the fleet the warm session left
-    unchanged, beside ``local_cold_sec``, the same stream on a fresh
-    engine with a plain store.  ``lookups`` counts the ``lookup`` round
+    flushed, then :data:`REWARM_SESSIONS` ``rewarm`` sessions against
+    the fleet the warm session left unchanged, beside
+    ``local_cold_sec``, the same stream on a fresh engine with a plain
+    store.  ``first_prefetch_sec`` is the first batch's
+    ``begin_batch``, which loads a fresh engine's full dumps.  The
+    rewarm row reports the median ``sec`` and ``first_prefetch_sec``
+    of its ``sessions`` and one session's counters, which every one of
+    them must equal.  ``lookups`` counts the ``lookup`` round
     trips answered (remote hits plus misses), ``prefetch_bytes`` the
     size of the ``fetch-methods-result`` lines the session decoded,
     ``held`` the prefetched entries the local tier held in the kernel
@@ -704,18 +731,19 @@ def run_remote(log=lambda s: None):
     they are the tier's counters, not ``RemoteStoreStats``), and
     ``dumps_packed``/``dumps_kept`` each shard's full dumps scanned and
     encoded, and answered from its kept line, during the session.
-    Answers must equal the local engine's; a violation raises
-    :class:`PerfCheckError` regardless of ``--check`` (which also gates
-    on no lookups in any session, on the warm session's prefetch bytes
-    per prefetched entry, on every shard answering the rewarm session's
-    full dump from its kept line and, with the kernel loaded, on
+    Answers must equal the local engine's, and the rewarm sessions must
+    do equal work; a violation raises :class:`PerfCheckError`
+    regardless of ``--check`` (which also gates on no lookups in any
+    session, on the warm session's prefetch bytes per prefetched
+    entry, on every shard answering the rewarm session's full dump
+    from its kept line and, with the kernel loaded, on
     ``native_unavailable`` being null and on the warm and rewarm
     sessions holding every prefetched entry and building none).
     """
     from repro.cacheserver.server import ShardServer
     from repro.engine.policy import CachePolicy
 
-    local_sec, want, _engine = _remote_session(bench_engine_policy())
+    local_sec, want, _engine, _none = _remote_session(bench_engine_policy())
     servers = [ShardServer(i, 2).start() for i in range(2)]
     try:
         policy = bench_engine_policy(
@@ -726,37 +754,22 @@ def run_remote(log=lambda s: None):
         )
         sessions = {}
         for name in REMOTE_SESSIONS:
-            packed = [server.dumps_packed for server in servers]
-            kept = [server.dumps_kept for server in servers]
-            sec, answers, engine = _remote_session(policy)
-            engine.cache.close()
-            if answers != want:
-                raise PerfCheckError(
-                    f"remote {name} session answers differ from a local engine's"
-                )
-            stats = engine.stats()
-            remote = stats.remote
-            tier = engine.cache.local_tier
-            sessions[name] = {
-                "sec": round(sec, 6),
-                "round_trips": remote.round_trips,
-                "lookups": remote.remote_hits + remote.remote_misses,
-                "prefetched": remote.prefetched,
-                "prefetch_bytes": remote.prefetch_bytes,
-                "stores": remote.stores,
-                "steps": stats.steps,
-                "native_unavailable": stats.native_unavailable,
-                "held": tier.held,
-                "built": tier.built,
-                "dumps_packed": [
-                    server.dumps_packed - before
-                    for server, before in zip(servers, packed)
-                ],
-                "dumps_kept": [
-                    server.dumps_kept - before
-                    for server, before in zip(servers, kept)
-                ],
-            }
+            rows = []
+            for _ in range(REWARM_SESSIONS if name == "rewarm" else 1):
+                row, stats = _remote_row(name, policy, servers, want)
+                rows.append(row)
+            row = rows[0]
+            for other in rows[1:]:
+                if _work(other) != _work(row):
+                    raise PerfCheckError(
+                        f"remote {name} sessions did different work: "
+                        f"{_work(row)} then {_work(other)}"
+                    )
+            if len(rows) > 1:
+                row["sessions"] = len(rows)
+                for key in ("sec", "first_prefetch_sec"):
+                    row[key] = round(statistics.median(r[key] for r in rows), 6)
+            sessions[name] = row
     finally:
         for server in servers:
             server.stop()
@@ -773,13 +786,58 @@ def run_remote(log=lambda s: None):
     log(
         f"  local cold={local_sec * 1000:7.1f}ms  "
         + "  ".join(
-            f"{name}={row['sec'] * 1000:.1f}ms ({row['round_trips']} round "
+            f"{name}={row['sec'] * 1000:.1f}ms (first prefetch "
+            f"{row['first_prefetch_sec'] * 1000:.1f}ms, {row['round_trips']} round "
             f"trips, {row['lookups']} lookups)"
             for name, row in sessions.items()
         )
         + f"  native_unavailable={sessions['warm']['native_unavailable']}"
     )
     return section
+
+
+#: A remote session row's timings; every other field is its work.
+_TIMINGS = ("sec", "first_prefetch_sec")
+
+
+def _work(row):
+    return {key: value for key, value in row.items() if key not in _TIMINGS}
+
+
+def _remote_row(name, policy, servers, want):
+    """One remote session's row (see :func:`run_remote`) and its
+    engine's stats."""
+    packed = [server.dumps_packed for server in servers]
+    kept = [server.dumps_kept for server in servers]
+    sec, answers, engine, first_prefetch = _remote_session(policy)
+    engine.cache.close()
+    if answers != want:
+        raise PerfCheckError(
+            f"remote {name} session answers differ from a local engine's"
+        )
+    stats = engine.stats()
+    remote = stats.remote
+    tier = engine.cache.local_tier
+    row = {
+        "sec": round(sec, 6),
+        "first_prefetch_sec": round(first_prefetch, 6),
+        "round_trips": remote.round_trips,
+        "lookups": remote.remote_hits + remote.remote_misses,
+        "prefetched": remote.prefetched,
+        "prefetch_bytes": remote.prefetch_bytes,
+        "stores": remote.stores,
+        "steps": stats.steps,
+        "native_unavailable": stats.native_unavailable,
+        "held": tier.held,
+        "built": tier.built,
+        "dumps_packed": [
+            server.dumps_packed - before for server, before in zip(servers, packed)
+        ],
+        "dumps_kept": [
+            server.dumps_kept - before for server, before in zip(servers, kept)
+        ],
+    }
+    return row, stats
 
 
 #: Codec traffic: request lines per cycle (serve-ide's cycle length),
@@ -1016,8 +1074,11 @@ def run_perf(
         # version 12 adds the rewarm session and each session's shard
         # dumps packed and kept; version 13 adds each remote session's
         # entries held in the kernel and built in Python; version 14
-        # times the LRU store's evictions.
-        "version": 14,
+        # times the LRU store's evictions; version 15 runs a full GC
+        # pass before each remote session, reports the rewarm session
+        # as the median of REWARM_SESSIONS, and adds each session's
+        # ``first_prefetch_sec``.
+        "version": 15,
         "quick": quick,
         "python": sys.version.split()[0],
         "figure4": figure4,
@@ -1161,7 +1222,8 @@ def _check_report(report):
                 "are not framed, or not as a trie)"
             )
         # The warm session wrote nothing, so each shard still has the
-        # full dump it packed for it and answers the rewarm one with it.
+        # full dump it packed for it and answers every rewarm session's
+        # with it.
         rewarm = remote["rewarm"]
         if any(rewarm["dumps_packed"]) or not all(rewarm["dumps_kept"]):
             raise PerfCheckError(

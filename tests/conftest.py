@@ -230,6 +230,20 @@ def make_pag(source, entry="Main.main"):
     return build_pag(parse_program(source, entry=entry))
 
 
+def packed_at(rows, width):
+    """``rows`` packed as a 1.10 frame's ``packed`` string at ``width``
+    bytes (2, 4 or 8, or any other byte written as the width), whatever
+    width the values need: base64 of the width byte, then each value
+    little-endian.  The format written out plainly, beside
+    ``repro.api.snapshot.pack_rows``."""
+    import base64
+
+    body = b"".join(
+        value.to_bytes(width, "little", signed=True) for value in rows
+    )
+    return base64.b64encode(bytes((width,)) + body).decode("ascii")
+
+
 def child_env():
     """The environment for a ``python -m repro...`` child process: this
     checkout's package first on its path."""

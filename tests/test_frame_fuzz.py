@@ -4,9 +4,10 @@ Valid frames come from a shard: random entries (local, object and
 global node references, both stack families, both states, any steps;
 some naming entities the program lacks) are stored in a shard's
 ``WireSummaryStore`` and fetched through its dispatcher at protocol
-1.8 (a flat stack table) and 1.9 (a trie of stack rows), and again at
-1.7 for the same entries nominally.  Every property runs at both frame
-versions.  Damaged frames are such a frame's JSON with one defect: an
+1.8 (a flat stack table), 1.9 (a trie of stack rows) and 1.10 (the
+trie, its rows packed), and again at 1.7 for the same entries
+nominally.  Every property runs at all three frame versions.  Damaged
+frames are such a frame's JSON with one defect: an
 index past its table, rows cut mid-entry, a negative count, an object
 index that names a local, a state of 0 or 3, a junk node row, a junk
 stack row, a negative index, or any row value swapped for a small
@@ -14,7 +15,13 @@ integer.  A junk trie row breaks one rule of its own: a parent naming
 the row itself, a later row, a row past the table, a negative parent
 or ``true``; 2 or 4 items, or no array; a field that is not a string;
 a family outside 0/1, or ``true``.  Each is refused with a
-``SnapshotError`` naming ``frame.stacks[i]``.
+``SnapshotError`` naming ``frame.stacks[i]``.  At 1.10 the damaged
+values are packed again at a width drawn from those that hold them (a
+value past int64 has no packed form), and the packed string itself is
+damaged alone: a character outside the base64 alphabet, bad padding, a
+byte count that is not a multiple of the width, or a width other than
+2, 4 or 8.  Each of those is refused naming ``frame.packed``, before
+any row reaches the kernel.
 
 The property: ``resolve_frame`` either raises ``SnapshotError`` or
 returns exactly what ``resolve_wire_entry`` returns for the same
@@ -36,12 +43,14 @@ entries, epoch filter included; misaligned epochs are refused by both.
 Runs derandomized, so tier-1 sees the same examples every time.
 """
 
+import base64
+import binascii
 import json
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import GLOBALS_SOURCE, make_pag
+from conftest import GLOBALS_SOURCE, make_pag, packed_at
 from repro.api.codec import decode_response, encode
 from repro.api.protocol import (
     BatchStoreRequest,
@@ -55,6 +64,7 @@ from repro.api.snapshot import (
     check_entry,
     check_key,
     entry_to_wire,
+    frame_rows,
     node_to_wire,
     pack_frame,
     resolve_frame,
@@ -138,12 +148,26 @@ JUNK_NODES = [
 JUNK_STACKS = [{}, "x", None, [["f", 2]], [["f"]], [[1, 0]], [None], [["f", 0, 1]]]
 
 #: The frame versions: ``"1.8"`` writes a flat stack table, ``"1.9"`` a
-#: trie.  Every property below runs at both.
-VERSIONS = ("1.8", "1.9")
+#: trie, ``"1.10"`` a trie with packed rows.  Every property below runs
+#: at each.
+VERSIONS = ("1.8", "1.9", "1.10")
 
 
 def is_trie(version):
-    return version == "1.9"
+    return version != "1.8"
+
+
+def is_packed(version):
+    return version == "1.10"
+
+
+#: The widths a packed row can take.
+WIDTHS = (2, 4, 8)
+
+
+def fits(rows, width):
+    limit = 1 << (8 * width - 1)
+    return all(-limit <= value < limit for value in rows)
 
 
 #: One broken rule of a trie row each; :func:`junk_trie_row` builds it.
@@ -245,18 +269,43 @@ def trie_table(rows):
     return table
 
 
-def unpack(frame, trie):
+def plain_rows(frame, version):
+    """The row values of ``frame``, read plainly: its ``rows``, or at
+    1.10 its ``packed`` string decoded value by value; raises
+    :class:`Damaged` where that is damaged."""
+    if not is_packed(version):
+        if frame.packed is not None:
+            raise Damaged("packed rows before 1.10")
+        return list(frame.rows)
+    if frame.rows or frame.packed is None:
+        raise Damaged("a packed frame's rows are in packed, only there")
+    try:
+        raw = base64.b64decode(frame.packed, validate=True)
+    except (binascii.Error, ValueError):
+        raise Damaged("not base64") from None
+    if base64.b64encode(raw).decode("ascii") != frame.packed:
+        raise Damaged("not base64 as it is written")
+    if not raw or raw[0] not in WIDTHS or (len(raw) - 1) % raw[0]:
+        raise Damaged("no width, or not one, or a cut value")
+    width = raw[0]
+    return [
+        int.from_bytes(raw[at:at + width], "little", signed=True)
+        for at in range(1, len(raw), width)
+    ]
+
+
+def unpack(frame, version):
     """The nominal entries ``frame`` encodes, read plainly; raises
     :class:`Damaged` or :class:`SnapshotError` where it is damaged."""
+    rows = plain_rows(frame, version)
     for row in frame.nodes:
         check_key({"node": row, "stack": [], "state": 1})
-    if trie:
+    if is_trie(version):
         stacks = trie_table(frame.stacks)
     else:
         stacks = frame.stacks
         for row in stacks:
             check_key({"node": REAL[0], "stack": row, "state": 1})
-    rows = list(frame.rows)
 
     def take(table=None):
         if not rows:
@@ -292,13 +341,16 @@ def tier_view(tier):
     return [entry_to_wire(*key, summary) for key, summary in tier.entries()]
 
 
-def adopt(frame, trie, epochs=(), method_epochs=None):
+def adopt(frame, version, epochs=(), method_epochs=None):
     """What the per-entry path makes of ``frame`` over
     :data:`KERNEL_PAG`: ``(tier entries, adopted, skipped)`` after the
     prefetch's adoption filter, ``"misaligned"``, or :data:`REFUSED`."""
     method_epochs = method_epochs or {}
     try:
-        resolved = resolve_frame(KERNEL_PAG, frame, "prefetch.frame", trie=trie)
+        resolved = resolve_frame(
+            KERNEL_PAG, frame, "prefetch.frame",
+            trie=is_trie(version), packed=is_packed(version),
+        )
     except SnapshotError:
         return REFUSED
     if epochs and len(epochs) != len(resolved):
@@ -315,18 +367,22 @@ def adopt(frame, trie, epochs=(), method_epochs=None):
     return tier_view(tier), adopted, skipped
 
 
-def hold(frame, trie, epochs=(), method_epochs=None):
+def hold(frame, version, epochs=(), method_epochs=None):
     """What the held path makes of ``frame``: :data:`REFUSED` where the
-    kernel calls it damaged (or a row value is past int64, which the
-    per-entry path then refuses), the reason it held nothing else,
-    or ``(built entries, adopted, skipped)``."""
+    kernel calls it damaged (or the packed string or a table is, which
+    the client refuses before the kernel; or a row value is past int64,
+    which the per-entry path then refuses), the reason it held nothing
+    else, or ``(built entries, adopted, skipped)``."""
     tier = SummaryCache()
     try:
-        tables = resolve_frame_tables(KERNEL_PAG, frame, "prefetch.frame", trie)
+        rows = frame_rows(frame, is_packed(version), "prefetch.frame")
+        tables = resolve_frame_tables(
+            KERNEL_PAG, frame, "prefetch.frame", is_trie(version)
+        )
     except SnapshotError:
         return REFUSED
     outcome = hold_frame(
-        tier, KERNEL_PAG, tables, frame.rows, epochs, method_epochs or {}
+        tier, KERNEL_PAG, tables, rows, epochs, method_epochs or {}
     )
     if outcome in ("damaged", "a value past int64"):
         return REFUSED
@@ -354,33 +410,40 @@ def views(resolved):
     ]
 
 
-def outcome(frame, trie):
+def outcome(frame, version):
     """What ``resolve_frame`` makes of ``frame``: its entries' views, or
     :data:`REFUSED`.  Any exception but ``SnapshotError`` escapes."""
     try:
-        return views(resolve_frame(PAG, frame, "prefetch.frame", trie=trie))
+        return views(resolve_frame(
+            PAG, frame, "prefetch.frame",
+            trie=is_trie(version), packed=is_packed(version),
+        ))
     except SnapshotError:
         return REFUSED
 
 
-def reference(frame, trie):
+def reference(frame, version):
     """What the nominal path makes of the entries ``frame`` encodes."""
     try:
-        return views([resolve_wire_entry(PAG, e) for e in unpack(frame, trie)])
+        return views([resolve_wire_entry(PAG, e) for e in unpack(frame, version)])
     except (Damaged, SnapshotError):
         return REFUSED
+
+
+def empty_frame(version):
+    """The frame an earlier shard sent for an empty answer."""
+    return pack_frame([], trie=is_trie(version), packed=is_packed(version))
 
 
 @pytest.mark.parametrize("version", VERSIONS)
 @settings(**SETTINGS)
 @given(entries=st.lists(ENTRIES, max_size=8))
 def test_a_valid_frame_resolves_like_its_nominal_entries(version, entries):
-    trie = is_trie(version)
     payload, nominal = fetched(entries, version)
-    frame = frame_of(payload) if nominal else pack_frame([], trie=trie)
+    frame = frame_of(payload) if nominal else empty_frame(version)
     want = views([resolve_wire_entry(PAG, entry) for entry in nominal])
-    assert outcome(frame, trie) == want
-    assert reference(frame, trie) == want
+    assert outcome(frame, version) == want
+    assert reference(frame, version) == want
 
 
 @needs_kernel
@@ -388,9 +451,8 @@ def test_a_valid_frame_resolves_like_its_nominal_entries(version, entries):
 @settings(**SETTINGS)
 @given(entries=st.lists(ENTRIES, max_size=8), data=st.data())
 def test_the_kernel_holds_a_valid_frame_like_per_entry_adoption(version, entries, data):
-    trie = is_trie(version)
     payload, nominal = fetched(entries, version)
-    frame = frame_of(payload) if nominal else pack_frame([], trie=trie)
+    frame = frame_of(payload) if nominal else empty_frame(version)
     method_epochs = {"Main.main": data.draw(st.integers(0, 2))}
     epochs = data.draw(
         st.one_of(
@@ -398,15 +460,15 @@ def test_the_kernel_holds_a_valid_frame_like_per_entry_adoption(version, entries
             st.lists(st.integers(0, 2), min_size=len(nominal), max_size=len(nominal)),
         )
     )
-    got = hold(frame, trie, tuple(epochs), method_epochs)
-    assert got == adopt(frame, trie, tuple(epochs), method_epochs)
+    got = hold(frame, version, tuple(epochs), method_epochs)
+    assert got == adopt(frame, version, tuple(epochs), method_epochs)
     assert type(got) is tuple  # a shard's frame holds nothing the kernel refuses
     # Epochs that do not align with the entries refuse the answer, on
     # both paths.
     for wrong in ((0,) * (len(nominal) + 1), (0,) * (len(nominal) - 1)):
         if wrong:
-            assert hold(frame, trie, wrong) == "misaligned epochs"
-            assert adopt(frame, trie, wrong) == "misaligned"
+            assert hold(frame, version, wrong) == "misaligned epochs"
+            assert adopt(frame, version, wrong) == "misaligned"
 
 
 DAMAGES = [
@@ -446,7 +508,8 @@ def damaged_frame(entries, damage, data, target=None, version="1.9"):
     ``damage``, at a row of kind ``target`` when one is named."""
     payload, _nominal = fetched(entries, version)
     wire = payload["frame"]
-    rows, nodes, stacks = wire["rows"], wire["nodes"], wire["stacks"]
+    nodes, stacks = wire["nodes"], wire["stacks"]
+    rows = plain_rows(frame_of(payload), version)
     kinds, starts = layout(rows)
     # A trie's references: the empty stack, then one per row.
     n_stacks = len(stacks) + is_trie(version)
@@ -505,6 +568,12 @@ def damaged_frame(entries, damage, data, target=None, version="1.9"):
     elif damage == "swap":
         at = data.draw(st.integers(0, len(rows) - 1))
         rows[at] = data.draw(st.integers(-3, len(nodes) + 3))
+    if is_packed(version):
+        # Written again at any width that holds every value.
+        width = data.draw(st.sampled_from([w for w in WIDTHS if fits(rows, w)]))
+        wire["packed"] = packed_at(rows, width)
+    else:
+        wire["rows"] = rows
     return frame_of(payload)
 
 
@@ -518,12 +587,55 @@ def damaged_frame(entries, damage, data, target=None, version="1.9"):
 def test_a_damaged_frame_is_refused_or_resolves_like_what_it_encodes(
     version, entries, damage, data
 ):
-    trie = is_trie(version)
     frame = damaged_frame(entries, damage, data, version=version)
-    got = outcome(frame, trie)
-    assert got == reference(frame, trie)
+    got = outcome(frame, version)
+    assert got == reference(frame, version)
     if damage != "swap":
         assert got == REFUSED
+
+
+#: One broken rule of a packed string each; :func:`damage_packed`
+#: applies it.
+PACKED_DAMAGES = ["alphabet", "padding", "length", "width"]
+
+
+def damage_packed(packed, damage, data):
+    """A valid packed string broken by ``damage``."""
+    raw = base64.b64decode(packed)
+    if damage == "alphabet":
+        at = data.draw(st.integers(0, len(packed.rstrip("=")) - 1))
+        junk = data.draw(st.sampled_from(["*", "-", "_", " ", "\n", "\u00e9", "."]))
+        return packed[:at] + junk + packed[at + 1:]
+    if damage == "padding":
+        body = packed.rstrip("=")
+        pads = data.draw(
+            st.sampled_from([n for n in range(4) if n != len(packed) - len(body)])
+        )
+        return body + "=" * pads
+    if damage == "length":
+        width = raw[0]
+        cut = data.draw(st.integers(1, width - 1))
+        extra = data.draw(st.booleans())
+        body = raw + bytes(cut) if extra else raw[:-cut]
+        return base64.b64encode(body).decode("ascii")
+    assert damage == "width"
+    width = data.draw(st.sampled_from([0, 1, 3, 5, 6, 7, 9, 16, 255]))
+    return base64.b64encode(bytes((width,)) + raw[1:]).decode("ascii")
+
+
+@pytest.mark.parametrize("damage", PACKED_DAMAGES)
+@settings(**{**SETTINGS, "max_examples": 40})
+@given(entries=st.lists(ENTRIES, min_size=1, max_size=6), data=st.data())
+def test_a_damaged_packed_string_is_refused_naming_its_field(damage, entries, data):
+    payload, _nominal = fetched(entries, "1.10")
+    wire = payload["frame"]
+    wire["packed"] = damage_packed(wire["packed"], damage, data)
+    frame = frame_of(payload)
+    with pytest.raises(SnapshotError, match=r"^prefetch\.frame\.packed: "):
+        resolve_frame(PAG, frame, "prefetch.frame", packed=True)
+    assert reference(frame, "1.10") == REFUSED
+    # The client refuses it before the kernel sees a row.
+    assert hold(frame, "1.10") == REFUSED
 
 
 @pytest.mark.parametrize("damage", TRIE_DAMAGES)
@@ -535,13 +647,24 @@ def test_a_damaged_trie_row_is_refused_by_its_index(damage, entries, data):
     frame = frame_of(payload)
     with pytest.raises(SnapshotError, match=rf"^prefetch\.frame\.stacks\[{at}\]: "):
         resolve_frame(PAG, frame, "prefetch.frame")
-    assert reference(frame, True) == REFUSED
+    assert reference(frame, "1.9") == REFUSED
+
+
+#: :data:`TARGETS` at each frame version; a packed row holds no value
+#: past int64, so that damage has no 1.10 form.
+KERNEL_CASES = [
+    (damage, target, version)
+    for damage, target in TARGETS
+    for version in VERSIONS
+    if not (is_packed(version) and damage == "int64")
+]
 
 
 @needs_kernel
-@pytest.mark.parametrize("version", VERSIONS)
 @pytest.mark.parametrize(
-    "damage, target", TARGETS, ids=[f"{d}-{t}" if t else d for d, t in TARGETS]
+    "damage, target, version",
+    KERNEL_CASES,
+    ids=[f"{d}-{t}-{v}" if t else f"{d}-{v}" for d, t, v in KERNEL_CASES],
 )
 @settings(
     **{
@@ -554,10 +677,9 @@ def test_a_damaged_trie_row_is_refused_by_its_index(damage, entries, data):
 def test_the_kernel_calls_a_frame_damaged_exactly_when_resolve_frame_raises(
     version, damage, target, entries, data
 ):
-    trie = is_trie(version)
     frame = damaged_frame(entries, damage, data, target, version)
-    want = adopt(frame, trie)
-    got = hold(frame, trie)
+    want = adopt(frame, version)
+    got = hold(frame, version)
     if damage != "swap":
         assert want == REFUSED
     assert (got == REFUSED) == (want == REFUSED)

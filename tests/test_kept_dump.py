@@ -8,11 +8,12 @@ Pinned here:
   equal-payload re-store with more ``steps``, replace, lookup hit and
   miss, lookup at a newer epoch, fingerprint pin, invalidate with and
   without residents, ``clear``, blank restart) the dispatcher's full dump, at 1.7, 1.8
-  (a flat frame) and 1.9 (a trie frame), with and without a method
-  filter and a fingerprint, equals byte for byte a fresh scan, pack
-  and encode of the store;
-* 1.8 and 1.9 full dumps of an unchanged store, alternating, never get
-  each other's kept line;
+  (a flat frame), 1.9 (a trie frame) and 1.10 (packed rows), with and
+  without a method filter and a fingerprint, equals byte for byte a
+  fresh scan, pack and encode of the store;
+* full dumps of an unchanged store at alternating frame versions (1.8
+  and 1.9, 1.9 and 1.10) each keep their own line: each version packs
+  once, and never gets another's line;
 * writers alongside full-dump readers on one dispatcher: no answer is
   older than the store the request found, and once the writers stop
   the next dump equals a fresh one;
@@ -34,7 +35,7 @@ from repro.api.protocol import (
     MethodEntriesResponse,
     StoreRequest,
 )
-from repro.api.snapshot import pack_frame
+from repro.api.snapshot import frame_rows, pack_frame
 from repro.cacheserver.client import ShardLink
 from repro.cacheserver.server import ShardDispatcher, ShardServer
 from repro.cacheserver.store import StaleEpochRejection, entry_method
@@ -44,8 +45,8 @@ FINGERPRINTS = (11, 22)
 
 
 #: The request versions: 1.7 gets nominal entries, 1.8 a flat frame,
-#: 1.9 a trie frame.
-VERSIONS = ("1.7", "1.8", "1.9")
+#: 1.9 a trie frame, 1.10 a trie frame with packed rows.
+VERSIONS = ("1.7", "1.8", "1.9", "1.10")
 
 
 def stack_of(name):
@@ -82,18 +83,21 @@ def dump_request(methods=None, fingerprint=None, version=PROTOCOL_VERSION):
 
 def fresh_line(store, methods=None, fingerprint=None, version=PROTOCOL_VERSION):
     """What a shard sends for a full dump of ``store`` as it stands:
-    a fresh scan, pack and encode.  A 1.8 requester gets the flat frame
-    under a 1.8 label."""
+    a fresh scan, pack and encode.  A requester older than 1.10 gets
+    what a 1.9 shard sends: a 1.8 one the flat frame under a 1.8 label,
+    a 1.7 or 1.9 one a 1.9 label."""
     entries, epochs, incarnation, cursor, _version = store.fetch(methods, fingerprint)
     epochs = tuple(epochs) if any(epochs) else ()
-    label = "1.8" if version == "1.8" else PROTOCOL_VERSION
+    label = {"1.8": "1.8", PROTOCOL_VERSION: PROTOCOL_VERSION}.get(version, "1.9")
     if version != "1.7" and entries:
         response = MethodEntriesResponse(
             entries=(),
             epochs=epochs,
             incarnation=incarnation,
             cursor=cursor,
-            frame=pack_frame(entries, trie=version == "1.9"),
+            frame=pack_frame(
+                entries, trie=version != "1.8", packed=version == PROTOCOL_VERSION
+            ),
             protocol_version=label,
         )
     else:
@@ -317,21 +321,44 @@ def test_each_filter_and_framing_is_its_own_dump():
     assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (len(DUMPS), 0)
 
 
-def test_alternating_frame_versions_never_get_each_others_line():
+@pytest.mark.parametrize("pair", [("1.8", "1.9"), ("1.9", "1.10")])
+def test_alternating_frame_versions_never_get_each_others_line(pair):
     dispatcher = ShardDispatcher(0, 1)
     for name in "abc":
         dispatcher.store.store(wire_entry(name))
     lines = {}
-    for version in ("1.8", "1.9") * 3:
+    for version in pair * 3:
         line = dispatcher.handle_line(dump_request(version=version))
         assert line == fresh_line(dispatcher.store, version=version)
         lines.setdefault(version, line)
         assert line == lines[version]
-    assert lines["1.8"] != lines["1.9"]
-    # One line is kept: each switch packs, each repeat is kept.
-    assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (6, 0)
-    dispatcher.handle_line(dump_request(version="1.9"))
-    assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (6, 1)
+    assert lines[pair[0]] != lines[pair[1]]
+    # A line per frame version: each version packs once, and every
+    # later dump of either is kept.
+    assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (2, 4)
+    dispatcher.handle_line(dump_request(version=pair[1]))
+    assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (2, 5)
+    # A store op retires every form: each packs once more, at the new
+    # version.
+    dispatcher.store.store(wire_entry("d"))
+    for version in pair * 2:
+        assert dispatcher.handle_line(
+            dump_request(version=version)
+        ) == fresh_line(dispatcher.store, version=version)
+    assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (4, 7)
+
+
+def test_only_requested_forms_are_kept():
+    dispatcher = ShardDispatcher(0, 1)
+    dispatcher.store.store(wire_entry("a"))
+    assert dispatcher._kept == {}
+    dispatcher.handle_line(dump_request(version="1.10"))
+    dispatcher.handle_line(dump_request(version="1.8"))
+    assert sorted(dispatcher._kept) == [(1, 8), (1, 10)]
+    # A dump at a newer store version retires the forms of older ones.
+    dispatcher.store.store(wire_entry("b"))
+    dispatcher.handle_line(dump_request(version="1.7"))
+    assert list(dispatcher._kept) == [None]
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +402,7 @@ def test_writers_alongside_full_dump_readers():
                 assert response.cursor >= max(found, last), (response.cursor, found, last)
                 last = response.cursor
                 if response.frame is not None:
-                    rows = response.frame.rows
+                    rows = frame_rows(response.frame, version == PROTOCOL_VERSION)
                     names = [response.frame.nodes[rows[at]]["name"] for at in range(0, len(rows), 7)]
                 else:
                     names = [entry["node"]["name"] for entry in response.entries]
@@ -389,7 +416,7 @@ def test_writers_alongside_full_dump_readers():
         except Exception as exc:
             errors.append(exc)
 
-    versions = ("1.7", "1.7", "1.8", "1.8", "1.9", "1.9")
+    versions = ("1.7", "1.7", "1.8", "1.8", "1.9", "1.9", "1.10", "1.10")
     seen = [[] for _ in versions]
     readers = [
         threading.Thread(target=reader, args=(version, seen[i]))
@@ -453,7 +480,7 @@ def test_a_shard_answers_a_repeated_dump_from_the_kept_line():
         assert (server.dumps_packed, server.dumps_kept) == (1, 1)
         link.request(encode(StoreRequest(entry=wire_entry("b"))))
         third = decode_response(link.request(dump_request(methods=None)))
-        assert third.cursor == 2 and len(third.frame.rows) == 14
+        assert third.cursor == 2 and len(frame_rows(third.frame, packed=True)) == 14
         assert (server.dumps_packed, server.dumps_kept) == (2, 1)
     finally:
         link.close()

@@ -34,8 +34,11 @@ kernel refuses, a full recompile and a reconnect seed — each of them
 first meeting held entries.  After every operation the three tiers
 list the same entries in the same order, with equal counts, answers
 and steps.  Each engine has its own fleet, warmed alike, so what one
-flushes never reaches another's prefetch.  Every case the kernel
-refuses to hold takes the per-entry path with identical results.
+flushes never reaches another's prefetch.  The lockstep runs at
+protocol 1.10, where the kernel walks the packed rows at their 2-byte
+width, and over 1.9 shards, whose integer rows it walks as int64.
+Every case the kernel refuses to hold takes the per-entry path with
+identical results, packed rows or integer ones.
 """
 
 import dataclasses
@@ -58,7 +61,13 @@ from repro.api.protocol import (
     MethodEntriesRequest,
     StoreRequest,
 )
-from repro.api.snapshot import SummarySnapshot, entry_to_wire, pack_frame
+from repro.api.snapshot import (
+    SummarySnapshot,
+    entry_to_wire,
+    frame_rows,
+    pack_frame,
+    pack_rows,
+)
 from repro.bench.generator import GeneratorConfig, generate_program
 from repro.cacheserver.client import RemoteSummaryCache
 from repro.cacheserver.faults import FaultRule, FaultSchedule
@@ -570,11 +579,21 @@ def check_lockstep(engines):
     assert not tiers[1]._held_blocks and not tiers[2]._held_blocks
 
 
-@pytest.mark.usefixtures("require_kernel")
-@pytest.mark.parametrize("seed", [0, 1])
-def test_held_frames_lockstep(fleets, seed):
+class IntegerRowShard(ShardServer):
+    """Answers ``fetch-methods`` as a 1.9 shard does: a trie frame with
+    integer rows under a 1.9 label."""
+
+    def _dispatch(self, request):
+        if isinstance(request, MethodEntriesRequest):
+            request = dataclasses.replace(request, protocol_version="1.9")
+        return super()._dispatch(request)
+
+
+def lockstep(fleets, seed, cls, typecode):
+    """The held-frames lockstep over fleets of ``cls``, whose held
+    blocks must keep their rows in an array of ``typecode``."""
     rng = random.Random(seed)
-    engines = [remote_engine(warm_fleet(fleets), impl) for impl in IMPLS]
+    engines = [remote_engine(warm_fleet(fleets, cls), impl) for impl in IMPLS]
     held = engines[0].cache.local_tier
     met_held = set()
     try:
@@ -585,6 +604,7 @@ def test_held_frames_lockstep(fleets, seed):
         for op in plan:
             if held._held_blocks:
                 met_held.add(op)
+                assert {b.rows.typecode for b in held._held_blocks} == {typecode}
             state = rng.getstate()
             results = []
             for engine in engines:
@@ -600,6 +620,19 @@ def test_held_frames_lockstep(fleets, seed):
     assert met_held >= set(LOCKSTEP_OPS) - {"batch"}
     assert held.held > 0 and held.built > 0
     assert engines[1].cache.local_tier.held == 0
+
+
+@pytest.mark.usefixtures("require_kernel")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_held_frames_lockstep(fleets, seed):
+    """At protocol 1.10: the kernel walks packed rows at 2 bytes."""
+    lockstep(fleets, seed, ShardServer, "h")
+
+
+@pytest.mark.usefixtures("require_kernel")
+def test_held_frames_lockstep_over_integer_rows(fleets):
+    """Against 1.9 shards: the kernel walks their JSON rows as int64."""
+    lockstep(fleets, 0, IntegerRowShard, "q")
 
 
 @pytest.mark.usefixtures("require_kernel")
@@ -628,11 +661,13 @@ def test_a_warm_session_holds_its_prefetch_and_builds_nothing(fleets):
 class RewritingShard(ShardServer):
     """A shard whose framed ``fetch-methods`` answers are rebuilt from
     their nominal entries and epochs after ``rewrite(entries, epochs)``
-    (both lists, edited in place), then framed and passed through
-    ``reframe(frame)``."""
+    (both lists, edited in place), then framed under the ``label``
+    version (packed rows at 1.10, integer rows at 1.9) and passed
+    through ``reframe(frame)``."""
 
     rewrite = None
     reframe = None
+    label = "1.10"
 
     def _dispatch(self, request):
         response = super()._dispatch(request)
@@ -642,10 +677,12 @@ class RewritingShard(ShardServer):
         entries = [dict(entry) for entry in nominal.entries]
         epochs = list(nominal.epochs)
         type(self).rewrite(entries, epochs)
-        frame = pack_frame(entries)
+        frame = pack_frame(entries, packed=self.label == "1.10")
         if self.reframe is not None:
             frame = type(self).reframe(frame)
-        return dataclasses.replace(response, frame=frame, epochs=tuple(epochs))
+        return dataclasses.replace(
+            response, frame=frame, epochs=tuple(epochs), protocol_version=self.label
+        )
 
 
 def _past_int64(entries, epochs):
@@ -691,11 +728,17 @@ def _same(entries, epochs):
 
 
 def _damaged(frame):
-    return dataclasses.replace(frame, rows=(len(frame.nodes), *frame.rows[1:]))
+    packed = frame.packed is not None
+    rows = (len(frame.nodes), *frame_rows(frame, packed)[1:])
+    if packed:
+        return dataclasses.replace(frame, packed=pack_rows(rows))
+    return dataclasses.replace(frame, rows=rows)
 
 
 #: ``(rewrite, reframe, held)``: whether the native engine still holds
 #: the answer (a skipped entry is the adoption filter, not a refusal).
+#: Packed rows cannot carry a value past int64, so ``past-int64`` comes
+#: as integer rows from a 1.9 shard.
 FRAME_CASES = {
     "damaged": (_same, _damaged, False),
     "past-int64": (_past_int64, None, False),
@@ -712,10 +755,24 @@ FRAME_CASES = {
 @pytest.mark.usefixtures("require_kernel")
 @pytest.mark.parametrize("case", sorted(FRAME_CASES))
 def test_a_frame_the_kernel_does_not_hold_takes_the_per_entry_path(fleets, case):
+    not_held(fleets, case, "1.9" if case == "past-int64" else "1.10")
+
+
+@pytest.mark.usefixtures("require_kernel")
+@pytest.mark.parametrize("case", sorted(FRAME_CASES))
+def test_integer_rows_the_kernel_does_not_hold_take_the_per_entry_path(fleets, case):
+    not_held(fleets, case, "1.9")
+
+
+def not_held(fleets, case, label):
+    """One :data:`FRAME_CASES` case against shards answering under
+    ``label``: the native engine matches the per-entry one."""
     rewrite, reframe, holds = FRAME_CASES[case]
 
     class Shard(RewritingShard):
         pass
+
+    Shard.label = label
 
     rows = []
     tiers = []

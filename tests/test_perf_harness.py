@@ -126,7 +126,7 @@ class TestReportShape:
         assert section["edit_ms"] > 0 and section["batch_ms"] > 0
         assert section["cold_for_program_ms"] > 0
         assert section["traversal_impl"] == active_traversal_impl()
-        assert quick_report["version"] == 14
+        assert quick_report["version"] == 15
 
     def test_remote_section_sends_no_lookups(self, quick_report):
         from repro.analysis.ppta import active_traversal_impl
@@ -143,11 +143,13 @@ class TestReportShape:
         for name in ("cold", "warm", "rewarm"):
             row = section[name]
             assert set(row) == {
-                "sec", "round_trips", "lookups", "prefetched", "prefetch_bytes",
-                "stores", "steps", "native_unavailable", "held", "built",
-                "dumps_packed", "dumps_kept",
-            }
+                "sec", "first_prefetch_sec", "round_trips", "lookups", "prefetched",
+                "prefetch_bytes", "stores", "steps", "native_unavailable", "held",
+                "built", "dumps_packed", "dumps_kept",
+            } | ({"sessions"} if name == "rewarm" else set())
             assert row["sec"] > 0 and row["lookups"] == 0
+            # The first batch's prefetch is part of the session.
+            assert 0 < row["first_prefetch_sec"] < row["sec"]
             assert row["native_unavailable"] == (None if native_ok else native_reason)
         # Per batch, one prefetch per shard plus at most one flush
         # flight per shard.
@@ -167,6 +169,8 @@ class TestReportShape:
             assert section[name]["dumps_packed"] == [1, 1]
             assert section[name]["dumps_kept"] == [0, 0]
         rewarm = section["rewarm"]
+        # The median of five sessions, each of which did this work.
+        assert rewarm["sessions"] == 5
         assert (rewarm["dumps_packed"], rewarm["dumps_kept"]) == ([0, 0], [1, 1])
         for field in ("prefetched", "prefetch_bytes", "round_trips", "steps"):
             assert rewarm[field] == warm[field], field

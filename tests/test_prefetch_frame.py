@@ -1,23 +1,33 @@
-"""Framed ``fetch-methods`` answers (protocol 1.8; trie frames, 1.9).
+"""Framed ``fetch-methods`` answers (protocol 1.8; trie frames, 1.9;
+packed rows, 1.10).
 
 A shard answers a request of 1.8 or later with a ``SummaryFrame``: each
 distinct node reference once, its field stacks as a flat table (1.8)
 or a trie of ``[parent, field, family]`` rows (1.9), and one flat run
-of integers per entry.  Pinned here:
+of integers per entry, packed into one base64 string at 1.10.  Pinned
+here:
 
+* the packed rows: the width is the smallest of 2, 4 or 8 bytes that
+  holds every value, the string decodes to those values, and a string
+  that is not base64, has bad padding, a width other than 2, 4 or 8,
+  or a byte count that is not a multiple of its width is refused
+  naming ``frame.packed``; so are rows in the field the label does
+  not name;
 * the version rule: a 1.7 request gets the nominal answer, the one a
   1.7 shard sends; a 1.8 request gets the flat frame under a 1.8
-  label, byte for byte; a 1.9 request gets a trie frame; both resolve
-  to the same entries, in the same order, and an empty answer (an
-  unchanged delta) carries no frame;
+  label, byte for byte; a 1.9 request gets a trie frame, and a 1.10
+  request the same trie with its rows packed; all resolve to the same
+  entries, in the same order, and an empty answer (an unchanged delta)
+  carries no frame;
 * a peer's family written ``true`` (or ``1.0``) decodes to the int
   token on every path, so the process's canonical stack writes ``1``;
 * the client: a framed warm prefetch fills the local tier exactly as a
   nominal one does, and the session answers and steps like a local
-  engine holding the same summaries; a 1.9 client reads a 1.8 shard's
-  flat frame by the answer's label, held or per entry; a frame with an
-  index past its table is refused whole and falls open; a nominal
-  answer (a 1.7 shard) is still adopted;
+  engine holding the same summaries; a 1.10 client reads a 1.8 shard's
+  flat frame and a 1.9 shard's integer rows by the answer's label,
+  held or per entry; a frame with an index past its table, packed or
+  not, is refused whole and falls open; a nominal answer (a 1.7 shard)
+  is still adopted;
 * the shard store keeps one copy of each reference it holds, its
   ``lookup`` answers keep their bytes, and its table of shared copies
   stays bounded through invalidate/re-store churn.
@@ -25,6 +35,7 @@ of integers per entry.  Pinned here:
 ``tests/test_frame_fuzz.py`` fuzzes the frame decoder itself.
 """
 
+import base64
 import copy
 import dataclasses
 import functools
@@ -33,6 +44,7 @@ import random
 
 import pytest
 
+from conftest import packed_at
 from repro import CachePolicy, EnginePolicy, PointsToEngine, build_pag
 from repro.api.codec import decode_response, encode
 from repro.api.protocol import (
@@ -44,11 +56,14 @@ from repro.api.protocol import (
     MethodEntriesResponse,
     SnapshotError,
     StoreRequest,
+    SummaryFrame,
 )
 from repro.api.snapshot import (
     SummarySnapshot,
     entry_to_wire,
+    frame_rows,
     pack_frame,
+    pack_rows,
     ref_key,
     resolve_frame,
     resolve_frame_tables,
@@ -315,6 +330,74 @@ class TestFrame:
         with pytest.raises(SnapshotError, match=rf"^p\.stacks\[1\]: {message}$"):
             resolve_frame(program_pag(), damaged, "p")
 
+    @pytest.mark.parametrize(
+        "rows, width",
+        [
+            ((), 2),
+            ((0, 1, 2), 2),
+            ((-(2**15), 2**15 - 1), 2),
+            ((2**15,), 4),
+            ((-(2**15) - 1,), 4),
+            ((-(2**31), 2**31 - 1), 4),
+            ((2**31,), 8),
+            ((0, -(2**63), 2**63 - 1), 8),
+        ],
+    )
+    def test_packed_rows_take_the_narrowest_width(self, rows, width):
+        packed = pack_rows(rows)
+        assert packed == packed_at(rows, width)
+        assert base64.b64decode(packed)[0] == width
+        values = frame_rows(SummaryFrame((), (), (), packed), packed=True)
+        assert values.itemsize == width and list(values) == list(rows)
+
+    @pytest.mark.parametrize(
+        "packed, message",
+        [
+            (packed_at((1, 2), 2)[:-1] + "*", r"not base64"),
+            (packed_at((1, 2), 2)[:-1] + "\u00e9", r"not base64"),
+            (packed_at((1, 2), 2).rstrip("="), r"not base64 \(bad padding\)"),
+            (packed_at((1, 2), 2) + "==", r"not base64 \(bad padding\)"),
+            (packed_at((1, 2, 3), 2) + "=", r"not base64 \(bad padding\)"),
+            ("A=" + packed_at((1, 2), 2)[2:], r"not base64 \(bad padding\)"),
+            ("", r"missing the width byte"),
+            (packed_at((1, 2), 3), r"row width must be 2, 4 or 8 bytes, got 3"),
+            (packed_at((1, 2), 16), r"row width must be 2, 4 or 8 bytes, got 16"),
+            (packed_at((1, 2), 2)[:0] + base64.b64encode(b"\x04abcdef").decode(),
+             r"the rows take 6 bytes, not a multiple of the width 4"),
+            (base64.b64encode(b"\x08" + bytes(12)).decode(),
+             r"the rows take 12 bytes, not a multiple of the width 8"),
+        ],
+        ids=[
+            "outside-alphabet", "non-ascii", "no-padding", "extra-padding",
+            "padding-past-a-quantum", "padding-inside",
+            "empty", "width-3", "width-16", "cut-at-4", "cut-at-8",
+        ],
+    )
+    def test_a_damaged_packed_string_is_refused_naming_its_field(self, packed, message):
+        frame = pack_frame([wire_entry("a")], packed=True)
+        damaged = dataclasses.replace(frame, packed=packed)
+        with pytest.raises(SnapshotError, match=rf"^p\.packed: {message}"):
+            resolve_frame(program_pag(), damaged, "p", packed=True)
+
+    def test_rows_travel_in_the_field_the_label_names(self):
+        pag = program_pag()
+        packed = pack_frame([wire_entry("a")], packed=True)
+        plain = pack_frame([wire_entry("a")])
+        assert packed.rows == () and packed.packed == pack_rows(plain.rows)
+        assert list(frame_rows(packed, packed=True)) == list(plain.rows)
+        assert [view(r) for r in resolve_frame(pag, packed, packed=True)] == [
+            view(r) for r in resolve_frame(pag, plain)
+        ]
+        for frame, read_packed, message in (
+            (dataclasses.replace(packed, rows=plain.rows), True,
+             r"^p\.rows: must be empty when the rows are packed$"),
+            (dataclasses.replace(plain, rows=()), True, r"^p\.packed: missing$"),
+            (plain, True, r"^p\.rows: must be empty when the rows are packed$"),
+            (packed, False, r"^p\.packed: rows are packed only from 1\.10$"),
+        ):
+            with pytest.raises(SnapshotError, match=message):
+                resolve_frame(pag, frame, "p", packed=read_packed)
+
     #: One entry, ``wire_entry("a")``: key node 0 ("a"), stack 0, S1,
     #: 4 steps, one object (node 1), no boundary.
     ROWS = (0, 0, 1, 4, 1, 1, 0)
@@ -354,17 +437,30 @@ class TestFrame:
             "cut-in-boundary", "cut-second-entry",
         ],
     )
-    @pytest.mark.parametrize("trie", [True, False], ids=["trie", "flat"])
-    def test_damaged_rows_refuse_the_frame(self, rows, message, trie):
+    @pytest.mark.parametrize(
+        "layout", ["trie", "flat", "packed-2", "packed-4", "packed-8"]
+    )
+    def test_damaged_rows_refuse_the_frame(self, rows, message, layout):
         # The empty stack is the one stack either way: reference 0 of a
-        # trie with no rows, or row 0 of a flat table.
+        # trie with no rows, or row 0 of a flat table.  Packed rows are
+        # written at each width: the same values, the same damage.
+        trie = layout != "flat"
         frame = pack_frame([wire_entry("a")], trie=trie)
         assert frame.rows == self.ROWS
+
+        def resolve(values):
+            if not layout.startswith("packed"):
+                damaged = dataclasses.replace(frame, rows=values)
+                return resolve_frame(program_pag(), damaged, trie=trie)
+            width = int(layout.split("-")[1])
+            damaged = dataclasses.replace(frame, rows=(), packed=packed_at(values, width))
+            return resolve_frame(program_pag(), damaged, packed=True)
+
         with pytest.raises(SnapshotError, match=message):
-            resolve_frame(program_pag(), dataclasses.replace(frame, rows=rows), trie=trie)
+            resolve(rows)
         # The undamaged forms resolve.
         for good in (self.ROWS, self.BOUNDED, self.ROWS + self.BOUNDED):
-            resolve_frame(program_pag(), dataclasses.replace(frame, rows=good), trie=trie)
+            resolve(good)
 
 
 # ----------------------------------------------------------------------
@@ -445,11 +541,16 @@ class TestVersionRule:
         nominal = self.fetch(server, protocol_version="1.7")
         flat_line = server.handle_line(encode(MethodEntriesRequest(protocol_version="1.8")))
         flat = decode_response(flat_line)
-        trie = self.fetch(server, protocol_version="1.9")
+        trie_line = server.handle_line(encode(MethodEntriesRequest(protocol_version="1.9")))
+        trie = decode_response(trie_line)
+        packed = self.fetch(server, protocol_version="1.10")
         assert nominal.frame is None and list(nominal.entries) == entries
-        assert nominal.protocol_version == PROTOCOL_VERSION == "1.9"
-        assert (flat.protocol_version, trie.protocol_version) == ("1.8", "1.9")
-        for framed in (flat, trie):
+        # A request older than 1.10 gets what a 1.9 shard sends.
+        assert PROTOCOL_VERSION == "1.10"
+        assert [answer.protocol_version for answer in (nominal, flat, trie, packed)] == [
+            "1.9", "1.8", "1.9", "1.10",
+        ]
+        for framed in (flat, trie, packed):
             assert framed.entries == () and framed.frame is not None
             assert (framed.incarnation, framed.cursor) == (
                 nominal.incarnation, nominal.cursor,
@@ -466,12 +567,29 @@ class TestVersionRule:
             protocol_version="1.8",
         ))
         assert len(flat.frame.stacks) == 3  # [], [f] and [f, g], once each
+        # The 1.9 answer is 1.9's trie frame with integer rows, byte for
+        # byte.
+        assert trie_line == encode(MethodEntriesResponse(
+            entries=(),
+            incarnation=nominal.incarnation,
+            cursor=nominal.cursor,
+            frame=pack_frame(server.store.entries_for_methods()),
+            protocol_version="1.9",
+        ))
         # The trie: [f] and [f, g]; the empty stack is reference 0.
         assert trie.frame.stacks == ([0, "f", 0], [1, "g", 1])
+        assert trie.frame.packed is None and trie.frame.rows
+        # 1.10: the same tables, and the same rows packed at 2 bytes.
+        assert (packed.frame.nodes, packed.frame.stacks) == (
+            trie.frame.nodes, trie.frame.stacks,
+        )
+        assert packed.frame.rows == ()
+        assert packed.frame.packed == packed_at(trie.frame.rows, 2)
         pag = program_pag()
         want = [view(resolve_wire_entry(pag, e)) for e in nominal.entries]
         assert [view(r) for r in resolve_frame(pag, flat.frame, trie=False)] == want
         assert [view(r) for r in resolve_frame(pag, trie.frame)] == want
+        assert [view(r) for r in resolve_frame(pag, packed.frame, packed=True)] == want
 
     def test_a_flat_answer_keeps_the_bytes_a_1_8_shard_sent(self):
         server = self.make_server()
@@ -490,6 +608,11 @@ class TestVersionRule:
         assert trie == line.replace('"rows":[0,0,', '"rows":[0,1,').replace(
             '"stacks":[[["f",0]]]', '"stacks":[[0,"f",0]]'
         ).replace('"1.8"', '"1.9"')
+        packed = server.handle_line(encode(MethodEntriesRequest(protocol_version="1.10")))
+        assert packed == trie.replace(
+            '"rows":[0,1,1,3,0,0]',
+            f'"packed":"{packed_at((0, 1, 1, 3, 0, 0), 2)}","rows":[]',
+        ).replace('"1.9"', '"1.10"')
 
     def test_a_delta_is_framed_oldest_stamp_first(self):
         server = self.make_server()
@@ -499,9 +622,10 @@ class TestVersionRule:
             server.handle_line(encode(StoreRequest(entry=wire_entry(name))))
         delta = self.fetch(server, incarnation=first.incarnation, since=first.cursor)
         frame = delta.frame
+        rows = frame_rows(frame, packed=True)
         # Each entry is 7 values: a key, steps, one object, no boundary.
-        assert len(frame.rows) == 14
-        assert [frame.nodes[frame.rows[at]]["name"] for at in (0, 7)] == ["c", "b"]
+        assert len(rows) == 14
+        assert [frame.nodes[rows[at]]["name"] for at in (0, 7)] == ["c", "b"]
 
     def test_an_unchanged_delta_carries_no_frame(self):
         server = self.make_server()
@@ -525,7 +649,8 @@ class TestVersionRule:
         )
         assert delta.entries == () and delta.cursor == first.cursor + 1
         frame = delta.frame
-        assert len(frame.rows) == 7 and frame.nodes[frame.rows[0]]["name"] == "b"
+        rows = frame_rows(frame, packed=True)
+        assert len(rows) == 7 and frame.nodes[rows[0]]["name"] == "b"
 
     def test_lookup_and_nominal_answers_keep_their_bytes(self):
         """Sharing swaps an entry's references for equal shared copies;
@@ -570,7 +695,7 @@ class TestVersionRule:
         assert line == (
             f'{{"cursor":3,"entries":[{entries}],"epochs":[],'
             f'"incarnation":{server.store.incarnation},'
-            f'"kind":"fetch-methods-result","protocol_version":"{PROTOCOL_VERSION}"}}'
+            '"kind":"fetch-methods-result","protocol_version":"1.9"}'
         )
 
 
@@ -578,20 +703,29 @@ class TestVersionRule:
 # the client
 # ----------------------------------------------------------------------
 class DamagedFrameShard(ShardServer):
-    """Answers with a frame whose first row indexes past the node
-    table while ``damage`` is set: valid JSON, a broken frame."""
+    """Answers with a broken frame in valid JSON while ``damage`` names
+    how: ``"index"``, a first row that indexes past the node table;
+    ``"base64"``, a packed string with a character outside the base64
+    alphabet; ``"width"``, rows packed at a width of 3 bytes."""
 
-    damage = False
+    damage = None
 
     def _dispatch(self, request):
         response = super()._dispatch(request)
         frame = getattr(response, "frame", None)
-        if self.damage and frame is not None and frame.rows:
-            rows = (len(frame.nodes), *frame.rows[1:])
-            return dataclasses.replace(
-                response, frame=dataclasses.replace(frame, rows=rows)
-            )
-        return response
+        if self.damage is None or frame is None:
+            return response
+        rows = list(frame_rows(frame, packed=frame.packed is not None))
+        if self.damage == "index":
+            rows[0] = len(frame.nodes)
+            packed = packed_at(rows, 2)
+        elif self.damage == "base64":
+            packed = "*" + frame.packed[1:]
+        else:
+            packed = packed_at(rows, 3)
+        return dataclasses.replace(
+            response, frame=dataclasses.replace(frame, rows=(), packed=packed)
+        )
 
 
 class NominalShard(ShardServer):
@@ -613,10 +747,19 @@ class FlatShard(ShardServer):
     """Answers ``fetch-methods`` as a 1.8 shard does: a flat frame under
     a 1.8 label, whatever version the request carries."""
 
+    version = "1.8"
+
     def _dispatch(self, request):
         if isinstance(request, MethodEntriesRequest):
-            request = dataclasses.replace(request, protocol_version="1.8")
+            request = dataclasses.replace(request, protocol_version=self.version)
         return super()._dispatch(request)
+
+
+class IntegerRowShard(FlatShard):
+    """Answers ``fetch-methods`` as a 1.9 shard does: a trie frame with
+    integer rows under a 1.9 label."""
+
+    version = "1.9"
 
 
 class TestClient:
@@ -650,11 +793,12 @@ class TestClient:
             assert engine.stats().steps == local.stats().steps
             engine.cache.close()
 
-    @pytest.mark.parametrize("tier", ["held", "array", "bounded", "no-kernel"])
-    def test_a_1_8_shards_flat_frame_reads_like_a_trie(self, servers, monkeypatch, tier):
-        """The answer's label picks the reader: against 1.8 shards a 1.9
-        client holds the same entries, counts, answers and steps as
-        against 1.9 shards, held in the kernel or adopted per entry."""
+    @staticmethod
+    def against(servers, monkeypatch, tier, old_shard):
+        """What one engine per fleet sees, against this build's shards
+        and against ``old_shard``'s: its answers, steps, remote stats
+        but ``prefetch_bytes``, held entries and tier, then both fleets'
+        ``prefetch_bytes``."""
         if tier == "held" and not availability()[0]:
             pytest.skip(f"native kernel unavailable: {availability()[1]}")
         if tier == "no-kernel":
@@ -662,7 +806,7 @@ class TestClient:
 
             monkeypatch.setattr(native_session, "graph_for", lambda pag: None)
         seen, sizes = [], []
-        for cls in (ShardServer, FlatShard):
+        for cls in (ShardServer, old_shard):
             addresses = tuple(server.address for server in servers(cls))
             publish(addresses)
             engine = PointsToEngine(
@@ -688,16 +832,36 @@ class TestClient:
                 })
             finally:
                 engine.cache.close()
-        trie, flat = seen
-        assert trie == flat
-        assert trie["answers"] == local_answers(QUERIES)
-        remote = trie["remote"]
+        current, old = seen
+        assert current == old
+        assert current["answers"] == local_answers(QUERIES)
+        remote = current["remote"]
         assert remote.prefetched > 0
         assert (remote.unresolved, remote.degraded, remote.remote_errors) == (0, 0, 0)
-        assert trie["held"] == (remote.prefetched if tier == "held" else 0)
-        assert sizes[0] < sizes[1]
+        assert current["held"] == (remote.prefetched if tier == "held" else 0)
+        return sizes
 
-    def test_a_damaged_frame_is_refused_whole(self, servers):
+    @pytest.mark.parametrize("tier", ["held", "array", "bounded", "no-kernel"])
+    def test_a_1_8_shards_flat_frame_reads_like_a_trie(self, servers, monkeypatch, tier):
+        """The answer's label picks the reader: against 1.8 shards a
+        1.10 client holds the same entries, counts, answers and steps as
+        against 1.10 shards, held in the kernel or adopted per entry."""
+        packed, flat = self.against(servers, monkeypatch, tier, FlatShard)
+        assert 0 < packed != flat > 0
+
+    @pytest.mark.parametrize("tier", ["held", "array", "bounded", "no-kernel"])
+    def test_a_1_9_shards_integer_rows_read_like_packed_ones(
+        self, servers, monkeypatch, tier
+    ):
+        """Against 1.9 shards a 1.10 client reads integer rows by the
+        answer's label, and holds what it holds against 1.10 shards:
+        the JSON rows go to the kernel as int64, the packed ones at
+        their width."""
+        packed, integers = self.against(servers, monkeypatch, tier, IntegerRowShard)
+        assert 0 < packed != integers > 0
+
+    @pytest.mark.parametrize("damage", ["index", "base64", "width"])
+    def test_a_damaged_frame_is_refused_whole(self, servers, damage):
         fleet = servers(DamagedFrameShard)
         addresses = [server.address for server in fleet]
         publish(addresses, FIRST)
@@ -709,7 +873,7 @@ class TestClient:
         healthy_delta = len(fleet[1].store.fetch(incarnation=incarnation, since=since)[0])
         incarnation, since = cursors[0]
         assert fleet[0].store.fetch(incarnation=incarnation, since=since)[0]
-        fleet[0].damage = True
+        fleet[0].damage = damage
         before = reader.stats().remote
         assert [canonical(r) for r in reader.query_batch(SECOND)] == local_answers(SECOND)
         after = reader.stats().remote

@@ -388,3 +388,34 @@ class TestConsoleEntryPoint:
     def test_deeply_nested_line_yields_error_response(self, service):
         line = service.handle_line("[" * 100_000 + "]" * 100_000)
         assert json.loads(line)["code"] == "malformed-json"
+
+
+class TestModuleEntryPoint:
+    """``python -m repro.api.service`` (how a checkout starts
+    ``repro-serve``) runs one copy of the module: the packages export
+    the service lazily, so importing them does not load it first."""
+
+    def test_runs_once_without_a_runpy_warning(self):
+        import subprocess
+        import sys
+
+        from conftest import child_env
+
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.api.service",
+             "--help"],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        assert "repro-serve" in done.stdout
+
+    def test_the_packages_export_the_services_own_class(self):
+        import repro
+        import repro.api
+        import repro.api.service
+
+        assert repro.PointsToService is repro.api.service.PointsToService
+        assert repro.api.PointsToService is repro.api.service.PointsToService
+        assert repro.api.CLIENT_REGISTRY is repro.api.service.CLIENT_REGISTRY
+        with pytest.raises(AttributeError, match="no attribute 'NoSuchName'"):
+            repro.api.NoSuchName
