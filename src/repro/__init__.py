@@ -35,8 +35,6 @@ The analyses remain directly constructible (``DynSum(pag)`` etc.) for
 low-level experimentation; the engine is the supported surface for hosts.
 """
 
-import importlib
-
 from repro.analysis import (
     AliasResult,
     AnalysisConfig,
@@ -88,18 +86,17 @@ from repro.pag import PAG, build_pag, compute_statistics
 
 __version__ = "1.3.0"
 
-#: Names exported lazily (PEP 562), by the module that defines them:
-#: see ``repro.api._LAZY``.
-_LAZY = {"PointsToService": "repro.api.service"}
-
 
 def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
+    # The names ``repro.api`` exports lazily (PEP 562) load through it.
+    from repro import api
+
+    if name not in api._LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
+    value = getattr(api, name)
     globals()[name] = value
     return value
+
 
 __all__ = [
     "ALL_CLIENTS",

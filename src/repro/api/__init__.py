@@ -87,6 +87,7 @@ def __getattr__(name):
     globals()[name] = value
     return value
 
+
 __all__ = [
     "AliasRequest",
     "AliasResponse",

@@ -683,6 +683,8 @@ class RemoteSummaryCache(SummaryBackend):
             # any damage refuses it whole, like an undecodable answer.
             layout = frame_version(response.protocol_version)
             try:
+                if layout is None:
+                    raise SnapshotError("prefetch.frame: a frame is carried only from 1.8")
                 rows = frame_rows(
                     frame, layout == PACKED_FRAME_VERSION, "prefetch.frame"
                 )
