@@ -74,21 +74,20 @@ from repro.engine.scheduler import BatchStats
 #: a frame's rows: ``packed`` carries them as one base64 string (a
 #: width byte, then every value as a little-endian signed integer of
 #: that width: 2, 4 or 8 bytes, the smallest that holds every value)
-#: beside an empty ``rows``; a shard answers a request of 1.10 or later
-#: with such a frame, and a request of 1.9 or earlier with what a 1.9
-#: shard sends, byte for byte (a 1.8 one under a ``"1.8"`` label, a 1.7
-#: or 1.9 one under ``"1.9"``).  1.9 writes
-#: a frame's field stacks as a trie: each ``stacks`` row is ``[parent,
-#: field, family]``, one token pushed onto a stack named earlier, and
-#: stack ``0`` is the empty stack; a shard answers a request of 1.9 or
-#: later with such a frame, a 1.8 request with the 1.8 frame (under a
-#: ``"1.8"`` label, byte for byte what a 1.8 shard sends), and a
-#: client reads a frame by its answer's ``protocol_version``.  1.8 frames
-#: ``fetch-methods`` answers: a shard answers a request of 1.8 or later
-#: with a :class:`SummaryFrame` (each distinct node reference and field
-#: stack once, plus flat integer rows that index them) instead of
-#: nominal entries, and adds ``prefetch_bytes`` to the remote stats.
-#: Older requests keep their nominal answers.  1.7 makes
+#: beside an empty ``rows``.  A shard answers a ``fetch-methods``
+#: request of 1.10 or later with such a frame, and any older one with
+#: nominal entries, the one form every 1.x client reads; both are
+#: labelled ``PROTOCOL_VERSION``, like every other response.  A client
+#: reads only that frame, or an answer with no entries, and refuses
+#: any other answer whole.  1.9 wrote a frame's field stacks as a
+#: trie: each ``stacks`` row is ``[parent, field, family]``, one token
+#: pushed onto a stack named earlier, and stack ``0`` is the empty
+#: stack; its integer rows are withdrawn (a 1.9 request gets nominal
+#: entries).  1.8 framed ``fetch-methods`` answers (a
+#: :class:`SummaryFrame`: each distinct node reference and field stack
+#: once, plus flat integer rows that index them) and added
+#: ``prefetch_bytes`` to the remote stats; its flat stack table is
+#: withdrawn (a 1.8 request gets nominal entries).  1.7 makes
 #: ``fetch-methods`` incremental: a request may present the
 #: ``incarnation``/``since`` cursor of an earlier answer, and a shard
 #: whose store still runs under that incarnation returns only the
@@ -129,12 +128,10 @@ from repro.engine.scheduler import BatchStats
 #: unchanged.
 PROTOCOL_VERSION = "1.10"
 
-#: The first minor whose ``fetch-methods`` answers may carry a frame.
-FRAME_VERSION = (1, 8)
-#: The first minor whose frames write their field stacks as a trie.
-TRIE_FRAME_VERSION = (1, 9)
-#: The first minor whose frames carry their rows packed.
-PACKED_FRAME_VERSION = (1, 10)
+#: The first minor whose ``fetch-methods`` answers carry a frame, as
+#: its request's ``protocol_version`` and the answer's compare through
+#: :func:`split_version` (as text, ``"1.10"`` sorts before ``"1.9"``).
+FRAME_VERSION = (1, 10)
 
 
 #: Field metadata key: :func:`repro.api.codec.encode` leaves the field
@@ -170,25 +167,6 @@ def split_version(version):
             "invalid-request",
             f"protocol_version must be numeric, got {version!r}",
         ) from None
-
-
-def frame_version(version):
-    """The frame a ``fetch-methods`` answer at protocol ``version``
-    carries: ``None`` before 1.8 (nominal entries),
-    :data:`FRAME_VERSION` for 1.8 (a flat stack table),
-    :data:`TRIE_FRAME_VERSION` for 1.9 (a trie, integer rows), else
-    :data:`PACKED_FRAME_VERSION` (a trie, packed rows).  Versions
-    compare as integer pairs, never as text: ``"1.10"`` is newer than
-    ``"1.9"``.  A shard reads a request's version this way, a client
-    its answer's."""
-    parsed = split_version(version)
-    if parsed >= PACKED_FRAME_VERSION:
-        return PACKED_FRAME_VERSION
-    if parsed >= TRIE_FRAME_VERSION:
-        return TRIE_FRAME_VERSION
-    if parsed >= FRAME_VERSION:
-        return FRAME_VERSION
-    return None
 
 
 #: This build's major version, parsed once.
@@ -553,35 +531,29 @@ class BatchInvalidateResponse:
 
 @dataclass(frozen=True)
 class SummaryFrame:
-    """Summary entries, dictionary-coded (protocol 1.8; a trie of field
-    stacks since 1.9; packed rows since 1.10).
+    """Summary entries, dictionary-coded (protocol 1.10).
 
     ``nodes`` holds node references as
     :func:`~repro.api.snapshot.node_to_wire` writes them, each distinct
-    one once.  The row values are one run of integers per entry:
-    ``node, stack, state, steps, n_objects, object..., n_boundaries,
-    (node, stack, state)...``, where ``node``/``object`` index
-    ``nodes`` and ``stack`` names a field stack of ``stacks``.
-
-    At 1.10 and later they travel in ``packed``, one base64 string
-    (standard alphabet, padded): a width byte of 2, 4 or 8, then each
-    value as a little-endian signed integer of that many bytes.  The
-    width is the smallest that holds every value, and ``rows`` is
-    empty.  Before 1.10 they are ``rows``, JSON integers, and
-    ``packed`` is left out.
-
-    At 1.9 and later ``stacks`` is a trie: row ``i`` is ``[parent,
-    field, family]``, the stack ``parent`` names with the token
-    ``(field, family)`` pushed on top.  Stack ``0`` is the empty stack
-    and has no row; stack ``k >= 1`` is row ``k - 1``.  A row's
+    one once.  ``stacks`` is a trie of field stacks: row ``i`` is
+    ``[parent, field, family]``, the stack ``parent`` names with the
+    token ``(field, family)`` pushed on top.  Stack ``0`` is the empty
+    stack and has no row; stack ``k >= 1`` is row ``k - 1``.  A row's
     ``parent`` is at most ``i`` (the empty stack or an earlier row), so
-    one pass resolves the table; ``family`` is the integer 0 or 1.  At
-    1.8 ``stacks`` holds each distinct field stack as
-    :func:`~repro.api.snapshot.stack_to_wire` writes it, and ``stack``
-    indexes it.  The frame does not say which it is: the answer's
-    ``protocol_version`` does (:func:`frame_version`).
-    :func:`~repro.api.snapshot.pack_frame` builds one and
-    :func:`~repro.api.snapshot.resolve_frame` validates and resolves it.
+    one pass resolves the table; ``family`` is the integer 0 or 1.
+
+    The row values are one run of integers per entry: ``node, stack,
+    state, steps, n_objects, object..., n_boundaries, (node, stack,
+    state)...``, where ``node``/``object`` index ``nodes`` and
+    ``stack`` names a stack of ``stacks``.  They travel in ``packed``,
+    one base64 string (standard alphabet, padded): a width byte of 2,
+    4 or 8, then each value as a little-endian signed integer of that
+    many bytes.  The width is the smallest that holds every value.
+    ``rows`` is always empty; it stays on the wire because every 1.10
+    decoder requires the field.
+    :func:`~repro.api.snapshot.pack_frame` builds a frame and
+    :func:`~repro.api.snapshot.resolve_frame` validates and resolves
+    it.
     """
 
     nodes: Tuple[Any, ...]
@@ -610,16 +582,16 @@ class MethodEntriesResponse:
     :class:`~repro.api.service.PointsToService`): every fetch is a
     full dump.
 
-    ``frame`` (protocol 1.8) carries the entries dictionary-coded; a
+    ``frame`` (protocol 1.10) carries the entries dictionary-coded; a
     shard sends one exactly when the request's ``protocol_version`` is
-    :data:`FRAME_VERSION` or later, in the layout the answer's
-    ``protocol_version`` names (:func:`frame_version`): a 1.8 request
-    is answered under a ``"1.8"`` label, and a 1.7 or 1.9 one under
-    ``"1.9"``, as a 1.9 shard answers it.  A framed answer has empty
-    ``entries``, its ``epochs`` align with the frame's entries, and the
-    frame keeps the order the entries would have had.  Left out unless
-    set, so an answer without a frame has a 1.7 answer's bytes but for
-    its ``protocol_version``.
+    :data:`FRAME_VERSION` or later and there are entries to send, and
+    nominal ``entries`` to an older requester.  A framed answer has
+    empty ``entries``, its ``epochs`` align with the frame's entries,
+    and the frame keeps the order the entries would have had.  Left
+    out unless set, so an answer without a frame has a 1.7 answer's
+    bytes but for its ``protocol_version``.  A client of this build
+    reads entries only from a frame under a label of
+    :data:`FRAME_VERSION` or later.
     """
 
     entries: Tuple[Any, ...]

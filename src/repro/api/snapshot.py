@@ -205,9 +205,11 @@ def stack_from_wire(wire, path):
 
 
 def _check_state(state, path):
+    """A validated state, as the int it stands for: a peer's ``1.0`` or
+    ``true`` equals S1, and the kernel mirror takes only ints."""
     if state not in (S1, S2):
         raise SnapshotError(f"{path}: state must be {S1} (S1) or {S2} (S2)")
-    return state
+    return int(state)
 
 
 # ----------------------------------------------------------------------
@@ -298,8 +300,8 @@ def resolve_wire_entry(pag, entry, path="entry"):
 
 # ----------------------------------------------------------------------
 # frames — many entries, each node reference and field stack once
-# (protocol 1.8's fetch-methods answers; 1.9 writes the stacks as a trie,
-# 1.10 packs the rows)
+# (protocol 1.10's fetch-methods answers: a trie of field stacks and
+# packed rows)
 # ----------------------------------------------------------------------
 #: The ``array`` typecode that holds a packed row of each width: signed
 #: 16-, 32- and 64-bit integers (C ``short``, ``int``, ``long long``).
@@ -309,10 +311,10 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def pack_rows(rows):
-    """The packed form of frame rows (protocol 1.10): base64 of a width
-    byte, then each value as a little-endian signed integer of that
-    width, the smallest of 2, 4 or 8 bytes that holds every value.  A
-    value past int64 raises ``OverflowError``."""
+    """The packed form of frame rows: base64 of a width byte, then each
+    value as a little-endian signed integer of that width, the smallest
+    of 2, 4 or 8 bytes that holds every value.  A value past int64
+    raises ``OverflowError``."""
     for width, typecode in ROW_TYPECODES.items():  # narrowest first
         try:
             values = array(typecode, rows)
@@ -360,15 +362,11 @@ def unpack_rows(packed, path):
     return values
 
 
-def frame_rows(frame, packed=False, path="frame"):
-    """A frame's row values: its ``rows``, or with ``packed`` (protocol
-    1.10) its ``packed`` string decoded by :func:`unpack_rows`.  A frame
-    that carries its rows in the other field is refused with a
-    :class:`SnapshotError` naming the field."""
-    if not packed:
-        if frame.packed is not None:
-            raise SnapshotError(f"{path}.packed: rows are packed only from 1.10")
-        return frame.rows
+def frame_rows(frame, path="frame"):
+    """A frame's row values: its ``packed`` string decoded by
+    :func:`unpack_rows`.  A frame with values in ``rows``, or with no
+    ``packed`` string, is refused with a :class:`SnapshotError` naming
+    the field."""
     if frame.rows:
         raise SnapshotError(f"{path}.rows: must be empty when the rows are packed")
     if frame.packed is None:
@@ -395,23 +393,22 @@ def ref_key(ref):
     return key
 
 
-def pack_frame(entries, trie=True, packed=False):
+def pack_frame(entries):
     """The :class:`~repro.api.protocol.SummaryFrame` of validated wire
-    entries, in their order: with a trie of field stacks (protocol
-    1.9), or with ``trie=False`` the 1.8 flat stack table; with
-    ``packed`` (1.10, a trie) the rows are :func:`pack_rows`' string.
+    entries, in their order: a trie of field stacks, and the rows
+    packed by :func:`pack_rows`.
 
-    The tables are keyed on object identity: a reference several
+    The node table is keyed on object identity: a reference several
     entries share (a shard store shares equal ones, see
     :meth:`~repro.cacheserver.store.WireSummaryStore.store`) is written
-    once.  Equal references held as separate objects are each written
-    to a flat table, so the frame stays correct without sharing; only
-    its tables grow.  A trie writes each distinct prefix once either
-    way; sharing saves walking it again.
+    once.  Equal node references held as separate objects are each
+    written, so the frame stays correct without sharing; only its
+    table grows.  The trie writes each distinct prefix once either way;
+    sharing saves walking it again.
     """
     node_rows = {}
     nodes = []
-    stack_rows = {}
+    stack_refs = {}
     stacks = []
     children = {}  # a trie row's (parent, field, family) -> its reference
 
@@ -422,15 +419,8 @@ def pack_frame(entries, trie=True, packed=False):
             nodes.append(wire)
         return row
 
-    def flat_stack_row(wire):
-        row = stack_rows.get(id(wire))
-        if row is None:
-            row = stack_rows[id(wire)] = len(stacks)
-            stacks.append(wire)
-        return row
-
-    def trie_stack_ref(wire):
-        ref = stack_rows.get(id(wire))
+    def stack_ref(wire):
+        ref = stack_refs.get(id(wire))
         if ref is None:
             ref = 0
             for field, family in wire:
@@ -442,10 +432,8 @@ def pack_frame(entries, trie=True, packed=False):
                     stacks.append([ref, field, int(family)])
                     child = children[key] = len(stacks)
                 ref = child
-            stack_rows[id(wire)] = ref
+            stack_refs[id(wire)] = ref
         return ref
-
-    stack_row = trie_stack_ref if trie else flat_stack_row
 
     rows = []
     for entry in entries:
@@ -455,7 +443,7 @@ def pack_frame(entries, trie=True, packed=False):
         # integers, so it travels as the int it stands for.
         rows += (
             node_row(entry["node"]),
-            stack_row(entry["stack"]),
+            stack_ref(entry["stack"]),
             int(entry["state"]),
             entry.get("steps", 0),
             len(objects),
@@ -465,14 +453,12 @@ def pack_frame(entries, trie=True, packed=False):
         for boundary in boundaries:
             rows += (
                 node_row(boundary["node"]),
-                stack_row(boundary["stack"]),
+                stack_ref(boundary["stack"]),
                 int(boundary["state"]),
             )
-    if packed:
-        return SummaryFrame(
-            nodes=tuple(nodes), stacks=tuple(stacks), rows=(), packed=pack_rows(rows)
-        )
-    return SummaryFrame(nodes=tuple(nodes), stacks=tuple(stacks), rows=tuple(rows))
+    return SummaryFrame(
+        nodes=tuple(nodes), stacks=tuple(stacks), rows=(), packed=pack_rows(rows)
+    )
 
 
 def _trie_stacks(table, path):
@@ -497,15 +483,14 @@ def _trie_stacks(table, path):
     return stacks
 
 
-def resolve_frame_tables(pag, frame, path="frame", trie=True):
+def resolve_frame_tables(pag, frame, path="frame"):
     """Validate a frame's node and stack tables and resolve them against
     ``pag``, each row once: ``(nodes, is_object, stacks)``, one value
     per node row and per stack reference — the PAG node a node row
     names (``None`` when this PAG lacks it), whether the row is an
     object reference, and the :class:`~repro.cfl.stacks.Stack` a stack
-    reference names (``trie``: the empty stack, then one per trie row;
-    else one per row of a 1.8 table).  A malformed row raises a
-    :class:`SnapshotError` naming it; a node row or a 1.8 stack row
+    reference names (the empty stack, then one per trie row).  A
+    malformed row raises a :class:`SnapshotError` naming it; a node row
     gets the nominal checks' text."""
     nodes = []
     is_object = []
@@ -513,22 +498,12 @@ def resolve_frame_tables(pag, frame, path="frame", trie=True):
         kind = _check_node_wire(wire, f"{path}.nodes[{i}]")["kind"]
         nodes.append(resolve_node(pag, wire))
         is_object.append(kind == "object")
-    if trie:
-        stacks = _trie_stacks(frame.stacks, path)
-    else:
-        stacks = [
-            stack_from_wire(wire, f"{path}.stacks[{i}]")
-            for i, wire in enumerate(frame.stacks)
-        ]
-    return nodes, is_object, stacks
+    return nodes, is_object, _trie_stacks(frame.stacks, path)
 
 
-def resolve_frame(pag, frame, path="frame", tables=None, trie=True, packed=False,
-                  rows=None):
+def resolve_frame(pag, frame, path="frame", tables=None, rows=None):
     """Validate a :class:`~repro.api.protocol.SummaryFrame` and re-anchor
-    its entries against ``pag``, each table row once (``trie``: as
-    :func:`resolve_frame_tables` reads the stack table; ``packed``: as
-    :func:`frame_rows` reads the rows).
+    its entries against ``pag``, each table row once.
 
     Returns one ``(node, field_stack, state, PptaResult)`` per entry, in
     frame order, or ``None`` where :func:`resolve_wire_entry` would
@@ -540,13 +515,13 @@ def resolve_frame(pag, frame, path="frame", tables=None, trie=True, packed=False
     than S1/S2, an object index naming a non-object node, or rows that
     end mid-entry.  ``tables`` and ``rows`` are what
     :func:`resolve_frame_tables` and :func:`frame_rows` already made of
-    this frame, if anything.  Packed rows are read by index, and a
-    value names the same damage at every width.
+    this frame, if anything.  The rows are read by index, and a value
+    names the same damage at every width.
     """
     if rows is None:
-        rows = frame_rows(frame, packed, path)
+        rows = frame_rows(frame, path)
     if tables is None:
-        tables = resolve_frame_tables(pag, frame, path, trie)
+        tables = resolve_frame_tables(pag, frame, path)
     nodes, is_object, stacks = tables
     end = len(rows)
     n_nodes = len(nodes)
@@ -619,8 +594,8 @@ class HeldFrame:
     built for them yet (see ``repro.native.session.hold_frame``).
 
     Keeps what the kernel read: the resolved ``nodes`` and ``stacks``
-    tables, the frame's rows (the ``array`` the kernel walked, packed
-    or not), and the row ``offsets`` of the
+    tables, the frame's rows (the ``array`` the kernel walked), and
+    the row ``offsets`` of the
     ``count`` entries it accepted, which hold ``facts`` objects and
     boundaries in all.  :meth:`build` resolves those rows as
     :func:`resolve_frame` does; the kernel validated them already.

@@ -62,12 +62,14 @@ Correctness stance — the part the tests pin down:
   shard's ``(incarnation, cursor)`` and carries only the entries
   published or replaced since — so a warm batch also decodes O(new
   entries), not O(resident entries).  A shard frames its answer
-  (protocol 1.8): each distinct node reference once, the field stacks
-  as a trie (1.9; a 1.8 shard sends each stack whole), plus the entry
-  rows, packed into one base64 string (1.10; older shards send JSON
-  integers), validated and resolved in one pass; a damaged
-  frame, or an answer whose ``epochs`` do not align with its entries,
-  is refused whole and falls open.  A frame for a plain, empty local
+  (protocol 1.10): each distinct node reference once, the field
+  stacks as a trie, plus the entry rows, packed into one base64
+  string, validated and resolved in one pass.  That frame is the one
+  form this client reads entries in: a damaged frame, an answer whose
+  ``epochs`` do not align with its entries, and any other form
+  (nominal entries, integer rows, a frame labelled before 1.10, as
+  shards of earlier builds send) are refused whole and fall open.  A
+  frame for a plain, empty local
   tier, on the kernel, is *held*: its rows go into the tier's kernel
   mirror in one call, and no Python summary is built until something
   reads one (:func:`repro.native.session.hold_frame`).  A local miss
@@ -104,8 +106,7 @@ from repro.analysis.summaries import (
 )
 from repro.api.codec import decode_response, encode
 from repro.api.protocol import (
-    PACKED_FRAME_VERSION,
-    TRIE_FRAME_VERSION,
+    FRAME_VERSION,
     BatchStoreRequest,
     BatchStoreResponse,
     InvalidateRequest,
@@ -118,14 +119,13 @@ from repro.api.protocol import (
     StoreStatsResponse,
     StoreStatsRequest,
     WireError,
-    frame_version,
+    split_version,
 )
 from repro.api.snapshot import (
     entry_to_wire,
     frame_rows,
     resolve_frame,
     resolve_frame_tables,
-    resolve_wire_entry,
 )
 from repro.cacheserver.faults import (
     CircuitBreaker,
@@ -643,18 +643,16 @@ class RemoteSummaryCache(SummaryBackend):
 
     def _prefetch(self, index, link):
         """One shard's ``fetch-methods`` exchange, adopted into the
-        local tier.  A shard answers this build's requests with a frame,
-        read in the layout the answer's ``protocol_version`` names
-        (packed rows from a 1.10 shard, decoded once into one
-        ``array``; integer rows from an older one; a trie of field
-        stacks from 1.9, a flat table from a 1.8 shard), then resolved by
+        local tier.  A shard answers this build's requests with a frame
+        (its packed rows decoded once into one ``array``), resolved by
         :func:`~repro.api.snapshot.resolve_frame` or held in the
-        kernel (:meth:`_hold`); a 1.7 shard answers with nominal
-        entries.  An answer whose non-empty ``epochs`` does not
-        hold one epoch per entry is refused whole.  The shard's cursor
-        advances only after an answer was decoded and, when framed,
-        validated, and only when no reset landed while it was in
-        flight."""
+        kernel (:meth:`_hold`), or with no entries at all.  Any other
+        answer is refused whole, like a damaged frame: nominal entries,
+        a frame without ``packed`` or under a label before 1.10 (a shard
+        of an earlier build), or non-empty ``epochs`` that do not hold
+        one epoch per entry.  The shard's cursor advances only after an
+        answer was decoded and, when framed, validated, and only when
+        no reset landed while it was in flight."""
         with self._cursor_lock:
             cursor = self._cursors[index]
             generation = self._cursor_resets[index]
@@ -678,29 +676,27 @@ class RemoteSummaryCache(SummaryBackend):
         epochs = response.epochs
         frame = response.frame
         held = None
-        if frame is not None:
-            # A framed answer (protocol 1.8) resolves in one pass, and
-            # any damage refuses it whole, like an undecodable answer.
-            layout = frame_version(response.protocol_version)
-            try:
-                if layout is None:
-                    raise SnapshotError("prefetch.frame: a frame is carried only from 1.8")
-                rows = frame_rows(
-                    frame, layout == PACKED_FRAME_VERSION, "prefetch.frame"
-                )
-                tables = resolve_frame_tables(
-                    self._pag, frame, "prefetch.frame", layout >= TRIE_FRAME_VERSION
-                )
+        entries = ()
+        try:
+            # Entries arrive in a 1.10 frame, which resolves in one
+            # pass; any damage, and any other form, refuses the answer
+            # whole, like an undecodable one.
+            if response.entries or (
+                frame is not None
+                and split_version(response.protocol_version) < FRAME_VERSION
+            ):
+                raise SnapshotError("prefetch: entries are read only from a 1.10 frame")
+            if frame is not None:
+                rows = frame_rows(frame, "prefetch.frame")
+                tables = resolve_frame_tables(self._pag, frame, "prefetch.frame")
                 held = self._hold(tables, rows, epochs)
                 if held is None:
                     entries = resolve_frame(
-                        self._pag, frame, "prefetch.frame", tables, rows=rows
+                        self._pag, frame, "prefetch.frame", tables, rows
                     )
-            except SnapshotError:
-                self._bump("remote_errors", "degraded")
-                return
-        else:
-            entries = response.entries
+        except SnapshotError:
+            self._bump("remote_errors", "degraded")
+            return
         if held is not None:
             adopted, skipped = held
             self._bump_n("unresolved", skipped)
@@ -708,8 +704,6 @@ class RemoteSummaryCache(SummaryBackend):
             self._bump("remote_errors", "degraded")
             return
         else:
-            if frame is None:
-                entries = self._resolve_nominal(entries)
             adopted = self._adopt(entries, epochs)
         self._bump_n("prefetched", adopted)
         with self._cursor_lock:
@@ -761,17 +755,6 @@ class RemoteSummaryCache(SummaryBackend):
 
         held = hold_frame(tier, self._pag, tables, rows, epochs, self.method_epochs())
         return held if type(held) is tuple else None  # else: why not held
-
-    def _resolve_nominal(self, entries):
-        """Nominal prefetch entries (a 1.7 shard's), resolved one at a
-        time: a damaged entry is skipped alone, as ``None``, and counts
-        ``degraded``."""
-        for entry in entries:
-            try:
-                yield resolve_wire_entry(self._pag, entry, "prefetch.entry")
-            except SnapshotError:
-                self._bump("degraded")
-                yield None
 
     def _reset_cursors(self, shards):
         """Make the next prefetch from each of ``shards`` a full dump."""

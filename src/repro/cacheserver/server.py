@@ -33,9 +33,6 @@ from repro.analysis.summaries import shard_for_method
 from repro.api.codec import decode_request, encode
 from repro.api.protocol import (
     FRAME_VERSION,
-    PACKED_FRAME_VERSION,
-    PROTOCOL_VERSION,
-    TRIE_FRAME_VERSION,
     BatchInvalidateRequest,
     BatchInvalidateResponse,
     BatchLookupRequest,
@@ -55,7 +52,7 @@ from repro.api.protocol import (
     StoreStatsRequest,
     StoreStatsResponse,
     WireError,
-    frame_version,
+    split_version,
 )
 from repro.api.snapshot import check_entry, check_key, pack_frame
 from repro.cacheserver.faults import (
@@ -84,21 +81,10 @@ MAX_LINE_BYTES = 16 * 1024 * 1024
 #: Pending-connection backlog of a listening socket.
 LISTEN_BACKLOG = 128
 
-#: A dispatcher's last full-dump ``fetch-methods`` answer at one frame
-#: version: the store version it was scanned at, what the request asked
+#: A dispatcher's last framed full-dump ``fetch-methods`` answer: the
+#: store version it was scanned at, what the request asked
 #: (``(methods, fingerprint)``), the response and its encoded line.
 _KeptDump = namedtuple("_KeptDump", "version query response line")
-
-#: The label of a ``fetch-methods`` answer, by the frame version of its
-#: request: a request older than 1.10 gets byte for byte what a 1.9
-#: shard sends (1.8's flat frame under a 1.8 label to a 1.8 requester,
-#: a 1.9 label to a 1.7 or 1.9 one).
-_ANSWER_LABELS = {
-    None: "%d.%d" % TRIE_FRAME_VERSION,
-    FRAME_VERSION: "%d.%d" % FRAME_VERSION,
-    TRIE_FRAME_VERSION: "%d.%d" % TRIE_FRAME_VERSION,
-    PACKED_FRAME_VERSION: PROTOCOL_VERSION,
-}
 
 
 class ShardDispatcher:
@@ -108,17 +94,18 @@ class ShardDispatcher:
     :class:`LineServer`; the unit tests drive :meth:`handle_line`
     directly with no socket at all.
 
-    The dispatcher keeps its last full-dump ``fetch-methods`` answer
-    per frame version (nominal, flat, trie, packed: only the forms
-    requested), encoded, with the store
-    :attr:`~WireSummaryStore.version` it was scanned at.  A full dump
-    asking for the same methods and fingerprint in the same form while
+    A ``fetch-methods`` request of :data:`FRAME_VERSION` or later gets
+    a frame, and an older one nominal entries (see
+    :class:`~repro.api.protocol.MethodEntriesResponse`).  The
+    dispatcher keeps its last framed full-dump answer, encoded, with
+    the store :attr:`~WireSummaryStore.version` it was scanned at.  A
+    framed full dump asking for the same methods and fingerprint while
     the version stands is answered with that line: no scan, no pack and
     no encode.  A warm fleet is read-mostly, so each fresh engine's
-    first prefetch costs a shard one version check, also while clients
-    of several versions share it.  A dump kept at a newer store version
-    retires the older forms.  ``dumps_packed`` and ``dumps_kept`` count
-    the full dumps answered each way.
+    first prefetch costs a shard one version check.  An older
+    requester's full dump is scanned every time and never replaces the
+    kept line.  ``dumps_packed`` and ``dumps_kept`` count the full
+    dumps answered each way.
     """
 
     def __init__(
@@ -145,7 +132,7 @@ class ShardDispatcher:
         # Published whole under the lock and read without it: a reader
         # sees one answer or the next, never half of one.
         self._kept_lock = threading.Lock()
-        self._kept = {}  # guarded-by: _kept_lock — frame version -> _KeptDump
+        self._kept = None  # guarded-by: _kept_lock — a _KeptDump
         self.dumps_packed = 0  # guarded-by: _kept_lock
         self.dumps_kept = 0  # guarded-by: _kept_lock
 
@@ -191,9 +178,9 @@ class ShardDispatcher:
             return encode(ErrorResponse(code=exc.code, message=str(exc)))
         try:
             response = self._dispatch(request)
-            for kept in self._kept.values():
-                if response is kept.response:
-                    return kept.line
+            kept = self._kept
+            if kept is not None and response is kept.response:
+                return kept.line
             return encode(response)
         except WireError as exc:
             return encode(ErrorResponse(code=exc.code, message=str(exc)))
@@ -305,20 +292,21 @@ class ShardDispatcher:
         )
 
     def _fetch_methods(self, request):
-        """The ``fetch-methods`` answer: the kept full dump of the
-        request's frame version while it stands, else a fresh scan, kept
-        when it is a full dump."""
+        """The ``fetch-methods`` answer: for a framed request, the kept
+        full dump while it stands, else a fresh scan, kept when it is a
+        framed full dump."""
         if request.methods is not None:
             for method in request.methods:
                 self._check_ownership(method)
-        frame = frame_version(request.protocol_version)
+        framed = split_version(request.protocol_version) >= FRAME_VERSION
         query = (request.methods, request.fingerprint)
-        kept = self._kept.get(frame)
+        kept = self._kept
         # Equal versions mean equal dumps, and the store still has the
         # kept answer's incarnation and cursor, which tell whether this
         # request asks for a delta.  A match linearizes at this read.
         if (
-            kept is not None
+            framed
+            and kept is not None
             and kept.version == self.store.version
             and kept.query == query
             and not (
@@ -338,49 +326,27 @@ class ShardDispatcher:
             since=request.since,
         )
         epochs = tuple(epochs) if any(epochs) else ()
-        # Framed for a requester that reads frames, in the layout it
-        # reads (packed rows from 1.10, a trie from 1.9, flat at 1.8),
-        # when there is anything to frame; an older one, and an empty
-        # answer, get nominal entries.  The store shares equal
-        # references, so packing is an identity lookup per reference.
-        label = _ANSWER_LABELS[frame]
-        if frame is not None and entries:
-            response = MethodEntriesResponse(
-                entries=(),
-                epochs=epochs,
-                incarnation=incarnation,
-                cursor=cursor,
-                frame=pack_frame(
-                    entries,
-                    trie=frame >= TRIE_FRAME_VERSION,
-                    packed=frame >= PACKED_FRAME_VERSION,
-                ),
-                protocol_version=label,
-            )
-        else:
-            response = MethodEntriesResponse(
-                entries=tuple(entries),
-                epochs=epochs,
-                incarnation=incarnation,
-                cursor=cursor,
-                protocol_version=label,
-            )
+        # Framed for a requester that reads frames, when there is
+        # anything to frame; an older one, and an empty answer, get
+        # nominal entries.  The store shares equal references, so
+        # packing is an identity lookup per reference.
+        frame = pack_frame(entries) if framed and entries else None
+        response = MethodEntriesResponse(
+            entries=tuple(entries) if frame is None else (),
+            epochs=epochs,
+            incarnation=incarnation,
+            cursor=cursor,
+            frame=frame,
+        )
         if version is None:  # a delta is never kept
             return response
-        kept = _KeptDump(version, query, response, encode(response))
+        kept = _KeptDump(version, query, response, encode(response)) if framed else None
         with self._kept_lock:
             self.dumps_packed += 1
-            # One line per frame version, all scanned at one store
-            # version: a newer scan retires the other forms, and a
-            # scan that lost a race to a newer one is not kept.
-            if all(other.version <= version for other in self._kept.values()):
-                forms = {
-                    form: other
-                    for form, other in self._kept.items()
-                    if other.version == version
-                }
-                forms[frame] = kept
-                self._kept = forms
+            # Only a framed dump is kept, and not one whose scan lost a
+            # race to a newer one.
+            if kept is not None and (self._kept is None or self._kept.version <= version):
+                self._kept = kept
         return response
 
 

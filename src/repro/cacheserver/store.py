@@ -25,10 +25,10 @@ is the cursor an incremental prefetch (protocol 1.7) resumes from.
 The store keeps one shared copy of each distinct node reference and
 field stack its residents hold: an entry's references are swapped for
 the shared copies before it becomes visible, and never mutated after.
-So a framed prefetch answer (protocol 1.8,
+So a framed prefetch answer (protocol 1.10,
 :func:`~repro.api.snapshot.pack_frame`) finds each distinct reference
-by identity, walks each distinct field stack into its trie once (1.9),
-and the shard holds each reference once.
+by identity, walks each distinct field stack into its trie once, and
+the shard holds each reference once.
 
 The store's :attr:`~WireSummaryStore.version` advances, under the lock,
 with every operation that can change a full dump's bytes, so a server

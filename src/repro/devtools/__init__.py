@@ -12,6 +12,9 @@ Entry points: the ``repro-lint`` console script
     findings = collect_findings(project, list(ALL_RULES.values()))
 """
 
+import importlib
+from typing import Any
+
 from repro.devtools.analyzer import (
     BaselineError,
     Finding,
@@ -24,8 +27,26 @@ from repro.devtools.analyzer import (
     split_findings,
     write_baseline,
 )
-from repro.devtools.cli import ALL_RULES, main
 from repro.devtools.registry import HOT_FUNCTIONS, HotFunction, hot_function_ids
+
+#: Names exported lazily (PEP 562), by the module that defines them.
+#: ``python -m repro.devtools.cli`` (``repro-lint`` run from a checkout)
+#: imports this package first; importing the CLI here would load it
+#: once under its own name and then run it again as ``__main__``.
+_LAZY = {
+    "ALL_RULES": "repro.devtools.cli",
+    "main": "repro.devtools.cli",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ALL_RULES",

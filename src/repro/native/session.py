@@ -35,9 +35,9 @@ the C kernel in ``kernel.c``:
 * **Held frames** (:func:`hold_frame`) — a remote store's framed
   prefetch into a plain tier whose dict is empty, on the kernel: the
   client resolves the frame's node and stack tables, and one
-  ``rk_frame_hold`` call walks the rows — the packed ``array`` a 1.10
+  ``rk_frame_hold`` call walks the rows — the packed ``array`` the
   frame decodes to, at its width of 2, 4 or 8 bytes, with no Python
-  int built per row; a 1.8 or 1.9 frame's integers as int64 — validating them by
+  int built per row — validating them by
   :func:`~repro.api.snapshot.resolve_frame`'s rules and applying the
   prefetch's adoption filter — and commits every
   accepted entry to the tier's session.  The tier records the block
@@ -45,8 +45,8 @@ the C kernel in ``kernel.c``:
   objects only when a Python reader needs them, and before the session
   that holds them is retired, dropped or replaced.  Anything else — a
   damaged or misaligned answer, a key, object or stack the kernel
-  cannot represent, a key repeated in the frame or already held, a
-  row value past int64 — takes the per-entry path unchanged.
+  cannot represent, a key repeated in the frame or already held, an
+  epoch past int64 — takes the per-entry path unchanged.
 
 Everything here is **refuse-and-fall-back**: any state the kernel
 cannot represent (a call site outside int32, a field stack holding a
@@ -829,17 +829,17 @@ def hold_frame(cache, pag, tables, rows, epochs, method_epochs):
     ``cache`` is a remote store's plain local tier with an empty dict;
     ``tables`` is what :func:`~repro.api.snapshot.resolve_frame_tables`
     made of the frame, ``rows`` what
-    :func:`~repro.api.snapshot.frame_rows` made of it (a packed
-    frame's ``array``, handed over as it stands with its width, or
-    JSON integers, copied into an int64 one), ``epochs`` the answer's
-    and ``method_epochs`` the client's non-zero method epochs.
+    :func:`~repro.api.snapshot.frame_rows` made of it (an ``array`` at
+    a width of 2, 4 or 8 bytes, handed over as it stands), ``epochs``
+    the answer's and ``method_epochs`` the client's non-zero method
+    epochs.
     One ``rk_frame_hold`` call validates the rows, skips the entries
     the prefetch would not adopt (an unresolved reference, an epoch
     that is not the client's) and commits the rest to the session; the
     cache then records the block (``SummaryStore._hold``).
 
     Returns ``(adopted, skipped)``, or with nothing held the reason
-    why: no kernel for this PAG, a row or epoch past int64, kernel OOM,
+    why: no kernel for this PAG, an epoch past int64, kernel OOM,
     or a refusal of the kernel's (:data:`HOLD_REFUSALS`: damage — the
     rows fail exactly where :func:`~repro.api.snapshot.resolve_frame`
     raises — misaligned epochs, an entry it cannot represent, a
@@ -851,15 +851,13 @@ def hold_frame(cache, pag, tables, rows, epochs, method_epochs):
         return "no kernel"
     nodes, is_object, stacks = tables
     try:
-        if type(rows) is not array:
-            rows = array("q", rows)
         epochs_q = array("q", epochs)
         node_epoch = array(
             "q",
             [0 if node is None else method_epochs.get(node.method, 0) for node in nodes],
         )
     except OverflowError:
-        return "a value past int64"
+        return "an epoch past int64"
     index_get = ng.image.node_index.get
     node_idx = array(
         "i",

@@ -666,10 +666,10 @@ REMOTE_SESSIONS = ("cold", "warm", "rewarm")
 REWARM_SESSIONS = 5
 #: ``--check``'s ceiling on the warm remote session's
 #: ``prefetch_bytes`` per ``prefetched`` entry.  A full dump of the
-#: generator program reads ~35 bytes per entry in trie frames with
-#: packed rows (protocol 1.10) or integer ones (1.9), ~54 in flat ones
-#: (1.8) and ~311 as nominal entries, so a fall back to flat frames
-#: fails the gate.
+#: generator program reads ~35 bytes per entry in packed trie frames
+#: (protocol 1.10), where the withdrawn flat frames of 1.8 read ~54 and
+#: nominal entries ~311, so a frame that grew back to that size fails
+#: the gate.
 PREFETCH_BYTES_PER_ENTRY_MAX = 48
 
 

@@ -832,10 +832,10 @@ class TestBatchedOpsDispatch:
         assert dropped.dropped == (3, 0)
 
     def test_fetch_methods_all_and_filtered(self):
-        """At 1.7 the answer is nominal, in the bytes a 1.9 shard
-        sends; at this build's version it is framed (protocol 1.8), its
-        rows packed (1.10), and resolves to the same entries in the
-        same order."""
+        """At 1.7 the answer is nominal, labelled with this build's
+        version; at this build's version it is framed, its rows packed
+        (protocol 1.10), and resolves to the same entries in the same
+        order."""
         import json
 
         from repro.api.protocol import (
@@ -860,7 +860,7 @@ class TestBatchedOpsDispatch:
         assert line == (
             f'{{"cursor":2,"entries":[{entries}],"epochs":[],'
             f'"incarnation":{server.store.incarnation},'
-            '"kind":"fetch-methods-result","protocol_version":"1.9"}'
+            f'"kind":"fetch-methods-result","protocol_version":"{PROTOCOL_VERSION}"}}'
         )
         only_b = self.exchange(
             server, MethodEntriesRequest(methods=("B.n",), protocol_version="1.7")
@@ -882,7 +882,7 @@ class TestBatchedOpsDispatch:
             assert isinstance(framed, MethodEntriesResponse)
             assert framed.entries == () and framed.frame is not None
             assert framed.protocol_version == PROTOCOL_VERSION
-            assert [view(r) for r in resolve_frame(pag, framed.frame, packed=True)] == [
+            assert [view(r) for r in resolve_frame(pag, framed.frame)] == [
                 view(resolve_wire_entry(pag, entry)) for entry in want
             ]
 

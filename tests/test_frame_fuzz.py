@@ -4,34 +4,34 @@ Valid frames come from a shard: random entries (local, object and
 global node references, both stack families, both states, any steps;
 some naming entities the program lacks) are stored in a shard's
 ``WireSummaryStore`` and fetched through its dispatcher at protocol
-1.8 (a flat stack table), 1.9 (a trie of stack rows) and 1.10 (the
-trie, its rows packed), and again at 1.7 for the same entries
-nominally.  Every property runs at all three frame versions.  Damaged
-frames are such a frame's JSON with one defect: an
-index past its table, rows cut mid-entry, a negative count, an object
-index that names a local, a state of 0 or 3, a junk node row, a junk
-stack row, a negative index, or any row value swapped for a small
+1.10 (a trie of stack rows, the rows packed), and again at 1.7 for the
+same entries nominally.  Damaged frames are such a frame's JSON with
+one defect: an index past its table, rows cut mid-entry, a negative
+count, an object index that names a local, a state of 0 or 3, a junk
+node row, a junk stack row, a negative index, a value past int32, a
+value at the int64 boundary, or any row value swapped for a small
 integer.  A junk trie row breaks one rule of its own: a parent naming
 the row itself, a later row, a row past the table, a negative parent
 or ``true``; 2 or 4 items, or no array; a field that is not a string;
 a family outside 0/1, or ``true``.  Each is refused with a
-``SnapshotError`` naming ``frame.stacks[i]``.  At 1.10 the damaged
-values are packed again at a width drawn from those that hold them (a
-value past int64 has no packed form), and the packed string itself is
-damaged alone: a character outside the base64 alphabet, bad padding, a
-byte count that is not a multiple of the width, or a width other than
-2, 4 or 8.  Each of those is refused naming ``frame.packed``, before
-any row reaches the kernel.
+``SnapshotError`` naming ``frame.stacks[i]``.  Every property runs at
+2, 4 and 8 bytes: its entries' steps fit the width, and the frame's
+rows, valid or damaged, are packed again at it; a value past int32,
+one at the int64 boundary and an overflowing count only an 8-byte row
+holds.  The packed string itself is damaged alone: a character
+outside the base64 alphabet, bad padding, a byte count that is not a
+multiple of the width (at each width), or a width other than 2, 4 or
+8.  Each of those is refused naming ``frame.packed``, before any row
+reaches the kernel.
 
 The property: ``resolve_frame`` either raises ``SnapshotError`` or
 returns exactly what ``resolve_wire_entry`` returns for the same
 entries sent nominally, and nothing else escapes.  An empty shard's
-answer carries no frame; the empty frame an earlier 1.8 shard sent for
-it still resolves to nothing.  For a damaged frame
-those entries are what :func:`unpack`, a plain reference decoder,
-reads from it; each named defect must be refused, also a row value of
-2**31 or more, one of 2**63 or more, and a count that would overflow
-``pos + count``.
+answer carries no frame; an empty frame still resolves to nothing.
+For a damaged frame those entries are what :func:`unpack`, a plain
+reference decoder, reads from it; each named defect must be refused,
+also a row value of 2**31 or more, one at the int64 boundary, and a
+count that would overflow ``pos + count``.
 
 The kernel's walk of a held frame (``rk_frame_hold``, through
 :func:`repro.native.session.hold_frame`) runs on the same frames: it
@@ -45,6 +45,7 @@ Runs derandomized, so tier-1 sees the same examples every time.
 
 import base64
 import binascii
+import dataclasses
 import json
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -101,16 +102,23 @@ STACKS = st.lists(
 )
 STATES = st.sampled_from([1, 2])
 BOUNDARIES = st.fixed_dictionaries({"node": NODES, "stack": STACKS, "state": STATES})
-ENTRIES = st.fixed_dictionaries(
-    {
-        "node": NODES,
-        "stack": STACKS,
-        "state": STATES,
-        "objects": st.lists(OBJECTS, max_size=3),
-        "boundaries": st.lists(BOUNDARIES, max_size=3),
-        "steps": st.integers(min_value=0, max_value=2**40),
-    }
-)
+
+
+def entries_up_to(max_steps):
+    """Entries whose step counts are at most ``max_steps``."""
+    return st.fixed_dictionaries(
+        {
+            "node": NODES,
+            "stack": STACKS,
+            "state": STATES,
+            "objects": st.lists(OBJECTS, max_size=3),
+            "boundaries": st.lists(BOUNDARIES, max_size=3),
+            "steps": st.integers(min_value=0, max_value=max_steps),
+        }
+    )
+
+
+ENTRIES = entries_up_to(2**40)
 
 #: GLOBALS_SOURCE plus loads and stores of the fields the generated
 #: stacks name, so every stack token is in the CSR image and the kernel
@@ -145,24 +153,15 @@ JUNK_NODES = [
     {"kind": "local", "method": 1, "name": "a"}, {"kind": "global", "class": "G"},
     {"kind": "local", "name": "a"}, {"kind": "object", "id": "o", "class": "C", "x": 0},
 ]
-JUNK_STACKS = [{}, "x", None, [["f", 2]], [["f"]], [[1, 0]], [None], [["f", 0, 1]]]
-
-#: The frame versions: ``"1.8"`` writes a flat stack table, ``"1.9"`` a
-#: trie, ``"1.10"`` a trie with packed rows.  Every property below runs
-#: at each.
-VERSIONS = ("1.8", "1.9", "1.10")
-
-
-def is_trie(version):
-    return version != "1.8"
-
-
-def is_packed(version):
-    return version == "1.10"
-
 
 #: The widths a packed row can take.
 WIDTHS = (2, 4, 8)
+#: Per width, entries whose frame packs at that width or a narrower
+#: one: their steps fit it, and every index and count of a frame this
+#: small fits 2 bytes.
+ENTRIES_AT = {
+    width: entries_up_to(min(2**40, (1 << (8 * width - 1)) - 1)) for width in WIDTHS
+}
 
 
 def fits(rows, width):
@@ -205,20 +204,20 @@ def junk_trie_row(damage, row, at, n_rows, data):
     return [parent, field, True]
 
 
-def fetched(entries, version):
+def fetched(entries):
     """``(framed answer payload, nominal entries)`` of one shard holding
-    ``entries``, fetched at ``version`` and at 1.7."""
+    ``entries``, fetched at 1.10 and at 1.7."""
     shard = ShardDispatcher(0, 1)
     shard.handle_line(encode(BatchStoreRequest(entries=tuple(entries))))
     nominal = decode_response(
         shard.handle_line(encode(MethodEntriesRequest(protocol_version="1.7")))
     )
     framed = json.loads(
-        shard.handle_line(encode(MethodEntriesRequest(protocol_version=version)))
+        shard.handle_line(encode(MethodEntriesRequest(protocol_version="1.10")))
     )
     assert framed["entries"] == [] and nominal.frame is None
     assert ("frame" in framed) == bool(nominal.entries)
-    assert framed["protocol_version"] == version
+    assert framed["protocol_version"] == "1.10"
     return framed, list(nominal.entries)
 
 
@@ -269,14 +268,10 @@ def trie_table(rows):
     return table
 
 
-def plain_rows(frame, version):
-    """The row values of ``frame``, read plainly: its ``rows``, or at
-    1.10 its ``packed`` string decoded value by value; raises
-    :class:`Damaged` where that is damaged."""
-    if not is_packed(version):
-        if frame.packed is not None:
-            raise Damaged("packed rows before 1.10")
-        return list(frame.rows)
+def plain_rows(frame):
+    """The row values of ``frame``, read plainly: its ``packed`` string
+    decoded value by value; raises :class:`Damaged` where that is
+    damaged."""
     if frame.rows or frame.packed is None:
         raise Damaged("a packed frame's rows are in packed, only there")
     try:
@@ -294,18 +289,13 @@ def plain_rows(frame, version):
     ]
 
 
-def unpack(frame, version):
+def unpack(frame):
     """The nominal entries ``frame`` encodes, read plainly; raises
     :class:`Damaged` or :class:`SnapshotError` where it is damaged."""
-    rows = plain_rows(frame, version)
+    rows = plain_rows(frame)
     for row in frame.nodes:
         check_key({"node": row, "stack": [], "state": 1})
-    if is_trie(version):
-        stacks = trie_table(frame.stacks)
-    else:
-        stacks = frame.stacks
-        for row in stacks:
-            check_key({"node": REAL[0], "stack": row, "state": 1})
+    stacks = trie_table(frame.stacks)
 
     def take(table=None):
         if not rows:
@@ -341,16 +331,13 @@ def tier_view(tier):
     return [entry_to_wire(*key, summary) for key, summary in tier.entries()]
 
 
-def adopt(frame, version, epochs=(), method_epochs=None):
+def adopt(frame, epochs=(), method_epochs=None):
     """What the per-entry path makes of ``frame`` over
     :data:`KERNEL_PAG`: ``(tier entries, adopted, skipped)`` after the
     prefetch's adoption filter, ``"misaligned"``, or :data:`REFUSED`."""
     method_epochs = method_epochs or {}
     try:
-        resolved = resolve_frame(
-            KERNEL_PAG, frame, "prefetch.frame",
-            trie=is_trie(version), packed=is_packed(version),
-        )
+        resolved = resolve_frame(KERNEL_PAG, frame, "prefetch.frame")
     except SnapshotError:
         return REFUSED
     if epochs and len(epochs) != len(resolved):
@@ -367,24 +354,21 @@ def adopt(frame, version, epochs=(), method_epochs=None):
     return tier_view(tier), adopted, skipped
 
 
-def hold(frame, version, epochs=(), method_epochs=None):
+def hold(frame, epochs=(), method_epochs=None):
     """What the held path makes of ``frame``: :data:`REFUSED` where the
     kernel calls it damaged (or the packed string or a table is, which
-    the client refuses before the kernel; or a row value is past int64,
-    which the per-entry path then refuses), the reason it held nothing
+    the client refuses before the kernel), the reason it held nothing
     else, or ``(built entries, adopted, skipped)``."""
     tier = SummaryCache()
     try:
-        rows = frame_rows(frame, is_packed(version), "prefetch.frame")
-        tables = resolve_frame_tables(
-            KERNEL_PAG, frame, "prefetch.frame", is_trie(version)
-        )
+        rows = frame_rows(frame, "prefetch.frame")
+        tables = resolve_frame_tables(KERNEL_PAG, frame, "prefetch.frame")
     except SnapshotError:
         return REFUSED
     outcome = hold_frame(
         tier, KERNEL_PAG, tables, rows, epochs, method_epochs or {}
     )
-    if outcome in ("damaged", "a value past int64"):
+    if outcome == "damaged":
         return REFUSED
     if type(outcome) is not tuple:
         return outcome
@@ -410,49 +394,53 @@ def views(resolved):
     ]
 
 
-def outcome(frame, version):
+def outcome(frame):
     """What ``resolve_frame`` makes of ``frame``: its entries' views, or
     :data:`REFUSED`.  Any exception but ``SnapshotError`` escapes."""
     try:
-        return views(resolve_frame(
-            PAG, frame, "prefetch.frame",
-            trie=is_trie(version), packed=is_packed(version),
-        ))
+        return views(resolve_frame(PAG, frame, "prefetch.frame"))
     except SnapshotError:
         return REFUSED
 
 
-def reference(frame, version):
+def reference(frame):
     """What the nominal path makes of the entries ``frame`` encodes."""
     try:
-        return views([resolve_wire_entry(PAG, e) for e in unpack(frame, version)])
+        return views([resolve_wire_entry(PAG, e) for e in unpack(frame)])
     except (Damaged, SnapshotError):
         return REFUSED
 
 
-def empty_frame(version):
-    """The frame an earlier shard sent for an empty answer."""
-    return pack_frame([], trie=is_trie(version), packed=is_packed(version))
+def valid_frame(width, data):
+    """``(frame, nominal entries)`` of a shard holding up to 8 drawn
+    entries, the frame's rows packed again at ``width`` bytes (a shard
+    packs at the narrowest width that holds them; a reader takes any)."""
+    payload, nominal = fetched(data.draw(st.lists(ENTRIES_AT[width], max_size=8)))
+    if nominal:
+        payload["frame"]["packed"] = packed_at(plain_rows(frame_of(payload)), width)
+        frame = frame_of(payload)
+    else:  # an empty answer carries no frame; an empty one still reads
+        frame = dataclasses.replace(pack_frame([]), packed=packed_at((), width))
+    assert base64.b64decode(frame.packed)[0] == width
+    return frame, nominal
 
 
-@pytest.mark.parametrize("version", VERSIONS)
+@pytest.mark.parametrize("width", WIDTHS)
 @settings(**SETTINGS)
-@given(entries=st.lists(ENTRIES, max_size=8))
-def test_a_valid_frame_resolves_like_its_nominal_entries(version, entries):
-    payload, nominal = fetched(entries, version)
-    frame = frame_of(payload) if nominal else empty_frame(version)
+@given(data=st.data())
+def test_a_valid_frame_resolves_like_its_nominal_entries(width, data):
+    frame, nominal = valid_frame(width, data)
     want = views([resolve_wire_entry(PAG, entry) for entry in nominal])
-    assert outcome(frame, version) == want
-    assert reference(frame, version) == want
+    assert outcome(frame) == want
+    assert reference(frame) == want
 
 
 @needs_kernel
-@pytest.mark.parametrize("version", VERSIONS)
+@pytest.mark.parametrize("width", WIDTHS)
 @settings(**SETTINGS)
-@given(entries=st.lists(ENTRIES, max_size=8), data=st.data())
-def test_the_kernel_holds_a_valid_frame_like_per_entry_adoption(version, entries, data):
-    payload, nominal = fetched(entries, version)
-    frame = frame_of(payload) if nominal else empty_frame(version)
+@given(data=st.data())
+def test_the_kernel_holds_a_valid_frame_like_per_entry_adoption(width, data):
+    frame, nominal = valid_frame(width, data)
     method_epochs = {"Main.main": data.draw(st.integers(0, 2))}
     epochs = data.draw(
         st.one_of(
@@ -460,15 +448,15 @@ def test_the_kernel_holds_a_valid_frame_like_per_entry_adoption(version, entries
             st.lists(st.integers(0, 2), min_size=len(nominal), max_size=len(nominal)),
         )
     )
-    got = hold(frame, version, tuple(epochs), method_epochs)
-    assert got == adopt(frame, version, tuple(epochs), method_epochs)
+    got = hold(frame, tuple(epochs), method_epochs)
+    assert got == adopt(frame, tuple(epochs), method_epochs)
     assert type(got) is tuple  # a shard's frame holds nothing the kernel refuses
     # Epochs that do not align with the entries refuse the answer, on
     # both paths.
     for wrong in ((0,) * (len(nominal) + 1), (0,) * (len(nominal) - 1)):
         if wrong:
-            assert hold(frame, version, wrong) == "misaligned epochs"
-            assert adopt(frame, version, wrong) == "misaligned"
+            assert hold(frame, wrong) == "misaligned epochs"
+            assert adopt(frame, wrong) == "misaligned"
 
 
 DAMAGES = [
@@ -485,7 +473,8 @@ TARGETS = (
     + [("state", kind) for kind in ("state", "boundary-state")]
     # Past int32 (and every table); a step count that large is valid.
     + [("int32", kind) for kind in ROW_KINDS if kind != "steps"]
-    # Past int64, and past the steps bound.
+    # At the int64 boundary, the largest value a packed row holds or
+    # the smallest.
     + [("int64", kind) for kind in ROW_KINDS]
     # A count whose ``pos + count`` would overflow int64.
     + [("overflow", kind) for kind in ("count", "boundaries")]
@@ -503,16 +492,18 @@ def damage_trie_row(stacks, damage, data):
     return at
 
 
-def damaged_frame(entries, damage, data, target=None, version="1.9"):
-    """A shard's frame of ``entries``, fetched at ``version``, with one
-    ``damage``, at a row of kind ``target`` when one is named."""
-    payload, _nominal = fetched(entries, version)
+def damaged_frame(entries, damage, data, target=None, width=None):
+    """A shard's frame of ``entries`` with one ``damage``, at a row of
+    kind ``target`` when one is named, packed again at ``width``, or
+    the next wider one when that does not hold every value; at a
+    width drawn from those that do when none is named."""
+    payload, _nominal = fetched(entries)
     wire = payload["frame"]
     nodes, stacks = wire["nodes"], wire["stacks"]
-    rows = plain_rows(frame_of(payload), version)
+    rows = plain_rows(frame_of(payload))
     kinds, starts = layout(rows)
     # A trie's references: the empty stack, then one per row.
-    n_stacks = len(stacks) + is_trie(version)
+    n_stacks = len(stacks) + 1
 
     def position(wanted, among=range(len(rows))):
         """A position holding one of the ``wanted`` kinds, drawn kind
@@ -551,16 +542,15 @@ def damaged_frame(entries, damage, data, target=None, version="1.9"):
         nodes[data.draw(st.integers(0, len(nodes) - 1))] = data.draw(
             st.sampled_from(JUNK_NODES)
         )
-    elif damage == "stack-row" and is_trie(version):
-        damage_trie_row(stacks, data.draw(st.sampled_from(TRIE_DAMAGES)), data)
     elif damage == "stack-row":
-        stacks[data.draw(st.integers(0, len(stacks) - 1))] = data.draw(
-            st.sampled_from(JUNK_STACKS)
-        )
+        damage_trie_row(stacks, data.draw(st.sampled_from(TRIE_DAMAGES)), data)
     elif damage == "int32":
         rows[position(set(kinds) - {"steps"})] = 2**31 + data.draw(st.integers(0, 3))
     elif damage == "int64":
-        rows[position(set(kinds))] = data.draw(st.sampled_from([2**63, 2**63 + 5, 2**64]))
+        at = position(set(kinds))
+        # A step count of 2**63 - 1 is valid; -2**63 is not.
+        edges = [-(2**63)] if kinds[at] == "steps" else [2**63 - 1, -(2**63)]
+        rows[at] = data.draw(st.sampled_from(edges))
     elif damage == "overflow":
         rows[position(("count", "boundaries"))] = 2**63 - 1 - data.draw(
             st.integers(0, 7)
@@ -568,28 +558,23 @@ def damaged_frame(entries, damage, data, target=None, version="1.9"):
     elif damage == "swap":
         at = data.draw(st.integers(0, len(rows) - 1))
         rows[at] = data.draw(st.integers(-3, len(nodes) + 3))
-    if is_packed(version):
-        # Written again at any width that holds every value.
-        width = data.draw(st.sampled_from([w for w in WIDTHS if fits(rows, w)]))
-        wire["packed"] = packed_at(rows, width)
-    else:
-        wire["rows"] = rows
+    holding = [w for w in WIDTHS if fits(rows, w) and w >= (width or 0)]
+    width = holding[0] if width else data.draw(st.sampled_from(holding))
+    wire["packed"] = packed_at(rows, width)
     return frame_of(payload)
 
 
-@pytest.mark.parametrize("version", VERSIONS)
+@pytest.mark.parametrize("width", WIDTHS)
 @settings(**{**SETTINGS, "max_examples": 300})
-@given(
-    entries=st.lists(ENTRIES, min_size=1, max_size=6),
-    damage=st.sampled_from(DAMAGES),
-    data=st.data(),
-)
+@given(damage=st.sampled_from(DAMAGES), data=st.data())
 def test_a_damaged_frame_is_refused_or_resolves_like_what_it_encodes(
-    version, entries, damage, data
+    width, damage, data
 ):
-    frame = damaged_frame(entries, damage, data, version=version)
-    got = outcome(frame, version)
-    assert got == reference(frame, version)
+    entries = data.draw(st.lists(ENTRIES_AT[width], min_size=1, max_size=6))
+    frame = damaged_frame(entries, damage, data, width=width)
+    assert base64.b64decode(frame.packed)[0] == width
+    got = outcome(frame)
+    assert got == reference(frame)
     if damage != "swap":
         assert got == REFUSED
 
@@ -623,48 +608,67 @@ def damage_packed(packed, damage, data):
     return base64.b64encode(bytes((width,)) + raw[1:]).decode("ascii")
 
 
-@pytest.mark.parametrize("damage", PACKED_DAMAGES)
+#: Each packed-string damage; a value cut short at each width, since
+#: the bytes it leaves over depend on it.
+PACKED_CASES = [(damage, None) for damage in PACKED_DAMAGES if damage != "length"] + [
+    ("length", width) for width in WIDTHS
+]
+
+
+@pytest.mark.parametrize(
+    "damage, width",
+    PACKED_CASES,
+    ids=[d if w is None else f"{d}-{w}" for d, w in PACKED_CASES],
+)
 @settings(**{**SETTINGS, "max_examples": 40})
-@given(entries=st.lists(ENTRIES, min_size=1, max_size=6), data=st.data())
-def test_a_damaged_packed_string_is_refused_naming_its_field(damage, entries, data):
-    payload, _nominal = fetched(entries, "1.10")
+@given(data=st.data())
+def test_a_damaged_packed_string_is_refused_naming_its_field(damage, width, data):
+    entries = data.draw(
+        st.lists(ENTRIES if width is None else ENTRIES_AT[width], min_size=1, max_size=6)
+    )
+    payload, _nominal = fetched(entries)
     wire = payload["frame"]
+    if width is not None:
+        wire["packed"] = packed_at(plain_rows(frame_of(payload)), width)
     wire["packed"] = damage_packed(wire["packed"], damage, data)
     frame = frame_of(payload)
     with pytest.raises(SnapshotError, match=r"^prefetch\.frame\.packed: "):
-        resolve_frame(PAG, frame, "prefetch.frame", packed=True)
-    assert reference(frame, "1.10") == REFUSED
+        resolve_frame(PAG, frame, "prefetch.frame")
+    assert reference(frame) == REFUSED
     # The client refuses it before the kernel sees a row.
-    assert hold(frame, "1.10") == REFUSED
+    assert hold(frame) == REFUSED
 
 
 @pytest.mark.parametrize("damage", TRIE_DAMAGES)
 @settings(**{**SETTINGS, "max_examples": 25})
 @given(entries=st.lists(ENTRIES, min_size=1, max_size=6), data=st.data())
 def test_a_damaged_trie_row_is_refused_by_its_index(damage, entries, data):
-    payload, _nominal = fetched(entries, "1.9")
+    payload, _nominal = fetched(entries)
     at = damage_trie_row(payload["frame"]["stacks"], damage, data)
     frame = frame_of(payload)
     with pytest.raises(SnapshotError, match=rf"^prefetch\.frame\.stacks\[{at}\]: "):
         resolve_frame(PAG, frame, "prefetch.frame")
-    assert reference(frame, "1.9") == REFUSED
+    assert reference(frame) == REFUSED
 
 
-#: :data:`TARGETS` at each frame version; a packed row holds no value
-#: past int64, so that damage has no 1.10 form.
+#: Damages whose values only an 8-byte row holds.
+WIDE = ("int32", "int64", "overflow")
+#: :data:`TARGETS` at each width whose rows hold the damaged value:
+#: every damage kind at 2, 4 and 8 bytes, the int32 and int64 boundary
+#: values and an overflowing count at 8.
 KERNEL_CASES = [
-    (damage, target, version)
+    (damage, target, width)
     for damage, target in TARGETS
-    for version in VERSIONS
-    if not (is_packed(version) and damage == "int64")
+    for width in WIDTHS
+    if width == 8 or damage not in WIDE
 ]
 
 
 @needs_kernel
 @pytest.mark.parametrize(
-    "damage, target, version",
+    "damage, target, width",
     KERNEL_CASES,
-    ids=[f"{d}-{t}-{v}" if t else f"{d}-{v}" for d, t, v in KERNEL_CASES],
+    ids=[f"{d}-{t}-{w}" if t else f"{d}-{w}" for d, t, w in KERNEL_CASES],
 )
 @settings(
     **{
@@ -673,13 +677,16 @@ KERNEL_CASES = [
         "suppress_health_check": [HealthCheck.too_slow, HealthCheck.filter_too_much],
     }
 )
-@given(entries=st.lists(ENTRIES, min_size=1, max_size=6), data=st.data())
+@given(data=st.data())
 def test_the_kernel_calls_a_frame_damaged_exactly_when_resolve_frame_raises(
-    version, damage, target, entries, data
+    damage, target, width, data
 ):
-    frame = damaged_frame(entries, damage, data, target, version)
-    want = adopt(frame, version)
-    got = hold(frame, version)
+    entries = data.draw(st.lists(ENTRIES_AT[width], min_size=1, max_size=6))
+    frame = damaged_frame(entries, damage, data, target, width)
+    # The kernel walks the rows at this width.
+    assert base64.b64decode(frame.packed)[0] == width
+    want = adopt(frame)
+    got = hold(frame)
     if damage != "swap":
         assert want == REFUSED
     assert (got == REFUSED) == (want == REFUSED)

@@ -1,5 +1,6 @@
-"""The kept full dump: a shard answers a repeated full ``fetch-methods``
-with the line it already encoded, while its store's version stands.
+"""The kept full dump: a shard answers a repeated framed full
+``fetch-methods`` with the line it already encoded, while its store's
+version stands.
 
 Pinned here:
 
@@ -7,13 +8,14 @@ Pinned here:
   entry cap or a fact cap: after every store-level op (store,
   equal-payload re-store with more ``steps``, replace, lookup hit and
   miss, lookup at a newer epoch, fingerprint pin, invalidate with and
-  without residents, ``clear``, blank restart) the dispatcher's full dump, at 1.7, 1.8
-  (a flat frame), 1.9 (a trie frame) and 1.10 (packed rows), with and
-  without a method filter and a fingerprint, equals byte for byte a
-  fresh scan, pack and encode of the store;
-* full dumps of an unchanged store at alternating frame versions (1.8
-  and 1.9, 1.9 and 1.10) each keep their own line: each version packs
-  once, and never gets another's line;
+  without residents, ``clear``, blank restart) the dispatcher's full
+  dump, at 1.9 (nominal entries, never kept) and 1.10 (a frame), with
+  and without a method filter and a fingerprint, equals byte for byte
+  a fresh scan, pack and encode of the store, and a repeated 1.10 dump
+  is answered from the kept line;
+* full dumps of an unchanged store at 1.7, 1.8 or 1.9 interleaved
+  with 1.10 ones neither get nor evict the kept 1.10 line: every older
+  dump is scanned, and every 1.10 dump after the first is kept;
 * writers alongside full-dump readers on one dispatcher: no answer is
   older than the store the request found, and once the writers stop
   the next dump equals a fresh one;
@@ -44,9 +46,9 @@ METHODS = ("A.m", "B.n", "C.o")
 FINGERPRINTS = (11, 22)
 
 
-#: The request versions: 1.7 gets nominal entries, 1.8 a flat frame,
-#: 1.9 a trie frame, 1.10 a trie frame with packed rows.
-VERSIONS = ("1.7", "1.8", "1.9", "1.10")
+#: The request versions: 1.9, like every version before 1.10, gets
+#: nominal entries; 1.10 a frame.
+VERSIONS = ("1.9", "1.10")
 
 
 def stack_of(name):
@@ -84,21 +86,16 @@ def dump_request(methods=None, fingerprint=None, version=PROTOCOL_VERSION):
 def fresh_line(store, methods=None, fingerprint=None, version=PROTOCOL_VERSION):
     """What a shard sends for a full dump of ``store`` as it stands:
     a fresh scan, pack and encode.  A requester older than 1.10 gets
-    what a 1.9 shard sends: a 1.8 one the flat frame under a 1.8 label,
-    a 1.7 or 1.9 one a 1.9 label."""
+    nominal entries."""
     entries, epochs, incarnation, cursor, _version = store.fetch(methods, fingerprint)
     epochs = tuple(epochs) if any(epochs) else ()
-    label = {"1.8": "1.8", PROTOCOL_VERSION: PROTOCOL_VERSION}.get(version, "1.9")
-    if version != "1.7" and entries:
+    if version == PROTOCOL_VERSION and entries:
         response = MethodEntriesResponse(
             entries=(),
             epochs=epochs,
             incarnation=incarnation,
             cursor=cursor,
-            frame=pack_frame(
-                entries, trie=version != "1.8", packed=version == PROTOCOL_VERSION
-            ),
-            protocol_version=label,
+            frame=pack_frame(entries),
         )
     else:
         response = MethodEntriesResponse(
@@ -106,7 +103,6 @@ def fresh_line(store, methods=None, fingerprint=None, version=PROTOCOL_VERSION):
             epochs=epochs,
             incarnation=incarnation,
             cursor=cursor,
-            protocol_version=label,
         )
     return encode(response)
 
@@ -269,7 +265,8 @@ CAPACITIES = {
 def test_a_full_dump_equals_a_fresh_one_after_every_op(capacity, seed):
     """Each step runs one op, then asks for the current dump (the one
     the previous step asked for, unless it switched), so a version that
-    an op failed to move serves the line kept before the op."""
+    an op failed to move serves the line kept before the op.  A
+    repeated 1.10 dump is kept; a repeated 1.9 one is scanned again."""
     rng = random.Random(f"{capacity}-{seed}")
     dispatcher = ShardDispatcher(0, 1, **CAPACITIES[capacity])
     ops = StoreOps(dispatcher.store, rng)
@@ -281,9 +278,12 @@ def test_a_full_dump_equals_a_fresh_one_after_every_op(capacity, seed):
         line = dispatcher.handle_line(dump_request(*dump))
         assert line == fresh_line(dispatcher.store, *dump), (ops.counts, dump)
         if rng.random() < 0.25:
-            kept = dispatcher.dumps_kept
+            counts = (dispatcher.dumps_packed, dispatcher.dumps_kept)
             assert dispatcher.handle_line(dump_request(*dump)) == line
-            assert dispatcher.dumps_kept == kept + 1
+            framed = dump[2] == PROTOCOL_VERSION
+            assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (
+                counts[0] + (not framed), counts[1] + framed,
+            )
     assert set(ops.counts) == {name for name, _weight in StoreOps.WEIGHTS}
     assert dispatcher.dumps_kept > 50 and dispatcher.dumps_packed > 50
 
@@ -321,44 +321,36 @@ def test_each_filter_and_framing_is_its_own_dump():
     assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (len(DUMPS), 0)
 
 
-@pytest.mark.parametrize("pair", [("1.8", "1.9"), ("1.9", "1.10")])
-def test_alternating_frame_versions_never_get_each_others_line(pair):
+@pytest.mark.parametrize("older", ["1.7", "1.8", "1.9"])
+def test_older_full_dumps_neither_get_nor_evict_the_kept_line(older):
+    """Each minor before 1.10, whether its shards once framed (1.8,
+    1.9) or not (1.7), gets nominal entries beside the kept line."""
     dispatcher = ShardDispatcher(0, 1)
     for name in "abc":
         dispatcher.store.store(wire_entry(name))
+    # Nothing is kept until a 1.10 full dump.
+    dispatcher.handle_line(dump_request(version=older))
+    assert dispatcher._kept is None
     lines = {}
-    for version in pair * 3:
+    for version in ("1.10", older) * 3:
         line = dispatcher.handle_line(dump_request(version=version))
         assert line == fresh_line(dispatcher.store, version=version)
         lines.setdefault(version, line)
         assert line == lines[version]
-    assert lines[pair[0]] != lines[pair[1]]
-    # A line per frame version: each version packs once, and every
-    # later dump of either is kept.
-    assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (2, 4)
-    dispatcher.handle_line(dump_request(version=pair[1]))
-    assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (2, 5)
-    # A store op retires every form: each packs once more, at the new
-    # version.
+    assert lines[older] != lines["1.10"]
+    assert decode_response(lines[older]).frame is None
+    # The 1.10 dump packs once and every later one is kept; every older
+    # dump is scanned, and none replaces the kept line.
+    assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (5, 2)
+    assert dispatcher._kept.line == lines["1.10"]
+    # A store op moves the version: the next 1.10 dump packs again,
+    # and older dumps in between still leave its line kept.
     dispatcher.store.store(wire_entry("d"))
-    for version in pair * 2:
+    for version in (older, "1.10", older, "1.10"):
         assert dispatcher.handle_line(
             dump_request(version=version)
         ) == fresh_line(dispatcher.store, version=version)
-    assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (4, 7)
-
-
-def test_only_requested_forms_are_kept():
-    dispatcher = ShardDispatcher(0, 1)
-    dispatcher.store.store(wire_entry("a"))
-    assert dispatcher._kept == {}
-    dispatcher.handle_line(dump_request(version="1.10"))
-    dispatcher.handle_line(dump_request(version="1.8"))
-    assert sorted(dispatcher._kept) == [(1, 8), (1, 10)]
-    # A dump at a newer store version retires the forms of older ones.
-    dispatcher.store.store(wire_entry("b"))
-    dispatcher.handle_line(dump_request(version="1.7"))
-    assert list(dispatcher._kept) == [None]
+    assert (dispatcher.dumps_packed, dispatcher.dumps_kept) == (8, 3)
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +359,8 @@ def test_only_requested_forms_are_kept():
 def test_writers_alongside_full_dump_readers():
     """Writers store their own keys in order and look earlier ones up
     (hits reorder the dump); readers ask for full dumps throughout,
-    two per framing, so a reader can find the other's answer kept.  An
+    two per version, so a 1.10 reader can find the other's answer
+    kept.  An
     unbounded store stamps each new key once, so a consistent dump holds
     exactly ``cursor`` entries, a prefix of each writer's keys.  No
     answer may be older than the store the request found, or than an
@@ -402,7 +395,7 @@ def test_writers_alongside_full_dump_readers():
                 assert response.cursor >= max(found, last), (response.cursor, found, last)
                 last = response.cursor
                 if response.frame is not None:
-                    rows = frame_rows(response.frame, version == PROTOCOL_VERSION)
+                    rows = frame_rows(response.frame)
                     names = [response.frame.nodes[rows[at]]["name"] for at in range(0, len(rows), 7)]
                 else:
                     names = [entry["node"]["name"] for entry in response.entries]
@@ -416,7 +409,7 @@ def test_writers_alongside_full_dump_readers():
         except Exception as exc:
             errors.append(exc)
 
-    versions = ("1.7", "1.7", "1.8", "1.8", "1.9", "1.9", "1.10", "1.10")
+    versions = ("1.9", "1.9", "1.10", "1.10")
     seen = [[] for _ in versions]
     readers = [
         threading.Thread(target=reader, args=(version, seen[i]))
@@ -480,7 +473,7 @@ def test_a_shard_answers_a_repeated_dump_from_the_kept_line():
         assert (server.dumps_packed, server.dumps_kept) == (1, 1)
         link.request(encode(StoreRequest(entry=wire_entry("b"))))
         third = decode_response(link.request(dump_request(methods=None)))
-        assert third.cursor == 2 and len(frame_rows(third.frame, packed=True)) == 14
+        assert third.cursor == 2 and len(frame_rows(third.frame)) == 14
         assert (server.dumps_packed, server.dumps_kept) == (2, 1)
     finally:
         link.close()

@@ -635,6 +635,32 @@ class TestCliSurface:
     def test_missing_path_is_a_usage_error(self, tmp_path):
         assert lint(tmp_path, "--paths", str(tmp_path / "nowhere")) == 2
 
+    def test_the_module_runs_once_without_a_runpy_warning(self):
+        """``python -m repro.devtools.cli`` (how a checkout runs
+        ``repro-lint``) runs one copy of the module: the package exports
+        the CLI lazily, so importing it does not load the CLI first."""
+        import subprocess
+        import sys
+
+        from conftest import child_env
+
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.devtools.cli",
+             "--help"],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        assert "repro-lint" in done.stdout
+
+    def test_the_package_exports_the_clis_own_names(self):
+        import repro.devtools
+        import repro.devtools.cli
+
+        assert repro.devtools.main is repro.devtools.cli.main
+        assert repro.devtools.ALL_RULES is repro.devtools.cli.ALL_RULES
+        with pytest.raises(AttributeError, match="no attribute 'NoSuchName'"):
+            repro.devtools.NoSuchName
+
 
 # ----------------------------------------------------------------------
 # meta: the linter applied to this repository

@@ -34,11 +34,12 @@ kernel refuses, a full recompile and a reconnect seed — each of them
 first meeting held entries.  After every operation the three tiers
 list the same entries in the same order, with equal counts, answers
 and steps.  Each engine has its own fleet, warmed alike, so what one
-flushes never reaches another's prefetch.  The lockstep runs at
-protocol 1.10, where the kernel walks the packed rows at their 2-byte
-width, and over 1.9 shards, whose integer rows it walks as int64.
-Every case the kernel refuses to hold takes the per-entry path with
-identical results, packed rows or integer ones.
+flushes never reaches another's prefetch.  The lockstep runs on rows
+at the 2 bytes a shard packs this program's values in, and again on
+rows packed at 4 and 8 bytes, as a shard packs them once a value (a
+step count, say) passes 32,767 or int32.  Every case the kernel
+refuses to hold takes the per-entry path with identical results, at
+each width.
 """
 
 import dataclasses
@@ -51,7 +52,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import child_env
+from conftest import child_env, packed_at
 from repro.analysis.ppta import PptaResult
 from repro.analysis.summaries import BoundedSummaryCache
 from repro.api.codec import decode_request, encode
@@ -62,6 +63,7 @@ from repro.api.protocol import (
     StoreRequest,
 )
 from repro.api.snapshot import (
+    ROW_TYPECODES,
     SummarySnapshot,
     entry_to_wire,
     frame_rows,
@@ -579,19 +581,10 @@ def check_lockstep(engines):
     assert not tiers[1]._held_blocks and not tiers[2]._held_blocks
 
 
-class IntegerRowShard(ShardServer):
-    """Answers ``fetch-methods`` as a 1.9 shard does: a trie frame with
-    integer rows under a 1.9 label."""
-
-    def _dispatch(self, request):
-        if isinstance(request, MethodEntriesRequest):
-            request = dataclasses.replace(request, protocol_version="1.9")
-        return super()._dispatch(request)
-
-
-def lockstep(fleets, seed, cls, typecode):
-    """The held-frames lockstep over fleets of ``cls``, whose held
-    blocks must keep their rows in an array of ``typecode``."""
+def lockstep(fleets, seed, cls=ShardServer, width=2):
+    """The held-frames lockstep over fleets of ``cls``, whose answers'
+    rows arrive packed at ``width`` bytes: every held block keeps them
+    in an array of that width's typecode."""
     rng = random.Random(seed)
     engines = [remote_engine(warm_fleet(fleets, cls), impl) for impl in IMPLS]
     held = engines[0].cache.local_tier
@@ -604,7 +597,9 @@ def lockstep(fleets, seed, cls, typecode):
         for op in plan:
             if held._held_blocks:
                 met_held.add(op)
-                assert {b.rows.typecode for b in held._held_blocks} == {typecode}
+                assert {b.rows.typecode for b in held._held_blocks} == {
+                    ROW_TYPECODES[width]
+                }
             state = rng.getstate()
             results = []
             for engine in engines:
@@ -625,14 +620,21 @@ def lockstep(fleets, seed, cls, typecode):
 @pytest.mark.usefixtures("require_kernel")
 @pytest.mark.parametrize("seed", [0, 1])
 def test_held_frames_lockstep(fleets, seed):
-    """At protocol 1.10: the kernel walks packed rows at 2 bytes."""
-    lockstep(fleets, seed, ShardServer, "h")
+    """A shard packs this program's rows at 2 bytes."""
+    lockstep(fleets, seed)
 
 
 @pytest.mark.usefixtures("require_kernel")
-def test_held_frames_lockstep_over_integer_rows(fleets):
-    """Against 1.9 shards: the kernel walks their JSON rows as int64."""
-    lockstep(fleets, 0, IntegerRowShard, "q")
+@pytest.mark.parametrize("width", [4, 8])
+def test_held_frames_lockstep_at_a_wider_width(fleets, width):
+    """Rows packed at 4 or 8 bytes: the kernel walks them at that
+    width."""
+
+    class Shard(RewritingShard):
+        pass
+
+    Shard.width = width
+    lockstep(fleets, 0, Shard, width)
 
 
 @pytest.mark.usefixtures("require_kernel")
@@ -661,32 +663,39 @@ def test_a_warm_session_holds_its_prefetch_and_builds_nothing(fleets):
 class RewritingShard(ShardServer):
     """A shard whose framed ``fetch-methods`` answers are rebuilt from
     their nominal entries and epochs after ``rewrite(entries, epochs)``
-    (both lists, edited in place), then framed under the ``label``
-    version (packed rows at 1.10, integer rows at 1.9) and passed
-    through ``reframe(frame)``."""
+    (both lists, edited in place), then framed again and passed
+    through ``reframe(frame)``; with a ``width``, the rows of every
+    framed answer are then packed at that many bytes."""
 
     rewrite = None
     reframe = None
-    label = "1.10"
+    width = None
 
     def _dispatch(self, request):
         response = super()._dispatch(request)
-        if getattr(response, "frame", None) is None or self.rewrite is None:
+        frame = getattr(response, "frame", None)
+        if frame is None or (self.rewrite is None and self.width is None):
             return response
-        nominal = super()._dispatch(dataclasses.replace(request, protocol_version="1.7"))
-        entries = [dict(entry) for entry in nominal.entries]
-        epochs = list(nominal.epochs)
-        type(self).rewrite(entries, epochs)
-        frame = pack_frame(entries, packed=self.label == "1.10")
-        if self.reframe is not None:
-            frame = type(self).reframe(frame)
-        return dataclasses.replace(
-            response, frame=frame, epochs=tuple(epochs), protocol_version=self.label
-        )
+        epochs = response.epochs
+        if self.rewrite is not None:
+            nominal = super()._dispatch(
+                dataclasses.replace(request, protocol_version="1.7")
+            )
+            entries = [dict(entry) for entry in nominal.entries]
+            epochs = list(nominal.epochs)
+            type(self).rewrite(entries, epochs)
+            frame = pack_frame(entries)
+            if self.reframe is not None:
+                frame = type(self).reframe(frame)
+        if self.width is not None:
+            frame = dataclasses.replace(
+                frame, packed=packed_at(frame_rows(frame), self.width)
+            )
+        return dataclasses.replace(response, frame=frame, epochs=tuple(epochs))
 
 
 def _past_int64(entries, epochs):
-    entries[0]["steps"] = 2**64
+    epochs[:] = [2**63] + [0] * (len(entries) - 1)
 
 
 def _short_epochs(entries, epochs):
@@ -728,17 +737,14 @@ def _same(entries, epochs):
 
 
 def _damaged(frame):
-    packed = frame.packed is not None
-    rows = (len(frame.nodes), *frame_rows(frame, packed)[1:])
-    if packed:
-        return dataclasses.replace(frame, packed=pack_rows(rows))
-    return dataclasses.replace(frame, rows=rows)
+    rows = (len(frame.nodes), *frame_rows(frame)[1:])
+    return dataclasses.replace(frame, packed=pack_rows(rows))
 
 
 #: ``(rewrite, reframe, held)``: whether the native engine still holds
 #: the answer (a skipped entry is the adoption filter, not a refusal).
-#: Packed rows cannot carry a value past int64, so ``past-int64`` comes
-#: as integer rows from a 1.9 shard.
+#: Packed rows cannot carry a value past int64; an epoch can, and the
+#: kernel does not take it.
 FRAME_CASES = {
     "damaged": (_same, _damaged, False),
     "past-int64": (_past_int64, None, False),
@@ -755,25 +761,28 @@ FRAME_CASES = {
 @pytest.mark.usefixtures("require_kernel")
 @pytest.mark.parametrize("case", sorted(FRAME_CASES))
 def test_a_frame_the_kernel_does_not_hold_takes_the_per_entry_path(fleets, case):
-    not_held(fleets, case, "1.9" if case == "past-int64" else "1.10")
+    not_held(fleets, case)
 
 
 @pytest.mark.usefixtures("require_kernel")
+@pytest.mark.parametrize("width", [4, 8])
 @pytest.mark.parametrize("case", sorted(FRAME_CASES))
-def test_integer_rows_the_kernel_does_not_hold_take_the_per_entry_path(fleets, case):
-    not_held(fleets, case, "1.9")
+def test_wider_rows_the_kernel_does_not_hold_take_the_per_entry_path(
+    fleets, case, width
+):
+    not_held(fleets, case, width)
 
 
-def not_held(fleets, case, label):
-    """One :data:`FRAME_CASES` case against shards answering under
-    ``label``: the native engine matches the per-entry one."""
+def not_held(fleets, case, width=None):
+    """One :data:`FRAME_CASES` case, its rows packed at ``width`` bytes
+    (at the shard's own width when ``None``): the native engine matches
+    the per-entry one."""
     rewrite, reframe, holds = FRAME_CASES[case]
 
     class Shard(RewritingShard):
         pass
 
-    Shard.label = label
-
+    Shard.width = width
     rows = []
     tiers = []
     for impl in ("native", "array"):
@@ -795,11 +804,11 @@ def not_held(fleets, case, label):
     )
     assert tier_entries(tiers[0]) == tier_entries(tiers[1])
     assert (tiers[0].held > 0) == holds and tiers[1].held == 0
-    if case in ("damaged", "past-int64", "short-epochs", "long-epochs"):
+    if case in ("damaged", "short-epochs", "long-epochs"):
         # Refused whole, on both paths: each shard's every answer.
         assert remote.remote_errors == remote.degraded > 0
         assert remote.prefetched == 0
-    elif case in ("unresolved", "newer-epoch"):
+    elif case in ("past-int64", "unresolved", "newer-epoch"):
         assert remote.unresolved > 0  # the first entry of each answer
 
 

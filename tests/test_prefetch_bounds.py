@@ -3,14 +3,16 @@
 * **Steps below 2**63.**  The kernel mirror keeps a summary's ``steps``
   as int64, so every validator refuses 2**63 or more with a typed
   ``SnapshotError`` naming the field: a nominal wire entry (a shard
-  refuses such a store), a frame row and a snapshot entry.  At
-  2**63 - 1 each loads, and a batch over it runs on the kernel.  A
-  summary stored through the Python API past int64 makes the kernel
-  refuse the store, and the query reruns on the ``array`` loop.
-* **Epochs aligned with the entries.**  A ``fetch-methods`` answer
-  whose non-empty ``epochs`` is shorter or longer than its entries is
-  refused whole, framed or nominal: ``remote_errors`` and ``degraded``
-  count it, nothing is adopted and the shard's cursor stays.
+  refuses such a store), a frame row and a snapshot entry; packed rows
+  have no form for it.  At 2**63 - 1 each loads, and a batch over it,
+  prefetched in a frame or warm-started from a snapshot, runs on the
+  kernel.  A summary stored through the Python API past int64 makes
+  the kernel refuse the store, and the query reruns on the ``array``
+  loop.
+* **Epochs aligned with the entries.**  A framed ``fetch-methods``
+  answer whose non-empty ``epochs`` is shorter or longer than its
+  entries is refused whole: ``remote_errors`` and ``degraded`` count
+  it, nothing is adopted and the shard's cursor stays.
 """
 
 import dataclasses
@@ -25,14 +27,13 @@ from repro.analysis.summaries import shard_for_method
 from repro.api.protocol import (
     BatchStoreRequest,
     BatchStoreResponse,
-    MethodEntriesRequest,
-    MethodEntriesResponse,
     SnapshotError,
     StoreRequest,
 )
 from repro.api.snapshot import (
     SummarySnapshot,
     check_entry,
+    frame_rows,
     pack_frame,
     resolve_frame,
     resolve_wire_entry,
@@ -108,15 +109,6 @@ def servers():
         server.stop()
 
 
-class NominalShard(ShardServer):
-    """Answers ``fetch-methods`` as a 1.7 shard does: nominal entries."""
-
-    def _dispatch(self, request):
-        if isinstance(request, MethodEntriesRequest):
-            request = dataclasses.replace(request, protocol_version="1.7")
-        return super()._dispatch(request)
-
-
 def publish(fleet, entries, **fields):
     """Store ``entries`` in their owning shards of ``fleet``."""
     for index, server in enumerate(fleet):
@@ -169,17 +161,22 @@ class TestSteps:
             check_entry(entries[0])
         with pytest.raises(SnapshotError, match=rf"^e\.{text}$"):
             resolve_wire_entry(program_pag(), entries[0], "e")
-        frame = pack_frame(entries)
-        assert frame.rows[3] == 2**63
+        # Packed rows have no form for it; rows that hold it are refused.
+        with pytest.raises(OverflowError):
+            pack_frame(entries)
+        frame = pack_frame(with_steps(entries, LARGEST))
+        rows = list(frame_rows(frame))
+        assert rows[3] == LARGEST and frame_rows(frame).itemsize == 8
+        rows[3] = 2**63
         with pytest.raises(
             SnapshotError, match=r"^f\.rows\[3\]: steps must be below 2\*\*63"
         ):
-            resolve_frame(program_pag(), frame, "f")
+            resolve_frame(program_pag(), frame, "f", rows=rows)
         with pytest.raises(SnapshotError, match=rf"^entries\[0\]\.{text}$"):
             snapshot_of(entries)
         # 2**63 - 1 passes every one of them.
         check_entry(with_steps(entries, LARGEST)[0])
-        resolve_frame(program_pag(), pack_frame(with_steps(entries, LARGEST)))
+        resolve_frame(program_pag(), frame)
 
     def test_a_shard_refuses_a_store_past_the_bound(self):
         server = ShardServer(0, 1)
@@ -194,7 +191,7 @@ class TestSteps:
             assert answer["message"].startswith(f"{path}.steps: must be below 2**63")
         assert len(server.store) == 0
 
-    @pytest.mark.parametrize("path", ["nominal", "frame", "snapshot"])
+    @pytest.mark.parametrize("path", ["frame", "snapshot"])
     def test_steps_just_below_the_bound_load_and_run_on_the_kernel(
         self, servers, path
     ):
@@ -207,7 +204,7 @@ class TestSteps:
             engine = PointsToEngine(program_pag(), EnginePolicy())
             snapshot_of(entries).load_into(engine.cache, engine.pag)
         else:
-            fleet = servers(NominalShard if path == "nominal" else ShardServer)
+            fleet = servers()
             publish(fleet, entries)
             engine = remote_engine([server.address for server in fleet])
         try:
@@ -241,38 +238,29 @@ class TestSteps:
 # epochs
 # ----------------------------------------------------------------------
 class MisalignedShard(ShardServer):
-    """Answers every ``fetch-methods`` that carries entries with
-    ``epochs`` one shorter or one longer than them (``shift``), framed
-    or, with ``nominal``, as a 1.7 shard does."""
+    """Answers every framed ``fetch-methods`` with ``epochs`` one
+    shorter or one longer than its entries (``shift``)."""
 
     shift = 0
-    nominal = False
 
     def _dispatch(self, request):
-        if isinstance(request, MethodEntriesRequest) and self.nominal:
-            request = dataclasses.replace(request, protocol_version="1.7")
         response = super()._dispatch(request)
-        if not isinstance(response, MethodEntriesResponse) or not self.shift:
+        frame = getattr(response, "frame", None)
+        if frame is None or not self.shift:
             return response
-        frame = response.frame
-        count = len(response.entries) if frame is None else len(
-            resolve_frame(program_pag(), frame)
-        )
-        if not count:
-            return response
+        count = len(resolve_frame(program_pag(), frame))
         return dataclasses.replace(response, epochs=(0,) * (count + self.shift))
 
 
 @pytest.mark.parametrize("shift", [-1, 1], ids=["short", "long"])
-@pytest.mark.parametrize("nominal", [False, True], ids=["framed", "nominal"])
 @pytest.mark.parametrize("impl", ["native", "array"])
-def test_misaligned_epochs_refuse_the_answer_whole(servers, shift, nominal, impl):
+def test_misaligned_epochs_refuse_the_answer_whole(servers, shift, impl):
     fleet = servers(MisalignedShard)
     publish(fleet, computed_entries())
     reader = remote_engine([server.address for server in fleet], impl)
     try:
         for server in fleet:
-            server.shift, server.nominal = shift, nominal
+            server.shift = shift
         want = canonical(
             PointsToEngine(program_pag(), EnginePolicy()).query_batch(QUERIES)
         )

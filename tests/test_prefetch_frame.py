@@ -1,33 +1,36 @@
-"""Framed ``fetch-methods`` answers (protocol 1.8; trie frames, 1.9;
-packed rows, 1.10).
+"""Framed ``fetch-methods`` answers (protocol 1.10).
 
-A shard answers a request of 1.8 or later with a ``SummaryFrame``: each
-distinct node reference once, its field stacks as a flat table (1.8)
-or a trie of ``[parent, field, family]`` rows (1.9), and one flat run
-of integers per entry, packed into one base64 string at 1.10.  Pinned
-here:
+A shard answers a request of 1.10 or later with a ``SummaryFrame``:
+each distinct node reference once, its field stacks as a trie of
+``[parent, field, family]`` rows, and one run of integers per entry,
+packed into one base64 string.  An older request gets nominal entries.
+Pinned here:
 
 * the packed rows: the width is the smallest of 2, 4 or 8 bytes that
   holds every value, the string decodes to those values, and a string
   that is not base64, has bad padding, a width other than 2, 4 or 8,
   or a byte count that is not a multiple of its width is refused
-  naming ``frame.packed``; so are rows in the field the label does
-  not name;
-* the version rule: a 1.7 request gets the nominal answer, the one a
-  1.7 shard sends; a 1.8 request gets the flat frame under a 1.8
-  label, byte for byte; a 1.9 request gets a trie frame, and a 1.10
-  request the same trie with its rows packed; all resolve to the same
-  entries, in the same order, and an empty answer (an unchanged delta)
-  carries no frame;
+  naming ``frame.packed``; so are values in ``rows`` and a frame with
+  no ``packed`` string;
+* damaged rows, packed at 2, 4 and 8 bytes: the frame decoder refuses
+  each with its message, and the kernel's walk of a held frame calls
+  each damaged;
+* the version rule: a 1.7, 1.8 or 1.9 request gets the same nominal
+  entries, labelled with this build's version; a 1.10 request gets the
+  trie frame with its rows packed, byte for byte as written out here;
+  both resolve to the same entries, in the same order, and an empty
+  answer (an unchanged delta) carries no frame;
 * a peer's family written ``true`` (or ``1.0``) decodes to the int
   token on every path, so the process's canonical stack writes ``1``;
-* the client: a framed warm prefetch fills the local tier exactly as a
-  nominal one does, and the session answers and steps like a local
-  engine holding the same summaries; a 1.10 client reads a 1.8 shard's
-  flat frame and a 1.9 shard's integer rows by the answer's label,
-  held or per entry; a frame with an index past its table, packed or
-  not, is refused whole and falls open; a nominal answer (a 1.7 shard)
-  is still adopted;
+* the client: a framed warm prefetch fills the local tier exactly as
+  adopting the shards' entries one by one does, held in the kernel or
+  per entry on every kind of tier, and the session answers and steps
+  like a local engine holding the same summaries; an answer that
+  carries entries in any other form (a damaged frame, nominal entries,
+  integer rows, a frame without a packed string, a frame under a label
+  before 1.10) is refused whole
+  and falls open, also on every batch against a shard of an earlier
+  build;
 * the shard store keeps one copy of each reference it holds, its
   ``lookup`` answers keep their bytes, and its table of shared copies
   stays bounded through invalidate/re-store churn.
@@ -38,7 +41,6 @@ here:
 import base64
 import copy
 import dataclasses
-import functools
 import json
 import random
 
@@ -46,6 +48,7 @@ import pytest
 
 from conftest import packed_at
 from repro import CachePolicy, EnginePolicy, PointsToEngine, build_pag
+from repro.analysis.summaries import SummaryCache
 from repro.api.codec import decode_response, encode
 from repro.api.protocol import (
     PROTOCOL_VERSION,
@@ -53,7 +56,6 @@ from repro.api.protocol import (
     LookupRequest,
     LookupResponse,
     MethodEntriesRequest,
-    MethodEntriesResponse,
     SnapshotError,
     StoreRequest,
     SummaryFrame,
@@ -72,11 +74,11 @@ from repro.api.snapshot import (
     stack_to_wire,
 )
 from repro.bench.generator import GeneratorConfig, generate_program
-from repro.cacheserver import client as client_module
 from repro.cacheserver.server import ShardServer
 from repro.cacheserver.store import SHARED_SLACK, WireSummaryStore, entry_key
 from repro.cfl.stacks import EMPTY_STACK, Stack, intern_token
 from repro.native import availability
+from repro.native.session import hold_frame
 
 CONFIG = GeneratorConfig(seed=3, domain_classes=2, data_classes=2, layers=1)
 
@@ -125,11 +127,11 @@ def publish(addresses, queries=QUERIES):
     engine.cache.close()
 
 
-def tier_wire(engine):
-    """The local tier, in its order, as wire entries."""
+def store_wire(store):
+    """A store's entries, in its order, as wire entries."""
     return [
         entry_to_wire(node, stack, state, summary)
-        for (node, stack, state), summary in engine.cache.local_tier.entries()
+        for (node, stack, state), summary in store.entries()
     ]
 
 
@@ -141,13 +143,17 @@ def view(resolved):
     return node, stack, state, summary.objects, summary.boundaries, summary.steps
 
 
-def nominal_requests(monkeypatch):
-    """Make this process's remote clients fetch at protocol 1.7."""
-    monkeypatch.setattr(
-        client_module,
-        "MethodEntriesRequest",
-        functools.partial(MethodEntriesRequest, protocol_version="1.7"),
+def reference_engine(fleet, max_entries=None):
+    """A local engine whose store holds what a full prefetch from
+    ``fleet`` must adopt: each shard's full dump, in answer order,
+    resolved one entry at a time by ``resolve_wire_entry``."""
+    engine = PointsToEngine(
+        program_pag(), EnginePolicy(cache=CachePolicy(max_entries=max_entries))
     )
+    for server in fleet:
+        for entry in server.store.fetch()[0]:
+            engine.cache.store(*resolve_wire_entry(engine.pag, entry))
+    return engine
 
 
 @pytest.fixture
@@ -196,36 +202,31 @@ class TestFrame:
         for entry in entries:
             entry["objects"] = [shared_object]
             entry["stack"] = entries[0]["stack"]
-        frame = pack_frame(entries, trie=False)
+        frame = pack_frame(entries)
         assert frame.nodes.count(shared_object) == 1
-        assert len(frame.stacks) == 1
-        # Equal references held as separate objects are each written to
-        # a flat table.
+        assert len(frame.nodes) == 4
+        # Equal node references held as separate objects are each
+        # written.
         unshared = [wire_entry(name, stack=deep) for name in "abc"]
-        flat = pack_frame(unshared, trie=False)
-        assert len(flat.nodes) == 6 and len(flat.stacks) == 3
+        assert len(pack_frame(unshared).nodes) == 6
         # A trie writes each distinct prefix once, shared or not.
         for packed in (entries, unshared):
             assert pack_frame(packed).stacks == ([0, "f", 0], [1, "g", 1])
 
     def test_rows_follow_the_documented_layout(self):
         entry = wire_entry("a", objects=("o1", "o2"), stack=[("g", 1)], boundaries=("b",))
-        frame = pack_frame([entry], trie=False)
+        frame = pack_frame([entry])
+        assert frame.rows == ()
         node, stack, state, steps, n_objects, o1, o2, n_boundaries, bn, bs, bst = (
-            frame.rows
+            frame_rows(frame)
         )
         assert frame.nodes[node] is entry["node"]
-        assert frame.stacks[stack] is entry["stack"]
         assert (state, steps, n_objects, n_boundaries, bst) == (1, 4, 2, 1, 2)
         assert [frame.nodes[o1], frame.nodes[o2]] == entry["objects"]
         assert frame.nodes[bn] is entry["boundaries"][0]["node"]
-        assert frame.stacks[bs] is entry["boundaries"][0]["stack"]
-        # The trie frame: the same nodes and rows but for the stack
-        # references, 1 for row 0 (``g``), 2 for row 1 (``f``).
-        trie = pack_frame([entry])
-        assert trie.nodes == frame.nodes
-        assert trie.stacks == ([0, "g", 1], [0, "f", 0])
-        assert trie.rows == (node, 1, *frame.rows[2:9], 2, bst)
+        # The stack references: 1 for row 0 (``g``), 2 for row 1 (``f``).
+        assert frame.stacks == ([0, "g", 1], [0, "f", 0])
+        assert (stack, bs) == (1, 2)
 
     def test_trie_rows_push_onto_earlier_rows(self):
         """Each stack's prefixes come first, a family written ``true``
@@ -238,7 +239,7 @@ class TestFrame:
         entries = [wire_entry(name, stack=stack) for name, stack in zip("abcdef", stacks)]
         frame = pack_frame(entries)
         assert frame.stacks == ([0, "f", 0], [1, "g", 1], [0, "g", 1], [0, "h", 1])
-        assert [frame.rows[at] for at in range(1, 42, 7)] == [0, 1, 2, 3, 2, 4]
+        assert [frame_rows(frame)[at] for at in range(1, 42, 7)] == [0, 1, 2, 3, 2, 4]
         for i, (parent, _field, family) in enumerate(frame.stacks):
             assert 0 <= parent <= i and type(family) is int
         _nodes, _is_object, resolved = resolve_frame_tables(program_pag(), frame)
@@ -247,8 +248,7 @@ class TestFrame:
         ]
         assert resolved[2] is Stack.of(("f", 0), ("g", 1))
 
-    @pytest.mark.parametrize("trie", [True, False], ids=["trie", "flat"])
-    def test_resolve_equals_the_nominal_walk(self, trie):
+    def test_resolve_equals_the_nominal_walk(self):
         pag = program_pag()
         writer = PointsToEngine(pag, EnginePolicy())
         writer.query_batch(QUERIES)
@@ -258,7 +258,7 @@ class TestFrame:
         stale["node"]["name"] = "no_such_local"
         entries = [*entries, stale]
         reader = program_pag()
-        framed = resolve_frame(reader, pack_frame(entries, trie=trie), trie=trie)
+        framed = resolve_frame(reader, pack_frame(entries))
         nominal = [resolve_wire_entry(reader, entry) for entry in entries]
         assert [view(r) for r in framed] == [view(r) for r in nominal]
         assert framed[-1] is None and all(r is not None for r in framed[:-1])
@@ -284,12 +284,6 @@ class TestFrame:
             entry["objects"] = [missing]
             with pytest.raises(SnapshotError, match=rf"^e\.objects\[0\]: {text}$"):
                 resolve_wire_entry(pag, entry, "e")
-        junk_stack = dataclasses.replace(frame, stacks=([["f", 7]],))
-        with pytest.raises(
-            SnapshotError,
-            match=r"^p\.stacks\[0\]\[0\]: field-stack entry must be \[field, family\(0\|1\)\]$",
-        ):
-            resolve_frame(program_pag(), junk_stack, "p", trie=False)
 
     #: A valid trie table: ``f``, ``f.g`` and ``f.g.h``.
     TRIE = ([0, "f", 0], [1, "g", 1], [2, "h", 0])
@@ -324,7 +318,7 @@ class TestFrame:
     )
     def test_a_damaged_trie_row_is_refused_by_its_index(self, row, message):
         frame = pack_frame([wire_entry("a", stack=[("f", 0), ("g", 1), ("h", 0)])])
-        assert frame.stacks == self.TRIE and frame.rows[1] == 3
+        assert frame.stacks == self.TRIE and frame_rows(frame)[1] == 3
         resolve_frame(program_pag(), frame, "p")
         damaged = dataclasses.replace(frame, stacks=(self.TRIE[0], row, self.TRIE[2]))
         with pytest.raises(SnapshotError, match=rf"^p\.stacks\[1\]: {message}$"):
@@ -347,7 +341,7 @@ class TestFrame:
         packed = pack_rows(rows)
         assert packed == packed_at(rows, width)
         assert base64.b64decode(packed)[0] == width
-        values = frame_rows(SummaryFrame((), (), (), packed), packed=True)
+        values = frame_rows(SummaryFrame((), (), (), packed))
         assert values.itemsize == width and list(values) == list(rows)
 
     @pytest.mark.parametrize(
@@ -374,29 +368,28 @@ class TestFrame:
         ],
     )
     def test_a_damaged_packed_string_is_refused_naming_its_field(self, packed, message):
-        frame = pack_frame([wire_entry("a")], packed=True)
+        frame = pack_frame([wire_entry("a")])
         damaged = dataclasses.replace(frame, packed=packed)
         with pytest.raises(SnapshotError, match=rf"^p\.packed: {message}"):
-            resolve_frame(program_pag(), damaged, "p", packed=True)
+            resolve_frame(program_pag(), damaged, "p")
 
-    def test_rows_travel_in_the_field_the_label_names(self):
+    def test_rows_travel_only_packed(self):
         pag = program_pag()
-        packed = pack_frame([wire_entry("a")], packed=True)
-        plain = pack_frame([wire_entry("a")])
-        assert packed.rows == () and packed.packed == pack_rows(plain.rows)
-        assert list(frame_rows(packed, packed=True)) == list(plain.rows)
-        assert [view(r) for r in resolve_frame(pag, packed, packed=True)] == [
-            view(r) for r in resolve_frame(pag, plain)
-        ]
-        for frame, read_packed, message in (
-            (dataclasses.replace(packed, rows=plain.rows), True,
+        frame = pack_frame([wire_entry("a")])
+        values = tuple(frame_rows(frame))
+        assert frame.rows == () and frame.packed == pack_rows(values) == packed_at(values, 2)
+        assert values == self.ROWS
+        # Integer rows, beside the packed string or instead of it (a 1.9
+        # shard's frame), and no packed string at all are refused.
+        for damaged, message in (
+            (dataclasses.replace(frame, rows=values),
              r"^p\.rows: must be empty when the rows are packed$"),
-            (dataclasses.replace(plain, rows=()), True, r"^p\.packed: missing$"),
-            (plain, True, r"^p\.rows: must be empty when the rows are packed$"),
-            (packed, False, r"^p\.packed: rows are packed only from 1\.10$"),
+            (dataclasses.replace(frame, rows=values, packed=None),
+             r"^p\.rows: must be empty when the rows are packed$"),
+            (dataclasses.replace(frame, packed=None), r"^p\.packed: missing$"),
         ):
             with pytest.raises(SnapshotError, match=message):
-                resolve_frame(pag, frame, "p", packed=read_packed)
+                resolve_frame(pag, damaged, "p")
 
     #: One entry, ``wire_entry("a")``: key node 0 ("a"), stack 0, S1,
     #: 4 steps, one object (node 1), no boundary.
@@ -404,63 +397,82 @@ class TestFrame:
     #: The same with one boundary: node 0, stack 0, S2.
     BOUNDED = (0, 0, 1, 4, 1, 1, 1, 0, 0, 2)
 
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            ((2, *ROWS[1:]), r"rows\[0\]: node index 2 is past its table \(2 rows\)"),
-            ((-1, *ROWS[1:]), r"rows\[0\]: node must be a non-negative integer, got -1"),
-            ((0, 1, *ROWS[2:]), r"rows\[1\]: stack index 1 is past its table \(1 rows\)"),
-            ((0, -1, *ROWS[2:]), r"rows\[1\]: stack must be a non-negative integer"),
-            ((0, 0, 3, *ROWS[3:]), r"rows\[2\]: state must be 1 \(S1\) or 2 \(S2\)"),
-            ((0, 0, 0, *ROWS[3:]), r"rows\[2\]: state must be 1 \(S1\) or 2 \(S2\)"),
-            ((0, 0, 1, -1, *ROWS[4:]), r"rows\[3\]: steps must be a non-negative integer, got -1"),
-            ((0, 0, 1, 4, -1, 1, 0), r"rows\[4\]: object count must be a non-negative integer"),
-            ((0, 0, 1, 4, 1, 0, 0), r"rows\[5\]: must be an object node"),
-            ((0, 0, 1, 4, 1, 2, 0), r"rows\[5\]: node index 2 is past its table"),
-            ((0, 0, 1, 4, 1, -1, 0), r"rows\[5\]: node must be a non-negative integer"),
-            ((0, 0, 1, 4, 1, 1, -2), r"rows\[6\]: boundary count must be a non-negative integer"),
-            (BOUNDED[:7] + (2, 0, 2), r"rows\[7\]: node index 2 is past its table"),
-            (BOUNDED[:7] + (0, -1, 2), r"rows\[8\]: stack must be a non-negative integer"),
-            (BOUNDED[:9] + (3,), r"rows\[9\]: state must be 1 \(S1\) or 2 \(S2\)"),
-            (ROWS[:5], r"rows\[0\]: the entry runs past the end of the rows \(5 values\)"),
-            (ROWS[:6], r"rows\[0\]: the entry runs past the end of the rows \(6 values\)"),
-            ((0, 0, 1, 4, 5, 1, 0), r"rows\[0\]: the entry runs past the end of the rows"),
-            (BOUNDED[:9], r"rows\[0\]: the entry runs past the end of the rows \(9 values\)"),
-            (ROWS + ROWS[:3], r"rows\[7\]: the entry runs past the end of the rows"),
-        ],
-        ids=[
-            "node-past-table", "negative-node", "stack-past-table", "negative-stack",
-            "state-3", "state-0", "negative-steps", "negative-count", "local-as-object",
-            "object-past-table", "negative-object", "negative-boundaries",
-            "boundary-node-past-table", "negative-boundary-stack", "boundary-state",
-            "cut-after-key", "cut-after-objects", "count-past-rows",
-            "cut-in-boundary", "cut-second-entry",
-        ],
-    )
-    @pytest.mark.parametrize(
-        "layout", ["trie", "flat", "packed-2", "packed-4", "packed-8"]
-    )
+    #: Damaged forms of :data:`ROWS` and :data:`BOUNDED`, each with the
+    #: message ``resolve_frame`` refuses it with.
+    DAMAGED_ROWS = [
+        ((2, *ROWS[1:]), r"rows\[0\]: node index 2 is past its table \(2 rows\)"),
+        ((-1, *ROWS[1:]), r"rows\[0\]: node must be a non-negative integer, got -1"),
+        ((0, 1, *ROWS[2:]), r"rows\[1\]: stack index 1 is past its table \(1 rows\)"),
+        ((0, -1, *ROWS[2:]), r"rows\[1\]: stack must be a non-negative integer"),
+        ((0, 0, 3, *ROWS[3:]), r"rows\[2\]: state must be 1 \(S1\) or 2 \(S2\)"),
+        ((0, 0, 0, *ROWS[3:]), r"rows\[2\]: state must be 1 \(S1\) or 2 \(S2\)"),
+        ((0, 0, 1, -1, *ROWS[4:]), r"rows\[3\]: steps must be a non-negative integer, got -1"),
+        ((0, 0, 1, 4, -1, 1, 0), r"rows\[4\]: object count must be a non-negative integer"),
+        ((0, 0, 1, 4, 1, 0, 0), r"rows\[5\]: must be an object node"),
+        ((0, 0, 1, 4, 1, 2, 0), r"rows\[5\]: node index 2 is past its table"),
+        ((0, 0, 1, 4, 1, -1, 0), r"rows\[5\]: node must be a non-negative integer"),
+        ((0, 0, 1, 4, 1, 1, -2), r"rows\[6\]: boundary count must be a non-negative integer"),
+        (BOUNDED[:7] + (2, 0, 2), r"rows\[7\]: node index 2 is past its table"),
+        (BOUNDED[:7] + (0, -1, 2), r"rows\[8\]: stack must be a non-negative integer"),
+        (BOUNDED[:9] + (3,), r"rows\[9\]: state must be 1 \(S1\) or 2 \(S2\)"),
+        (ROWS[:5], r"rows\[0\]: the entry runs past the end of the rows \(5 values\)"),
+        (ROWS[:6], r"rows\[0\]: the entry runs past the end of the rows \(6 values\)"),
+        ((0, 0, 1, 4, 5, 1, 0), r"rows\[0\]: the entry runs past the end of the rows"),
+        (BOUNDED[:9], r"rows\[0\]: the entry runs past the end of the rows \(9 values\)"),
+        (ROWS + ROWS[:3], r"rows\[7\]: the entry runs past the end of the rows"),
+    ]
+    DAMAGED_ROW_IDS = [
+        "node-past-table", "negative-node", "stack-past-table", "negative-stack",
+        "state-3", "state-0", "negative-steps", "negative-count", "local-as-object",
+        "object-past-table", "negative-object", "negative-boundaries",
+        "boundary-node-past-table", "negative-boundary-stack", "boundary-state",
+        "cut-after-key", "cut-after-objects", "count-past-rows",
+        "cut-in-boundary", "cut-second-entry",
+    ]
+
+    @pytest.mark.parametrize("rows, message", DAMAGED_ROWS, ids=DAMAGED_ROW_IDS)
+    @pytest.mark.parametrize("layout", ["packed-2", "packed-4", "packed-8"])
     def test_damaged_rows_refuse_the_frame(self, rows, message, layout):
-        # The empty stack is the one stack either way: reference 0 of a
-        # trie with no rows, or row 0 of a flat table.  Packed rows are
-        # written at each width: the same values, the same damage.
-        trie = layout != "flat"
-        frame = pack_frame([wire_entry("a")], trie=trie)
-        assert frame.rows == self.ROWS
+        # The empty stack is reference 0 of a trie with no rows.  The
+        # rows are packed at each width: the same values, the same
+        # damage.
+        frame = pack_frame([wire_entry("a")])
+        assert tuple(frame_rows(frame)) == self.ROWS
+        width = int(layout.split("-")[1])
 
         def resolve(values):
-            if not layout.startswith("packed"):
-                damaged = dataclasses.replace(frame, rows=values)
-                return resolve_frame(program_pag(), damaged, trie=trie)
-            width = int(layout.split("-")[1])
-            damaged = dataclasses.replace(frame, rows=(), packed=packed_at(values, width))
-            return resolve_frame(program_pag(), damaged, packed=True)
+            damaged = dataclasses.replace(frame, packed=packed_at(values, width))
+            return resolve_frame(program_pag(), damaged)
 
         with pytest.raises(SnapshotError, match=message):
             resolve(rows)
         # The undamaged forms resolve.
         for good in (self.ROWS, self.BOUNDED, self.ROWS + self.BOUNDED):
             resolve(good)
+
+    @pytest.mark.parametrize(
+        "rows", [rows for rows, _message in DAMAGED_ROWS], ids=DAMAGED_ROW_IDS
+    )
+    @pytest.mark.parametrize("width", [2, 4, 8])
+    def test_the_kernel_calls_the_damaged_rows_damaged(self, rows, width):
+        """``rk_frame_hold`` walks the rows at the width they arrive in
+        and refuses each damaged form the frame decoder refuses; it
+        holds the undamaged ones, skipping their entries, whose ``A.m``
+        this program lacks."""
+        if not availability()[0]:
+            pytest.skip(f"native kernel unavailable: {availability()[1]}")
+        pag = program_pag()
+        frame = pack_frame([wire_entry("a")])
+        tables = resolve_frame_tables(pag, frame)
+
+        def hold(values):
+            packed = frame_rows(dataclasses.replace(frame, packed=packed_at(values, width)))
+            assert packed.itemsize == width
+            return hold_frame(SummaryCache(), pag, tables, packed, (), {})
+
+        assert hold(rows) == "damaged"
+        for good, entries in ((self.ROWS, 1), (self.BOUNDED, 1), (self.ROWS + self.BOUNDED, 2)):
+            assert hold(good) == (0, entries)
 
 
 # ----------------------------------------------------------------------
@@ -505,10 +517,9 @@ class TestFamilies:
             # Saved again, the stack writes the ints.
             assert f'[["{field}",1],["g",1]]' in SummarySnapshot.capture(store).dumps()
             return stack
-        frame = pack_frame([entry], trie=path == "trie-frame")
-        return resolve_frame(pag, frame, trie=path == "trie-frame")[0][1]
+        return resolve_frame(pag, pack_frame([entry]))[0][1]
 
-    @pytest.mark.parametrize("path", ["stack", "entry", "snapshot", "flat-frame", "trie-frame"])
+    @pytest.mark.parametrize("path", ["stack", "entry", "snapshot", "trie-frame"])
     def test_a_peers_true_family_decodes_to_the_int_token(self, path):
         field = f"peer_true_family_{path.replace('-', '_')}"
         stack = self.decoded(path, field)
@@ -538,81 +549,50 @@ class TestVersionRule:
             wire_entry("c", objects=("o2",), stack=[("f", 0), ("g", 1)], boundaries=("b", "a")),
         ]
         server.handle_line(encode(BatchStoreRequest(entries=tuple(entries))))
-        nominal = self.fetch(server, protocol_version="1.7")
-        flat_line = server.handle_line(encode(MethodEntriesRequest(protocol_version="1.8")))
-        flat = decode_response(flat_line)
-        trie_line = server.handle_line(encode(MethodEntriesRequest(protocol_version="1.9")))
-        trie = decode_response(trie_line)
-        packed = self.fetch(server, protocol_version="1.10")
-        assert nominal.frame is None and list(nominal.entries) == entries
-        # A request older than 1.10 gets what a 1.9 shard sends.
+        # A request older than 1.10 gets nominal entries, the same for
+        # each, labelled with this build's version.
         assert PROTOCOL_VERSION == "1.10"
-        assert [answer.protocol_version for answer in (nominal, flat, trie, packed)] == [
-            "1.9", "1.8", "1.9", "1.10",
+        nominal = [
+            server.handle_line(encode(MethodEntriesRequest(protocol_version=version)))
+            for version in ("1.7", "1.8", "1.9")
         ]
-        for framed in (flat, trie, packed):
-            assert framed.entries == () and framed.frame is not None
-            assert (framed.incarnation, framed.cursor) == (
-                nominal.incarnation, nominal.cursor,
-            )
-            # Shared on store: A.m's "o1", "o2" and "b", and "a" as a key
-            # and as a boundary, are each written once.
-            assert len(framed.frame.nodes) == 7
-        # The 1.8 answer is 1.8's flat frame of the store, byte for byte.
-        assert flat_line == encode(MethodEntriesResponse(
-            entries=(),
-            incarnation=nominal.incarnation,
-            cursor=nominal.cursor,
-            frame=pack_frame(server.store.entries_for_methods(), trie=False),
-            protocol_version="1.8",
-        ))
-        assert len(flat.frame.stacks) == 3  # [], [f] and [f, g], once each
-        # The 1.9 answer is 1.9's trie frame with integer rows, byte for
-        # byte.
-        assert trie_line == encode(MethodEntriesResponse(
-            entries=(),
-            incarnation=nominal.incarnation,
-            cursor=nominal.cursor,
-            frame=pack_frame(server.store.entries_for_methods()),
-            protocol_version="1.9",
-        ))
-        # The trie: [f] and [f, g]; the empty stack is reference 0.
-        assert trie.frame.stacks == ([0, "f", 0], [1, "g", 1])
-        assert trie.frame.packed is None and trie.frame.rows
-        # 1.10: the same tables, and the same rows packed at 2 bytes.
-        assert (packed.frame.nodes, packed.frame.stacks) == (
-            trie.frame.nodes, trie.frame.stacks,
+        assert nominal[0] == nominal[1] == nominal[2]
+        old = decode_response(nominal[0])
+        assert old.frame is None and list(old.entries) == entries
+        assert old.protocol_version == PROTOCOL_VERSION
+        line = server.handle_line(encode(MethodEntriesRequest(protocol_version="1.10")))
+        framed = decode_response(line)
+        assert framed.entries == () and framed.frame is not None
+        assert (framed.incarnation, framed.cursor) == (old.incarnation, old.cursor)
+        # The 1.10 answer, written out: shared on store, A.m's "o1",
+        # "o2" and "b", and "a" as a key and as a boundary, are each
+        # one node row; the trie holds [f] and [f, g], the empty stack
+        # is reference 0; the rows are packed at 2 bytes.
+        nodes = [
+            {"kind": "local", "method": "A.m", "name": "a"},
+            {"kind": "object", "id": "o1", "class": "Thing", "method": "A.m"},
+            {"kind": "object", "id": "o2", "class": "Thing", "method": "A.m"},
+            {"kind": "local", "method": "A.m", "name": "b"},
+            {"kind": "local", "method": "B.n", "name": "b"},
+            {"kind": "object", "id": "o1", "class": "Thing", "method": "B.n"},
+            {"kind": "local", "method": "A.m", "name": "c"},
+        ]
+        rows = (
+            0, 0, 1, 4, 2, 1, 2, 1, 3, 1, 2,
+            4, 1, 1, 4, 1, 5, 0,
+            6, 2, 1, 4, 1, 2, 2, 3, 1, 2, 0, 1, 2,
         )
-        assert packed.frame.rows == ()
-        assert packed.frame.packed == packed_at(trie.frame.rows, 2)
-        pag = program_pag()
-        want = [view(resolve_wire_entry(pag, e)) for e in nominal.entries]
-        assert [view(r) for r in resolve_frame(pag, flat.frame, trie=False)] == want
-        assert [view(r) for r in resolve_frame(pag, trie.frame)] == want
-        assert [view(r) for r in resolve_frame(pag, packed.frame, packed=True)] == want
-
-    def test_a_flat_answer_keeps_the_bytes_a_1_8_shard_sent(self):
-        server = self.make_server()
-        entry = wire_entry("x", method="B.n", objects=(), stack=[("f", 0)])
-        entry["steps"] = 3
-        server.handle_line(encode(StoreRequest(entry=entry)))
-        line = server.handle_line(encode(MethodEntriesRequest(protocol_version="1.8")))
         assert line == (
-            '{"cursor":1,"entries":[],"epochs":[],"frame":{"nodes":'
-            '[{"kind":"local","method":"B.n","name":"x"}],'
-            '"rows":[0,0,1,3,0,0],"stacks":[[["f",0]]]},'
+            '{"cursor":3,"entries":[],"epochs":[],"frame":{"nodes":'
+            + json.dumps(nodes, sort_keys=True, separators=(",", ":"))
+            + f',"packed":"{packed_at(rows, 2)}","rows":[],'
+            '"stacks":[[0,"f",0],[1,"g",1]]},'
             f'"incarnation":{server.store.incarnation},'
-            '"kind":"fetch-methods-result","protocol_version":"1.8"}'
+            '"kind":"fetch-methods-result","protocol_version":"1.10"}'
         )
-        trie = server.handle_line(encode(MethodEntriesRequest(protocol_version="1.9")))
-        assert trie == line.replace('"rows":[0,0,', '"rows":[0,1,').replace(
-            '"stacks":[[["f",0]]]', '"stacks":[[0,"f",0]]'
-        ).replace('"1.8"', '"1.9"')
-        packed = server.handle_line(encode(MethodEntriesRequest(protocol_version="1.10")))
-        assert packed == trie.replace(
-            '"rows":[0,1,1,3,0,0]',
-            f'"packed":"{packed_at((0, 1, 1, 3, 0, 0), 2)}","rows":[]',
-        ).replace('"1.9"', '"1.10"')
+        pag = program_pag()
+        want = [view(resolve_wire_entry(pag, e)) for e in old.entries]
+        assert [view(r) for r in resolve_frame(pag, framed.frame)] == want
 
     def test_a_delta_is_framed_oldest_stamp_first(self):
         server = self.make_server()
@@ -622,7 +602,7 @@ class TestVersionRule:
             server.handle_line(encode(StoreRequest(entry=wire_entry(name))))
         delta = self.fetch(server, incarnation=first.incarnation, since=first.cursor)
         frame = delta.frame
-        rows = frame_rows(frame, packed=True)
+        rows = frame_rows(frame)
         # Each entry is 7 values: a key, steps, one object, no boundary.
         assert len(rows) == 14
         assert [frame.nodes[rows[at]]["name"] for at in (0, 7)] == ["c", "b"]
@@ -649,7 +629,7 @@ class TestVersionRule:
         )
         assert delta.entries == () and delta.cursor == first.cursor + 1
         frame = delta.frame
-        rows = frame_rows(frame, packed=True)
+        rows = frame_rows(frame)
         assert len(rows) == 7 and frame.nodes[rows[0]]["name"] == "b"
 
     def test_lookup_and_nominal_answers_keep_their_bytes(self):
@@ -695,7 +675,7 @@ class TestVersionRule:
         assert line == (
             f'{{"cursor":3,"entries":[{entries}],"epochs":[],'
             f'"incarnation":{server.store.incarnation},'
-            '"kind":"fetch-methods-result","protocol_version":"1.9"}'
+            f'"kind":"fetch-methods-result","protocol_version":"{PROTOCOL_VERSION}"}}'
         )
 
 
@@ -703,42 +683,19 @@ class TestVersionRule:
 # the client
 # ----------------------------------------------------------------------
 class DamagedFrameShard(ShardServer):
-    """Answers with a broken frame in valid JSON while ``damage`` names
-    how: ``"index"``, a first row that indexes past the node table;
-    ``"base64"``, a packed string with a character outside the base64
-    alphabet; ``"width"``, rows packed at a width of 3 bytes;
-    ``"label"``, a frame with integer rows under a 1.7 label, which
-    names no frame."""
+    """Answers a framed ``fetch-methods`` in a form this build's client
+    refuses while ``damage`` names it: ``"index"``, a first row that
+    indexes past the node table; ``"base64"``, a packed string with a
+    character outside the base64 alphabet; ``"width"``, rows packed at
+    a width of 3 bytes; ``"label"``, the frame as sent under a 1.9
+    label; ``"integer-rows"``, the frame's rows as JSON integers under
+    a 1.9 label, as a 1.9 shard sends it; ``"unpacked"``, the same
+    under this build's label; ``"no-packed"``, the frame with no rows
+    at all; ``"nominal"``, the same entries nominally, labelled with
+    this build's version.  Records the version of every
+    ``fetch-methods`` request."""
 
     damage = None
-
-    def _dispatch(self, request):
-        response = super()._dispatch(request)
-        frame = getattr(response, "frame", None)
-        if self.damage is None or frame is None:
-            return response
-        rows = list(frame_rows(frame, packed=frame.packed is not None))
-        if self.damage == "label":
-            return dataclasses.replace(
-                response,
-                protocol_version="1.7",
-                frame=dataclasses.replace(frame, rows=tuple(rows), packed=None),
-            )
-        if self.damage == "index":
-            rows[0] = len(frame.nodes)
-            packed = packed_at(rows, 2)
-        elif self.damage == "base64":
-            packed = "*" + frame.packed[1:]
-        else:
-            packed = packed_at(rows, 3)
-        return dataclasses.replace(
-            response, frame=dataclasses.replace(frame, rows=(), packed=packed)
-        )
-
-
-class NominalShard(ShardServer):
-    """Answers ``fetch-methods`` as a 1.7 shard does: nominal entries,
-    whatever version the request carries.  Records those versions."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -747,133 +704,111 @@ class NominalShard(ShardServer):
     def _dispatch(self, request):
         if isinstance(request, MethodEntriesRequest):
             self.versions.append(request.protocol_version)
-            request = dataclasses.replace(request, protocol_version="1.7")
-        return super()._dispatch(request)
+        response = super()._dispatch(request)
+        frame = getattr(response, "frame", None)
+        if self.damage is None or frame is None:
+            return response
+        if self.damage == "nominal":
+            return super()._dispatch(dataclasses.replace(request, protocol_version="1.7"))
+        rows = list(frame_rows(frame))
+        if self.damage == "label":
+            return dataclasses.replace(response, protocol_version="1.9")
+        if self.damage == "integer-rows":
+            return dataclasses.replace(
+                response,
+                protocol_version="1.9",
+                frame=dataclasses.replace(frame, rows=tuple(rows), packed=None),
+            )
+        if self.damage in ("unpacked", "no-packed"):
+            unpacked = tuple(rows) if self.damage == "unpacked" else ()
+            return dataclasses.replace(
+                response, frame=dataclasses.replace(frame, rows=unpacked, packed=None)
+            )
+        if self.damage == "index":
+            rows[0] = len(frame.nodes)
+            packed = packed_at(rows, 2)
+        elif self.damage == "base64":
+            packed = "*" + frame.packed[1:]
+        else:
+            packed = packed_at(rows, 3)
+        return dataclasses.replace(response, frame=dataclasses.replace(frame, packed=packed))
 
 
-class FlatShard(ShardServer):
-    """Answers ``fetch-methods`` as a 1.8 shard does: a flat frame under
-    a 1.8 label, whatever version the request carries."""
-
-    version = "1.8"
-
-    def _dispatch(self, request):
-        if isinstance(request, MethodEntriesRequest):
-            request = dataclasses.replace(request, protocol_version=self.version)
-        return super()._dispatch(request)
-
-
-class IntegerRowShard(FlatShard):
-    """Answers ``fetch-methods`` as a 1.9 shard does: a trie frame with
-    integer rows under a 1.9 label."""
-
-    version = "1.9"
+#: Every :class:`DamagedFrameShard` damage.
+DAMAGES = [
+    "index", "base64", "width", "label", "integer-rows", "unpacked", "no-packed", "nominal",
+]
 
 
 class TestClient:
-    def test_framed_prefetch_fills_the_tier_like_a_nominal_one(
-        self, servers, monkeypatch
-    ):
-        addresses = [server.address for server in servers()]
+    def test_framed_prefetch_fills_the_tier_like_a_nominal_one(self, servers):
+        fleet = servers()
+        addresses = [server.address for server in fleet]
         publish(addresses)
         framed = remote_engine(addresses)
         framed.cache.begin_batch()
         framed.cache.end_batch()
-        with monkeypatch.context() as patch:
-            nominal_requests(patch)
-            nominal = remote_engine(addresses)
-            nominal.cache.begin_batch()
-            nominal.cache.end_batch()
-        framed_stats = framed.stats().remote
-        nominal_stats = nominal.stats().remote
-        assert framed_stats.prefetched == nominal_stats.prefetched > 0
-        assert framed_stats.unresolved == nominal_stats.unresolved == 0
-        assert 0 < framed_stats.prefetch_bytes < nominal_stats.prefetch_bytes / 2
+        local = reference_engine(fleet)
+        stats = framed.stats().remote
+        assert stats.prefetched == len(local.cache) > 0
+        assert stats.unresolved == 0
+        # The same entries sent nominally take more than twice the bytes.
+        nominal_bytes = sum(
+            len(server.handle_line(encode(MethodEntriesRequest(protocol_version="1.7")))) + 1
+            for server in fleet
+        )
+        assert 0 < stats.prefetch_bytes < nominal_bytes / 2
         # Same keys, summaries and order in the local tier.
-        assert tier_wire(framed) == tier_wire(nominal)
-        # A local engine holding the same summaries, in the same order.
-        local = PointsToEngine(program_pag(), EnginePolicy())
-        SummarySnapshot.capture(nominal.cache).load_into(local.cache, local.pag)
+        assert store_wire(framed.cache.local_tier) == store_wire(local.cache)
+        # The session answers and steps like the local engine.
         want = [canonical(r) for r in local.query_batch(QUERIES)]
         assert want == local_answers(QUERIES)
-        for engine in (framed, nominal):
-            assert [canonical(r) for r in engine.query_batch(QUERIES)] == want
-            assert engine.stats().steps == local.stats().steps
-            engine.cache.close()
+        assert [canonical(r) for r in framed.query_batch(QUERIES)] == want
+        assert framed.stats().steps == local.stats().steps
+        framed.cache.close()
 
-    @staticmethod
-    def against(servers, monkeypatch, tier, *old_shards):
-        """Checks that one engine per fleet sees the same answers, steps,
-        remote stats but ``prefetch_bytes``, held entries and tier against
-        this build's shards as against each of ``old_shards``'; returns
-        each fleet's ``prefetch_bytes``, this build's first."""
+    @pytest.mark.parametrize("tier", ["held", "array", "bounded", "no-kernel"])
+    def test_a_framed_prefetch_reads_alike_on_every_tier(self, servers, monkeypatch, tier):
+        """Held in the kernel or adopted per entry, over a plain or a
+        bounded tier, with or without a kernel: the tier holds what the
+        shards' entries resolve to, and the session answers and steps
+        like a local engine holding them."""
         if tier == "held" and not availability()[0]:
             pytest.skip(f"native kernel unavailable: {availability()[1]}")
         if tier == "no-kernel":
             from repro.native import session as native_session
 
             monkeypatch.setattr(native_session, "graph_for", lambda pag: None)
-        seen, sizes = [], []
-        for cls in (ShardServer, *old_shards):
-            addresses = tuple(server.address for server in servers(cls))
-            publish(addresses)
-            engine = PointsToEngine(
-                program_pag(),
-                EnginePolicy(
-                    traversal_impl="array" if tier == "array" else None,
-                    cache=CachePolicy(
-                        remote=addresses, remote_timeout=5.0,
-                        max_entries=10_000 if tier == "bounded" else None,
-                    ),
+        fleet = servers()
+        addresses = tuple(server.address for server in fleet)
+        publish(addresses)
+        max_entries = 10_000 if tier == "bounded" else None
+        local = reference_engine(fleet, max_entries)
+        prefetched = len(local.cache)
+        engine = PointsToEngine(
+            program_pag(),
+            EnginePolicy(
+                traversal_impl="array" if tier == "array" else None,
+                cache=CachePolicy(
+                    remote=addresses, remote_timeout=5.0, max_entries=max_entries
                 ),
-            )
-            try:
-                answers = [canonical(r) for r in engine.query_batch(QUERIES)]
-                stats = engine.stats()
-                sizes.append(stats.remote.prefetch_bytes)
-                seen.append({
-                    "answers": answers,
-                    "steps": stats.steps,
-                    "remote": dataclasses.replace(stats.remote, prefetch_bytes=0),
-                    "held": engine.cache.local_tier.held,
-                    "tier": tier_wire(engine),
-                })
-            finally:
-                engine.cache.close()
-        current = seen[0]
-        assert all(old == current for old in seen[1:])
-        assert current["answers"] == local_answers(QUERIES)
-        remote = current["remote"]
-        assert remote.prefetched > 0
-        assert (remote.unresolved, remote.degraded, remote.remote_errors) == (0, 0, 0)
-        assert current["held"] == (remote.prefetched if tier == "held" else 0)
-        return sizes
-
-    @pytest.mark.parametrize("tier", ["held", "array", "bounded", "no-kernel"])
-    def test_a_1_8_shards_flat_frame_reads_like_a_trie(self, servers, monkeypatch, tier):
-        """The answer's label picks the reader: against 1.8 shards a
-        1.10 client holds the same entries, counts, answers and steps as
-        against 1.9 and 1.10 shards, held in the kernel or adopted per
-        entry.  A 1.9 trie frame reads fewer bytes than a 1.8 flat one."""
-        packed, integers, flat = self.against(
-            servers, monkeypatch, tier, IntegerRowShard, FlatShard
+            ),
         )
-        assert integers < flat
+        try:
+            answers = [canonical(r) for r in engine.query_batch(QUERIES)]
+            assert answers == [canonical(r) for r in local.query_batch(QUERIES)]
+            assert answers == local_answers(QUERIES)
+            assert engine.stats().steps == local.stats().steps
+            remote = engine.stats().remote
+            assert remote.prefetched == prefetched > 0
+            assert (remote.unresolved, remote.degraded, remote.remote_errors) == (0, 0, 0)
+            held = engine.cache.local_tier.held
+            assert held == (prefetched if tier == "held" else 0)
+            assert store_wire(engine.cache.local_tier) == store_wire(local.cache)
+        finally:
+            engine.cache.close()
 
-    @pytest.mark.parametrize("tier", ["held", "array", "bounded", "no-kernel"])
-    def test_a_1_9_shards_integer_rows_read_like_packed_ones(
-        self, servers, monkeypatch, tier
-    ):
-        """Against 1.9 shards a 1.10 client reads integer rows by the
-        answer's label, and holds what it holds against 1.10 shards:
-        the JSON rows go to the kernel as int64, the packed ones at
-        their width.  This program's row values are small: one takes 1–3
-        JSON digits and a comma, but 8/3 base64 characters at width 2,
-        so the packed rows buy decode time, not bytes."""
-        packed, integers = self.against(servers, monkeypatch, tier, IntegerRowShard)
-        assert integers < packed
-
-    @pytest.mark.parametrize("damage", ["index", "base64", "width", "label"])
+    @pytest.mark.parametrize("damage", DAMAGES)
     def test_a_damaged_frame_is_refused_whole(self, servers, damage):
         fleet = servers(DamagedFrameShard)
         addresses = [server.address for server in fleet]
@@ -899,17 +834,37 @@ class TestClient:
         assert reader.cache._cursors[1] != cursors[1]
         reader.cache.close()
 
-    def test_a_nominal_answer_is_still_adopted(self, servers):
-        fleet = servers(NominalShard)
+    @pytest.mark.parametrize("damage", ["integer-rows", "nominal"])
+    def test_a_shard_of_an_earlier_build_is_refused_on_every_batch(self, servers, damage):
+        """Against shards that answer as a 1.9 shard (integer rows) or
+        answer nominally, every batch asks again for a full dump and
+        refuses it whole: the client computes locally, with unchanged
+        answers, until the shards answer with a frame again."""
+        fleet = servers(DamagedFrameShard)
         addresses = [server.address for server in fleet]
         publish(addresses)
+        for server in fleet:
+            server.damage = damage
         reader = remote_engine(addresses)
-        assert [canonical(r) for r in reader.query_batch(QUERIES)] == local_answers(QUERIES)
-        remote = reader.stats().remote
-        assert remote.prefetched == sum(len(server.store) for server in fleet) > 0
-        assert (remote.unresolved, remote.degraded) == (0, 0)
-        assert {v for server in fleet for v in server.versions} == {PROTOCOL_VERSION}
-        reader.cache.close()
+        try:
+            for batch in range(1, 4):
+                assert [canonical(r) for r in reader.query_batch(FIRST)] == local_answers(
+                    FIRST
+                )
+                remote = reader.stats().remote
+                assert remote.remote_errors == remote.degraded == 2 * batch
+                assert remote.prefetched == 0
+                assert reader.cache._cursors == [None, None]
+            # This build's client asks at this build's version.
+            assert {v for server in fleet for v in server.versions} == {PROTOCOL_VERSION}
+            for server in fleet:
+                server.damage = None
+            reader.query_batch(FIRST[:1])
+            remote = reader.stats().remote
+            assert remote.prefetched == sum(len(server.store) for server in fleet)
+            assert remote.remote_errors == 6 and None not in reader.cache._cursors
+        finally:
+            reader.cache.close()
 
 
 # ----------------------------------------------------------------------
@@ -932,10 +887,10 @@ class TestSharing:
             store.store(wire_entry(name, objects=("o1", "o2"), boundaries=("a",)))
         refs = resident_refs(store)
         assert len({id(ref) for ref in refs}) == len({ref_key(ref) for ref in refs}) == 8
-        frame = pack_frame(store.entries_for_methods(), trie=False)
-        assert (len(frame.nodes), len(frame.stacks)) == (6, 2)
-        # A trie writes only the non-empty stack, ``[["f", 0]]``.
-        assert pack_frame(store.entries_for_methods()).stacks == ([0, "f", 0],)
+        frame = pack_frame(store.entries_for_methods())
+        assert len(frame.nodes) == 6
+        # The trie writes only the non-empty stack, ``[["f", 0]]``.
+        assert frame.stacks == ([0, "f", 0],)
 
     @pytest.mark.parametrize(
         "capacity",

@@ -8,6 +8,7 @@ pure memos keyed by nominal node identity, so replaying them can only
 remove PPTA work, never change an answer.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,7 @@ from repro import (
     build_pag,
     parse_program,
 )
+from repro.bench.generator import GeneratorConfig, generate_program
 from repro.bench.runner import bench_engine_policy
 from repro.bench.suite import load_benchmark
 from repro.clients import ALL_CLIENTS
@@ -143,6 +145,37 @@ def test_warm_start_answers_match_across_impls(cache, name, tmp_path):
         runs[impl] = (_answers(results), [r.steps for r in results])
     assert runs["array"] == runs["native"] == runs["reference"]
     assert runs["reference"][0] == cold_answers
+
+
+def test_a_snapshot_with_float_states_warm_starts_a_native_engine(tmp_path):
+    """A state written ``1.0`` equals S1, so the loader accepts it; the
+    store and the kernel mirror get the int it stands for.  A snapshot
+    with every key and boundary state written as a float answers every
+    query with the answers and steps of the same snapshot with integer
+    states, on the kernel."""
+    config = GeneratorConfig(seed=3, domain_classes=2, data_classes=2, layers=1)
+    cold = PointsToEngine(build_pag(generate_program(config)), EnginePolicy())
+    cold.query_batch(_query_nodes(cold.pag))
+    ints = tmp_path / "ints.json"
+    cold.save_cache(ints)
+    payload = json.loads(ints.read_text())
+    for entry in payload["entries"]:
+        for key in (entry, *entry["boundaries"]):
+            key["state"] = float(key["state"])
+    floats = tmp_path / "floats.json"
+    floats.write_text(json.dumps(payload))
+    assert '"state": 1.0' in floats.read_text()
+    runs = []
+    for path in (ints, floats):
+        warm = PointsToEngine(
+            build_pag(generate_program(config)),
+            EnginePolicy(warm_start=str(path), traversal_impl="native"),
+        )
+        assert warm.warm_loaded == len(payload["entries"]) > 0
+        results = [warm.query(node) for node in _query_nodes(warm.pag)]
+        runs.append((_answers(results), [r.steps for r in results]))
+        assert warm.stats().steps < cold.stats().steps
+    assert runs[0] == runs[1]
 
 
 def test_warm_start_into_bounded_store(tmp_path):
